@@ -4,7 +4,8 @@
 //
 // The library lives under internal/: a float32 tensor engine with
 // zero-copy views and a pooled scratch-buffer allocator, the fork-join
-// worker pool, a cache-blocked register-tiled GEMM microkernel with
+// worker pool, a cache-blocked register-tiled GEMM (an AVX2 assembly
+// microkernel on amd64, a bit-identical portable one elsewhere) with
 // pluggable panel packing and the 3D CNN layers running on either the
 // im2col+GEMM or the direct convolution engine (tensor, parallel, gemm,
 // nn — the GEMM training path materializes each layer's patch matrices

@@ -5,9 +5,22 @@
 // are repacked into contiguous panels (A into mr-row panels, B into nr-column
 // panels) so the innermost microkernel streams through memory linearly, K is
 // blocked into kcBlock-deep slices that keep a B panel resident in L2, and
-// the microkernel accumulates an mr×nr register tile of C with mr·nr
-// independent dependency chains (the direct convolution loops carry a single
-// accumulator chain, which is what limits them to one FMA every few cycles).
+// the microkernel accumulates an mr×nr register tile of C and merges it into
+// C itself. On amd64 with AVX2 the microkernel is hand-written assembly
+// (kernel_amd64.s) holding the 4×16 tile in eight YMM registers; everywhere
+// else it is the portable kernelGo, which is also the oracle the assembly
+// is tested against. gemm.go names neither: each build supplies kernel,
+// copyRows and transposeRows (kernel_amd64.go, kernel_noasm.go).
+//
+// Arithmetic: every C element starts from zero per kcBlock slice and, in
+// ascending K, takes acc = round(acc + round(a·b)) — a separately rounded
+// multiply and add, never a fused multiply-add — and the finished slice sum
+// is then stored over or added to C. The assembly uses VMULPS + VADDPS, and
+// kernelGo writes the product as float32(a*b), an explicit conversion the Go
+// spec forbids fusing across, so the two agree bit for bit on every
+// architecture (arm64, ppc64le, s390x and riscv64 would otherwise fuse
+// x*y + z) and under any GOAMD64 level. Element-wise SIMD of that recurrence
+// does not reorder anything, so the tile shape is invisible in the output.
 //
 // Parallelism and determinism: work is partitioned over fixed-width column
 // blocks of C via internal/parallel, so every C element is owned by exactly
@@ -15,8 +28,8 @@
 // kcBlock-deep slice, slices in ascending order — that depends only on the
 // problem shape, never on the worker budget. Results are therefore
 // bit-for-bit identical for any worker count (asserted by
-// TestGemmWorkerCountInvariant). They differ from a naive triple loop only
-// by float reassociation across kcBlock boundaries and the register tile.
+// TestGemmWorkerCountInvariant) and for either microkernel. They differ from
+// a naive triple loop only by float reassociation across kcBlock boundaries.
 //
 // The B-side packer is pluggable: GemmPackB accepts a PackBFunc that
 // streams op(B) panels straight into the packed buffer, so callers whose B
@@ -38,16 +51,21 @@ import (
 )
 
 const (
-	// mr × nr is the register tile: 16 independent accumulator chains,
-	// the most the amd64 register file sustains in pure Go.
+	// mr × nr is the register tile: four rows of two 8-float YMM vectors,
+	// i.e. eight vector accumulators, leaving half the sixteen YMM registers
+	// for the B row, the broadcast A element and the products. Each K step
+	// is 8 multiplies + 8 adds against 6 loads, which already saturates the
+	// two vector ALU ports without FMA; a 6×16 tile would only add rows that
+	// the network's M (8, 16, 32, 64 output channels) does not divide into.
 	mr = 4
-	nr = 4
+	nr = 16
 
 	// kcBlock is the K-blocking depth. It is a fixed constant — never
 	// adapted to the worker count or problem size — because C elements
 	// are accumulated one kcBlock-slice at a time, so changing it would
-	// change rounding. A 4-row/column panel pair of this depth is ~8 KiB,
-	// and a full B block (kcBlock × ncBlock) is 384 KiB, L2-resident.
+	// change rounding. A B panel of this depth is 24 KiB (L1-resident
+	// under the A panels streaming past it), and a full B block
+	// (kcBlock × ncBlock) is 384 KiB, L2-resident.
 	kcBlock = 384
 
 	// ncBlock is the column-block width, the unit of parallel work.
@@ -106,10 +124,7 @@ func GemmPackB(transA bool, m, n, k int,
 	if k <= 0 {
 		if !accumulate {
 			for i := 0; i < m; i++ {
-				row := c[i*ldc : i*ldc+n]
-				for j := range row {
-					row[j] = 0
-				}
+				clear(c[i*ldc : i*ldc+n])
 			}
 		}
 		return
@@ -172,10 +187,7 @@ func GemmBatch(count int, transA, transB bool, m, n, k int,
 			for i := 0; i < count; i++ {
 				ci := c(i)
 				for r := 0; r < m; r++ {
-					row := ci[r*ldc : r*ldc+n]
-					for j := range row {
-						row[j] = 0
-					}
+					clear(ci[r*ldc : r*ldc+n])
 				}
 			}
 		}
@@ -204,34 +216,30 @@ func GemmBatch(count int, transA, transB bool, m, n, k int,
 // panel ip holds rows [ip·mr, ip·mr+mr) interleaved by K, i.e.
 // dst[ip·pw·mr + p·mr + ii] = op(A)[i0+ip·mr+ii, p0+p], zero-padded past iw.
 func packA(trans bool, a []float32, lda, i0, iw, p0, pw int, dst []float32) {
-	panels := (iw + mr - 1) / mr
-	for ip := 0; ip < panels; ip++ {
-		out := dst[ip*pw*mr:]
+	// op(A)[i, p] = a[i·si + p·sp]
+	si, sp := lda, 1
+	if trans {
+		si, sp = 1, lda
+	}
+	for ip := 0; ip*mr < iw; ip++ {
+		out := dst[ip*pw*mr : (ip+1)*pw*mr]
+		base := (i0+ip*mr)*si + p0*sp
 		rows := min(mr, iw-ip*mr)
-		if trans {
-			// op(A)[i, p] = a[p·lda + i]
-			base := p0*lda + i0 + ip*mr
+		switch {
+		case rows < mr:
+			packRagged(out, mr, a[base:], sp, si, pw, rows)
+		case trans:
+			// Each K step is mr contiguous floats of a.
 			for p := 0; p < pw; p++ {
-				src := a[base+p*lda:]
-				o := p * mr
-				for ii := 0; ii < rows; ii++ {
-					out[o+ii] = src[ii]
-				}
-				for ii := rows; ii < mr; ii++ {
-					out[o+ii] = 0
-				}
+				*(*[mr]float32)(out[p*mr:]) = *(*[mr]float32)(a[base+p*lda:])
 			}
-			continue
-		}
-		for ii := 0; ii < rows; ii++ {
-			src := a[(i0+ip*mr+ii)*lda+p0:]
-			for p := 0; p < pw; p++ {
-				out[p*mr+ii] = src[p]
-			}
-		}
-		for ii := rows; ii < mr; ii++ {
-			for p := 0; p < pw; p++ {
-				out[p*mr+ii] = 0
+		default:
+			r0 := a[base:][:pw]
+			r1 := a[base+lda:][:pw]
+			r2 := a[base+2*lda:][:pw]
+			r3 := a[base+3*lda:][:pw]
+			for p := range r0 {
+				*(*[mr]float32)(out[p*mr:]) = [mr]float32{r0[p], r1[p], r2[p], r3[p]}
 			}
 		}
 	}
@@ -239,156 +247,130 @@ func packA(trans bool, a []float32, lda, i0, iw, p0, pw int, dst []float32) {
 
 // packB copies the pw×jw block of op(B) at (p0, j0) into nr-column panels:
 // dst[jp·pw·nr + p·nr + jj] = op(B)[p0+p, j0+jp·nr+jj], zero-padded past jw.
+// Full panels go through copyRows/transposeRows, which move as many leading K
+// steps as the architecture has vector code for (none, in the portable
+// build) and report the count; the loops here move the rest.
 func packB(trans bool, b []float32, ldb, p0, pw, j0, jw int, dst []float32) {
-	panels := (jw + nr - 1) / nr
-	for jp := 0; jp < panels; jp++ {
-		out := dst[jp*pw*nr:]
+	// op(B)[p, j] = b[p·sp + j·sj]
+	sp, sj := ldb, 1
+	if trans {
+		sp, sj = 1, ldb
+	}
+	for jp := 0; jp*nr < jw; jp++ {
+		out := dst[jp*pw*nr : (jp+1)*pw*nr]
+		base := p0*sp + (j0+jp*nr)*sj
 		cols := min(nr, jw-jp*nr)
-		if trans {
-			// op(B)[p, j] = b[j·ldb + p]
-			for jj := 0; jj < cols; jj++ {
-				src := b[(j0+jp*nr+jj)*ldb+p0:]
-				for p := 0; p < pw; p++ {
-					out[p*nr+jj] = src[p]
+		switch {
+		case cols < nr:
+			packRagged(out, nr, b[base:], sp, sj, pw, cols)
+		case trans:
+			// Each of the nr source rows runs contiguously along K.
+			done := transposeRows(out, b[base:], ldb, pw)
+			for jj := 0; jj < nr; jj++ {
+				for p, v := range b[base+jj*ldb+done:][:pw-done] {
+					out[(done+p)*nr+jj] = v
 				}
 			}
-			for jj := cols; jj < nr; jj++ {
-				for p := 0; p < pw; p++ {
-					out[p*nr+jj] = 0
-				}
+		default:
+			// Each K step is nr contiguous floats of b.
+			for p := copyRows(out, b[base:], ldb, pw); p < pw; p++ {
+				*(*[nr]float32)(out[p*nr:]) = *(*[nr]float32)(b[base+p*ldb:])
 			}
-			continue
 		}
-		base := p0*ldb + j0 + jp*nr
+	}
+}
+
+// packRagged fills the last, partial panel of a block element by element:
+// out[p·width + e] = src[p·sp + e·se] for e < n, zero for n <= e < width.
+func packRagged(out []float32, width int, src []float32, sp, se, pw, n int) {
+	clear(out)
+	for e := 0; e < n; e++ {
 		for p := 0; p < pw; p++ {
-			src := b[base+p*ldb:]
-			o := p * nr
-			for jj := 0; jj < cols; jj++ {
-				out[o+jj] = src[jj]
-			}
-			for jj := cols; jj < nr; jj++ {
-				out[o+jj] = 0
-			}
+			out[p*width+e] = src[p*sp+e*se]
 		}
 	}
 }
 
 // macroKernel multiplies the packed iw×pw A block by the packed pw×jw B
-// block and merges the mr×nr register tiles into C at offset cOff. When
-// overwrite is true the tile replaces C (the first K slice of a
-// non-accumulating Gemm); otherwise it adds.
+// block into C at offset cOff. When overwrite is true the product replaces C
+// (the first K slice of a non-accumulating Gemm); otherwise it adds. Full
+// mr×nr tiles are merged into C by the microkernel; a ragged edge tile is
+// computed into a stack buffer and only its live rows and columns merged.
+// A B panel stays in L1 while the A panels stream past it.
 func macroKernel(iw, jw, pw int, packedA, packedB, c []float32, cOff, ldc int, overwrite bool) {
 	var tile [mr * nr]float32
-	jPanels := (jw + nr - 1) / nr
-	iPanels := (iw + mr - 1) / mr
-	for jp := 0; jp < jPanels; jp++ {
+	for jp := 0; jp*nr < jw; jp++ {
 		bp := packedB[jp*pw*nr : (jp+1)*pw*nr]
 		cols := min(nr, jw-jp*nr)
-		for ip := 0; ip < iPanels; ip++ {
+		for ip := 0; ip*mr < iw; ip++ {
 			ap := packedA[ip*pw*mr : (ip+1)*pw*mr]
 			rows := min(mr, iw-ip*mr)
-			microKernel(pw, ap, bp, &tile)
 			base := cOff + ip*mr*ldc + jp*nr
-			if overwrite {
-				for ii := 0; ii < rows; ii++ {
-					crow := c[base+ii*ldc:]
-					trow := tile[ii*nr:]
-					for jj := 0; jj < cols; jj++ {
-						crow[jj] = trow[jj]
-					}
+			if rows == mr && cols == nr {
+				kernel(pw, ap, bp, c[base:base+(mr-1)*ldc+nr], ldc, overwrite)
+				continue
+			}
+			kernel(pw, ap, bp, tile[:], nr, true)
+			for ii := 0; ii < rows; ii++ {
+				crow := c[base+ii*ldc:][:cols]
+				trow := tile[ii*nr:][:cols]
+				if overwrite {
+					copy(crow, trow)
+					continue
 				}
-			} else {
-				for ii := 0; ii < rows; ii++ {
-					crow := c[base+ii*ldc:]
-					trow := tile[ii*nr:]
-					for jj := 0; jj < cols; jj++ {
-						crow[jj] += trow[jj]
-					}
+				for jj, v := range trow {
+					crow[jj] += v
 				}
 			}
 		}
 	}
 }
 
-// microKernel computes the mr×nr tile product of a packed A panel and a
-// packed B panel over pw K steps. The 16 accumulators are independent
-// dependency chains, which is where the throughput over the direct
-// convolution loops comes from.
-func microKernel(pw int, a, b []float32, out *[mr * nr]float32) {
-	var (
-		c00, c01, c02, c03 float32
-		c10, c11, c12, c13 float32
-		c20, c21, c22, c23 float32
-		c30, c31, c32, c33 float32
-	)
-	a = a[: pw*mr : pw*mr]
-	b = b[: pw*nr : pw*nr]
-	// Two K steps per iteration: halves the loop overhead and gives the
-	// scheduler two independent batches of 16 multiply-adds in flight.
-	for len(a) >= 2*mr && len(b) >= 2*nr {
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		a4, a5, a6, a7 := a[4], a[5], a[6], a[7]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		c00 += a4 * b4
-		c01 += a4 * b5
-		c02 += a4 * b6
-		c03 += a4 * b7
-		c10 += a5 * b4
-		c11 += a5 * b5
-		c12 += a5 * b6
-		c13 += a5 * b7
-		c20 += a6 * b4
-		c21 += a6 * b5
-		c22 += a6 * b6
-		c23 += a6 * b7
-		c30 += a7 * b4
-		c31 += a7 * b5
-		c32 += a7 * b6
-		c33 += a7 * b7
-		a = a[2*mr:]
-		b = b[2*nr:]
+// kernelGo is the portable microkernel and the reference for the assembly
+// one: it computes the mr×nr tile product of a packed A panel and a packed B
+// panel over pw K steps and stores it over (overwrite) or adds it to the
+// mr×nr block at the head of c, rows ldc apart, touching nothing else of c.
+// The tile is worked as nr/4 strips of 4×4 so that a strip's sixteen
+// accumulators are locals the compiler keeps in registers (an array would
+// live in memory, and updating them four to a tuple assignment spills and
+// costs a quarter of the speed). float32(·) rounds the product before the add: without the
+// conversion the compiler may fuse the two into one FMA rounding.
+func kernelGo(pw int, a, b, c []float32, ldc int, overwrite bool) {
+	a, b = a[:pw*mr], b[:pw*nr]
+	for j := 0; j < nr; j += 4 {
+		var c00, c01, c02, c03, c10, c11, c12, c13 float32
+		var c20, c21, c22, c23, c30, c31, c32, c33 float32
+		for p := 0; p < pw; p++ {
+			ap, bp := (*[mr]float32)(a[p*mr:]), (*[4]float32)(b[p*nr+j:])
+			a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
+			b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c02 += float32(a0 * b2)
+			c03 += float32(a0 * b3)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c12 += float32(a1 * b2)
+			c13 += float32(a1 * b3)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c22 += float32(a2 * b2)
+			c23 += float32(a2 * b3)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
+			c32 += float32(a3 * b2)
+			c33 += float32(a3 * b3)
+		}
+		for i, row := range [mr][4]float32{
+			{c00, c01, c02, c03}, {c10, c11, c12, c13}, {c20, c21, c22, c23}, {c30, c31, c32, c33},
+		} {
+			crow := (*[4]float32)(c[i*ldc+j:])
+			if !overwrite {
+				for jj := range row {
+					row[jj] += crow[jj]
+				}
+			}
+			*crow = row
+		}
 	}
-	for len(a) >= mr && len(b) >= nr {
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		a = a[mr:]
-		b = b[nr:]
-	}
-	out[0], out[1], out[2], out[3] = c00, c01, c02, c03
-	out[4], out[5], out[6], out[7] = c10, c11, c12, c13
-	out[8], out[9], out[10], out[11] = c20, c21, c22, c23
-	out[12], out[13], out[14], out[15] = c30, c31, c32, c33
 }

@@ -68,6 +68,13 @@ func TestGemmMatchesNaive(t *testing.T) {
 		{129, 257, 385},   // one past every blocking constant
 		{mr, nr, kcBlock}, // exactly one tile, one K slice
 		{mcBlock, ncBlock, 8},
+		{7, nr + 1, 10}, // one full and one ragged panel, both ways
+		// Conv lowerings of cubic volumes of edge 2, 4, 8 and 20: n = w³
+		// below, at and off multiples of the panel width.
+		{8, 8, 108},
+		{16, 64, 216},
+		{108, 512, 8},
+		{8, 8000, 54},
 	}
 	for _, sh := range shapes {
 		for _, transA := range []bool{false, true} {
@@ -139,6 +146,11 @@ func TestGemmPackBMatchesDense(t *testing.T) {
 		{16, 4096, 216}, // conv forward shape
 		{5, 7, 9},
 		{129, 2*ncBlock + 37, kcBlock + 129},
+		// Forward shapes of cubic volumes of edge 2, 4, 8 and 20.
+		{8, 8, 108},
+		{16, 64, 216},
+		{16, 512, 432},
+		{8, 8000, 54},
 	}
 	for _, sh := range shapes {
 		for _, transA := range []bool{false, true} {
@@ -215,29 +227,46 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 }
 
 // TestGemmStridedC checks that a C leading dimension wider than n leaves the
-// gutter columns untouched.
+// gutter columns untouched by every C writer: the microkernel's direct
+// stores of full tiles (which must stop at column n even when the last full
+// panel ends there), the scalar merge of ragged edge tiles, and the k = 0
+// zero-fill.
 func TestGemmStridedC(t *testing.T) {
-	const m, n, k, ldc = 5, 6, 7, 9
-	rng := rand.New(rand.NewSource(5))
-	a := randMat(rng, m*k)
-	b := randMat(rng, k*n)
-	c := make([]float32, m*ldc)
-	for i := range c {
-		c[i] = -42
+	cases := []struct{ m, n, k, ldc int }{
+		{5, 6, 7, 9},
+		{2*mr + 1, 2*nr + 5, 7, 2*nr + 9}, // full tiles, then a ragged row and column edge
+		{2 * mr, 2 * nr, 7, 2*nr + 3},     // full tiles only, flush against the gutter
+		{mr, nr, kcBlock + 5, nr + 1},     // accumulating second K slice
+		{2*mr + 1, 2*nr + 5, 0, 2*nr + 9}, // zero-fill
 	}
-	Gemm(false, false, m, n, k, a, k, b, n, false, c, ldc, 1)
-	want := make([]float32, m*n)
-	naive(false, false, m, n, k, a, k, b, n, false, want, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if d := math.Abs(float64(c[i*ldc+j] - want[i*n+j])); !(d <= tolFor(k)) {
-				t.Fatalf("C[%d,%d] = %v, want %v", i, j, c[i*ldc+j], want[i*n+j])
-			}
-		}
-		for j := n; j < ldc; j++ {
-			if c[i*ldc+j] != -42 {
-				t.Fatalf("gutter C[%d,%d] overwritten: %v", i, j, c[i*ldc+j])
-			}
+	for _, tc := range cases {
+		for _, acc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("m%d_n%d_k%d_ldc%d_acc%v", tc.m, tc.n, tc.k, tc.ldc, acc), func(t *testing.T) {
+				m, n, k, ldc := tc.m, tc.n, tc.k, tc.ldc
+				rng := rand.New(rand.NewSource(5))
+				a := randMat(rng, m*k)
+				b := randMat(rng, k*n)
+				c := randMat(rng, m*ldc)
+				orig := append([]float32(nil), c...)
+				want := make([]float32, m*n)
+				for i := 0; i < m; i++ {
+					copy(want[i*n:(i+1)*n], c[i*ldc:])
+				}
+				Gemm(false, false, m, n, k, a, k, b, n, acc, c, ldc, 1)
+				naive(false, false, m, n, k, a, k, b, n, acc, want, n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						if d := math.Abs(float64(c[i*ldc+j] - want[i*n+j])); !(d <= tolFor(k)) {
+							t.Fatalf("C[%d,%d] = %v, want %v", i, j, c[i*ldc+j], want[i*n+j])
+						}
+					}
+					for j := n; j < ldc; j++ {
+						if math.Float32bits(c[i*ldc+j]) != math.Float32bits(orig[i*ldc+j]) {
+							t.Fatalf("gutter C[%d,%d] overwritten: %v, was %v", i, j, c[i*ldc+j], orig[i*ldc+j])
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -257,22 +286,42 @@ func TestGemmZeroK(t *testing.T) {
 	}
 }
 
+// BenchmarkGemm times the three GEMMs one 3×3×3 convolution of the
+// benchmark U-Net lowers to (IC 8, OC 16, 16³ voxels) and reports GFLOP/s.
 func BenchmarkGemm(b *testing.B) {
-	// The forward-convolution shape of the benchmark U-Net layer:
-	// [OC × IC·K³] · [IC·K³ × D·H·W].
-	const m, n, k = 16, 4096, 216
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, m*k)
-	bb := randMat(rng, k*n)
-	c := make([]float32, m*n)
-	flops := 2 * int64(m) * int64(n) * int64(k)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(flops) // rendered as "bytes"/s == FLOP/s
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Gemm(false, false, m, n, k, a, k, bb, n, false, c, n, workers)
-			}
-		})
+	shapes := []struct {
+		name           string
+		transA, transB bool
+		m, n, k        int
+	}{
+		// [OC × IC·K³] · [IC·K³ × D·H·W]
+		{"forward", false, false, 16, 4096, 216},
+		// [IC·K³ × OC] · [OC × D·H·W], A stored transposed: K is only OC.
+		{"backward_input", true, false, 216, 4096, 16},
+		// [OC × D·H·W] · [D·H·W × IC·K³], B stored transposed.
+		{"backward_weights", false, true, 16, 216, 4096},
+	}
+	for _, sh := range shapes {
+		rng := rand.New(rand.NewSource(1))
+		a := randMat(rng, sh.m*sh.k)
+		bb := randMat(rng, sh.k*sh.n)
+		c := make([]float32, sh.m*sh.n)
+		lda, ldb := sh.k, sh.n
+		if sh.transA {
+			lda = sh.m
+		}
+		if sh.transB {
+			ldb = sh.k
+		}
+		flops := 2 * float64(sh.m) * float64(sh.n) * float64(sh.k)
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Gemm(sh.transA, sh.transB, sh.m, sh.n, sh.k, a, lda, bb, ldb, false, c, sh.n, workers)
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

@@ -1,0 +1,202 @@
+//go:build amd64
+
+#include "textflag.h"
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax, edx uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// One K step of row i of the tile: broadcast a[i], multiply it into the two
+// halves of the B row held in Y8/Y9, then add the rounded products to the
+// row's accumulators. VMULPS and VADDPS stay separate instructions — a fused
+// multiply-add would skip the product rounding the portable kernel performs.
+#define ROW(off, lo, hi) \
+	VBROADCASTSS off(SI), Y10; \
+	VMULPS       Y8, Y10, Y11; \
+	VMULPS       Y9, Y10, Y12; \
+	VADDPS       Y11, lo, lo;  \
+	VADDPS       Y12, hi, hi
+
+// func kernelAVX2(pw int, a, b, c []float32, ldc int, overwrite bool)
+//
+// The 4×16 tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
+// (columns 8-15). a is a packed mr-row panel (4 floats per K step), b a
+// packed nr-column panel (16 floats per K step).
+TEXT ·kernelAVX2(SB), NOSPLIT, $0-89
+	MOVQ   pw+0(FP), CX
+	MOVQ   a_base+8(FP), SI
+	MOVQ   b_base+32(FP), DI
+	MOVQ   c_base+56(FP), DX
+	MOVQ   ldc+80(FP), R8
+	SHLQ   $2, R8               // C row stride in bytes
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  CX, CX
+	JZ     merge
+
+loop:
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	ROW(0, Y0, Y1)
+	ROW(4, Y2, Y3)
+	ROW(8, Y4, Y5)
+	ROW(12, Y6, Y7)
+	ADDQ    $16, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     loop
+
+merge:
+	LEAQ    (DX)(R8*1), R9      // row 1
+	LEAQ    (DX)(R8*2), R10     // row 2
+	LEAQ    (R9)(R8*2), R11     // row 3
+	MOVBLZX overwrite+88(FP), AX
+	TESTB   AL, AL
+	JNZ     store
+	VADDPS  (DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
+	VADDPS  (R9), Y2, Y2
+	VADDPS  32(R9), Y3, Y3
+	VADDPS  (R10), Y4, Y4
+	VADDPS  32(R10), Y5, Y5
+	VADDPS  (R11), Y6, Y6
+	VADDPS  32(R11), Y7, Y7
+
+store:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, (R9)
+	VMOVUPS Y3, 32(R9)
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, 32(R10)
+	VMOVUPS Y6, (R11)
+	VMOVUPS Y7, 32(R11)
+	VZEROUPPER
+	RET
+
+// Transposes the 8×8 float block whose rows start at r0 and r4 = r0 + 4·ldb
+// bytes-stride R8 (R12 = 3·R8) into eight 8-float rows of the packed panel
+// at off(DI), 64 bytes (one nr-float panel row) apart. Each YMM register is
+// loaded as [row i | row i+4], so the 4×4 transposes VUNPCK/VSHUFPS perform
+// inside each 128-bit lane leave whole output rows behind.
+#define TRANSPOSE8(r0, r4, off) \
+	VMOVUPS     (r0), X0;                  \
+	VMOVUPS     (r0)(R8*1), X1;            \
+	VMOVUPS     (r0)(R8*2), X2;            \
+	VMOVUPS     (r0)(R12*1), X3;           \
+	VMOVUPS     16(r0), X4;                \
+	VMOVUPS     16(r0)(R8*1), X5;          \
+	VMOVUPS     16(r0)(R8*2), X6;          \
+	VMOVUPS     16(r0)(R12*1), X7;         \
+	VINSERTF128 $1, (r4), Y0, Y0;          \
+	VINSERTF128 $1, (r4)(R8*1), Y1, Y1;    \
+	VINSERTF128 $1, (r4)(R8*2), Y2, Y2;    \
+	VINSERTF128 $1, (r4)(R12*1), Y3, Y3;   \
+	VINSERTF128 $1, 16(r4), Y4, Y4;        \
+	VINSERTF128 $1, 16(r4)(R8*1), Y5, Y5;  \
+	VINSERTF128 $1, 16(r4)(R8*2), Y6, Y6;  \
+	VINSERTF128 $1, 16(r4)(R12*1), Y7, Y7; \
+	VUNPCKLPS   Y1, Y0, Y8;                \
+	VUNPCKHPS   Y1, Y0, Y9;                \
+	VUNPCKLPS   Y3, Y2, Y10;               \
+	VUNPCKHPS   Y3, Y2, Y11;               \
+	VUNPCKLPS   Y5, Y4, Y12;               \
+	VUNPCKHPS   Y5, Y4, Y13;               \
+	VUNPCKLPS   Y7, Y6, Y14;               \
+	VUNPCKHPS   Y7, Y6, Y15;               \
+	VSHUFPS     $0x44, Y10, Y8, Y0;        \
+	VSHUFPS     $0xEE, Y10, Y8, Y1;        \
+	VSHUFPS     $0x44, Y11, Y9, Y2;        \
+	VSHUFPS     $0xEE, Y11, Y9, Y3;        \
+	VSHUFPS     $0x44, Y14, Y12, Y4;       \
+	VSHUFPS     $0xEE, Y14, Y12, Y5;       \
+	VSHUFPS     $0x44, Y15, Y13, Y6;       \
+	VSHUFPS     $0xEE, Y15, Y13, Y7;       \
+	VMOVUPS     Y0, off+0(DI);             \
+	VMOVUPS     Y1, off+64(DI);            \
+	VMOVUPS     Y2, off+128(DI);           \
+	VMOVUPS     Y3, off+192(DI);           \
+	VMOVUPS     Y4, off+256(DI);           \
+	VMOVUPS     Y5, off+320(DI);           \
+	VMOVUPS     Y6, off+384(DI);           \
+	VMOVUPS     Y7, off+448(DI)
+
+// func transposeAVX2(dst, src []float32, ldb, blocks int)
+//
+// dst[p·16 + j] = src[j·ldb + p] for j < 16, p < 8·blocks: one packed B
+// panel of a transposed operand, eight K steps per iteration.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-64
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  ldb+48(FP), R8
+	MOVQ  blocks+56(FP), CX
+	SHLQ  $2, R8                // source row stride in bytes
+	LEAQ  (R8)(R8*2), R12       // 3 rows
+	LEAQ  (SI)(R8*4), R9        // row 4
+	LEAQ  (R9)(R8*4), R10       // row 8
+	LEAQ  (R10)(R8*4), R11      // row 12
+	TESTQ CX, CX
+	JZ    done
+
+block:
+	TRANSPOSE8(SI, R9, 0)
+	TRANSPOSE8(R10, R11, 32)
+	ADDQ $32, SI
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  block
+
+done:
+	VZEROUPPER
+	RET
+
+// func copyPanelAVX2(dst, src []float32, ldb, pw int)
+//
+// dst[p·16 + j] = src[p·ldb + j] for j < 16, p < pw: one packed B panel of
+// a row-major operand, one 16-float row per K step.
+TEXT ·copyPanelAVX2(SB), NOSPLIT, $0-64
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  ldb+48(FP), R8
+	MOVQ  pw+56(FP), CX
+	SHLQ  $2, R8
+	TESTQ CX, CX
+	JZ    copied
+
+row:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    R8, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     row
+
+copied:
+	VZEROUPPER
+	RET

@@ -33,6 +33,16 @@ func TestFusedPackingMatchesMaterialized(t *testing.T) {
 		// with dx = +2, driving the packed run's valid x-range negative at
 		// the row tail (regression test for an out-of-range panel write).
 		{"kernel5deepK", 4, 2, 5, 1, 5, 5, 5},
+		// Row widths around the 16-column packing panel: a panel spans
+		// 8, 4, 2 rows (w = 2, 4, 8), exactly one (16), or straddles row
+		// ends at varying offsets (20) — and crosses y-row and z-plane
+		// boundaries, where a tap's neighbours fall into the padding.
+		{"w2", 3, 4, 3, 1, 2, 2, 2},
+		{"w4", 3, 4, 3, 2, 4, 4, 4},
+		{"w8", 2, 4, 3, 1, 8, 8, 8},
+		{"w16", 2, 4, 3, 1, 3, 5, 16},
+		{"w20", 2, 4, 3, 1, 3, 4, 20},
+		{"w4kernel5", 2, 3, 5, 1, 4, 4, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,35 +28,40 @@ func im2col(x []float32, ic, d, h, w, k, p int, patch []float32, workers int) {
 	parallel.ForWorkers(workers, ic*kk, 1, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			tap := r % kk
-			ici := r / kk
-			kx := tap % k
-			ky := (tap / k) % k
-			kz := tap / (k * k)
-			dz, dy, dx := kz-p, ky-p, kx-p
+			dz, dy, dx := tap/(k*k)-p, (tap/k)%k-p, tap%k-p
 			dst := patch[r*cols : (r+1)*cols]
-			src := x[ici*cols : (ici+1)*cols]
-			x0, x1 := tapXRange(dx, w)
-			for z := 0; z < d; z++ {
-				iz := z + dz
-				zOK := iz >= 0 && iz < d
-				for y := 0; y < h; y++ {
-					o := (z*h + y) * w
-					iy := y + dy
-					if !zOK || iy < 0 || iy >= h || x0 >= x1 {
-						// The whole row is padding for this tap.
-						row := dst[o : o+w]
-						for i := range row {
+			src := x[(r/kk)*cols : (r/kk+1)*cols]
+			z0, z1 := tapRange(dz, d)
+			y0, y1 := tapRange(dy, h)
+			x0, x1 := tapRange(dx, w)
+			if z0 >= z1 || y0 >= y1 || x0 >= x1 {
+				clear(dst) // the tap only ever reads padding
+				continue
+			}
+			clear(dst[:z0*h*w])
+			clear(dst[z1*h*w:])
+			shift := (dz*h+dy)*w + dx
+			for z := z0; z < z1; z++ {
+				plane := dst[z*h*w : (z+1)*h*w]
+				clear(plane[:y0*w])
+				clear(plane[y1*w:])
+				// Rows y0..y1 of the plane are the same rows of the shifted
+				// source, so one copy from the first valid voxel to the last
+				// moves them all; where dx != 0 it also drags each row's
+				// wrapped-around neighbours into the padding columns, which
+				// are zeroed afterwards.
+				run := plane[y0*w+x0 : (y1-1)*w+x1]
+				copy(run, src[z*h*w+y0*w+x0+shift:])
+				if x1-x0 < w {
+					// At most k/2 voxels per side: plain stores beat clear.
+					for y := y0; y < y1; y++ {
+						row := plane[y*w : (y+1)*w]
+						for i := 0; i < x0; i++ {
 							row[i] = 0
 						}
-						continue
-					}
-					s := (iz*h+iy)*w + dx
-					for i := 0; i < x0; i++ {
-						dst[o+i] = 0
-					}
-					copy(dst[o+x0:o+x1], src[s+x0:s+x1])
-					for i := x1; i < w; i++ {
-						dst[o+i] = 0
+						for i := x1; i < w; i++ {
+							row[i] = 0
+						}
 					}
 				}
 			}
@@ -99,121 +104,54 @@ func im2colPackB(x []float32, ic, d, h, w, k, p int, taps *tapOffsets) gemm.Pack
 	dzs, dys, dxs := taps.dzs, taps.dys, taps.dxs
 	const nr = gemm.PanelCols
 	return func(p0, pw, j0, jw int, dst []float32) {
-		panels := (jw + nr - 1) / nr
-		for jp := 0; jp < panels; jp++ {
-			out := dst[jp*pw*nr:]
-			colN := nr
-			if jw-jp*nr < nr {
-				colN = jw - jp*nr
-			}
-			// Decompose the panel's output voxels (patch-matrix columns).
-			// Consecutive columns are consecutive voxels in x scan order;
-			// when they all sit in one x-row the per-element z/y bounds
-			// checks hoist out of the inner loop entirely.
-			c0 := j0 + jp*nr
-			cx0 := c0 % w
-			cy0 := (c0 / w) % h
-			cz0 := c0 / (w * h)
-			sameRow := cx0+colN <= w
-			var cz, cy, cx [nr]int
-			if !sameRow {
-				for jj := 0; jj < colN; jj++ {
-					cv := c0 + jj
-					cx[jj] = cv % w
-					cy[jj] = (cv / w) % h
-					cz[jj] = cv / (w * h)
-				}
-			}
-			tap := p0 % kk
-			base := (p0 / kk) * cols // input-channel slab of row p0
-			for pp := 0; pp < pw; pp++ {
-				dz, dy, dx := dzs[tap], dys[tap], dxs[tap]
-				o := pp * nr
-				if sameRow {
-					iz := cz0 + dz
-					iy := cy0 + dy
-					if iz >= 0 && iz < d && iy >= 0 && iy < h {
-						// Valid x-range of the run: 0 <= cx0+jj+dx < w,
-						// clamped to [0, colN] — for |dx| ≥ the run width
-						// (large kernels, narrow volumes) the range is
-						// empty and the whole run is padding.
-						lo, hi := -cx0-dx, w-cx0-dx
-						if lo < 0 {
-							lo = 0
-						}
-						if lo > colN {
-							lo = colN
-						}
-						if hi > colN {
-							hi = colN
-						}
-						if hi < lo {
-							hi = lo
-						}
-						s := base + (iz*h+iy)*w + cx0 + dx
-						for jj := 0; jj < lo; jj++ {
-							out[o+jj] = 0
-						}
-						for jj := lo; jj < hi; jj++ {
-							out[o+jj] = x[s+jj]
-						}
-						for jj := hi; jj < nr; jj++ {
-							out[o+jj] = 0
-						}
-					} else {
-						for jj := 0; jj < nr; jj++ {
-							out[o+jj] = 0
-						}
+		for jp := 0; jp*nr < jw; jp++ {
+			out := dst[jp*pw*nr : (jp+1)*pw*nr]
+			clear(out) // padding, until a run below says otherwise
+			colN := min(nr, jw-jp*nr)
+			// Consecutive panel columns are consecutive output voxels in x
+			// scan order, so the panel splits into runs that each sit in one
+			// x-row: a single run while w >= nr, nr/w of them on the
+			// network's narrower levels. Within a run the z/y bounds checks
+			// and the x clamp are per tap, not per element.
+			for jj := 0; jj < colN; {
+				c := j0 + jp*nr + jj
+				cz, cy, cx := c/(w*h), (c/w)%h, c%w
+				n := min(w-cx, colN-jj)
+				tap := p0 % kk
+				base := (p0 / kk) * cols // input-channel slab of row p0
+				for pp := 0; pp < pw; pp++ {
+					iz, iy, dx := cz+dzs[tap], cy+dys[tap], dxs[tap]
+					// Valid part of the run: 0 <= cx+i+dx < w, i in [0, n).
+					lo, hi := max(0, -cx-dx), min(n, w-cx-dx)
+					if uint(iz) < uint(d) && uint(iy) < uint(h) && lo < hi {
+						s := base + (iz*h+iy)*w + cx + dx
+						copy(out[pp*nr+jj+lo:pp*nr+jj+hi], x[s+lo:s+hi])
 					}
-				} else {
-					for jj := 0; jj < colN; jj++ {
-						iz := cz[jj] + dz
-						iy := cy[jj] + dy
-						ix := cx[jj] + dx
-						if iz >= 0 && iz < d && iy >= 0 && iy < h && ix >= 0 && ix < w {
-							out[o+jj] = x[base+(iz*h+iy)*w+ix]
-						} else {
-							out[o+jj] = 0
-						}
-					}
-					for jj := colN; jj < nr; jj++ {
-						out[o+jj] = 0
+					if tap++; tap == kk {
+						tap = 0
+						base += cols
 					}
 				}
-				if tap++; tap == kk {
-					tap = 0
-					base += cols
-				}
+				jj += n
 			}
 		}
 	}
 }
 
-// tapXRange returns the output x-range [x0, x1) for which a tap offset by
-// dx stays inside a row of width w (0 <= xx+dx < w), clamped to [0, w] with
-// x1 >= x0 — for half-widths larger than the volume (e.g. a 5³ kernel on a
-// width-1 row) some taps have an empty range.
-func tapXRange(dx, w int) (x0, x1 int) {
-	x0, x1 = 0, w
-	if dx > 0 {
-		x1 = w - dx
-	} else {
-		x0 = -dx
-	}
-	if x0 > w {
-		x0 = w
-	}
-	if x1 < x0 {
-		x1 = x0
-	}
-	return x0, x1
+// tapRange returns the output range [lo, hi) along one axis of extent n for
+// which a tap offset by delta stays inside the volume (0 <= i+delta < n),
+// clamped to [0, n] with hi >= lo — for half-widths larger than the volume
+// (e.g. a 5³ kernel on a width-1 row) some taps have an empty range.
+func tapRange(delta, n int) (lo, hi int) {
+	lo, hi = max(0, -delta), min(n, n-delta)
+	return min(lo, n), max(hi, min(lo, n))
 }
 
 // col2imAdd scatter-adds the patch-gradient matrix gradP ([ic·k³, d·h·w])
 // into one sample's input-gradient slab gradIn ([ic, d, h, w]). Each input
-// channel is a single-owner partition; within it, taps and voxels are
-// visited in ascending order, so the accumulation order per element is
-// fixed for every worker budget.
+// channel is a single-owner partition; within it, taps are visited in
+// ascending order and a tap adds to each voxel at most once, so the
+// accumulation order per element is fixed for every worker budget.
 func col2imAdd(gradP []float32, ic, d, h, w, k, p int, gradIn []float32, workers int) {
 	cols := d * h * w
 	kk := k * k * k
@@ -221,28 +159,22 @@ func col2imAdd(gradP []float32, ic, d, h, w, k, p int, gradIn []float32, workers
 		for ici := lo; ici < hi; ici++ {
 			dst := gradIn[ici*cols : (ici+1)*cols]
 			for tap := 0; tap < kk; tap++ {
-				kx := tap % k
-				ky := (tap / k) % k
-				kz := tap / (k * k)
-				dz, dy, dx := kz-p, ky-p, kx-p
-				src := gradP[(ici*kk+tap)*cols:]
-				x0, x1 := tapXRange(dx, w)
-				for z := 0; z < d; z++ {
-					iz := z + dz
-					if iz < 0 || iz >= d {
-						continue
-					}
-					for y := 0; y < h; y++ {
-						iy := y + dy
-						if iy < 0 || iy >= h {
-							continue
-						}
-						o := (z*h + y) * w
-						drow := dst[(iz*h+iy)*w:]
-						for i := x0; i < x1; i++ {
-							drow[i+dx] += src[o+i]
-						}
-					}
+				dz, dy, dx := tap/(k*k)-p, (tap/k)%k-p, tap%k-p
+				src := gradP[(ici*kk+tap)*cols : (ici*kk+tap+1)*cols]
+				z0, z1 := tapRange(dz, d)
+				y0, y1 := tapRange(dy, h)
+				x0, x1 := tapRange(dx, w)
+				if y0 >= y1 || x0 >= x1 {
+					continue
+				}
+				// Per plane, rows y0..y1 of the tap's valid box land on the
+				// same rows of the shifted destination.
+				shift := (dz*h+dy)*w + dx
+				rows, n := y1-y0, x1-x0
+				for z := z0; z < z1; z++ {
+					o := (z*h+y0)*w + x0
+					end := o + (rows-1)*w + n
+					addRows(dst[o+shift:end+shift], src[o:end], rows, n, w)
 				}
 			}
 		}
