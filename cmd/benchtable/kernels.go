@@ -99,10 +99,10 @@ func kernelSpeedups(sh kernelShape, engine nn.ConvEngine, reps int) (fwd, bwd fl
 }
 
 // trainStepShapeName is the floors-file name of the whole-network training
-// step measurement — the regression guard over the fused-packing path,
+// step measurement — the regression guard over the GEMM training path,
 // which only a full forward+backward through every layer exercises
-// end to end (patch cache fill, cache-reusing backward, batch-parallel
-// backward-weights, per-layer scratch traffic).
+// end to end (halo copies, the flipped-kernel input gradient,
+// batch-parallel backward-weights, per-layer scratch traffic).
 const trainStepShapeName = "unet trainstep 8^3 b2 f4 s3"
 
 // trainStepConfig is the network behind trainStepShapeName: small enough
@@ -134,7 +134,7 @@ func timeTrainStep(engine nn.ConvEngine, workers, reps int) time.Duration {
 		u.Forward(x)
 		u.Backward(g)
 	}
-	step() // warm-up: pools, patch caches, goroutines
+	step() // warm-up: pools, goroutines
 	best := time.Duration(1 << 62)
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
@@ -300,8 +300,8 @@ func printKernelTables(reps int) {
 		fmt.Println()
 	}
 
-	// Whole-network training step: the end-to-end guard over the fused
-	// GEMM training path (patch cache, batch-parallel backward-weights).
+	// Whole-network training step: the end-to-end guard over the GEMM
+	// training path (halo packing, batch-parallel backward-weights).
 	fmt.Printf("%s (full fwd+bwd step)\n", trainStepShapeName)
 	fmt.Printf("  %-8s %12s %12s %8s\n", "workers", "direct step", "gemm step", "speedup")
 	for _, w := range kernelWorkerCounts() {

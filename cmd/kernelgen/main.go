@@ -158,10 +158,8 @@ func (backend) Supports(spec nn.ConvSpec) bool {
 	return ok
 }
 
-// gemmDelegate is the generic backend the backward passes run on. The
-// specialized forward kernels never fill the gemm patch cache, so the
-// delegated backward-weights pass rebuilds it from the layer's retained
-// input (its staleness check covers exactly this).
+// gemmDelegate is the generic backend the backward passes run on: they need
+// nothing from the forward but the input the layer itself retains.
 func gemmDelegate() nn.Backend {
 	b, ok := nn.BackendByName("gemm")
 	if !ok {
@@ -170,7 +168,7 @@ func gemmDelegate() nn.Backend {
 	return b
 }
 
-func (backend) ConvForward(c *nn.Conv3D, x, out *tensor.Tensor, train bool) {
+func (backend) ConvForward(c *nn.Conv3D, x, out *tensor.Tensor) {
 	convKernels[c.Spec()](c, x, out, c.Workers())
 }
 

@@ -7,13 +7,14 @@
 // worker pool, a cache-blocked register-tiled GEMM (an AVX2 assembly
 // microkernel on amd64, a bit-identical portable one elsewhere) with
 // pluggable panel packing and the 3D CNN layers running on either the
-// im2col+GEMM or the direct convolution engine (tensor, parallel, gemm,
-// nn — the GEMM training path materializes each layer's patch matrices
-// once per step into a pooled cache that backward reuses, the inference
-// path streams them straight into the packing panels, and
+// GEMM or the direct convolution engine (tensor, parallel, gemm, nn — the
+// GEMM engine never builds a patch matrix: every pass packs the multiply's
+// panels straight from a zero-haloed copy of the activation, the input
+// gradient is a forward convolution with the flipped kernel, and
 // backward-weights reduces per-sample partial products so its parallelism
 // scales with the batch; REPRO_CONV_ENGINE=gemm|direct selects the
-// engine), the paper's 3D U-Net (unet), Dice losses and optimizers (loss, optim, metrics), the data path
+// engine), the paper's 3D U-Net (unet), Dice losses and optimizers (loss,
+// optim, metrics), the data path
 // from NIfTI phantoms to TFRecords and tf.Data-style pipelines (msd, nifti,
 // volume, record, pipeline, profiler), the unified training-orchestration
 // layer — one Session loop over pluggable strategies with an ordered

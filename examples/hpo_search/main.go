@@ -127,7 +127,7 @@ func main() {
 				return err
 			}
 			cbs := []train.Callback{
-				train.CacheRelease{}, // drop patch caches before each validation pass
+				train.CacheRelease{}, // drop retained activations before each validation pass
 				train.ReportFunc(func(st train.EpochStats) bool {
 					return ctx.Report(st.Epoch+1, map[string]float64{"dice": st.ValDice})
 				}),

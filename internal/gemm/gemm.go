@@ -1,5 +1,5 @@
 // Package gemm implements a cache-blocked, register-tiled float32 matrix
-// multiply — the compute core of the im2col convolution engine.
+// multiply — the compute core of the convolution engine.
 //
 // The kernel follows the classic BLIS/GotoBLAS decomposition: the operands
 // are repacked into contiguous panels (A into mr-row panels, B into nr-column
@@ -31,15 +31,19 @@
 // TestGemmWorkerCountInvariant) and for either microkernel. They differ from
 // a naive triple loop only by float reassociation across kcBlock boundaries.
 //
-// The B-side packer is pluggable: GemmPackB accepts a PackBFunc that
-// streams op(B) panels straight into the packed buffer, so callers whose B
-// is a *virtual* matrix (the convolution engine's im2col patch matrix) can
-// skip materializing it entirely. Because the packed panel contents are
-// identical either way, GemmPackB is bit-for-bit equal to Gemm over the
-// materialized matrix. GemmBatch runs `count` independent same-shape
-// products with the parallel partition over (instance × column block)
-// pairs, lifting the parallel degree of many-small-GEMM callers (the
-// convolution backward-weights pass) past the per-product block count.
+// The B-side packer is pluggable: GemmBatch takes a PackBFunc per product
+// that writes op(B) panels straight into the packed buffer, so a caller whose
+// B is a *virtual* matrix never materializes it. PackDense is the packer of
+// a stored matrix; PackGathered packs a matrix whose elements are short runs
+// scattered through a buffer at offsets the caller lists — how the
+// convolution engine multiplies by a patch matrix that exists only as a
+// zero-haloed activation plus an offset table. The microkernel consumes
+// identical panels in an identical order whichever packer wrote them, so a
+// product is bit-for-bit the same through any of them. GemmBatch runs
+// `count` independent same-shape products with the parallel partition over
+// (instance × column block) pairs, lifting the parallel degree of
+// many-small-GEMM callers (a convolution over a batch of samples) past the
+// per-product block count.
 //
 // The packing panels come from the tensor scratch pool, so steady-state
 // callers allocate nothing.
@@ -73,24 +77,40 @@ const (
 	// GEMM of an 8-channel 3×3×3 layer) still splits across workers.
 	ncBlock = 256
 
-	// mcBlock is the A-panel row blocking, bounding the packed-A scratch.
-	mcBlock = 128
+	// mcBlock is the A-panel row blocking, bounding the packed-A scratch: at
+	// 64 rows the A and B panels of a block together are 480 KiB, inside one
+	// 512 KiB scratch class.
+	mcBlock = 64
 )
 
 // PanelCols is the column width of a packed B panel — the nr of the
-// register tile. A PackBFunc must produce panels of exactly this width.
-const PanelCols = nr
+// register tile — and BlockDepth × BlockCols the largest block (K steps ×
+// columns) a PackBFunc is ever asked for in one call.
+const (
+	PanelCols  = nr
+	BlockDepth = kcBlock
+	BlockCols  = ncBlock
+)
 
 // PackBFunc fills dst with the PanelCols-column panels of the pw×jw block
 // of op(B) at row p0, column j0:
 //
 //	dst[jp·pw·PanelCols + p·PanelCols + jj] = op(B)[p0+p, j0+jp·PanelCols+jj]
 //
-// zero-padded for jj past jw. It is the contract packB satisfies for a
-// dense matrix; a virtual-B caller (im2col) computes the same elements
-// straight from its source. The function may be called concurrently from
-// several workers with disjoint (p0, j0) blocks and distinct dst buffers.
+// zero-padded for jj past jw; p0 is a multiple of BlockDepth and j0 of
+// BlockCols. It is the contract PackDense satisfies for a stored matrix; a
+// virtual-B caller computes the same elements straight from its source. The
+// function may be called concurrently from several workers with disjoint
+// (p0, j0) blocks and distinct dst buffers.
 type PackBFunc func(p0, pw, j0, jw int, dst []float32)
+
+// PackDense is the PackBFunc of a dense row-major matrix: op(B) = b, or bᵀ
+// when trans (the stored b is then n×k), with leading dimension ldb.
+func PackDense(trans bool, b []float32, ldb int) PackBFunc {
+	return func(p0, pw, j0, jw int, dst []float32) {
+		packB(trans, b, ldb, p0, pw, j0, jw, dst)
+	}
+}
 
 // Gemm computes C = op(A)·op(B), or C += op(A)·op(B) when accumulate is
 // true, over dense row-major operands: op(A) is m×k, op(B) is k×n and C is
@@ -101,82 +121,28 @@ func Gemm(transA, transB bool, m, n, k int,
 	a []float32, lda int, b []float32, ldb int,
 	accumulate bool, c []float32, ldc int, workers int) {
 
-	GemmPackB(transA, m, n, k, a, lda,
-		func(p0, pw, j0, jw int, dst []float32) {
-			packB(transB, b, ldb, p0, pw, j0, jw, dst)
-		},
-		accumulate, c, ldc, workers)
-}
-
-// GemmPackB is Gemm with the B operand supplied as a PackBFunc instead of
-// a dense matrix: pack is invoked per (K-slice, column-block) pair to
-// produce the packed panels directly, so op(B) never needs to exist in
-// memory. Results are bit-for-bit identical to Gemm over the matrix the
-// pack function describes (the compute kernel consumes identical panels in
-// an identical order).
-func GemmPackB(transA bool, m, n, k int,
-	a []float32, lda int, pack PackBFunc,
-	accumulate bool, c []float32, ldc int, workers int) {
-
-	if m <= 0 || n <= 0 {
-		return
-	}
-	if k <= 0 {
-		if !accumulate {
-			for i := 0; i < m; i++ {
-				clear(c[i*ldc : i*ldc+n])
-			}
-		}
-		return
-	}
-
-	nBlocks := (n + ncBlock - 1) / ncBlock
-	parallel.ForWorkers(workers, nBlocks, 1, func(lo, hi int) {
-		packedB := tensor.GetScratch(kcBlock * ncBlock)
-		packedA := tensor.GetScratch(mcBlock * kcBlock)
-		defer tensor.PutScratch(packedB)
-		defer tensor.PutScratch(packedA)
-		for jb := lo; jb < hi; jb++ {
-			columnBlock(jb, transA, m, n, k, a, lda, pack,
-				accumulate, c, ldc, packedA, packedB)
-		}
-	})
-}
-
-// columnBlock computes column block jb of one C = op(A)·B product — the
-// unit of parallel work shared by GemmPackB and GemmBatch. The accumulation
-// order within the block (K ascending within a kcBlock slice, slices
-// ascending) depends only on the problem shape.
-func columnBlock(jb int, transA bool, m, n, k int,
-	a []float32, lda int, pack PackBFunc,
-	accumulate bool, c []float32, ldc int, packedA, packedB []float32) {
-
-	j0 := jb * ncBlock
-	jw := min(ncBlock, n-j0)
-	for p0 := 0; p0 < k; p0 += kcBlock {
-		pw := min(kcBlock, k-p0)
-		pack(p0, pw, j0, jw, packedB)
-		overwrite := p0 == 0 && !accumulate
-		for i0 := 0; i0 < m; i0 += mcBlock {
-			iw := min(mcBlock, m-i0)
-			packA(transA, a, lda, i0, iw, p0, pw, packedA)
-			macroKernel(iw, jw, pw, packedA, packedB,
-				c, i0*ldc+j0, ldc, overwrite)
-		}
-	}
+	pack := PackDense(transB, b, ldb)
+	GemmBatch(1, transA, m, n, k,
+		func(int) []float32 { return a }, lda,
+		func(int) PackBFunc { return pack },
+		accumulate,
+		func(int) []float32 { return c }, ldc, workers)
 }
 
 // GemmBatch computes count independent, same-shape products
 // C[i] = op(A[i])·op(B[i]) (or += when accumulate is true): the operands of
-// instance i are fetched through the a/b/c accessors. The parallel
-// partition is over (instance × column block) pairs, so the parallel
-// degree is count × ⌈n/ncBlock⌉ — this is what lets the convolution
-// backward-weights pass scale with the batch size when its per-product
-// column count fits in one or two blocks. Each C element is still owned by
-// exactly one worker and accumulated in a shape-only order, so results are
-// bit-for-bit identical to count sequential Gemm calls at any budget.
-func GemmBatch(count int, transA, transB bool, m, n, k int,
-	a func(int) []float32, lda int, b func(int) []float32, ldb int,
+// instance i are fetched through the a/pack/c accessors, B as a PackBFunc
+// that is invoked per (K-slice, column-block) pair to produce the packed
+// panels directly, so op(B) never needs to exist in memory. The parallel
+// partition is over (instance × column block) pairs, so the parallel degree
+// is count × ⌈n/ncBlock⌉ — what lets a convolution over a batch scale with
+// the batch size when one sample's column count fits in one or two blocks.
+// Each C element is owned by exactly one worker and accumulated in an order
+// — K ascending within a kcBlock slice, slices ascending — that depends
+// only on the problem shape, so results are bit-for-bit identical to count
+// sequential Gemm calls at any budget.
+func GemmBatch(count int, transA bool, m, n, k int,
+	a func(int) []float32, lda int, pack func(int) PackBFunc,
 	accumulate bool, c func(int) []float32, ldc int, workers int) {
 
 	if count <= 0 || m <= 0 || n <= 0 {
@@ -196,20 +162,146 @@ func GemmBatch(count int, transA, transB bool, m, n, k int,
 
 	nBlocks := (n + ncBlock - 1) / ncBlock
 	parallel.ForWorkers(workers, count*nBlocks, 1, func(lo, hi int) {
-		packedB := tensor.GetScratch(kcBlock * ncBlock)
-		packedA := tensor.GetScratch(mcBlock * kcBlock)
-		defer tensor.PutScratch(packedB)
-		defer tensor.PutScratch(packedA)
+		// One buffer for both operands' panels: a block costs the pool one
+		// round trip.
+		panels := tensor.GetScratch(kcBlock * (ncBlock + mcBlock))
+		defer tensor.PutScratch(panels)
+		packedB, packedA := panels[:kcBlock*ncBlock], panels[kcBlock*ncBlock:]
 		for item := lo; item < hi; item++ {
 			i, jb := item/nBlocks, item%nBlocks
-			ai, bi, ci := a(i), b(i), c(i)
-			columnBlock(jb, transA, m, n, k, ai, lda,
-				func(p0, pw, j0, jw int, dst []float32) {
-					packB(transB, bi, ldb, p0, pw, j0, jw, dst)
-				},
-				accumulate, ci, ldc, packedA, packedB)
+			ai, packi, ci := a(i), pack(i), c(i)
+			j0 := jb * ncBlock
+			jw := min(ncBlock, n-j0)
+			for p0 := 0; p0 < k; p0 += kcBlock {
+				pw := min(kcBlock, k-p0)
+				packi(p0, pw, j0, jw, packedB)
+				overwrite := p0 == 0 && !accumulate
+				for i0 := 0; i0 < m; i0 += mcBlock {
+					iw := min(mcBlock, m-i0)
+					packA(transA, ai, lda, i0, iw, p0, pw, packedA)
+					macroKernel(iw, jw, pw, packedA, packedB,
+						ci, i0*ldc+j0, ldc, overwrite)
+				}
+			}
 		}
 	})
+}
+
+// PackGathered packs a block of a virtual matrix whose elements are short
+// contiguous runs scattered through src:
+//
+//	V[r, run·v + e] = src[rows[r] + starts[v] + e],  e < run
+//
+// — len(rows) rows by run·len(starts) columns — into dst in a PackBFunc's
+// layout: the block is V itself (K = len(rows)), or Vᵀ when trans (K =
+// run·len(starts)). run is 4, where whole panels move as vector loads on
+// amd64 (kernel_amd64.s), or 1, the plain per-element gather. A
+// convolution's patch matrix has this form over a zero-haloed activation: a
+// row is a (channel, kernel tap) offset, a column start an output voxel's.
+func PackGathered(trans bool, dst, src []float32, rows, starts []int, run int) {
+	if run != 1 && run != 4 {
+		panic("gemm: PackGathered run must be 1 or 4")
+	}
+	if len(rows) == 0 || len(starts) == 0 {
+		return
+	}
+	// Every read below is src[rows[r]+starts[v]+e]: checking the two
+	// extremes here is the bounds check of the assembly, which does none.
+	lo, hi := extremes(rows)
+	slo, shi := extremes(starts)
+	if lo+slo < 0 {
+		panic("gemm: PackGathered offset is negative")
+	}
+	src = src[:hi+shi+run]
+
+	// At run 4 a panel goes through gatherCols/gatherRows whole; a ragged
+	// last panel repeats its first live index in the dead lanes, which are
+	// zeroed afterwards.
+	if trans {
+		pw := run * len(starts)
+		for jp := 0; jp*nr < len(rows); jp++ {
+			out := dst[jp*pw*nr : (jp+1)*pw*nr]
+			var lanes [nr]int
+			live := copy(lanes[:], rows[jp*nr:])
+			if run == 1 {
+				clear(out)
+				for jj, rb := range lanes[:live] {
+					for p, sb := range starts {
+						out[p*nr+jj] = src[rb+sb]
+					}
+				}
+				continue
+			}
+			for jj := live; jj < nr; jj++ {
+				lanes[jj] = lanes[0]
+			}
+			gatherCols(out, src, &lanes, starts)
+			if live < nr {
+				for p := 0; p < pw; p++ {
+					clear(out[p*nr+live : (p+1)*nr])
+				}
+			}
+		}
+		return
+	}
+	pw, per := len(rows), nr/run
+	for jp := 0; jp*per < len(starts); jp++ {
+		out := dst[jp*pw*nr : (jp+1)*pw*nr]
+		var lanes [nr]int
+		live := copy(lanes[:per], starts[jp*per:])
+		if run == 1 {
+			clear(out)
+			for jj, sb := range lanes[:live] {
+				for p, rb := range rows {
+					out[p*nr+jj] = src[rb+sb]
+				}
+			}
+			continue
+		}
+		for q := live; q < 4; q++ {
+			lanes[q] = lanes[0]
+		}
+		gatherRows(out, src, rows, (*[4]int)(lanes[:]))
+		if live < 4 {
+			for p := 0; p < pw; p++ {
+				clear(out[p*nr+4*live : (p+1)*nr])
+			}
+		}
+	}
+}
+
+// extremes returns the smallest and largest element of a non-empty list.
+func extremes(xs []int) (lo, hi int) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
+}
+
+// gatherRowsGo is one full panel of PackGathered at run 4, K along rows:
+// dst[p·nr + 4q + e] = src[rows[p] + quads[q] + e]. It is the portable
+// gatherRows and the reference for the assembly one.
+func gatherRowsGo(dst, src []float32, rows []int, quads *[4]int) {
+	for p, rb := range rows {
+		out := (*[nr]float32)(dst[p*nr:])
+		for q, qb := range quads {
+			*(*[4]float32)(out[4*q:]) = *(*[4]float32)(src[rb+qb:])
+		}
+	}
+}
+
+// gatherColsGo is one full panel of PackGathered at run 4, K along the
+// quads: dst[(4v+e)·nr + jj] = src[rows[jj] + quads[v] + e]. It is the
+// portable gatherCols and the reference for the assembly one.
+func gatherColsGo(dst, src []float32, rows *[nr]int, quads []int) {
+	for v, qb := range quads {
+		out := dst[4*v*nr:][:4*nr]
+		for jj, rb := range rows {
+			x := (*[4]float32)(src[rb+qb:])
+			out[jj], out[nr+jj], out[2*nr+jj], out[3*nr+jj] = x[0], x[1], x[2], x[3]
+		}
+	}
 }
 
 // packA copies the iw×pw block of op(A) at (i0, p0) into mr-row panels:

@@ -138,14 +138,16 @@ func TestGemmWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestGemmPackBMatchesDense asserts the fused-packing contract: GemmPackB
-// with a pack function describing a matrix is bit-for-bit equal to Gemm
-// over the materialized matrix, at several worker budgets.
-func TestGemmPackBMatchesDense(t *testing.T) {
+// TestGemmGatheredMatchesDense asserts the virtual-B contract: a product
+// whose B panels PackGathered fills from an offset description of a matrix is
+// bit-for-bit equal to Gemm over the stored matrix, in either orientation,
+// at both run lengths and several worker budgets.
+func TestGemmGatheredMatchesDense(t *testing.T) {
 	shapes := []struct{ m, n, k int }{
 		{16, 4096, 216}, // conv forward shape
 		{5, 7, 9},
 		{129, 2*ncBlock + 37, kcBlock + 129},
+		{129, 2*ncBlock + 36, kcBlock + 128},
 		// Forward shapes of cubic volumes of edge 2, 4, 8 and 20.
 		{8, 8, 108},
 		{16, 64, 216},
@@ -153,28 +155,47 @@ func TestGemmPackBMatchesDense(t *testing.T) {
 		{8, 8000, 54},
 	}
 	for _, sh := range shapes {
-		for _, transA := range []bool{false, true} {
+		for _, trans := range []bool{false, true} {
 			for _, acc := range []bool{false, true} {
-				name := fmt.Sprintf("m%d_n%d_k%d_tA%v_acc%v", sh.m, sh.n, sh.k, transA, acc)
+				name := fmt.Sprintf("m%d_n%d_k%d_tB%v_acc%v", sh.m, sh.n, sh.k, trans, acc)
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(11))
-					lda := sh.k
-					if transA {
-						lda = sh.m
-					}
 					a := randMat(rng, sh.m*sh.k)
 					b := randMat(rng, sh.k*sh.n)
 					seed := randMat(rng, sh.m*sh.n)
 
+					// b is stored k×n as op(B) itself, or n×k when trans.
+					vCols := sh.n
+					if trans {
+						vCols = sh.k
+					}
 					want := append([]float32(nil), seed...)
-					Gemm(transA, false, sh.m, sh.n, sh.k, a, lda, b, sh.n, acc, want, sh.n, 1)
+					Gemm(false, trans, sh.m, sh.n, sh.k, a, sh.k, b, vCols, acc, want, sh.n, 1)
 
+					run := 1
+					if vCols%4 == 0 {
+						run = 4
+					}
 					pack := func(p0, pw, j0, jw int, dst []float32) {
-						packB(false, b, sh.n, p0, pw, j0, jw, dst)
+						r0, rn, c0, cn := p0, pw, j0, jw
+						if trans {
+							r0, rn, c0, cn = j0, jw, p0, pw
+						}
+						rows, starts := make([]int, rn), make([]int, cn/run)
+						for i := range rows {
+							rows[i] = (r0 + i) * vCols
+						}
+						for i := range starts {
+							starts[i] = c0 + i*run
+						}
+						PackGathered(trans, dst, b, rows, starts, run)
 					}
 					for _, workers := range []int{1, 3, 8} {
 						got := append([]float32(nil), seed...)
-						GemmPackB(transA, sh.m, sh.n, sh.k, a, lda, pack, acc, got, sh.n, workers)
+						GemmBatch(1, false, sh.m, sh.n, sh.k,
+							func(int) []float32 { return a }, sh.k,
+							func(int) PackBFunc { return pack }, acc,
+							func(int) []float32 { return got }, sh.n, workers)
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("workers=%d: element %d = %v, want %v (bit-for-bit)",
@@ -210,9 +231,9 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 		for i := range got {
 			got[i] = append([]float32(nil), seed[i]...)
 		}
-		GemmBatch(count, false, true, m, n, k,
+		GemmBatch(count, false, m, n, k,
 			func(i int) []float32 { return as[i] }, k,
-			func(i int) []float32 { return bs[i] }, k,
+			func(i int) PackBFunc { return PackDense(true, bs[i], k) },
 			true,
 			func(i int) []float32 { return got[i] }, n, workers)
 		for i := range want {

@@ -63,10 +63,29 @@ func transposeRows(dst, src []float32, ldb, pw int) int {
 	return done
 }
 
+// gatherRows and gatherCols pack one full panel of PackGathered at run 4:
+// the assembly where it is live, the portable loops otherwise.
+func gatherRows(dst, src []float32, rows []int, quads *[4]int) {
+	if useAsm {
+		gatherRowsAVX2(dst[:len(rows)*nr], src, rows, quads)
+		return
+	}
+	gatherRowsGo(dst, src, rows, quads)
+}
+
+func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
+	if useAsm {
+		gatherColsAVX2(dst[:len(quads)*4*nr], src, rows, quads)
+		return
+	}
+	gatherColsGo(dst, src, rows, quads)
+}
+
 // The assembly routines index their slices by the shape arguments alone and
 // never look at a length: the wrappers above, and macroKernel for the
 // kernel's c, slice each operand to the extent named here first, which is
-// the bounds check.
+// the bounds check. (The gather routines' src is checked by PackGathered,
+// against the extremes of the offsets it is handed.)
 
 // kernelAVX2 is kernelGo in AVX2 assembly: element-wise SIMD of the same
 // multiply-round-add-round recurrence, so it produces the same bits. It
@@ -86,3 +105,16 @@ func transposeAVX2(dst, src []float32, ldb, blocks int)
 //
 //go:noescape
 func copyPanelAVX2(dst, src []float32, ldb, pw int)
+
+// gatherRowsAVX2 is gatherRowsGo: dst[p·nr + 4q + e] = src[rows[p] +
+// quads[q] + e] for p < len(rows), q < 4, e < 4.
+//
+//go:noescape
+func gatherRowsAVX2(dst, src []float32, rows []int, quads *[4]int)
+
+// gatherColsAVX2 is gatherColsGo: dst[(4v+e)·nr + jj] = src[rows[jj] +
+// quads[v] + e] for v < len(quads), jj < nr, e < 4, as 4×8 in-register
+// transposes.
+//
+//go:noescape
+func gatherColsAVX2(dst, src []float32, rows *[nr]int, quads []int)

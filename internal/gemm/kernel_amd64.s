@@ -200,3 +200,104 @@ row:
 copied:
 	VZEROUPPER
 	RET
+
+// func gatherRowsAVX2(dst, src []float32, rows []int, quads *[4]int)
+//
+// dst[p·16 + 4q + e] = src[rows[p] + quads[q] + e] for q, e < 4: one packed
+// B panel whose K step p is four 4-float runs, each a fixed distance
+// quads[q] from the step's own offset rows[p]. R8..R11 hold &src[quads[q]].
+TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-80
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  rows_base+48(FP), BX
+	MOVQ  rows_len+56(FP), CX
+	MOVQ  quads+72(FP), AX
+	MOVQ  0(AX), R8
+	MOVQ  8(AX), R9
+	MOVQ  16(AX), R10
+	MOVQ  24(AX), R11
+	LEAQ  (SI)(R8*4), R8
+	LEAQ  (SI)(R9*4), R9
+	LEAQ  (SI)(R10*4), R10
+	LEAQ  (SI)(R11*4), R11
+	TESTQ CX, CX
+	JZ    gathered
+
+step:
+	MOVQ        (BX), AX
+	VMOVUPS     (R8)(AX*4), X0
+	VINSERTF128 $1, (R9)(AX*4), Y0, Y0
+	VMOVUPS     (R10)(AX*4), X1
+	VINSERTF128 $1, (R11)(AX*4), Y1, Y1
+	VMOVUPS     Y0, (DI)
+	VMOVUPS     Y1, 32(DI)
+	ADDQ        $8, BX
+	ADDQ        $64, DI
+	DECQ        CX
+	JNZ         step
+
+gathered:
+	VZEROUPPER
+	RET
+
+// Loads the 4-float runs at R9 + 4·rows[j], j = first..first+7 (BX points at
+// rows, o is first's byte offset), as [row j | row j+4] register halves and
+// transposes them into four 8-float rows of the packed panel at off(DI), 64
+// bytes apart — half of TRANSPOSE8's shuffle network.
+#define GATHER4x8(o, off) \
+	MOVQ        o+0(BX), AX;                \
+	VMOVUPS     (R9)(AX*4), X0;             \
+	MOVQ        o+8(BX), AX;                \
+	VMOVUPS     (R9)(AX*4), X1;             \
+	MOVQ        o+16(BX), AX;               \
+	VMOVUPS     (R9)(AX*4), X2;             \
+	MOVQ        o+24(BX), AX;               \
+	VMOVUPS     (R9)(AX*4), X3;             \
+	MOVQ        o+32(BX), AX;               \
+	VINSERTF128 $1, (R9)(AX*4), Y0, Y0;     \
+	MOVQ        o+40(BX), AX;               \
+	VINSERTF128 $1, (R9)(AX*4), Y1, Y1;     \
+	MOVQ        o+48(BX), AX;               \
+	VINSERTF128 $1, (R9)(AX*4), Y2, Y2;     \
+	MOVQ        o+56(BX), AX;               \
+	VINSERTF128 $1, (R9)(AX*4), Y3, Y3;     \
+	VUNPCKLPS   Y1, Y0, Y4;                 \
+	VUNPCKHPS   Y1, Y0, Y5;                 \
+	VUNPCKLPS   Y3, Y2, Y6;                 \
+	VUNPCKHPS   Y3, Y2, Y7;                 \
+	VSHUFPS     $0x44, Y6, Y4, Y0;          \
+	VSHUFPS     $0xEE, Y6, Y4, Y1;          \
+	VSHUFPS     $0x44, Y7, Y5, Y2;          \
+	VSHUFPS     $0xEE, Y7, Y5, Y3;          \
+	VMOVUPS     Y0, off+0(DI);              \
+	VMOVUPS     Y1, off+64(DI);             \
+	VMOVUPS     Y2, off+128(DI);            \
+	VMOVUPS     Y3, off+192(DI)
+
+// func gatherColsAVX2(dst, src []float32, rows *[16]int, quads []int)
+//
+// dst[(4v+e)·16 + j] = src[rows[j] + quads[v] + e] for j < 16, e < 4: one
+// packed B panel whose column j is scattered through src, four K steps per
+// iteration.
+TEXT ·gatherColsAVX2(SB), NOSPLIT, $0-80
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  rows+48(FP), BX
+	MOVQ  quads_base+56(FP), DX
+	MOVQ  quads_len+64(FP), CX
+	TESTQ CX, CX
+	JZ    transposed
+
+quad:
+	MOVQ (DX), AX
+	LEAQ (SI)(AX*4), R9
+	GATHER4x8(0, 0)
+	GATHER4x8(64, 32)
+	ADDQ $8, DX
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  quad
+
+transposed:
+	VZEROUPPER
+	RET

@@ -13,3 +13,11 @@ func kernel(pw int, a, b, c []float32, ldc int, overwrite bool) {
 func copyRows(dst, src []float32, ldb, pw int) int { return 0 }
 
 func transposeRows(dst, src []float32, ldb, pw int) int { return 0 }
+
+func gatherRows(dst, src []float32, rows []int, quads *[4]int) {
+	gatherRowsGo(dst, src, rows, quads)
+}
+
+func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
+	gatherColsGo(dst, src, rows, quads)
+}

@@ -128,3 +128,101 @@ func checkPanels(t *testing.T, name string, dst []float32, width, pw, ew int, at
 		}
 	}
 }
+
+// TestAsmGatherMatchesPortable holds the two assembly gather packers to the
+// Go loops they replace, bit for bit (non-finite values included: a packer
+// only moves floats), and checks they write nothing outside the panel.
+func TestAsmGatherMatchesPortable(t *testing.T) {
+	if !useAsm {
+		t.Skip("no assembly packers on this CPU/architecture: the Go loops are the live ones")
+	}
+	rng := rand.New(rand.NewSource(29))
+	src := randSpecial(rng, 5000)
+	offsets := func(n, limit int) []int {
+		xs := make([]int, n)
+		for i := range xs {
+			xs[i] = rng.Intn(limit)
+		}
+		return xs
+	}
+	for _, steps := range []int{0, 1, 2, 5, kcBlock / 4, kcBlock} {
+		// K along rows: `steps` rows, one set of four quads.
+		rows, quads := offsets(steps, 4000), offsets(4, 990)
+		want := randMat(rng, steps*nr+2)
+		got := append([]float32(nil), want...)
+		gatherRowsGo(want[1:], src, rows, (*[4]int)(quads))
+		gatherRows(got[1:], src, rows, (*[4]int)(quads))
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("gatherRows steps=%d: element %d = %v, want %v", steps, i-1, got[i], want[i])
+			}
+		}
+		// K along quads: `steps` quads (4·steps K steps), sixteen rows.
+		rows, quads = offsets(nr, 4000), offsets(steps, 990)
+		want = randMat(rng, 4*steps*nr+2)
+		got = append([]float32(nil), want...)
+		gatherColsGo(want[1:], src, (*[nr]int)(rows), quads)
+		gatherCols(got[1:], src, (*[nr]int)(rows), quads)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("gatherCols quads=%d: element %d = %v, want %v", steps, i-1, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPackGatheredMatchesContract checks PackGathered against the layout it
+// documents, element by element and padding lanes included, for the vector
+// run length and the per-element one, either orientation, and row and column
+// counts that leave full, ragged and single-lane last panels.
+func TestPackGatheredMatchesContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	src := randMat(rng, 6000)
+	for _, run := range []int{1, 4} {
+		for _, nRows := range []int{1, nr - 1, nr, nr + 1, 3*nr + 12, 40} {
+			for _, nStarts := range []int{1, 3, 4, 5, 2 * nr / run, 2*nr/run + 1} {
+				rows, starts := make([]int, nRows), make([]int, nStarts)
+				for i := range rows {
+					rows[i] = rng.Intn(4000)
+				}
+				for i := range starts {
+					starts[i] = rng.Intn(1900)
+				}
+				v := func(r, c int) float32 { return src[rows[r]+starts[c/run]+c%run] }
+				for _, trans := range []bool{false, true} {
+					pw, ew := nRows, nStarts*run
+					at := v
+					if trans {
+						pw, ew = ew, pw
+						at = func(p, e int) float32 { return v(e, p) }
+					}
+					dst := randMat(rng, pw*(ew+nr))
+					PackGathered(trans, dst, src, rows, starts, run)
+					checkPanels(t, fmt.Sprintf("PackGathered trans=%v run=%d rows=%d starts=%d", trans, run, nRows, nStarts),
+						dst, nr, pw, ew, at)
+				}
+			}
+		}
+	}
+}
+
+// TestPackGatheredRejectsOutOfRange: the offsets are the caller's, and the
+// assembly behind run 4 checks nothing, so an offset pair that leaves src
+// must panic before any element moves.
+func TestPackGatheredRejectsOutOfRange(t *testing.T) {
+	src := make([]float32, 100)
+	dst := make([]float32, 4*nr)
+	for name, call := range map[string]func(){
+		"past the end": func() { PackGathered(false, dst, src, []int{0, 90}, []int{0, 4, 7}, 4) },
+		"negative":     func() { PackGathered(true, dst, src, []int{3, -8}, []int{4}, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PackGathered did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -84,19 +84,18 @@ type Backend interface {
 	Supports(spec ConvSpec) bool
 
 	// ConvForward computes the forward convolution of x into out (every
-	// element is written). When train is true this is a training forward:
-	// the backend may fill per-layer caches that the following backward
-	// pass reuses (the gemm backend materializes the batch's im2col patch
-	// matrices). When false (evaluation / inference fast path) the backend
-	// must retain nothing.
-	ConvForward(c *Conv3D, x, out *tensor.Tensor, train bool)
+	// element is written) and retains nothing: training forwards, evaluation
+	// forwards and Infer all come through here, and the backward passes
+	// work from the input the layer itself kept.
+	ConvForward(c *Conv3D, x, out *tensor.Tensor)
 
 	// ConvBackwardWeights accumulates the kernel gradient of the cached
 	// forward input onto c.W.Grad. (The bias gradient is engine-invariant
 	// and accumulated by the layer itself before this call.)
 	ConvBackwardWeights(c *Conv3D, gradOut *tensor.Tensor)
 
-	// ConvBackwardInput accumulates dL/d(input) into the zeroed gradIn.
+	// ConvBackwardInput leaves dL/d(input) in gradIn, which arrives zeroed
+	// (a backend may accumulate into it or write over it).
 	ConvBackwardInput(c *Conv3D, gradOut, gradIn *tensor.Tensor)
 
 	// TransposeForward computes the transposed-convolution forward of x
@@ -124,7 +123,7 @@ var registry = struct {
 }
 
 var (
-	// EngineGEMM is the im2col + blocked-GEMM backend (the default).
+	// EngineGEMM is the blocked-GEMM backend (the default).
 	EngineGEMM = Register("gemm", gemmBackend{})
 	// EngineDirect is the direct-loop golden reference backend.
 	EngineDirect = Register("direct", directBackend{})

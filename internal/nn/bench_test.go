@@ -169,24 +169,22 @@ func BenchmarkConv3DBackwardWeights(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Randn(rng, 0, 1, batch, benchIC, benchDim, benchDim, benchDim)
 	g := tensor.Randn(rng, 0, 1, batch, benchOC, benchDim, benchDim, benchDim)
-	const cols = benchDim * benchDim * benchDim
-	const kdim = benchIC * 27
 	for _, w := range budgets() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
 			c.SetConvEngine(EngineGEMM)
 			c.SetWorkers(w)
-			c.Forward(x) // fills the patch cache the pass reads
+			c.Forward(x)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.backwardWeightsGEMM(g.Data(), x.Data(), batch, benchIC, cols, kdim, w)
+				c.weightGradGEMM(g)
 			}
 		})
 	}
 }
 
-// BenchmarkConv3DBackwardInput isolates the input-gradient pass
-// (gP = Wᵀ·gOut + col2im scatter-add) for the step-time breakdown.
+// BenchmarkConv3DBackwardInput isolates the input-gradient pass (a forward
+// convolution of gOut with the flipped kernel) for the step-time breakdown.
 func BenchmarkConv3DBackwardInput(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Randn(rng, 0, 1, benchN, benchIC, benchDim, benchDim, benchDim)
@@ -206,9 +204,9 @@ func BenchmarkConv3DBackwardInput(b *testing.B) {
 	}
 }
 
-// BenchmarkConv3DInfer measures the im2col-free fused-packing forward (the
-// inference fast path) against the materializing training forward
-// (BenchmarkConv3DForward engine=gemm).
+// BenchmarkConv3DInfer measures the forward into a pool-backed output (the
+// inference fast path); BenchmarkConv3DForward engine=gemm runs the same
+// kernel into a freshly allocated one.
 func BenchmarkConv3DInfer(b *testing.B) {
 	x := benchInput(1, benchIC)
 	for _, w := range budgets() {

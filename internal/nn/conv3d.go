@@ -15,10 +15,11 @@ import (
 //
 // The compute kernels live in the conv-backend registry (see backend.go):
 // Forward, Backward and Infer resolve the layer's shape through
-// ResolveBackend and dispatch to the registered backend — gemm (im2col +
-// blocked matrix multiply, conv3d_gemm.go) by default, the direct loop
-// kernels in this file as the bit-exact reference, plus any backend linked
-// into the binary (the generated shape-specialized kernels). The direct
+// ResolveBackend and dispatch to the registered backend — gemm (blocked
+// matrix multiply against a never-built patch matrix, conv3d_gemm.go) by
+// default, the direct loop kernels in this file as the bit-exact reference,
+// plus any backend linked into the binary (the generated shape-specialized
+// kernels). The direct
 // kernels partition the forward pass over (sample × output-channel ×
 // z-plane) slabs and split the backward pass into three disjoint-output
 // passes (bias over output channels, kernel gradient over (output ×
@@ -38,25 +39,6 @@ type Conv3D struct {
 	B *Param // [OC]
 
 	input *tensor.Tensor // cached for backward
-
-	// training gates the patch cache: evaluation-mode forwards (validation
-	// epochs run whole volumes, far larger than training batches) must not
-	// fill — or grow — a cache that only Backward reads. NewConv3D starts
-	// in training mode; SetTraining toggles it (Sequential/unet forward the
-	// flag).
-	training bool
-
-	// patchCache holds the im2col patch matrices of the whole batch from
-	// the last GEMM-backend training forward ([N × IC·K³ × D·H·W], claimed
-	// from the scratch pool and retained), so backward-weights reuses them
-	// instead of recomputing im2col. patchCacheOf is the input tensor the
-	// cache describes — the staleness token consulted by weightGradGEMM.
-	patchCache   []float32
-	patchCacheOf *tensor.Tensor
-
-	// taps is the lazily-built per-tap offset table of the fused packer
-	// (the kernel edge is fixed per layer).
-	taps *tapOffsets
 }
 
 // NewConv3D creates a stride-1 same-padded cubic convolution. Weights are
@@ -76,41 +58,17 @@ func NewConv3D(name string, inC, outC, kernel int, rng *rand.Rand) *Conv3D {
 		Kernel:      kernel,
 		W:           NewParam(name+".w", w),
 		B:           NewParam(name+".b", b),
-		training:    true,
 	}
 }
 
 // Params returns the kernel and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// SetTraining toggles training mode. In evaluation mode the GEMM forward
-// takes the fused-packing path (no patch-matrix materialization) instead
-// of filling the backward patch cache — values are bit-for-bit identical
-// either way — and the cache itself is released back to the scratch pool,
-// so a model kept for inference pins no K³×-activation buffers. The next
-// training forward re-claims it (from the pool: no fresh allocation in
-// the usual train/eval/train cadence).
-func (c *Conv3D) SetTraining(training bool) {
-	c.training = training
-	if !training {
-		tensor.PutScratch(c.patchCache)
-		c.patchCache = nil
-		c.patchCacheOf = nil
-	}
-}
-
-// DropCaches implements CacheDropper: the persistent backward patch cache
-// returns to the scratch pool (it is the layer's dominant retained buffer,
-// IC·K³ × D·H·W floats per sample of the largest training batch seen) and
-// the retained input reference is dropped. The next training forward
-// re-claims the cache from the pool; a Backward without an intervening
-// Forward is invalid after this call, as it is before any Forward.
-func (c *Conv3D) DropCaches() {
-	tensor.PutScratch(c.patchCache)
-	c.patchCache = nil
-	c.patchCacheOf = nil
-	c.input = nil
-}
+// DropCaches implements CacheDropper: the retained input reference is
+// dropped (the layer holds no scratch between calls). A Backward without an
+// intervening Forward is invalid after this call, as it is before any
+// Forward.
+func (c *Conv3D) DropCaches() { c.input = nil }
 
 // Forward computes the convolution of x ([N, IC, D, H, W]) and caches x for
 // Backward, dispatching through the backend registry (gemm by default).
@@ -118,7 +76,7 @@ func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, _, d, h, w := check5D("Conv3D", x)
 	c.input = x
 	out := tensor.New(n, c.OutChannels, d, h, w)
-	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out, c.training)
+	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out)
 	return out
 }
 

@@ -8,225 +8,236 @@ import (
 	"repro/internal/tensor"
 )
 
-// GEMM backend for Conv3D: the convolution is lowered to matrix multiplies
-// against the im2col patch matrix P ([IC·K³, D·H·W]) of each sample,
+// GEMM backend for Conv3D. A stride-1, same-padded convolution is a matrix
+// product against the patch matrix P ([C·K³, D·H·W]) of each sample — row
+// (c, kz, ky, kx) is channel c shifted by that kernel tap, zero where the tap
+// leaves the volume — and all three passes are such products:
 //
-//	forward:          Out[n]  = W·P + b         (W as [OC, IC·K³])
-//	backward-weights: gW     += gOut[n]·Pᵀ
-//	backward-input:   gP      = Wᵀ·gOut[n],  gIn[n] = col2im(gP)
+//	forward:          Out[n]  = W·P(x[n]) + b          W as [OC, IC·K³]
+//	backward-weights: gW     += gOut[n]·P(x[n])ᵀ
+//	backward-input:   gIn[n]  = W′·P(gOut[n])          W′ as [IC, OC·K³]
 //
-// P is handled differently per path:
+// The last line is the input gradient written as what it is, a convolution of
+// the output gradient with the kernel flipped end to end and its channel axes
+// swapped: W′[ic, oc, tap] = W[oc, ic, K³−1−tap] (rebuilt from W per call, so
+// there is nothing to go stale when an optimizer or a model swap changes W).
 //
-//   - The training forward materializes the patch matrices of the whole
-//     batch once into a persistent, pooled per-layer cache, which the
-//     backward pass reuses — the im2col work is done once per step instead
-//     of once per pass. The cache costs IC·K³ × D·H·W floats per sample
-//     (K³× the input activation) and lives until the layer sees a larger
-//     input or is collected.
-//   - The inference fast path (forwardGEMMInto, under Infer and evaluation
-//     forwards) fuses im2col into the GEMM's B-panel packer (im2colPackB):
-//     patches stream directly into the packed panels and no patch matrix is
-//     ever materialized. The packed panels are identical either way, so both
-//     paths produce bit-for-bit identical outputs.
+// P is never built. Each pass copies its activation once into a buffer with
+// a K/2-wide zero border on every side (haloGeom, padHalo); in there the
+// element tap r reads for voxel v sits at rows[r] + starts[v] with no bounds
+// to test, which is the form gemm.PackGathered packs B panels from. So one
+// routine, convGEMM, is the training forward, Infer and the input gradient,
+// and the kernel gradient differs only in packing P transposed. The packed
+// panels hold the same floats in the same order as panels copied out of a
+// materialized patch matrix, so the forward output and the kernel gradient
+// are bit-for-bit what the im2col lowering this replaced produced
+// (TestConvGoldenHash); the input gradient is one K = OC·K³ dot per element.
+// A 1×1×1 convolution needs no halo: the activation slab already is P.
 //
-// Backward-weights runs as per-sample partial products (gemm.GemmBatch,
-// parallel over sample × column block) reduced onto gW in ascending sample
-// order — the parallel degree scales with the batch size instead of being
-// capped by the ⌈IC·K³/256⌉ column blocks of a single product, while each
-// gW element still sees a fixed, budget-independent accumulation order.
-//
-// Scratch buffers and the GEMM packing panels all come from the tensor
-// scratch pool, and the patch cache is claimed from it once and retained,
-// so a steady-state training step performs no allocations here. A 1×1×1
-// convolution needs no patch matrix at all — the input slab already is P.
+// Every product runs as a gemm.GemmBatch over the batch — parallel over
+// (sample × column block) with a fixed per-element accumulation order, so all
+// three passes are bit-for-bit independent of the worker budget — and the
+// kernel gradient is reduced onto gW from per-sample partials in ascending
+// sample order. Halo buffers, W′ and the partials come from the tensor
+// scratch pool and go back before the pass returns: the layer holds nothing
+// between calls but the input it was given.
 
-// forwardGEMMTrain is the training forward: im2col + GEMM into the
-// caller-provided output, materializing the batch's patch matrices into the
-// per-layer cache for the backward pass to reuse.
-func (c *Conv3D) forwardGEMMTrain(x, out *tensor.Tensor) {
-	n, ic, d, h, w := check5D("Conv3D", x)
-	if ic != c.InChannels {
-		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
-	}
-	k := c.Kernel
+// haloGeom locates a [d, h, w] volume inside its zero-haloed copy.
+type haloGeom struct {
+	d, h, w int
+	p       int // border width, K/2
+	hp, wp  int // haloed row count and row length
+	vol     int // floats per haloed channel
+}
+
+func newHaloGeom(d, h, w, k int) haloGeom {
 	p := k / 2
-	oc := c.OutChannels
-	cols := d * h * w
-	kdim := ic * k * k * k
-	workers := c.workers
+	return haloGeom{d: d, h: h, w: w, p: p, hp: h + 2*p, wp: w + 2*p,
+		vol: (d + 2*p) * (h + 2*p) * (w + 2*p)}
+}
 
-	xd := x.Data()
-	od := out.Data()
-	wd := c.W.Value.Data()
+// padHalo copies count channel volumes from src into dst with a zero border.
+func padHalo(dst, src []float32, count int, g haloGeom, workers int) {
+	cols := g.d * g.h * g.w
+	parallel.ForWorkers(workers, count, 1, func(lo, hi int) {
+		for ch := lo; ch < hi; ch++ {
+			out := dst[ch*g.vol : (ch+1)*g.vol]
+			clear(out)
+			in := src[ch*cols : (ch+1)*cols]
+			for z := 0; z < g.d; z++ {
+				for y := 0; y < g.h; y++ {
+					copy(out[((z+g.p)*g.hp+y+g.p)*g.wp+g.p:][:g.w], in[(z*g.h+y)*g.w:])
+				}
+			}
+		}
+	})
+}
 
-	if k > 1 {
-		c.fillPatchCache(xd, x, n, ic, d, h, w, k, p, workers)
+// haloPacker returns the gemm.PackBFunc of the patch matrix of one sample's
+// haloed activation (or of its transpose): patch row r = (channel, tap) and
+// voxel v = (z, y, x) meet at halo[rows[r] + starts[v]], where rows[r] is the
+// channel's base plus the tap's offset from the window's corner, and
+// starts[v] the corner's offset. taps holds the K³ tap offsets. Where rows
+// of the volume are a multiple of four wide, four voxels at a time share a
+// start and move as one vector; any other width goes element by element.
+func haloPacker(trans bool, halo []float32, g haloGeom, taps []int) gemm.PackBFunc {
+	run := 1
+	if g.w%4 == 0 {
+		run = 4
 	}
-	for ni := 0; ni < n; ni++ {
-		pm := c.patchSlab(xd, ni, ic, cols, kdim)
-		oSlab := od[ni*oc*cols : (ni+1)*oc*cols]
-		c.seedBias(oSlab, oc, cols)
-		gemm.Gemm(false, false, oc, cols, kdim, wd, kdim, pm, cols, true, oSlab, cols, workers)
+	return func(p0, pw, j0, jw int, dst []float32) {
+		var rowBuf, startBuf [gemm.BlockDepth]int
+		r0, rn, v0, vn := p0, pw, j0, jw
+		if trans {
+			r0, rn, v0, vn = j0, jw, p0, pw
+		}
+		rows := rowBuf[:rn]
+		base, tap := r0/len(taps)*g.vol, r0%len(taps)
+		for i := range rows {
+			rows[i] = base + taps[tap]
+			if tap++; tap == len(taps) {
+				base, tap = base+g.vol, 0
+			}
+		}
+		starts := startBuf[:vn/run]
+		for i := range starts {
+			v := v0 + i*run
+			starts[i] = (v/(g.h*g.w)*g.hp+v/g.w%g.h)*g.wp + v%g.w
+		}
+		gemm.PackGathered(trans, dst, halo, rows, starts, run)
 	}
 }
 
-// fillPatchCache sizes the persistent patch cache for an n-sample batch and
-// fills it with im2col of every sample. The buffer is claimed from the
-// scratch pool once and retained across steps; it is only re-claimed when a
-// larger batch arrives.
-func (c *Conv3D) fillPatchCache(xd []float32, x *tensor.Tensor, n, ic, d, h, w, k, p, workers int) {
-	cols := d * h * w
-	kdim := ic * k * k * k
-	need := n * kdim * cols
-	if cap(c.patchCache) < need {
-		tensor.PutScratch(c.patchCache)
-		c.patchCache = tensor.GetScratch(need)
-	}
-	c.patchCache = c.patchCache[:need]
-	c.patchCacheOf = x
-	for ni := 0; ni < n; ni++ {
-		im2col(xd[ni*ic*cols:(ni+1)*ic*cols], ic, d, h, w, k, p,
-			c.patchCache[ni*kdim*cols:(ni+1)*kdim*cols], workers)
-	}
-}
-
-// patchSlab returns sample ni's patch matrix: the input slab itself at
-// 1×1×1, the cache slab otherwise (fillPatchCache must have run).
-func (c *Conv3D) patchSlab(xd []float32, ni, ic, cols, kdim int) []float32 {
-	if c.Kernel == 1 {
-		return xd[ni*ic*cols : (ni+1)*ic*cols]
-	}
-	return c.patchCache[ni*kdim*cols : (ni+1)*kdim*cols]
-}
-
-// seedBias fills an output slab with the per-channel bias so the GEMM
-// accumulates onto it, keeping the bias first in each element's sum like
-// the direct kernels do.
-func (c *Conv3D) seedBias(oSlab []float32, oc, cols int) {
-	bd := c.B.Value.Data()
-	for oci := 0; oci < oc; oci++ {
-		row := oSlab[oci*cols : (oci+1)*cols]
-		bias := bd[oci]
-		for i := range row {
-			row[i] = bias
+// tapOffsets lists, for each of the K³ kernel taps in (kz, ky, kx) order, the
+// offset of the element it reads from the corner of the haloed window.
+func tapOffsets(k int, g haloGeom) []int {
+	taps := make([]int, 0, k*k*k)
+	for kz := 0; kz < k; kz++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				taps = append(taps, (kz*g.hp+ky)*g.wp+kx)
+			}
 		}
 	}
+	return taps
 }
 
-// forwardGEMMInto runs the GEMM forward kernel into a caller-provided output
-// tensor (every element is written: bias seed, then GEMM accumulation),
-// retaining nothing — the inference fast path. im2col is fused into the
-// GEMM's B-panel packer, so no patch matrix is materialized; outputs are
-// bit-for-bit identical to the training forward's.
+// overPatches calls fn with the packers of P(src[n0]), P(src[n0+1]), … — or
+// of their transposes — for consecutive groups of samples of a [n, ch, d, h,
+// w] activation. A group is one sample per worker: enough independent
+// products to keep the budget busy where one sample is a single column block,
+// while the halo buffer the packers read, drawn once and refilled per group,
+// stays the size of the workers' working set whatever the batch.
+func overPatches(trans bool, src []float32, n, ch, d, h, w, k, workers int,
+	fn func(n0 int, packers []gemm.PackBFunc)) {
+
+	cols := d * h * w
+	packers := make([]gemm.PackBFunc, n)
+	if k == 1 {
+		for ni := range packers {
+			packers[ni] = gemm.PackDense(trans, src[ni*ch*cols:(ni+1)*ch*cols], cols)
+		}
+		fn(0, packers)
+		return
+	}
+	g := newHaloGeom(d, h, w, k)
+	taps := tapOffsets(k, g)
+	group := min(n, parallel.Resolve(workers))
+	halo := tensor.GetScratch(group * ch * g.vol)
+	defer tensor.PutScratch(halo)
+	for n0 := 0; n0 < n; n0 += group {
+		packers = packers[:min(group, n-n0)]
+		padHalo(halo, src[n0*ch*cols:], len(packers)*ch, g, workers)
+		for i := range packers {
+			packers[i] = haloPacker(trans, halo[i*ch*g.vol:(i+1)*ch*g.vol], g, taps)
+		}
+		fn(n0, packers)
+	}
+}
+
+// convGEMM computes dst[n] = wmat·P(src[n]) for every sample (added to dst
+// when accumulate is set): the same-padded K³ convolution of the [n, ch, d,
+// h, w] activation src with the m filters whose rows wmat ([m, ch·K³]) holds.
+func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
+	accumulate bool, dst []float32, workers int) {
+
+	cols := d * h * w
+	kdim := ch * k * k * k
+	overPatches(false, src, n, ch, d, h, w, k, workers, func(n0 int, packers []gemm.PackBFunc) {
+		gemm.GemmBatch(len(packers), false, m, cols, kdim,
+			func(int) []float32 { return wmat }, kdim,
+			func(i int) gemm.PackBFunc { return packers[i] }, accumulate,
+			func(i int) []float32 { return dst[(n0+i)*m*cols : (n0+i+1)*m*cols] }, cols,
+			workers)
+	})
+}
+
+// forwardGEMMInto is the GEMM forward — training, evaluation and Infer alike
+// — into a caller-provided output tensor. Every element is written: the bias
+// first, as in the direct kernels, then the product accumulated onto it.
 func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
 	n, ic, d, h, w := check5D("Conv3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
-	k := c.Kernel
-	p := k / 2
 	oc := c.OutChannels
-
-	xd := x.Data()
-	od := out.Data()
-	wd := c.W.Value.Data()
-
 	cols := d * h * w
-	kdim := ic * k * k * k
-	workers := c.workers
-
-	for ni := 0; ni < n; ni++ {
-		xSlab := xd[ni*ic*cols : (ni+1)*ic*cols]
-		oSlab := od[ni*oc*cols : (ni+1)*oc*cols]
-		c.seedBias(oSlab, oc, cols)
-		if k == 1 {
-			// 1×1×1: the input slab is the patch matrix.
-			gemm.Gemm(false, false, oc, cols, kdim, wd, kdim, xSlab, cols, true, oSlab, cols, workers)
-			continue
+	od := out.Data()
+	bd := c.B.Value.Data()
+	for row := 0; row < n*oc; row++ {
+		orow := od[row*cols : (row+1)*cols]
+		bias := bd[row%oc]
+		for i := range orow {
+			orow[i] = bias
 		}
-		if c.taps == nil {
-			c.taps = newTapOffsets(k, p)
-		}
-		gemm.GemmPackB(false, oc, cols, kdim, wd, kdim,
-			im2colPackB(xSlab, ic, d, h, w, k, p, c.taps), true, oSlab, cols, workers)
 	}
+	convGEMM(c.W.Value.Data(), oc, ic, c.Kernel, x.Data(), n, d, h, w, true, od, c.workers)
 }
 
-// weightGradGEMM is the GEMM kernel-gradient pass. The patch matrices are
-// normally the cache filled by forwardGEMMTrain; a stale cache (the backend
-// was switched after the forward, an eval forward preceded Backward, or a
-// delegating backend ran its own forward kernels) is rebuilt from the
-// retained input first.
+// weightGradGEMM is the GEMM kernel-gradient pass: per-sample partials
+// gOut[n]·P(x[n])ᵀ in parallel over (sample × column block), then
+// gW += partials in ascending sample order per element.
 func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	x := c.input
 	n, ic, d, h, w := check5D("Conv3D.Backward", x)
-	k := c.Kernel
-	p := k / 2
-	cols := d * h * w
-	kdim := ic * k * k * k
-	workers := c.workers
-	xd := x.Data()
-
-	if k > 1 && (c.patchCacheOf != x || len(c.patchCache) != n*kdim*cols) {
-		c.fillPatchCache(xd, x, n, ic, d, h, w, k, p, workers)
-	}
-	c.backwardWeightsGEMM(gradOut.Data(), xd, n, ic, cols, kdim, workers)
-}
-
-// backwardWeightsGEMM is the isolated kernel-gradient pass: per-sample
-// partials gOut[n]·Pᵀ in parallel over (sample × column block), then
-// gW += partials in ascending sample order per element. The patch cache
-// must be current (weightGradGEMM guarantees it). Split out so the pass can
-// be benchmarked on its own — its parallel degree is the batch-scaling
-// claim of the fused training path.
-func (c *Conv3D) backwardWeightsGEMM(god, xd []float32, n, ic, cols, kdim, workers int) {
 	oc := c.OutChannels
-	gwd := c.W.Grad.Data()
+	cols := d * h * w
+	kdim := ic * c.Kernel * c.Kernel * c.Kernel
+	workers := c.workers
+	god := gradOut.Data()
+
 	partials := tensor.GetScratch(n * oc * kdim)
 	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, true, oc, kdim, cols,
-		func(ni int) []float32 { return god[ni*oc*cols : (ni+1)*oc*cols] }, cols,
-		func(ni int) []float32 { return c.patchSlab(xd, ni, ic, cols, kdim) }, cols,
-		false,
-		func(ni int) []float32 { return partials[ni*oc*kdim : (ni+1)*oc*kdim] }, kdim,
-		workers)
-	reduceWeightPartials(gwd, partials, n, oc*kdim, workers)
+	overPatches(true, x.Data(), n, ic, d, h, w, c.Kernel, workers, func(n0 int, packers []gemm.PackBFunc) {
+		gemm.GemmBatch(len(packers), false, oc, kdim, cols,
+			func(i int) []float32 { return god[(n0+i)*oc*cols : (n0+i+1)*oc*cols] }, cols,
+			func(i int) gemm.PackBFunc { return packers[i] }, false,
+			func(i int) []float32 { return partials[(n0+i)*oc*kdim : (n0+i+1)*oc*kdim] }, kdim,
+			workers)
+	})
+	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc*kdim, workers)
 }
 
-// inputGradGEMM is the GEMM input-gradient pass: per sample, gP = Wᵀ·gOut[n]
-// followed by the col2im scatter-add (the identity at 1×1×1, where gP is
-// written straight into the input-gradient slab).
+// inputGradGEMM is the GEMM input-gradient pass: the convolution of gradOut
+// with the flipped, channel-swapped kernel W′, written over gradIn.
 func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
-	x := c.input
-	n, ic, d, h, w := check5D("Conv3D.Backward", x)
-	k := c.Kernel
-	p := k / 2
+	n, ic, d, h, w := check5D("Conv3D.Backward", c.input)
 	oc := c.OutChannels
-	cols := d * h * w
-	kdim := ic * k * k * k
-	workers := c.workers
-
-	god := gradOut.Data()
-	gid := gradIn.Data()
+	kk := c.Kernel * c.Kernel * c.Kernel
 	wd := c.W.Value.Data()
 
-	var gradP []float32
-	if k > 1 {
-		gradP = tensor.GetScratch(kdim * cols)
-		defer tensor.PutScratch(gradP)
-	}
-	for ni := 0; ni < n; ni++ {
-		gSlab := god[ni*oc*cols : (ni+1)*oc*cols]
-		iSlab := gid[ni*ic*cols : (ni+1)*ic*cols]
-		gp := gradP
-		if k == 1 {
-			gp = iSlab
-		}
-		gemm.Gemm(true, false, kdim, cols, oc, wd, kdim, gSlab, cols, false, gp, cols, workers)
-		if k > 1 {
-			col2imAdd(gradP, ic, d, h, w, k, p, iSlab, workers)
+	flipped := tensor.GetScratch(ic * oc * kk)
+	defer tensor.PutScratch(flipped)
+	for ici := 0; ici < ic; ici++ {
+		for oci := 0; oci < oc; oci++ {
+			dst := flipped[(ici*oc+oci)*kk:][:kk]
+			src := wd[(oci*ic+ici)*kk:][:kk]
+			for tap := range dst {
+				dst[tap] = src[kk-1-tap]
+			}
 		}
 	}
+	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, false, gradIn.Data(), c.workers)
 }
 
 // reduceWeightPartials adds n concatenated per-sample partial gradient

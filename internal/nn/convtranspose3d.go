@@ -15,8 +15,8 @@ import (
 // do not overlap.
 //
 // Like Conv3D, the compute kernels dispatch through the conv-backend
-// registry (see backend.go): the default gemm backend runs the mirrored
-// col2im/im2col formulation (convtranspose3d_gemm.go), and the direct
+// registry (see backend.go): the default gemm backend multiplies into a
+// column matrix and scatters it (convtranspose3d_gemm.go), and the direct
 // backend runs the original loop kernels in this file on the parallel
 // worker pool with disjoint output partitions chosen so that every
 // accumulation happens in the serial reference's order — direct results are

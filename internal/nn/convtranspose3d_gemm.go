@@ -9,19 +9,19 @@ import (
 )
 
 // GEMM backend for ConvTranspose3D: because the kernel edge equals the
-// stride, output windows never overlap, so the transposed convolution is
-// exactly the mirrored im2col formulation of Conv3D with the roles of the
-// patch matrix swapped to the output side. With W as the [IC, OC·K³]
-// matrix, x[n] as [IC, D·H·W] and Cols as [OC·K³, D·H·W],
+// stride, output windows never overlap, so the transposed convolution is a
+// matrix product whose column matrix sits on the output side. With W as the
+// [IC, OC·K³] matrix, x[n] as [IC, D·H·W] and Cols as [OC·K³, D·H·W] (one
+// row per output channel and position within a window),
 //
-//	forward:          Cols    = Wᵀ·x[n],  Out[n] = col2im(Cols) + b
+//	forward:          Cols    = Wᵀ·x[n],  Out[n] = scatter(Cols) + b
 //	backward-weights: gW     += x[n]·Colsᵀ(gOut[n])
 //	backward-input:   gIn[n]  = W·Cols(gOut[n])
 //
-// where Cols(gOut[n]) is the im2col gather of the output gradient. The
+// where Cols(gOut[n]) gathers the output gradient back into column form. The
 // scatter and gather are pure copies (each output voxel belongs to exactly
-// one window), parallelized over single-owner output-channel / row
-// partitions.
+// one window) of a matrix only K³/stride³ = 1× the output, parallelized over
+// single-owner output-channel / row partitions.
 
 // forwardGEMMInto runs the GEMM forward kernel into a caller-provided output
 // tensor (every element is written exactly once by the non-overlapping
@@ -135,9 +135,11 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	// order per element (see conv3d_gemm.go).
 	partials := tensor.GetScratch(n * ic * rows)
 	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, true, ic, rows, inCols,
+	gemm.GemmBatch(n, false, ic, rows, inCols,
 		func(ni int) []float32 { return xd[ni*ic*inCols : (ni+1)*ic*inCols] }, inCols,
-		func(ni int) []float32 { return gradCols[ni*rows*inCols : (ni+1)*rows*inCols] }, inCols,
+		func(ni int) gemm.PackBFunc {
+			return gemm.PackDense(true, gradCols[ni*rows*inCols:(ni+1)*rows*inCols], inCols)
+		},
 		false,
 		func(ni int) []float32 { return partials[ni*ic*rows : (ni+1)*ic*rows] }, rows,
 		workers)

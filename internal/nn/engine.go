@@ -20,11 +20,12 @@ import (
 //   - EngineDirect runs the original 7-deep loop kernels. Every float is
 //     accumulated in exactly the serial reference's order, so outputs are
 //     bit-for-bit identical to the serial kernels at any worker budget.
-//   - EngineGEMM lowers each convolution to im2col + a blocked, register-
-//     tiled matrix multiply (internal/gemm) — several times faster, and
-//     still bit-for-bit independent of the worker budget, but the GEMM
-//     reassociates the K-dimension sum, so results match the direct
-//     reference only within a small tolerance (documented bound, asserted
+//   - EngineGEMM lowers each convolution to blocked, register-tiled
+//     matrix multiplies (internal/gemm) against a patch matrix it never
+//     builds — an order of magnitude faster, and still bit-for-bit
+//     independent of the worker budget, but the GEMM reassociates the
+//     K-dimension sum, so results match the direct reference only
+//     within a small tolerance (documented bound, asserted
 //     by TestConvEngineParity: ≤ 64 ULP on forward outputs and ≤ 1024 ULP
 //     on gradient reductions, with a 1e-5 absolute floor for
 //     catastrophic-cancellation elements near zero).

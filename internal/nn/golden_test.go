@@ -1,0 +1,121 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// convGolden holds FNV-1a hashes of what the gemm backend's Conv3D produces
+// that must never move: the forward output (training Forward and Infer, which
+// are one code path and must hash alike) and the kernel and bias gradients.
+// They were captured at commit cdda719 — the parent of the patch-matrix-free
+// rewrite, where the forward multiplied an im2col matrix and the kernel
+// gradient read the patch cache — by running this test there with
+// REPRO_GOLDEN_PRINT=1, so a pass means the haloed packers hand the
+// microkernel the same panels in the same order. The first ten cases are the
+// benchmark network's 3³ sites at batch 2; the rest are the shapes a packer
+// gets wrong first.
+//
+// The input gradient is not pinned: it is one K = OC·K³ dot per element where
+// the parent scatter-added K³ separate K = OC dots, a different rounding
+// order. It is held to the direct reference by TestConvEngineParity and, here,
+// to being the same bits at every worker count.
+var convGolden = map[string]uint64{
+	"site 4->8 16^3":        0xd05e9f5fb289111b,
+	"site 8->8 16^3":        0x01261ff0b0249e2a,
+	"site 8->16 8^3":        0x252140140e3af0ff,
+	"site 16->16 8^3":       0x031012a75c07b399,
+	"site 16->32 4^3":       0x0c22725ea3ca263e,
+	"site 32->32 4^3":       0x715a31819ba0b978,
+	"site 48->16 8^3":       0x88a2759eeb022153,
+	"site 16->16 8^3 (dec)": 0x50aec0d69343b8ad,
+	"site 24->8 16^3":       0x8f7b8ae4323c8692,
+	"site 8->8 16^3 (dec)":  0xbb6ec961c467c0a5,
+	"volume 5x6x7":          0x14627665fd0871f1,
+	"width 1":               0xf7ee7a43fe02be66,
+	"width 2":               0xdffb39ed7a46efa9,
+	"width 12":              0x2c7a6b54f5d1a7c5,
+	"k5 on a width-1 row":   0x44ed24d6dca4c287,
+	"k5 deep K":             0xf3c1227f3673b176,
+	"k1":                    0x1f6e37ad67d8f2a2,
+	"ic 1":                  0x36fa792092abd2a4,
+}
+
+var convGoldenCases = []struct {
+	name         string
+	inC, outC, k int
+	n, d, h, w   int
+}{
+	{"site 4->8 16^3", 4, 8, 3, 2, 16, 16, 16},
+	{"site 8->8 16^3", 8, 8, 3, 2, 16, 16, 16},
+	{"site 8->16 8^3", 8, 16, 3, 2, 8, 8, 8},
+	{"site 16->16 8^3", 16, 16, 3, 2, 8, 8, 8},
+	{"site 16->32 4^3", 16, 32, 3, 2, 4, 4, 4},
+	{"site 32->32 4^3", 32, 32, 3, 2, 4, 4, 4},
+	{"site 48->16 8^3", 48, 16, 3, 2, 8, 8, 8},
+	{"site 16->16 8^3 (dec)", 16, 16, 3, 2, 8, 8, 8},
+	{"site 24->8 16^3", 24, 8, 3, 2, 16, 16, 16},
+	{"site 8->8 16^3 (dec)", 8, 8, 3, 2, 16, 16, 16},
+	{"volume 5x6x7", 3, 5, 3, 2, 5, 6, 7},
+	{"width 1", 2, 3, 3, 1, 4, 5, 1},
+	{"width 2", 3, 4, 3, 2, 3, 2, 2},
+	// A multiple of 4 that does not divide the 16-column panel: panels
+	// straddle row ends at 12, 8 and 4 columns in.
+	{"width 12", 2, 4, 3, 1, 3, 5, 12},
+	{"k5 on a width-1 row", 1, 2, 5, 1, 4, 4, 1},
+	// IC·K³ = 500 > the 384-deep K slice: the second slice starts mid-tap.
+	{"k5 deep K", 4, 2, 5, 1, 5, 5, 8},
+	{"k1", 4, 3, 1, 2, 5, 3, 7},
+	{"ic 1", 1, 4, 3, 2, 4, 4, 4},
+}
+
+func fnvFloats(h uint64, vs []float32) uint64 {
+	for _, v := range vs {
+		bits := math.Float32bits(v)
+		for s := 0; s < 32; s += 8 {
+			h = (h ^ uint64(bits>>s&0xff)) * 1099511628211
+		}
+	}
+	return h
+}
+
+func TestConvGoldenHash(t *testing.T) {
+	print := os.Getenv("REPRO_GOLDEN_PRINT") != ""
+	for i, tc := range convGoldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(1400 + i)))
+			x := randTensor(rng, tc.n, tc.inC, tc.d, tc.h, tc.w)
+			gradOut := randTensor(rng, tc.n, tc.outC, tc.d, tc.h, tc.w)
+
+			var gradIn1 []float32
+			for _, workers := range []int{1, 2, 4} {
+				c := NewConv3D("c", tc.inC, tc.outC, tc.k, rand.New(rand.NewSource(int64(77+i))))
+				c.SetConvEngine(EngineGEMM)
+				c.SetWorkers(workers)
+				out := c.Forward(x)
+				gradIn := c.Backward(gradOut)
+				inferred := c.Infer(x)
+				assertBitEqual(t, "Infer vs Forward", workers, out.Data(), inferred.Data())
+				tensor.Recycle(inferred)
+
+				h := fnvFloats(14695981039346656037, out.Data())
+				h = fnvFloats(h, c.W.Grad.Data())
+				h = fnvFloats(h, c.B.Grad.Data())
+				if print {
+					t.Logf("workers=%d golden %q: %#x", workers, tc.name, h)
+				} else if want := convGolden[tc.name]; h != want {
+					t.Errorf("workers=%d: forward + kernel-gradient hash %#x, want %#x (captured at the parent commit)", workers, h, want)
+				}
+				if workers == 1 {
+					gradIn1 = gradIn.Data()
+				} else {
+					assertBitEqual(t, "input gradient vs workers=1", workers, gradIn1, gradIn.Data())
+				}
+			}
+		})
+	}
+}

@@ -1,0 +1,231 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/gemm"
+	"repro/internal/tensor"
+)
+
+// Tests for the patch-matrix-free GEMM convolution: the halo packer must
+// hand the GEMM exactly the patch matrix's elements, and a layer that keeps
+// nothing between passes must not care what happened before a pass.
+
+// patchAt is the patch matrix by definition: the input element tap r reads
+// for voxel v, zero where the tap leaves the volume.
+func patchAt(x []float32, d, h, w, k, r, v int) float32 {
+	p := k / 2
+	kk := k * k * k
+	ch, tap := r/kk, r%kk
+	z := v/(h*w) + tap/(k*k) - p
+	y := v/w%h + tap/k%k - p
+	xx := v%w + tap%k - p
+	if z < 0 || z >= d || y < 0 || y >= h || xx < 0 || xx >= w {
+		return 0
+	}
+	return x[((ch*d+z)*h+y)*w+xx]
+}
+
+// TestHaloPackerMatchesNaiveGather packs every block of the patch matrix
+// and of its transpose the way the GEMM asks for them and compares each
+// packed element — padding lanes included — with the per-element definition,
+// on the shapes a packer gets wrong first: odd extents, rows narrower than
+// the kernel, rows that are a multiple of 4 but not of the 16-wide panel,
+// a K³·IC deeper than one K slice, a volume wider than one column block.
+func TestHaloPackerMatchesNaiveGather(t *testing.T) {
+	cases := []struct{ ch, k, d, h, w int }{
+		{3, 3, 5, 6, 7},
+		{2, 3, 4, 5, 1},
+		{3, 3, 3, 2, 2},
+		{2, 3, 3, 5, 12},
+		{1, 5, 4, 4, 1},
+		{4, 5, 5, 5, 8}, // 500 patch rows: two K slices forward, two column blocks transposed
+		{1, 3, 4, 4, 4},
+		{2, 3, 3, 5, 16},
+		{2, 3, 3, 4, 20},
+		{9, 3, 8, 8, 8},  // 512 voxels: two column blocks forward, two K slices transposed
+		{2, 3, 3, 3, 36}, // 324 voxels: a ragged last panel of one quad
+	}
+	const nr = gemm.PanelCols
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("ch%d_k%d_%dx%dx%d", tc.ch, tc.k, tc.d, tc.h, tc.w), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			x := randTensor(rng, tc.ch, tc.d, tc.h, tc.w).Data()
+			g := newHaloGeom(tc.d, tc.h, tc.w, tc.k)
+			halo := make([]float32, tc.ch*g.vol)
+			for i := range halo {
+				halo[i] = float32(math.NaN()) // padHalo must overwrite all of it
+			}
+			padHalo(halo, x, tc.ch, g, 2)
+			taps := tapOffsets(tc.k, g)
+
+			patchRows, voxels := tc.ch*tc.k*tc.k*tc.k, tc.d*tc.h*tc.w
+			for _, trans := range []bool{false, true} {
+				pack := haloPacker(trans, halo, g, taps)
+				kdim, n := patchRows, voxels
+				if trans {
+					kdim, n = voxels, patchRows
+				}
+				dst := make([]float32, gemm.BlockDepth*gemm.BlockCols)
+				for p0 := 0; p0 < kdim; p0 += gemm.BlockDepth {
+					pw := min(gemm.BlockDepth, kdim-p0)
+					for j0 := 0; j0 < n; j0 += gemm.BlockCols {
+						jw := min(gemm.BlockCols, n-j0)
+						for i := range dst {
+							dst[i] = float32(math.NaN())
+						}
+						pack(p0, pw, j0, jw, dst)
+						for jp := 0; jp*nr < jw; jp++ {
+							for p := 0; p < pw; p++ {
+								for jj := 0; jj < nr; jj++ {
+									var want float32
+									if j := jp*nr + jj; j < jw {
+										r, v := p0+p, j0+j
+										if trans {
+											r, v = v, r
+										}
+										want = patchAt(x, tc.d, tc.h, tc.w, tc.k, r, v)
+									}
+									if got := dst[jp*pw*nr+p*nr+jj]; math.Float32bits(got) != math.Float32bits(want) {
+										t.Fatalf("trans=%v block (%d,%d) panel %d step %d lane %d = %v, want %v",
+											trans, p0, j0, jp, p, jj, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConvStepsAcrossShapeChange runs training steps through one layer at
+// alternating batch sizes and extents (grow, shrink, grow) and checks every
+// step's output and gradients against a fresh layer on the same data:
+// nothing sized by one step may leak into the next.
+func TestConvStepsAcrossShapeChange(t *testing.T) {
+	shapes := []struct{ n, d, h, w int }{
+		{1, 4, 4, 4},
+		{2, 6, 5, 7},
+		{1, 3, 3, 3},
+		{2, 6, 5, 8},
+	}
+	const inC, outC, k = 3, 4, 3
+	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(12)))
+	c.SetConvEngine(EngineGEMM)
+
+	for step, sh := range shapes {
+		rng := rand.New(rand.NewSource(int64(100 + step)))
+		x := randTensor(rng, sh.n, inC, sh.d, sh.h, sh.w)
+		gradOut := randTensor(rng, sh.n, outC, sh.d, sh.h, sh.w)
+
+		fresh := NewConv3D("fresh", inC, outC, k, rand.New(rand.NewSource(12)))
+		fresh.SetConvEngine(EngineGEMM)
+
+		ZeroGrads(c.Params())
+		out := c.Forward(x)
+		in := c.Backward(gradOut)
+		wantOut := fresh.Forward(x)
+		wantIn := fresh.Backward(gradOut)
+
+		assertBitEqual(t, "forward after shape change", step, wantOut.Data(), out.Data())
+		assertBitEqual(t, "input grad after shape change", step, wantIn.Data(), in.Data())
+		assertBitEqual(t, "kernel grad after shape change", step, fresh.W.Grad.Data(), c.W.Grad.Data())
+	}
+}
+
+// TestBackwardAfterForeignForward switches the engine between Forward and
+// Backward — what the generated backend does on every step, running its own
+// forward kernel and delegating the backward passes to gemm. The gemm
+// backward works from the retained input alone, so its gradients must be the
+// very bits a gemm forward would have been followed by, whichever engine
+// ran the forward (and also after an Infer in between).
+func TestBackwardAfterForeignForward(t *testing.T) {
+	const inC, outC, k, n, d, h, w = 8, 8, 3, 2, 5, 4, 6 // a shape "generated" specializes
+	rng := rand.New(rand.NewSource(77))
+	x := randTensor(rng, n, inC, d, h, w)
+	gradOut := randTensor(rng, n, outC, d, h, w)
+
+	ref := NewConv3D("ref", inC, outC, k, rand.New(rand.NewSource(5)))
+	ref.SetConvEngine(EngineGEMM)
+	ref.Forward(x)
+	refIn := ref.Backward(gradOut)
+
+	for name, engine := range parityEngines(t) {
+		c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(5)))
+		c.SetConvEngine(engine)
+		c.Forward(x)
+		tensor.Recycle(c.Infer(randTensor(rng, 1, inC, 3, 3, 3)))
+		c.SetConvEngine(EngineGEMM)
+		in := c.Backward(gradOut)
+		assertBitEqual(t, "input grad after "+name+" forward", 0, refIn.Data(), in.Data())
+		assertBitEqual(t, "kernel grad after "+name+" forward", 0, ref.W.Grad.Data(), c.W.Grad.Data())
+	}
+}
+
+// TestBackwardInputSeesUpdatedWeights changes the kernel between two steps,
+// as an optimizer step or a model swap does, and checks the second step's
+// input gradient is the one a layer built on the new kernel computes: the
+// flipped kernel of backward-input is derived per call, never remembered.
+func TestBackwardInputSeesUpdatedWeights(t *testing.T) {
+	const inC, outC, k = 3, 4, 3
+	rng := rand.New(rand.NewSource(8))
+	x := randTensor(rng, 2, inC, 4, 5, 4)
+	gradOut := randTensor(rng, 2, outC, 4, 5, 4)
+
+	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(1)))
+	c.SetConvEngine(EngineGEMM)
+	c.Forward(x)
+	stale := c.Backward(gradOut)
+
+	updated := NewConv3D("updated", inC, outC, k, rand.New(rand.NewSource(2)))
+	updated.SetConvEngine(EngineGEMM)
+	c.W.Value.CopyFrom(updated.W.Value)
+
+	c.Forward(x)
+	got := c.Backward(gradOut)
+	updated.Forward(x)
+	want := updated.Backward(gradOut)
+	assertBitEqual(t, "input grad after a weight update", 0, want.Data(), got.Data())
+	same := true
+	for i, v := range stale.Data() {
+		same = same && v == got.Data()[i]
+	}
+	if same {
+		t.Fatal("the weight update did not change the input gradient: the test checks nothing")
+	}
+}
+
+// TestTrainingStepScratchSteadyStateConv is the layer-local allocation
+// contract: after a warm-up a forward/backward step draws every buffer (halo
+// copies, partials, the flipped kernel, packing panels) from the scratch
+// pool — zero fresh allocations.
+func TestTrainingStepScratchSteadyStateConv(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a fraction of Puts under the race detector")
+	}
+	const inC, outC, k, n, dim = 4, 6, 3, 2, 8
+	rng := rand.New(rand.NewSource(9))
+	x := randTensor(rng, n, inC, dim, dim, dim)
+	gradOut := randTensor(rng, n, outC, dim, dim, dim)
+	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(4)))
+	c.SetConvEngine(EngineGEMM)
+
+	step := func() {
+		ZeroGrads(c.Params())
+		c.Forward(x)
+		c.Backward(gradOut)
+	}
+	step()
+	step()
+	before := tensor.ScratchStatsSnapshot()
+	step()
+	after := tensor.ScratchStatsSnapshot()
+	if got := after.Allocs - before.Allocs; got != 0 {
+		t.Fatalf("steady-state conv step performed %d scratch allocations, want 0", got)
+	}
+}

@@ -149,13 +149,11 @@ func (s *Sequential) AuxState() map[string][]float64 {
 	return out
 }
 
-// CacheDropper is implemented by layers that retain buffers between steps —
-// the Conv3D backward patch cache (pool-claimed and kept for the life of the
-// layer) and cached activation references. DropCaches releases them: pooled
-// buffers go back to the scratch pool, references are dropped for the GC.
-// Calling it between an optimizer step and the next forward is always safe
-// (the next training forward rebuilds what it needs from the pool); calling
-// it between Forward and Backward is not.
+// CacheDropper is implemented by layers that retain state between steps —
+// today only references to the activations Backward needs (no layer keeps a
+// pooled buffer across calls). DropCaches drops them for the GC. Calling it
+// between an optimizer step and the next forward is always safe; calling it
+// between Forward and Backward is not.
 type CacheDropper interface {
 	DropCaches()
 }

@@ -9,7 +9,7 @@ import (
 // Scratch buffers.
 //
 // The convolution engines need large transient float32 buffers on every
-// layer invocation: im2col patch matrices, col2im gradient columns, and the
+// layer invocation: zero-haloed activation copies, gradient columns, and the
 // per-worker packing panels inside the GEMM. Allocating them per call churns
 // the allocator at tens of megabytes per training step, so the package keeps
 // a process-wide, size-bucketed pool: buffers are rounded up to a

@@ -196,11 +196,11 @@ func (p *StepCheckpoint) OnStepEnd(s *Session, step int, loss float64) error {
 	return nil
 }
 
-// CacheRelease drops every replica model's retained inter-step caches (the
-// convolution backward patch caches and cached activation references)
-// between the training and evaluation phases of each epoch — the ROADMAP's
-// memory-pressure hook, so full-volume validation never coexists with
-// K³×-activation training caches.
+// CacheRelease drops every replica model's retained inter-step state (the
+// activation references the layers keep for Backward) between the training
+// and evaluation phases of each epoch — the ROADMAP's memory-pressure hook,
+// so full-volume validation never coexists with the last training batch's
+// activations.
 type CacheRelease struct {
 	NopCallback
 }

@@ -58,23 +58,25 @@ func TestDropCachesBitNeutralAcrossSteps(t *testing.T) {
 	}
 }
 
-// TestDropCachesReturnsScratchToPool: the released patch caches must be
-// pool-recyclable — the next training step re-claims them instead of
-// allocating fresh slabs.
-func TestDropCachesReturnsScratchToPool(t *testing.T) {
+// TestTrainingStepHoldsNoScratch: every scratch buffer a training step draws
+// is back in the pool when the step returns — the convolutions keep no patch
+// or halo buffers between calls — so DropCaches has only references to drop.
+func TestTrainingStepHoldsNoScratch(t *testing.T) {
 	cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 2,
 		Kernel: 3, UpKernel: 2, Seed: 4, Engine: nn.EngineGEMM}
 	u := MustNew(cfg)
 	rng := rand.New(rand.NewSource(8))
 	x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
 
+	before := tensor.ScratchStatsSnapshot()
 	out := u.Forward(x)
 	u.Backward(tensor.New(out.Shape()...))
-
-	before := tensor.ScratchStatsSnapshot()
-	u.DropCaches()
 	after := tensor.ScratchStatsSnapshot()
-	if after.Puts <= before.Puts {
-		t.Fatalf("DropCaches returned no buffers to the pool (puts %d -> %d)", before.Puts, after.Puts)
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
+		t.Fatalf("a training step drew %d scratch buffers and returned %d", gets, puts)
+	}
+	u.DropCaches()
+	if dropped := tensor.ScratchStatsSnapshot(); dropped.Puts != after.Puts {
+		t.Fatalf("DropCaches returned %d scratch buffers; the network should hold none", dropped.Puts-after.Puts)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // TestTrainingStepScratchSteadyState asserts the scratch-pool contract of
 // the GEMM convolution engine: after one warm-up step, a full U-Net
-// forward/backward training step gets every im2col patch matrix, gradient
-// column buffer and GEMM packing panel from the pool — zero fresh scratch
+// forward/backward training step gets every halo copy, gradient column
+// buffer and GEMM packing panel from the pool — zero fresh scratch
 // allocations in steady state.
 func TestTrainingStepScratchSteadyState(t *testing.T) {
 	if raceEnabled {

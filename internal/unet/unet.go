@@ -316,36 +316,29 @@ func (u *UNet) SetConvEngine(e nn.ConvEngine) {
 	u.head.SetConvEngine(e)
 }
 
-// SetTraining toggles training mode on every batch-norm layer and on the
-// convolutions (whose GEMM forward only fills the backward patch cache in
-// training mode — evaluation volumes must not grow it).
+// SetTraining toggles training mode on every batch-norm layer (the only
+// layers of the network that compute differently in evaluation mode).
 func (u *UNet) SetTraining(training bool) {
 	for _, e := range u.enc {
-		e.convA.SetTraining(training)
-		e.convB.SetTraining(training)
 		e.bnA.SetTraining(training)
 		e.bnB.SetTraining(training)
 	}
 	for _, d := range u.dec {
-		d.convA.SetTraining(training)
-		d.convB.SetTraining(training)
 		d.bnA.SetTraining(training)
 		d.bnB.SetTraining(training)
 	}
-	u.head.SetTraining(training)
 }
 
 // ZeroGrads clears all parameter gradients.
 func (u *UNet) ZeroGrads() { nn.ZeroGrads(u.params) }
 
-// DropCaches releases every retained inter-step buffer: the convolutions'
-// pooled backward patch caches go back to the scratch pool, cached
-// input/skip activation references are dropped. This is the ROADMAP's
-// memory-pressure hook — long-lived trainers call it between the training
-// and evaluation phases (train.CacheRelease does) so validation volumes
-// never coexist with K³×-activation training caches. The next training
-// step rebuilds everything from the pool; calling it between Forward and
-// Backward is invalid, as for nn.CacheDropper.
+// DropCaches drops every retained inter-step reference: the layers' cached
+// input and the skip activations (no layer holds a pooled buffer between
+// calls). This is the ROADMAP's memory-pressure hook — long-lived trainers
+// call it between the training and evaluation phases (train.CacheRelease
+// does) so validation volumes never coexist with the last training batch's
+// activations. Calling it between Forward and Backward is invalid, as for
+// nn.CacheDropper.
 func (u *UNet) DropCaches() {
 	for _, e := range u.enc {
 		e.convA.DropCaches()
