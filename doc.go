@@ -13,9 +13,11 @@
 // gradient is a forward convolution with the flipped kernel, and
 // backward-weights reduces per-sample partial products so its parallelism
 // scales with the batch; REPRO_CONV_ENGINE=gemm|direct selects the
-// engine), the paper's 3D U-Net (unet), Dice losses and optimizers (loss,
-// optim, metrics), the data path
-// from NIfTI phantoms to TFRecords and tf.Data-style pipelines (msd, nifti,
+// engine), the paper's 3D U-Net (unet — one fused convolution → batch-norm →
+// ReLU block per body site, every activation and gradient in a buffer the
+// network owns, so a training step allocates none), Dice losses and
+// optimizers (loss, optim, metrics), the data path from NIfTI phantoms to
+// TFRecords and tf.Data-style pipelines (msd, nifti,
 // volume, record, pipeline, profiler), the unified training-orchestration
 // layer — one Session loop over pluggable strategies with an ordered
 // callback chain and bit-exact checkpoint/resume (train, ckpt) — the

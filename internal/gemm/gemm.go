@@ -125,7 +125,7 @@ func Gemm(transA, transB bool, m, n, k int,
 	GemmBatch(1, transA, m, n, k,
 		func(int) []float32 { return a }, lda,
 		func(int) PackBFunc { return pack },
-		accumulate,
+		accumulate, nil,
 		func(int) []float32 { return c }, ldc, workers)
 }
 
@@ -141,20 +141,26 @@ func Gemm(transA, transB bool, m, n, k int,
 // — K ascending within a kcBlock slice, slices ascending — that depends
 // only on the problem shape, so results are bit-for-bit identical to count
 // sequential Gemm calls at any budget.
+//
+// A non-nil bias (m floats, not combined with accumulate) makes row r of
+// every C[i] start from bias[r]: C[i] = bias + op(A[i])·op(B[i]), each
+// element rounded exactly as if C had been filled with the bias and the
+// product accumulated onto it. The worker that owns a column block seeds it
+// just before multiplying into it, so the seed costs no pass of its own.
 func GemmBatch(count int, transA bool, m, n, k int,
 	a func(int) []float32, lda int, pack func(int) PackBFunc,
-	accumulate bool, c func(int) []float32, ldc int, workers int) {
+	accumulate bool, bias []float32, c func(int) []float32, ldc int, workers int) {
 
 	if count <= 0 || m <= 0 || n <= 0 {
 		return
 	}
+	if bias != nil && accumulate {
+		panic("gemm: bias and accumulate are exclusive")
+	}
 	if k <= 0 {
 		if !accumulate {
 			for i := 0; i < count; i++ {
-				ci := c(i)
-				for r := 0; r < m; r++ {
-					clear(ci[r*ldc : r*ldc+n])
-				}
+				seedRows(c(i), ldc, 0, n, m, bias)
 			}
 		}
 		return
@@ -172,10 +178,13 @@ func GemmBatch(count int, transA bool, m, n, k int,
 			ai, packi, ci := a(i), pack(i), c(i)
 			j0 := jb * ncBlock
 			jw := min(ncBlock, n-j0)
+			if bias != nil {
+				seedRows(ci, ldc, j0, jw, m, bias)
+			}
 			for p0 := 0; p0 < k; p0 += kcBlock {
 				pw := min(kcBlock, k-p0)
 				packi(p0, pw, j0, jw, packedB)
-				overwrite := p0 == 0 && !accumulate
+				overwrite := p0 == 0 && !accumulate && bias == nil
 				for i0 := 0; i0 < m; i0 += mcBlock {
 					iw := min(mcBlock, m-i0)
 					packA(transA, ai, lda, i0, iw, p0, pw, packedA)
@@ -185,6 +194,22 @@ func GemmBatch(count int, transA bool, m, n, k int,
 			}
 		}
 	})
+}
+
+// seedRows sets columns [j0, j0+jw) of the first m rows of c to the row's
+// bias, or to zero when bias is nil.
+func seedRows(c []float32, ldc, j0, jw, m int, bias []float32) {
+	for r := 0; r < m; r++ {
+		row := c[r*ldc+j0:][:jw]
+		if bias == nil {
+			clear(row)
+			continue
+		}
+		v := bias[r]
+		for j := range row {
+			row[j] = v
+		}
+	}
 }
 
 // PackGathered packs a block of a virtual matrix whose elements are short

@@ -194,7 +194,7 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 						got := append([]float32(nil), seed...)
 						GemmBatch(1, false, sh.m, sh.n, sh.k,
 							func(int) []float32 { return a }, sh.k,
-							func(int) PackBFunc { return pack }, acc,
+							func(int) PackBFunc { return pack }, acc, nil,
 							func(int) []float32 { return got }, sh.n, workers)
 						for i := range want {
 							if got[i] != want[i] {
@@ -234,13 +234,58 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 		GemmBatch(count, false, m, n, k,
 			func(i int) []float32 { return as[i] }, k,
 			func(i int) PackBFunc { return PackDense(true, bs[i], k) },
-			true,
+			true, nil,
 			func(i int) []float32 { return got[i] }, n, workers)
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
 					t.Fatalf("workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
 						workers, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
+// TestGemmBatchBiasMatchesSeededAccumulate asserts the bias form — each
+// column block seeded by the worker that owns it — is bit-for-bit a C filled
+// with the per-row bias and the product accumulated onto it, across K slices,
+// ragged tiles and worker budgets: what lets the convolution forward drop
+// its serial bias pre-pass without moving a bit.
+func TestGemmBatchBiasMatchesSeededAccumulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range []struct{ count, m, n, k int }{
+		{2, 8, 4096, 108}, // a bench_net body site, per sample
+		{3, 5, 300, 2*kcBlock + 7},
+		{1, 1, 17, 1},
+		{2, 66, 2*ncBlock + 3, 40},
+	} {
+		bias := randMat(rng, sh.m)
+		as, bs := make([][]float32, sh.count), make([][]float32, sh.count)
+		want, got := make([][]float32, sh.count), make([][]float32, sh.count)
+		for i := range as {
+			as[i], bs[i] = randMat(rng, sh.m*sh.k), randMat(rng, sh.k*sh.n)
+			want[i] = make([]float32, sh.m*sh.n)
+			for j := range want[i] {
+				want[i][j] = bias[j/sh.n]
+			}
+			Gemm(false, false, sh.m, sh.n, sh.k, as[i], sh.k, bs[i], sh.n, true, want[i], sh.n, 1)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			for i := range got {
+				got[i] = randMat(rng, sh.m*sh.n) // stale contents must not leak through
+			}
+			GemmBatch(sh.count, false, sh.m, sh.n, sh.k,
+				func(i int) []float32 { return as[i] }, sh.k,
+				func(i int) PackBFunc { return PackDense(false, bs[i], sh.n) },
+				false, bias,
+				func(i int) []float32 { return got[i] }, sh.n, workers)
+			for i := range want {
+				for j := range want[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("%+v workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
+							sh, workers, i, j, got[i][j], want[i][j])
+					}
 				}
 			}
 		}

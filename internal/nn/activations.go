@@ -16,7 +16,7 @@ const elemGrain = 16384
 type ReLU struct {
 	workerBudget
 
-	mask []bool // true where input > 0
+	output *tensor.Tensor // retained for Backward: the gradient passes where it is positive
 }
 
 // NewReLU creates a ReLU activation layer.
@@ -25,23 +25,24 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Params returns nil: ReLU has no trainable parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward computes max(0, x) and caches the positive mask.
+// DropCaches implements CacheDropper: the retained output is dropped.
+func (r *ReLU) DropCaches() { r.output = nil }
+
+// Forward computes max(0, x) and retains the output for Backward.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	r.output = r.apply(x, tensor.New)
+	return r.output
+}
+
+// apply writes max(0, x) over every element of a tensor drawn from alloc.
+func (r *ReLU) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+	out := alloc(x.Shape()...)
 	xd := x.Data()
 	od := out.Data()
-	if cap(r.mask) < len(xd) {
-		r.mask = make([]bool, len(xd))
-	}
-	r.mask = r.mask[:len(xd)]
 	parallel.ForWorkers(r.workers, len(xd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := xd[i]; v > 0 {
-				od[i] = v
-				r.mask[i] = true
-			} else {
-				r.mask[i] = false
-			}
+		xs, ys := xd[lo:hi], od[lo:hi]
+		for i, v := range xs {
+			ys[i] = relu(v)
 		}
 	})
 	return out
@@ -49,17 +50,17 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward zeroes gradients where the input was non-positive.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if r.mask == nil {
+	if r.output == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
 	gradIn := tensor.New(gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()
+	yd := r.output.Data()
 	parallel.ForWorkers(r.workers, len(god), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if r.mask[i] {
-				gid[i] = god[i]
-			}
+		gs, ys, ds := god[lo:hi], yd[lo:hi], gid[lo:hi]
+		for i, g := range gs {
+			ds[i] = gate(ys[i], g)
 		}
 	})
 	return gradIn
@@ -78,9 +79,19 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 // Params returns nil: sigmoid has no trainable parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
 
+// DropCaches implements CacheDropper: the retained output is dropped.
+func (s *Sigmoid) DropCaches() { s.output = nil }
+
 // Forward computes 1/(1+exp(-x)) and caches the output.
 func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	s.output = s.apply(x, tensor.New)
+	return s.output
+}
+
+// apply writes the sigmoid of x over every element of a tensor drawn from
+// alloc.
+func (s *Sigmoid) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+	out := alloc(x.Shape()...)
 	xd := x.Data()
 	od := out.Data()
 	parallel.ForWorkers(s.workers, len(xd), elemGrain, func(lo, hi int) {
@@ -88,16 +99,24 @@ func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
 			od[i] = float32(1.0 / (1.0 + math.Exp(-float64(xd[i]))))
 		}
 	})
-	s.output = out
 	return out
 }
 
 // Backward uses dσ/dx = σ(x)(1−σ(x)).
 func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return s.backward(gradOut, tensor.New)
+}
+
+// BackwardOwned is Backward with the input gradient written into dst.
+func (s *Sigmoid) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	return s.backward(gradOut, dst.Shaped)
+}
+
+func (s *Sigmoid) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
 	if s.output == nil {
 		panic("nn: Sigmoid.Backward called before Forward")
 	}
-	gradIn := tensor.New(gradOut.Shape()...)
+	gradIn := alloc(gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()
 	od := s.output.Data()
@@ -113,13 +132,26 @@ func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // ConcatChannels concatenates a and b along the channel axis; it implements
 // the U-Net skip connections. Both inputs must agree on every other
 // dimension.
-func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor {
+func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor { return concatChannels(a, b, tensor.New) }
+
+// ConcatChannelsScratch is ConcatChannels with a pool-backed result, for the
+// inference fast path.
+func ConcatChannelsScratch(a, b *tensor.Tensor) *tensor.Tensor {
+	return concatChannels(a, b, tensor.NewScratch)
+}
+
+// ConcatChannelsOwned is ConcatChannels with the result written into dst.
+func ConcatChannelsOwned(a, b *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	return concatChannels(a, b, dst.Shaped)
+}
+
+func concatChannels(a, b *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
 	na, ca, da, ha, wa := check5D("ConcatChannels", a)
 	nb, cb, db, hb, wb := check5D("ConcatChannels", b)
 	if na != nb || da != db || ha != hb || wa != wb {
 		panic("nn: ConcatChannels spatial/batch mismatch")
 	}
-	out := tensor.New(na, ca+cb, da, ha, wa)
+	out := alloc(na, ca+cb, da, ha, wa)
 	spatial := da * ha * wa
 	ad, bd, od := a.Data(), b.Data(), out.Data()
 	for ni := 0; ni < na; ni++ {
@@ -135,12 +167,22 @@ func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor {
 // SplitChannelsGrad splits a gradient w.r.t. a channel concatenation back
 // into the gradients of the two inputs with ca and cb channels respectively.
 func SplitChannelsGrad(grad *tensor.Tensor, ca, cb int) (ga, gb *tensor.Tensor) {
+	return splitChannelsGrad(grad, ca, cb, tensor.New, tensor.New)
+}
+
+// SplitChannelsGradOwned is SplitChannelsGrad with the two halves written
+// into dstA and dstB.
+func SplitChannelsGradOwned(grad *tensor.Tensor, ca, cb int, dstA, dstB *tensor.Owned) (ga, gb *tensor.Tensor) {
+	return splitChannelsGrad(grad, ca, cb, dstA.Shaped, dstB.Shaped)
+}
+
+func splitChannelsGrad(grad *tensor.Tensor, ca, cb int, allocA, allocB allocFunc) (ga, gb *tensor.Tensor) {
 	n, c, d, h, w := check5D("SplitChannelsGrad", grad)
 	if c != ca+cb {
 		panic("nn: SplitChannelsGrad channel count mismatch")
 	}
-	ga = tensor.New(n, ca, d, h, w)
-	gb = tensor.New(n, cb, d, h, w)
+	ga = allocA(n, ca, d, h, w)
+	gb = allocB(n, cb, d, h, w)
 	spatial := d * h * w
 	gd, gad, gbd := grad.Data(), ga.Data(), gb.Data()
 	for ni := 0; ni < n; ni++ {

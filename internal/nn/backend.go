@@ -94,8 +94,8 @@ type Backend interface {
 	// and accumulated by the layer itself before this call.)
 	ConvBackwardWeights(c *Conv3D, gradOut *tensor.Tensor)
 
-	// ConvBackwardInput leaves dL/d(input) in gradIn, which arrives zeroed
-	// (a backend may accumulate into it or write over it).
+	// ConvBackwardInput writes dL/d(input) over every element of gradIn,
+	// whose contents on arrival are undefined.
 	ConvBackwardInput(c *Conv3D, gradOut, gradIn *tensor.Tensor)
 
 	// TransposeForward computes the transposed-convolution forward of x
@@ -103,7 +103,8 @@ type Backend interface {
 	TransposeForward(t *ConvTranspose3D, x, out *tensor.Tensor)
 
 	// TransposeBackward accumulates the kernel gradient onto t.W.Grad and
-	// dL/d(input) into the zeroed gradIn. (Bias as in ConvBackwardWeights.)
+	// writes dL/d(input) over every element of gradIn, whose contents on
+	// arrival are undefined. (Bias as in ConvBackwardWeights.)
 	TransposeBackward(t *ConvTranspose3D, gradOut, gradIn *tensor.Tensor)
 }
 

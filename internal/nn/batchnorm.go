@@ -32,11 +32,10 @@ type BatchNorm struct {
 
 	training bool
 
-	// Cached by Forward for Backward.
-	input *tensor.Tensor
-	xhat  *tensor.Tensor
-	mean  []float64
-	rstd  []float64 // 1/sqrt(var+eps)
+	// Cached by a training-mode Forward for Backward.
+	xhat *tensor.Tensor
+	mean []float64
+	rstd []float64 // 1/sqrt(var+eps)
 }
 
 // NewBatchNorm creates a batch-normalization layer for c channels.
@@ -75,92 +74,112 @@ func (b *BatchNorm) AuxState() map[string][]float64 {
 // SetTraining toggles batch-statistics (true) vs running-statistics (false).
 func (b *BatchNorm) SetTraining(training bool) { b.training = training }
 
+// DropCaches implements CacheDropper: the retained x̂ is dropped. Backward
+// requires a fresh training-mode Forward afterwards.
+func (b *BatchNorm) DropCaches() { b.xhat = nil }
+
 // Forward normalizes x per channel.
 func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n, c, d, h, w := check5D("BatchNorm", x)
+	out := tensor.New(x.Shape()...)
+	if !b.training {
+		b.evalInto(x, out)
+		return out
+	}
+	n, c, spatial := b.check("BatchNorm", x)
+	b.xhat = tensor.New(x.Shape()...)
+	xd, od, xh := x.Data(), out.Data(), b.xhat.Data()
+	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
+	b.sizeStats()
+	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			mean, rstd := b.trainStats(xd, n, spatial, ci)
+			g, bt := gd[ci], bd[ci]
+			for ni := 0; ni < n; ni++ {
+				base := (ni*c + ci) * spatial
+				xs, hs, ys := xd[base:base+spatial], xh[base:base+spatial], od[base:base+spatial]
+				for i, v := range xs {
+					hs[i] = bnNormalize(v, mean, rstd)
+					ys[i] = bnAffine(g, hs[i], bt)
+				}
+			}
+		}
+	})
+	return out
+}
+
+// check validates a [N, C, D, H, W] activation against the layer and returns
+// its batch size, channel count and per-channel volume.
+func (b *BatchNorm) check(op string, x *tensor.Tensor) (n, c, spatial int) {
+	n, c, d, h, w := check5D(op, x)
 	if c != b.Channels {
 		panic("nn: BatchNorm channel mismatch")
 	}
-	spatial := d * h * w
-	m := n * spatial // elements per channel
-	out := tensor.New(x.Shape()...)
-	xd := x.Data()
-	od := out.Data()
-	gd := b.Gamma.Value.Data()
-	bd := b.Beta.Value.Data()
+	return n, c, d * h * w
+}
 
-	if b.training {
-		b.input = x
-		b.xhat = tensor.New(x.Shape()...)
-		if b.mean == nil || len(b.mean) != c {
-			b.mean = make([]float64, c)
-			b.rstd = make([]float64, c)
-		}
-		xh := b.xhat.Data()
-		parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
-			for ci := lo; ci < hi; ci++ {
-				var sum float64
-				for ni := 0; ni < n; ni++ {
-					base := (ni*c + ci) * spatial
-					for _, v := range xd[base : base+spatial] {
-						sum += float64(v)
-					}
-				}
-				mean := sum / float64(m)
-				var varSum float64
-				for ni := 0; ni < n; ni++ {
-					base := (ni*c + ci) * spatial
-					for _, v := range xd[base : base+spatial] {
-						dv := float64(v) - mean
-						varSum += dv * dv
-					}
-				}
-				variance := varSum / float64(m)
-				rstd := 1.0 / math.Sqrt(variance+b.Eps)
-				b.mean[ci] = mean
-				b.rstd[ci] = rstd
-				b.RunningMean[ci] = (1-b.Momentum)*b.RunningMean[ci] + b.Momentum*mean
-				b.RunningVar[ci] = (1-b.Momentum)*b.RunningVar[ci] + b.Momentum*variance
-				g, bt := gd[ci], bd[ci]
-				for ni := 0; ni < n; ni++ {
-					base := (ni*c + ci) * spatial
-					for i := base; i < base+spatial; i++ {
-						xh[i] = float32((float64(xd[i]) - mean) * rstd)
-						od[i] = g*xh[i] + bt
-					}
-				}
-			}
-		})
-		return out
+// sizeStats makes room for the per-channel batch statistics.
+func (b *BatchNorm) sizeStats() {
+	if len(b.mean) != b.Channels {
+		b.mean = make([]float64, b.Channels)
+		b.rstd = make([]float64, b.Channels)
 	}
+}
 
-	// Evaluation mode: use running statistics.
-	b.evalInto(x, out)
-	return out
+// trainStats computes the batch statistics of channel ci of xd ([n, C,
+// spatial]) in two float64 passes, samples ascending, records them for
+// Backward, folds them into the running estimates and returns the mean and
+// 1/sqrt(var+eps). Each channel belongs to one caller at a time.
+func (b *BatchNorm) trainStats(xd []float32, n, spatial, ci int) (mean, rstd float64) {
+	c := b.Channels
+	m := float64(n * spatial)
+	var sum float64
+	for ni := 0; ni < n; ni++ {
+		base := (ni*c + ci) * spatial
+		for _, v := range xd[base : base+spatial] {
+			sum += float64(v)
+		}
+	}
+	mean = sum / m
+	var varSum float64
+	for ni := 0; ni < n; ni++ {
+		base := (ni*c + ci) * spatial
+		for _, v := range xd[base : base+spatial] {
+			dv := float64(v) - mean
+			varSum += dv * dv
+		}
+	}
+	variance := varSum / m
+	rstd = 1.0 / math.Sqrt(variance+b.Eps)
+	b.mean[ci] = mean
+	b.rstd[ci] = rstd
+	b.RunningMean[ci] = (1-b.Momentum)*b.RunningMean[ci] + b.Momentum*mean
+	b.RunningVar[ci] = (1-b.Momentum)*b.RunningVar[ci] + b.Momentum*variance
+	return mean, rstd
+}
+
+// evalStats returns channel ci's running mean and 1/sqrt(running var+eps).
+func (b *BatchNorm) evalStats(ci int) (mean, rstd float64) {
+	return b.RunningMean[ci], 1.0 / math.Sqrt(b.RunningVar[ci]+b.Eps)
 }
 
 // evalInto normalizes x with the running statistics into a caller-provided
 // output tensor (every element is written), retaining nothing — the shared
 // body of the evaluation-mode forward and the inference fast path.
 func (b *BatchNorm) evalInto(x, out *tensor.Tensor) {
-	n, c, d, h, w := check5D("BatchNorm", x)
-	if c != b.Channels {
-		panic("nn: BatchNorm channel mismatch")
-	}
-	spatial := d * h * w
+	n, c, spatial := b.check("BatchNorm", x)
 	xd := x.Data()
 	od := out.Data()
 	gd := b.Gamma.Value.Data()
 	bd := b.Beta.Value.Data()
 	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			rstd := 1.0 / math.Sqrt(b.RunningVar[ci]+b.Eps)
-			mean := b.RunningMean[ci]
+			mean, rstd := b.evalStats(ci)
 			g, bt := gd[ci], bd[ci]
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
-				for i := base; i < base+spatial; i++ {
-					od[i] = g*float32((float64(xd[i])-mean)*rstd) + bt
+				xs, ys := xd[base:base+spatial], od[base:base+spatial]
+				for i, v := range xs {
+					ys[i] = bnAffine(g, bnNormalize(v, mean, rstd), bt)
 				}
 			}
 		}
@@ -172,43 +191,42 @@ func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if b.xhat == nil {
 		panic("nn: BatchNorm.Backward called before Forward in training mode")
 	}
-	n, c, d, h, w := check5D("BatchNorm.Backward", gradOut)
-	spatial := d * h * w
+	n, c, spatial := b.check("BatchNorm.Backward", gradOut)
 	m := float64(n * spatial)
 	gradIn := tensor.New(gradOut.Shape()...)
 
 	god := gradOut.Data()
 	gid := gradIn.Data()
 	xh := b.xhat.Data()
-	gd := b.Gamma.Value.Data()
-	ggd := b.Gamma.Grad.Data()
-	gbd := b.Beta.Grad.Data()
 
 	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			var sumDy, sumDyXhat float64
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
-				for i := base; i < base+spatial; i++ {
-					dy := float64(god[i])
-					sumDy += dy
-					sumDyXhat += dy * float64(xh[i])
+				gs, hs := god[base:base+spatial], xh[base:base+spatial]
+				for i, g := range gs {
+					sumDy, sumDyXhat = bnReduce(sumDy, sumDyXhat, float64(g), hs[i])
 				}
 			}
-			ggd[ci] += float32(sumDyXhat)
-			gbd[ci] += float32(sumDy)
-			g := float64(gd[ci])
-			rstd := b.rstd[ci]
-			// dx = gamma*rstd/m * (m*dy - sum(dy) - xhat*sum(dy*xhat))
-			k := g * rstd / m
+			k := b.channelGrads(ci, sumDy, sumDyXhat, m)
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
-				for i := base; i < base+spatial; i++ {
-					dy := float64(god[i])
-					gid[i] = float32(k * (m*dy - sumDy - float64(xh[i])*sumDyXhat))
+				gs, hs, ds := god[base:base+spatial], xh[base:base+spatial], gid[base:base+spatial]
+				for i, g := range gs {
+					ds[i] = bnInputGrad(k, m, float64(g), sumDy, hs[i], sumDyXhat)
 				}
 			}
 		}
 	})
 	return gradIn
+}
+
+// channelGrads accumulates channel ci's γ and β gradients from its two
+// reductions over the m elements of the channel and returns the input
+// gradient's scale k = γ·rstd/m.
+func (b *BatchNorm) channelGrads(ci int, sumDy, sumDyXhat, m float64) float64 {
+	b.Gamma.Grad.Data()[ci] += float32(sumDyXhat)
+	b.Beta.Grad.Data()[ci] += float32(sumDy)
+	return float64(b.Gamma.Value.Data()[ci]) * b.rstd[ci] / m
 }

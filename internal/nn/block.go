@@ -1,0 +1,200 @@
+package nn
+
+import (
+	"fmt"
+	"math/rand"
+
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
+
+// ConvBNReLU is the body site of the paper's U-Net — a 3-D convolution, batch
+// normalization and ReLU — as one block that owns its buffers. It computes
+// exactly what the chain Conv3D → BatchNorm → ReLU computes, bit for bit (the
+// convolution goes through the same backend, the statistics through the same
+// BatchNorm code, every element through the helpers of elementwise.go), in
+// fewer passes over the activation and with nothing allocated per step:
+//
+//   - Training forward: the convolution writes z into a buffer the block
+//     keeps; after BatchNorm's two statistics passes, one pass overwrites z
+//     with x̂ and writes y = max(0, γ·x̂+β) into a second buffer. The chain
+//     holds four activation-sized tensors and a mask here; the block two.
+//   - Backward: the ReLU mask is y > 0, so one reduction pass over (g, y, x̂)
+//     yields Σdy and Σdy·x̂ — a masked element adds +0, as the chain's zeroed
+//     gradient does — and one pass writes dL/dz over the incoming gradient;
+//     then the convolution's bias, kernel and input-gradient passes.
+//   - Evaluation forward and Infer: the convolution, then one in-place pass.
+//
+// Ownership: Forward's result and Backward's result are the block's own
+// buffers — laid out on first use, grown to the largest shape seen, reused by
+// every later call and released by DropCaches — so each is valid only until
+// the block's next Forward (resp. Backward), and a caller that needs it
+// longer copies it. Backward OVERWRITES the gradient it is given; Forward and
+// Infer never touch their input. Infer draws its one tensor from the scratch
+// pool and retains nothing, like every other Infer.
+type ConvBNReLU struct {
+	Conv *Conv3D
+	BN   *BatchNorm
+
+	xhat   tensor.Owned // z, then x̂ (training forward)
+	y      tensor.Owned // the block's output
+	gradIn tensor.Owned // dL/d(input)
+
+	// What the last Forward left in the buffers above for Backward: x̂ and y
+	// after a training-mode Forward, nil after an evaluation-mode one.
+	fwdXhat, fwdY *tensor.Tensor
+}
+
+// NewConvBNReLU creates the block; its convolution and normalization carry
+// the names (name.w, name.b, name.gamma, name.beta, name.running_*) and draw
+// the initial weights the standalone layers would.
+func NewConvBNReLU(name string, inC, outC, kernel int, rng *rand.Rand) *ConvBNReLU {
+	return &ConvBNReLU{
+		Conv: NewConv3D(name, inC, outC, kernel, rng),
+		BN:   NewBatchNorm(name, outC),
+	}
+}
+
+// Params returns the kernel, bias, gamma and beta, in the chain's order.
+func (b *ConvBNReLU) Params() []*Param { return append(b.Conv.Params(), b.BN.Params()...) }
+
+// AuxState exposes the normalization's running statistics.
+func (b *ConvBNReLU) AuxState() map[string][]float64 { return b.BN.AuxState() }
+
+// SetTraining toggles batch statistics (true) vs running statistics (false).
+func (b *ConvBNReLU) SetTraining(training bool) { b.BN.SetTraining(training) }
+
+// SetConvEngine sets the convolution's engine.
+func (b *ConvBNReLU) SetConvEngine(e ConvEngine) { b.Conv.SetConvEngine(e) }
+
+// SetWorkers sets the worker budget of every pass.
+func (b *ConvBNReLU) SetWorkers(workers int) {
+	b.Conv.SetWorkers(workers)
+	b.BN.SetWorkers(workers)
+}
+
+// DropCaches implements CacheDropper: the retained input reference and every
+// owned buffer — x̂, the output, the input gradient — are released; the next
+// Forward lays them out again.
+func (b *ConvBNReLU) DropCaches() {
+	b.Conv.DropCaches()
+	b.BN.DropCaches()
+	b.xhat.Release()
+	b.y.Release()
+	b.gradIn.Release()
+	b.fwdXhat, b.fwdY = nil, nil
+}
+
+// Forward computes max(0, BN(conv(x))) into the block's output buffer.
+func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
+	bn := b.BN
+	if !bn.training {
+		b.fwdXhat, b.fwdY = nil, nil
+		y := b.Conv.ForwardOwned(x, &b.y)
+		b.evalInPlace(y)
+		return y
+	}
+	z := b.Conv.ForwardOwned(x, &b.xhat)
+	y := b.y.Shaped(z.Shape()...)
+	b.fwdXhat, b.fwdY = z, y
+	n, c, spatial := bn.check("ConvBNReLU", z)
+	zd, yd := z.Data(), y.Data()
+	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
+	bn.sizeStats()
+	parallel.ForWorkers(bn.workers, c, 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			mean, rstd := bn.trainStats(zd, n, spatial, ci)
+			g, bt := gd[ci], bd[ci]
+			for ni := 0; ni < n; ni++ {
+				base := (ni*c + ci) * spatial
+				zs, ys := zd[base:base+spatial], yd[base:base+spatial]
+				for i, v := range zs {
+					xh := bnNormalize(v, mean, rstd)
+					zs[i] = xh
+					ys[i] = relu(bnAffine(g, xh, bt))
+				}
+			}
+		}
+	})
+	return y
+}
+
+// evalInPlace overwrites a convolution output with max(0, BN(z)) under the
+// running statistics.
+func (b *ConvBNReLU) evalInPlace(z *tensor.Tensor) {
+	bn := b.BN
+	n, c, spatial := bn.check("ConvBNReLU", z)
+	zd := z.Data()
+	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
+	parallel.ForWorkers(bn.workers, c, 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			mean, rstd := bn.evalStats(ci)
+			g, bt := gd[ci], bd[ci]
+			for ni := 0; ni < n; ni++ {
+				base := (ni*c + ci) * spatial
+				zs := zd[base : base+spatial]
+				for i, v := range zs {
+					zs[i] = relu(bnAffine(g, bnNormalize(v, mean, rstd), bt))
+				}
+			}
+		}
+	})
+}
+
+// Infer computes the evaluation-mode forward — whatever the training flag —
+// into one pool-backed tensor, retaining nothing.
+func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
+	y := b.Conv.Infer(x)
+	b.evalInPlace(y)
+	return y
+}
+
+// Backward accumulates the four parameter gradients and returns dL/d(input)
+// in the block's own buffer. gradOut is overwritten (with dL/dz).
+func (b *ConvBNReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	b.preConvGrad(gradOut)
+	return b.Conv.BackwardOwned(gradOut, &b.gradIn)
+}
+
+// BackwardParams is Backward without the input-gradient pass, for the
+// network's first block, whose input gradient nobody reads.
+func (b *ConvBNReLU) BackwardParams(gradOut *tensor.Tensor) {
+	b.preConvGrad(gradOut)
+	b.Conv.backward(gradOut, nil)
+}
+
+// preConvGrad runs the ReLU and BatchNorm backward passes in place: γ and β
+// gradients are accumulated and gradOut becomes dL/dz.
+func (b *ConvBNReLU) preConvGrad(gradOut *tensor.Tensor) {
+	bn := b.BN
+	if b.fwdY == nil {
+		panic("nn: ConvBNReLU.Backward called before Forward in training mode")
+	}
+	if !gradOut.SameShape(b.fwdY) {
+		panic(fmt.Sprintf("nn: ConvBNReLU.Backward gradient shape %v does not match the output's %v",
+			gradOut.Shape(), b.fwdY.Shape()))
+	}
+	n, c, spatial := bn.check("ConvBNReLU.Backward", gradOut)
+	m := float64(n * spatial)
+	god, yd, xh := gradOut.Data(), b.fwdY.Data(), b.fwdXhat.Data()
+	parallel.ForWorkers(bn.workers, c, 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			var sumDy, sumDyXhat float64
+			for ni := 0; ni < n; ni++ {
+				base := (ni*c + ci) * spatial
+				gs, ys, hs := god[base:base+spatial], yd[base:base+spatial], xh[base:base+spatial]
+				for i, g := range gs {
+					sumDy, sumDyXhat = bnReduce(sumDy, sumDyXhat, float64(gate(ys[i], g)), hs[i])
+				}
+			}
+			k := bn.channelGrads(ci, sumDy, sumDyXhat, m)
+			for ni := 0; ni < n; ni++ {
+				base := (ni*c + ci) * spatial
+				gs, ys, hs := god[base:base+spatial], yd[base:base+spatial], xh[base:base+spatial]
+				for i, g := range gs {
+					gs[i] = bnInputGrad(k, m, float64(gate(ys[i], g)), sumDy, hs[i], sumDyXhat)
+				}
+			}
+		}
+	})
+}

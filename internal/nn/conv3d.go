@@ -73,9 +73,21 @@ func (c *Conv3D) DropCaches() { c.input = nil }
 // Forward computes the convolution of x ([N, IC, D, H, W]) and caches x for
 // Backward, dispatching through the backend registry (gemm by default).
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n, _, d, h, w := check5D("Conv3D", x)
 	c.input = x
-	out := tensor.New(n, c.OutChannels, d, h, w)
+	return c.apply(x, tensor.New)
+}
+
+// ForwardOwned is Forward with the output written into dst.
+func (c *Conv3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	c.input = x
+	return c.apply(x, dst.Shaped)
+}
+
+// apply runs the resolved backend's forward kernel into a tensor drawn from
+// alloc, retaining nothing.
+func (c *Conv3D) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+	n, _, d, h, w := check5D("Conv3D", x)
+	out := alloc(n, c.OutChannels, d, h, w)
 	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out)
 	return out
 }
@@ -150,16 +162,31 @@ func (c *Conv3D) forwardDirectInto(x, out *tensor.Tensor) {
 // backend); the kernel- and input-gradient passes dispatch through the
 // backend registry.
 func (c *Conv3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return c.backward(gradOut, tensor.New)
+}
+
+// BackwardOwned is Backward with the input gradient written into dst.
+func (c *Conv3D) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	return c.backward(gradOut, dst.Shaped)
+}
+
+// backward accumulates the parameter gradients and writes dL/d(input) into a
+// tensor drawn from alloc; a nil alloc skips the input-gradient pass and
+// returns nil.
+func (c *Conv3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
 	if c.input == nil {
 		panic("nn: Conv3D.Backward called before Forward")
 	}
 	x := c.input
 	n, _, d, h, w := check5D("Conv3D.Backward", x)
-	gradIn := tensor.New(x.Shape()...)
 
 	b := ResolveBackend(c.engine, c.Spec())
 	c.biasGradPass(gradOut.Data(), n, d*h*w, c.workers)
 	b.ConvBackwardWeights(c, gradOut)
+	if alloc == nil {
+		return nil
+	}
+	gradIn := alloc(x.Shape()...)
 	b.ConvBackwardInput(c, gradOut, gradIn)
 	return gradIn
 }
@@ -226,10 +253,10 @@ func (c *Conv3D) weightGradDirect(gradOut *tensor.Tensor) {
 }
 
 // inputGradDirect is the direct input-gradient pass, one owner per
-// (sample, input-channel) slab of gradIn. For a fixed input element the
-// accumulation order is output channels ascending, then output voxels in
-// scan order — the serial reference's order, so the result is bit-for-bit
-// identical at any worker budget.
+// (sample, input-channel) slab of gradIn, which the owner zeroes first. For a
+// fixed input element the accumulation order is output channels ascending,
+// then output voxels in scan order — the serial reference's order, so the
+// result is bit-for-bit identical at any worker budget.
 func (c *Conv3D) inputGradDirect(gradOut, gradIn *tensor.Tensor) {
 	x := c.input
 	n, ic, d, h, w := check5D("Conv3D.Backward", x)
@@ -253,6 +280,7 @@ func (c *Conv3D) inputGradDirect(gradOut, gradIn *tensor.Tensor) {
 		for slab := lo; slab < hi; slab++ {
 			ni, icI := slab/ic, slab%ic
 			iBase := ni*sampleStrideIn + icI*chStride
+			clear(gid[iBase : iBase+chStride])
 			for oci := 0; oci < oc; oci++ {
 				oBase := ni*sampleStrideOut + oci*chStride
 				wcBase := oci*wOCStride + icI*kk

@@ -155,18 +155,19 @@ func overPatches(trans bool, src []float32, n, ch, d, h, w, k, workers int,
 	}
 }
 
-// convGEMM computes dst[n] = wmat·P(src[n]) for every sample (added to dst
-// when accumulate is set): the same-padded K³ convolution of the [n, ch, d,
-// h, w] activation src with the m filters whose rows wmat ([m, ch·K³]) holds.
+// convGEMM computes dst[n] = wmat·P(src[n]) for every sample (plus bias[r]
+// on row r when bias is non-nil): the same-padded K³ convolution of the [n,
+// ch, d, h, w] activation src with the m filters whose rows wmat ([m, ch·K³])
+// holds. Every element of dst is written.
 func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
-	accumulate bool, dst []float32, workers int) {
+	bias, dst []float32, workers int) {
 
 	cols := d * h * w
 	kdim := ch * k * k * k
 	overPatches(false, src, n, ch, d, h, w, k, workers, func(n0 int, packers []gemm.PackBFunc) {
 		gemm.GemmBatch(len(packers), false, m, cols, kdim,
 			func(int) []float32 { return wmat }, kdim,
-			func(i int) gemm.PackBFunc { return packers[i] }, accumulate,
+			func(i int) gemm.PackBFunc { return packers[i] }, false, bias,
 			func(i int) []float32 { return dst[(n0+i)*m*cols : (n0+i+1)*m*cols] }, cols,
 			workers)
 	})
@@ -174,24 +175,15 @@ func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
 
 // forwardGEMMInto is the GEMM forward — training, evaluation and Infer alike
 // — into a caller-provided output tensor. Every element is written: the bias
-// first, as in the direct kernels, then the product accumulated onto it.
+// first, as in the direct kernels, then the product accumulated onto it —
+// each column block seeded by the worker about to multiply into it.
 func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
 	n, ic, d, h, w := check5D("Conv3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
-	oc := c.OutChannels
-	cols := d * h * w
-	od := out.Data()
-	bd := c.B.Value.Data()
-	for row := 0; row < n*oc; row++ {
-		orow := od[row*cols : (row+1)*cols]
-		bias := bd[row%oc]
-		for i := range orow {
-			orow[i] = bias
-		}
-	}
-	convGEMM(c.W.Value.Data(), oc, ic, c.Kernel, x.Data(), n, d, h, w, true, od, c.workers)
+	convGEMM(c.W.Value.Data(), c.OutChannels, ic, c.Kernel, x.Data(), n, d, h, w,
+		c.B.Value.Data(), out.Data(), c.workers)
 }
 
 // weightGradGEMM is the GEMM kernel-gradient pass: per-sample partials
@@ -211,7 +203,7 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	overPatches(true, x.Data(), n, ic, d, h, w, c.Kernel, workers, func(n0 int, packers []gemm.PackBFunc) {
 		gemm.GemmBatch(len(packers), false, oc, kdim, cols,
 			func(i int) []float32 { return god[(n0+i)*oc*cols : (n0+i+1)*oc*cols] }, cols,
-			func(i int) gemm.PackBFunc { return packers[i] }, false,
+			func(i int) gemm.PackBFunc { return packers[i] }, false, nil,
 			func(i int) []float32 { return partials[(n0+i)*oc*kdim : (n0+i+1)*oc*kdim] }, kdim,
 			workers)
 	})
@@ -237,7 +229,7 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 			}
 		}
 	}
-	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, false, gradIn.Data(), c.workers)
+	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, nil, gradIn.Data(), c.workers)
 }
 
 // reduceWeightPartials adds n concatenated per-sample partial gradient

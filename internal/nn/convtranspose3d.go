@@ -62,10 +62,22 @@ func (c *ConvTranspose3D) DropCaches() { c.input = nil }
 // caches x for Backward, dispatching through the backend registry (gemm by
 // default).
 func (c *ConvTranspose3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n, _, d, h, w := check5D("ConvTranspose3D", x)
 	c.input = x
+	return c.apply(x, tensor.New)
+}
+
+// ForwardOwned is Forward with the output written into dst.
+func (c *ConvTranspose3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	c.input = x
+	return c.apply(x, dst.Shaped)
+}
+
+// apply runs the resolved backend's forward kernel into a tensor drawn from
+// alloc, retaining nothing.
+func (c *ConvTranspose3D) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+	n, _, d, h, w := check5D("ConvTranspose3D", x)
 	k := c.Kernel
-	out := tensor.New(n, c.OutChannels, d*k, h*k, w*k)
+	out := alloc(n, c.OutChannels, d*k, h*k, w*k)
 	ResolveBackend(c.engine, c.Spec()).TransposeForward(c, x, out)
 	return out
 }
@@ -137,13 +149,22 @@ func (c *ConvTranspose3D) forwardDirectInto(x, out *tensor.Tensor) {
 // backend); the fused kernel- and input-gradient pass dispatches through
 // the backend registry.
 func (c *ConvTranspose3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return c.backward(gradOut, tensor.New)
+}
+
+// BackwardOwned is Backward with the input gradient written into dst.
+func (c *ConvTranspose3D) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	return c.backward(gradOut, dst.Shaped)
+}
+
+func (c *ConvTranspose3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
 	if c.input == nil {
 		panic("nn: ConvTranspose3D.Backward called before Forward")
 	}
 	x := c.input
 	n, _, d, h, w := check5D("ConvTranspose3D.Backward", x)
 	k := c.Kernel
-	gradIn := tensor.New(x.Shape()...)
+	gradIn := alloc(x.Shape()...)
 
 	b := ResolveBackend(c.engine, c.Spec())
 	c.biasGradPass(gradOut.Data(), n, d*k*h*k*w*k, c.workers)
@@ -153,7 +174,8 @@ func (c *ConvTranspose3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 // backwardDirectInto is the direct fused kernel- and input-gradient pass,
 // one owner per input channel — an input channel owns both its W gradient
-// block [icI, :, :] and its input-gradient slabs across all samples, so the
+// block [icI, :, :] and its input-gradient slabs across all samples (which
+// it zeroes before accumulating), so the
 // fused traversal of gradOut (the serial kernel's main cost saver) survives
 // parallelization. Samples are visited in ascending order inside each
 // owner, keeping every accumulation in the serial reference's order —
@@ -179,6 +201,7 @@ func (c *ConvTranspose3D) backwardDirectInto(gradOut, gradIn *tensor.Tensor) {
 		for icI := lo; icI < hi; icI++ {
 			for ni := 0; ni < n; ni++ {
 				iBase := (ni*ic + icI) * inCh
+				clear(gid[iBase : iBase+inCh])
 				for oci := 0; oci < oc; oci++ {
 					oBase := (ni*oc + oci) * outCh
 					wBase := (icI*oc + oci) * kk

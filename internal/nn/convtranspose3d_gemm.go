@@ -140,7 +140,7 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 		func(ni int) gemm.PackBFunc {
 			return gemm.PackDense(true, gradCols[ni*rows*inCols:(ni+1)*rows*inCols], inCols)
 		},
-		false,
+		false, nil,
 		func(ni int) []float32 { return partials[ni*ic*rows : (ni+1)*ic*rows] }, rows,
 		workers)
 	reduceWeightPartials(gwd, partials, n, ic*rows, workers)

@@ -1,0 +1,47 @@
+package nn
+
+import "math"
+
+// Element-wise arithmetic shared by the standalone BatchNorm / ReLU layers
+// and the fused ConvBNReLU block. Both sides call these and nothing else for
+// the per-element work, so the chain and the block agree bit for bit by
+// construction — including at GOAMD64=v3 and on architectures where the
+// compiler fuses a*b + c, which it then does identically on either side.
+
+// pick returns a where y > 0 and b everywhere else (y NaN, ±0 or negative).
+// It is a select, not a branch: the sign of an activation is a coin toss the
+// branch predictor loses half the time.
+func pick(y, a, b float32) float32 {
+	var keep uint32
+	if y > 0 {
+		keep = ^uint32(0)
+	}
+	return math.Float32frombits(math.Float32bits(a)&keep | math.Float32bits(b)&^keep)
+}
+
+// gate returns g where y > 0 and +0 everywhere else.
+func gate(y, g float32) float32 { return pick(y, g, 0) }
+
+// relu is max(0, v) with NaN and −0 mapped to +0.
+func relu(v float32) float32 { return gate(v, v) }
+
+// bnNormalize is one element of x̂ = (x − mean)·rstd, computed in float64 and
+// rounded once.
+func bnNormalize(v float32, mean, rstd float64) float32 {
+	return float32((float64(v) - mean) * rstd)
+}
+
+// bnAffine is one element of γ·x̂ + β.
+func bnAffine(gamma, xhat, beta float32) float32 { return gamma*xhat + beta }
+
+// bnReduce adds one element to a channel's two backward reductions, Σdy and
+// Σdy·x̂.
+func bnReduce(sumDy, sumDyXhat, dy float64, xhat float32) (float64, float64) {
+	return sumDy + dy, sumDyXhat + dy*float64(xhat)
+}
+
+// bnInputGrad is one element of the batch-norm input gradient,
+// k·(m·dy − Σdy − x̂·Σdy·x̂) with k = γ·rstd/m.
+func bnInputGrad(k, m, dy, sumDy float64, xhat float32, sumDyXhat float64) float32 {
+	return float32(k * (m*dy - sumDy - float64(xhat)*sumDyXhat))
+}

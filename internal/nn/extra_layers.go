@@ -14,7 +14,7 @@ type LeakyReLU struct {
 	workerBudget
 
 	Alpha float32
-	mask  []bool // true where input > 0
+	input *tensor.Tensor // retained for Backward (its sign picks the slope, whatever α's)
 }
 
 // NewLeakyReLU returns a leaky rectifier with the given negative slope.
@@ -23,44 +23,40 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: float32(a
 // Params returns nil: the activation has no trainable parameters.
 func (r *LeakyReLU) Params() []*Param { return nil }
 
-// Forward computes the activation and caches the sign mask.
+// Forward computes the activation and retains the input for Backward.
 func (r *LeakyReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	r.input = x
+	return r.apply(x, tensor.New)
+}
+
+// apply writes the activation of x over every element of a tensor drawn from
+// alloc.
+func (r *LeakyReLU) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+	out := alloc(x.Shape()...)
 	xd := x.Data()
 	od := out.Data()
-	if cap(r.mask) < len(xd) {
-		r.mask = make([]bool, len(xd))
-	}
-	r.mask = r.mask[:len(xd)]
 	parallel.ForWorkers(r.workers, len(xd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := xd[i]; v > 0 {
-				od[i] = v
-				r.mask[i] = true
-			} else {
-				od[i] = r.Alpha * v
-				r.mask[i] = false
-			}
+		xs, ys := xd[lo:hi], od[lo:hi]
+		for i, v := range xs {
+			ys[i] = pick(v, v, r.Alpha*v)
 		}
 	})
 	return out
 }
 
-// Backward scales gradients by 1 or α depending on the cached sign.
+// Backward scales gradients by 1 or α depending on the input's sign.
 func (r *LeakyReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if r.mask == nil {
+	if r.input == nil {
 		panic("nn: LeakyReLU.Backward called before Forward")
 	}
 	gradIn := tensor.New(gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()
+	xd := r.input.Data()
 	parallel.ForWorkers(r.workers, len(god), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if r.mask[i] {
-				gid[i] = god[i]
-			} else {
-				gid[i] = r.Alpha * god[i]
-			}
+		gs, xs, ds := god[lo:hi], xd[lo:hi], gid[lo:hi]
+		for i, g := range gs {
+			ds[i] = pick(xs[i], g, r.Alpha*g)
 		}
 	})
 	return gradIn
@@ -152,9 +148,8 @@ type InstanceNorm struct {
 	Gamma *Param
 	Beta  *Param
 
-	input *tensor.Tensor
-	xhat  *tensor.Tensor
-	rstd  []float64
+	xhat *tensor.Tensor
+	rstd []float64
 }
 
 // NewInstanceNorm creates an instance-normalization layer for c channels.
@@ -178,7 +173,6 @@ func (n *InstanceNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	spatial := d * h * w
 	out := tensor.New(x.Shape()...)
-	n.input = x
 	n.xhat = tensor.New(x.Shape()...)
 	n.rstd = make([]float64, nb*c)
 	xd := x.Data()

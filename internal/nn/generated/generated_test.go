@@ -68,11 +68,11 @@ func TestPaperUNetGeneratedMatchesGEMM(t *testing.T) {
 
 	ref := build(nn.EngineGEMM)
 	refOut := ref.Forward(x)
-	refIn := ref.Backward(grad)
+	ref.Backward(grad)
 
 	gen := build(generatedEngine(t))
 	genOut := gen.Forward(x)
-	genIn := gen.Backward(grad)
+	gen.Backward(grad)
 
 	closeEnough := func(what string, want, got []float32, tol float64) {
 		t.Helper()
@@ -92,7 +92,6 @@ func TestPaperUNetGeneratedMatchesGEMM(t *testing.T) {
 		t.Logf("%s: max |Δ| %g", what, worst)
 	}
 	closeEnough("network output", refOut.Data(), genOut.Data(), 1e-4)
-	closeEnough("input gradient", refIn.Data(), genIn.Data(), 1e-3)
 	refP, genP := ref.Params(), gen.Params()
 	if len(refP) != len(genP) {
 		t.Fatalf("parameter count mismatch: %d != %d", len(refP), len(genP))

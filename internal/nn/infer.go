@@ -10,22 +10,29 @@ import (
 // Inference fast path.
 //
 // Training forwards retain whatever Backward needs — the convolution input,
-// the ReLU mask, the pooling argmax — and allocate a fresh output tensor per
-// layer, because outputs live on as skip connections and loss inputs. A
-// serving process runs forward-only at high call rates, where both habits
-// hurt: the retained activations are dead weight and the per-layer outputs
-// churn the allocator.
+// the ReLU output, x̂, the pooling argmax — and hand out a fresh output tensor
+// (or, through the ...Owned variants and the ConvBNReLU block, a buffer that
+// lives across steps), because outputs live on as skip connections and loss
+// inputs. A serving process runs forward-only at high call rates, on models
+// that may be training at the same time, where neither fits: retained
+// activations are dead weight, fresh outputs churn the allocator, and an
+// owned buffer would be shared with the training step.
 //
 // Infer is the forward-only counterpart: it computes exactly the same values
-// as an evaluation-mode Forward (bit for bit — the kernels are shared, see
+// as an evaluation-mode Forward (bit for bit — each layer's Forward, Infer
+// and ...Owned form are one kernel behind three allocators, see
 // TestSequentialInferMatchesForward), but writes into tensors drawn from the
-// tensor scratch pool and retains no state. Callers recycle each consumed
-// input as soon as the next layer has produced its output, so a steady-state
-// inference step performs zero fresh scratch allocations (asserted by
-// TestSequentialInferScratchSteadyState, like the training-step test).
+// tensor scratch pool and neither reads nor writes any layer state but the
+// parameters and running statistics. Callers recycle each consumed input as
+// soon as the next layer has produced its output, so a steady-state inference
+// step performs zero fresh scratch allocations (asserted by
+// TestSequentialInferScratchSteadyState, like the training-step test). The
+// fused block's Infer normalizes and rectifies the convolution's output in
+// place, so a body site costs one pool tensor, not three.
 //
-// Calling Backward after Infer is invalid: Infer leaves the layer's backward
-// caches untouched (possibly stale from an earlier Forward).
+// Calling Backward after Infer is invalid only in the sense that Infer is not
+// a Forward: it leaves the layer's backward caches untouched (possibly stale
+// from an earlier Forward, or still valid for a Backward yet to come).
 
 // InferLayer is implemented by layers with a forward-only fast path: Infer
 // returns a pool-backed output (recycle with tensor.Recycle) and retains no
@@ -37,21 +44,12 @@ type InferLayer interface {
 // Infer computes the convolution of x without caching it for Backward; the
 // result is pool-backed and bit-for-bit identical to Forward's (the backend
 // runs the same forward kernel).
-func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	n, _, d, h, w := check5D("Conv3D", x)
-	out := tensor.NewScratch(n, c.OutChannels, d, h, w)
-	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out)
-	return out
-}
+func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor { return c.apply(x, tensor.NewScratch) }
 
 // Infer upsamples x without caching it for Backward; the result is
 // pool-backed and bit-for-bit identical to Forward's.
 func (c *ConvTranspose3D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	n, _, d, h, w := check5D("ConvTranspose3D", x)
-	k := c.Kernel
-	out := tensor.NewScratch(n, c.OutChannels, d*k, h*k, w*k)
-	ResolveBackend(c.engine, c.Spec()).TransposeForward(c, x, out)
-	return out
+	return c.apply(x, tensor.NewScratch)
 }
 
 // Infer normalizes x with the running statistics — the evaluation-mode
@@ -62,52 +60,14 @@ func (b *BatchNorm) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Infer computes max(0, x) without recording the backward mask.
-func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.NewScratch(x.Shape()...)
-	xd := x.Data()
-	od := out.Data()
-	parallel.ForWorkers(r.workers, len(xd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := xd[i]; v > 0 {
-				od[i] = v
-			} else {
-				od[i] = 0
-			}
-		}
-	})
-	return out
-}
+// Infer computes max(0, x) without retaining the output for Backward.
+func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor { return r.apply(x, tensor.NewScratch) }
 
 // Infer computes the sigmoid without caching the output for Backward.
-func (s *Sigmoid) Infer(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.NewScratch(x.Shape()...)
-	xd := x.Data()
-	od := out.Data()
-	parallel.ForWorkers(s.workers, len(xd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = float32(1.0 / (1.0 + math.Exp(-float64(xd[i]))))
-		}
-	})
-	return out
-}
+func (s *Sigmoid) Infer(x *tensor.Tensor) *tensor.Tensor { return s.apply(x, tensor.NewScratch) }
 
-// Infer computes max(x, α·x) without recording the backward sign mask.
-func (r *LeakyReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.NewScratch(x.Shape()...)
-	xd := x.Data()
-	od := out.Data()
-	parallel.ForWorkers(r.workers, len(xd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := xd[i]; v > 0 {
-				od[i] = v
-			} else {
-				od[i] = r.Alpha * v
-			}
-		}
-	})
-	return out
-}
+// Infer computes max(x, α·x) without retaining the input for Backward.
+func (r *LeakyReLU) Infer(x *tensor.Tensor) *tensor.Tensor { return r.apply(x, tensor.NewScratch) }
 
 // Infer normalizes every (sample, channel) slice without retaining the
 // normalized activations or inverse deviations for Backward. InstanceNorm
@@ -218,27 +178,6 @@ func (m *MaxPool3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	})
-	return out
-}
-
-// ConcatChannelsScratch is ConcatChannels with a pool-backed result, for the
-// inference fast path.
-func ConcatChannelsScratch(a, b *tensor.Tensor) *tensor.Tensor {
-	na, ca, da, ha, wa := check5D("ConcatChannels", a)
-	nb, cb, db, hb, wb := check5D("ConcatChannels", b)
-	if na != nb || da != db || ha != hb || wa != wb {
-		panic("nn: ConcatChannels spatial/batch mismatch")
-	}
-	out := tensor.NewScratch(na, ca+cb, da, ha, wa)
-	spatial := da * ha * wa
-	ad, bd, od := a.Data(), b.Data(), out.Data()
-	for ni := 0; ni < na; ni++ {
-		dst := ni * (ca + cb) * spatial
-		srcA := ni * ca * spatial
-		copy(od[dst:dst+ca*spatial], ad[srcA:srcA+ca*spatial])
-		srcB := ni * cb * spatial
-		copy(od[dst+ca*spatial:dst+(ca+cb)*spatial], bd[srcB:srcB+cb*spatial])
-	}
 	return out
 }
 

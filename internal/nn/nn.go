@@ -1,11 +1,21 @@
 // Package nn implements the 3D convolutional neural-network layers needed by
 // the paper's 3D U-Net: Conv3D, ConvTranspose3D, MaxPool3D, BatchNorm, ReLU
-// and Sigmoid, each with a full backward pass.
+// and Sigmoid, each with a full backward pass, and ConvBNReLU, the network's
+// body site as one fused block.
 //
 // Activations are 5-D tensors laid out channels-first as [N, C, D, H, W],
 // matching the paper's "Channels First" data format. Layers cache whatever
 // they need during Forward so that Backward can be called immediately after
 // with the gradient of the loss w.r.t. the layer output.
+//
+// Who owns a result depends on the method, never on the layer: Forward and
+// Backward return fresh tensors and never write to their argument; Infer
+// returns a tensor from the scratch pool and retains nothing; the ...Owned
+// variants write into a tensor.Owned buffer the caller keeps across steps
+// (how unet runs without allocating). All of them run the same kernel, which
+// writes every element of its output. ConvBNReLU is the one exception to the
+// first rule: it owns its buffers itself and its Backward overwrites the
+// gradient it is given (see block.go).
 //
 // The convolution layers compute through the conv-backend registry (see
 // backend.go): backends register under a name (Register), dispatch is per
@@ -76,6 +86,13 @@ func (w *workerBudget) SetWorkers(workers int) { w.workers = workers }
 // external conv backends pass it to parallel.ForWorkers exactly as the
 // built-in kernels do.
 func (w *workerBudget) Workers() int { return w.workers }
+
+// allocFunc is where a kernel's output tensor comes from: tensor.New (a
+// fresh tensor — Forward and Backward), tensor.NewScratch (the scratch pool —
+// Infer) or a tensor.Owned's Shaped (a buffer the caller keeps across steps —
+// the ...Owned methods). Every kernel writes every element of its output, so
+// the three differ only in who owns the result.
+type allocFunc func(shape ...int) *tensor.Tensor
 
 // Sequential chains layers.
 type Sequential struct {
@@ -149,11 +166,12 @@ func (s *Sequential) AuxState() map[string][]float64 {
 	return out
 }
 
-// CacheDropper is implemented by layers that retain state between steps —
-// today only references to the activations Backward needs (no layer keeps a
-// pooled buffer across calls). DropCaches drops them for the GC. Calling it
-// between an optimizer step and the next forward is always safe; calling it
-// between Forward and Backward is not.
+// CacheDropper is implemented by layers that retain state between steps:
+// references to the activations Backward needs, the pooling argmax record,
+// the fused block's owned buffers (no layer keeps a pooled scratch buffer
+// across calls). DropCaches drops them for the GC. Calling it between an
+// optimizer step and the next forward is always safe; calling it between
+// Forward and Backward is not.
 type CacheDropper interface {
 	DropCaches()
 }

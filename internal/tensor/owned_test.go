@@ -1,0 +1,44 @@
+package tensor
+
+import "testing"
+
+// TestOwnedGrowsOnceThenReslices: an Owned allocates when a volume exceeds
+// everything seen before and never otherwise — equal shapes return the same
+// header, smaller ones a window on the same backing — Recycle cannot pull its
+// buffer into the scratch pool, and Release starts over.
+func TestOwnedGrowsOnceThenReslices(t *testing.T) {
+	var o Owned
+	a := o.Shaped(2, 4, 16) // a scratch-pool capacity class, which Recycle would take
+	if a.Size() != 128 || a.Dim(2) != 16 {
+		t.Fatalf("shape %v", a.Shape())
+	}
+	a.Fill(7)
+	if b := o.Shaped(2, 4, 16); b != a {
+		t.Fatal("an unchanged shape built a new header")
+	}
+	small := o.Shaped(3, 5)
+	if &small.Data()[0] != &a.Data()[0] || small.Size() != 15 || cap(small.Data()) != 15 {
+		t.Fatalf("a smaller shape did not reslice the backing (len %d cap %d)", small.Size(), cap(small.Data()))
+	}
+	if small.Data()[14] != 7 {
+		t.Fatal("reslicing cleared the buffer; contents are the last user's")
+	}
+
+	before := ScratchStatsSnapshot()
+	Recycle(o.Shaped(2, 4, 16))
+	if after := ScratchStatsSnapshot(); after.Puts != before.Puts {
+		t.Fatal("Recycle pooled an owned buffer")
+	}
+
+	big := o.Shaped(4, 64)
+	if &big.Data()[0] == &a.Data()[0] {
+		t.Fatal("a larger shape did not grow the backing")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { o.Shaped(4, 64) }); allocs != 0 {
+		t.Fatalf("steady-state Shaped allocates %v times", allocs)
+	}
+	o.Release()
+	if fresh := o.Shaped(4, 64); &fresh.Data()[0] == &big.Data()[0] {
+		t.Fatal("Release kept the buffer")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense, row-major, float32 N-dimensional array.
@@ -228,17 +229,7 @@ func (t *Tensor) Slice(lo, hi int) *Tensor {
 }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tensor) SameShape(o *Tensor) bool { return slices.Equal(t.shape, o.shape) }
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {

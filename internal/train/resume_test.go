@@ -236,3 +236,41 @@ func TestLoadCheckpointValidation(t *testing.T) {
 		t.Fatal("adam checkpoint into sgd session must be rejected")
 	}
 }
+
+// TestResumeFromParentLayoutCheckpoint pins checkpoint compatibility across
+// the move of the U-Net's body sites onto nn.ConvBNReLU: the fixture is a
+// session checkpoint written after epoch 2 of 4 by the commit before that
+// move (standalone conv / batch-norm / ReLU fields; gemm engine, Adam, one
+// worker, the seeds below), together with the fingerprints that commit's own
+// runs printed. Today's network must expose the same parameter names in the
+// same order and the same auxiliary-state keys for it to load at all, and
+// must compute the same bits for the resumed run to land on the straight
+// run's fingerprint.
+func TestResumeFromParentLayoutCheckpoint(t *testing.T) {
+	const (
+		fixture       = "testdata/session_parent_layout.ckpt"
+		atCheckpoint  = uint64(0x4b6a57aefea8b88a) // parameters + running statistics after epoch 2
+		straightFinal = uint64(0xc4594b74ed283a9)  // … after 4 uninterrupted epochs
+	)
+	trainSet, val := samples(t, 4), samples(t, 2)
+	for _, workers := range []int{1, 2} {
+		strat := singleStrategy(t, nn.EngineGEMM, "adam", workers)
+		sess, err := NewSession(Config{Strategy: strat, Epochs: 4, GlobalBatch: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.LoadCheckpointFile(fixture); err != nil {
+			t.Fatalf("the parent commit's checkpoint no longer loads: %v", err)
+		}
+		if got := fingerprint(strat.Model()); got != atCheckpoint || sess.Epoch() != 2 {
+			t.Fatalf("workers=%d: restored fingerprint %#x at epoch %d, want %#x at epoch 2",
+				workers, got, sess.Epoch(), atCheckpoint)
+		}
+		if _, err := sess.Fit(trainSet, val); err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprint(strat.Model()); got != straightFinal {
+			t.Fatalf("workers=%d: resumed to %#x, want the parent's straight-run %#x", workers, got, straightFinal)
+		}
+	}
+}

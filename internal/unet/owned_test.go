@@ -1,0 +1,285 @@
+package unet
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+func sameBits(t *testing.T, what string, want, got []float32) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("%s: element %d = %v, want %v (bit-for-bit)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// chainNet is the network wired the way it was before the fused block: every
+// body site a standalone Conv3D → BatchNorm → ReLU chain, every tensor between
+// layers freshly allocated. It exists only as the oracle of
+// TestBlockNetworkMatchesStandaloneLayers.
+type chainNet struct {
+	enc, dec [][]nn.Layer // per step: convA bnA reluA convB bnB reluB
+	pools    []*nn.MaxPool3D
+	ups      []*nn.ConvTranspose3D
+	upC      []int
+	head     *nn.Conv3D
+	act      *nn.Sigmoid
+	skips    []*tensor.Tensor
+}
+
+func newChainNet(cfg Config) *chainNet {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	body := func(name string, in, f int) []nn.Layer {
+		return []nn.Layer{
+			nn.NewConv3D(name+".a", in, f, cfg.Kernel, rng), nn.NewBatchNorm(name+".a", f), nn.NewReLU(),
+			nn.NewConv3D(name+".b", f, f, cfg.Kernel, rng), nn.NewBatchNorm(name+".b", f), nn.NewReLU(),
+		}
+	}
+	c := &chainNet{}
+	in := cfg.InChannels
+	for s := 1; s <= cfg.Steps; s++ {
+		c.enc = append(c.enc, body(fmt.Sprintf("enc%d", s), in, cfg.Filters(s)))
+		if s < cfg.Steps {
+			c.pools = append(c.pools, nn.NewMaxPool3D(cfg.UpKernel))
+		}
+		in = cfg.Filters(s)
+	}
+	for s := cfg.Steps - 1; s >= 1; s-- {
+		below, f := cfg.Filters(s+1), cfg.Filters(s)
+		c.ups = append(c.ups, nn.NewConvTranspose3D(fmt.Sprintf("dec%d.up", s), below, below, cfg.UpKernel, rng))
+		c.upC = append(c.upC, below)
+		c.dec = append(c.dec, body(fmt.Sprintf("dec%d", s), below+f, f))
+	}
+	c.head = nn.NewConv3D("head", cfg.BaseFilters, cfg.OutChannels, 1, rng)
+	c.act = nn.NewSigmoid()
+	return c
+}
+
+// layers lists every layer in the order UNet.Params lists their parameters.
+func (c *chainNet) layers() []nn.Layer {
+	var ls []nn.Layer
+	for _, e := range c.enc {
+		ls = append(ls, e...)
+	}
+	for i, d := range c.dec {
+		ls = append(append(ls, c.ups[i]), d...)
+	}
+	return append(ls, c.head)
+}
+
+func (c *chainNet) configure(engine nn.ConvEngine, workers int, training bool) {
+	for _, l := range append(c.layers(), c.act) {
+		if e, ok := l.(nn.ConvEngineSetter); ok {
+			e.SetConvEngine(engine)
+		}
+		if w, ok := l.(nn.WorkerSetter); ok {
+			w.SetWorkers(workers)
+		}
+		if tr, ok := l.(nn.Trainable); ok {
+			tr.SetTraining(training)
+		}
+	}
+	for _, p := range c.pools {
+		p.SetWorkers(workers)
+	}
+}
+
+func (c *chainNet) params() []*nn.Param { return nn.NewSequential(c.layers()...).Params() }
+
+func (c *chainNet) auxState() map[string][]float64 {
+	return nn.NewSequential(c.layers()...).AuxState()
+}
+
+func (c *chainNet) forward(x *tensor.Tensor) *tensor.Tensor {
+	c.skips = c.skips[:0]
+	h := x
+	for i, e := range c.enc {
+		h = nn.NewSequential(e...).Forward(h)
+		if i < len(c.pools) {
+			c.skips = append(c.skips, h)
+			h = c.pools[i].Forward(h)
+		}
+	}
+	for i, d := range c.dec {
+		h = nn.ConcatChannels(c.ups[i].Forward(h), c.skips[len(c.skips)-1-i])
+		h = nn.NewSequential(d...).Forward(h)
+	}
+	return c.act.Forward(c.head.Forward(h))
+}
+
+func (c *chainNet) backward(gradOut *tensor.Tensor) {
+	g := c.head.Backward(c.act.Backward(gradOut))
+	skipGrads := make([]*tensor.Tensor, len(c.skips))
+	for i := len(c.dec) - 1; i >= 0; i-- {
+		g = nn.NewSequential(c.dec[i]...).Backward(g)
+		gUp, gSkip := nn.SplitChannelsGrad(g, c.upC[i], g.Dim(1)-c.upC[i])
+		skipGrads[len(c.skips)-1-i] = gSkip
+		g = c.ups[i].Backward(gUp)
+	}
+	for i := len(c.enc) - 1; i >= 0; i-- {
+		if i < len(c.pools) {
+			g = c.pools[i].Backward(g)
+			g.Accumulate(skipGrads[i])
+		}
+		g = nn.NewSequential(c.enc[i]...).Backward(g)
+	}
+}
+
+// TestBlockNetworkMatchesStandaloneLayers: the network on fused blocks and
+// owned buffers against the same wiring built from standalone layers — the
+// prediction, every parameter gradient and every running statistic bit for
+// bit, over two training steps and an evaluation pass, at 1/2/4 workers under
+// every registered engine.
+func TestBlockNetworkMatchesStandaloneLayers(t *testing.T) {
+	for _, name := range nn.ConvEngines() {
+		engine, _ := nn.LookupConvEngine(name)
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
+				cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 4, Steps: 3,
+					Kernel: 3, UpKernel: 2, Seed: 6, Engine: engine, Workers: workers}
+				u, ref := MustNew(cfg), newChainNet(cfg)
+				ref.configure(engine, workers, true)
+				rng := rand.New(rand.NewSource(7))
+				for step := 0; step < 2; step++ {
+					x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
+					g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
+					u.ZeroGrads()
+					nn.ZeroGrads(ref.params())
+					sameBits(t, "prediction", ref.forward(x).Data(), u.Forward(x).Data())
+					ref.backward(g)
+					u.Backward(g)
+					for i, p := range ref.params() {
+						if q := u.Params()[i]; q.Name != p.Name {
+							t.Fatalf("parameter %d is %s, want %s", i, q.Name, p.Name)
+						}
+						sameBits(t, "gradient of "+p.Name, p.Grad.Data(), u.Params()[i].Grad.Data())
+					}
+				}
+				aux := u.AuxState()
+				for k, want := range ref.auxState() {
+					for i, v := range want {
+						if math.Float64bits(aux[k][i]) != math.Float64bits(v) {
+							t.Fatalf("%s[%d] = %v, want %v", k, i, aux[k][i], v)
+						}
+					}
+				}
+				if len(aux) != len(ref.auxState()) {
+					t.Fatalf("%d auxiliary entries, want %d", len(aux), len(ref.auxState()))
+				}
+				x := tensor.Randn(rng, 0, 1, 3, 2, 8, 8, 8)
+				u.SetTraining(false)
+				ref.configure(engine, workers, false)
+				want := ref.forward(x)
+				sameBits(t, "evaluation prediction", want.Data(), u.Forward(x).Data())
+				got := u.Infer(x)
+				sameBits(t, "Infer", want.Data(), got.Data())
+				tensor.Recycle(got)
+			})
+		}
+	}
+}
+
+// TestOwnedBuffersLeaveCallerTensorsAlone: what crosses the UNet API stays
+// the caller's. The input and the output gradient are bitwise what they were
+// after a step, and a held prediction is not overwritten by the next Forward.
+func TestOwnedBuffersLeaveCallerTensorsAlone(t *testing.T) {
+	u := MustNew(inferTestConfig(nn.EngineGEMM))
+	rng := rand.New(rand.NewSource(21))
+	x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
+	g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
+	xKeep, gKeep := x.Clone(), g.Clone()
+
+	pred := u.Forward(x)
+	predKeep := pred.Clone()
+	u.Backward(g)
+	sameBits(t, "input after a step", xKeep.Data(), x.Data())
+	sameBits(t, "gradOut after a step", gKeep.Data(), g.Data())
+
+	next := u.Forward(tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8))
+	u.Backward(g)
+	sameBits(t, "held prediction after the next step", predKeep.Data(), pred.Data())
+	if &next.Data()[0] == &pred.Data()[0] {
+		t.Fatal("two Forwards returned the same prediction buffer")
+	}
+	held := u.Infer(x)
+	heldKeep := held.Clone()
+	tensor.Recycle(u.Infer(xKeep))
+	u.Forward(x)
+	sameBits(t, "held Infer result after later calls", heldKeep.Data(), held.Data())
+}
+
+// TestOwnedBuffersInterleavedTrainAndInfer: Infer on a model in the middle of
+// a training step (the online controller scores models with Infer that a
+// trainer also steps) gives the bits of doing the two apart, on both sides.
+func TestOwnedBuffersInterleavedTrainAndInfer(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
+	g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
+	probe := tensor.Randn(rng, 0, 1, 3, 2, 8, 8, 8)
+
+	apart := MustNew(inferTestConfig(nn.EngineGEMM))
+	apart.Forward(x)
+	apart.Backward(g)
+	wantInfer := apart.Infer(probe)
+
+	mixed := MustNew(inferTestConfig(nn.EngineGEMM))
+	mixed.Forward(x)
+	gotInfer := mixed.Infer(probe)
+	mixed.Backward(g)
+
+	sameBits(t, "Infer between Forward and Backward", wantInfer.Data(), gotInfer.Data())
+	for i, p := range apart.Params() {
+		sameBits(t, "gradient of "+p.Name, p.Grad.Data(), mixed.Params()[i].Grad.Data())
+	}
+}
+
+// TestOwnedBuffersAllocationGuard: with the collector ON, a steady-state
+// training step of the benchmark's network allocates under 1 MB of heap (its
+// activations and gradients alone are 15 MB) and an Infer under 64 KB: the
+// step's tensors are owned or pooled, not garbage.
+func TestOwnedBuffersAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a fraction of Puts under the race detector")
+	}
+	cfg := PaperConfig()
+	cfg.Steps, cfg.Engine = 3, nn.EngineGEMM
+	u := MustNew(cfg)
+	rng := rand.New(rand.NewSource(23))
+	x := tensor.Randn(rng, 0, 1, 2, 4, 16, 16, 16)
+	g := tensor.Randn(rng, 0, 1, 2, 1, 16, 16, 16)
+
+	perCall := func(calls int, fn func()) uint64 {
+		fn()
+		fn()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(calls)
+	}
+	step := perCall(50, func() {
+		u.ZeroGrads()
+		u.Forward(x)
+		u.Backward(g)
+	})
+	if step >= 1<<20 {
+		t.Errorf("steady-state training step allocates %d B of heap, want < 1 MiB", step)
+	}
+	infer := perCall(100, func() { tensor.Recycle(u.Infer(x)) })
+	if infer >= 64<<10 {
+		t.Errorf("steady-state Infer allocates %d B of heap, want < 64 KiB", infer)
+	}
+	t.Logf("heap per training step %d B, per Infer %d B", step, infer)
+}

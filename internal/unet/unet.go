@@ -11,6 +11,27 @@
 // yields 409,657 parameters for the paper configuration — within 0.7% and
 // with the identical filter progression. The builder is fully configurable
 // so alternative wirings can be expressed.
+//
+// # Wiring and ownership
+//
+// Each "convolution → batch normalization → ReLU" site is one nn.ConvBNReLU
+// block (two per resolution step, a and b); pooling, the up-convolutions, the
+// skip concatenation and its gradient split, and the 1x1x1 head are the
+// standalone nn layers. Every tensor that stays inside the network — block
+// outputs and x̂, pooled and up-sampled activations, concatenations, logits,
+// and every gradient flowing back between layers — lives in a buffer the
+// block or the network owns (tensor.Owned): laid out by the first step, grown
+// to the largest batch seen, resliced afterwards and released by DropCaches.
+// A steady-state training step therefore allocates no activation and no
+// gradient, and leaves no garbage for the collector
+// (TestOwnedBuffersAllocationGuard).
+//
+// What crosses the API belongs to the caller. Forward, Infer and Backward
+// only read the tensor they are given. Forward returns a fresh prediction the
+// caller may keep indefinitely; Infer returns a pool-backed one the caller
+// may keep, and should tensor.Recycle when done. Nothing else the network
+// computes is reachable from outside, so there is nothing a caller could hold
+// that a later call overwrites. A UNet is not safe for concurrent use.
 package unet
 
 import (
@@ -129,29 +150,33 @@ func (c Config) ConvShapes() []nn.ConvSpec {
 	return specs
 }
 
-// encStep is one encoder resolution step.
+// encStep is one encoder resolution step: two body blocks and, above the
+// deepest step, the pooling that feeds the next one. The tensors between
+// layers live in buffers the step owns.
 type encStep struct {
-	convA *nn.Conv3D
-	bnA   *nn.BatchNorm
-	reluA *nn.ReLU
-	convB *nn.Conv3D
-	bnB   *nn.BatchNorm
-	reluB *nn.ReLU
-	pool  *nn.MaxPool3D // nil at the deepest step
+	a, b *nn.ConvBNReLU
+	pool *nn.MaxPool3D // nil at the deepest step
+
+	pooled   tensor.Owned // pool output
+	poolGrad tensor.Owned // gradient w.r.t. b's output: un-pooled, plus the skip's
 }
 
-// decStep is one decoder resolution step.
+// decStep is one decoder resolution step: the up-convolution, the skip
+// concatenation and two body blocks.
 type decStep struct {
-	up    *nn.ConvTranspose3D
-	convA *nn.Conv3D
-	bnA   *nn.BatchNorm
-	reluA *nn.ReLU
-	convB *nn.Conv3D
-	bnB   *nn.BatchNorm
-	reluB *nn.ReLU
+	up   *nn.ConvTranspose3D
+	a, b *nn.ConvBNReLU
 
 	upChannels   int // channels arriving from below
 	skipChannels int // channels of the encoder skip
+
+	upOut  tensor.Owned // up-convolution output
+	cat    tensor.Owned // [up, skip] concatenation
+	gUp    tensor.Owned // the concatenation gradient's two halves
+	gSkip  tensor.Owned
+	upGrad tensor.Owned // gradient w.r.t. the step's input
+
+	skipGrad *tensor.Tensor // gSkip as the last Backward shaped it, for the encoder
 }
 
 // UNet is the full network.
@@ -162,8 +187,12 @@ type UNet struct {
 	head *nn.Conv3D
 	act  *nn.Sigmoid
 
+	headOut  tensor.Owned // logits
+	actGrad  tensor.Owned // gradient w.r.t. the logits
+	headGrad tensor.Owned // gradient w.r.t. the last decoder block's output
+
 	params []*nn.Param
-	skips  []*tensor.Tensor // cached encoder outputs for backward
+	skips  []*tensor.Tensor // encoder outputs awaiting the decoder, shallow first
 
 	// Per-group parameter slices in gradient completion order (head, then
 	// decoder steps deep→shallow, then encoder steps deep→shallow), built
@@ -186,12 +215,8 @@ func New(cfg Config) (*UNet, error) {
 	for s := 1; s <= cfg.Steps; s++ {
 		f := cfg.Filters(s)
 		e := &encStep{
-			convA: nn.NewConv3D(fmt.Sprintf("enc%d.a", s), in, f, cfg.Kernel, rng),
-			bnA:   nn.NewBatchNorm(fmt.Sprintf("enc%d.a", s), f),
-			reluA: nn.NewReLU(),
-			convB: nn.NewConv3D(fmt.Sprintf("enc%d.b", s), f, f, cfg.Kernel, rng),
-			bnB:   nn.NewBatchNorm(fmt.Sprintf("enc%d.b", s), f),
-			reluB: nn.NewReLU(),
+			a: nn.NewConvBNReLU(fmt.Sprintf("enc%d.a", s), in, f, cfg.Kernel, rng),
+			b: nn.NewConvBNReLU(fmt.Sprintf("enc%d.b", s), f, f, cfg.Kernel, rng),
 		}
 		if s < cfg.Steps {
 			e.pool = nn.NewMaxPool3D(cfg.UpKernel)
@@ -205,12 +230,8 @@ func New(cfg Config) (*UNet, error) {
 		f := cfg.Filters(s)
 		d := &decStep{
 			up:           nn.NewConvTranspose3D(fmt.Sprintf("dec%d.up", s), fBelow, fBelow, cfg.UpKernel, rng),
-			convA:        nn.NewConv3D(fmt.Sprintf("dec%d.a", s), fBelow+f, f, cfg.Kernel, rng),
-			bnA:          nn.NewBatchNorm(fmt.Sprintf("dec%d.a", s), f),
-			reluA:        nn.NewReLU(),
-			convB:        nn.NewConv3D(fmt.Sprintf("dec%d.b", s), f, f, cfg.Kernel, rng),
-			bnB:          nn.NewBatchNorm(fmt.Sprintf("dec%d.b", s), f),
-			reluB:        nn.NewReLU(),
+			a:            nn.NewConvBNReLU(fmt.Sprintf("dec%d.a", s), fBelow+f, f, cfg.Kernel, rng),
+			b:            nn.NewConvBNReLU(fmt.Sprintf("dec%d.b", s), f, f, cfg.Kernel, rng),
 			upChannels:   fBelow,
 			skipChannels: f,
 		}
@@ -223,21 +244,13 @@ func New(cfg Config) (*UNet, error) {
 	u.SetConvEngine(cfg.Engine)
 
 	for _, e := range u.enc {
-		var g []*nn.Param
-		g = append(g, e.convA.Params()...)
-		g = append(g, e.bnA.Params()...)
-		g = append(g, e.convB.Params()...)
-		g = append(g, e.bnB.Params()...)
+		g := append(e.a.Params(), e.b.Params()...)
 		u.encParams = append(u.encParams, g)
 		u.params = append(u.params, g...)
 	}
 	for _, d := range u.dec {
-		var g []*nn.Param
-		g = append(g, d.up.Params()...)
-		g = append(g, d.convA.Params()...)
-		g = append(g, d.bnA.Params()...)
-		g = append(g, d.convB.Params()...)
-		g = append(g, d.bnB.Params()...)
+		g := append(d.up.Params(), d.a.Params()...)
+		g = append(g, d.b.Params()...)
 		u.decParams = append(u.decParams, g)
 		u.params = append(u.params, g...)
 	}
@@ -272,29 +285,32 @@ func (u *UNet) Params() []*nn.Param { return u.params }
 // ParamCount returns the total number of trainable scalar parameters.
 func (u *UNet) ParamCount() int { return nn.ParamCount(u.params) }
 
+// blocks lists the body blocks in wiring order.
+func (u *UNet) blocks() []*nn.ConvBNReLU {
+	var bs []*nn.ConvBNReLU
+	for _, e := range u.enc {
+		bs = append(bs, e.a, e.b)
+	}
+	for _, d := range u.dec {
+		bs = append(bs, d.a, d.b)
+	}
+	return bs
+}
+
 // SetWorkers sets the worker budget on every compute layer; 0 restores the
 // parallel package default.
 func (u *UNet) SetWorkers(workers int) {
 	u.Cfg.Workers = workers
+	for _, b := range u.blocks() {
+		b.SetWorkers(workers)
+	}
 	for _, e := range u.enc {
-		e.convA.SetWorkers(workers)
-		e.bnA.SetWorkers(workers)
-		e.reluA.SetWorkers(workers)
-		e.convB.SetWorkers(workers)
-		e.bnB.SetWorkers(workers)
-		e.reluB.SetWorkers(workers)
 		if e.pool != nil {
 			e.pool.SetWorkers(workers)
 		}
 	}
 	for _, d := range u.dec {
 		d.up.SetWorkers(workers)
-		d.convA.SetWorkers(workers)
-		d.bnA.SetWorkers(workers)
-		d.reluA.SetWorkers(workers)
-		d.convB.SetWorkers(workers)
-		d.bnB.SetWorkers(workers)
-		d.reluB.SetWorkers(workers)
 	}
 	u.head.SetWorkers(workers)
 	u.act.SetWorkers(workers)
@@ -304,55 +320,61 @@ func (u *UNet) SetWorkers(workers int) {
 // ConvTranspose3D layer; nn.EngineAuto restores the process default.
 func (u *UNet) SetConvEngine(e nn.ConvEngine) {
 	u.Cfg.Engine = e
-	for _, enc := range u.enc {
-		enc.convA.SetConvEngine(e)
-		enc.convB.SetConvEngine(e)
+	for _, b := range u.blocks() {
+		b.SetConvEngine(e)
 	}
 	for _, d := range u.dec {
 		d.up.SetConvEngine(e)
-		d.convA.SetConvEngine(e)
-		d.convB.SetConvEngine(e)
 	}
 	u.head.SetConvEngine(e)
 }
 
-// SetTraining toggles training mode on every batch-norm layer (the only
-// layers of the network that compute differently in evaluation mode).
+// SetTraining toggles training mode on every body block's batch
+// normalization (the only part of the network that computes differently in
+// evaluation mode).
 func (u *UNet) SetTraining(training bool) {
-	for _, e := range u.enc {
-		e.bnA.SetTraining(training)
-		e.bnB.SetTraining(training)
-	}
-	for _, d := range u.dec {
-		d.bnA.SetTraining(training)
-		d.bnB.SetTraining(training)
+	for _, b := range u.blocks() {
+		b.SetTraining(training)
 	}
 }
 
 // ZeroGrads clears all parameter gradients.
 func (u *UNet) ZeroGrads() { nn.ZeroGrads(u.params) }
 
-// DropCaches drops every retained inter-step reference: the layers' cached
-// input and the skip activations (no layer holds a pooled buffer between
-// calls). This is the ROADMAP's memory-pressure hook — long-lived trainers
-// call it between the training and evaluation phases (train.CacheRelease
-// does) so validation volumes never coexist with the last training batch's
-// activations. Calling it between Forward and Backward is invalid, as for
-// nn.CacheDropper.
+// DropCaches releases everything the network retains between steps: every
+// buffer it and its blocks own — activations, x̂, input and skip gradients —
+// plus the layers' references to their last input and output and the pooling
+// argmax records. Parameters, their gradients and the running statistics
+// stay. The next Forward lays the buffers out again and computes the same
+// bits (TestDropCachesBitNeutralAcrossSteps). This is the ROADMAP's
+// memory-pressure hook — long-lived trainers call it between the training and
+// evaluation phases (train.CacheRelease does) so validation volumes never
+// coexist with the last training batch's activations. Calling it between
+// Forward and Backward is invalid, as for nn.CacheDropper.
 func (u *UNet) DropCaches() {
+	for _, b := range u.blocks() {
+		b.DropCaches()
+	}
 	for _, e := range u.enc {
-		e.convA.DropCaches()
-		e.convB.DropCaches()
+		if e.pool != nil {
+			e.pool.DropCaches()
+		}
+		e.pooled.Release()
+		e.poolGrad.Release()
 	}
 	for _, d := range u.dec {
 		d.up.DropCaches()
-		d.convA.DropCaches()
-		d.convB.DropCaches()
+		for _, o := range []*tensor.Owned{&d.upOut, &d.cat, &d.gUp, &d.gSkip, &d.upGrad} {
+			o.Release()
+		}
+		d.skipGrad = nil
 	}
 	u.head.DropCaches()
-	for i := range u.skips {
-		u.skips[i] = nil
-	}
+	u.act.DropCaches()
+	u.headOut.Release()
+	u.actGrad.Release()
+	u.headGrad.Release()
+	clear(u.skips)
 	u.skips = u.skips[:0]
 }
 
@@ -361,28 +383,19 @@ func (u *UNet) DropCaches() {
 // evaluation-mode forwards to reproduce. The slices alias the live state.
 func (u *UNet) AuxState() map[string][]float64 {
 	out := map[string][]float64{}
-	merge := func(a nn.AuxStater) {
-		for k, v := range a.AuxState() {
+	for _, b := range u.blocks() {
+		for k, v := range b.AuxState() {
 			out[k] = v
 		}
-	}
-	for _, e := range u.enc {
-		merge(e.bnA)
-		merge(e.bnB)
-	}
-	for _, d := range u.dec {
-		merge(d.bnA)
-		merge(d.bnB)
 	}
 	return out
 }
 
-// Forward computes per-voxel probabilities for x ([N, InC, D, H, W]).
-// Spatial dimensions must be divisible by MinVolume().
-func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+// checkInput validates an [N, C, D, H, W] input against the configuration.
+func (u *UNet) checkInput(op string, x *tensor.Tensor) {
 	s := x.Shape()
 	if len(s) != 5 {
-		panic(fmt.Sprintf("unet: Forward expects [N,C,D,H,W], got %v", s))
+		panic(fmt.Sprintf("unet: %s expects [N,C,D,H,W], got %v", op, s))
 	}
 	mv := u.Cfg.MinVolume()
 	for _, d := range s[2:] {
@@ -390,47 +403,45 @@ func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 			panic(fmt.Sprintf("unet: spatial dims %v must be divisible by %d", s[2:], mv))
 		}
 	}
+}
+
+// Forward computes per-voxel probabilities for x ([N, InC, D, H, W]) and
+// keeps what Backward needs. Spatial dimensions must be divisible by
+// MinVolume(). x is only read, and must stay unchanged until Backward has
+// run; the returned prediction is a fresh tensor the caller owns.
+func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+	u.checkInput("Forward", x)
 	u.skips = u.skips[:0]
 	h := x
-	for i, e := range u.enc {
-		h = e.reluA.Forward(e.bnA.Forward(e.convA.Forward(h)))
-		h = e.reluB.Forward(e.bnB.Forward(e.convB.Forward(h)))
-		if i < len(u.enc)-1 {
+	for _, e := range u.enc {
+		h = e.b.Forward(e.a.Forward(h))
+		if e.pool != nil {
 			u.skips = append(u.skips, h)
-			h = e.pool.Forward(h)
+			h = e.pool.ForwardOwned(h, &e.pooled)
 		}
 	}
 	for i, d := range u.dec {
-		up := d.up.Forward(h)
-		skip := u.skips[len(u.skips)-1-i]
-		h = nn.ConcatChannels(up, skip)
-		h = d.reluA.Forward(d.bnA.Forward(d.convA.Forward(h)))
-		h = d.reluB.Forward(d.bnB.Forward(d.convB.Forward(h)))
+		up := d.up.ForwardOwned(h, &d.upOut)
+		h = nn.ConcatChannelsOwned(up, u.skips[len(u.skips)-1-i], &d.cat)
+		h = d.b.Forward(d.a.Forward(h))
 	}
-	return u.act.Forward(u.head.Forward(h))
+	return u.act.Forward(u.head.ForwardOwned(h, &u.headOut))
 }
 
 // Infer computes per-voxel probabilities like an evaluation-mode Forward —
-// bit-for-bit identically, the kernels are shared — but through the layers'
-// forward-only fast path: every activation comes from the tensor scratch
-// pool and is recycled the moment its consumer has run, no backward caches
-// are retained, and batch normalization always uses the running statistics.
-// After warm-up a steady-state Infer performs zero fresh scratch
+// bit-for-bit identically, the kernels are shared — but forward-only and
+// without touching anything the network owns: every activation is a tensor
+// from the scratch pool, one per body block, recycled the moment its consumer
+// has run; nothing is retained; batch normalization always uses the running
+// statistics. So Infer may be interleaved with training steps on the same
+// model (between a Forward and its Backward too) without disturbing either,
+// and after warm-up a steady-state Infer performs zero fresh scratch
 // allocations (TestInferScratchSteadyState).
 //
-// The returned tensor is pool-backed; the caller may tensor.Recycle it once
-// the prediction has been consumed. Calling Backward after Infer is invalid.
+// x is only read. The returned tensor is pool-backed and the caller's: hold
+// it as long as needed, then tensor.Recycle it (or let the GC have it).
 func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
-	s := x.Shape()
-	if len(s) != 5 {
-		panic(fmt.Sprintf("unet: Infer expects [N,C,D,H,W], got %v", s))
-	}
-	mv := u.Cfg.MinVolume()
-	for _, d := range s[2:] {
-		if d%mv != 0 {
-			panic(fmt.Sprintf("unet: spatial dims %v must be divisible by %d", s[2:], mv))
-		}
-	}
+	u.checkInput("Infer", x)
 	// recycle returns an intermediate to the pool unless it is the caller's
 	// input, which the fast path never owns.
 	recycle := func(t *tensor.Tensor) {
@@ -440,20 +451,12 @@ func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 	}
 	skips := make([]*tensor.Tensor, 0, len(u.enc)-1)
 	h := x
-	for i, e := range u.enc {
-		t := e.convA.Infer(h)
+	for _, e := range u.enc {
+		t := e.a.Infer(h)
 		recycle(h)
-		h = e.bnA.Infer(t)
+		h = e.b.Infer(t)
 		tensor.Recycle(t)
-		t = e.reluA.Infer(h)
-		tensor.Recycle(h)
-		h = e.convB.Infer(t)
-		tensor.Recycle(t)
-		t = e.bnB.Infer(h)
-		tensor.Recycle(h)
-		h = e.reluB.Infer(t)
-		tensor.Recycle(t)
-		if i < len(u.enc)-1 {
+		if e.pool != nil {
 			skips = append(skips, h)
 			h = e.pool.Infer(h) // the skip stays alive for the decoder
 		}
@@ -465,17 +468,9 @@ func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 		h = nn.ConcatChannelsScratch(up, skip)
 		tensor.Recycle(up)
 		tensor.Recycle(skip)
-		t := d.convA.Infer(h)
+		t := d.a.Infer(h)
 		tensor.Recycle(h)
-		h = d.bnA.Infer(t)
-		tensor.Recycle(t)
-		t = d.reluA.Infer(h)
-		tensor.Recycle(h)
-		h = d.convB.Infer(t)
-		tensor.Recycle(t)
-		t = d.bnB.Infer(h)
-		tensor.Recycle(h)
-		h = d.reluB.Infer(t)
+		h = d.b.Infer(t)
 		tensor.Recycle(t)
 	}
 	t := u.head.Infer(h)
@@ -486,23 +481,20 @@ func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward propagates dL/d(output) through the network, accumulating
-// parameter gradients, and returns dL/d(input).
-func (u *UNet) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	g := u.head.Backward(u.act.Backward(gradOut))
+// parameter gradients. gradOut is only read. The gradient w.r.t. the
+// network's input is not computed: no caller has a use for it.
+func (u *UNet) Backward(gradOut *tensor.Tensor) {
+	g := u.head.BackwardOwned(u.act.BackwardOwned(gradOut, &u.actGrad), &u.headGrad)
 	if u.gradSink != nil {
 		u.gradSink(u.headParams)
 	}
 
-	// Gradients flowing into each encoder skip, indexed like u.skips.
-	skipGrads := make([]*tensor.Tensor, len(u.skips))
-
 	for i := len(u.dec) - 1; i >= 0; i-- {
 		d := u.dec[i]
-		g = d.convA.Backward(d.bnA.Backward(d.reluA.Backward(
-			d.convB.Backward(d.bnB.Backward(d.reluB.Backward(g))))))
-		gUp, gSkip := nn.SplitChannelsGrad(g, d.upChannels, d.skipChannels)
-		skipGrads[len(u.skips)-1-i] = gSkip
-		g = d.up.Backward(gUp)
+		g = d.a.Backward(d.b.Backward(g))
+		var gUp *tensor.Tensor
+		gUp, d.skipGrad = nn.SplitChannelsGradOwned(g, d.upChannels, d.skipChannels, &d.gUp, &d.gSkip)
+		g = d.up.BackwardOwned(gUp, &d.upGrad)
 		if u.gradSink != nil {
 			u.gradSink(u.decParams[i])
 		}
@@ -510,15 +502,18 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 
 	for i := len(u.enc) - 1; i >= 0; i-- {
 		e := u.enc[i]
-		if i < len(u.enc)-1 {
-			g = e.pool.Backward(g)
-			g.Accumulate(skipGrads[i])
+		if e.pool != nil { // the decoder step at this resolution took the skip
+			g = e.pool.BackwardOwned(g, &e.poolGrad)
+			g.Accumulate(u.dec[len(u.dec)-1-i].skipGrad)
 		}
-		g = e.convB.Backward(e.bnB.Backward(e.reluB.Backward(g)))
-		g = e.convA.Backward(e.bnA.Backward(e.reluA.Backward(g)))
+		g = e.b.Backward(g)
+		if i > 0 {
+			g = e.a.Backward(g)
+		} else {
+			e.a.BackwardParams(g)
+		}
 		if u.gradSink != nil {
 			u.gradSink(u.encParams[i])
 		}
 	}
-	return g
 }

@@ -237,8 +237,12 @@ func TestDeeperConfigScales(t *testing.T) {
 	if y.Dim(2) != 8 {
 		t.Fatalf("output depth %d, want 8", y.Dim(2))
 	}
-	g := u.Backward(tensor.Ones(y.Shape()...))
-	if !g.SameShape(x) {
-		t.Fatalf("input grad shape %v", g.Shape())
+	u.Backward(tensor.Ones(y.Shape()...))
+	// The gradient reached the far end of the deeper network: the first
+	// block's kernel gradient is populated. (Backward no longer computes the
+	// input gradient; conv input gradients are pinned at layer level by
+	// nn.TestConvGoldenHash and nn.TestConvEngineParity.)
+	if p := u.Params()[0]; p.Name != "enc1.a.w" || p.Grad.L2Norm() == 0 {
+		t.Fatalf("%s received no gradient", p.Name)
 	}
 }
