@@ -178,7 +178,8 @@ func (c *Coordinator) accept() {
 				return
 			}
 			conn.SetReadDeadline(time.Time{})
-			m := &member{conn: conn, enc: json.NewEncoder(conn), addr: hello.Addr, slot: -1}
+			// A fresh connection runs nothing until its first start.
+			m := &member{conn: conn, enc: json.NewEncoder(conn), addr: hello.Addr, slot: -1, idle: true}
 			if !c.post(event{m: m, join: true}) {
 				conn.Close()
 				return
@@ -489,14 +490,15 @@ func (c *Coordinator) supervise(ckptStep int) (*Result, int, error) {
 }
 
 // haltAll stops the current generation on every survivor and waits until
-// each is idle (acked, failed or dead).
+// each is idle (acked, failed or dead). The halt is resent on every tick to
+// each slotted member still busy, so none waits on a message that crossed a
+// drop or rejoin; a member that has not acknowledged within StepTimeout —
+// the time a step may take to make progress — is dropped, as reapStale
+// drops a silent one.
 func (c *Coordinator) haltAll() error {
 	c.trace("halt")
-	for _, m := range c.live() {
-		if !m.idle {
-			c.sendTo(m, ctrlMsg{Type: msgHalt, Gen: c.gen, Suspect: -1})
-		}
-	}
+	deadline := time.Now().Add(c.cfg.StepTimeout)
+	c.sendHalts()
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -516,7 +518,6 @@ func (c *Coordinator) haltAll() error {
 			case ev.join:
 				c.members = append(c.members, ev.m)
 				ev.m.lastSeen = time.Now()
-				ev.m.idle = true // not part of the halting generation
 				c.assignSlots()
 			case ev.err != nil:
 				if c.isMember(ev.m) {
@@ -536,6 +537,27 @@ func (c *Coordinator) haltAll() error {
 			}
 		case <-tick.C:
 			c.reapStale()
+			if time.Now().After(deadline) {
+				for _, m := range c.live() {
+					if !m.idle {
+						c.cfg.Logf("gen %d: worker %s (slot %d) did not acknowledge the halt within %v, dropping",
+							c.gen, m.addr, m.slot, c.cfg.StepTimeout)
+						c.trace("worker_lost", "addr", m.addr,
+							"slot", strconv.Itoa(m.slot), "cause", "halt")
+						c.drop(m)
+					}
+				}
+			}
+			c.sendHalts()
+		}
+	}
+}
+
+// sendHalts asks every busy slotted member to halt the current generation.
+func (c *Coordinator) sendHalts() {
+	for _, m := range c.live() {
+		if !m.idle {
+			c.sendTo(m, ctrlMsg{Type: msgHalt, Gen: c.gen, Suspect: -1})
 		}
 	}
 }

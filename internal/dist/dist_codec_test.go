@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/unet"
@@ -42,6 +43,7 @@ func finalTrainLoss(t *testing.T, spec TrainSpec) float64 {
 func TestCodecKillAndRejoinBitIdentical(t *testing.T) {
 	for _, codec := range []string{"fp16", "int8"} {
 		t.Run(codec, func(t *testing.T) {
+			defer stallWatchdog(t, time.Minute).Stop()
 			spec := testSpec(t)
 			spec.Codec = codec
 			clean, err := runCluster(t, spec, 3, nil, nil)

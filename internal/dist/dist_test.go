@@ -2,7 +2,9 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +78,17 @@ func runCluster(t *testing.T, spec TrainSpec, width int, hooks *Hooks, mod func(
 	return res, err
 }
 
+// stallWatchdog crashes the test binary with every goroutine's stack if the
+// test is still running after d, so a membership hang shows where the
+// coordinator and each worker loop are stuck instead of idling until go
+// test's own timeout. Use as defer stallWatchdog(t, d).Stop().
+func stallWatchdog(t *testing.T, d time.Duration) *time.Timer {
+	return time.AfterFunc(d, func() {
+		buf := make([]byte, 4<<20)
+		panic(fmt.Sprintf("%s: stalled for %v; goroutines:\n%s", t.Name(), d, buf[:runtime.Stack(buf, true)]))
+	})
+}
+
 // TestDistMatchesMirrored: a 3-process run over the wire produces bitwise
 // the parameters of a 3-replica in-process mirrored run on the same plan,
 // for both the flat and the hierarchical topology.
@@ -147,6 +160,7 @@ func TestDistMatchesMirrored(t *testing.T) {
 // one worker killed mid-training and rejoined from the checkpoint finishes
 // with bit-for-bit the parameters of an uninterrupted 3-worker run.
 func TestKillAndRejoinBitIdentical(t *testing.T) {
+	defer stallWatchdog(t, time.Minute).Stop()
 	clean, err := runCluster(t, testSpec(t), 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)

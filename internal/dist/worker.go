@@ -176,15 +176,17 @@ func (w *Worker) run() error {
 				w.send(ctrlMsg{Type: msgHaltAck, Gen: msg.Gen, Suspect: -1})
 				continue
 			}
-			if !run.halted {
-				run.halted = true
-				close(run.halt)
+			if run.halted {
+				// A resent halt: the ack follows once the generation stops.
+				// Acking now would let the next start overlap this one.
+				continue
 			}
+			run.halted = true
+			close(run.halt)
 			// Acknowledge only once the training goroutine has actually
 			// stopped, off the control loop so reads keep draining while a
 			// broken collective waits out its deadline.
 			r := run
-			run = nil
 			go func() {
 				<-r.done
 				w.send(ctrlMsg{Type: msgHaltAck, Gen: r.gen, Suspect: -1})

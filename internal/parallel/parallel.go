@@ -1,15 +1,34 @@
 // Package parallel is the multi-core compute engine underneath the nn
-// kernels: a fork-join worker pool that partitions index ranges across a
+// kernels: a fork-join loop that partitions index ranges across a
 // configurable worker budget. The budget defaults to GOMAXPROCS and can be
 // overridden globally (SetDefaultWorkers, or the REPRO_WORKERS environment
 // variable) or per call (ForWorkers), so higher layers — one mirrored
 // replica per simulated GPU, several trials per tuning run — can divide the
 // machine instead of oversubscribing it.
 //
+// The calling goroutine is always worker 0; the others are resident helper
+// goroutines, started the first time a budget needs them and kept for the
+// life of the process (the pool grows to the largest effective budget ever
+// requested, minus one, and never shrinks). A call claims free helpers,
+// hands them a job, runs chunks itself and then waits for the helpers that
+// started. Between jobs a helper, and a caller waiting for its helpers,
+// polls for a short fixed window (spinWindow) before parking on a channel,
+// so the back-to-back kernel calls of a training step hand work over without
+// a scheduler wake-up while an idle process burns no CPU. Polling happens
+// only when GOMAXPROCS > 1.
+//
+// Helpers are shared by every caller in the process. When concurrent
+// callers — mirrored replicas, experiment-parallel trials, serving replicas
+// — ask for more helpers than are free, a call runs with the helpers it
+// could claim, down to none at all: the budget is an upper bound capped by
+// the free helpers, and concurrent callers share one pool instead of each
+// adding goroutines of its own.
+//
 // Workers claim fixed-size chunks from a shared atomic counter, so the
 // partition of [0, n) into chunks depends only on n and grain, never on the
-// worker count or scheduling order. Kernels that write disjoint chunks are
-// therefore bit-for-bit deterministic for any worker budget.
+// worker count, the helpers claimed or scheduling order. Kernels that write
+// disjoint chunks are therefore bit-for-bit deterministic for any worker
+// budget.
 package parallel
 
 import (
@@ -18,11 +37,19 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // EnvWorkers is the environment variable consulted at startup for the
 // default worker budget (a positive integer; anything else is ignored).
 const EnvWorkers = "REPRO_WORKERS"
+
+// spinWindow is how long an idle helper polls for its next job, and a
+// caller polls for its helpers to finish, before parking. It covers the
+// serial glue between two kernel calls of a training step, so a helper is
+// still polling when the next call hands it work; a parked helper costs a
+// scheduler wake-up of several microseconds on every call instead.
+const spinWindow = 100 * time.Microsecond
 
 var defaultWorkers atomic.Int64
 
@@ -58,31 +85,13 @@ func Resolve(workers int) int {
 	return DefaultWorkers()
 }
 
-// Share divides a total worker budget (0 = the global default) evenly among
-// parts concurrent consumers, never returning less than 1. Mirrored replicas
-// use it so R replica goroutines running kernels with Share(budget, R)
-// workers each keep the whole step at ~budget cores instead of R×budget.
-//
-// Share floors the division, so total%parts workers are left idle; consumers
-// that can accept unequal shares should use ShareN instead.
-func Share(total, parts int) int {
-	if parts < 1 {
-		parts = 1
-	}
-	w := Resolve(total) / parts
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // ShareN divides a total worker budget (0 = the global default) among parts
 // concurrent consumers with no idle remainder: the first Resolve(total)%parts
 // shares get one extra worker, so shares differ by at most one and sum to
 // exactly Resolve(total) whenever Resolve(total) >= parts. Every share is at
 // least 1. Mirrored replicas and experiment-parallel trials index the
 // returned slice by their slot so a 7-core budget over 2 replicas runs 4+3
-// instead of Share's 3+3 with one core idle.
+// instead of a floored 3+3 with one core idle.
 func ShareN(total, parts int) []int {
 	if parts < 1 {
 		parts = 1
@@ -116,10 +125,13 @@ func For(n, grain int, fn func(lo, hi int)) {
 //
 // The chunk decomposition depends only on n and grain, and workers pull
 // chunk indices from an atomic counter, so every chunk runs exactly once
-// regardless of the budget. With an effective budget of one worker (or a
-// single chunk) fn runs on the calling goroutine with no synchronization.
-// A panic in any chunk is re-raised on the calling goroutine after all
-// workers have drained.
+// regardless of the budget or of how many helpers were free. With an
+// effective budget of one worker, a single chunk or no free helper, fn runs
+// on the calling goroutine with no synchronization. fn may itself call
+// ForWorkers, and must not call runtime.Goexit (t.FailNow), which would end
+// a resident helper mid-job. A panic in any chunk is re-raised on the
+// calling goroutine with its original value after all workers have
+// drained; the helper that hit it stays in the pool.
 func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -132,54 +144,225 @@ func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 	if w > chunks {
 		w = chunks
 	}
-	if w <= 1 {
+	var j *job
+	if w > 1 {
+		j = claim(w - 1)
+	}
+	if j == nil {
 		for lo := 0; lo < n; lo += grain {
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+grain, n))
 		}
 		return
 	}
 
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Pointer[panicValue]
-	)
-	body := func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &panicValue{val: r})
-			}
-		}()
-		for {
-			c := next.Add(1) - 1
-			if c >= int64(chunks) || panicked.Load() != nil {
-				return
-			}
-			lo := int(c) * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+	j.fn, j.n, j.grain, j.chunks = fn, n, grain, chunks
+	j.spin = runtime.GOMAXPROCS(0) > 1
+	j.next.Store(0)
+	j.panicked.Store(nil)
+	j.pending.Store(int32(len(j.team)))
+	for _, h := range j.team {
+		h.hand(j)
+	}
+	j.work() // the caller is worker 0
+	// Every chunk is claimed now; a helper that has not taken the job yet
+	// has nothing left to do, so take the job back instead of waiting for
+	// it to wake.
+	for _, h := range j.team {
+		if h.job.CompareAndSwap(j, nil) {
+			j.pending.Add(-1)
 		}
 	}
-	wg.Add(w)
-	for i := 1; i < w; i++ {
-		go body()
-	}
-	body() // the caller is worker 0
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
+	j.wait()
+	p := j.panicked.Load()
+	j.fn = nil // the record outlives the call; do not keep fn's captures alive
+	j.release()
+	if p != nil {
 		// Re-raise the original value so recover-based handlers see the
 		// same panic regardless of the worker budget.
 		panic(p.val)
 	}
 }
 
+// job is one ForWorkers call shared by its caller and the helpers it
+// claimed. Each helper owns one record, used while it leads a call, so a
+// call allocates nothing.
+type job struct {
+	fn               func(lo, hi int)
+	n, grain, chunks int
+	spin             bool      // GOMAXPROCS > 1 when the call started
+	team             []*helper // claimed helpers; team[0] lends this record
+	next             atomic.Int64
+	pending          atomic.Int32 // team members yet to finish or be taken back
+	panicked         atomic.Pointer[panicValue]
+	parked           atomic.Bool   // the caller is parked on wake
+	wake             chan struct{} // capacity 1; a stale token only causes a re-check
+}
+
 // panicValue boxes a recovered panic for transport across goroutines.
 type panicValue struct{ val any }
+
+// work runs chunks until none is left or a chunk has panicked.
+func (j *job) work() {
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicked.CompareAndSwap(nil, &panicValue{val: r})
+		}
+	}()
+	for {
+		c := int(j.next.Add(1) - 1)
+		if c >= j.chunks || j.panicked.Load() != nil {
+			return
+		}
+		lo := c * j.grain
+		j.fn(lo, min(lo+j.grain, j.n))
+	}
+}
+
+// done is a helper's last touch of j: once pending reaches zero the caller
+// may release the team and the record may be reused, which the atomic
+// fields and the non-blocking send tolerate.
+func (j *job) done() {
+	if j.pending.Add(-1) == 0 && j.parked.Load() {
+		select {
+		case j.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wait blocks until every team member has finished or been taken back.
+func (j *job) wait() {
+	if j.spin && poll(func() bool { return j.pending.Load() == 0 }) {
+		return
+	}
+	j.parked.Store(true)
+	for j.pending.Load() != 0 {
+		<-j.wake
+	}
+	j.parked.Store(false)
+}
+
+// release returns the team to the pool. The lead goes last: releasing it
+// frees this record for the next call.
+func (j *job) release() {
+	for i := len(j.team) - 1; i >= 0; i-- {
+		j.team[i].claimed.Store(false)
+	}
+}
+
+// helper is one resident worker goroutine.
+type helper struct {
+	claimed atomic.Bool         // owned by a caller for one call
+	job     atomic.Pointer[job] // handed over, not yet taken
+	parked  atomic.Bool         // parked on wake
+	wake    chan struct{}       // capacity 1; a stale token only causes a re-check
+	lead    *job                // the record this helper lends when it leads
+}
+
+// hand gives j to h and wakes it if it parked.
+func (h *helper) hand(j *job) {
+	h.job.Store(j)
+	if h.parked.Load() {
+		select {
+		case h.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// loop serves jobs for the life of the process.
+func (h *helper) loop() {
+	spin := false
+	for {
+		j := h.await(spin)
+		j.work()
+		spin = j.spin
+		j.done()
+	}
+}
+
+// await returns the next job handed to h, polling first when spin is set.
+func (h *helper) await(spin bool) *job {
+	if spin && poll(func() bool { return h.job.Load() != nil }) {
+		if j := h.job.Swap(nil); j != nil {
+			return j
+		}
+	}
+	h.parked.Store(true)
+	for {
+		if j := h.job.Swap(nil); j != nil {
+			h.parked.Store(false)
+			return j
+		}
+		<-h.wake
+	}
+}
+
+// poll reports whether cond became true within spinWindow, yielding the
+// processor between checks so a goroutine it waits for can run even when
+// the budget exceeds GOMAXPROCS.
+func poll(cond func() bool) bool {
+	start := time.Now()
+	for {
+		for i := 0; i < 64; i++ {
+			if cond() {
+				return true
+			}
+		}
+		if time.Since(start) > spinWindow {
+			return false
+		}
+		runtime.Gosched()
+	}
+}
+
+// pool is the process-wide helper set. helpers only grows; it is replaced
+// copy-on-write under mu so claim can scan it without locking.
+var pool struct {
+	mu      sync.Mutex
+	helpers atomic.Pointer[[]*helper]
+}
+
+// claim reserves up to want free helpers, growing the pool to want first,
+// and returns the first one's job record with team set, or nil when every
+// helper is busy.
+func claim(want int) *job {
+	hs := pool.helpers.Load()
+	if hs == nil || len(*hs) < want {
+		hs = grow(want)
+	}
+	var j *job
+	for _, h := range *hs {
+		if h.claimed.Load() || !h.claimed.CompareAndSwap(false, true) {
+			continue
+		}
+		if j == nil {
+			j = h.lead
+			j.team = j.team[:0]
+		}
+		if j.team = append(j.team, h); len(j.team) == want {
+			break
+		}
+	}
+	return j
+}
+
+// grow extends the pool to at least size helpers and returns it.
+func grow(size int) *[]*helper {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	var old []*helper
+	if p := pool.helpers.Load(); p != nil {
+		if old = *p; len(old) >= size {
+			return p
+		}
+	}
+	hs := make([]*helper, size)
+	copy(hs, old)
+	for i := len(old); i < size; i++ {
+		hs[i] = &helper{wake: make(chan struct{}, 1), lead: &job{wake: make(chan struct{}, 1)}}
+		go hs[i].loop()
+	}
+	pool.helpers.Store(&hs)
+	return &hs
+}

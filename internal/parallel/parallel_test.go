@@ -99,26 +99,6 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestShare(t *testing.T) {
-	cases := []struct{ total, parts, want int }{
-		{8, 2, 4},
-		{8, 3, 2},
-		{2, 4, 1}, // never below one worker
-		{5, 0, 5}, // parts clamped to 1
-	}
-	for _, c := range cases {
-		if got := Share(c.total, c.parts); got != c.want {
-			t.Errorf("Share(%d, %d) = %d, want %d", c.total, c.parts, got, c.want)
-		}
-	}
-	orig := DefaultWorkers()
-	defer SetDefaultWorkers(orig)
-	SetDefaultWorkers(6)
-	if got := Share(0, 2); got != 3 {
-		t.Errorf("Share(0, 2) with default 6 = %d, want 3", got)
-	}
-}
-
 func TestShareN(t *testing.T) {
 	cases := []struct {
 		total, parts int
@@ -144,7 +124,7 @@ func TestShareN(t *testing.T) {
 	}
 
 	// Whenever the budget covers the parts, the shares must sum to exactly
-	// the budget — the no-idle-cores property Share lacks.
+	// the budget: no core idles.
 	for total := 1; total <= 24; total++ {
 		for parts := 1; parts <= total; parts++ {
 			sum := 0

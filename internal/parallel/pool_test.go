@@ -1,0 +1,146 @@
+package parallel
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// within runs f and, if it has not returned after d, crashes the test
+// binary with every goroutine's stack, so a pool deadlock reports where
+// everyone is stuck instead of hanging until go test's own timeout.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	watchdog := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: still running after %v; goroutines:\n%s", t.Name(), d, buf[:runtime.Stack(buf, true)]))
+	})
+	defer watchdog.Stop()
+	f()
+}
+
+// checkCover calls ForWorkers and reports any index of [0, n) not visited
+// exactly once.
+func checkCover(t *testing.T, workers, n, grain int) {
+	hits := make([]int32, n)
+	ForWorkers(workers, n, grain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	})
+	for i, h := range hits {
+		if h != 1 {
+			t.Errorf("workers=%d n=%d grain=%d: index %d visited %d times", workers, n, grain, i, h)
+			return
+		}
+	}
+}
+
+// TestForConcurrentCallers: eight callers at budget 2 share the helpers —
+// each runs with whatever it could claim, down to none — and every caller
+// still covers its own range exactly once.
+func TestForConcurrentCallers(t *testing.T) {
+	within(t, 30*time.Second, func() {
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for it := 0; it < 200; it++ {
+					checkCover(t, 2, 50+c*7+it%13, 1+it%5)
+				}
+			}(c)
+		}
+		wg.Wait()
+	})
+}
+
+// TestForNested: a chunk that calls ForWorkers itself claims whatever
+// helpers are still free (or none) and completes without deadlock.
+func TestForNested(t *testing.T) {
+	within(t, 30*time.Second, func() {
+		for it := 0; it < 50; it++ {
+			var total atomic.Int64
+			ForWorkers(4, 8, 1, func(lo, hi int) {
+				ForWorkers(4, 100, 3, func(lo, hi int) {
+					total.Add(int64(hi - lo))
+				})
+			})
+			if got := total.Load(); got != 800 {
+				t.Errorf("nested calls covered %d indices, want 800", got)
+				return
+			}
+		}
+	})
+}
+
+// TestForPanicKeepsHelpers: after chunks panic, every helper is back in the
+// pool and usable — the next call can engage all of them at once. Each of
+// its chunks waits for all the others to start, which only a call that
+// engaged every helper can satisfy.
+func TestForPanicKeepsHelpers(t *testing.T) {
+	within(t, 30*time.Second, func() {
+		func() {
+			defer func() {
+				if r := recover(); r != "helper boom" {
+					t.Errorf("recovered %v, want \"helper boom\"", r)
+				}
+			}()
+			ForWorkers(4, 64, 1, func(lo, hi int) {
+				if lo%2 == 1 {
+					panic("helper boom")
+				}
+			})
+		}()
+		hs := *pool.helpers.Load()
+		for i, h := range hs {
+			if h.claimed.Load() || h.job.Load() != nil {
+				t.Fatalf("helper %d still claimed after the call returned", i)
+			}
+		}
+
+		width := len(hs) + 1
+		var arrived atomic.Int32
+		all := make(chan struct{})
+		ForWorkers(width, width, 1, func(lo, hi int) {
+			if arrived.Add(1) == int32(width) {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				t.Errorf("chunk %d: only %d of %d workers engaged", lo, arrived.Load(), width)
+			}
+		})
+	})
+}
+
+// TestForSingleProcNoSpin: with GOMAXPROCS=1 and a budget above it, the
+// helpers and the caller park instead of polling, so thousands of tiny
+// calls finish promptly.
+func TestForSingleProcNoSpin(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	within(t, 20*time.Second, func() {
+		var sum atomic.Int64
+		fn := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+		for it := 0; it < 2000; it++ {
+			ForWorkers(4, 64, 1, fn)
+		}
+		if got := sum.Load(); got != 2000*64 {
+			t.Errorf("covered %d indices, want %d", got, 2000*64)
+		}
+	})
+}
+
+// TestForWorkersNoAllocs: a multi-worker call with a pre-built fn allocates
+// nothing — no goroutine, no job record, no closure.
+func TestForWorkersNoAllocs(t *testing.T) {
+	var sink atomic.Int64
+	fn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	if allocs := testing.AllocsPerRun(200, func() { ForWorkers(2, 64, 1, fn) }); allocs != 0 {
+		t.Fatalf("ForWorkers(2, …) allocates %v objects per call, want 0", allocs)
+	}
+}
