@@ -22,8 +22,8 @@ import (
 //
 // The workload is deliberately tiny (the distmis smoke configuration) so a
 // full 3×3 grid finishes in tens of seconds; absolute numbers are only
-// comparable within one machine and run, which is why no floor is gated in
-// ci/bench-floors.txt yet.
+// comparable within one machine and run, which is why CI gates on none of
+// them.
 
 // distBenchConfig carries the -dist flags.
 type distBenchConfig struct {

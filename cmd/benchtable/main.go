@@ -1,19 +1,11 @@
 // Command benchtable regenerates the paper's evaluation artifacts from the
 // cluster simulation: Table I (-table1), Figure 4a (-fig4a) and Figure 4b
-// (-fig4b). With no selection flags it prints all three. -kernels instead
-// prints kernel-level convolution tables (every registered conv backend,
-// per shape and worker count), the bench-over-time companion to BENCH.md.
-//
-// With -floors it instead runs the kernel regression gate: the workers=1
-// engine-over-direct speedups are measured and checked against the floors
-// file (ci/bench-floors.txt in CI); a floor missed twice in a row exits
-// non-zero.
+// (-fig4b). With no selection flags it prints all three. Kernel and layer
+// timings live in the repository benchmark (bash benchmark/run.sh --trace 1).
 //
 // Usage:
 //
 //	benchtable [-table1] [-fig4a] [-fig4b] [-trials N] [-reps N] [-seed N]
-//	benchtable -kernels [-kernelreps N]
-//	benchtable -floors ci/bench-floors.txt [-kernelreps N]
 //	benchtable -dist [-dist-widths 1,2,4] [-dist-codecs none,fp16,int8]
 //
 // -dist leaves the simulation entirely: it spawns real worker processes
@@ -42,8 +34,6 @@ func main() {
 	trials := flag.Int("trials", 0, "override the number of experiments in the search (default: paper's 32)")
 	reps := flag.Int("reps", 0, "override the repetition count (default: paper's 3)")
 	seed := flag.Int64("seed", 0, "override the simulation seed")
-	kernels := flag.Bool("kernels", false, "print kernel-level convolution benchmarks (every registered conv backend) instead of the paper tables")
-	kernelReps := flag.Int("kernelreps", 3, "repetitions per kernel measurement (best is reported)")
 	distBench := flag.Bool("dist", false, "measure real multi-process wall-clock step times (spawns worker processes) instead of the paper tables")
 	distWidths := flag.String("dist-widths", "1,2,4", "comma-separated data-parallel widths for -dist")
 	distCodecs := flag.String("dist-codecs", "none,fp16,int8", "comma-separated gradient codecs for -dist")
@@ -54,7 +44,6 @@ func main() {
 	distWorkers := flag.Int("dist-workers", 0, "per-worker compute budget for -dist (0 = all cores)")
 	distJoin := flag.String("dist-worker-join", "", "internal: run as a -dist worker process joining this coordinator address")
 	distSpawnWorkers := flag.Int("dist-spawn-workers", 0, "internal: compute budget forwarded to a -dist worker process")
-	floors := flag.String("floors", "", "speedup-floors file: check the workers=1 engine-over-direct speedups against it and fail when a floor is missed twice in a row (implies -kernels)")
 	tracePath := flag.String("trace", "", "write JSONL trace events for the run to FILE")
 	metricsAddr := flag.String("metrics-addr", "", "debug listener address exposing /metrics and /debug/pprof/ (\"\" = off)")
 	flag.Parse()
@@ -102,21 +91,6 @@ func main() {
 		end("widths", *distWidths, "codecs", *distCodecs)
 		return
 	}
-	if *floors != "" {
-		end := tracer.Span("floors_check")
-		if err := checkKernelFloors(*floors, *kernelReps); err != nil {
-			log.Fatal(err)
-		}
-		end("file", *floors)
-		return
-	}
-	if *kernels {
-		end := tracer.Span("kernel_tables")
-		printKernelTables(*kernelReps)
-		end()
-		return
-	}
-
 	cfg, err := experiments.PaperCampaign()
 	if err != nil {
 		log.Fatal(err)

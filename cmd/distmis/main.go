@@ -8,7 +8,7 @@
 //
 //	distmis [-strategy data|experiment] [-gpus N] [-epochs N] [-trials N]
 //	        [-cases N] [-dim N] [-scheduler fifo|median|asha] [-seed N]
-//	        [-workers N] [-engine NAME|auto] [-lrpoints N]
+//	        [-workers N] [-lrpoints N]
 //	        [-ckpt-dir DIR]
 //
 // With -ckpt-dir the search is a resumable campaign: every trial
@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/msd"
-	"repro/internal/nn"
 	"repro/internal/telemetry"
 	"repro/internal/tune"
 	"repro/internal/unet"
@@ -69,8 +68,6 @@ func main() {
 	scheduler := flag.String("scheduler", "fifo", "trial scheduler: fifo, median or asha")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "compute-worker budget shared across replicas/trials (0 = all cores)")
-	engine := flag.String("engine", "auto",
-		fmt.Sprintf("conv backend: %s, or auto (REPRO_CONV_ENGINE, gemm default)", strings.Join(nn.ConvEngines(), ", ")))
 	lrPoints := flag.Int("lrpoints", 2, "log-spaced learning-rate grid points for truncated searches (≥ 2)")
 	ckptDir := flag.String("ckpt-dir", "", "campaign checkpoint directory: re-running with the same flags skips completed trials and resumes the in-flight one")
 
@@ -102,10 +99,6 @@ func main() {
 		log.Printf("debug listener on http://%s/metrics", bound)
 	}
 
-	convEngine, err := nn.ParseConvEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *lrPoints < 2 {
 		log.Fatalf("-lrpoints must be ≥ 2, got %d", *lrPoints)
 	}
@@ -118,7 +111,7 @@ func main() {
 		runCoordinatorMode(coordSpec{
 			width: *width, epochs: *epochs, cases: *cases, dim: *dim,
 			steps: *steps, filters: *filters, seed: *seed, workers: *workers,
-			engine: *engine, batch: *batch, lr: *lr, loss: *lossName,
+			batch: *batch, lr: *lr, loss: *lossName,
 			optimizer: *optName, ckpt: *ckptFile, ckptEvery: *ckptEvery,
 			groupSize: *groupSize, opTimeoutMS: *opTimeoutMS,
 			codec: *codec, bucketKB: *bucketKB,
@@ -146,7 +139,6 @@ func main() {
 		Kernel:      3,
 		UpKernel:    2,
 		Seed:        *seed,
-		Engine:      convEngine,
 	}
 	opts.MaxTrainCases = 0
 	opts.MaxValCases = 0
@@ -211,7 +203,6 @@ type coordSpec struct {
 	width, epochs, cases, dim, steps, filters int
 	seed                                      int64
 	workers                                   int
-	engine                                    string
 	batch                                     int
 	lr                                        float64
 	loss, optimizer, ckpt                     string
@@ -241,8 +232,7 @@ func runCoordinatorMode(s coordSpec) {
 	spec := dist.TrainSpec{
 		Cases: s.cases, Dim: s.dim, DataSeed: s.seed,
 		BaseFilters: s.filters, NetSteps: s.steps, Kernel: 3, UpKernel: 2, NetSeed: s.seed,
-		Engine: s.engine,
-		Loss:   s.loss, Optimizer: s.optimizer, BaseLR: s.lr, ScaleLR: true,
+		Loss: s.loss, Optimizer: s.optimizer, BaseLR: s.lr, ScaleLR: true,
 		Epochs: s.epochs, GlobalBatch: s.batch, ShuffleSeed: s.seed,
 		GroupSize: s.groupSize,
 		CkptPath:  s.ckpt, CkptEverySteps: s.ckptEvery,

@@ -38,7 +38,7 @@
 //
 //	servemis [-addr :8377] [-ckpt model.ckpt] [-replicas N] [-maxbatch N]
 //	         [-linger D] [-queue N] [-patch N] [-stride N]
-//	         [-blend uniform|gaussian] [-workers N] [-engine NAME|auto]
+//	         [-blend uniform|gaussian] [-workers N]
 //	         [-filters N] [-steps N] [-in N] [-out N] [-seed N]
 //	         [-bench] [-clients N] [-duration D] [-dim N] [-cases N]
 package main
@@ -65,7 +65,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/msd"
-	"repro/internal/nn"
 	"repro/internal/online"
 	"repro/internal/patch"
 	"repro/internal/serve"
@@ -89,8 +88,6 @@ func main() {
 	stride := flag.Int("stride", 0, "sliding-window stride (0 = patch edge, no overlap)")
 	blend := flag.String("blend", "uniform", "overlap blending: uniform or gaussian")
 	workers := flag.Int("workers", 0, "compute-worker budget shared across replicas (0 = all cores)")
-	engine := flag.String("engine", "auto",
-		fmt.Sprintf("conv backend: %s, or auto (REPRO_CONV_ENGINE, gemm default)", strings.Join(nn.ConvEngines(), ", ")))
 
 	inC := flag.Int("in", 4, "U-Net input channels")
 	outC := flag.Int("out", 1, "U-Net output channels")
@@ -122,10 +119,6 @@ func main() {
 	cases := flag.Int("cases", 4, "distinct load-generator volumes")
 	flag.Parse()
 
-	convEngine, err := nn.ParseConvEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var blendMode patch.BlendMode
 	switch *blend {
 	case "uniform":
@@ -147,7 +140,6 @@ func main() {
 		Kernel:      3,
 		UpKernel:    2,
 		Seed:        *seed,
-		Engine:      convEngine,
 	}
 	if err := netCfg.Validate(); err != nil {
 		log.Fatal(err)

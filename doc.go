@@ -6,14 +6,13 @@
 // zero-copy views and a pooled scratch-buffer allocator, the fork-join
 // worker pool, a cache-blocked register-tiled GEMM (an AVX2 assembly
 // microkernel on amd64, a bit-identical portable one elsewhere) with
-// pluggable panel packing and the 3D CNN layers running on either the
-// GEMM or the direct convolution engine (tensor, parallel, gemm, nn — the
-// GEMM engine never builds a patch matrix: every pass packs the multiply's
-// panels straight from a zero-haloed copy of the activation, the input
-// gradient is a forward convolution with the flipped kernel, and
-// backward-weights reduces per-sample partial products so its parallelism
-// scales with the batch; REPRO_CONV_ENGINE=gemm|direct selects the
-// engine), the paper's 3D U-Net (unet — one fused convolution → batch-norm →
+// pluggable panel packing and the 3D CNN layers on top of it (tensor,
+// parallel, gemm, nn — a convolution has one implementation, which never
+// builds a patch matrix: every pass packs the multiply's panels straight
+// from a zero-haloed copy of the activation, the input gradient is a
+// forward convolution with the flipped kernel, and backward-weights reduces
+// per-sample partial products so its parallelism scales with the batch),
+// the paper's 3D U-Net (unet — one fused convolution → batch-norm →
 // ReLU block per body site, every activation and gradient in a buffer the
 // network owns, so a training step allocates none), Dice losses and
 // optimizers (loss, optim, metrics), the data path from NIfTI phantoms to

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/tune"
 )
 
@@ -14,7 +13,7 @@ import (
 // under both distribution strategies for fixed seeds, captured from the
 // pre-train.Session implementation. Trials are keyed by their rendered
 // config (deterministic), so the concurrent experiment-parallel schedule
-// cannot permute the comparison. Values are engine-specific.
+// cannot permute the comparison.
 func TestGoldenRunBitIdentical(t *testing.T) {
 	want := map[string]map[string]uint64{
 		"gemm/data": {
@@ -29,59 +28,43 @@ func TestGoldenRunBitIdentical(t *testing.T) {
 			"augment=none;loss=dice;lr=0.01;optimizer=sgd;": 0x3faa7b9611a7b961,
 			"augment=none;loss=dice;lr=0.05;optimizer=sgd;": 0x3fabed61bed61bed,
 		},
-		"direct/data": {
-			"augment=flip;loss=dice;lr=0.01;optimizer=sgd;": 0x3faab68a0473c1ab,
-			"augment=flip;loss=dice;lr=0.05;optimizer=sgd;": 0x3fab6db6db6db6db,
-			"augment=none;loss=dice;lr=0.01;optimizer=sgd;": 0x3faab68a0473c1ab,
-			"augment=none;loss=dice;lr=0.05;optimizer=sgd;": 0x3fabed61bed61bed,
-		},
-		"direct/experiment": {
-			"augment=flip;loss=dice;lr=0.01;optimizer=sgd;": 0x3faab68a0473c1ab,
-			"augment=flip;loss=dice;lr=0.05;optimizer=sgd;": 0x3fb024e6a171024e,
-			"augment=none;loss=dice;lr=0.01;optimizer=sgd;": 0x3faa7b9611a7b961,
-			"augment=none;loss=dice;lr=0.05;optimizer=sgd;": 0x3fabed61bed61bed,
-		},
 	}
 
 	print := os.Getenv("REPRO_GOLDEN_PRINT") != ""
-	engines := map[string]nn.ConvEngine{"gemm": nn.EngineGEMM, "direct": nn.EngineDirect}
-	for _, ename := range []string{"gemm", "direct"} {
-		for _, strategy := range []Strategy{StrategyData, StrategyExperiment} {
-			key := fmt.Sprintf("%s/%s", ename, strategy)
-			t.Run(key, func(t *testing.T) {
-				opts := smallOptions(strategy, 2)
-				opts.Epochs = 2
-				opts.Net.Engine = engines[ename]
-				res, err := Run(opts)
-				if err != nil {
-					t.Fatal(err)
+	for _, strategy := range []Strategy{StrategyData, StrategyExperiment} {
+		key := fmt.Sprintf("gemm/%s", strategy)
+		t.Run(key, func(t *testing.T) {
+			opts := smallOptions(strategy, 2)
+			opts.Epochs = 2
+			res, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]uint64{}
+			for _, tr := range res.Trials {
+				if tr.Err != nil {
+					t.Fatalf("trial %v errored: %v", tr.Config, tr.Err)
 				}
-				got := map[string]uint64{}
+				got[renderConfig(tr.Config)] = math.Float64bits(tr.Dice)
+			}
+			if print {
+				fmt.Printf("GOLDEN %q: {\n", key)
 				for _, tr := range res.Trials {
-					if tr.Err != nil {
-						t.Fatalf("trial %v errored: %v", tr.Config, tr.Err)
-					}
-					got[renderConfig(tr.Config)] = math.Float64bits(tr.Dice)
+					fmt.Printf("\t%q: %#x,\n", renderConfig(tr.Config), math.Float64bits(tr.Dice))
 				}
-				if print {
-					fmt.Printf("GOLDEN %q: {\n", key)
-					for _, tr := range res.Trials {
-						fmt.Printf("\t%q: %#x,\n", renderConfig(tr.Config), math.Float64bits(tr.Dice))
-					}
-					fmt.Printf("},\n")
-					return
+				fmt.Printf("},\n")
+				return
+			}
+			w := want[key]
+			if len(got) != len(w) {
+				t.Fatalf("trial count %d, want %d", len(got), len(w))
+			}
+			for cfg, bits := range w {
+				if got[cfg] != bits {
+					t.Errorf("trial %s: dice bits %#x, want %#x", cfg, got[cfg], bits)
 				}
-				w := want[key]
-				if len(got) != len(w) {
-					t.Fatalf("trial count %d, want %d", len(got), len(w))
-				}
-				for cfg, bits := range w {
-					if got[cfg] != bits {
-						t.Errorf("trial %s: dice bits %#x, want %#x", cfg, got[cfg], bits)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

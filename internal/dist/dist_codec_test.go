@@ -14,11 +14,7 @@ import (
 // session state).
 func finalTrainLoss(t *testing.T, spec TrainSpec) float64 {
 	t.Helper()
-	netCfg, err := spec.netConfig(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := unet.New(netCfg)
+	m, err := unet.New(spec.netConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,10 +114,7 @@ func TestDistMatchesMirrored(t *testing.T) {
 				t.Fatalf("ran %d steps, want 4", res.Steps)
 			}
 
-			netCfg, err := spec.netConfig(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			netCfg := spec.netConfig(0)
 			mcfg := mirrored.Config{
 				Replicas:  3,
 				Net:       netCfg,
@@ -289,7 +286,6 @@ func TestSpecValidation(t *testing.T) {
 		func(s *TrainSpec) { s.Epochs = 0 },
 		func(s *TrainSpec) { s.GlobalBatch = 0 },
 		func(s *TrainSpec) { s.CkptPath = "" },
-		func(s *TrainSpec) { s.Engine = "no-such-engine" },
 	} {
 		s := testSpec(t)
 		mut(&s)

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/allreduce"
 	"repro/internal/msd"
-	"repro/internal/nn"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -35,12 +34,11 @@ type TrainSpec struct {
 	ValCases int   `json:"valCases"` // validation-split cap (0 = all)
 
 	// Network.
-	BaseFilters int    `json:"baseFilters"`
-	NetSteps    int    `json:"netSteps"`
-	Kernel      int    `json:"kernel"`
-	UpKernel    int    `json:"upKernel"`
-	NetSeed     int64  `json:"netSeed"`
-	Engine      string `json:"engine"` // conv engine name ("" / "auto" = default)
+	BaseFilters int   `json:"baseFilters"`
+	NetSteps    int   `json:"netSteps"`
+	Kernel      int   `json:"kernel"`
+	UpKernel    int   `json:"upKernel"`
+	NetSeed     int64 `json:"netSeed"`
 
 	// Optimization.
 	Loss        string  `json:"loss"`
@@ -114,9 +112,6 @@ func (s *TrainSpec) Validate() error {
 	case s.CkptPath == "":
 		return fmt.Errorf("dist: spec needs a CkptPath (recovery is checkpoint-based)")
 	}
-	if _, err := nn.ParseConvEngine(s.Engine); err != nil {
-		return err
-	}
 	if _, err := allreduce.CodecByName(s.Codec); err != nil {
 		return err
 	}
@@ -124,11 +119,7 @@ func (s *TrainSpec) Validate() error {
 }
 
 // netConfig derives the worker-local network configuration.
-func (s *TrainSpec) netConfig(workers int) (unet.Config, error) {
-	engine, err := nn.ParseConvEngine(s.Engine)
-	if err != nil {
-		return unet.Config{}, err
-	}
+func (s *TrainSpec) netConfig(workers int) unet.Config {
 	return unet.Config{
 		InChannels:  4, // the MSD phantom's four modalities
 		OutChannels: 1,
@@ -137,9 +128,8 @@ func (s *TrainSpec) netConfig(workers int) (unet.Config, error) {
 		Kernel:      s.Kernel,
 		UpKernel:    s.UpKernel,
 		Seed:        s.NetSeed,
-		Engine:      engine,
 		Workers:     workers,
-	}, nil
+	}
 }
 
 // opTimeout returns the per-collective deadline.

@@ -300,10 +300,7 @@ func (w *Worker) train(run *genRun, rank int, members []string, spec TrainSpec) 
 		return err
 	}
 	workerGen.Set(float64(run.gen))
-	netCfg, err := spec.netConfig(w.cfg.Workers)
-	if err != nil {
-		return err
-	}
+	netCfg := spec.netConfig(w.cfg.Workers)
 	w.dataOnce.Do(func() {
 		w.trainSet, w.valSet, w.dataErr = spec.buildData(netCfg)
 	})

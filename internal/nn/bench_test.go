@@ -38,20 +38,6 @@ func budgets() []int {
 	return set
 }
 
-// benchEngines enumerates the per-engine benchmark variants; "serial" is
-// the retained single-threaded direct reference. Every registered backend
-// is benchmarked — the shapes here are paper-table shapes, so "generated"
-// (linked in by generated_link_test.go) runs its specialized kernels, not
-// a fallback.
-func benchEngines() []ConvEngine {
-	var engines []ConvEngine
-	for _, name := range ConvEngines() {
-		e, _ := LookupConvEngine(name)
-		engines = append(engines, e)
-	}
-	return engines
-}
-
 func BenchmarkConv3DForward(b *testing.B) {
 	x := benchInput(1, benchIC)
 	b.Run("serial", func(b *testing.B) {
@@ -61,18 +47,15 @@ func BenchmarkConv3DForward(b *testing.B) {
 			c.forwardSerial(x)
 		}
 	})
-	for _, e := range benchEngines() {
-		for _, w := range budgets() {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", e, w), func(b *testing.B) {
-				c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
-				c.SetConvEngine(e)
-				c.SetWorkers(w)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.Forward(x)
-				}
-			})
-		}
+	for _, w := range budgets() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
+			c.SetWorkers(w)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Forward(x)
+			}
+		})
 	}
 }
 
@@ -87,19 +70,16 @@ func BenchmarkConv3DBackward(b *testing.B) {
 			c.backwardSerial(g)
 		}
 	})
-	for _, e := range benchEngines() {
-		for _, w := range budgets() {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", e, w), func(b *testing.B) {
-				c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
-				c.SetConvEngine(e)
-				c.SetWorkers(w)
-				c.Forward(x)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.Backward(g)
-				}
-			})
-		}
+	for _, w := range budgets() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
+			c.SetWorkers(w)
+			c.Forward(x)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Backward(g)
+			}
+		})
 	}
 }
 
@@ -112,18 +92,15 @@ func BenchmarkConvTranspose3DForward(b *testing.B) {
 			c.forwardSerial(x)
 		}
 	})
-	for _, e := range benchEngines() {
-		for _, w := range budgets() {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", e, w), func(b *testing.B) {
-				c := NewConvTranspose3D("c", benchIC, benchOC, 2, rand.New(rand.NewSource(2)))
-				c.SetConvEngine(e)
-				c.SetWorkers(w)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.Forward(x)
-				}
-			})
-		}
+	for _, w := range budgets() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			c := NewConvTranspose3D("c", benchIC, benchOC, 2, rand.New(rand.NewSource(2)))
+			c.SetWorkers(w)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Forward(x)
+			}
+		})
 	}
 }
 
@@ -143,19 +120,16 @@ func BenchmarkConvTranspose3DBackward(b *testing.B) {
 			c.backwardSerial(g)
 		}
 	})
-	for _, e := range benchEngines() {
-		for _, w := range budgets() {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", e, w), func(b *testing.B) {
-				c := NewConvTranspose3D("c", benchIC, benchOC, 2, rand.New(rand.NewSource(2)))
-				c.SetConvEngine(e)
-				c.SetWorkers(w)
-				c.Forward(x)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.Backward(g)
-				}
-			})
-		}
+	for _, w := range budgets() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			c := NewConvTranspose3D("c", benchIC, benchOC, 2, rand.New(rand.NewSource(2)))
+			c.SetWorkers(w)
+			c.Forward(x)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Backward(g)
+			}
+		})
 	}
 }
 
@@ -172,7 +146,6 @@ func BenchmarkConv3DBackwardWeights(b *testing.B) {
 	for _, w := range budgets() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
-			c.SetConvEngine(EngineGEMM)
 			c.SetWorkers(w)
 			c.Forward(x)
 			b.ReportAllocs()
@@ -193,7 +166,6 @@ func BenchmarkConv3DBackwardInput(b *testing.B) {
 	for _, w := range budgets() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
-			c.SetConvEngine(EngineGEMM)
 			c.SetWorkers(w)
 			c.Forward(x)
 			b.ReportAllocs()
@@ -205,14 +177,13 @@ func BenchmarkConv3DBackwardInput(b *testing.B) {
 }
 
 // BenchmarkConv3DInfer measures the forward into a pool-backed output (the
-// inference fast path); BenchmarkConv3DForward engine=gemm runs the same
-// kernel into a freshly allocated one.
+// inference fast path); BenchmarkConv3DForward runs the same kernel into a
+// freshly allocated one.
 func BenchmarkConv3DInfer(b *testing.B) {
 	x := benchInput(1, benchIC)
 	for _, w := range budgets() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
-			c.SetConvEngine(EngineGEMM)
 			c.SetWorkers(w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -222,24 +193,19 @@ func BenchmarkConv3DInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkConv3DHeadForward measures the 1×1×1 OC=1 sigmoid-head shape.
-// The direct engine partitions over (sample × out-channel × z-plane), so
-// even this OC=1 layer exposes batch×depth work items instead of capping at
-// batch-size workers; the GEMM engine splits its column blocks regardless.
+// BenchmarkConv3DHeadForward measures the 1×1×1 OC=1 sigmoid-head shape,
+// whose parallelism comes from column blocks alone.
 func BenchmarkConv3DHeadForward(b *testing.B) {
 	x := benchInput(1, benchIC)
-	for _, e := range benchEngines() {
-		for _, w := range budgets() {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", e, w), func(b *testing.B) {
-				c := NewConv3D("c", benchIC, 1, 1, rand.New(rand.NewSource(2)))
-				c.SetConvEngine(e)
-				c.SetWorkers(w)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.Forward(x)
-				}
-			})
-		}
+	for _, w := range budgets() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			c := NewConv3D("c", benchIC, 1, 1, rand.New(rand.NewSource(2)))
+			c.SetWorkers(w)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Forward(x)
+			}
+		})
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // ConvBNReLU is the body site of the paper's U-Net — a 3-D convolution, batch
 // normalization and ReLU — as one block that owns its buffers. It computes
 // exactly what the chain Conv3D → BatchNorm → ReLU computes, bit for bit (the
-// convolution goes through the same backend, the statistics through the same
-// BatchNorm code, every element through the helpers of elementwise.go), in
-// fewer passes over the activation and with nothing allocated per step:
+// convolution is a Conv3D, the statistics go through the same BatchNorm code,
+// every element through the helpers of elementwise.go), in fewer passes over
+// the activation and with nothing allocated per step:
 //
 //   - Training forward: the convolution writes z into a buffer the block
 //     keeps; after BatchNorm's two statistics passes, one pass overwrites z
@@ -63,9 +63,6 @@ func (b *ConvBNReLU) AuxState() map[string][]float64 { return b.BN.AuxState() }
 
 // SetTraining toggles batch statistics (true) vs running statistics (false).
 func (b *ConvBNReLU) SetTraining(training bool) { b.BN.SetTraining(training) }
-
-// SetConvEngine sets the convolution's engine.
-func (b *ConvBNReLU) SetConvEngine(e ConvEngine) { b.Conv.SetConvEngine(e) }
 
 // SetWorkers sets the worker budget of every pass.
 func (b *ConvBNReLU) SetWorkers(workers int) {

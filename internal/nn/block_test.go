@@ -67,21 +67,27 @@ var awkwardSites = []site{
 	{"k5", 2, 2, 5, 1, 4, 4, 6},
 }
 
-// chain is the oracle: the three standalone layers the block replaces.
+// chain is the oracle: the three standalone layers the block replaces. A
+// direct chain runs its convolution through the serial direct-loop reference
+// kernels (reference_test.go) instead of the GEMM passes, so the block must
+// follow it within the parity bounds rather than bit for bit.
 type chain struct {
-	conv *Conv3D
-	bn   *BatchNorm
-	relu *ReLU
+	conv    *Conv3D
+	bn      *BatchNorm
+	relu    *ReLU
+	direct  bool
+	workers int
 }
 
 // newPair builds a chain and a block with identical parameters and running
 // statistics, off their defaults so no pass is trivially the identity (γ
 // takes both signs, β shifts the ReLU's cut).
-func newPair(s site, engine ConvEngine, workers int) (*chain, *ConvBNReLU) {
+func newPair(s site, workers int) (*chain, *ConvBNReLU) {
 	c := &chain{
-		conv: NewConv3D("s", s.inC, s.outC, s.k, rand.New(rand.NewSource(11))),
-		bn:   NewBatchNorm("s", s.outC),
-		relu: NewReLU(),
+		conv:    NewConv3D("s", s.inC, s.outC, s.k, rand.New(rand.NewSource(11))),
+		bn:      NewBatchNorm("s", s.outC),
+		relu:    NewReLU(),
+		workers: workers,
 	}
 	b := NewConvBNReLU("s", s.inC, s.outC, s.k, rand.New(rand.NewSource(11)))
 	rng := rand.New(rand.NewSource(12))
@@ -94,8 +100,6 @@ func newPair(s site, engine ConvEngine, workers int) (*chain, *ConvBNReLU) {
 		c.bn.RunningMean[ci], b.BN.RunningMean[ci] = mean, mean
 		c.bn.RunningVar[ci], b.BN.RunningVar[ci] = variance, variance
 	}
-	c.conv.SetConvEngine(engine)
-	b.SetConvEngine(engine)
 	c.conv.SetWorkers(workers)
 	c.bn.SetWorkers(workers)
 	c.relu.SetWorkers(workers)
@@ -108,15 +112,85 @@ func (c *chain) params() []*Param { return append(c.conv.Params(), c.bn.Params()
 func (c *chain) setTraining(training bool) { c.bn.SetTraining(training) }
 
 func (c *chain) forward(x *tensor.Tensor) *tensor.Tensor {
-	return c.relu.Forward(c.bn.Forward(c.conv.Forward(x)))
+	var y *tensor.Tensor
+	if c.direct {
+		y = c.conv.forwardSerial(x)
+	} else {
+		y = c.conv.Forward(x)
+	}
+	return c.relu.Forward(c.bn.Forward(y))
 }
 
 func (c *chain) backward(g *tensor.Tensor) *tensor.Tensor {
-	return c.conv.Backward(c.bn.Backward(c.relu.Backward(g)))
+	gy := c.bn.Backward(c.relu.Backward(g))
+	if c.direct {
+		return c.conv.backwardSerial(gy)
+	}
+	return c.conv.Backward(gy)
 }
 
 func (c *chain) infer(x *tensor.Tensor) *tensor.Tensor {
+	if c.direct {
+		return c.relu.Infer(c.bn.Infer(c.conv.forwardSerial(x)))
+	}
 	return c.relu.Infer(c.bn.Infer(c.conv.Infer(x)))
+}
+
+// match asserts that the block's got follows the chain's want: bit for bit
+// against the GEMM chain, within assertWithinScaledULP against the direct
+// one.
+func (c *chain) match(t *testing.T, what string, want, got []float32, maxULP uint32) {
+	t.Helper()
+	if c.direct {
+		assertWithinScaledULP(t, what, c.workers, want, got, maxULP)
+		return
+	}
+	assertSameBits(t, what, want, got)
+}
+
+// assertWithinScaledULP is assertWithinULP with a second way to pass: a drift
+// of at most maxULP units in the last place of the tensor's largest
+// magnitude. The direct reference sums a bench_net site's thousands of
+// voxels one by one in float32, so an element that cancels to well below its
+// partial sums (a kernel gradient near zero, BatchNorm's bias gradient of
+// pure rounding noise) carries rounding error at the scale of the whole
+// tensor, not its own.
+func assertWithinScaledULP(t *testing.T, what string, workers int, want, got []float32, maxULP uint32) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s (workers=%d): length %d != %d", what, workers, len(got), len(want))
+	}
+	var scale float32
+	for _, v := range want {
+		scale = max(scale, float32(math.Abs(float64(v))))
+	}
+	bound := max(float64(maxULP)*float64(math.Nextafter32(scale, float32(math.Inf(1)))-scale), absFloor)
+	var worst float64
+	for i := range want {
+		diff := math.Abs(float64(want[i]) - float64(got[i]))
+		worst = max(worst, diff)
+		// The negated <= form fails on NaN too.
+		if ulpDiff(want[i], got[i]) > maxULP && !(diff <= bound) {
+			t.Fatalf("%s (workers=%d): element %d = %v, want %v (drift %.3g > %d ULP of %v)",
+				what, workers, i, got[i], want[i], diff, maxULP, scale)
+		}
+	}
+	t.Logf("%s (workers=%d): max drift %.3g (%.3g of the bound)", what, workers, worst, worst/bound)
+}
+
+// matchStats is match for the float64 running statistics, which the direct
+// chain is held to at float32 precision.
+func (c *chain) matchStats(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	if !c.direct {
+		assertSameFloat64s(t, what, want, got)
+		return
+	}
+	w32, g32 := make([]float32, len(want)), make([]float32, len(got))
+	for i := range want {
+		w32[i], g32[i] = float32(want[i]), float32(got[i])
+	}
+	assertWithinScaledULP(t, what, c.workers, w32, g32, forwardMaxULP)
 }
 
 // compareStep runs one training step — and, when forwardOnly is set too, one
@@ -134,16 +208,23 @@ func compareStep(t *testing.T, c *chain, b *ConvBNReLU, s site, n int, rng *rand
 	b.SetTraining(true)
 	want := c.forward(x)
 	got := b.Forward(x)
-	assertSameBits(t, "training output", want.Data(), got.Data())
-	assertSameBits(t, "x̂", c.bn.xhat.Data(), b.fwdXhat.Data())
+	c.match(t, "training output", want.Data(), got.Data(), forwardMaxULP)
+	c.match(t, "x̂", c.bn.xhat.Data(), b.fwdXhat.Data(), forwardMaxULP)
 	wantIn := c.backward(g)
 	gotIn := b.Backward(g.Clone()) // the block overwrites the gradient it is given
-	assertSameBits(t, "input gradient", wantIn.Data(), gotIn.Data())
+	c.match(t, "input gradient", wantIn.Data(), gotIn.Data(), backwardMaxULP)
 	for i, p := range c.params() {
-		assertSameBits(t, "gradient of "+p.Name, p.Grad.Data(), b.Params()[i].Grad.Data())
+		if c.direct && p == c.conv.B {
+			// BatchNorm makes the convolution bias's gradient zero in exact
+			// arithmetic: both sides hold only the rounding noise of a sum
+			// over every voxel, which has no reference value. The GEMM
+			// chain holds it to the bit.
+			continue
+		}
+		c.match(t, "gradient of "+p.Name, p.Grad.Data(), b.Params()[i].Grad.Data(), backwardMaxULP)
 	}
-	assertSameFloat64s(t, "running mean", c.bn.RunningMean, b.BN.RunningMean)
-	assertSameFloat64s(t, "running var", c.bn.RunningVar, b.BN.RunningVar)
+	c.matchStats(t, "running mean", c.bn.RunningMean, b.BN.RunningMean)
+	c.matchStats(t, "running var", c.bn.RunningVar, b.BN.RunningVar)
 	assertSameBits(t, "input after the step", xKeep.Data(), x.Data())
 	assertSameBits(t, "caller's gradient after the step", gKeep.Data(), g.Data())
 	if !forwardOnly {
@@ -152,28 +233,31 @@ func compareStep(t *testing.T, c *chain, b *ConvBNReLU, s site, n int, rng *rand
 
 	// Infer under the training flag is the evaluation-mode forward.
 	wantInfer, gotInfer := c.infer(x), b.Infer(x)
-	assertSameBits(t, "Infer", wantInfer.Data(), gotInfer.Data())
+	c.match(t, "Infer", wantInfer.Data(), gotInfer.Data(), forwardMaxULP)
 
 	c.setTraining(false)
 	b.SetTraining(false)
 	wantEval := c.forward(x)
-	assertSameBits(t, "evaluation output", wantEval.Data(), b.Forward(x).Data())
-	assertSameBits(t, "Infer vs evaluation Forward", wantEval.Data(), gotInfer.Data())
+	gotEval := b.Forward(x)
+	c.match(t, "evaluation output", wantEval.Data(), gotEval.Data(), forwardMaxULP)
+	assertSameBits(t, "Infer vs evaluation Forward", gotEval.Data(), gotInfer.Data())
 	tensor.Recycle(wantInfer)
 	tensor.Recycle(gotInfer)
 	assertSameBits(t, "input after the forward passes", xKeep.Data(), x.Data())
 }
 
-// TestBlockMatchesChain: the block against the chain, bit for bit, on the ten
-// bench_net sites and on awkward shapes, at 1/2/4 workers, under every
-// registered engine; at two workers a second training step reuses every
-// owned buffer, stale contents and all.
+// TestBlockMatchesChain: the block against the chain on the ten bench_net
+// sites and on awkward shapes, at 1/2/4 workers — bit for bit against the
+// GEMM chain, within the parity bounds against the direct one; at two
+// workers a second training step reuses every owned buffer, stale contents
+// and all.
 func TestBlockMatchesChain(t *testing.T) {
-	for name, engine := range parityEngines(t) {
+	for _, oracle := range []string{"gemm", "direct"} {
 		for _, workers := range []int{1, 2, 4} {
 			for _, s := range append(append([]site{}, benchNetSites...), awkwardSites...) {
-				t.Run(fmt.Sprintf("%s/w%d/%s", name, workers, s.name), func(t *testing.T) {
-					c, b := newPair(s, engine, workers)
+				t.Run(fmt.Sprintf("%s/w%d/%s", oracle, workers, s.name), func(t *testing.T) {
+					c, b := newPair(s, workers)
+					c.direct = oracle == "direct"
 					rng := rand.New(rand.NewSource(13))
 					compareStep(t, c, b, s, s.n, rng, true)
 					if workers == 2 {
@@ -186,12 +270,10 @@ func TestBlockMatchesChain(t *testing.T) {
 }
 
 // TestBlockGrowAndReslice: one block fed batch 1, then 3, then 2 grows its
-// buffers once and reslices them after, matching the chain at every size —
-// under the process-default engine, which CI's race matrix sets to each
-// registered one in turn.
+// buffers once and reslices them after, matching the chain at every size.
 func TestBlockGrowAndReslice(t *testing.T) {
 	s := site{"grow", 3, 4, 3, 0, 4, 5, 6}
-	c, b := newPair(s, EngineAuto, 2)
+	c, b := newPair(s, 2)
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range []int{1, 3, 2} {
 		compareStep(t, c, b, s, n, rng, true)
@@ -228,7 +310,7 @@ func TestBlockOwnedBuffersSteadyState(t *testing.T) {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector")
 	}
 	s := benchNetSites[1]
-	_, b := newPair(s, EngineGEMM, 1)
+	_, b := newPair(s, 1)
 	rng := rand.New(rand.NewSource(15))
 	x := randTensor(rng, s.n, s.inC, s.d, s.h, s.w)
 	g := randTensor(rng, s.n, s.outC, s.d, s.h, s.w)
@@ -253,7 +335,7 @@ func TestBlockOwnedBuffersSteadyState(t *testing.T) {
 // panics instead of reading stale buffers.
 func TestBlockBackwardNeedsTrainingForward(t *testing.T) {
 	s := awkwardSites[0]
-	_, b := newPair(s, EngineGEMM, 1)
+	_, b := newPair(s, 1)
 	rng := rand.New(rand.NewSource(16))
 	x := randTensor(rng, s.n, s.inC, s.d, s.h, s.w)
 	g := randTensor(rng, s.n, s.outC, s.d, s.h, s.w)

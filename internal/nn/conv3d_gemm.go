@@ -8,7 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// GEMM backend for Conv3D. A stride-1, same-padded convolution is a matrix
+// GEMM lowering of Conv3D. A stride-1, same-padded convolution is a matrix
 // product against the patch matrix P ([C·K³, D·H·W]) of each sample — row
 // (c, kz, ky, kx) is channel c shifted by that kernel tap, zero where the tap
 // leaves the volume — and all three passes are such products:
@@ -175,7 +175,7 @@ func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
 
 // forwardGEMMInto is the GEMM forward — training, evaluation and Infer alike
 // — into a caller-provided output tensor. Every element is written: the bias
-// first, as in the direct kernels, then the product accumulated onto it —
+// first, as in the direct reference, then the product accumulated onto it —
 // each column block seeded by the worker about to multiply into it.
 func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
 	n, ic, d, h, w := check5D("Conv3D", x)

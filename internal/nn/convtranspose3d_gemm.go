@@ -8,7 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// GEMM backend for ConvTranspose3D: because the kernel edge equals the
+// GEMM lowering of ConvTranspose3D: because the kernel edge equals the
 // stride, output windows never overlap, so the transposed convolution is a
 // matrix product whose column matrix sits on the output side. With W as the
 // [IC, OC·K³] matrix, x[n] as [IC, D·H·W] and Cols as [OC·K³, D·H·W] (one
@@ -80,10 +80,10 @@ func (c *ConvTranspose3D) forwardGEMMInto(x, out *tensor.Tensor) {
 }
 
 // backwardGEMMInto is the fused GEMM kernel- and input-gradient pass (the
-// bias pass is engine-invariant and runs in the layer before dispatch): the
-// output gradient is gathered into column form once and feeds both the
-// batched kernel-gradient product and the per-sample input-gradient GEMMs,
-// so the two paths stay fused on one gather.
+// bias pass runs in the layer before it): the output gradient is gathered
+// into column form once and feeds both the batched kernel-gradient product
+// and the per-sample input-gradient GEMMs, so the two paths stay fused on
+// one gather.
 func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	x := c.input
 	n, ic, d, h, w := check5D("ConvTranspose3D.Backward", x)
@@ -155,7 +155,7 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 
 // biasGradPass accumulates the bias gradient — the sum of gradOut per
 // output channel, samples in ascending order as in the serial reference —
-// with one owner per channel; shared by every backend.
+// with one owner per channel.
 func (c *ConvTranspose3D) biasGradPass(god []float32, n, outCh, workers int) {
 	oc := c.OutChannels
 	gbd := c.B.Grad.Data()

@@ -15,7 +15,6 @@ func TestConv3DHoldsNoScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mk := func() *Conv3D {
 		c := NewConv3D("c", 2, 3, 3, rand.New(rand.NewSource(7)))
-		c.SetConvEngine(EngineGEMM)
 		c.SetWorkers(1) // Gets and Puts are process-wide counters
 		return c
 	}
@@ -55,7 +54,6 @@ func TestConv3DHoldsNoScratch(t *testing.T) {
 func TestSequentialDropCachesReachesLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	conv := NewConv3D("c", 2, 2, 3, rng)
-	conv.SetConvEngine(EngineGEMM)
 	up := NewConvTranspose3D("u", 2, 2, 2, rng)
 	seq := NewSequential(conv, NewReLU(), up)
 

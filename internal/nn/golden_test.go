@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// convGolden holds FNV-1a hashes of what the gemm backend's Conv3D produces
+// convGolden holds FNV-1a hashes of what Conv3D produces
 // that must never move: the forward output (training Forward and Infer, which
 // are one code path and must hash alike) and the kernel and bias gradients.
 // They were captured at commit cdda719 — the parent of the patch-matrix-free
@@ -22,8 +22,8 @@ import (
 //
 // The input gradient is not pinned: it is one K = OC·K³ dot per element where
 // the parent scatter-added K³ separate K = OC dots, a different rounding
-// order. It is held to the direct reference by TestConvEngineParity and, here,
-// to being the same bits at every worker count.
+// order. It is held to the serial direct reference by TestConvParity and,
+// here, to being the same bits at every worker count.
 var convGolden = map[string]uint64{
 	"site 4->8 16^3":        0xd05e9f5fb289111b,
 	"site 8->8 16^3":        0x01261ff0b0249e2a,
@@ -94,7 +94,6 @@ func TestConvGoldenHash(t *testing.T) {
 			var gradIn1 []float32
 			for _, workers := range []int{1, 2, 4} {
 				c := NewConv3D("c", tc.inC, tc.outC, tc.k, rand.New(rand.NewSource(int64(77+i))))
-				c.SetConvEngine(EngineGEMM)
 				c.SetWorkers(workers)
 				out := c.Forward(x)
 				gradIn := c.Backward(gradOut)

@@ -116,7 +116,6 @@ func TestConvStepsAcrossShapeChange(t *testing.T) {
 	}
 	const inC, outC, k = 3, 4, 3
 	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(12)))
-	c.SetConvEngine(EngineGEMM)
 
 	for step, sh := range shapes {
 		rng := rand.New(rand.NewSource(int64(100 + step)))
@@ -124,7 +123,6 @@ func TestConvStepsAcrossShapeChange(t *testing.T) {
 		gradOut := randTensor(rng, sh.n, outC, sh.d, sh.h, sh.w)
 
 		fresh := NewConv3D("fresh", inC, outC, k, rand.New(rand.NewSource(12)))
-		fresh.SetConvEngine(EngineGEMM)
 
 		ZeroGrads(c.Params())
 		out := c.Forward(x)
@@ -135,35 +133,6 @@ func TestConvStepsAcrossShapeChange(t *testing.T) {
 		assertBitEqual(t, "forward after shape change", step, wantOut.Data(), out.Data())
 		assertBitEqual(t, "input grad after shape change", step, wantIn.Data(), in.Data())
 		assertBitEqual(t, "kernel grad after shape change", step, fresh.W.Grad.Data(), c.W.Grad.Data())
-	}
-}
-
-// TestBackwardAfterForeignForward switches the engine between Forward and
-// Backward — what the generated backend does on every step, running its own
-// forward kernel and delegating the backward passes to gemm. The gemm
-// backward works from the retained input alone, so its gradients must be the
-// very bits a gemm forward would have been followed by, whichever engine
-// ran the forward (and also after an Infer in between).
-func TestBackwardAfterForeignForward(t *testing.T) {
-	const inC, outC, k, n, d, h, w = 8, 8, 3, 2, 5, 4, 6 // a shape "generated" specializes
-	rng := rand.New(rand.NewSource(77))
-	x := randTensor(rng, n, inC, d, h, w)
-	gradOut := randTensor(rng, n, outC, d, h, w)
-
-	ref := NewConv3D("ref", inC, outC, k, rand.New(rand.NewSource(5)))
-	ref.SetConvEngine(EngineGEMM)
-	ref.Forward(x)
-	refIn := ref.Backward(gradOut)
-
-	for name, engine := range parityEngines(t) {
-		c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(5)))
-		c.SetConvEngine(engine)
-		c.Forward(x)
-		tensor.Recycle(c.Infer(randTensor(rng, 1, inC, 3, 3, 3)))
-		c.SetConvEngine(EngineGEMM)
-		in := c.Backward(gradOut)
-		assertBitEqual(t, "input grad after "+name+" forward", 0, refIn.Data(), in.Data())
-		assertBitEqual(t, "kernel grad after "+name+" forward", 0, ref.W.Grad.Data(), c.W.Grad.Data())
 	}
 }
 
@@ -178,12 +147,10 @@ func TestBackwardInputSeesUpdatedWeights(t *testing.T) {
 	gradOut := randTensor(rng, 2, outC, 4, 5, 4)
 
 	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(1)))
-	c.SetConvEngine(EngineGEMM)
 	c.Forward(x)
 	stale := c.Backward(gradOut)
 
 	updated := NewConv3D("updated", inC, outC, k, rand.New(rand.NewSource(2)))
-	updated.SetConvEngine(EngineGEMM)
 	c.W.Value.CopyFrom(updated.W.Value)
 
 	c.Forward(x)
@@ -213,7 +180,6 @@ func TestTrainingStepScratchSteadyStateConv(t *testing.T) {
 	x := randTensor(rng, n, inC, dim, dim, dim)
 	gradOut := randTensor(rng, n, outC, dim, dim, dim)
 	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(4)))
-	c.SetConvEngine(EngineGEMM)
 
 	step := func() {
 		ZeroGrads(c.Params())

@@ -42,8 +42,8 @@ type InferLayer interface {
 }
 
 // Infer computes the convolution of x without caching it for Backward; the
-// result is pool-backed and bit-for-bit identical to Forward's (the backend
-// runs the same forward kernel).
+// result is pool-backed and bit-for-bit identical to Forward's (one forward
+// kernel serves both).
 func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor { return c.apply(x, tensor.NewScratch) }
 
 // Infer upsamples x without caching it for Backward; the result is

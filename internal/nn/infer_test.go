@@ -11,9 +11,9 @@ import (
 // inferNet builds a small network exercising every layer type with an
 // inference fast path: conv, batch norm, ReLU, max pool, transposed conv
 // and the sigmoid head.
-func inferNet(engine ConvEngine) *Sequential {
+func inferNet() *Sequential {
 	rng := rand.New(rand.NewSource(11))
-	s := NewSequential(
+	return NewSequential(
 		NewConv3D("a", 2, 4, 3, rng),
 		NewBatchNorm("a", 4),
 		NewReLU(),
@@ -22,56 +22,51 @@ func inferNet(engine ConvEngine) *Sequential {
 		NewConv3D("b", 4, 1, 1, rng),
 		NewSigmoid(),
 	)
-	s.SetConvEngine(engine)
-	return s
 }
 
 // TestSequentialInferMatchesForward asserts the inference fast path is
-// bit-for-bit identical to an evaluation-mode Forward under both engines —
-// the property the serving layer's batched-vs-reference equality rests on.
+// bit-for-bit identical to an evaluation-mode Forward — the property the
+// serving layer's batched-vs-reference equality rests on.
 func TestSequentialInferMatchesForward(t *testing.T) {
-	for _, name := range ConvEngines() {
-		engine, _ := LookupConvEngine(name)
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(3))
-			x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
+	t.Run("gemm", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
 
-			fwd := inferNet(engine)
-			fwd.SetTraining(false)
-			// Perturb the running stats so eval mode is actually exercised.
-			for _, l := range fwd.Layers {
-				if bn, ok := l.(*BatchNorm); ok {
-					for i := range bn.RunningMean {
-						bn.RunningMean[i] = 0.1 * float64(i+1)
-						bn.RunningVar[i] = 1 + 0.05*float64(i)
-					}
+		fwd := inferNet()
+		fwd.SetTraining(false)
+		// Perturb the running stats so eval mode is actually exercised.
+		for _, l := range fwd.Layers {
+			if bn, ok := l.(*BatchNorm); ok {
+				for i := range bn.RunningMean {
+					bn.RunningMean[i] = 0.1 * float64(i+1)
+					bn.RunningVar[i] = 1 + 0.05*float64(i)
 				}
 			}
-			want := fwd.Forward(x)
+		}
+		want := fwd.Forward(x)
 
-			inf := inferNet(engine)
-			for _, l := range inf.Layers {
-				if bn, ok := l.(*BatchNorm); ok {
-					for i := range bn.RunningMean {
-						bn.RunningMean[i] = 0.1 * float64(i+1)
-						bn.RunningVar[i] = 1 + 0.05*float64(i)
-					}
+		inf := inferNet()
+		for _, l := range inf.Layers {
+			if bn, ok := l.(*BatchNorm); ok {
+				for i := range bn.RunningMean {
+					bn.RunningMean[i] = 0.1 * float64(i+1)
+					bn.RunningVar[i] = 1 + 0.05*float64(i)
 				}
 			}
-			got := inf.Infer(x)
+		}
+		got := inf.Infer(x)
 
-			wd, gd := want.Data(), got.Data()
-			if len(wd) != len(gd) {
-				t.Fatalf("size mismatch: %d vs %d", len(wd), len(gd))
+		wd, gd := want.Data(), got.Data()
+		if len(wd) != len(gd) {
+			t.Fatalf("size mismatch: %d vs %d", len(wd), len(gd))
+		}
+		for i := range wd {
+			if wd[i] != gd[i] {
+				t.Fatalf("element %d: Infer %v != Forward %v", i, gd[i], wd[i])
 			}
-			for i := range wd {
-				if wd[i] != gd[i] {
-					t.Fatalf("element %d: Infer %v != Forward %v", i, gd[i], wd[i])
-				}
-			}
-			tensor.Recycle(got)
-		})
-	}
+		}
+		tensor.Recycle(got)
+	})
 }
 
 // ablationNet builds the ablation-variant layer stack: InstanceNorm +
@@ -137,7 +132,7 @@ func TestSequentialInferScratchSteadyState(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	s := inferNet(EngineGEMM)
+	s := inferNet()
 	rng := rand.New(rand.NewSource(4))
 	x := tensor.Randn(rng, 0, 1, 1, 2, 8, 8, 8)
 

@@ -17,12 +17,12 @@
 // first rule: it owns its buffers itself and its Backward overwrites the
 // gradient it is given (see block.go).
 //
-// The convolution layers compute through the conv-backend registry (see
-// backend.go): backends register under a name (Register), dispatch is per
-// layer shape with a guaranteed requested → gemm → direct fallback chain,
-// and the ConvEngine type, ParseConvEngine and REPRO_CONV_ENGINE are thin
-// views over the registry. internal/nn/generated registers the
-// shape-specialized kernels emitted by cmd/kernelgen.
+// The convolution layers have one implementation each, lowered to blocked
+// GEMMs from internal/gemm (conv3d_gemm.go, convtranspose3d_gemm.go); Conv3D
+// packs its operands straight from the activation and never builds a patch
+// matrix. Every layer is bit-for-bit independent of its worker budget; the
+// convolutions match the single-threaded direct-loop reference kept in the
+// tests within a documented ULP bound.
 package nn
 
 import (
@@ -81,11 +81,6 @@ type workerBudget struct {
 
 // SetWorkers sets the layer's worker budget; 0 restores the global default.
 func (w *workerBudget) SetWorkers(workers int) { w.workers = workers }
-
-// Workers returns the layer's raw worker budget (0 = global default) —
-// external conv backends pass it to parallel.ForWorkers exactly as the
-// built-in kernels do.
-func (w *workerBudget) Workers() int { return w.workers }
 
 // allocFunc is where a kernel's output tensor comes from: tensor.New (a
 // fresh tensor — Forward and Backward), tensor.NewScratch (the scratch pool —
@@ -183,16 +178,6 @@ func (s *Sequential) DropCaches() {
 	for _, l := range s.Layers {
 		if c, ok := l.(CacheDropper); ok {
 			c.DropCaches()
-		}
-	}
-}
-
-// SetConvEngine forwards the convolution-engine choice to every layer with
-// switchable kernels.
-func (s *Sequential) SetConvEngine(e ConvEngine) {
-	for _, l := range s.Layers {
-		if c, ok := l.(ConvEngineSetter); ok {
-			c.SetConvEngine(e)
 		}
 	}
 }

@@ -24,72 +24,6 @@ func randTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
 
 var equalityWorkerCounts = []int{1, 2, 3, 7, 16}
 
-// TestConv3DParallelMatchesSerial checks the parallel forward and backward
-// kernels are bit-for-bit identical to the serial reference for every worker
-// budget, including the 1x1x1 head-convolution configuration.
-func TestConv3DParallelMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name         string
-		inC, outC, k int
-		n, d, h, w   int
-	}{
-		{"body3x3x3", 3, 5, 3, 2, 6, 5, 7},
-		{"head1x1x1", 4, 1, 1, 2, 4, 4, 4},
-		{"wide", 2, 8, 3, 1, 8, 8, 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			x := randTensor(rng, tc.n, tc.inC, tc.d, tc.h, tc.w)
-			gradOut := randTensor(rng, tc.n, tc.outC, tc.d, tc.h, tc.w)
-
-			ref := NewConv3D("ref", tc.inC, tc.outC, tc.k, rand.New(rand.NewSource(7)))
-			refOut := ref.forwardSerial(x)
-			refIn := ref.backwardSerial(gradOut)
-
-			for _, workers := range equalityWorkerCounts {
-				par := NewConv3D("par", tc.inC, tc.outC, tc.k, rand.New(rand.NewSource(7)))
-				par.SetConvEngine(EngineDirect)
-				par.SetWorkers(workers)
-				parOut := par.Forward(x)
-				assertBitEqual(t, "forward output", workers, refOut.Data(), parOut.Data())
-				parIn := par.Backward(gradOut)
-				assertBitEqual(t, "input gradient", workers, refIn.Data(), parIn.Data())
-				assertBitEqual(t, "kernel gradient", workers, ref.W.Grad.Data(), par.W.Grad.Data())
-				assertBitEqual(t, "bias gradient", workers, ref.B.Grad.Data(), par.B.Grad.Data())
-			}
-		})
-	}
-}
-
-// TestConvTranspose3DParallelMatchesSerial is the transposed-convolution
-// analogue of TestConv3DParallelMatchesSerial.
-func TestConvTranspose3DParallelMatchesSerial(t *testing.T) {
-	const (
-		inC, outC, k = 6, 3, 2
-		n, d, h, w   = 2, 3, 4, 5
-	)
-	rng := rand.New(rand.NewSource(11))
-	x := randTensor(rng, n, inC, d, h, w)
-	gradOut := randTensor(rng, n, outC, d*k, h*k, w*k)
-
-	ref := NewConvTranspose3D("ref", inC, outC, k, rand.New(rand.NewSource(5)))
-	refOut := ref.forwardSerial(x)
-	refIn := ref.backwardSerial(gradOut)
-
-	for _, workers := range equalityWorkerCounts {
-		par := NewConvTranspose3D("par", inC, outC, k, rand.New(rand.NewSource(5)))
-		par.SetConvEngine(EngineDirect)
-		par.SetWorkers(workers)
-		parOut := par.Forward(x)
-		assertBitEqual(t, "forward output", workers, refOut.Data(), parOut.Data())
-		parIn := par.Backward(gradOut)
-		assertBitEqual(t, "input gradient", workers, refIn.Data(), parIn.Data())
-		assertBitEqual(t, "kernel gradient", workers, ref.W.Grad.Data(), par.W.Grad.Data())
-		assertBitEqual(t, "bias gradient", workers, ref.B.Grad.Data(), par.B.Grad.Data())
-	}
-}
-
 // TestLayersWorkerCountInvariant checks that for every parallel layer the
 // results are bit-for-bit independent of the worker budget (budget 1 is the
 // deterministic baseline the others must reproduce).
@@ -137,12 +71,11 @@ func TestLayersWorkerCountInvariant(t *testing.T) {
 // TestUNetWorkerCountInvariant trains one forward/backward through the full
 // network under different budgets and demands bitwise-identical results —
 // the property that keeps mirrored replicas synchronized when the budget
-// changes between runs. Both convolution engines must hold it: the direct
-// engine by serial-order accumulation, the GEMM engine by single-owner
-// column blocks with a budget-independent K order.
+// changes between runs. The GEMM convolutions hold it by single-owner column
+// blocks with a budget-independent K order.
 func TestUNetWorkerCountInvariant(t *testing.T) {
 	t.Parallel()
-	build := func(workers int, engine ConvEngine) ([]float32, [][]float32) {
+	build := func(workers int) ([]float32, [][]float32) {
 		// Local import cycle avoidance: construct via the layers directly.
 		rng := rand.New(rand.NewSource(2))
 		conv1 := NewConv3D("c1", 2, 4, 3, rng)
@@ -154,31 +87,26 @@ func TestUNetWorkerCountInvariant(t *testing.T) {
 		act := NewSigmoid()
 		seq := NewSequential(conv1, bn, relu, pool, up, head, act)
 		seq.SetWorkers(workers)
-		seq.SetConvEngine(engine)
 
 		x := randTensor(rand.New(rand.NewSource(4)), 2, 2, 8, 8, 8)
 		out := seq.Forward(x)
-		g := seq.Backward(randTensor(rand.New(rand.NewSource(6)), 2, 1, 8, 8, 8))
-		_ = g
+		seq.Backward(randTensor(rand.New(rand.NewSource(6)), 2, 1, 8, 8, 8))
 		var grads [][]float32
 		for _, p := range seq.Params() {
 			grads = append(grads, append([]float32(nil), p.Grad.Data()...))
 		}
 		return append([]float32(nil), out.Data()...), grads
 	}
-	for _, name := range ConvEngines() {
-		engine, _ := LookupConvEngine(name)
-		t.Run(name, func(t *testing.T) {
-			refOut, refGrads := build(1, engine)
-			for _, workers := range []int{2, 5} {
-				out, grads := build(workers, engine)
-				assertBitEqual(t, "network output", workers, refOut, out)
-				for i := range grads {
-					assertBitEqual(t, "parameter gradient", workers, refGrads[i], grads[i])
-				}
+	t.Run("gemm", func(t *testing.T) {
+		refOut, refGrads := build(1)
+		for _, workers := range []int{2, 5} {
+			out, grads := build(workers)
+			assertBitEqual(t, "network output", workers, refOut, out)
+			for i := range grads {
+				assertBitEqual(t, "parameter gradient", workers, refGrads[i], grads[i])
 			}
-		})
-	}
+		}
+	})
 }
 
 func assertBitEqual(t *testing.T, what string, workers int, want, got []float32) {
@@ -193,18 +121,19 @@ func assertBitEqual(t *testing.T, what string, workers int, want, got []float32)
 	}
 }
 
-// TestConvWorkerBudgetDefault checks that a zero budget follows the global
-// parallel default dynamically.
+// TestConvWorkerBudgetDefault checks that a zero budget, which follows the
+// global parallel default at call time, computes the bits an explicit budget
+// of that size does.
 func TestConvWorkerBudgetDefault(t *testing.T) {
 	orig := parallel.DefaultWorkers()
 	defer parallel.SetDefaultWorkers(orig)
 	parallel.SetDefaultWorkers(3)
 
-	rng := rand.New(rand.NewSource(1))
-	c := NewConv3D("c", 2, 2, 3, rng)
-	c.SetConvEngine(EngineDirect)
 	x := randTensor(rand.New(rand.NewSource(2)), 1, 2, 4, 4, 4)
-	refOut := c.forwardSerial(x)
+	ref := NewConv3D("ref", 2, 2, 3, rand.New(rand.NewSource(1)))
+	ref.SetWorkers(3)
+	refOut := ref.Forward(x)
+	c := NewConv3D("c", 2, 2, 3, rand.New(rand.NewSource(1)))
 	out := c.Forward(x) // budget 0 → global default (3 workers)
 	assertBitEqual(t, "forward output under global default", 3, refOut.Data(), out.Data())
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/augment"
-	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/unet"
 )
@@ -48,70 +47,61 @@ func fingerprintModel(m *unet.UNet) uint64 {
 // fixed seeds, captured from the pre-train.Session implementation (the
 // bespoke epoch loop this package used before the unified orchestration
 // API). The refactored adapter must reproduce every bit: final model
-// fingerprint, mean loss and validation Dice. Values are engine-specific
-// (the two conv engines round differently) and worker-count invariant. The
-// two gemm rows were re-captured when that engine's input gradient became one
-// K = OC·K³ dot per element instead of K³ scatter-added K = OC dots — the
-// same sum in another order (loss moved in the 9th digit); the direct rows
-// have never moved.
+// fingerprint, mean loss and validation Dice. Values are worker-count
+// invariant. The two rows were re-captured when the convolution's input
+// gradient became one K = OC·K³ dot per element instead of K³ scatter-added
+// K = OC dots — the same sum in another order (loss moved in the 9th digit).
 func TestGoldenFitBitIdentical(t *testing.T) {
 	type golden struct {
 		params     uint64
 		loss, dice uint64
 	}
 	want := map[string]golden{
-		"gemm/seq-sgd":         {params: 0xcdd4b6723c6f87ba, loss: 0x3febeeebd820f6a3, dice: 0x3fb587f45d834805},
-		"gemm/mirrored-adam":   {params: 0x1f020f7a89b5527f, loss: 0x3febda3f3e217482, dice: 0x3fb71c4a85dd7fa8},
-		"direct/seq-sgd":       {params: 0x893ef7dcdc0af864, loss: 0x3febeeebd9ee2a58, dice: 0x3fb587f45d834805},
-		"direct/mirrored-adam": {params: 0xe8614fe17048a09, loss: 0x3febda3f3dc84743, dice: 0x3fb706012b66b48a},
+		"gemm/seq-sgd":       {params: 0xcdd4b6723c6f87ba, loss: 0x3febeeebd820f6a3, dice: 0x3fb587f45d834805},
+		"gemm/mirrored-adam": {params: 0x1f020f7a89b5527f, loss: 0x3febda3f3e217482, dice: 0x3fb71c4a85dd7fa8},
 	}
 
 	print := os.Getenv("REPRO_GOLDEN_PRINT") != ""
-	engines := map[string]nn.ConvEngine{"gemm": nn.EngineGEMM, "direct": nn.EngineDirect}
-	for _, ename := range []string{"gemm", "direct"} {
-		engine := engines[ename]
-		for _, variant := range []string{"seq-sgd", "mirrored-adam"} {
-			key := ename + "/" + variant
-			t.Run(key, func(t *testing.T) {
-				var cfg Config
-				switch variant {
-				case "seq-sgd":
-					cfg = testConfig(t, 1)
-				case "mirrored-adam":
-					cfg = testConfig(t, 2)
-					cfg.Optimizer = "adam"
-					cfg.BaseLR = 0.002
-					cfg.CyclicLR = optim.NewCyclicLR(0.001, 0.009, 2)
-					aug, err := augment.ByName("flip", cfg.Seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Augment = aug
-				}
-				cfg.Net.Engine = engine
-				tr, err := New(cfg)
+	for _, variant := range []string{"seq-sgd", "mirrored-adam"} {
+		key := "gemm/" + variant
+		t.Run(key, func(t *testing.T) {
+			var cfg Config
+			switch variant {
+			case "seq-sgd":
+				cfg = testConfig(t, 1)
+			case "mirrored-adam":
+				cfg = testConfig(t, 2)
+				cfg.Optimizer = "adam"
+				cfg.BaseLR = 0.002
+				cfg.CyclicLR = optim.NewCyclicLR(0.001, 0.009, 2)
+				aug, err := augment.ByName("flip", cfg.Seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				last, err := tr.Fit(samples(t, 8), samples(t, 2), 2, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := golden{
-					params: fingerprintModel(tr.Model()),
-					loss:   math.Float64bits(last.MeanLoss),
-					dice:   math.Float64bits(last.ValDice),
-				}
-				if print {
-					fmt.Printf("GOLDEN %q: {params: %#x, loss: %#x, dice: %#x},\n", key, got.params, got.loss, got.dice)
-					return
-				}
-				w := want[key]
-				if got != w {
-					t.Fatalf("golden mismatch for %s:\n got  {params: %#x, loss: %#x, dice: %#x}\n want {params: %#x, loss: %#x, dice: %#x}",
-						key, got.params, got.loss, got.dice, w.params, w.loss, w.dice)
-				}
-			})
-		}
+				cfg.Augment = aug
+			}
+			tr, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last, err := tr.Fit(samples(t, 8), samples(t, 2), 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := golden{
+				params: fingerprintModel(tr.Model()),
+				loss:   math.Float64bits(last.MeanLoss),
+				dice:   math.Float64bits(last.ValDice),
+			}
+			if print {
+				fmt.Printf("GOLDEN %q: {params: %#x, loss: %#x, dice: %#x},\n", key, got.params, got.loss, got.dice)
+				return
+			}
+			w := want[key]
+			if got != w {
+				t.Fatalf("golden mismatch for %s:\n got  {params: %#x, loss: %#x, dice: %#x}\n want {params: %#x, loss: %#x, dice: %#x}",
+					key, got.params, got.loss, got.dice, w.params, w.loss, w.dice)
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Scratch buffers.
 //
-// The convolution engines need large transient float32 buffers on every
+// The convolution layers need large transient float32 buffers on every
 // layer invocation: zero-haloed activation copies, gradient columns, and the
 // per-worker packing panels inside the GEMM. Allocating them per call churns
 // the allocator at tens of megabytes per training step, so the package keeps

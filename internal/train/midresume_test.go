@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/nn"
 )
 
 var errCrash = errors.New("simulated crash")
@@ -34,11 +32,9 @@ func (c *crashAtStep) OnStepEnd(s *Session, step int, loss float64) error {
 // a crash on an epoch's final step (cursor at the epoch boundary).
 func TestMidEpochResumeBitIdentical(t *testing.T) {
 	const totalEpochs = 3 // 4 steps per epoch: 8 samples / global batch 2
-	strategies := map[string]func(*testing.T, nn.ConvEngine, string, int) Strategy{
-		"single": func(t *testing.T, e nn.ConvEngine, o string, w int) Strategy { return singleStrategy(t, e, o, w) },
-		"mirrored": func(t *testing.T, e nn.ConvEngine, o string, w int) Strategy {
-			return mirroredStrategy(t, e, o, w)
-		},
+	strategies := map[string]func(*testing.T, string, int) Strategy{
+		"single":   singleStrategy,
+		"mirrored": mirroredStrategy,
 	}
 	crashes := map[string]int{
 		"mid-epoch":      5, // step 5 = second step of epoch 1
@@ -49,7 +45,7 @@ func TestMidEpochResumeBitIdentical(t *testing.T) {
 			t.Run(sname+"/"+cname, func(t *testing.T) {
 				trainSet, val := samples(t, 8), samples(t, 2)
 
-				straight := build(t, nn.EngineGEMM, "adam", 1)
+				straight := build(t, "adam", 1)
 				sess, err := NewSession(Config{Strategy: straight, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3})
 				if err != nil {
 					t.Fatal(err)
@@ -67,7 +63,7 @@ func TestMidEpochResumeBitIdentical(t *testing.T) {
 
 				// Crashing run: checkpoint after every step, die mid-epoch.
 				path := filepath.Join(t.TempDir(), "session.ckpt")
-				first := build(t, nn.EngineGEMM, "adam", 1)
+				first := build(t, "adam", 1)
 				sess1, err := NewSession(Config{
 					Strategy: first, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3,
 					Callbacks: []Callback{
@@ -83,7 +79,7 @@ func TestMidEpochResumeBitIdentical(t *testing.T) {
 				}
 
 				// Resume in a fresh process stand-in.
-				second := build(t, nn.EngineGEMM, "adam", 1)
+				second := build(t, "adam", 1)
 				sess2, err := NewSession(Config{Strategy: second, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3})
 				if err != nil {
 					t.Fatal(err)
@@ -130,7 +126,7 @@ func TestMidEpochResumeBitIdentical(t *testing.T) {
 // a truncated epoch.
 func TestMidEpochCursorBeyondDataset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.ckpt")
-	strat := singleStrategy(t, nn.EngineGEMM, "adam", 1)
+	strat := singleStrategy(t, "adam", 1)
 	sess1, err := NewSession(Config{
 		Strategy: strat, Epochs: 2, GlobalBatch: 2, Seed: 3,
 		Callbacks: []Callback{
@@ -147,7 +143,7 @@ func TestMidEpochCursorBeyondDataset(t *testing.T) {
 
 	// Resume against a smaller dataset: epoch 1's cursor (2 steps) now
 	// exceeds its batch count (1 batch of 2 from 3 samples).
-	second := singleStrategy(t, nn.EngineGEMM, "adam", 1)
+	second := singleStrategy(t, "adam", 1)
 	sess2, err := NewSession(Config{Strategy: second, Epochs: 2, GlobalBatch: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

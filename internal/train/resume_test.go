@@ -4,8 +4,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/nn"
 )
 
 // stopAfter requests a stop once the given number of epochs completed —
@@ -25,107 +23,102 @@ func (c *stopAfter) OnEpochEnd(s *Session, stats EpochStats) error {
 // TestResumeBitIdentical is the acceptance test for session-state
 // persistence: training N epochs straight must equal checkpoint-at-k +
 // resume parameter-for-parameter (and optimizer-moment-for-moment), under
-// both conv engines, multiple worker budgets and both strategies, with the
-// stateful Adam optimizer and momentum SGD.
+// multiple worker budgets and both strategies, with the stateful Adam
+// optimizer and momentum SGD.
 func TestResumeBitIdentical(t *testing.T) {
 	const totalEpochs, stopAt = 4, 2
-	engines := map[string]nn.ConvEngine{"gemm": nn.EngineGEMM, "direct": nn.EngineDirect}
-	strategies := map[string]func(*testing.T, nn.ConvEngine, string, int) Strategy{
-		"single": func(t *testing.T, e nn.ConvEngine, o string, w int) Strategy { return singleStrategy(t, e, o, w) },
-		"mirrored": func(t *testing.T, e nn.ConvEngine, o string, w int) Strategy {
-			return mirroredStrategy(t, e, o, w)
-		},
+	strategies := map[string]func(*testing.T, string, int) Strategy{
+		"single":   singleStrategy,
+		"mirrored": mirroredStrategy,
 	}
-	for _, ename := range []string{"gemm", "direct"} {
-		for _, sname := range []string{"single", "mirrored"} {
-			for _, optimizer := range []string{"adam", "sgd"} {
-				for _, workers := range []int{1, 3} {
-					name := ename + "/" + sname + "/" + optimizer + "/w" + string(rune('0'+workers))
-					t.Run(name, func(t *testing.T) {
-						build := func(w int) Strategy { return strategies[sname](t, engines[ename], optimizer, w) }
-						trainSet, val := samples(t, 4), samples(t, 2)
+	for _, sname := range []string{"single", "mirrored"} {
+		for _, optimizer := range []string{"adam", "sgd"} {
+			for _, workers := range []int{1, 3} {
+				name := "gemm/" + sname + "/" + optimizer + "/w" + string(rune('0'+workers))
+				t.Run(name, func(t *testing.T) {
+					build := func(w int) Strategy { return strategies[sname](t, optimizer, w) }
+					trainSet, val := samples(t, 4), samples(t, 2)
 
-						// Straight run: totalEpochs without interruption.
-						straight := build(workers)
-						sess, err := NewSession(Config{Strategy: straight, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3})
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantLast, err := sess.Fit(trainSet, val)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantFP := fingerprint(straight.Model())
-						wantOpt, err := straight.ExportOptimState()
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantHist := sess.History()
+					// Straight run: totalEpochs without interruption.
+					straight := build(workers)
+					sess, err := NewSession(Config{Strategy: straight, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantLast, err := sess.Fit(trainSet, val)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantFP := fingerprint(straight.Model())
+					wantOpt, err := straight.ExportOptimState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantHist := sess.History()
 
-						// Interrupted run: checkpoint every epoch, stop at stopAt.
-						path := filepath.Join(t.TempDir(), "session.ckpt")
-						first := build(workers)
-						sess1, err := NewSession(Config{
-							Strategy: first, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3,
-							Callbacks: []Callback{
-								&PeriodicCheckpoint{Path: path, Every: 1},
-								&stopAfter{epochs: stopAt},
-							},
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := sess1.Fit(trainSet, val); err != nil {
-							t.Fatal(err)
-						}
-						if sess1.Epoch() != stopAt {
-							t.Fatalf("interrupted run completed %d epochs, want %d", sess1.Epoch(), stopAt)
-						}
-
-						// Resume in a fresh process stand-in: new strategy (fresh
-						// weights and optimizer), possibly a different worker
-						// budget — results are worker-count invariant.
-						resumeWorkers := workers
-						if sname == "single" {
-							resumeWorkers = workers%3 + 1 // resume under a different budget
-						}
-						second := build(resumeWorkers)
-						sess2, err := NewSession(Config{Strategy: second, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := sess2.LoadCheckpointFile(path); err != nil {
-							t.Fatal(err)
-						}
-						if sess2.Epoch() != stopAt {
-							t.Fatalf("restored cursor %d, want %d", sess2.Epoch(), stopAt)
-						}
-						gotLast, err := sess2.Fit(trainSet, val)
-						if err != nil {
-							t.Fatal(err)
-						}
-
-						if got := fingerprint(second.Model()); got != wantFP {
-							t.Fatalf("resumed parameters diverge: %#x, want %#x", got, wantFP)
-						}
-						if !second.InSync() {
-							t.Fatal("resumed replicas out of sync")
-						}
-						gotOpt, err := second.ExportOptimState()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotOpt, wantOpt) {
-							t.Fatal("resumed optimizer state diverges from the straight run")
-						}
-						if *gotLast != *wantLast {
-							t.Fatalf("last stats %+v, want %+v", *gotLast, *wantLast)
-						}
-						if !reflect.DeepEqual(sess2.History(), wantHist) {
-							t.Fatalf("history %+v, want %+v", sess2.History(), wantHist)
-						}
+					// Interrupted run: checkpoint every epoch, stop at stopAt.
+					path := filepath.Join(t.TempDir(), "session.ckpt")
+					first := build(workers)
+					sess1, err := NewSession(Config{
+						Strategy: first, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3,
+						Callbacks: []Callback{
+							&PeriodicCheckpoint{Path: path, Every: 1},
+							&stopAfter{epochs: stopAt},
+						},
 					})
-				}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sess1.Fit(trainSet, val); err != nil {
+						t.Fatal(err)
+					}
+					if sess1.Epoch() != stopAt {
+						t.Fatalf("interrupted run completed %d epochs, want %d", sess1.Epoch(), stopAt)
+					}
+
+					// Resume in a fresh process stand-in: new strategy (fresh
+					// weights and optimizer), possibly a different worker
+					// budget — results are worker-count invariant.
+					resumeWorkers := workers
+					if sname == "single" {
+						resumeWorkers = workers%3 + 1 // resume under a different budget
+					}
+					second := build(resumeWorkers)
+					sess2, err := NewSession(Config{Strategy: second, Epochs: totalEpochs, GlobalBatch: 2, Seed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sess2.LoadCheckpointFile(path); err != nil {
+						t.Fatal(err)
+					}
+					if sess2.Epoch() != stopAt {
+						t.Fatalf("restored cursor %d, want %d", sess2.Epoch(), stopAt)
+					}
+					gotLast, err := sess2.Fit(trainSet, val)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if got := fingerprint(second.Model()); got != wantFP {
+						t.Fatalf("resumed parameters diverge: %#x, want %#x", got, wantFP)
+					}
+					if !second.InSync() {
+						t.Fatal("resumed replicas out of sync")
+					}
+					gotOpt, err := second.ExportOptimState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotOpt, wantOpt) {
+						t.Fatal("resumed optimizer state diverges from the straight run")
+					}
+					if *gotLast != *wantLast {
+						t.Fatalf("last stats %+v, want %+v", *gotLast, *wantLast)
+					}
+					if !reflect.DeepEqual(sess2.History(), wantHist) {
+						t.Fatalf("history %+v, want %+v", sess2.History(), wantHist)
+					}
+				})
 			}
 		}
 	}
@@ -138,7 +131,7 @@ func TestResumeOfFinishedSessionIsNoop(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 	trainSet, val := samples(t, 4), samples(t, 2)
 
-	first := singleStrategy(t, nn.EngineGEMM, "adam", 1)
+	first := singleStrategy(t, "adam", 1)
 	sess1, err := NewSession(Config{
 		Strategy: first, Epochs: 2, GlobalBatch: 2, Seed: 3,
 		Callbacks: []Callback{&PeriodicCheckpoint{Path: path, Every: 1}},
@@ -151,7 +144,7 @@ func TestResumeOfFinishedSessionIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second := singleStrategy(t, nn.EngineGEMM, "adam", 1)
+	second := singleStrategy(t, "adam", 1)
 	sess2, err := NewSession(Config{Strategy: second, Epochs: 2, GlobalBatch: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +170,7 @@ func TestResumeOfFinishedSessionIsNoop(t *testing.T) {
 func TestCursorSurvivesBeyondFloat32(t *testing.T) {
 	const bigStep = 1<<24 + 3 // not representable as float32
 	path := filepath.Join(t.TempDir(), "session.ckpt")
-	first := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	first := singleStrategy(t, "sgd", 1)
 	sess1, err := NewSession(Config{Strategy: first, Epochs: 1, GlobalBatch: 2, Seed: 3, InitialStep: bigStep})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +182,7 @@ func TestCursorSurvivesBeyondFloat32(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	second := singleStrategy(t, "sgd", 1)
 	sess2, err := NewSession(Config{Strategy: second, Epochs: 1, GlobalBatch: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +199,7 @@ func TestCursorSurvivesBeyondFloat32(t *testing.T) {
 // the metadata is missing or the cursor exceeds the session budget.
 func TestLoadCheckpointValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.ckpt")
-	strat := singleStrategy(t, nn.EngineGEMM, "adam", 1)
+	strat := singleStrategy(t, "adam", 1)
 	sess, err := NewSession(Config{
 		Strategy: strat, Epochs: 3, GlobalBatch: 2, Seed: 3,
 		Callbacks: []Callback{&PeriodicCheckpoint{Path: path, Every: 1}},
@@ -219,7 +212,7 @@ func TestLoadCheckpointValidation(t *testing.T) {
 	}
 
 	// A fresh session with a smaller budget than the checkpoint cursor.
-	short, err := NewSession(Config{Strategy: singleStrategy(t, nn.EngineGEMM, "adam", 1), Epochs: 1, GlobalBatch: 2, Seed: 3})
+	short, err := NewSession(Config{Strategy: singleStrategy(t, "adam", 1), Epochs: 1, GlobalBatch: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +221,7 @@ func TestLoadCheckpointValidation(t *testing.T) {
 	}
 
 	// A wrong-optimizer session must fail with a named error.
-	wrongOpt, err := NewSession(Config{Strategy: singleStrategy(t, nn.EngineGEMM, "sgd", 1), Epochs: 3, GlobalBatch: 2, Seed: 3})
+	wrongOpt, err := NewSession(Config{Strategy: singleStrategy(t, "sgd", 1), Epochs: 3, GlobalBatch: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +247,7 @@ func TestResumeFromParentLayoutCheckpoint(t *testing.T) {
 	)
 	trainSet, val := samples(t, 4), samples(t, 2)
 	for _, workers := range []int{1, 2} {
-		strat := singleStrategy(t, nn.EngineGEMM, "adam", workers)
+		strat := singleStrategy(t, "adam", workers)
 		sess, err := NewSession(Config{Strategy: strat, Epochs: 4, GlobalBatch: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ func TestRepeatedFitContinuesBitIdentical(t *testing.T) {
 				epochs = 2
 			}
 			sess, err := NewSession(Config{
-				Strategy:    singleStrategy(t, 0, optimizer, 1),
+				Strategy:    singleStrategy(t, optimizer, 1),
 				Epochs:      epochs,
 				GlobalBatch: 2,
 				Seed:        21,
@@ -64,7 +64,7 @@ func TestRepeatedFitContinuesBitIdentical(t *testing.T) {
 
 // TestExtendEpochsValidation rejects non-positive extensions.
 func TestExtendEpochsValidation(t *testing.T) {
-	sess, err := NewSession(Config{Strategy: singleStrategy(t, 0, "sgd", 1), Epochs: 1, GlobalBatch: 1})
+	sess, err := NewSession(Config{Strategy: singleStrategy(t, "sgd", 1), Epochs: 1, GlobalBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExtendEpochsValidation(t *testing.T) {
 // ClearStop, then trains again.
 func TestClearStopReleasesLatch(t *testing.T) {
 	train := samples(t, 2)
-	sess, err := NewSession(Config{Strategy: singleStrategy(t, 0, "sgd", 1), Epochs: 1, GlobalBatch: 1, Seed: 3})
+	sess, err := NewSession(Config{Strategy: singleStrategy(t, "sgd", 1), Epochs: 1, GlobalBatch: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,12 @@ import (
 
 	"repro/internal/mirrored"
 	"repro/internal/msd"
-	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
 
-func tinyNet(engine nn.ConvEngine) unet.Config {
+func tinyNet() unet.Config {
 	return unet.Config{
 		InChannels:  4,
 		OutChannels: 1,
@@ -25,7 +24,6 @@ func tinyNet(engine nn.ConvEngine) unet.Config {
 		Kernel:      3,
 		UpKernel:    2,
 		Seed:        5,
-		Engine:      engine,
 	}
 }
 
@@ -43,9 +41,9 @@ func samples(t *testing.T, n int) []*volume.Sample {
 	return out
 }
 
-func singleStrategy(t *testing.T, engine nn.ConvEngine, optimizer string, workers int) Strategy {
+func singleStrategy(t *testing.T, optimizer string, workers int) Strategy {
 	t.Helper()
-	cfg := tinyNet(engine)
+	cfg := tinyNet()
 	strat, err := NewSingle(SingleConfig{Net: cfg, Loss: "dice", Optimizer: optimizer, LR: 0.01, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +51,11 @@ func singleStrategy(t *testing.T, engine nn.ConvEngine, optimizer string, worker
 	return strat
 }
 
-func mirroredStrategy(t *testing.T, engine nn.ConvEngine, optimizer string, workers int) Strategy {
+func mirroredStrategy(t *testing.T, optimizer string, workers int) Strategy {
 	t.Helper()
 	strat, err := mirrored.New(mirrored.Config{
 		Replicas:  2,
-		Net:       tinyNet(engine),
+		Net:       tinyNet(),
 		Loss:      "dice",
 		Optimizer: optimizer,
 		BaseLR:    0.005,
@@ -101,7 +99,7 @@ func TestNewSessionValidation(t *testing.T) {
 	if _, err := NewSession(Config{Strategy: nil, Epochs: 1, GlobalBatch: 2}); err == nil {
 		t.Fatal("nil strategy must error")
 	}
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	if _, err := NewSession(Config{Strategy: strat, Epochs: -1, GlobalBatch: 2}); err == nil {
 		t.Fatal("negative epochs must error")
 	}
@@ -114,7 +112,7 @@ func TestNewSessionValidation(t *testing.T) {
 }
 
 func TestSessionFitRecordsHistory(t *testing.T) {
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	hist := &History{}
 	sess, err := NewSession(Config{Strategy: strat, Epochs: 3, GlobalBatch: 2, Seed: 1, Callbacks: []Callback{hist}})
 	if err != nil {
@@ -139,7 +137,7 @@ func TestSessionFitRecordsHistory(t *testing.T) {
 }
 
 func TestSessionCallbackOrderAndPhases(t *testing.T) {
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	var events []string
 	rec := &recorder{events: &events}
 	sess, err := NewSession(Config{Strategy: strat, Epochs: 1, GlobalBatch: 4, Seed: 1, Callbacks: []Callback{rec}})
@@ -192,7 +190,7 @@ func (r *recorder) OnEpochEnd(_ *Session, st EpochStats) error {
 func (r *recorder) OnTrainEnd(*Session) error { *r.events = append(*r.events, "train-end"); return nil }
 
 func TestEarlyStoppingStops(t *testing.T) {
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	// Patience 0 and an unreachable MinDelta force a stop after epoch 2
 	// (epoch 0 seeds best, epoch 1 fails to improve by 1.0).
 	es := &EarlyStopping{Patience: 0, MinDelta: 1.0}
@@ -212,7 +210,7 @@ func TestEarlyStoppingStops(t *testing.T) {
 }
 
 func TestLRScheduleFollowsCyclic(t *testing.T) {
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	sched := optim.NewCyclicLR(0.001, 0.009, 2)
 	sess, err := NewSession(Config{
 		Strategy: strat, Epochs: 2, GlobalBatch: 2, Seed: 1,
@@ -231,7 +229,7 @@ func TestLRScheduleFollowsCyclic(t *testing.T) {
 }
 
 func TestReportFuncStopsSession(t *testing.T) {
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	count := 0
 	sess, err := NewSession(Config{
 		Strategy: strat, Epochs: 10, GlobalBatch: 2, Seed: 1,
@@ -259,8 +257,8 @@ func TestCacheReleaseBitNeutral(t *testing.T) {
 		name string
 		mk   func(*testing.T) Strategy
 	}{
-		{"single", func(t *testing.T) Strategy { return singleStrategy(t, nn.EngineGEMM, "adam", 1) }},
-		{"mirrored", func(t *testing.T) Strategy { return mirroredStrategy(t, nn.EngineGEMM, "adam", 2) }},
+		{"single", func(t *testing.T) Strategy { return singleStrategy(t, "adam", 1) }},
+		{"mirrored", func(t *testing.T) Strategy { return mirroredStrategy(t, "adam", 2) }},
 	} {
 		t.Run(build.name, func(t *testing.T) {
 			run := func(cbs ...Callback) uint64 {
@@ -284,7 +282,7 @@ func TestCacheReleaseBitNeutral(t *testing.T) {
 }
 
 func TestSessionEmptyTrainErrors(t *testing.T) {
-	strat := singleStrategy(t, nn.EngineGEMM, "sgd", 1)
+	strat := singleStrategy(t, "sgd", 1)
 	sess, err := NewSession(Config{Strategy: strat, Epochs: 1, GlobalBatch: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

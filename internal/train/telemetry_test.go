@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/telemetry"
 )
 
@@ -19,7 +18,7 @@ func TestTelemetryCallback(t *testing.T) {
 	tr := telemetry.NewTracer(&sb, telemetry.TracerOptions{})
 	tel := NewTelemetry(reg, tr)
 
-	strat := singleStrategy(t, nn.EngineGEMM, "adam", 2)
+	strat := singleStrategy(t, "adam", 2)
 	sess, err := NewSession(Config{
 		Strategy:    strat,
 		Epochs:      2,

@@ -5,56 +5,52 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // TestDropCachesBitNeutralAcrossSteps: releasing everything the network
 // retains between two training steps — every owned buffer included — must
 // leave nothing behind, and the second step, which lays the buffers out
-// again, must not change a bit, under any conv engine.
+// again, must not change a bit.
 func TestDropCachesBitNeutralAcrossSteps(t *testing.T) {
-	for _, name := range nn.ConvEngines() {
-		engine, _ := nn.LookupConvEngine(name)
-		cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 2,
-			Kernel: 3, UpKernel: 2, Seed: 4, Engine: engine}
-		rng := rand.New(rand.NewSource(8))
-		x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
+	cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 2,
+		Kernel: 3, UpKernel: 2, Seed: 4}
+	rng := rand.New(rand.NewSource(8))
+	x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
 
-		step := func(u *UNet) *tensor.Tensor {
-			u.ZeroGrads()
-			out := u.Forward(x)
-			u.Backward(tensor.Randn(rand.New(rand.NewSource(9)), 0, 1, out.Shape()...))
-			return out
-		}
+	step := func(u *UNet) *tensor.Tensor {
+		u.ZeroGrads()
+		out := u.Forward(x)
+		u.Backward(tensor.Randn(rand.New(rand.NewSource(9)), 0, 1, out.Shape()...))
+		return out
+	}
 
-		ctrl := MustNew(cfg)
-		step(ctrl)
-		outC := step(ctrl)
+	ctrl := MustNew(cfg)
+	step(ctrl)
+	outC := step(ctrl)
 
-		sub := MustNew(cfg)
-		step(sub)
-		if retainedFloats(sub) == 0 {
-			t.Fatal("test is vacuous: a training step retained nothing")
-		}
-		sub.DropCaches()
-		if n := retainedFloats(sub); n != 0 {
-			t.Fatalf("engine %v: DropCaches left %d floats of activations and gradients reachable", engine, n)
-		}
-		outS := step(sub)
+	sub := MustNew(cfg)
+	step(sub)
+	if retainedFloats(sub) == 0 {
+		t.Fatal("test is vacuous: a training step retained nothing")
+	}
+	sub.DropCaches()
+	if n := retainedFloats(sub); n != 0 {
+		t.Fatalf("DropCaches left %d floats of activations and gradients reachable", n)
+	}
+	outS := step(sub)
 
-		for i, v := range outC.Data() {
-			if outS.Data()[i] != v {
-				t.Fatalf("engine %v: forward diverges after DropCaches", engine)
-			}
+	for i, v := range outC.Data() {
+		if outS.Data()[i] != v {
+			t.Fatal("forward diverges after DropCaches")
 		}
-		cp, sp := ctrl.Params(), sub.Params()
-		for i := range cp {
-			a, b := cp[i].Grad.Data(), sp[i].Grad.Data()
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("engine %v: gradient of %s diverges after DropCaches", engine, cp[i].Name)
-				}
+	}
+	cp, sp := ctrl.Params(), sub.Params()
+	for i := range cp {
+		a, b := cp[i].Grad.Data(), sp[i].Grad.Data()
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("gradient of %s diverges after DropCaches", cp[i].Name)
 			}
 		}
 	}
@@ -110,7 +106,7 @@ func retainedFloats(u *UNet) int {
 // or halo buffers between calls — so DropCaches has only references to drop.
 func TestTrainingStepHoldsNoScratch(t *testing.T) {
 	cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 2,
-		Kernel: 3, UpKernel: 2, Seed: 4, Engine: nn.EngineGEMM}
+		Kernel: 3, UpKernel: 2, Seed: 4}
 	u := MustNew(cfg)
 	rng := rand.New(rand.NewSource(8))
 	x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)

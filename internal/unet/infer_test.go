@@ -5,11 +5,10 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-func inferTestConfig(engine nn.ConvEngine) Config {
+func inferTestConfig() Config {
 	return Config{
 		InChannels:  2,
 		OutChannels: 1,
@@ -18,36 +17,32 @@ func inferTestConfig(engine nn.ConvEngine) Config {
 		Kernel:      3,
 		UpKernel:    2,
 		Seed:        1,
-		Engine:      engine,
 	}
 }
 
 // TestInferMatchesEvalForward asserts the inference fast path produces
-// bit-for-bit the evaluation-mode Forward output under both conv engines.
+// bit-for-bit the evaluation-mode Forward output.
 func TestInferMatchesEvalForward(t *testing.T) {
-	for _, name := range nn.ConvEngines() {
-		engine, _ := nn.LookupConvEngine(name)
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(2))
-			x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
+	t.Run("gemm", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
 
-			u := MustNew(inferTestConfig(engine))
-			// A training step first, so running stats diverge from their
-			// initial values and eval mode is meaningfully exercised.
-			u.Forward(x)
-			u.SetTraining(false)
-			want := u.Forward(x)
-			got := u.Infer(x)
+		u := MustNew(inferTestConfig())
+		// A training step first, so running stats diverge from their
+		// initial values and eval mode is meaningfully exercised.
+		u.Forward(x)
+		u.SetTraining(false)
+		want := u.Forward(x)
+		got := u.Infer(x)
 
-			wd, gd := want.Data(), got.Data()
-			for i := range wd {
-				if wd[i] != gd[i] {
-					t.Fatalf("element %d: Infer %v != eval Forward %v", i, gd[i], wd[i])
-				}
+		wd, gd := want.Data(), got.Data()
+		for i := range wd {
+			if wd[i] != gd[i] {
+				t.Fatalf("element %d: Infer %v != eval Forward %v", i, gd[i], wd[i])
 			}
-			tensor.Recycle(got)
-		})
-	}
+		}
+		tensor.Recycle(got)
+	})
 }
 
 // TestInferScratchSteadyState asserts a steady-state U-Net inference step
@@ -59,7 +54,7 @@ func TestInferScratchSteadyState(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	u := MustNew(inferTestConfig(nn.EngineGEMM))
+	u := MustNew(inferTestConfig())
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.Randn(rng, 0, 1, 1, 2, 8, 8, 8)
 
@@ -84,7 +79,7 @@ func TestInferScratchSteadyState(t *testing.T) {
 // single-sample results bit for bit. Cross-request micro-batching in the
 // serving layer relies on this.
 func TestInferBatchInvariant(t *testing.T) {
-	u := MustNew(inferTestConfig(nn.EngineGEMM))
+	u := MustNew(inferTestConfig())
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.Randn(rng, 0, 1, 1, 2, 4, 4, 4)
 	b := tensor.Randn(rng, 0, 1, 1, 2, 4, 4, 4)

@@ -77,11 +77,8 @@ func (c *chainNet) layers() []nn.Layer {
 	return append(ls, c.head)
 }
 
-func (c *chainNet) configure(engine nn.ConvEngine, workers int, training bool) {
+func (c *chainNet) configure(workers int, training bool) {
 	for _, l := range append(c.layers(), c.act) {
-		if e, ok := l.(nn.ConvEngineSetter); ok {
-			e.SetConvEngine(engine)
-		}
 		if w, ok := l.(nn.WorkerSetter); ok {
 			w.SetWorkers(workers)
 		}
@@ -138,54 +135,50 @@ func (c *chainNet) backward(gradOut *tensor.Tensor) {
 // TestBlockNetworkMatchesStandaloneLayers: the network on fused blocks and
 // owned buffers against the same wiring built from standalone layers — the
 // prediction, every parameter gradient and every running statistic bit for
-// bit, over two training steps and an evaluation pass, at 1/2/4 workers under
-// every registered engine.
+// bit, over two training steps and an evaluation pass, at 1/2/4 workers.
 func TestBlockNetworkMatchesStandaloneLayers(t *testing.T) {
-	for _, name := range nn.ConvEngines() {
-		engine, _ := nn.LookupConvEngine(name)
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 4, Steps: 3,
-					Kernel: 3, UpKernel: 2, Seed: 6, Engine: engine, Workers: workers}
-				u, ref := MustNew(cfg), newChainNet(cfg)
-				ref.configure(engine, workers, true)
-				rng := rand.New(rand.NewSource(7))
-				for step := 0; step < 2; step++ {
-					x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
-					g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
-					u.ZeroGrads()
-					nn.ZeroGrads(ref.params())
-					sameBits(t, "prediction", ref.forward(x).Data(), u.Forward(x).Data())
-					ref.backward(g)
-					u.Backward(g)
-					for i, p := range ref.params() {
-						if q := u.Params()[i]; q.Name != p.Name {
-							t.Fatalf("parameter %d is %s, want %s", i, q.Name, p.Name)
-						}
-						sameBits(t, "gradient of "+p.Name, p.Grad.Data(), u.Params()[i].Grad.Data())
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gemm/w%d", workers), func(t *testing.T) {
+			cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 4, Steps: 3,
+				Kernel: 3, UpKernel: 2, Seed: 6, Workers: workers}
+			u, ref := MustNew(cfg), newChainNet(cfg)
+			ref.configure(workers, true)
+			rng := rand.New(rand.NewSource(7))
+			for step := 0; step < 2; step++ {
+				x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
+				g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
+				u.ZeroGrads()
+				nn.ZeroGrads(ref.params())
+				sameBits(t, "prediction", ref.forward(x).Data(), u.Forward(x).Data())
+				ref.backward(g)
+				u.Backward(g)
+				for i, p := range ref.params() {
+					if q := u.Params()[i]; q.Name != p.Name {
+						t.Fatalf("parameter %d is %s, want %s", i, q.Name, p.Name)
+					}
+					sameBits(t, "gradient of "+p.Name, p.Grad.Data(), u.Params()[i].Grad.Data())
+				}
+			}
+			aux := u.AuxState()
+			for k, want := range ref.auxState() {
+				for i, v := range want {
+					if math.Float64bits(aux[k][i]) != math.Float64bits(v) {
+						t.Fatalf("%s[%d] = %v, want %v", k, i, aux[k][i], v)
 					}
 				}
-				aux := u.AuxState()
-				for k, want := range ref.auxState() {
-					for i, v := range want {
-						if math.Float64bits(aux[k][i]) != math.Float64bits(v) {
-							t.Fatalf("%s[%d] = %v, want %v", k, i, aux[k][i], v)
-						}
-					}
-				}
-				if len(aux) != len(ref.auxState()) {
-					t.Fatalf("%d auxiliary entries, want %d", len(aux), len(ref.auxState()))
-				}
-				x := tensor.Randn(rng, 0, 1, 3, 2, 8, 8, 8)
-				u.SetTraining(false)
-				ref.configure(engine, workers, false)
-				want := ref.forward(x)
-				sameBits(t, "evaluation prediction", want.Data(), u.Forward(x).Data())
-				got := u.Infer(x)
-				sameBits(t, "Infer", want.Data(), got.Data())
-				tensor.Recycle(got)
-			})
-		}
+			}
+			if len(aux) != len(ref.auxState()) {
+				t.Fatalf("%d auxiliary entries, want %d", len(aux), len(ref.auxState()))
+			}
+			x := tensor.Randn(rng, 0, 1, 3, 2, 8, 8, 8)
+			u.SetTraining(false)
+			ref.configure(workers, false)
+			want := ref.forward(x)
+			sameBits(t, "evaluation prediction", want.Data(), u.Forward(x).Data())
+			got := u.Infer(x)
+			sameBits(t, "Infer", want.Data(), got.Data())
+			tensor.Recycle(got)
+		})
 	}
 }
 
@@ -193,7 +186,7 @@ func TestBlockNetworkMatchesStandaloneLayers(t *testing.T) {
 // the caller's. The input and the output gradient are bitwise what they were
 // after a step, and a held prediction is not overwritten by the next Forward.
 func TestOwnedBuffersLeaveCallerTensorsAlone(t *testing.T) {
-	u := MustNew(inferTestConfig(nn.EngineGEMM))
+	u := MustNew(inferTestConfig())
 	rng := rand.New(rand.NewSource(21))
 	x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
 	g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
@@ -227,12 +220,12 @@ func TestOwnedBuffersInterleavedTrainAndInfer(t *testing.T) {
 	g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
 	probe := tensor.Randn(rng, 0, 1, 3, 2, 8, 8, 8)
 
-	apart := MustNew(inferTestConfig(nn.EngineGEMM))
+	apart := MustNew(inferTestConfig())
 	apart.Forward(x)
 	apart.Backward(g)
 	wantInfer := apart.Infer(probe)
 
-	mixed := MustNew(inferTestConfig(nn.EngineGEMM))
+	mixed := MustNew(inferTestConfig())
 	mixed.Forward(x)
 	gotInfer := mixed.Infer(probe)
 	mixed.Backward(g)
@@ -252,7 +245,7 @@ func TestOwnedBuffersAllocationGuard(t *testing.T) {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector")
 	}
 	cfg := PaperConfig()
-	cfg.Steps, cfg.Engine = 3, nn.EngineGEMM
+	cfg.Steps = 3
 	u := MustNew(cfg)
 	rng := rand.New(rand.NewSource(23))
 	x := tensor.Randn(rng, 0, 1, 2, 4, 16, 16, 16)

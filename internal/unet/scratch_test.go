@@ -5,12 +5,11 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // TestTrainingStepScratchSteadyState asserts the scratch-pool contract of
-// the GEMM convolution engine: after one warm-up step, a full U-Net
+// the GEMM convolutions: after one warm-up step, a full U-Net
 // forward/backward training step gets every halo copy, gradient column
 // buffer and GEMM packing panel from the pool — zero fresh scratch
 // allocations in steady state.
@@ -30,7 +29,6 @@ func TestTrainingStepScratchSteadyState(t *testing.T) {
 		Kernel:      3,
 		UpKernel:    2,
 		Seed:        1,
-		Engine:      nn.EngineGEMM,
 	})
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.Randn(rng, 0, 1, 1, 2, 8, 8, 8)

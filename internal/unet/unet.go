@@ -39,11 +39,6 @@ import (
 	"math/rand"
 
 	"repro/internal/nn"
-
-	// Register the "generated" conv backend: importing unet is how every
-	// binary that builds the paper network gets the shape-specialized
-	// kernels emitted by cmd/kernelgen into nn's backend registry.
-	_ "repro/internal/nn/generated"
 	"repro/internal/tensor"
 )
 
@@ -63,11 +58,6 @@ type Config struct {
 	// experiment-parallel trials) lower it so the machine is divided, not
 	// oversubscribed.
 	Workers int
-
-	// Engine selects the convolution compute engine for every Conv3D and
-	// ConvTranspose3D in the network; the zero value (nn.EngineAuto)
-	// follows the process default (REPRO_CONV_ENGINE, gemm when unset).
-	Engine nn.ConvEngine
 }
 
 // PaperConfig returns the configuration used in the paper's benchmark.
@@ -113,41 +103,6 @@ func (c Config) MinVolume() int {
 		v *= c.UpKernel
 	}
 	return v
-}
-
-// ConvShapes returns the distinct convolution-layer shapes of the network in
-// wiring order: the encoder body convolutions, the decoder up-convolutions
-// and reductions, and the head. This is the fixed shape table cmd/kernelgen
-// generates specialized kernels from — the paper's premise is that the
-// workload's layer shapes are known at build time.
-func (c Config) ConvShapes() []nn.ConvSpec {
-	var specs []nn.ConvSpec
-	seen := map[nn.ConvSpec]bool{}
-	add := func(s nn.ConvSpec) {
-		if !seen[s] {
-			seen[s] = true
-			specs = append(specs, s)
-		}
-	}
-	conv := func(inC, outC, k int) {
-		add(nn.ConvSpec{Kernel: k, Stride: 1, InC: inC, OutC: outC})
-	}
-	in := c.InChannels
-	for s := 1; s <= c.Steps; s++ {
-		f := c.Filters(s)
-		conv(in, f, c.Kernel)
-		conv(f, f, c.Kernel)
-		in = f
-	}
-	for s := c.Steps - 1; s >= 1; s-- {
-		fBelow := c.Filters(s + 1)
-		f := c.Filters(s)
-		add(nn.ConvSpec{Transposed: true, Kernel: c.UpKernel, Stride: c.UpKernel, InC: fBelow, OutC: fBelow})
-		conv(fBelow+f, f, c.Kernel)
-		conv(f, f, c.Kernel)
-	}
-	conv(c.BaseFilters, c.OutChannels, 1)
-	return specs
 }
 
 // encStep is one encoder resolution step: two body blocks and, above the
@@ -241,7 +196,6 @@ func New(cfg Config) (*UNet, error) {
 	u.head = nn.NewConv3D("head", cfg.BaseFilters, cfg.OutChannels, 1, rng)
 	u.act = nn.NewSigmoid()
 	u.SetWorkers(cfg.Workers)
-	u.SetConvEngine(cfg.Engine)
 
 	for _, e := range u.enc {
 		g := append(e.a.Params(), e.b.Params()...)
@@ -314,19 +268,6 @@ func (u *UNet) SetWorkers(workers int) {
 	}
 	u.head.SetWorkers(workers)
 	u.act.SetWorkers(workers)
-}
-
-// SetConvEngine sets the convolution engine on every Conv3D and
-// ConvTranspose3D layer; nn.EngineAuto restores the process default.
-func (u *UNet) SetConvEngine(e nn.ConvEngine) {
-	u.Cfg.Engine = e
-	for _, b := range u.blocks() {
-		b.SetConvEngine(e)
-	}
-	for _, d := range u.dec {
-		d.up.SetConvEngine(e)
-	}
-	u.head.SetConvEngine(e)
 }
 
 // SetTraining toggles training mode on every body block's batch

@@ -241,7 +241,7 @@ func TestDeeperConfigScales(t *testing.T) {
 	// The gradient reached the far end of the deeper network: the first
 	// block's kernel gradient is populated. (Backward no longer computes the
 	// input gradient; conv input gradients are pinned at layer level by
-	// nn.TestConvGoldenHash and nn.TestConvEngineParity.)
+	// nn.TestConvGoldenHash and nn.TestConvParity.)
 	if p := u.Params()[0]; p.Name != "enc1.a.w" || p.Grad.L2Norm() == 0 {
 		t.Fatalf("%s received no gradient", p.Name)
 	}
