@@ -5,11 +5,13 @@
 // The library lives under internal/: a float32 tensor engine with
 // zero-copy views and a pooled scratch-buffer allocator, the fork-join
 // worker pool, a cache-blocked register-tiled GEMM (an AVX2 assembly
-// microkernel on amd64, a bit-identical portable one elsewhere) with
-// pluggable panel packing and the 3D CNN layers on top of it (tensor,
-// parallel, gemm, nn — a convolution has one implementation, which never
-// builds a patch matrix: every pass packs the multiply's panels straight
-// from a zero-haloed copy of the activation, the input gradient is a
+// microkernel on amd64, a bit-identical portable one elsewhere) that reads
+// its B operand through offset tables and the 3D CNN layers on top of it
+// (tensor, parallel, gemm, nn — a convolution has one implementation, which
+// never builds a patch matrix: the microkernel reads it in place from a
+// zero-haloed copy of the activation, or packs its panels from there where
+// volume rows are not a multiple of 4 wide and for the kernel gradient, the
+// weights are packed once per call, the input gradient is a
 // forward convolution with the flipped kernel, and backward-weights reduces
 // per-sample partial products so its parallelism scales with the batch),
 // the paper's 3D U-Net (unet — one fused convolution → batch-norm →

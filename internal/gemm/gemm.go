@@ -1,16 +1,18 @@
 // Package gemm implements a cache-blocked, register-tiled float32 matrix
 // multiply — the compute core of the convolution engine.
 //
-// The kernel follows the classic BLIS/GotoBLAS decomposition: the operands
-// are repacked into contiguous panels (A into mr-row panels, B into nr-column
-// panels) so the innermost microkernel streams through memory linearly, K is
-// blocked into kcBlock-deep slices that keep a B panel resident in L2, and
-// the microkernel accumulates an mr×nr register tile of C and merges it into
-// C itself. On amd64 with AVX2 the microkernel is hand-written assembly
-// (kernel_amd64.s) holding the 4×16 tile in eight YMM registers; everywhere
-// else it is the portable kernelGo, which is also the oracle the assembly
-// is tested against. gemm.go names neither: each build supplies kernel,
-// copyRows and transposeRows (kernel_amd64.go, kernel_noasm.go).
+// The kernel follows the classic BLIS/GotoBLAS decomposition: K is blocked
+// into kcBlock-deep slices, op(A) is packed into mr-row panels, and the
+// microkernel accumulates an mr×nr register tile of C and merges it into C
+// itself. The microkernel reads its B panel through an offset table — K step
+// p, columns 4q..4q+3 are b[rows[p] + quads[q] :][:4] — so one kernel streams
+// both a B block packed into nr-column panels (rows[p] = p·nr, quads 0, 4, 8,
+// 12) and a matrix read in place where it lies. On amd64 with AVX2 the
+// microkernel is hand-written assembly (kernel_amd64.s) holding the 4×16
+// tile in eight YMM registers; everywhere else it is the portable kernelGo,
+// which is also the oracle the assembly is tested against. gemm.go names
+// neither: each build supplies kernel, copyRows, transposeRows and
+// gatherCols (kernel_amd64.go, kernel_noasm.go).
 //
 // Arithmetic: every C element starts from zero per kcBlock slice and, in
 // ascending K, takes acc = round(acc + round(a·b)) — a separately rounded
@@ -31,22 +33,23 @@
 // TestGemmWorkerCountInvariant) and for either microkernel. They differ from
 // a naive triple loop only by float reassociation across kcBlock boundaries.
 //
-// The B-side packer is pluggable: GemmBatch takes a PackBFunc per product
-// that writes op(B) panels straight into the packed buffer, so a caller whose
-// B is a *virtual* matrix never materializes it. PackDense is the packer of
-// a stored matrix; PackGathered packs a matrix whose elements are short runs
-// scattered through a buffer at offsets the caller lists — how the
-// convolution engine multiplies by a patch matrix that exists only as a
-// zero-haloed activation plus an offset table. The microkernel consumes
-// identical panels in an identical order whichever packer wrote them, so a
-// product is bit-for-bit the same through any of them. GemmBatch runs
-// `count` independent same-shape products with the parallel partition over
-// (instance × column block) pairs, lifting the parallel degree of
-// many-small-GEMM callers (a convolution over a batch of samples) past the
-// per-product block count.
+// Operands: GemmBatch runs `count` independent same-shape products, with the
+// parallel partition over (instance × column block) pairs, lifting the
+// parallel degree of many-small-GEMM callers (a convolution over a batch of
+// samples) past the per-product block count. A is packed once per call —
+// once in all when every instance shares it, as a convolution's weights are
+// — not once per work item. B is an Operand: a stored matrix (Dense) is
+// packed per (K slice, column block) into nr-column panels; a Gathered
+// matrix, whose elements are short runs scattered through a buffer at
+// offsets listed once, is how the convolution engine multiplies by a patch
+// matrix that exists only as a zero-haloed activation plus an offset table.
+// A gathered matrix of 4-float runs is read in place, with no copy; its
+// transpose and the 1-float form are packed. The microkernel sees the same
+// floats in the same order whichever way B reaches it, so a product is
+// bit-for-bit the same through any of them.
 //
-// The packing panels come from the tensor scratch pool, so steady-state
-// callers allocate nothing.
+// The packed A and the packing panels come from the tensor scratch pool, so
+// steady-state callers allocate nothing.
 package gemm
 
 import (
@@ -77,40 +80,20 @@ const (
 	// GEMM of an 8-channel 3×3×3 layer) still splits across workers.
 	ncBlock = 256
 
-	// mcBlock is the A-panel row blocking, bounding the packed-A scratch: at
-	// 64 rows the A and B panels of a block together are 480 KiB, inside one
-	// 512 KiB scratch class.
+	// mcBlock is the row blocking of the macrokernel: the A panels of 64 rows
+	// of one K slice (96 KiB at full depth) stream past each B panel from L2.
+	// It bounds no buffer — A is packed whole, once per call.
 	mcBlock = 64
 )
 
-// PanelCols is the column width of a packed B panel — the nr of the
-// register tile — and BlockDepth × BlockCols the largest block (K steps ×
-// columns) a PackBFunc is ever asked for in one call.
-const (
-	PanelCols  = nr
-	BlockDepth = kcBlock
-	BlockCols  = ncBlock
-)
-
-// PackBFunc fills dst with the PanelCols-column panels of the pw×jw block
-// of op(B) at row p0, column j0:
-//
-//	dst[jp·pw·PanelCols + p·PanelCols + jj] = op(B)[p0+p, j0+jp·PanelCols+jj]
-//
-// zero-padded for jj past jw; p0 is a multiple of BlockDepth and j0 of
-// BlockCols. It is the contract PackDense satisfies for a stored matrix; a
-// virtual-B caller computes the same elements straight from its source. The
-// function may be called concurrently from several workers with disjoint
-// (p0, j0) blocks and distinct dst buffers.
-type PackBFunc func(p0, pw, j0, jw int, dst []float32)
-
-// PackDense is the PackBFunc of a dense row-major matrix: op(B) = b, or bᵀ
-// when trans (the stored b is then n×k), with leading dimension ldb.
-func PackDense(trans bool, b []float32, ldb int) PackBFunc {
-	return func(p0, pw, j0, jw int, dst []float32) {
-		packB(trans, b, ldb, p0, pw, j0, jw, dst)
+// panelRows is the row-offset table of a packed B panel: K step p starts
+// p·nr floats in.
+var panelRows = func() (r [kcBlock]int) {
+	for p := range r {
+		r[p] = p * nr
 	}
-}
+	return r
+}()
 
 // Gemm computes C = op(A)·op(B), or C += op(A)·op(B) when accumulate is
 // true, over dense row-major operands: op(A) is m×k, op(B) is k×n and C is
@@ -121,25 +104,21 @@ func Gemm(transA, transB bool, m, n, k int,
 	a []float32, lda int, b []float32, ldb int,
 	accumulate bool, c []float32, ldc int, workers int) {
 
-	pack := PackDense(transB, b, ldb)
-	GemmBatch(1, transA, m, n, k,
-		func(int) []float32 { return a }, lda,
-		func(int) PackBFunc { return pack },
-		accumulate, nil,
-		func(int) []float32 { return c }, ldc, workers)
+	GemmBatch(1, transA, m, n, k, a, lda, 0, Dense(transB, b, ldb, 0),
+		accumulate, nil, c, ldc, 0, workers)
 }
 
 // GemmBatch computes count independent, same-shape products
-// C[i] = op(A[i])·op(B[i]) (or += when accumulate is true): the operands of
-// instance i are fetched through the a/pack/c accessors, B as a PackBFunc
-// that is invoked per (K-slice, column-block) pair to produce the packed
-// panels directly, so op(B) never needs to exist in memory. The parallel
-// partition is over (instance × column block) pairs, so the parallel degree
-// is count × ⌈n/ncBlock⌉ — what lets a convolution over a batch scale with
-// the batch size when one sample's column count fits in one or two blocks.
-// Each C element is owned by exactly one worker and accumulated in an order
-// — K ascending within a kcBlock slice, slices ascending — that depends
-// only on the problem shape, so results are bit-for-bit identical to count
+// C[i] = op(A[i])·op(B[i]) (or += when accumulate is true). Instance i's A
+// is a[i·strideA:] with leading dimension lda (strideA 0: every instance
+// shares one A, packed once), its C is c[i·strideC:] with leading dimension
+// ldc, and its B is b's instance i. The parallel partition is over
+// (instance × column block) pairs, so the parallel degree is
+// count × ⌈n/ncBlock⌉ — what lets a convolution over a batch scale with the
+// batch size when one sample's column count fits in one or two blocks. Each
+// C element is owned by exactly one worker and accumulated in an order —
+// K ascending within a kcBlock slice, slices ascending — that depends only
+// on the problem shape, so results are bit-for-bit identical to count
 // sequential Gemm calls at any budget.
 //
 // A non-nil bias (m floats, not combined with accumulate) makes row r of
@@ -148,8 +127,8 @@ func Gemm(transA, transB bool, m, n, k int,
 // product accumulated onto it. The worker that owns a column block seeds it
 // just before multiplying into it, so the seed costs no pass of its own.
 func GemmBatch(count int, transA bool, m, n, k int,
-	a func(int) []float32, lda int, pack func(int) PackBFunc,
-	accumulate bool, bias []float32, c func(int) []float32, ldc int, workers int) {
+	a []float32, lda, strideA int, b Operand,
+	accumulate bool, bias, c []float32, ldc, strideC, workers int) {
 
 	if count <= 0 || m <= 0 || n <= 0 {
 		return
@@ -157,25 +136,33 @@ func GemmBatch(count int, transA bool, m, n, k int,
 	if bias != nil && accumulate {
 		panic("gemm: bias and accumulate are exclusive")
 	}
+	b.check(count, n, k)
 	if k <= 0 {
 		if !accumulate {
 			for i := 0; i < count; i++ {
-				seedRows(c(i), ldc, 0, n, m, bias)
+				seedRows(c[i*strideC:], ldc, 0, n, m, bias)
 			}
 		}
 		return
 	}
 
+	packedA, aSize := packAll(transA, m, k, a, lda, strideA, count, workers)
+	defer tensor.PutScratch(packedA)
+	mPad := aSize / k
 	nBlocks := (n + ncBlock - 1) / ncBlock
 	parallel.ForWorkers(workers, count*nBlocks, 1, func(lo, hi int) {
-		// One buffer for both operands' panels: a block costs the pool one
-		// round trip.
-		panels := tensor.GetScratch(kcBlock * (ncBlock + mcBlock))
-		defer tensor.PutScratch(panels)
-		packedB, packedA := panels[:kcBlock*ncBlock], panels[kcBlock*ncBlock:]
+		var panels []float32
+		if !b.inPlace() {
+			panels = tensor.GetScratch(kcBlock * ncBlock)
+			defer tensor.PutScratch(panels)
+		}
 		for item := lo; item < hi; item++ {
 			i, jb := item/nBlocks, item%nBlocks
-			ai, packi, ci := a(i), pack(i), c(i)
+			ai := packedA
+			if strideA != 0 {
+				ai = packedA[i*aSize : (i+1)*aSize]
+			}
+			ci := c[i*strideC:]
 			j0 := jb * ncBlock
 			jw := min(ncBlock, n-j0)
 			if bias != nil {
@@ -183,17 +170,45 @@ func GemmBatch(count int, transA bool, m, n, k int,
 			}
 			for p0 := 0; p0 < k; p0 += kcBlock {
 				pw := min(kcBlock, k-p0)
-				packi(p0, pw, j0, jw, packedB)
+				blk := b.block(i, p0, pw, j0, jw, panels)
 				overwrite := p0 == 0 && !accumulate && bias == nil
 				for i0 := 0; i0 < m; i0 += mcBlock {
 					iw := min(mcBlock, m-i0)
-					packA(transA, ai, lda, i0, iw, p0, pw, packedA)
-					macroKernel(iw, jw, pw, packedA, packedB,
+					macroKernel(iw, jw, pw, ai[mPad*p0+i0*pw:], &blk,
 						ci, i0*ldc+j0, ldc, overwrite)
 				}
 			}
 		}
 	})
+}
+
+// packAll packs op(A) of every instance — of one, when strideA is 0 — whole,
+// into one scratch buffer: instance i's K slice at p0 is packA's mr-row
+// panels of all m rows, at i·size + mPad·p0 with mPad = m rounded up to mr.
+// It returns the buffer and size, the floats per instance.
+func packAll(transA bool, m, k int, a []float32, lda, strideA, count, workers int) ([]float32, int) {
+	mPad := (m + mr - 1) / mr * mr
+	size := mPad * k
+	if strideA == 0 {
+		buf := tensor.GetScratch(size)
+		packWhole(transA, m, k, mPad, a, lda, buf)
+		return buf, size
+	}
+	buf := tensor.GetScratch(count * size)
+	parallel.ForWorkers(workers, count, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			packWhole(transA, m, k, mPad, a[i*strideA:], lda, buf[i*size:(i+1)*size])
+		}
+	})
+	return buf, size
+}
+
+// packWhole packs all of one op(A), K slice by K slice, as packAll lays it
+// out.
+func packWhole(transA bool, m, k, mPad int, a []float32, lda int, dst []float32) {
+	for p0 := 0; p0 < k; p0 += kcBlock {
+		packA(transA, a, lda, 0, m, p0, min(kcBlock, k-p0), dst[mPad*p0:])
+	}
 }
 
 // seedRows sets columns [j0, j0+jw) of the first m rows of c to the row's
@@ -212,87 +227,63 @@ func seedRows(c []float32, ldc, j0, jw, m int, bias []float32) {
 	}
 }
 
-// PackGathered packs a block of a virtual matrix whose elements are short
-// contiguous runs scattered through src:
+// Operand is the B side of a GemmBatch: where each instance's op(B) lives,
+// and with it how the microkernel reaches it — packed into panels block by
+// block, or read in place.
+type Operand struct {
+	trans  bool
+	src    []float32 // instance i's B is src[i·stride:]
+	stride int
+	ldb    int      // Dense only
+	g      Gathered // zero for Dense
+}
+
+// Dense is the operand of stored row-major matrices: instance i's op(B) is
+// the matrix at b[i·stride:] with leading dimension ldb, or its transpose
+// when trans (the stored matrix is then n×k). Its blocks are packed.
+func Dense(trans bool, b []float32, ldb, stride int) Operand {
+	return Operand{trans: trans, src: b, stride: stride, ldb: ldb}
+}
+
+// Gathered is a virtual matrix whose elements are short contiguous runs
+// scattered through a source buffer at offsets listed once:
 //
 //	V[r, run·v + e] = src[rows[r] + starts[v] + e],  e < run
 //
-// — len(rows) rows by run·len(starts) columns — into dst in a PackBFunc's
-// layout: the block is V itself (K = len(rows)), or Vᵀ when trans (K =
-// run·len(starts)). run is 4, where whole panels move as vector loads on
-// amd64 (kernel_amd64.s), or 1, the plain per-element gather. A
-// convolution's patch matrix has this form over a zero-haloed activation: a
-// row is a (channel, kernel tap) offset, a column start an output voxel's.
-func PackGathered(trans bool, dst, src []float32, rows, starts []int, run int) {
-	if run != 1 && run != 4 {
-		panic("gemm: PackGathered run must be 1 or 4")
-	}
-	if len(rows) == 0 || len(starts) == 0 {
-		return
-	}
-	// Every read below is src[rows[r]+starts[v]+e]: checking the two
-	// extremes here is the bounds check of the assembly, which does none.
-	lo, hi := extremes(rows)
-	slo, shi := extremes(starts)
-	if lo+slo < 0 {
-		panic("gemm: PackGathered offset is negative")
-	}
-	src = src[:hi+shi+run]
+// — len(rows) rows by run·len(starts) columns. A convolution's patch matrix
+// has this form over a zero-haloed activation: a row is a (channel, kernel
+// tap) offset, a column start an output voxel's. run is 4, where V is read
+// in place and its transpose packed four K steps per vector load (amd64), or
+// 1, the plain per-element gather.
+type Gathered struct {
+	rows, starts []int
+	run          int
+	span         int // the source must hold at least this many floats
+}
 
-	// At run 4 a panel goes through gatherCols/gatherRows whole; a ragged
-	// last panel repeats its first live index in the dead lanes, which are
-	// zeroed afterwards.
-	if trans {
-		pw := run * len(starts)
-		for jp := 0; jp*nr < len(rows); jp++ {
-			out := dst[jp*pw*nr : (jp+1)*pw*nr]
-			var lanes [nr]int
-			live := copy(lanes[:], rows[jp*nr:])
-			if run == 1 {
-				clear(out)
-				for jj, rb := range lanes[:live] {
-					for p, sb := range starts {
-						out[p*nr+jj] = src[rb+sb]
-					}
-				}
-				continue
-			}
-			for jj := live; jj < nr; jj++ {
-				lanes[jj] = lanes[0]
-			}
-			gatherCols(out, src, &lanes, starts)
-			if live < nr {
-				for p := 0; p < pw; p++ {
-					clear(out[p*nr+live : (p+1)*nr])
-				}
-			}
-		}
-		return
+// NewGathered checks the offset tables of a gathered matrix once, so the
+// products that read it check only the length of their source, and the
+// assembly none.
+func NewGathered(rows, starts []int, run int) Gathered {
+	if run != 1 && run != 4 {
+		panic("gemm: gathered run must be 1 or 4")
 	}
-	pw, per := len(rows), nr/run
-	for jp := 0; jp*per < len(starts); jp++ {
-		out := dst[jp*pw*nr : (jp+1)*pw*nr]
-		var lanes [nr]int
-		live := copy(lanes[:per], starts[jp*per:])
-		if run == 1 {
-			clear(out)
-			for jj, sb := range lanes[:live] {
-				for p, rb := range rows {
-					out[p*nr+jj] = src[rb+sb]
-				}
-			}
-			continue
+	g := Gathered{rows: rows, starts: starts, run: run}
+	if len(rows) > 0 && len(starts) > 0 {
+		lo, hi := extremes(rows)
+		slo, shi := extremes(starts)
+		if lo+slo < 0 {
+			panic("gemm: gathered offset is negative")
 		}
-		for q := live; q < 4; q++ {
-			lanes[q] = lanes[0]
-		}
-		gatherRows(out, src, rows, (*[4]int)(lanes[:]))
-		if live < 4 {
-			for p := 0; p < pw; p++ {
-				clear(out[p*nr+4*live : (p+1)*nr])
-			}
-		}
+		g.span = hi + shi + run
 	}
+	return g
+}
+
+// Operand is the GemmBatch operand whose instance i is V over
+// src[i·stride:], or Vᵀ when trans.
+func (g Gathered) Operand(trans bool, src []float32, stride int) Operand {
+	return Operand{trans: trans, src: src, stride: stride, g: g}
 }
 
 // extremes returns the smallest and largest element of a non-empty list.
@@ -304,21 +295,118 @@ func extremes(xs []int) (lo, hi int) {
 	return lo, hi
 }
 
-// gatherRowsGo is one full panel of PackGathered at run 4, K along rows:
-// dst[p·nr + 4q + e] = src[rows[p] + quads[q] + e]. It is the portable
-// gatherRows and the reference for the assembly one.
-func gatherRowsGo(dst, src []float32, rows []int, quads *[4]int) {
-	for p, rb := range rows {
-		out := (*[nr]float32)(dst[p*nr:])
-		for q, qb := range quads {
-			*(*[4]float32)(out[4*q:]) = *(*[4]float32)(src[rb+qb:])
+// inPlace reports whether the microkernel reads the operand where it lies:
+// a gathered matrix of 4-float runs, not transposed.
+func (o *Operand) inPlace() bool { return o.g.run == 4 && !o.trans }
+
+// check panics unless a gathered operand is k×n and the source of its last
+// instance holds every offset — the bounds check of the assembly that reads
+// it, which does none. A dense operand's slices are checked as they are
+// packed.
+func (o *Operand) check(count, n, k int) {
+	if o.g.run == 0 {
+		return
+	}
+	rows, cols := len(o.g.rows), o.g.run*len(o.g.starts)
+	if o.trans {
+		rows, cols = cols, rows
+	}
+	if rows != k || cols != n {
+		panic("gemm: gathered operand shape does not match the product")
+	}
+	if o.stride < 0 || len(o.src) < (count-1)*o.stride+o.g.span {
+		panic("gemm: gathered offsets run past the end of the source")
+	}
+}
+
+// bBlock is one pw×jw block of op(B) as the microkernel reads it: K step p
+// of column panel jp, lanes 4q..4q+3, is b[rows[p] + quads(jp)[q] :][:4].
+type bBlock struct {
+	b      []float32
+	rows   []int // pw K-step offsets
+	starts []int // read in place: the block's 4-column starts; nil when packed
+}
+
+// block returns instance i's pw×jw block of op(B) at (p0, j0): a view of the
+// source when the operand is read in place, otherwise the block packed into
+// buf as nr-column panels.
+func (o *Operand) block(i, p0, pw, j0, jw int, buf []float32) bBlock {
+	src := o.src[i*o.stride:]
+	switch {
+	case o.inPlace():
+		return bBlock{b: src, rows: o.g.rows[p0 : p0+pw], starts: o.g.starts[j0/4 : (j0+jw)/4]}
+	case o.g.run == 0:
+		packB(o.trans, src, o.ldb, p0, pw, j0, jw, buf)
+	default:
+		o.g.pack(o.trans, src, p0, pw, j0, jw, buf)
+	}
+	return bBlock{b: buf, rows: panelRows[:pw]}
+}
+
+// quads returns the four column-run offsets of panel jp. A ragged last panel
+// read in place repeats its first run in the dead lanes, whose columns are
+// never merged into C.
+func (b *bBlock) quads(jp int) [4]int {
+	if b.starts == nil {
+		base := jp * len(b.rows) * nr
+		return [4]int{base, base + 4, base + 8, base + 12}
+	}
+	var q [4]int
+	for live := copy(q[:], b.starts[4*jp:]); live < 4; live++ {
+		q[live] = q[0]
+	}
+	return q
+}
+
+// pack writes the pw×jw block of V — of Vᵀ when trans — at (p0, j0) into
+// dst as nr-column panels, zero past jw. V itself is packed only at run 1:
+// at run 4 it is read in place.
+func (g *Gathered) pack(trans bool, src []float32, p0, pw, j0, jw int, dst []float32) {
+	if !trans {
+		rows, starts := g.rows[p0:p0+pw], g.starts[j0:j0+jw]
+		for jp := 0; jp*nr < jw; jp++ {
+			out := dst[jp*pw*nr : (jp+1)*pw*nr]
+			clear(out)
+			for jj, sb := range starts[jp*nr : min(jw, (jp+1)*nr)] {
+				for p, rb := range rows {
+					out[p*nr+jj] = src[rb+sb]
+				}
+			}
+		}
+		return
+	}
+	// K runs along the starts. At run 4 a panel goes through gatherCols
+	// whole; a ragged last panel repeats its first row in the dead lanes,
+	// which are zeroed afterwards.
+	rows, starts := g.rows[j0:j0+jw], g.starts[p0/g.run:(p0+pw)/g.run]
+	for jp := 0; jp*nr < jw; jp++ {
+		out := dst[jp*pw*nr : (jp+1)*pw*nr]
+		var lanes [nr]int
+		live := copy(lanes[:], rows[jp*nr:])
+		if g.run == 1 {
+			clear(out)
+			for jj, rb := range lanes[:live] {
+				for p, sb := range starts {
+					out[p*nr+jj] = src[rb+sb]
+				}
+			}
+			continue
+		}
+		for jj := live; jj < nr; jj++ {
+			lanes[jj] = lanes[0]
+		}
+		gatherCols(out, src, &lanes, starts)
+		if live < nr {
+			for p := 0; p < pw; p++ {
+				clear(out[p*nr+live : (p+1)*nr])
+			}
 		}
 	}
 }
 
-// gatherColsGo is one full panel of PackGathered at run 4, K along the
-// quads: dst[(4v+e)·nr + jj] = src[rows[jj] + quads[v] + e]. It is the
-// portable gatherCols and the reference for the assembly one.
+// gatherColsGo is one full panel of a transposed run-4 gathered block:
+// dst[(4v+e)·nr + jj] = src[rows[jj] + quads[v] + e]. It is the portable
+// gatherCols and the reference for the assembly one.
 func gatherColsGo(dst, src []float32, rows *[nr]int, quads []int) {
 	for v, qb := range quads {
 		out := dst[4*v*nr:][:4*nr]
@@ -408,26 +496,26 @@ func packRagged(out []float32, width int, src []float32, sp, se, pw, n int) {
 	}
 }
 
-// macroKernel multiplies the packed iw×pw A block by the packed pw×jw B
-// block into C at offset cOff. When overwrite is true the product replaces C
-// (the first K slice of a non-accumulating Gemm); otherwise it adds. Full
-// mr×nr tiles are merged into C by the microkernel; a ragged edge tile is
-// computed into a stack buffer and only its live rows and columns merged.
-// A B panel stays in L1 while the A panels stream past it.
-func macroKernel(iw, jw, pw int, packedA, packedB, c []float32, cOff, ldc int, overwrite bool) {
+// macroKernel multiplies the packed iw×pw A block by the pw×jw B block into
+// C at offset cOff. When overwrite is true the product replaces C (the first
+// K slice of a non-accumulating Gemm); otherwise it adds. Full mr×nr tiles
+// are merged into C by the microkernel; a ragged edge tile is computed into
+// a stack buffer and only its live rows and columns merged. A B panel stays
+// in L1 while the A panels stream past it.
+func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff, ldc int, overwrite bool) {
 	var tile [mr * nr]float32
 	for jp := 0; jp*nr < jw; jp++ {
-		bp := packedB[jp*pw*nr : (jp+1)*pw*nr]
+		quads := b.quads(jp)
 		cols := min(nr, jw-jp*nr)
 		for ip := 0; ip*mr < iw; ip++ {
 			ap := packedA[ip*pw*mr : (ip+1)*pw*mr]
 			rows := min(mr, iw-ip*mr)
 			base := cOff + ip*mr*ldc + jp*nr
 			if rows == mr && cols == nr {
-				kernel(pw, ap, bp, c[base:base+(mr-1)*ldc+nr], ldc, overwrite)
+				kernel(ap, b.b, b.rows, &quads, c[base:base+(mr-1)*ldc+nr], ldc, overwrite)
 				continue
 			}
-			kernel(pw, ap, bp, tile[:], nr, true)
+			kernel(ap, b.b, b.rows, &quads, tile[:], nr, true)
 			for ii := 0; ii < rows; ii++ {
 				crow := c[base+ii*ldc:][:cols]
 				trow := tile[ii*nr:][:cols]
@@ -444,21 +532,23 @@ func macroKernel(iw, jw, pw int, packedA, packedB, c []float32, cOff, ldc int, o
 }
 
 // kernelGo is the portable microkernel and the reference for the assembly
-// one: it computes the mr×nr tile product of a packed A panel and a packed B
-// panel over pw K steps and stores it over (overwrite) or adds it to the
-// mr×nr block at the head of c, rows ldc apart, touching nothing else of c.
-// The tile is worked as nr/4 strips of 4×4 so that a strip's sixteen
-// accumulators are locals the compiler keeps in registers (an array would
-// live in memory, and updating them four to a tuple assignment spills and
-// costs a quarter of the speed). float32(·) rounds the product before the add: without the
-// conversion the compiler may fuse the two into one FMA rounding.
-func kernelGo(pw int, a, b, c []float32, ldc int, overwrite bool) {
-	a, b = a[:pw*mr], b[:pw*nr]
-	for j := 0; j < nr; j += 4 {
+// one: it computes the mr×nr tile product of a packed A panel and the B panel
+// whose K step p, columns 4q..4q+3, is b[rows[p] + quads[q] :][:4], over
+// len(rows) K steps, and stores it over (overwrite) or adds it to the mr×nr
+// block at the head of c, rows ldc apart, touching nothing else of c. The
+// tile is worked as nr/4 strips of 4×4, one per quad, so that a strip's
+// sixteen accumulators are locals the compiler keeps in registers (an array
+// would live in memory, and updating them four to a tuple assignment spills
+// and costs a quarter of the speed). float32(·) rounds the product before
+// the add: without the conversion the compiler may fuse the two into one FMA
+// rounding.
+func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool) {
+	a = a[:len(rows)*mr]
+	for q, qb := range quads {
 		var c00, c01, c02, c03, c10, c11, c12, c13 float32
 		var c20, c21, c22, c23, c30, c31, c32, c33 float32
-		for p := 0; p < pw; p++ {
-			ap, bp := (*[mr]float32)(a[p*mr:]), (*[4]float32)(b[p*nr+j:])
+		for p, rb := range rows {
+			ap, bp := (*[mr]float32)(a[p*mr:]), (*[4]float32)(b[rb+qb:])
 			a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
 			b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 			c00 += float32(a0 * b0)
@@ -481,7 +571,7 @@ func kernelGo(pw int, a, b, c []float32, ldc int, overwrite bool) {
 		for i, row := range [mr][4]float32{
 			{c00, c01, c02, c03}, {c10, c11, c12, c13}, {c20, c21, c22, c23}, {c30, c31, c32, c33},
 		} {
-			crow := (*[4]float32)(c[i*ldc+j:])
+			crow := (*[4]float32)(c[i*ldc+4*q:])
 			if !overwrite {
 				for jj := range row {
 					row[jj] += crow[jj]

@@ -139,9 +139,10 @@ func TestGemmWorkerCountInvariant(t *testing.T) {
 }
 
 // TestGemmGatheredMatchesDense asserts the virtual-B contract: a product
-// whose B panels PackGathered fills from an offset description of a matrix is
-// bit-for-bit equal to Gemm over the stored matrix, in either orientation,
-// at both run lengths and several worker budgets.
+// whose B is a gathered operand — an offset description of a stored matrix,
+// read in place or packed — is bit-for-bit equal to Gemm over the stored
+// matrix, in either orientation, at both run lengths and several worker
+// budgets.
 func TestGemmGatheredMatchesDense(t *testing.T) {
 	shapes := []struct{ m, n, k int }{
 		{16, 4096, 216}, // conv forward shape
@@ -165,9 +166,9 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 					seed := randMat(rng, sh.m*sh.n)
 
 					// b is stored k×n as op(B) itself, or n×k when trans.
-					vCols := sh.n
+					vRows, vCols := sh.k, sh.n
 					if trans {
-						vCols = sh.k
+						vRows, vCols = sh.n, sh.k
 					}
 					want := append([]float32(nil), seed...)
 					Gemm(false, trans, sh.m, sh.n, sh.k, a, sh.k, b, vCols, acc, want, sh.n, 1)
@@ -176,26 +177,17 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 					if vCols%4 == 0 {
 						run = 4
 					}
-					pack := func(p0, pw, j0, jw int, dst []float32) {
-						r0, rn, c0, cn := p0, pw, j0, jw
-						if trans {
-							r0, rn, c0, cn = j0, jw, p0, pw
-						}
-						rows, starts := make([]int, rn), make([]int, cn/run)
-						for i := range rows {
-							rows[i] = (r0 + i) * vCols
-						}
-						for i := range starts {
-							starts[i] = c0 + i*run
-						}
-						PackGathered(trans, dst, b, rows, starts, run)
+					rows, starts := make([]int, vRows), make([]int, vCols/run)
+					for i := range rows {
+						rows[i] = i * vCols
 					}
+					for i := range starts {
+						starts[i] = i * run
+					}
+					op := NewGathered(rows, starts, run).Operand(trans, b, 0)
 					for _, workers := range []int{1, 3, 8} {
 						got := append([]float32(nil), seed...)
-						GemmBatch(1, false, sh.m, sh.n, sh.k,
-							func(int) []float32 { return a }, sh.k,
-							func(int) PackBFunc { return pack }, acc, nil,
-							func(int) []float32 { return got }, sh.n, workers)
+						GemmBatch(1, false, sh.m, sh.n, sh.k, a, sh.k, 0, op, acc, nil, got, sh.n, 0, workers)
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("workers=%d: element %d = %v, want %v (bit-for-bit)",
@@ -209,39 +201,73 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 	}
 }
 
+// TestGemmInPlaceMatchesPacked asserts that reading a gathered matrix in
+// place is bit-for-bit the product of the same matrix packed: every run-4
+// product against the run-1 description of the same elements, whose blocks
+// are gathered element by element into panels. Two instances share one A,
+// with and without a bias, at ragged n and K on both sides of kcBlock.
+func TestGemmInPlaceMatchesPacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const count, srcLen = 2, 9000
+	src := randMat(rng, count*srcLen)
+	for _, m := range []int{1, 3, 8, 65} {
+		for _, k := range []int{1, 27, kcBlock, kcBlock + 1, 864} {
+			for _, nStarts := range []int{1, 3, 13, 67} {
+				n := 4 * nStarts
+				rows, starts := make([]int, k), make([]int, nStarts)
+				for i := range rows {
+					rows[i] = rng.Intn(6000)
+				}
+				for i := range starts {
+					starts[i] = rng.Intn(2900)
+				}
+				each := make([]int, n) // the run-1 description: one start per column
+				for j := range each {
+					each[j] = starts[j/4] + j%4
+				}
+				inPlace := NewGathered(rows, starts, 4).Operand(false, src, srcLen)
+				packed := NewGathered(rows, each, 1).Operand(false, src, srcLen)
+				a := randMat(rng, m*k)
+				for _, bias := range [][]float32{nil, randMat(rng, m)} {
+					want := make([]float32, count*m*n)
+					GemmBatch(count, false, m, n, k, a, k, 0, packed, false, bias, want, n, m*n, 1)
+					for _, workers := range []int{1, 2, 4} {
+						got := randMat(rng, count*m*n)
+						GemmBatch(count, false, m, n, k, a, k, 0, inPlace, false, bias, got, n, m*n, workers)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("m=%d k=%d n=%d bias=%v workers=%d: element %d = %v, want %v (bit-for-bit)",
+									m, k, n, bias != nil, workers, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGemmBatchMatchesSequential asserts GemmBatch is bit-for-bit equal to
 // count sequential Gemm calls, at any worker budget — what makes the
 // batch-parallel backward-weights pass worker-count invariant.
 func TestGemmBatchMatchesSequential(t *testing.T) {
 	const count, m, n, k = 5, 16, 216, 300 // backward-weights-like: n fits one block
 	rng := rand.New(rand.NewSource(13))
-	as := make([][]float32, count)
-	bs := make([][]float32, count)
-	want := make([][]float32, count)
-	seed := make([][]float32, count)
-	for i := range as {
-		as[i] = randMat(rng, m*k)
-		bs[i] = randMat(rng, n*k) // transB: stored n×k
-		seed[i] = randMat(rng, m*n)
-		want[i] = append([]float32(nil), seed[i]...)
-		Gemm(false, true, m, n, k, as[i], k, bs[i], k, true, want[i], n, 1)
+	as := randMat(rng, count*m*k)
+	bs := randMat(rng, count*n*k) // transB: stored n×k
+	seed := randMat(rng, count*m*n)
+	want := append([]float32(nil), seed...)
+	for i := 0; i < count; i++ {
+		Gemm(false, true, m, n, k, as[i*m*k:], k, bs[i*n*k:], k, true, want[i*m*n:], n, 1)
 	}
 	for _, workers := range []int{1, 2, 7, 16} {
-		got := make([][]float32, count)
-		for i := range got {
-			got[i] = append([]float32(nil), seed[i]...)
-		}
-		GemmBatch(count, false, m, n, k,
-			func(i int) []float32 { return as[i] }, k,
-			func(i int) PackBFunc { return PackDense(true, bs[i], k) },
-			true, nil,
-			func(i int) []float32 { return got[i] }, n, workers)
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
-						workers, i, j, got[i][j], want[i][j])
-				}
+		got := append([]float32(nil), seed...)
+		GemmBatch(count, false, m, n, k, as, k, m*k, Dense(true, bs, k, n*k),
+			true, nil, got, n, m*n, workers)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
+					workers, j/(m*n), j%(m*n), got[j], want[j])
 			}
 		}
 	}
@@ -261,31 +287,23 @@ func TestGemmBatchBiasMatchesSeededAccumulate(t *testing.T) {
 		{2, 66, 2*ncBlock + 3, 40},
 	} {
 		bias := randMat(rng, sh.m)
-		as, bs := make([][]float32, sh.count), make([][]float32, sh.count)
-		want, got := make([][]float32, sh.count), make([][]float32, sh.count)
-		for i := range as {
-			as[i], bs[i] = randMat(rng, sh.m*sh.k), randMat(rng, sh.k*sh.n)
-			want[i] = make([]float32, sh.m*sh.n)
-			for j := range want[i] {
-				want[i][j] = bias[j/sh.n]
-			}
-			Gemm(false, false, sh.m, sh.n, sh.k, as[i], sh.k, bs[i], sh.n, true, want[i], sh.n, 1)
+		mk, kn, mn := sh.m*sh.k, sh.k*sh.n, sh.m*sh.n
+		as, bs := randMat(rng, sh.count*mk), randMat(rng, sh.count*kn)
+		want := make([]float32, sh.count*mn)
+		for j := range want {
+			want[j] = bias[j%mn/sh.n]
+		}
+		for i := 0; i < sh.count; i++ {
+			Gemm(false, false, sh.m, sh.n, sh.k, as[i*mk:], sh.k, bs[i*kn:], sh.n, true, want[i*mn:], sh.n, 1)
 		}
 		for _, workers := range []int{1, 2, 7} {
-			for i := range got {
-				got[i] = randMat(rng, sh.m*sh.n) // stale contents must not leak through
-			}
-			GemmBatch(sh.count, false, sh.m, sh.n, sh.k,
-				func(i int) []float32 { return as[i] }, sh.k,
-				func(i int) PackBFunc { return PackDense(false, bs[i], sh.n) },
-				false, bias,
-				func(i int) []float32 { return got[i] }, sh.n, workers)
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("%+v workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
-							sh, workers, i, j, got[i][j], want[i][j])
-					}
+			got := randMat(rng, sh.count*mn) // stale contents must not leak through
+			GemmBatch(sh.count, false, sh.m, sh.n, sh.k, as, sh.k, mk, Dense(false, bs, sh.n, kn),
+				false, bias, got, sh.n, mn, workers)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%+v workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
+						sh, workers, j/mn, j%mn, got[j], want[j])
 				}
 			}
 		}

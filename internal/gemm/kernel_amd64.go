@@ -32,12 +32,12 @@ func xgetbv0() (eax, edx uint32)
 
 // kernel is the microkernel macroKernel calls: the assembly where it is
 // live, kernelGo otherwise.
-func kernel(pw int, a, b, c []float32, ldc int, overwrite bool) {
+func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool) {
 	if useAsm {
-		kernelAVX2(pw, a, b, c, ldc, overwrite)
+		kernelAVX2(a[:len(rows)*mr], b, rows, quads, c, ldc, overwrite)
 		return
 	}
-	kernelGo(pw, a, b, c, ldc, overwrite)
+	kernelGo(a, b, rows, quads, c, ldc, overwrite)
 }
 
 // copyRows packs the leading K steps of one full panel of a row-major B,
@@ -63,16 +63,8 @@ func transposeRows(dst, src []float32, ldb, pw int) int {
 	return done
 }
 
-// gatherRows and gatherCols pack one full panel of PackGathered at run 4:
-// the assembly where it is live, the portable loops otherwise.
-func gatherRows(dst, src []float32, rows []int, quads *[4]int) {
-	if useAsm {
-		gatherRowsAVX2(dst[:len(rows)*nr], src, rows, quads)
-		return
-	}
-	gatherRowsGo(dst, src, rows, quads)
-}
-
+// gatherCols packs one full panel of a transposed run-4 gathered block: the
+// assembly where it is live, the portable loop otherwise.
 func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
 	if useAsm {
 		gatherColsAVX2(dst[:len(quads)*4*nr], src, rows, quads)
@@ -84,16 +76,18 @@ func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
 // The assembly routines index their slices by the shape arguments alone and
 // never look at a length: the wrappers above, and macroKernel for the
 // kernel's c, slice each operand to the extent named here first, which is
-// the bounds check. (The gather routines' src is checked by PackGathered,
-// against the extremes of the offsets it is handed.)
+// the bounds check. The offsets a B operand is read through are checked
+// once per GemmBatch instead (Operand.check): a packed panel is read through
+// panelRows, which stays inside it, and a gathered source is held to the
+// extremes of its offset tables, which NewGathered computed.
 
 // kernelAVX2 is kernelGo in AVX2 assembly: element-wise SIMD of the same
 // multiply-round-add-round recurrence, so it produces the same bits. It
-// reads a[:pw*mr] and b[:pw*nr] and touches exactly the mr×nr block
-// c[i*ldc : i*ldc+nr], i < mr.
+// reads a[:len(rows)*mr] and b[rows[p]+quads[q] :][:4] for every K step p and
+// quad q, and touches exactly the mr×nr block c[i*ldc : i*ldc+nr], i < mr.
 //
 //go:noescape
-func kernelAVX2(pw int, a, b, c []float32, ldc int, overwrite bool)
+func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool)
 
 // transposeAVX2 moves `blocks` 8-step blocks of K as 8×8 in-register
 // transposes: dst[p·nr + jj] = src[jj·ldb + p] for p < 8·blocks, jj < nr.
@@ -105,12 +99,6 @@ func transposeAVX2(dst, src []float32, ldb, blocks int)
 //
 //go:noescape
 func copyPanelAVX2(dst, src []float32, ldb, pw int)
-
-// gatherRowsAVX2 is gatherRowsGo: dst[p·nr + 4q + e] = src[rows[p] +
-// quads[q] + e] for p < len(rows), q < 4, e < 4.
-//
-//go:noescape
-func gatherRowsAVX2(dst, src []float32, rows []int, quads *[4]int)
 
 // gatherColsAVX2 is gatherColsGo: dst[(4v+e)·nr + jj] = src[rows[jj] +
 // quads[v] + e] for v < len(quads), jj < nr, e < 4, as 4×8 in-register

@@ -32,18 +32,29 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VADDPS       Y11, lo, lo;  \
 	VADDPS       Y12, hi, hi
 
-// func kernelAVX2(pw int, a, b, c []float32, ldc int, overwrite bool)
+// func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool)
 //
 // The 4×16 tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
-// (columns 8-15). a is a packed mr-row panel (4 floats per K step), b a
-// packed nr-column panel (16 floats per K step).
-TEXT ·kernelAVX2(SB), NOSPLIT, $0-89
-	MOVQ   pw+0(FP), CX
-	MOVQ   a_base+8(FP), SI
-	MOVQ   b_base+32(FP), DI
-	MOVQ   c_base+56(FP), DX
-	MOVQ   ldc+80(FP), R8
-	SHLQ   $2, R8               // C row stride in bytes
+// (columns 8-15). a is a packed mr-row panel (4 floats per K step). K step p
+// of B is four 4-float runs, run q at b + 4·(rows[p] + quads[q]); R8..R11
+// hold &b[quads[q]], so a step costs one load of rows[p] besides the runs.
+// Where the runs pair up — quads[1] = quads[0]+4 and quads[3] = quads[2]+4,
+// as in a packed panel or a volume row a multiple of 8 wide — each 8-column
+// half is one 32-byte load; otherwise it is two 16-byte ones.
+TEXT ·kernelAVX2(SB), NOSPLIT, $0-113
+	MOVQ   a_base+0(FP), SI
+	MOVQ   b_base+24(FP), DI
+	MOVQ   rows_base+48(FP), BX
+	MOVQ   rows_len+56(FP), CX
+	MOVQ   quads+72(FP), AX
+	MOVQ   0(AX), R8
+	MOVQ   8(AX), R9
+	MOVQ   16(AX), R10
+	MOVQ   24(AX), R11
+	LEAQ   (DI)(R8*4), R8
+	LEAQ   (DI)(R9*4), R9
+	LEAQ   (DI)(R10*4), R10
+	LEAQ   (DI)(R11*4), R11
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -54,24 +65,50 @@ TEXT ·kernelAVX2(SB), NOSPLIT, $0-89
 	VXORPS Y7, Y7, Y7
 	TESTQ  CX, CX
 	JZ     merge
+	LEAQ   16(R8), AX
+	CMPQ   AX, R9
+	JNE    split
+	LEAQ   16(R10), AX
+	CMPQ   AX, R11
+	JNE    split
 
-loop:
-	VMOVUPS (DI), Y8
-	VMOVUPS 32(DI), Y9
+paired:
+	MOVQ    (BX), AX
+	VMOVUPS (R8)(AX*4), Y8
+	VMOVUPS (R10)(AX*4), Y9
 	ROW(0, Y0, Y1)
 	ROW(4, Y2, Y3)
 	ROW(8, Y4, Y5)
 	ROW(12, Y6, Y7)
 	ADDQ    $16, SI
-	ADDQ    $64, DI
+	ADDQ    $8, BX
 	DECQ    CX
-	JNZ     loop
+	JNZ     paired
+	JMP     merge
+
+split:
+	MOVQ        (BX), AX
+	VMOVUPS     (R8)(AX*4), X8
+	VINSERTF128 $1, (R9)(AX*4), Y8, Y8
+	VMOVUPS     (R10)(AX*4), X9
+	VINSERTF128 $1, (R11)(AX*4), Y9, Y9
+	ROW(0, Y0, Y1)
+	ROW(4, Y2, Y3)
+	ROW(8, Y4, Y5)
+	ROW(12, Y6, Y7)
+	ADDQ        $16, SI
+	ADDQ        $8, BX
+	DECQ        CX
+	JNZ         split
 
 merge:
+	MOVQ    c_base+80(FP), DX
+	MOVQ    ldc+104(FP), R8
+	SHLQ    $2, R8              // C row stride in bytes
 	LEAQ    (DX)(R8*1), R9      // row 1
 	LEAQ    (DX)(R8*2), R10     // row 2
 	LEAQ    (R9)(R8*2), R11     // row 3
-	MOVBLZX overwrite+88(FP), AX
+	MOVBLZX overwrite+112(FP), AX
 	TESTB   AL, AL
 	JNZ     store
 	VADDPS  (DX), Y0, Y0
@@ -198,45 +235,6 @@ row:
 	JNZ     row
 
 copied:
-	VZEROUPPER
-	RET
-
-// func gatherRowsAVX2(dst, src []float32, rows []int, quads *[4]int)
-//
-// dst[p·16 + 4q + e] = src[rows[p] + quads[q] + e] for q, e < 4: one packed
-// B panel whose K step p is four 4-float runs, each a fixed distance
-// quads[q] from the step's own offset rows[p]. R8..R11 hold &src[quads[q]].
-TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-80
-	MOVQ  dst_base+0(FP), DI
-	MOVQ  src_base+24(FP), SI
-	MOVQ  rows_base+48(FP), BX
-	MOVQ  rows_len+56(FP), CX
-	MOVQ  quads+72(FP), AX
-	MOVQ  0(AX), R8
-	MOVQ  8(AX), R9
-	MOVQ  16(AX), R10
-	MOVQ  24(AX), R11
-	LEAQ  (SI)(R8*4), R8
-	LEAQ  (SI)(R9*4), R9
-	LEAQ  (SI)(R10*4), R10
-	LEAQ  (SI)(R11*4), R11
-	TESTQ CX, CX
-	JZ    gathered
-
-step:
-	MOVQ        (BX), AX
-	VMOVUPS     (R8)(AX*4), X0
-	VINSERTF128 $1, (R9)(AX*4), Y0, Y0
-	VMOVUPS     (R10)(AX*4), X1
-	VINSERTF128 $1, (R11)(AX*4), Y1, Y1
-	VMOVUPS     Y0, (DI)
-	VMOVUPS     Y1, 32(DI)
-	ADDQ        $8, BX
-	ADDQ        $64, DI
-	DECQ        CX
-	JNZ         step
-
-gathered:
 	VZEROUPPER
 	RET
 

@@ -6,17 +6,13 @@ package gemm
 // paths.
 const useAsm = false
 
-func kernel(pw int, a, b, c []float32, ldc int, overwrite bool) {
-	kernelGo(pw, a, b, c, ldc, overwrite)
+func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool) {
+	kernelGo(a, b, rows, quads, c, ldc, overwrite)
 }
 
 func copyRows(dst, src []float32, ldb, pw int) int { return 0 }
 
 func transposeRows(dst, src []float32, ldb, pw int) int { return 0 }
-
-func gatherRows(dst, src []float32, rows []int, quads *[4]int) {
-	gatherRowsGo(dst, src, rows, quads)
-}
 
 func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
 	gatherColsGo(dst, src, rows, quads)

@@ -38,37 +38,89 @@ func sameBits(x, y float32) bool {
 
 // TestAsmKernelMatchesPortable pins the claim the whole package rests on:
 // the assembly microkernel and kernelGo produce the same tile, bit for bit,
-// from the same packed panels — including over non-finite and subnormal
-// inputs — and writes nothing outside it.
+// from the same operands — including over non-finite and subnormal inputs —
+// and write nothing outside it. The pw subtests read B as a packed panel;
+// the inplace ones read it through scattered offsets, with the 4-float runs
+// paired (one 32-byte load per half), unpaired, half paired, and as the
+// ragged last panel of a block, whose dead lanes repeat lane 0.
 func TestAsmKernelMatchesPortable(t *testing.T) {
 	if !useAsm {
 		t.Skip("no assembly microkernel on this CPU/architecture: kernelGo is the live kernel")
 	}
 	const ldc = nr + 3
+	gens := []struct {
+		name string
+		fn   func(*rand.Rand, int) []float32
+	}{{"normal", randMat}, {"special", randSpecial}}
+	check := func(t *testing.T, a, b []float32, rows []int, quads *[4]int, seed []float32, overwrite bool) {
+		want := append([]float32(nil), seed...)
+		got := append([]float32(nil), seed...)
+		kernelGo(a, b, rows, quads, want, ldc, overwrite)
+		kernel(a, b, rows, quads, got, ldc, overwrite)
+		// Every element, gutter columns included: kernelGo leaves those
+		// alone, so the assembly must too.
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("C[%d,%d]: asm %v (%#08x), portable %v (%#08x)", i/ldc, i%ldc,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
 	for _, pw := range []int{0, 1, 2, 3, 7, kcBlock - 1, kcBlock} {
 		for _, overwrite := range []bool{false, true} {
-			for _, gen := range []struct {
-				name string
-				fn   func(*rand.Rand, int) []float32
-			}{{"normal", randMat}, {"special", randSpecial}} {
+			for _, gen := range gens {
 				t.Run(fmt.Sprintf("pw%d_overwrite%v_%s", pw, overwrite, gen.name), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(17 + pw)))
 					a := gen.fn(rng, pw*mr)
 					b := gen.fn(rng, pw*nr)
 					seed := gen.fn(rng, mr*ldc)
-					want := append([]float32(nil), seed...)
-					got := append([]float32(nil), seed...)
-					kernelGo(pw, a, b, want, ldc, overwrite)
-					kernel(pw, a, b, got, ldc, overwrite)
-					// Every element, gutter columns included: kernelGo leaves
-					// those alone, so the assembly must too.
-					for i := range want {
-						if !sameBits(got[i], want[i]) {
-							t.Fatalf("C[%d,%d]: asm %v (%#08x), portable %v (%#08x)", i/ldc, i%ldc,
-								got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-						}
-					}
+					blk := bBlock{b: b, rows: panelRows[:pw]}
+					quads := blk.quads(0)
+					check(t, a, b, blk.rows, &quads, seed, overwrite)
 				})
+			}
+		}
+	}
+	const srcLen, offLimit, quadLimit = 6000, 4000, 1900
+	layouts := map[string]func(rng *rand.Rand) [4]int{
+		"paired": func(rng *rand.Rand) [4]int {
+			q0, q2 := rng.Intn(quadLimit), rng.Intn(quadLimit)
+			return [4]int{q0, q0 + 4, q2, q2 + 4}
+		},
+		"unpaired": func(rng *rand.Rand) [4]int {
+			return [4]int{rng.Intn(quadLimit), rng.Intn(quadLimit), rng.Intn(quadLimit), rng.Intn(quadLimit)}
+		},
+		"halfpaired": func(rng *rand.Rand) [4]int {
+			q0 := rng.Intn(quadLimit)
+			return [4]int{q0, q0 + 4, q0 + 8, q0 + 13}
+		},
+	}
+	for live := 1; live < 4; live++ {
+		layouts[fmt.Sprintf("ragged%d", live)] = func(rng *rand.Rand) [4]int {
+			starts := make([]int, live)
+			for i := range starts {
+				starts[i] = 4 * i
+			}
+			starts[0] += rng.Intn(quadLimit)
+			return (&bBlock{starts: starts}).quads(0)
+		}
+	}
+	for _, pw := range []int{0, 1, 2, 3, 7, 27, 216, kcBlock - 1, kcBlock} {
+		for name, layout := range layouts {
+			for _, overwrite := range []bool{false, true} {
+				for _, gen := range gens {
+					t.Run(fmt.Sprintf("inplace_pw%d_%s_overwrite%v_%s", pw, name, overwrite, gen.name), func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(41 + pw)))
+						a := gen.fn(rng, pw*mr)
+						src := gen.fn(rng, srcLen)
+						rows := make([]int, pw)
+						for p := range rows {
+							rows[p] = rng.Intn(offLimit)
+						}
+						quads := layout(rng)
+						check(t, a, src, rows, &quads, gen.fn(rng, mr*ldc), overwrite)
+					})
+				}
 			}
 		}
 	}
@@ -129,9 +181,9 @@ func checkPanels(t *testing.T, name string, dst []float32, width, pw, ew int, at
 	}
 }
 
-// TestAsmGatherMatchesPortable holds the two assembly gather packers to the
-// Go loops they replace, bit for bit (non-finite values included: a packer
-// only moves floats), and checks they write nothing outside the panel.
+// TestAsmGatherMatchesPortable holds the assembly gather packer to the Go
+// loop it replaces, bit for bit (non-finite values included: a packer only
+// moves floats), and checks it writes nothing outside the panel.
 func TestAsmGatherMatchesPortable(t *testing.T) {
 	if !useAsm {
 		t.Skip("no assembly packers on this CPU/architecture: the Go loops are the live ones")
@@ -146,21 +198,10 @@ func TestAsmGatherMatchesPortable(t *testing.T) {
 		return xs
 	}
 	for _, steps := range []int{0, 1, 2, 5, kcBlock / 4, kcBlock} {
-		// K along rows: `steps` rows, one set of four quads.
-		rows, quads := offsets(steps, 4000), offsets(4, 990)
-		want := randMat(rng, steps*nr+2)
-		got := append([]float32(nil), want...)
-		gatherRowsGo(want[1:], src, rows, (*[4]int)(quads))
-		gatherRows(got[1:], src, rows, (*[4]int)(quads))
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("gatherRows steps=%d: element %d = %v, want %v", steps, i-1, got[i], want[i])
-			}
-		}
 		// K along quads: `steps` quads (4·steps K steps), sixteen rows.
-		rows, quads = offsets(nr, 4000), offsets(steps, 990)
-		want = randMat(rng, 4*steps*nr+2)
-		got = append([]float32(nil), want...)
+		rows, quads := offsets(nr, 4000), offsets(steps, 990)
+		want := randMat(rng, 4*steps*nr+2)
+		got := append([]float32(nil), want...)
 		gatherColsGo(want[1:], src, (*[nr]int)(rows), quads)
 		gatherCols(got[1:], src, (*[nr]int)(rows), quads)
 		for i := range want {
@@ -171,10 +212,12 @@ func TestAsmGatherMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestPackGatheredMatchesContract checks PackGathered against the layout it
-// documents, element by element and padding lanes included, for the vector
-// run length and the per-element one, either orientation, and row and column
-// counts that leave full, ragged and single-lane last panels.
+// TestPackGatheredMatchesContract checks the B blocks of a gathered operand
+// against the matrix it describes, element by element, for the vector run
+// length and the per-element one, either orientation, blocks at the origin
+// and off it, and row and column counts that leave full, ragged and
+// single-lane last panels: packed panels padding lanes included, and the
+// in-place view of a run-4 V through the offsets the microkernel reads.
 func TestPackGatheredMatchesContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	src := randMat(rng, 6000)
@@ -188,18 +231,57 @@ func TestPackGatheredMatchesContract(t *testing.T) {
 				for i := range starts {
 					starts[i] = rng.Intn(1900)
 				}
+				g := NewGathered(rows, starts, run)
 				v := func(r, c int) float32 { return src[rows[r]+starts[c/run]+c%run] }
 				for _, trans := range []bool{false, true} {
-					pw, ew := nRows, nStarts*run
+					kdim, n := nRows, nStarts*run
 					at := v
 					if trans {
-						pw, ew = ew, pw
+						kdim, n = n, kdim
 						at = func(p, e int) float32 { return v(e, p) }
 					}
-					dst := randMat(rng, pw*(ew+nr))
-					PackGathered(trans, dst, src, rows, starts, run)
-					checkPanels(t, fmt.Sprintf("PackGathered trans=%v run=%d rows=%d starts=%d", trans, run, nRows, nStarts),
-						dst, nr, pw, ew, at)
+					// A block starts on a run boundary of the starts' axis.
+					pStep, jStep := 1, run
+					if trans {
+						pStep, jStep = run, 1
+					}
+					op := g.Operand(trans, src, 0)
+					for _, off := range []int{0, 4} {
+						p0, j0 := min(off, kdim-pStep), min(off, n-jStep)
+						pw, jw := kdim-p0, n-j0
+						name := fmt.Sprintf("trans=%v run=%d rows=%d starts=%d at (%d,%d)", trans, run, nRows, nStarts, p0, j0)
+						blk := op.block(0, p0, pw, j0, jw, randMat(rng, pw*(jw+nr)))
+						checkBlock(t, name, &blk, pw, jw, func(p, e int) float32 { return at(p0+p, j0+e) })
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkBlock asserts the microkernel's view of blk is the pw×jw block at(p,
+// e): lane x of panel jp at K step p is blk.b[blk.rows[p] + quads[x/4] +
+// x%4] with quads = blk.quads(jp). Past jw a packed block holds zeros; an
+// in-place one reads whatever its repeated first run holds, never merged.
+func checkBlock(t *testing.T, name string, blk *bBlock, pw, jw int, at func(p, e int) float32) {
+	t.Helper()
+	if len(blk.rows) != pw {
+		t.Fatalf("%s: %d K steps, want %d", name, len(blk.rows), pw)
+	}
+	for jp := 0; jp*nr < jw; jp++ {
+		quads := blk.quads(jp)
+		for p := 0; p < pw; p++ {
+			for x := 0; x < nr; x++ {
+				e := jp*nr + x
+				if e >= jw && blk.starts != nil {
+					continue
+				}
+				var want float32
+				if e < jw {
+					want = at(p, e)
+				}
+				if got := blk.b[blk.rows[p]+quads[x/4]+x%4]; !sameBits(got, want) {
+					t.Fatalf("%s: panel %d step %d lane %d = %v, want %v", name, jp, p, x, got, want)
 				}
 			}
 		}
@@ -207,22 +289,41 @@ func TestPackGatheredMatchesContract(t *testing.T) {
 }
 
 // TestPackGatheredRejectsOutOfRange: the offsets are the caller's, and the
-// assembly behind run 4 checks nothing, so an offset pair that leaves src
-// must panic before any element moves.
+// assembly that reads a gathered operand — packed or in place — checks
+// nothing, so offsets that leave the source must panic before any element
+// moves: a negative pair when the tables are made, one past the end of any
+// instance's source when a product is asked for.
 func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 	src := make([]float32, 100)
-	dst := make([]float32, 4*nr)
+	c := make([]float32, 2*4*12)
+	a := make([]float32, 4*24)
+	product := func(trans bool, count, stride int, rows, starts []int) func() {
+		return func() {
+			g := NewGathered(rows, starts, 4)
+			k, n := len(rows), 4*len(starts)
+			if trans {
+				k, n = n, k
+			}
+			GemmBatch(count, false, 1, n, k, a, k, 0, g.Operand(trans, src, stride),
+				false, nil, c, n, n, 1)
+		}
+	}
 	for name, call := range map[string]func(){
-		"past the end": func() { PackGathered(false, dst, src, []int{0, 90}, []int{0, 4, 7}, 4) },
-		"negative":     func() { PackGathered(true, dst, src, []int{3, -8}, []int{4}, 4) },
+		"past the end":                  product(true, 1, 0, []int{0, 90}, []int{0, 4, 7}),
+		"negative":                      product(true, 1, 0, []int{3, -8}, []int{4}),
+		"in place past the end":         product(false, 1, 0, []int{0, 90}, []int{0, 4, 7}),
+		"in place negative":             product(false, 1, 0, []int{3, 8}, []int{-12, 4}),
+		"in place, last instance's end": product(false, 2, 50, []int{0, 40}, []int{0, 4, 7}),
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: PackGathered did not panic", name)
+					t.Errorf("%s: the product did not panic", name)
 				}
 			}()
 			call()
 		}()
 	}
+	// The last case's first instance alone is in range.
+	product(false, 1, 50, []int{0, 40}, []int{0, 4, 7})()
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/gemm"
 	"repro/internal/parallel"
@@ -25,22 +26,28 @@ import (
 // P is never built. Each pass copies its activation once into a buffer with
 // a K/2-wide zero border on every side (haloGeom, padHalo); in there the
 // element tap r reads for voxel v sits at rows[r] + starts[v] with no bounds
-// to test, which is the form gemm.PackGathered packs B panels from. So one
-// routine, convGEMM, is the training forward, Infer and the input gradient,
-// and the kernel gradient differs only in packing P transposed. The packed
-// panels hold the same floats in the same order as panels copied out of a
-// materialized patch matrix, so the forward output and the kernel gradient
-// are bit-for-bit what the im2col lowering this replaced produced
-// (TestConvGoldenHash); the input gradient is one K = OC·K³ dot per element.
-// A 1×1×1 convolution needs no halo: the activation slab already is P.
+// to test — a gemm.Gathered matrix, whose two offset tables patchMatrix
+// builds once per call. Where volume rows are a multiple of 4 wide the GEMM
+// microkernel reads P there in place, four voxels per run, and no B panel is
+// built; other widths are packed element by element. So one routine,
+// convGEMM, is the training forward, Infer and the input gradient, and the
+// kernel gradient differs only in multiplying by P transposed, which is
+// packed. The kernel consumes the same floats in the same order as from
+// panels copied out of a materialized patch matrix, so the forward output
+// and the kernel gradient are bit-for-bit what the im2col lowering this
+// replaced produced (TestConvGoldenHash); the input gradient is one
+// K = OC·K³ dot per element. A 1×1×1 convolution needs no halo: the
+// activation slab already is P, read as one flat row of voxels per channel.
 //
 // Every product runs as a gemm.GemmBatch over the batch — parallel over
 // (sample × column block) with a fixed per-element accumulation order, so all
 // three passes are bit-for-bit independent of the worker budget — and the
 // kernel gradient is reduced onto gW from per-sample partials in ascending
-// sample order. Halo buffers, W′ and the partials come from the tensor
-// scratch pool and go back before the pass returns: the layer holds nothing
-// between calls but the input it was given.
+// sample order. The GEMM packs its A side — W, W′ or the output gradient —
+// once per call. Halo buffers, W′, the packed A and the partials come from
+// the tensor scratch pool and go back before the pass returns: the layer
+// holds nothing between calls but the input it was given, so Infer can run
+// on a model that is training.
 
 // haloGeom locates a [d, h, w] volume inside its zero-haloed copy.
 type haloGeom struct {
@@ -73,103 +80,96 @@ func padHalo(dst, src []float32, count int, g haloGeom, workers int) {
 	})
 }
 
-// haloPacker returns the gemm.PackBFunc of the patch matrix of one sample's
-// haloed activation (or of its transpose): patch row r = (channel, tap) and
-// voxel v = (z, y, x) meet at halo[rows[r] + starts[v]], where rows[r] is the
-// channel's base plus the tap's offset from the window's corner, and
-// starts[v] the corner's offset. taps holds the K³ tap offsets. Where rows
-// of the volume are a multiple of four wide, four voxels at a time share a
-// start and move as one vector; any other width goes element by element.
-func haloPacker(trans bool, halo []float32, g haloGeom, taps []int) gemm.PackBFunc {
+// patchTables recycles the offset tables of convolution calls, so a
+// steady-state call allocates none.
+var patchTables = sync.Pool{New: func() any { return new([]int) }}
+
+// patchMatrix describes the patch matrix of one sample's haloed activation
+// ([ch] volumes of g.vol floats) as a gathered matrix: patch row r =
+// (channel, tap) and voxel v = (z, y, x) meet at halo[rows[r] + starts[v]],
+// where rows[r] is the channel's base plus the tap's offset from the
+// window's corner, and starts[v] the corner's offset. Where rows of the
+// volume are a multiple of four wide, four voxels at a time share a start —
+// the form the GEMM reads in place; any other width goes element by element.
+// The tables are written into *buf, which grows to fit them.
+func patchMatrix(g haloGeom, ch, k int, buf *[]int) gemm.Gathered {
 	run := 1
 	if g.w%4 == 0 {
 		run = 4
 	}
-	return func(p0, pw, j0, jw int, dst []float32) {
-		var rowBuf, startBuf [gemm.BlockDepth]int
-		r0, rn, v0, vn := p0, pw, j0, jw
-		if trans {
-			r0, rn, v0, vn = j0, jw, p0, pw
-		}
-		rows := rowBuf[:rn]
-		base, tap := r0/len(taps)*g.vol, r0%len(taps)
-		for i := range rows {
-			rows[i] = base + taps[tap]
-			if tap++; tap == len(taps) {
-				base, tap = base+g.vol, 0
-			}
-		}
-		starts := startBuf[:vn/run]
-		for i := range starts {
-			v := v0 + i*run
-			starts[i] = (v/(g.h*g.w)*g.hp+v/g.w%g.h)*g.wp + v%g.w
-		}
-		gemm.PackGathered(trans, dst, halo, rows, starts, run)
-	}
-}
-
-// tapOffsets lists, for each of the K³ kernel taps in (kz, ky, kx) order, the
-// offset of the element it reads from the corner of the haloed window.
-func tapOffsets(k int, g haloGeom) []int {
-	taps := make([]int, 0, k*k*k)
+	kk := k * k * k
+	tables := (*buf)[:0]
 	for kz := 0; kz < k; kz++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				taps = append(taps, (kz*g.hp+ky)*g.wp+kx)
+				tables = append(tables, (kz*g.hp+ky)*g.wp+kx)
 			}
 		}
 	}
-	return taps
+	for r := kk; r < ch*kk; r++ {
+		tables = append(tables, tables[r-kk]+g.vol)
+	}
+	nRows := len(tables)
+	for z := 0; z < g.d; z++ {
+		for y := 0; y < g.h; y++ {
+			for x, base := 0, (z*g.hp+y)*g.wp; x < g.w; x += run {
+				tables = append(tables, base+x)
+			}
+		}
+	}
+	*buf = tables
+	return gemm.NewGathered(tables[:nRows], tables[nRows:], run)
 }
 
-// overPatches calls fn with the packers of P(src[n0]), P(src[n0+1]), … — or
-// of their transposes — for consecutive groups of samples of a [n, ch, d, h,
-// w] activation. A group is one sample per worker: enough independent
-// products to keep the budget busy where one sample is a single column block,
-// while the halo buffer the packers read, drawn once and refilled per group,
-// stays the size of the workers' working set whatever the batch.
-func overPatches(trans bool, src []float32, n, ch, d, h, w, k, workers int,
-	fn func(n0 int, packers []gemm.PackBFunc)) {
+// overPatches calls fn with the patch matrices P(src[n0]), …,
+// P(src[n0+count−1]) of consecutive groups of samples of a [n, ch, d, h, w]
+// activation: one gathered matrix p over buf, sample i's at buf[i·stride:].
+// The offset tables are built and range-checked once per call. A 1×1×1
+// kernel needs no halo — the activation slab already is P, one flat row of
+// voxels per channel — so buf is src and the whole batch is one group.
+// Otherwise a group is one sample per worker: enough independent products to
+// keep the budget busy where one sample is a single column block, while the
+// halo buffer, drawn once and refilled per group, stays the size of the
+// workers' working set whatever the batch.
+func overPatches(src []float32, n, ch, d, h, w, k, workers int,
+	fn func(n0, count int, p gemm.Gathered, buf []float32, stride int)) {
 
 	cols := d * h * w
-	packers := make([]gemm.PackBFunc, n)
 	if k == 1 {
-		for ni := range packers {
-			packers[ni] = gemm.PackDense(trans, src[ni*ch*cols:(ni+1)*ch*cols], cols)
-		}
-		fn(0, packers)
-		return
+		d, h, w = 1, 1, cols
 	}
 	g := newHaloGeom(d, h, w, k)
-	taps := tapOffsets(k, g)
+	tables := patchTables.Get().(*[]int)
+	defer patchTables.Put(tables)
+	p := patchMatrix(g, ch, k, tables)
+	if k == 1 {
+		fn(0, n, p, src, ch*cols)
+		return
+	}
 	group := min(n, parallel.Resolve(workers))
 	halo := tensor.GetScratch(group * ch * g.vol)
 	defer tensor.PutScratch(halo)
 	for n0 := 0; n0 < n; n0 += group {
-		packers = packers[:min(group, n-n0)]
-		padHalo(halo, src[n0*ch*cols:], len(packers)*ch, g, workers)
-		for i := range packers {
-			packers[i] = haloPacker(trans, halo[i*ch*g.vol:(i+1)*ch*g.vol], g, taps)
-		}
-		fn(n0, packers)
+		count := min(group, n-n0)
+		padHalo(halo, src[n0*ch*cols:], count*ch, g, workers)
+		fn(n0, count, p, halo, ch*g.vol)
 	}
 }
 
 // convGEMM computes dst[n] = wmat·P(src[n]) for every sample (plus bias[r]
 // on row r when bias is non-nil): the same-padded K³ convolution of the [n,
 // ch, d, h, w] activation src with the m filters whose rows wmat ([m, ch·K³])
-// holds. Every element of dst is written.
+// holds. Every element of dst is written. The filters are packed once per
+// call and shared by every sample; P is read in place where volume rows are
+// a multiple of 4 wide.
 func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
 	bias, dst []float32, workers int) {
 
 	cols := d * h * w
 	kdim := ch * k * k * k
-	overPatches(false, src, n, ch, d, h, w, k, workers, func(n0 int, packers []gemm.PackBFunc) {
-		gemm.GemmBatch(len(packers), false, m, cols, kdim,
-			func(int) []float32 { return wmat }, kdim,
-			func(i int) gemm.PackBFunc { return packers[i] }, false, bias,
-			func(i int) []float32 { return dst[(n0+i)*m*cols : (n0+i+1)*m*cols] }, cols,
-			workers)
+	overPatches(src, n, ch, d, h, w, k, workers, func(n0, count int, p gemm.Gathered, buf []float32, stride int) {
+		gemm.GemmBatch(count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(false, buf, stride),
+			false, bias, dst[n0*m*cols:], cols, m*cols, workers)
 	})
 }
 
@@ -200,12 +200,9 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 
 	partials := tensor.GetScratch(n * oc * kdim)
 	defer tensor.PutScratch(partials)
-	overPatches(true, x.Data(), n, ic, d, h, w, c.Kernel, workers, func(n0 int, packers []gemm.PackBFunc) {
-		gemm.GemmBatch(len(packers), false, oc, kdim, cols,
-			func(i int) []float32 { return god[(n0+i)*oc*cols : (n0+i+1)*oc*cols] }, cols,
-			func(i int) gemm.PackBFunc { return packers[i] }, false, nil,
-			func(i int) []float32 { return partials[(n0+i)*oc*kdim : (n0+i+1)*oc*kdim] }, kdim,
-			workers)
+	overPatches(x.Data(), n, ic, d, h, w, c.Kernel, workers, func(n0, count int, p gemm.Gathered, buf []float32, stride int) {
+		gemm.GemmBatch(count, false, oc, kdim, cols, god[n0*oc*cols:], cols, oc*cols, p.Operand(true, buf, stride),
+			false, nil, partials[n0*oc*kdim:], kdim, oc*kdim, workers)
 	})
 	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc*kdim, workers)
 }

@@ -135,14 +135,9 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	// order per element (see conv3d_gemm.go).
 	partials := tensor.GetScratch(n * ic * rows)
 	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, ic, rows, inCols,
-		func(ni int) []float32 { return xd[ni*ic*inCols : (ni+1)*ic*inCols] }, inCols,
-		func(ni int) gemm.PackBFunc {
-			return gemm.PackDense(true, gradCols[ni*rows*inCols:(ni+1)*rows*inCols], inCols)
-		},
-		false, nil,
-		func(ni int) []float32 { return partials[ni*ic*rows : (ni+1)*ic*rows] }, rows,
-		workers)
+	gemm.GemmBatch(n, false, ic, rows, inCols, xd, inCols, ic*inCols,
+		gemm.Dense(true, gradCols, inCols, rows*inCols),
+		false, nil, partials, rows, ic*rows, workers)
 	reduceWeightPartials(gwd, partials, n, ic*rows, workers)
 
 	// Input gradient: gIn[n] = W·gradCols.

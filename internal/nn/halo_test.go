@@ -10,7 +10,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Tests for the patch-matrix-free GEMM convolution: the halo packer must
+// Tests for the patch-matrix-free GEMM convolution: the offset tables must
 // hand the GEMM exactly the patch matrix's elements, and a layer that keeps
 // nothing between passes must not care what happened before a pass.
 
@@ -29,12 +29,16 @@ func patchAt(x []float32, d, h, w, k, r, v int) float32 {
 	return x[((ch*d+z)*h+y)*w+xx]
 }
 
-// TestHaloPackerMatchesNaiveGather packs every block of the patch matrix
-// and of its transpose the way the GEMM asks for them and compares each
-// packed element — padding lanes included — with the per-element definition,
-// on the shapes a packer gets wrong first: odd extents, rows narrower than
-// the kernel, rows that are a multiple of 4 but not of the 16-wide panel,
-// a K³·IC deeper than one K slice, a volume wider than one column block.
+// TestHaloPackerMatchesNaiveGather multiplies the identity by the patch
+// matrix, and by its transpose, through the GEMM exactly as the convolution
+// hands it over — offset tables over the haloed copy, read in place or
+// packed — and compares each element of the product with the per-element
+// definition. A product with the identity reproduces its other factor bit
+// for bit, so an element the tables misaddress shows, and so does any read
+// of the NaN the halo buffer starts out as. The shapes are the ones a packer
+// gets wrong first: odd extents, rows narrower than the kernel, rows that
+// are a multiple of 4 but not of the 16-wide panel, a K³·IC deeper than one
+// K slice, a volume wider than one column block.
 func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 	cases := []struct{ ch, k, d, h, w int }{
 		{3, 3, 5, 6, 7},
@@ -49,7 +53,6 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 		{9, 3, 8, 8, 8},  // 512 voxels: two column blocks forward, two K slices transposed
 		{2, 3, 3, 3, 36}, // 324 voxels: a ragged last panel of one quad
 	}
-	const nr = gemm.PanelCols
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("ch%d_k%d_%dx%dx%d", tc.ch, tc.k, tc.d, tc.h, tc.w), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
@@ -60,41 +63,31 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 				halo[i] = float32(math.NaN()) // padHalo must overwrite all of it
 			}
 			padHalo(halo, x, tc.ch, g, 2)
-			taps := tapOffsets(tc.k, g)
+			var tables []int
+			p := patchMatrix(g, tc.ch, tc.k, &tables)
 
 			patchRows, voxels := tc.ch*tc.k*tc.k*tc.k, tc.d*tc.h*tc.w
 			for _, trans := range []bool{false, true} {
-				pack := haloPacker(trans, halo, g, taps)
 				kdim, n := patchRows, voxels
 				if trans {
 					kdim, n = voxels, patchRows
 				}
-				dst := make([]float32, gemm.BlockDepth*gemm.BlockCols)
-				for p0 := 0; p0 < kdim; p0 += gemm.BlockDepth {
-					pw := min(gemm.BlockDepth, kdim-p0)
-					for j0 := 0; j0 < n; j0 += gemm.BlockCols {
-						jw := min(gemm.BlockCols, n-j0)
-						for i := range dst {
-							dst[i] = float32(math.NaN())
+				eye := make([]float32, kdim*kdim)
+				for i := 0; i < kdim; i++ {
+					eye[i*kdim+i] = 1
+				}
+				got := make([]float32, kdim*n)
+				gemm.GemmBatch(1, false, kdim, n, kdim, eye, kdim, 0, p.Operand(trans, halo, 0),
+					false, nil, got, n, 0, 2)
+				for i := 0; i < kdim; i++ {
+					for j := 0; j < n; j++ {
+						r, v := i, j
+						if trans {
+							r, v = v, r
 						}
-						pack(p0, pw, j0, jw, dst)
-						for jp := 0; jp*nr < jw; jp++ {
-							for p := 0; p < pw; p++ {
-								for jj := 0; jj < nr; jj++ {
-									var want float32
-									if j := jp*nr + jj; j < jw {
-										r, v := p0+p, j0+j
-										if trans {
-											r, v = v, r
-										}
-										want = patchAt(x, tc.d, tc.h, tc.w, tc.k, r, v)
-									}
-									if got := dst[jp*pw*nr+p*nr+jj]; math.Float32bits(got) != math.Float32bits(want) {
-										t.Fatalf("trans=%v block (%d,%d) panel %d step %d lane %d = %v, want %v",
-											trans, p0, j0, jp, p, jj, got, want)
-									}
-								}
-							}
+						want := patchAt(x, tc.d, tc.h, tc.w, tc.k, r, v)
+						if got := got[i*n+j]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("trans=%v element (%d,%d) = %v, want %v", trans, i, j, got, want)
 						}
 					}
 				}
@@ -169,7 +162,7 @@ func TestBackwardInputSeesUpdatedWeights(t *testing.T) {
 
 // TestTrainingStepScratchSteadyStateConv is the layer-local allocation
 // contract: after a warm-up a forward/backward step draws every buffer (halo
-// copies, partials, the flipped kernel, packing panels) from the scratch
+// copies, partials, the flipped kernel, packed weights and panels) from the scratch
 // pool — zero fresh allocations.
 func TestTrainingStepScratchSteadyStateConv(t *testing.T) {
 	if raceEnabled {
