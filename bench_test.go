@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/allreduce"
@@ -186,48 +187,40 @@ func BenchmarkPipelineOnlineVsOffline(b *testing.B) {
 	})
 }
 
-// BenchmarkAllReduce compares the real ring, naive and hierarchical
-// reductions at the paper's gradient size (all-reduce ablation).
+// BenchmarkAllReduce times the flat and the grouped (4 replicas per node)
+// ring all-reduce over in-process links at the paper's gradient size.
 func BenchmarkAllReduce(b *testing.B) {
 	const replicas = 8
 	size := unet.MustNew(unet.PaperConfig()).ParamCount()
-	mk := func() [][]float32 {
-		bufs := make([][]float32, replicas)
-		for i := range bufs {
-			bufs[i] = make([]float32, size)
-			for j := range bufs[i] {
-				bufs[i][j] = float32(i + j)
+	for _, tc := range []struct {
+		name      string
+		groupSize int
+	}{{"ring", 0}, {"hierarchical", 4}} {
+		b.Run(tc.name, func(b *testing.B) {
+			bufs := make([][]float32, replicas)
+			for i := range bufs {
+				bufs[i] = make([]float32, size)
+				for j := range bufs[i] {
+					bufs[i][j] = float32(i + j)
+				}
 			}
-		}
-		return bufs
+			tops := allreduce.LocalTopologies(replicas, tc.groupSize, allreduce.NetConfig{})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for r, tp := range tops {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := tp.AllReduce(bufs[r]); err != nil {
+							b.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		})
 	}
-	b.Run("ring", func(b *testing.B) {
-		bufs := mk()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := allreduce.Ring(bufs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		bufs := mk()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := allreduce.Naive(bufs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hierarchical", func(b *testing.B) {
-		bufs := mk()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := allreduce.Hierarchical(bufs, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAllReduceModel compares the analytic ring vs naive cost at the

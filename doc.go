@@ -24,9 +24,10 @@
 // callback chain and bit-exact checkpoint/resume (train, ckpt) — the
 // distribution layer selecting and driving those strategies with resumable
 // hyper-parameter campaigns (allreduce, mirrored, raysgd, tune, cluster)
-// — allreduce runs its ring and hierarchical reductions both in-process
-// over shared buffers and multi-process over a TCP transport with the
-// identical bitwise accumulation order, and dist adds the fault-tolerant
+// — allreduce runs one ring and hierarchical reduction over any link,
+// in-process channels or TCP between processes, mirrored writes the
+// data-parallel step once as a Rank that a Trainer runs R of in-process
+// and each dist worker runs one of over TCP, and dist adds the fault-tolerant
 // coordinator/worker layer on top: elastic membership with heartbeats and
 // generations, step-granular session checkpoints, and recovery that
 // resumes survivors (or a rejoined worker) from the last checkpoint with

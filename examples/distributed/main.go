@@ -6,8 +6,9 @@
 // The walkthrough has three acts:
 //
 //  1. A clean 3-worker run. Each worker is a full member of the ring:
-//     it trains its shard of every global batch, averages gradients over
-//     the wire in the same order as the in-process mirrored trainer, and
+//     it runs the same mirrored.Rank step as each replica of the
+//     in-process mirrored trainer — its shard of every global batch,
+//     gradients averaged by the same ring code, here over TCP — and
 //     rank 0 checkpoints the session after every step. The run ends with
 //     every rank reporting the same parameter hash.
 //  2. The same run with rank 1 killed abruptly after its first optimizer

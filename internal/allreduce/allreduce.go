@@ -1,11 +1,18 @@
-// Package allreduce implements the gradient reduction collectives of the
-// data-parallel path: a real ring all-reduce executed by one goroutine per
-// replica (the algorithm NCCL runs across GPUs), and a naive
-// gather-and-broadcast baseline used by the ablation benchmarks. Both
-// operate in place on the replicas' gradient buffers.
+// Package allreduce implements the gradient collectives of the
+// data-parallel path: one ring all-reduce (the algorithm NCCL runs across
+// GPUs), flat or hierarchical — a ring within each node group, a ring
+// across group leaders, a broadcast back — executed by every member over
+// its Topology's links. A link is any Conn: framed TCP between processes
+// (FormTopology) or a channel inside one (LocalTopologies), so the
+// multi-process workers and the in-process mirrored trainer run the same
+// code with the same accumulation order. reference_test.go keeps a
+// channel-based Ring and Hierarchical that reduce a slice of buffers
+// directly, as the bit-for-bit oracle the topology tests hold both
+// transports to.
 package allreduce
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -36,118 +43,22 @@ func validate(bufs [][]float32) error {
 	return nil
 }
 
-// Ring performs an in-place ring all-reduce: after it returns every buffer
-// holds the elementwise sum of all input buffers. Workers run concurrently,
-// one goroutine per replica, exchanging chunks over channels exactly like
-// the bucketed NCCL ring: n−1 scatter-reduce steps followed by n−1
-// all-gather steps, each moving 1/n of the buffer.
-func Ring(bufs [][]float32) error {
+// RingAverage averages equal-length buffers elementwise in place over a flat
+// in-process ring, one LocalTopologies member per buffer: every buffer ends
+// holding the mean, bit-for-bit what the same ranks compute over TCP.
+func RingAverage(bufs [][]float32) error {
 	if err := validate(bufs); err != nil {
 		return err
 	}
-	n := len(bufs)
-	if n == 1 {
-		return nil
-	}
-	size := len(bufs[0])
-
-	// links[i] carries chunks from worker i to worker (i+1) mod n.
-	links := make([]chan []float32, n)
-	for i := range links {
-		links[i] = make(chan []float32, 1)
-	}
-
+	errs := make([]error, len(bufs))
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
+	for r, tp := range LocalTopologies(len(bufs), 0, NetConfig{}) {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			buf := bufs[w]
-			prev := links[(w-1+n)%n]
-
-			// Scatter-reduce: after step s, worker w has accumulated
-			// s+1 contributions into chunk (w-s+n)%n.
-			for s := 0; s < n-1; s++ {
-				sendChunk := (w - s + n) % n
-				lo, hi := chunkBounds(size, n, sendChunk)
-				out := make([]float32, hi-lo)
-				copy(out, buf[lo:hi])
-				links[w] <- out
-
-				in := <-prev
-				recvChunk := (w - s - 1 + n) % n
-				rlo, rhi := chunkBounds(size, n, recvChunk)
-				if len(in) != rhi-rlo {
-					panic("allreduce: chunk size mismatch")
-				}
-				for i := range in {
-					buf[rlo+i] += in[i]
-				}
-			}
-
-			// All-gather: circulate the fully reduced chunks.
-			for s := 0; s < n-1; s++ {
-				sendChunk := (w + 1 - s + n) % n
-				lo, hi := chunkBounds(size, n, sendChunk)
-				out := make([]float32, hi-lo)
-				copy(out, buf[lo:hi])
-				links[w] <- out
-
-				in := <-prev
-				recvChunk := (w - s + n) % n
-				rlo, rhi := chunkBounds(size, n, recvChunk)
-				copy(buf[rlo:rhi], in)
-			}
-		}(w)
+			errs[r] = tp.AllReduceAverage(bufs[r])
+		}()
 	}
 	wg.Wait()
-	return nil
-}
-
-// RingAverage runs Ring and divides every buffer by the replica count,
-// producing the averaged gradients synchronous SGD applies.
-func RingAverage(bufs [][]float32) error {
-	if err := Ring(bufs); err != nil {
-		return err
-	}
-	inv := 1 / float32(len(bufs))
-	for _, b := range bufs {
-		for i := range b {
-			b[i] *= inv
-		}
-	}
-	return nil
-}
-
-// Naive performs the gather-then-broadcast baseline: buffer 0 accumulates
-// every other buffer sequentially and the result is copied back out. Same
-// result as Ring, with 2·(n−1) full-buffer transfers on one root.
-func Naive(bufs [][]float32) error {
-	if err := validate(bufs); err != nil {
-		return err
-	}
-	root := bufs[0]
-	for _, b := range bufs[1:] {
-		for i := range root {
-			root[i] += b[i]
-		}
-	}
-	for _, b := range bufs[1:] {
-		copy(b, root)
-	}
-	return nil
-}
-
-// NaiveAverage runs Naive and averages.
-func NaiveAverage(bufs [][]float32) error {
-	if err := Naive(bufs); err != nil {
-		return err
-	}
-	inv := 1 / float32(len(bufs))
-	for _, b := range bufs {
-		for i := range b {
-			b[i] *= inv
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }

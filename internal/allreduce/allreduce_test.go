@@ -75,48 +75,15 @@ func TestRingAverage(t *testing.T) {
 	}
 }
 
-func TestNaiveMatchesRing(t *testing.T) {
-	a, _ := randBufs(11, 6, 50)
-	b := make([][]float32, len(a))
-	for i := range a {
-		b[i] = append([]float32(nil), a[i]...)
-	}
-	if err := Ring(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Naive(b); err != nil {
-		t.Fatal(err)
-	}
-	for w := range a {
-		for i := range a[w] {
-			if math.Abs(float64(a[w][i]-b[w][i])) > 1e-3 {
-				t.Fatalf("ring and naive disagree at [%d][%d]: %v vs %v", w, i, a[w][i], b[w][i])
-			}
-		}
-	}
-}
-
-func TestNaiveAverage(t *testing.T) {
-	bufs := [][]float32{{1}, {2}, {3}}
-	if err := NaiveAverage(bufs); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bufs {
-		if b[0] != 2 {
-			t.Fatalf("got %v", b)
-		}
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
-	if err := Ring(nil); err == nil {
+	if err := RingAverage(nil); err == nil {
 		t.Fatal("empty buffers must error")
 	}
-	if err := Ring([][]float32{{1, 2}, {1}}); err == nil {
+	if err := RingAverage([][]float32{{1, 2}, {1}}); err == nil {
 		t.Fatal("ragged buffers must error")
 	}
-	if err := Naive([][]float32{{1, 2}, {1}}); err == nil {
-		t.Fatal("ragged buffers must error for naive")
+	if err := Ring([][]float32{{1, 2}, {1}}); err == nil {
+		t.Fatal("ragged buffers must error for the reference ring")
 	}
 }
 
@@ -169,18 +136,7 @@ func BenchmarkRing8x409k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Ring(bufs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNaive8x409k(b *testing.B) {
-	bufs, _ := randBufs(1, 8, 409657)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Naive(bufs); err != nil {
+		if err := RingAverage(bufs); err != nil {
 			b.Fatal(err)
 		}
 	}

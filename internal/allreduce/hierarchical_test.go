@@ -40,9 +40,9 @@ func TestHierarchicalUnevenLastGroup(t *testing.T) {
 
 func TestHierarchicalAverage(t *testing.T) {
 	bufs := [][]float32{{8}, {0}, {4}, {0}}
-	if err := HierarchicalAverage(bufs, 2); err != nil {
-		t.Fatal(err)
-	}
+	runAll(t, LocalTopologies(len(bufs), 2, NetConfig{}), func(tp *Topology) error {
+		return tp.AllReduceAverage(bufs[tp.Rank()])
+	})
 	for i, b := range bufs {
 		if b[0] != 3 {
 			t.Fatalf("buffer %d: %v, want 3", i, b[0])

@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// This file runs the package's collectives over real sockets. A Topology is
-// one worker's view of the wired ring: its intra-group ring link and — for
-// group leaders — the leader ring link. With a single group it is the flat
-// ring; with groupSize < width it is the paper's hierarchical layout
-// (NVLink ring per node, InfiniBand ring across nodes). Every reduction
-// runs in the same order as the in-process Ring/Hierarchical functions, so
-// multi-process results are bitwise identical to the mirrored in-process
-// trainer.
+// A Topology is one member's view of the wired ring: its intra-group ring
+// link and — for group leaders — the leader ring link. With a single group
+// it is the flat ring; with groupSize < width it is the paper's
+// hierarchical layout (NVLink ring per node, InfiniBand ring across nodes).
+// FormTopology wires the links over TCP between processes, LocalTopologies
+// over channels inside one; the collectives below run unchanged over
+// either, so both give bit-for-bit the same results.
 
 // Named transport errors.
 var (
@@ -90,10 +89,9 @@ type ringLink struct {
 
 // Topology is one worker's wired view of the membership.
 type Topology struct {
-	rank, n   int
-	groupSize int
-	cfg       NetConfig
-	op        uint32
+	rank, n int
+	cfg     NetConfig
+	op      uint32
 
 	cdc Codec         // negotiated gradient codec (never nil after formation)
 	cm  *codecMetrics // cached metric children for cdc
@@ -101,9 +99,8 @@ type Topology struct {
 	intra  *ringLink // ring within the group (nil when the group has 1 member)
 	leader *ringLink // ring across group leaders (nil unless leader of >1 groups)
 
-	groupLo, groupN int
-	numGroups       int
-	conns           []Conn
+	numGroups int
+	conns     []Conn
 }
 
 // Rank returns this worker's global rank.
@@ -130,24 +127,94 @@ func (t *Topology) Close() {
 	t.intra, t.leader = nil, nil
 }
 
-// groupOf returns [lo, hi) of rank's group under groupSize, mirroring the
-// in-process Hierarchical's grouping.
-func groupOf(rank, n, groupSize int) (int, int) {
-	lo := (rank / groupSize) * groupSize
-	hi := lo + groupSize
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+// linkSpec is one ring a member takes part in: the link role, the member's
+// index and the ring's width within that ring, and the global ranks it
+// sends to (next, the peer it dials) and receives from (prev, the peer it
+// accepts).
+type linkSpec struct {
+	role         uint32
+	local, width int
+	next, prev   int
 }
 
-// FormTopology wires this worker into the membership: members[r] is rank
-// r's ring listen address, ln this worker's own listener (members[rank]
-// must route to it). groupSize ≤ 0 or ≥ len(members) forms the flat ring;
-// otherwise groups of groupSize form intra-group rings and their leaders
-// (ranks 0, groupSize, 2·groupSize, …) a leader ring, exactly like the
-// in-process Hierarchical. Outbound links dial with retry/backoff — peers
-// come up in arbitrary order — and both directions handshake with a
+// layout places rank in an n-member membership: groupSize ≤ 0 or ≥ n is the
+// flat ring; otherwise groups of groupSize consecutive ranks form
+// intra-group rings (the last group may be short) and their leaders (ranks
+// 0, groupSize, 2·groupSize, …) a leader ring. It returns the member's
+// topology with no links wired yet and the rings it must wire.
+func layout(rank, n, groupSize int, cfg NetConfig) (*Topology, []linkSpec) {
+	if groupSize <= 0 || groupSize > n {
+		groupSize = n
+	}
+	lo := (rank / groupSize) * groupSize
+	gn := min(lo+groupSize, n) - lo
+	local := rank - lo
+	numGroups := (n + groupSize - 1) / groupSize
+	t := &Topology{rank: rank, n: n, cfg: cfg, numGroups: numGroups, cdc: cfg.Codec, cm: codecMetricsFor(cfg.Codec)}
+
+	var links []linkSpec
+	if gn > 1 {
+		links = append(links, linkSpec{RoleIntra, local, gn, lo + (local+1)%gn, lo + (local-1+gn)%gn})
+	}
+	if rank == lo && numGroups > 1 {
+		li := rank / groupSize
+		links = append(links, linkSpec{RoleLeader, li, numGroups,
+			((li + 1) % numGroups) * groupSize, ((li - 1 + numGroups) % numGroups) * groupSize})
+	}
+	return t, links
+}
+
+// wire installs ring l over the established next/prev links, through the
+// configured Wrap hook.
+func (t *Topology) wire(l linkSpec, next, prev Conn) {
+	if wrap := t.cfg.Wrap; wrap != nil {
+		next, prev = wrap(t.rank, l.next, next), wrap(t.rank, l.prev, prev)
+	}
+	t.conns = append(t.conns, next, prev)
+	rl := &ringLink{rank: l.local, n: l.width, next: next, prev: prev, nextRank: l.next, prevRank: l.prev}
+	if l.role == RoleIntra {
+		t.intra = rl
+	} else {
+		t.leader = rl
+	}
+}
+
+// LocalTopologies builds all n members (n ≥ 1) of the layout FormTopology
+// wires, linked inside this process: every ring link is a channel that
+// passes frames by pointer, with no handshake, no deadlines and nothing
+// counted in the allreduce_{tx,rx}_* wire metrics. The collectives are the
+// same code as over TCP — chunking, accumulation order and codec — so the
+// results are bit-for-bit those of n processes. Member r must run its
+// collectives on its own goroutine, concurrently with the others.
+func LocalTopologies(n, groupSize int, cfg NetConfig) []*Topology {
+	cfg = cfg.withDefaults()
+	type edge struct {
+		role     uint32
+		from, to int
+	}
+	links := map[edge]*memConn{}
+	link := func(e edge) *memConn {
+		if links[e] == nil {
+			links[e] = newMemConn()
+		}
+		return links[e]
+	}
+	tops := make([]*Topology, n)
+	for r := range tops {
+		t, specs := layout(r, n, groupSize, cfg)
+		for _, l := range specs {
+			t.wire(l, link(edge{l.role, r, l.next}), link(edge{l.role, l.prev, r}))
+		}
+		tops[r] = t
+	}
+	return tops
+}
+
+// FormTopology wires this worker into the membership over TCP: members[r]
+// is rank r's ring listen address, ln this worker's own listener
+// (members[rank] must route to it). groupSize lays out the rings as in
+// layout. Outbound links dial with retry/backoff — peers come up in
+// arbitrary order — and both directions handshake with a
 // generation-stamped hello, so stale connections from an earlier
 // membership are rejected instead of corrupting the new ring.
 func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg NetConfig) (*Topology, error) {
@@ -156,44 +223,9 @@ func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg Ne
 	if n == 0 || rank < 0 || rank >= n {
 		return nil, fmt.Errorf("allreduce: rank %d outside membership of %d", rank, n)
 	}
-	if groupSize <= 0 || groupSize > n {
-		groupSize = n
-	}
-	lo, hi := groupOf(rank, n, groupSize)
-	gn := hi - lo
-	local := rank - lo
-	numGroups := (n + groupSize - 1) / groupSize
-
-	t := &Topology{
-		rank: rank, n: n, groupSize: groupSize, cfg: cfg,
-		groupLo: lo, groupN: gn, numGroups: numGroups,
-		cdc: cfg.Codec, cm: codecMetricsFor(cfg.Codec),
-	}
-	if n == 1 {
-		return t, nil
-	}
-
-	// The links this worker participates in: (role, peer-to-dial,
-	// peer-to-accept-from).
-	type want struct {
-		role               uint32
-		dialRank, fromRank int
-	}
-	var wants []want
-	if gn > 1 {
-		wants = append(wants, want{RoleIntra, lo + (local+1)%gn, lo + (local-1+gn)%gn})
-	}
-	isLeader := rank == lo
-	if isLeader && numGroups > 1 {
-		li := rank / groupSize
-		dial := ((li + 1) % numGroups) * groupSize
-		from := ((li - 1 + numGroups) % numGroups) * groupSize
-		wants = append(wants, want{RoleLeader, dial, from})
-	}
+	t, wants := layout(rank, n, groupSize, cfg)
 	if len(wants) == 0 {
-		// Sole member of its group with a single group overall — unreachable
-		// given n > 1, but keep the invariant explicit.
-		return t, nil
+		return t, nil // a membership of one
 	}
 
 	deadline := time.Now().Add(cfg.FormTimeout)
@@ -208,10 +240,10 @@ func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg Ne
 	}
 	dialCh := make(chan dialRes, len(wants))
 	for _, w := range wants {
-		go func(w want) {
-			conn, err := dialRing(members[w.dialRank], rank, w.dialRank, w.role, cfg, deadline)
-			dialCh <- dialRes{w.role, w.dialRank, conn, err}
-		}(w)
+		go func() {
+			conn, err := dialRing(members[w.next], rank, w.next, w.role, cfg, deadline)
+			dialCh <- dialRes{w.role, w.next, conn, err}
+		}()
 	}
 
 	// Inbound accepts run here: route each hello to the matching expected
@@ -223,7 +255,7 @@ func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg Ne
 		defer close(acceptDone)
 		need := map[[2]uint32]bool{}
 		for _, w := range wants {
-			need[[2]uint32{w.role, uint32(w.fromRank)}] = true
+			need[[2]uint32{w.role, uint32(w.prev)}] = true
 		}
 		for len(need) > 0 {
 			if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
@@ -297,25 +329,8 @@ func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg Ne
 		d.SetDeadline(time.Time{})
 	}
 
-	wrap := func(peer int, c Conn) Conn {
-		if cfg.Wrap != nil {
-			return cfg.Wrap(rank, peer, c)
-		}
-		return c
-	}
-	link := func(role uint32, localRank, width, dialRank, fromRank int) *ringLink {
-		next := wrap(dialRank, dialed[[2]uint32{role, uint32(dialRank)}])
-		prev := wrap(fromRank, accepted[[2]uint32{role, uint32(fromRank)}])
-		t.conns = append(t.conns, next, prev)
-		return &ringLink{rank: localRank, n: width, next: next, prev: prev, nextRank: dialRank, prevRank: fromRank}
-	}
 	for _, w := range wants {
-		switch w.role {
-		case RoleIntra:
-			t.intra = link(RoleIntra, local, gn, w.dialRank, w.fromRank)
-		case RoleLeader:
-			t.leader = link(RoleLeader, rank/groupSize, numGroups, w.dialRank, w.fromRank)
-		}
+		t.wire(w, dialed[[2]uint32{w.role, uint32(w.next)}], accepted[[2]uint32{w.role, uint32(w.prev)}])
 	}
 	return t, nil
 }
@@ -387,10 +402,11 @@ func (t *Topology) clearDeadline() {
 	}
 }
 
-// AllReduce sums buf elementwise across the membership, in place, with the
-// same reduction order as the in-process Ring (single group) or
-// Hierarchical (multiple groups): results are bitwise identical to those
-// functions over the same inputs.
+// AllReduce sums buf elementwise across the membership, in place: a
+// bucketed ring reduce within each group, a ring reduce across group
+// leaders, then a broadcast of the global sum within each group. The
+// accumulation order is a function of the layout alone, so every member —
+// over any transport — ends with the same bits.
 func (t *Topology) AllReduce(buf []float32) error {
 	if t.n == 1 {
 		return nil
@@ -413,16 +429,27 @@ func (t *Topology) AllReduce(buf []float32) error {
 		}
 	}
 	// Phase 3: leaders broadcast the global sum within their group.
-	if t.numGroups > 1 && t.intra != nil {
+	switch {
+	case t.numGroups == 1:
+	case t.intra != nil:
 		if err := t.ringBroadcastF32(t.intra, 0, buf, 3); err != nil {
 			return err
 		}
+	case !t.cdc.Lossless():
+		// A leader alone in its group broadcasts to nobody, but must still
+		// hold what every other group decodes: the codec's rounding of the
+		// sum, as each broadcast root adopts it.
+		vals, err := t.cdc.Decode(t.cdc.Encode(buf))
+		if err != nil {
+			return fmt.Errorf("allreduce: self-requantize: %w", err)
+		}
+		copy(buf, vals)
 	}
 	return nil
 }
 
-// AllReduceAverage runs AllReduce and divides by the membership width, the
-// same final scaling as RingAverage/HierarchicalAverage.
+// AllReduceAverage runs AllReduce and divides by the membership width: the
+// averaged gradients synchronous SGD applies.
 func (t *Topology) AllReduceAverage(buf []float32) error {
 	if err := t.AllReduce(buf); err != nil {
 		return err
@@ -574,10 +601,11 @@ func sendAsync(c Conn, f *Frame) chan error {
 	return ch
 }
 
-// ringReduce is the bucketed ring all-reduce of the in-process Ring, over
-// sockets: n−1 scatter-reduce steps then n−1 all-gather steps, each moving
-// one chunk. Chunk bounds and accumulation order match Ring exactly; with
-// the identity codec the wire bytes are byte-for-byte the version-1 format's
+// ringReduce is the bucketed ring all-reduce NCCL runs across GPUs: n−1
+// scatter-reduce steps then n−1 all-gather steps, each moving one chunk
+// (chunkBounds) to the next member. After scatter-reduce step s, member r
+// has accumulated s+1 contributions into chunk (r−s−1) mod n. With the
+// identity codec the wire bytes are byte-for-byte the version-1 format's
 // payloads.
 //
 // Under a lossy codec, cross-rank bit-identity holds because the all-gather

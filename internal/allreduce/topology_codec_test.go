@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -22,45 +23,51 @@ func codecCfg(t *testing.T, name string) NetConfig {
 // TestCodecCrossRankBitEqual is the membership invariant under compression:
 // whatever the codec loses, every rank loses identically — after AllReduce
 // all ranks hold bit-for-bit the same buffer, on flat and hierarchical
-// rings. For the identity codec the result must additionally match the
-// in-process Ring bit-for-bit (the PR 7 behavior).
+// rings, and every transport holds the same bits as every other. For the
+// identity codec the result must additionally match the reference
+// reduction bit-for-bit (the PR 7 behavior).
 func TestCodecCrossRankBitEqual(t *testing.T) {
-	layouts := []struct{ n, groupSize int }{{2, 0}, {3, 0}, {5, 0}, {4, 2}}
 	for _, name := range CodecNames() {
-		for _, lay := range layouts {
-			bufs := randNetBufs(lay.n, 67, int64(7*lay.n))
-			want := cloneBufs(bufs)
-			var err error
-			if lay.groupSize > 0 {
-				err = Hierarchical(want, lay.groupSize)
-			} else {
-				err = Ring(want)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			tops := formAll(t, lay.n, lay.groupSize, codecCfg(t, name))
-			runAll(t, tops, func(tp *Topology) error { return tp.AllReduce(bufs[tp.Rank()]) })
-			for r := 1; r < lay.n; r++ {
-				for i := range bufs[0] {
-					if math.Float32bits(bufs[r][i]) != math.Float32bits(bufs[0][i]) {
-						t.Fatalf("codec %s n=%d groups=%d: rank %d elem %d diverged: %x vs %x",
-							name, lay.n, lay.groupSize, r, i,
-							math.Float32bits(bufs[r][i]), math.Float32bits(bufs[0][i]))
+		for _, n := range layoutWidths {
+			for _, gs := range layoutGroupSizes {
+				t.Run(fmt.Sprintf("%s/n%d/g%d", name, n, gs), func(t *testing.T) {
+					in := randNetBufs(n, 67, int64(7*n+gs))
+					want := cloneBufs(in)
+					if err := reference(want, gs); err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
-			if name == "none" {
-				assertBitEqual(t, bufs, want)
-			} else {
-				// Lossy, not lost: the agreed result stays within the codec's
-				// error bound of the exact sum (coarse sanity — the tight
-				// per-codec bounds live in codec_test.go).
-				for i := range bufs[0] {
-					if diff := math.Abs(float64(bufs[0][i] - want[0][i])); diff > 0.3 {
-						t.Fatalf("codec %s: element %d drifted %g from the exact sum %g", name, i, diff, want[0][i])
+					var first [][]float32 // the first transport's result
+					for _, tr := range transports {
+						bufs := cloneBufs(in)
+						tops := tr.form(t, n, gs, codecCfg(t, name))
+						runAll(t, tops, func(tp *Topology) error { return tp.AllReduce(bufs[tp.Rank()]) })
+						for r := 1; r < n; r++ {
+							for i := range bufs[0] {
+								if math.Float32bits(bufs[r][i]) != math.Float32bits(bufs[0][i]) {
+									t.Fatalf("%s: rank %d elem %d diverged: %x vs %x", tr.name, r, i,
+										math.Float32bits(bufs[r][i]), math.Float32bits(bufs[0][i]))
+								}
+							}
+						}
+						if first == nil {
+							first = bufs
+						} else {
+							assertBitEqual(t, bufs, first)
+						}
 					}
-				}
+					if name == "none" {
+						assertBitEqual(t, first, want)
+						return
+					}
+					// Lossy, not lost: the agreed result stays within the codec's
+					// error bound of the exact sum (coarse sanity — the tight
+					// per-codec bounds live in codec_test.go).
+					for i := range first[0] {
+						if diff := math.Abs(float64(first[0][i] - want[0][i])); diff > 0.3 {
+							t.Fatalf("element %d drifted %g from the exact sum %g", i, diff, want[0][i])
+						}
+					}
+				})
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -105,78 +106,122 @@ func assertBitEqual(t *testing.T, got, want [][]float32) {
 	}
 }
 
+// formFunc wires an n-member topology under groupSize and cfg.
+type formFunc func(t *testing.T, n, groupSize int, cfg NetConfig) []*Topology
+
+// transports are the links the collectives run over: loopback TCP, as
+// between processes, and in-process channels.
+var transports = []struct {
+	name string
+	form formFunc
+}{
+	{"tcp", formAll},
+	{"local", func(_ *testing.T, n, groupSize int, cfg NetConfig) []*Topology {
+		return LocalTopologies(n, groupSize, cfg)
+	}},
+}
+
+// The layouts every collective is checked on: flat rings (group size 0),
+// rings of single-member groups (1), even and ragged groups.
+var (
+	layoutWidths     = []int{1, 2, 3, 5, 8}
+	layoutGroupSizes = []int{0, 1, 2, 3}
+)
+
+// forEachLayout runs fn as one subtest per transport × width × group size
+// in groupSizes.
+func forEachLayout(t *testing.T, groupSizes []int, fn func(t *testing.T, form formFunc, n, groupSize int)) {
+	for _, tr := range transports {
+		for _, n := range layoutWidths {
+			for _, gs := range groupSizes {
+				t.Run(fmt.Sprintf("%s/n%d/g%d", tr.name, n, gs), func(t *testing.T) { fn(t, tr.form, n, gs) })
+			}
+		}
+	}
+}
+
+// reference sums bufs in place with the oracle for the layout: the flat Ring
+// for group size 0, Hierarchical otherwise.
+func reference(bufs [][]float32, groupSize int) error {
+	if groupSize <= 0 {
+		return Ring(bufs)
+	}
+	return Hierarchical(bufs, groupSize)
+}
+
 func TestWireRingMatchesInProcess(t *testing.T) {
-	for _, n := range []int{2, 3, 5} {
+	forEachLayout(t, []int{0}, func(t *testing.T, form formFunc, n, _ int) {
+		tops := form(t, n, 0, NetConfig{Gen: 1, OpTimeout: 5 * time.Second})
 		for _, size := range []int{1, 7, 64} {
 			bufs := randNetBufs(n, size, int64(100*n+size))
 			want := cloneBufs(bufs)
 			if err := Ring(want); err != nil {
 				t.Fatal(err)
 			}
-			tops := formAll(t, n, 0, NetConfig{Gen: 1, OpTimeout: 5 * time.Second})
 			runAll(t, tops, func(tp *Topology) error { return tp.AllReduce(bufs[tp.Rank()]) })
 			assertBitEqual(t, bufs, want)
 		}
-	}
+	})
 }
 
 func TestWireHierarchicalMatchesInProcess(t *testing.T) {
-	cases := []struct{ n, gs int }{
-		{4, 2}, // two even groups
-		{5, 2}, // ragged final group
-		{6, 3}, // two groups of three
-		{4, 4}, // groupSize = width degenerates to the flat ring
-	}
-	for _, tc := range cases {
-		bufs := randNetBufs(tc.n, 33, int64(10*tc.n+tc.gs))
+	forEachLayout(t, []int{1, 2, 3}, func(t *testing.T, form formFunc, n, gs int) {
+		bufs := randNetBufs(n, 33, int64(10*n+gs))
 		want := cloneBufs(bufs)
-		if err := Hierarchical(want, tc.gs); err != nil {
+		if err := Hierarchical(want, gs); err != nil {
 			t.Fatal(err)
 		}
-		tops := formAll(t, tc.n, tc.gs, NetConfig{Gen: 2, OpTimeout: 5 * time.Second})
+		tops := form(t, n, gs, NetConfig{Gen: 2, OpTimeout: 5 * time.Second})
 		runAll(t, tops, func(tp *Topology) error { return tp.AllReduce(bufs[tp.Rank()]) })
 		assertBitEqual(t, bufs, want)
-	}
+	})
 }
 
 func TestWireAverageMatchesInProcess(t *testing.T) {
-	const n, size = 3, 29
-	bufs := randNetBufs(n, size, 7)
-	want := cloneBufs(bufs)
-	if err := RingAverage(want); err != nil {
-		t.Fatal(err)
-	}
-	tops := formAll(t, n, 0, NetConfig{Gen: 3, OpTimeout: 5 * time.Second})
-	runAll(t, tops, func(tp *Topology) error { return tp.AllReduceAverage(bufs[tp.Rank()]) })
-	assertBitEqual(t, bufs, want)
+	forEachLayout(t, layoutGroupSizes, func(t *testing.T, form formFunc, n, gs int) {
+		bufs := randNetBufs(n, 29, int64(7*n+gs))
+		want := cloneBufs(bufs)
+		if err := reference(want, gs); err != nil {
+			t.Fatal(err)
+		}
+		inv := 1 / float32(n)
+		for _, b := range want {
+			for i := range b {
+				b[i] *= inv
+			}
+		}
+		tops := form(t, n, gs, NetConfig{Gen: 3, OpTimeout: 5 * time.Second})
+		runAll(t, tops, func(tp *Topology) error { return tp.AllReduceAverage(bufs[tp.Rank()]) })
+		assertBitEqual(t, bufs, want)
+	})
 }
 
 func TestGatherAll64Ordered(t *testing.T) {
-	for _, tc := range []struct{ n, gs int }{{3, 0}, {5, 2}} {
-		tops := formAll(t, tc.n, tc.gs, NetConfig{Gen: 4, OpTimeout: 5 * time.Second})
-		results := make([][]float64, tc.n)
+	forEachLayout(t, layoutGroupSizes, func(t *testing.T, form formFunc, n, gs int) {
+		tops := form(t, n, gs, NetConfig{Gen: 4, OpTimeout: 5 * time.Second})
+		results := make([][]float64, n)
 		runAll(t, tops, func(tp *Topology) error {
 			got, err := tp.GatherAll64(float64(tp.Rank())*1.25 + 0.5)
 			results[tp.Rank()] = got
 			return err
 		})
 		for r, got := range results {
-			if len(got) != tc.n {
-				t.Fatalf("n=%d gs=%d rank %d: got %d values, want %d", tc.n, tc.gs, r, len(got), tc.n)
+			if len(got) != n {
+				t.Fatalf("rank %d: got %d values, want %d", r, len(got), n)
 			}
 			for i, v := range got {
 				want := float64(i)*1.25 + 0.5
 				if math.Float64bits(v) != math.Float64bits(want) {
-					t.Fatalf("n=%d gs=%d rank %d idx %d: got %v want %v", tc.n, tc.gs, r, i, v, want)
+					t.Fatalf("rank %d idx %d: got %v want %v", r, i, v, want)
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestBroadcast64(t *testing.T) {
-	for _, tc := range []struct{ n, gs int }{{3, 0}, {5, 2}} {
-		tops := formAll(t, tc.n, tc.gs, NetConfig{Gen: 5, OpTimeout: 5 * time.Second})
+	forEachLayout(t, layoutGroupSizes, func(t *testing.T, form formFunc, n, gs int) {
+		tops := form(t, n, gs, NetConfig{Gen: 5, OpTimeout: 5 * time.Second})
 		const want = 42.125
 		runAll(t, tops, func(tp *Topology) error {
 			in := -1.0
@@ -188,10 +233,27 @@ func TestBroadcast64(t *testing.T) {
 				return err
 			}
 			if got != want {
-				t.Errorf("rank %d: got %v want %v", tp.Rank(), got, want)
+				return fmt.Errorf("got %v want %v", got, want)
 			}
 			return nil
 		})
+	})
+}
+
+// TestLocalTopologyCloseUnblocks: closing a member's links fails a peer
+// blocked on them instead of hanging it.
+func TestLocalTopologyCloseUnblocks(t *testing.T) {
+	tops := LocalTopologies(2, 0, NetConfig{})
+	done := make(chan error, 1)
+	go func() { done <- tops[1].AllReduce(make([]float32, 8)) }()
+	tops[0].Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRingBroken) {
+			t.Fatalf("got %v, want ErrRingBroken", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer of a closed in-process topology still blocked")
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"time"
 )
 
-// Conn is one directed ring link: framed send/recv over a byte stream with
-// per-operation deadlines. The TCP implementation below is the production
-// transport; netsim wraps a Conn to inject faults deterministically.
+// Conn is one directed ring link: framed send/recv with per-operation
+// deadlines. The TCP implementation below links processes, memConn links
+// the members of LocalTopologies; netsim wraps a Conn to inject faults
+// deterministically.
 type Conn interface {
 	Send(f *Frame) error
 	Recv() (*Frame, error)
@@ -65,6 +67,46 @@ func (t *tcpConn) Recv() (*Frame, error) {
 func (t *tcpConn) SetDeadline(d time.Time) error { return t.c.SetDeadline(d) }
 
 func (t *tcpConn) Close() error { return t.c.Close() }
+
+// memConn is an in-process ring link: frames pass by pointer over a
+// one-slot channel — never serialized, no deadlines, nothing counted in
+// the wire metrics. The same memConn is the sender's next and
+// the receiver's prev; collectives never mutate a frame once sent, so
+// forwarding one by pointer is safe. Close unblocks both ends.
+type memConn struct {
+	ch     chan *Frame
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newMemConn() *memConn {
+	return &memConn{ch: make(chan *Frame, 1), closed: make(chan struct{})}
+}
+
+func (m *memConn) Send(f *Frame) error {
+	select {
+	case m.ch <- f:
+		return nil
+	case <-m.closed:
+		return net.ErrClosed
+	}
+}
+
+func (m *memConn) Recv() (*Frame, error) {
+	select {
+	case f := <-m.ch:
+		return f, nil
+	case <-m.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (m *memConn) SetDeadline(time.Time) error { return nil }
+
+func (m *memConn) Close() error {
+	m.once.Do(func() { close(m.closed) })
+	return nil
+}
 
 // IsTimeout reports whether err is a deadline expiry (directly, as a net
 // timeout, or wrapped inside a frame decode error).

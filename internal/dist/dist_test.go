@@ -122,12 +122,7 @@ func TestDistMatchesMirrored(t *testing.T) {
 				Optimizer: spec.Optimizer,
 				BaseLR:    spec.BaseLR,
 				ScaleLR:   spec.ScaleLR,
-			}
-			if tc.groupSize > 0 {
-				gs := tc.groupSize
-				mcfg.Reducer = func(bufs [][]float32) error {
-					return allreduce.HierarchicalAverage(bufs, gs)
-				}
+				GroupSize: tc.groupSize,
 			}
 			tr, err := mirrored.New(mcfg)
 			if err != nil {

@@ -84,7 +84,7 @@ type TrainSpec struct {
 const defaultBucketKB = 64
 
 // bucketBytes resolves the BucketKB policy to a byte count for
-// NetStrategy.SetBucketBytes (0 = monolithic).
+// mirrored.Rank.SetBucketBytes (0 = monolithic).
 func (s *TrainSpec) bucketBytes(c allreduce.Codec) int {
 	switch {
 	case s.BucketKB > 0:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
+	"repro/internal/mirrored"
 	"repro/internal/train"
 	"repro/internal/volume"
 )
@@ -326,7 +327,7 @@ func (w *Worker) train(run *genRun, rank int, members []string, spec TrainSpec) 
 	}
 	defer topo.Close()
 
-	strat, err := NewNetStrategy(topo, netCfg, spec.Loss, spec.Optimizer, spec.BaseLR, spec.ScaleLR)
+	strat, err := mirrored.NewRank(topo, netCfg, spec.Loss, spec.Optimizer, spec.BaseLR, spec.ScaleLR)
 	if err != nil {
 		return err
 	}
@@ -360,7 +361,7 @@ func (w *Worker) train(run *genRun, rank int, members []string, spec TrainSpec) 
 	if _, err := session.Fit(w.trainSet, w.valSet); err != nil {
 		return err
 	}
-	return w.send(ctrlMsg{Type: msgDone, Gen: run.gen, Hash: ParamHash(strat.Model()), Step: session.Step(), Suspect: -1})
+	return w.send(ctrlMsg{Type: msgDone, Gen: run.gen, Hash: mirrored.ParamHash(strat.Model()), Step: session.Step(), Suspect: -1})
 }
 
 // dialCtrl dials the coordinator with retry — workers typically start

@@ -1,10 +1,13 @@
 // Package mirrored implements synchronous data parallelism with real
-// gradient mathematics, the analogue of tf.MirroredStrategy: R identical
-// model replicas (goroutines standing in for GPUs) shard each global batch,
-// compute gradients concurrently, average them with a ring all-reduce and
-// apply identical optimizer updates, so replicas stay bit-for-bit
-// synchronized. The paper's batch/learning-rate scaling rule (batch 2 per
-// replica, lr = base × replicas) is applied by the constructor.
+// gradient mathematics, the analogue of tf.MirroredStrategy. The step is
+// written once, as a Rank: forward and backward on the rank's shard of the
+// global batch, an all-reduce average of the flattened gradients over an
+// allreduce.Topology, and an identical optimizer update, so replicas stay
+// bit-for-bit synchronized. A Trainer runs R ranks in this process
+// (goroutines standing in for GPUs) over allreduce.LocalTopologies; the
+// dist package runs one rank per process over TCP. The paper's
+// batch/learning-rate scaling rule (batch 2 per replica, lr = base ×
+// replicas) is applied by the constructors.
 package mirrored
 
 import (
@@ -13,10 +16,6 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/loss"
-	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/unet"
@@ -38,26 +37,18 @@ type Config struct {
 	// cores instead of oversubscribing Replicas × Workers.
 	Workers int
 
-	// Reducer averages the replica gradient buffers in place; nil means
-	// flat ring all-reduce. The multi-node layer plugs in the
-	// hierarchical (intra-node then inter-node) reducer here.
-	Reducer func([][]float32) error
+	// GroupSize is the number of replicas per node. 0 (or ≥ Replicas) is
+	// the flat ring; otherwise the gradients are reduced hierarchically —
+	// within each node, across node leaders, then broadcast back — as the
+	// multi-node layer runs them.
+	GroupSize int
 }
 
-// Trainer drives R replicas.
+// Trainer drives R ranks of the data-parallel step in this process.
 type Trainer struct {
-	cfg      Config
-	replicas []*replica
-	lossName string
-
-	phaseObs func(phase string, d time.Duration) // nil = no phase timing
-}
-
-type replica struct {
-	model   *unet.UNet
-	loss    loss.Loss
-	opt     optim.Optimizer
-	workers int // this replica's share of the trainer's worker budget
+	cfg     Config
+	ranks   []*Rank
+	workers int // rank 0's share of the worker budget
 }
 
 // New builds a trainer with identically initialized replicas.
@@ -65,62 +56,53 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("mirrored: Replicas must be ≥ 1, got %d", cfg.Replicas)
 	}
-	lr := cfg.BaseLR
-	if cfg.ScaleLR {
-		lr = optim.ScaleLRForReplicas(cfg.BaseLR, cfg.Replicas)
-	}
-	t := &Trainer{cfg: cfg, lossName: cfg.Loss}
 	// ShareN distributes the budget remainder, so a 7-core budget over two
 	// replicas runs 4+3 instead of 3+3 with a core idle. Unequal shares are
 	// safe: kernel results are bit-for-bit independent of the worker count,
 	// so replicas stay synchronized regardless of their share.
 	shares := parallel.ShareN(cfg.Workers, cfg.Replicas)
-	for r := 0; r < cfg.Replicas; r++ {
+	t := &Trainer{cfg: cfg, workers: shares[0]}
+	for r, topo := range allreduce.LocalTopologies(cfg.Replicas, cfg.GroupSize, allreduce.NetConfig{}) {
 		netCfg := cfg.Net // same seed → identical weights
 		netCfg.Workers = shares[r]
-		net, err := unet.New(netCfg)
+		rank, err := NewRank(topo, netCfg, cfg.Loss, cfg.Optimizer, cfg.BaseLR, cfg.ScaleLR)
 		if err != nil {
 			return nil, err
 		}
-		l, err := loss.ByName(cfg.Loss)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := optim.ByName(cfg.Optimizer, lr)
-		if err != nil {
-			return nil, err
-		}
-		t.replicas = append(t.replicas, &replica{model: net, loss: l, opt: opt, workers: shares[r]})
+		t.ranks = append(t.ranks, rank)
 	}
 	return t, nil
 }
 
 // Replicas returns the replica count.
-func (t *Trainer) Replicas() int { return len(t.replicas) }
+func (t *Trainer) Replicas() int { return len(t.ranks) }
 
-// SetPhaseObserver implements train.PhaseReporter: fn receives replica 0's
-// forward/backward durations (representative — replicas run identical
-// shapes) and the trainer-wide allreduce/optim wall clock each step. Not
-// synchronized with Step — install it before training starts.
-func (t *Trainer) SetPhaseObserver(fn func(phase string, d time.Duration)) { t.phaseObs = fn }
+// SetPhaseObserver implements train.PhaseReporter: fn receives rank 0's
+// forward/backward/allreduce/optim durations each step (representative —
+// the ranks run identical shapes). Rank 0's allreduce phase includes its
+// wait for the slowest replica. Not synchronized with Step — install it
+// before training starts.
+func (t *Trainer) SetPhaseObserver(fn func(phase string, d time.Duration)) {
+	t.ranks[0].SetPhaseObserver(fn)
+}
 
 // LR returns the effective (possibly scaled) learning rate.
-func (t *Trainer) LR() float64 { return t.replicas[0].opt.LR() }
+func (t *Trainer) LR() float64 { return t.ranks[0].LR() }
 
 // SetLR updates every replica's learning rate (for schedules).
 func (t *Trainer) SetLR(lr float64) {
-	for _, r := range t.replicas {
-		r.opt.SetLR(lr)
+	for _, r := range t.ranks {
+		r.SetLR(lr)
 	}
 }
 
 // Model returns replica 0's network (all replicas are identical).
-func (t *Trainer) Model() *unet.UNet { return t.replicas[0].model }
+func (t *Trainer) Model() *unet.UNet { return t.ranks[0].model }
 
 // Models returns every replica's network (cache hooks touch them all).
 func (t *Trainer) Models() []*unet.UNet {
-	out := make([]*unet.UNet, len(t.replicas))
-	for i, r := range t.replicas {
+	out := make([]*unet.UNet, len(t.ranks))
+	for i, r := range t.ranks {
 		out[i] = r.model
 	}
 	return out
@@ -130,22 +112,14 @@ func (t *Trainer) Models() []*unet.UNet {
 // Synchronous SGD keeps the replicas bitwise identical, so one replica's
 // state describes them all.
 func (t *Trainer) ExportOptimState() (map[string][]float64, error) {
-	st, ok := t.replicas[0].opt.(optim.Stater)
-	if !ok {
-		return nil, fmt.Errorf("mirrored: optimizer %q does not support state export", t.replicas[0].opt.Name())
-	}
-	return st.ExportState(t.replicas[0].model.Params())
+	return t.ranks[0].ExportOptimState()
 }
 
 // ImportOptimState restores checkpointed optimizer state into every
 // replica, re-establishing the bitwise synchronization invariant.
 func (t *Trainer) ImportOptimState(state map[string][]float64) error {
-	for _, rep := range t.replicas {
-		st, ok := rep.opt.(optim.Stater)
-		if !ok {
-			return fmt.Errorf("mirrored: optimizer %q does not support state import", rep.opt.Name())
-		}
-		if err := st.ImportState(rep.model.Params(), state); err != nil {
+	for _, r := range t.ranks {
+		if err := r.ImportOptimState(state); err != nil {
 			return err
 		}
 	}
@@ -157,169 +131,61 @@ func (t *Trainer) ImportOptimState(state map[string][]float64) error {
 // checkpoint loader writes into replica 0 (the Model()) and then broadcasts
 // so all replicas resume in sync.
 func (t *Trainer) BroadcastParams() {
-	ref := t.replicas[0].model
-	refParams := ref.Params()
-	refAux := ref.AuxState()
-	for _, rep := range t.replicas[1:] {
-		ps := rep.model.Params()
-		for i, p := range refParams {
-			copy(ps[i].Value.Data(), p.Value.Data())
+	ref := t.Model()
+	refParams, refAux := ref.Params(), ref.AuxState()
+	for _, r := range t.ranks[1:] {
+		for i, p := range r.model.Params() {
+			copy(p.Value.Data(), refParams[i].Value.Data())
 		}
-		for k, v := range rep.model.AuxState() {
+		for k, v := range r.model.AuxState() {
 			copy(v, refAux[k])
 		}
 	}
 }
 
 // Step runs one synchronous data-parallel step on a global batch
-// ([N, C, D, H, W] inputs, [N, 1, D, H, W] masks). N must be divisible by
-// the replica count. It returns the mean replica loss.
+// ([N, C, D, H, W] inputs, [N, 1, D, H, W] masks): every rank's Step,
+// concurrently. N must be divisible by the replica count. It returns the
+// rank-ordered mean replica loss.
 func (t *Trainer) Step(inputs, masks *tensor.Tensor) (float64, error) {
-	n := inputs.Dim(0)
-	r := len(t.replicas)
-	if n%r != 0 {
-		return 0, fmt.Errorf("mirrored: global batch %d not divisible by %d replicas", n, r)
-	}
-	if masks.Dim(0) != n {
-		return 0, fmt.Errorf("mirrored: masks batch %d does not match inputs %d", masks.Dim(0), n)
-	}
-	shard := n / r
-
-	// Phase attribution: replica 0's forward/backward stand in for the
-	// fork-join compute phases (the replicas run the same shapes, so one is
-	// representative); the reduce and update phases are wall-clock over the
-	// whole trainer.
-	obs := t.phaseObs
-	losses := make([]float64, r)
-	grads := make([][]float32, r)
+	losses := make([]float64, len(t.ranks))
+	errs := make([]error, len(t.ranks))
 	var wg sync.WaitGroup
-	wg.Add(r)
-	for i, rep := range t.replicas {
-		go func(i int, rep *replica) {
+	for i, r := range t.ranks {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			in := shardTensor(inputs, i, shard)
-			mask := shardTensor(masks, i, shard)
-			rep.model.ZeroGrads()
-			t0 := time.Now()
-			pred := rep.model.Forward(in)
-			l, grad := rep.loss.Eval(pred, mask)
-			t1 := time.Now()
-			losses[i] = l
-			rep.model.Backward(grad)
-			t2 := time.Now()
-			grads[i] = flattenGrads(rep.model.Params())
-			if obs != nil && i == 0 {
-				obs("forward", t1.Sub(t0))
-				obs("backward", t2.Sub(t1))
-			}
-		}(i, rep)
+			losses[i], errs[i] = r.Step(inputs, masks)
+		}()
 	}
 	wg.Wait()
-
-	reduce := t.cfg.Reducer
-	if reduce == nil {
-		reduce = allreduce.RingAverage
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
 	}
-	tReduce := time.Now()
-	if err := reduce(grads); err != nil {
-		return 0, err
-	}
-	if obs != nil {
-		obs("allreduce", time.Since(tReduce))
-	}
-	// Write the averaged gradients back and apply identical updates.
-	tOptim := time.Now()
-	wg.Add(r)
-	for i, rep := range t.replicas {
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			unflattenGrads(rep.model.Params(), grads[i])
-			rep.opt.Step(rep.model.Params())
-		}(i, rep)
-	}
-	wg.Wait()
-	if obs != nil {
-		obs("optim", time.Since(tOptim))
-	}
-
-	var mean float64
-	for _, l := range losses {
-		mean += l
-	}
-	return mean / float64(r), nil
+	return losses[0], nil
 }
 
 // Evaluate computes the mean hard Dice score of the current model over a
 // validation batch, in evaluation mode.
 func (t *Trainer) Evaluate(inputs, masks *tensor.Tensor) float64 {
-	m := t.Model()
-	m.SetTraining(false)
-	defer m.SetTraining(true)
 	// The other replicas are idle during evaluation, so replica 0 may use
 	// the trainer's whole worker budget instead of its training share.
+	m := t.Model()
 	m.SetWorkers(parallel.Resolve(t.cfg.Workers))
-	defer m.SetWorkers(t.replicas[0].workers)
-	pred := m.Forward(inputs)
-	return metrics.DiceScore(pred, masks)
+	defer m.SetWorkers(t.workers)
+	return t.ranks[0].Evaluate(inputs, masks)
 }
 
 // InSync reports whether all replicas hold bitwise-identical parameters;
 // synchronous SGD must keep this invariant after every step.
 func (t *Trainer) InSync() bool {
-	ref := t.replicas[0].model.Params()
-	for _, rep := range t.replicas[1:] {
-		ps := rep.model.Params()
-		for i := range ref {
-			a := ref[i].Value.Data()
-			b := ps[i].Value.Data()
-			for j := range a {
-				if a[j] != b[j] {
-					return false
-				}
-			}
+	h := paramHash64(t.Model())
+	for _, r := range t.ranks[1:] {
+		if paramHash64(r.model) != h {
+			return false
 		}
 	}
 	return true
-}
-
-// shardTensor returns rows [i·shard, (i+1)·shard) of a batched tensor
-// (first dimension is the batch) as a zero-copy view: replicas only read
-// their input and mask shards, so nothing needs the copy that used to churn
-// one global batch of allocations per step.
-func shardTensor(t *tensor.Tensor, i, shard int) *tensor.Tensor {
-	return t.Slice(i*shard, (i+1)*shard)
-}
-
-// FlattenGrads concatenates all parameter gradients into one buffer — the
-// unit of the all-reduce. Exported for the multi-process data-parallel
-// path, which reduces one process's gradients over the wire in exactly the
-// order the in-process trainer reduces its replicas'.
-func FlattenGrads(params []*nn.Param) []float32 { return flattenGrads(params) }
-
-// UnflattenGrads writes a reduced flat buffer back into parameter
-// gradients — the inverse of FlattenGrads.
-func UnflattenGrads(params []*nn.Param, flat []float32) { unflattenGrads(params, flat) }
-
-// flattenGrads concatenates all parameter gradients into one buffer, the
-// unit of the all-reduce.
-func flattenGrads(params []*nn.Param) []float32 {
-	n := 0
-	for _, p := range params {
-		n += p.Grad.Size()
-	}
-	out := make([]float32, 0, n)
-	for _, p := range params {
-		out = append(out, p.Grad.Data()...)
-	}
-	return out
-}
-
-// unflattenGrads writes a flat buffer back into parameter gradients.
-func unflattenGrads(params []*nn.Param, flat []float32) {
-	off := 0
-	for _, p := range params {
-		g := p.Grad.Data()
-		copy(g, flat[off:off+len(g)])
-		off += len(g)
-	}
 }

@@ -5,8 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/allreduce"
 	"repro/internal/loss"
+	"repro/internal/optim"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/unet"
 )
@@ -138,75 +139,97 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-// TestShardingEquivalence verifies that a 2-replica trainer computes exactly
-// the same update as manually averaging the two half-batch gradients on one
-// replica — the defining property of synchronous data parallelism.
+// TestShardingEquivalence verifies that one 2-replica step applies exactly
+// the update of one replica that averages the two half-batch gradients by
+// hand — the defining property of synchronous data parallelism.
 func TestShardingEquivalence(t *testing.T) {
 	in, mask := randBatch(9, 2)
 
-	// Reference: single replica, two manual half-batches, averaged grads.
-	ref, err := New(trainerConfig(1))
+	// Reference: one model, the two half-batch gradients averaged by hand,
+	// then the optimizer the trainer runs.
+	ref := unet.MustNew(tinyNet())
+	dice := loss.NewDice()
+	var halves [2][][]float32
+	for i := range halves {
+		ref.ZeroGrads()
+		_, grad := dice.Eval(ref.Forward(in.Slice(i, i+1)), mask.Slice(i, i+1))
+		ref.Backward(grad)
+		for _, p := range ref.Params() {
+			halves[i] = append(halves[i], append([]float32(nil), p.Grad.Data()...))
+		}
+	}
+	for j, p := range ref.Params() {
+		g := p.Grad.Data()
+		for k := range g {
+			g[k] = (halves[0][j][k] + halves[1][j][k]) / 2
+		}
+	}
+	opt, err := optim.ByName("sgd", trainerConfig(2).BaseLR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := ref.Model()
-	halfIn := shardTensor(in, 0, 1)
-	halfMask := shardTensor(mask, 0, 1)
-	model.ZeroGrads()
-	pred := model.Forward(halfIn)
-	l, err2 := refEval(pred, halfMask)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	model.Backward(l)
-	g0 := flattenGrads(model.Params())
+	opt.Step(ref.Params())
 
-	halfIn = shardTensor(in, 1, 1)
-	halfMask = shardTensor(mask, 1, 1)
-	model.ZeroGrads()
-	pred = model.Forward(halfIn)
-	l, err2 = refEval(pred, halfMask)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	model.Backward(l)
-	g1 := flattenGrads(model.Params())
-
-	want := make([]float32, len(g0))
-	for i := range want {
-		want[i] = (g0[i] + g1[i]) / 2
-	}
-
-	// Mirrored path: 2 replicas, one step; capture the reduced gradients
-	// by reading replica 0's grads right after Step applies them. Instead
-	// of intercepting, rebuild the same reduction manually.
-	mt, err := New(trainerConfig(2))
+	tr, err := New(trainerConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grads := make([][]float32, 2)
-	for i := 0; i < 2; i++ {
-		rep := mt.replicas[i]
-		rep.model.ZeroGrads()
-		pred := rep.model.Forward(shardTensor(in, i, 1))
-		_, grad := rep.loss.Eval(pred, shardTensor(mask, i, 1))
-		rep.model.Backward(grad)
-		grads[i] = flattenGrads(rep.model.Params())
-	}
-	if err := allreduce.RingAverage(grads); err != nil {
+	if _, err := tr.Step(in, mask); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if math.Abs(float64(grads[0][i]-want[i])) > 1e-5 {
-			t.Fatalf("grad %d: mirrored %v vs reference %v", i, grads[0][i], want[i])
+	for j, p := range tr.Model().Params() {
+		want := ref.Params()[j]
+		for k, g := range p.Grad.Data() {
+			if math.Abs(float64(g-want.Grad.Data()[k])) > 1e-5 {
+				t.Fatalf("param %d grad %d: mirrored %v vs averaged %v", j, k, g, want.Grad.Data()[k])
+			}
+		}
+		for k, v := range p.Value.Data() {
+			if math.Abs(float64(v-want.Value.Data()[k])) > 1e-5 {
+				t.Fatalf("param %d value %d: mirrored %v vs reference %v", j, k, v, want.Value.Data()[k])
+			}
 		}
 	}
 }
 
-// refEval adapts the dice loss to return the gradient tensor for Backward.
-func refEval(pred, target *tensor.Tensor) (*tensor.Tensor, error) {
-	_, grad := loss.NewDice().Eval(pred, target)
-	return grad, nil
+// TestStepSendsNothingOnTheWire: the replicas reduce over in-process links,
+// so a step leaves the socket counters alone — what the multi-process
+// byte and frame accounting relies on when both run in one process — while
+// the payload counters still see the collectives.
+func TestStepSendsNothingOnTheWire(t *testing.T) {
+	reg := telemetry.Default()
+	var wire []*telemetry.Counter
+	for _, name := range []string{"allreduce_tx_bytes_total", "allreduce_rx_bytes_total",
+		"allreduce_tx_frames_total", "allreduce_rx_frames_total"} {
+		wire = append(wire, reg.Counter(name, ""))
+	}
+	before := make([]uint64, len(wire))
+	for i, c := range wire {
+		before[i] = c.Value()
+	}
+	raw := reg.CounterVec("allreduce_payload_raw_bytes_total", "", "codec", "none").With("none")
+	raw0 := raw.Value()
+	cfg := trainerConfig(4)
+	cfg.GroupSize = 2
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, mask := randBatch(21, 4)
+	if _, err := tr.Step(in, mask); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range wire {
+		if c.Value() != before[i] {
+			t.Fatalf("wire counter %d moved %d → %d during an in-process step", i, before[i], c.Value())
+		}
+	}
+	if raw.Value() == raw0 {
+		t.Fatal("the step's all-reduce recorded no payload bytes")
+	}
+	if !tr.InSync() {
+		t.Fatal("hierarchical replicas diverged")
+	}
 }
 
 func TestEvaluateReturnsDice(t *testing.T) {
@@ -231,8 +254,8 @@ func TestSetLRPropagates(t *testing.T) {
 		t.Fatal("SetLR not applied")
 	}
 	// All replicas must share the rate, or they would diverge.
-	for _, rep := range tr.replicas {
-		if rep.opt.LR() != 0.123 {
+	for _, r := range tr.ranks {
+		if r.LR() != 0.123 {
 			t.Fatal("replica LR out of sync")
 		}
 	}
@@ -253,25 +276,5 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 		if tensor.MaxAbsDiff(p.Grad, u2.Params()[i].Grad) != 0 {
 			t.Fatal("flatten/unflatten corrupted gradients")
 		}
-	}
-}
-
-func TestCustomReducerIsUsed(t *testing.T) {
-	cfg := trainerConfig(2)
-	called := false
-	cfg.Reducer = func(bufs [][]float32) error {
-		called = true
-		return allreduce.RingAverage(bufs)
-	}
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, mask := randBatch(17, 2)
-	if _, err := tr.Step(in, mask); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("custom reducer not invoked")
 	}
 }

@@ -2,9 +2,10 @@
 // analogue of Ray.SGD over Distributed TensorFlow: it selects the paper's
 // three parallelism cases from the GPU count (§III-B.2) — sequential on one
 // GPU, MirroredStrategy within a node, Ray cluster across nodes — and builds
-// the matching train.Strategy (single model, mirrored replicas with flat
-// ring all-reduce, or mirrored replicas with the hierarchical intra-node/
-// inter-node reducer). The epoch loop itself lives in train.Session; Fit is
+// the matching train.Strategy: a single model, or a mirrored.Trainer whose
+// ranks reduce over a flat ring within a node or, across nodes, over the
+// hierarchical layout with one group per node (mirrored.Config.GroupSize =
+// GPUsPerNode). The epoch loop itself lives in train.Session; Fit is
 // a thin adapter that wires the trainer's cyclic learning-rate schedule and
 // reporting hook into the session's callback chain.
 package raysgd
@@ -12,7 +13,6 @@ package raysgd
 import (
 	"fmt"
 
-	"repro/internal/allreduce"
 	"repro/internal/augment"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -141,10 +141,7 @@ func New(cfg Config) (*Trainer, error) {
 			Workers:   cfg.Workers,
 		}
 		if mode == RayCluster {
-			group := cfg.Cluster.GPUsPerNode
-			mcfg.Reducer = func(bufs [][]float32) error {
-				return allreduce.HierarchicalAverage(bufs, group)
-			}
+			mcfg.GroupSize = cfg.Cluster.GPUsPerNode
 		}
 		strat, err = mirrored.New(mcfg)
 	}

@@ -9,10 +9,13 @@
 // Session:
 //
 //   - Strategy abstracts the per-step optimization update: Single (one
-//     model, no reduction — the paper's sequential case) and
-//     mirrored.Trainer (synchronous data parallelism, flat or hierarchical
-//     all-reduce) both satisfy it. raysgd selects among them from the GPU
-//     count, exactly the paper's three-case mode selection (§III-B.2).
+//     model, no reduction — the paper's sequential case),
+//     mirrored.Trainer (synchronous data parallelism: R replicas, flat or
+//     hierarchical all-reduce over in-process links) and mirrored.Rank (one
+//     member of that same step, which a dist worker runs over TCP) all
+//     satisfy it. raysgd selects between Single and mirrored.Trainer from
+//     the GPU count, exactly the paper's three-case mode selection
+//     (§III-B.2).
 //   - Callback is the ordered hook chain (OnTrainBegin, OnEpochBegin,
 //     OnStepBegin/End, OnEvalBegin, OnEpochEnd, OnCheckpoint, OnTrainEnd).
 //     Built-ins cover metric history, learning-rate schedules, early

@@ -13,11 +13,13 @@ import (
 )
 
 // Strategy is the pluggable distribution strategy a Session drives: it owns
-// the model replicas and applies one synchronous optimization step per
-// global batch. mirrored.Trainer satisfies it (synchronous data parallelism
-// with ring or hierarchical all-reduce), as does Single below (the paper's
-// sequential case). Implementations must keep Step deterministic for a
-// fixed input — the checkpoint layer depends on replayed steps being
+// the model replicas (or, for one member of a multi-process step, this
+// process's replica) and applies one synchronous optimization step per
+// global batch. mirrored.Trainer satisfies it (R replicas in one process,
+// ring or hierarchical all-reduce), as do mirrored.Rank (one member of the
+// same step, run by each dist worker over TCP) and Single below (the
+// paper's sequential case). Implementations must keep Step deterministic
+// for a fixed input — the checkpoint layer depends on replayed steps being
 // bit-identical.
 type Strategy interface {
 	// Step runs one optimization step on a global batch ([N, C, D, H, W]
