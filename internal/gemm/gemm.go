@@ -24,6 +24,19 @@
 // x*y + z) and under any GOAMD64 level. Element-wise SIMD of that recurrence
 // does not reorder anything, so the tile shape is invisible in the output.
 //
+// Epilogue: the store that writes a finished slice sum can also finish the
+// element, while it is still in a register, so a layer that follows its
+// product with per-row arithmetic makes no pass of its own. The first
+// slice's store writes acc + bias[r] — the bits of a C pre-filled with the
+// bias and the product accumulated onto it, C's operand position included —
+// and the last slice's store can then apply a batch normalization under
+// fixed statistics and a ReLU: relu(float32(γ·x̂) + β) with x̂ =
+// float32((float64(v) − mean)·rstd), each operation rounded where written
+// (VCVTPS2PD, VSUBPD, VMULPD, VCVTPD2PS, VMULPS, VADDPS; kernelGo and the
+// ragged-tile merge in Go), and relu mapping NaN and −0 to +0 (VMAXPS with
+// +0 as its second source). These are the bits of nn's standalone BatchNorm
+// and ReLU layers.
+//
 // Parallelism and determinism: work is partitioned over fixed-width column
 // blocks of C via internal/parallel, so every C element is owned by exactly
 // one worker and is accumulated in a fixed order — K ascending within a
@@ -105,7 +118,60 @@ func Gemm(transA, transB bool, m, n, k int,
 	accumulate bool, c []float32, ldc int, workers int) {
 
 	GemmBatch(1, transA, m, n, k, a, lda, 0, Dense(transB, b, ldb, 0),
-		accumulate, nil, c, ldc, 0, workers)
+		accumulate, Epilogue{}, c, ldc, 0, workers)
+}
+
+// Epilogue is what GemmBatch's store does to each element of a
+// non-accumulating product on its way to C. The zero value stores the
+// product as it is.
+type Epilogue struct {
+	// Bias, when non-nil, holds one float per row: C = bias + op(A)·op(B),
+	// each element rounded exactly as if C had been filled with the bias and
+	// the product accumulated onto it.
+	Bias []float32
+	// Norm, when set, then normalizes and rectifies every row.
+	Norm Norm
+}
+
+// Norm is a per-row batch normalization under fixed statistics followed by a
+// ReLU: v ↦ relu(float32(Gamma[r]·x̂) + Beta[r]) with x̂ =
+// float32((float64(v) − Mean[r])·Rstd[r]), relu mapping NaN and −0 to +0.
+// Each slice holds one value per row of C; the zero value (Mean nil) is no
+// normalization.
+type Norm struct {
+	Mean, Rstd  []float64
+	Gamma, Beta []float32
+}
+
+// apply is the normalization of one element of row r.
+func (n *Norm) apply(v float32, r int) float32 {
+	return normReLU(v, n.Mean[r], n.Rstd[r], n.Gamma[r], n.Beta[r])
+}
+
+// normReLU is the normalizing epilogue of one element, each operation
+// rounded where the package doc says, and the reference for the assembly's.
+func normReLU(v float32, mean, rstd float64, gamma, beta float32) float32 {
+	y := float32(gamma*float32((float64(v)-mean)*rstd)) + beta
+	if y > 0 {
+		return y
+	}
+	return 0
+}
+
+// check panics unless the epilogue fits an m-row product that does not
+// accumulate.
+func (e *Epilogue) check(m int, accumulate bool) {
+	if e.Bias == nil && e.Norm.Mean == nil {
+		return
+	}
+	if accumulate {
+		panic("gemm: an epilogue and accumulate are exclusive")
+	}
+	n := &e.Norm
+	if e.Bias != nil && len(e.Bias) < m ||
+		n.Mean != nil && min(len(n.Mean), len(n.Rstd), len(n.Gamma), len(n.Beta)) < m {
+		panic("gemm: epilogue has fewer rows than the product")
+	}
 }
 
 // GemmBatch computes count independent, same-shape products
@@ -121,26 +187,35 @@ func Gemm(transA, transB bool, m, n, k int,
 // on the problem shape, so results are bit-for-bit identical to count
 // sequential Gemm calls at any budget.
 //
-// A non-nil bias (m floats, not combined with accumulate) makes row r of
-// every C[i] start from bias[r]: C[i] = bias + op(A[i])·op(B[i]), each
-// element rounded exactly as if C had been filled with the bias and the
-// product accumulated onto it. The worker that owns a column block seeds it
-// just before multiplying into it, so the seed costs no pass of its own.
+// ep (not combined with accumulate) is applied by the store that writes each
+// element: the bias by the first K slice's, the normalization by the last's,
+// so neither costs a pass of its own.
 func GemmBatch(count int, transA bool, m, n, k int,
 	a []float32, lda, strideA int, b Operand,
-	accumulate bool, bias, c []float32, ldc, strideC, workers int) {
+	accumulate bool, ep Epilogue, c []float32, ldc, strideC, workers int) {
 
 	if count <= 0 || m <= 0 || n <= 0 {
 		return
 	}
-	if bias != nil && accumulate {
-		panic("gemm: bias and accumulate are exclusive")
-	}
+	ep.check(m, accumulate)
 	b.check(count, n, k)
 	if k <= 0 {
+		// No K: C is the bias (zero without one), normalized if asked.
 		if !accumulate {
-			for i := 0; i < count; i++ {
-				seedRows(c[i*strideC:], ldc, 0, n, m, bias)
+			for r := 0; r < m; r++ {
+				var v float32
+				if ep.Bias != nil {
+					v = ep.Bias[r]
+				}
+				if ep.Norm.Mean != nil {
+					v = ep.Norm.apply(v, r)
+				}
+				for i := 0; i < count; i++ {
+					row := c[i*strideC+r*ldc:][:n]
+					for j := range row {
+						row[j] = v
+					}
+				}
 			}
 		}
 		return
@@ -165,17 +240,20 @@ func GemmBatch(count int, transA bool, m, n, k int,
 			ci := c[i*strideC:]
 			j0 := jb * ncBlock
 			jw := min(ncBlock, n-j0)
-			if bias != nil {
-				seedRows(ci, ldc, j0, jw, m, bias)
-			}
 			for p0 := 0; p0 < k; p0 += kcBlock {
 				pw := min(kcBlock, k-p0)
 				blk := b.block(i, p0, pw, j0, jw, panels)
-				overwrite := p0 == 0 && !accumulate && bias == nil
+				st := store{add: p0 > 0 || accumulate}
+				if p0 == 0 {
+					st.bias = ep.Bias
+				}
+				if p0+pw == k {
+					st.norm = ep.Norm
+				}
 				for i0 := 0; i0 < m; i0 += mcBlock {
 					iw := min(mcBlock, m-i0)
 					macroKernel(iw, jw, pw, ai[mPad*p0+i0*pw:], &blk,
-						ci, i0*ldc+j0, ldc, overwrite)
+						ci, i0*ldc+j0, ldc, &st, i0)
 				}
 			}
 		}
@@ -208,22 +286,6 @@ func packAll(transA bool, m, k int, a []float32, lda, strideA, count, workers in
 func packWhole(transA bool, m, k, mPad int, a []float32, lda int, dst []float32) {
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		packA(transA, a, lda, 0, m, p0, min(kcBlock, k-p0), dst[mPad*p0:])
-	}
-}
-
-// seedRows sets columns [j0, j0+jw) of the first m rows of c to the row's
-// bias, or to zero when bias is nil.
-func seedRows(c []float32, ldc, j0, jw, m int, bias []float32) {
-	for r := 0; r < m; r++ {
-		row := c[r*ldc+j0:][:jw]
-		if bias == nil {
-			clear(row)
-			continue
-		}
-		v := bias[r]
-		for j := range row {
-			row[j] = v
-		}
 	}
 }
 
@@ -496,14 +558,50 @@ func packRagged(out []float32, width int, src []float32, sp, se, pw, n int) {
 	}
 }
 
+// store is how one K slice's finished sums reach C: added to C (add: a later
+// slice, or an accumulating product) or written over it — plus the row's
+// bias on the first slice of a biased product — and then, on the last slice
+// of a normalized product, normalized and rectified. Rows are C's.
+type store struct {
+	add  bool
+	bias []float32
+	norm Norm
+}
+
+// tileStore is a store as the microkernel reads it, for the mr rows of one
+// full tile. kernel_amd64.s reads the fields at the offsets noted.
+type tileStore struct {
+	add         bool         // 0
+	bias        *[mr]float32 // 8: nil, or the rows' bias
+	gamma, beta *[mr]float32 // 16, 24: gamma nil, no normalization
+	mean, rstd  *[mr]float64 // 32, 40
+}
+
+// tile returns the store of the full tile whose first row is r.
+func (s *store) tile(r int) tileStore {
+	t := tileStore{add: s.add}
+	if s.bias != nil {
+		t.bias = (*[mr]float32)(s.bias[r:])
+	}
+	if n := &s.norm; n.Mean != nil {
+		t.gamma, t.beta = (*[mr]float32)(n.Gamma[r:]), (*[mr]float32)(n.Beta[r:])
+		t.mean, t.rstd = (*[mr]float64)(n.Mean[r:]), (*[mr]float64)(n.Rstd[r:])
+	}
+	return t
+}
+
 // macroKernel multiplies the packed iw×pw A block by the pw×jw B block into
-// C at offset cOff. When overwrite is true the product replaces C (the first
-// K slice of a non-accumulating Gemm); otherwise it adds. Full mr×nr tiles
-// are merged into C by the microkernel; a ragged edge tile is computed into
-// a stack buffer and only its live rows and columns merged. A B panel stays
-// in L1 while the A panels stream past it.
-func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff, ldc int, overwrite bool) {
+// C at offset cOff, whose first row is row r0 of the product, storing as st
+// says. Full mr×nr tiles are stored by the microkernel; a ragged edge tile is
+// computed into a stack buffer and only its live rows and columns stored, by
+// the same epilogue in Go. A B panel stays in L1 while the A panels stream
+// past it.
+func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff, ldc int, st *store, r0 int) {
 	var tile [mr * nr]float32
+	var tiles [mcBlock / mr]tileStore
+	for ip := 0; ip < iw/mr; ip++ {
+		tiles[ip] = st.tile(r0 + ip*mr)
+	}
 	for jp := 0; jp*nr < jw; jp++ {
 		quads := b.quads(jp)
 		cols := min(nr, jw-jp*nr)
@@ -512,19 +610,24 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff
 			rows := min(mr, iw-ip*mr)
 			base := cOff + ip*mr*ldc + jp*nr
 			if rows == mr && cols == nr {
-				kernel(ap, b.b, b.rows, &quads, c[base:base+(mr-1)*ldc+nr], ldc, overwrite)
+				kernel(ap, b.b, b.rows, &quads, c[base:base+(mr-1)*ldc+nr], ldc, &tiles[ip])
 				continue
 			}
-			kernel(ap, b.b, b.rows, &quads, tile[:], nr, true)
+			kernel(ap, b.b, b.rows, &quads, tile[:], nr, &tileStore{})
 			for ii := 0; ii < rows; ii++ {
+				r := r0 + ip*mr + ii
 				crow := c[base+ii*ldc:][:cols]
-				trow := tile[ii*nr:][:cols]
-				if overwrite {
-					copy(crow, trow)
-					continue
-				}
-				for jj, v := range trow {
-					crow[jj] += v
+				for jj, v := range tile[ii*nr:][:cols] {
+					switch {
+					case st.add:
+						v = crow[jj] + v
+					case st.bias != nil:
+						v = st.bias[r] + v
+					}
+					if st.norm.Mean != nil {
+						v = st.norm.apply(v, r)
+					}
+					crow[jj] = v
 				}
 			}
 		}
@@ -534,15 +637,15 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff
 // kernelGo is the portable microkernel and the reference for the assembly
 // one: it computes the mr×nr tile product of a packed A panel and the B panel
 // whose K step p, columns 4q..4q+3, is b[rows[p] + quads[q] :][:4], over
-// len(rows) K steps, and stores it over (overwrite) or adds it to the mr×nr
-// block at the head of c, rows ldc apart, touching nothing else of c. The
-// tile is worked as nr/4 strips of 4×4, one per quad, so that a strip's
-// sixteen accumulators are locals the compiler keeps in registers (an array
-// would live in memory, and updating them four to a tuple assignment spills
-// and costs a quarter of the speed). float32(·) rounds the product before
-// the add: without the conversion the compiler may fuse the two into one FMA
+// len(rows) K steps, and stores it as st says into the mr×nr block at the
+// head of c, rows ldc apart, touching nothing else of c. The tile is worked
+// as nr/4 strips of 4×4, one per quad, so that a strip's sixteen
+// accumulators are locals the compiler keeps in registers (an array would
+// live in memory, and updating them four to a tuple assignment spills and
+// costs a quarter of the speed). float32(·) rounds the product before the
+// add: without the conversion the compiler may fuse the two into one FMA
 // rounding.
-func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool) {
+func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore) {
 	a = a[:len(rows)*mr]
 	for q, qb := range quads {
 		var c00, c01, c02, c03, c10, c11, c12, c13 float32
@@ -572,9 +675,15 @@ func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, o
 			{c00, c01, c02, c03}, {c10, c11, c12, c13}, {c20, c21, c22, c23}, {c30, c31, c32, c33},
 		} {
 			crow := (*[4]float32)(c[i*ldc+4*q:])
-			if !overwrite {
-				for jj := range row {
+			for jj := range row {
+				switch {
+				case st.add:
 					row[jj] += crow[jj]
+				case st.bias != nil:
+					row[jj] += st.bias[i]
+				}
+				if st.gamma != nil {
+					row[jj] = normReLU(row[jj], st.mean[i], st.rstd[i], st.gamma[i], st.beta[i])
 				}
 			}
 			*crow = row

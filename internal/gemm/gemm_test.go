@@ -187,7 +187,7 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 					op := NewGathered(rows, starts, run).Operand(trans, b, 0)
 					for _, workers := range []int{1, 3, 8} {
 						got := append([]float32(nil), seed...)
-						GemmBatch(1, false, sh.m, sh.n, sh.k, a, sh.k, 0, op, acc, nil, got, sh.n, 0, workers)
+						GemmBatch(1, false, sh.m, sh.n, sh.k, a, sh.k, 0, op, acc, Epilogue{}, got, sh.n, 0, workers)
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("workers=%d: element %d = %v, want %v (bit-for-bit)",
@@ -230,10 +230,10 @@ func TestGemmInPlaceMatchesPacked(t *testing.T) {
 				a := randMat(rng, m*k)
 				for _, bias := range [][]float32{nil, randMat(rng, m)} {
 					want := make([]float32, count*m*n)
-					GemmBatch(count, false, m, n, k, a, k, 0, packed, false, bias, want, n, m*n, 1)
+					GemmBatch(count, false, m, n, k, a, k, 0, packed, false, Epilogue{Bias: bias}, want, n, m*n, 1)
 					for _, workers := range []int{1, 2, 4} {
 						got := randMat(rng, count*m*n)
-						GemmBatch(count, false, m, n, k, a, k, 0, inPlace, false, bias, got, n, m*n, workers)
+						GemmBatch(count, false, m, n, k, a, k, 0, inPlace, false, Epilogue{Bias: bias}, got, n, m*n, workers)
 						for i := range want {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 								t.Fatalf("m=%d k=%d n=%d bias=%v workers=%d: element %d = %v, want %v (bit-for-bit)",
@@ -263,7 +263,7 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 16} {
 		got := append([]float32(nil), seed...)
 		GemmBatch(count, false, m, n, k, as, k, m*k, Dense(true, bs, k, n*k),
-			true, nil, got, n, m*n, workers)
+			true, Epilogue{}, got, n, m*n, workers)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
@@ -273,11 +273,11 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGemmBatchBiasMatchesSeededAccumulate asserts the bias form — each
-// column block seeded by the worker that owns it — is bit-for-bit a C filled
-// with the per-row bias and the product accumulated onto it, across K slices,
-// ragged tiles and worker budgets: what lets the convolution forward drop
-// its serial bias pre-pass without moving a bit.
+// TestGemmBatchBiasMatchesSeededAccumulate asserts the bias form — added by
+// the store of the first K slice — is bit-for-bit a C filled with the
+// per-row bias and the product accumulated onto it, across K slices, ragged
+// tiles and worker budgets: what lets the convolution forward make no bias
+// pass without moving a bit.
 func TestGemmBatchBiasMatchesSeededAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, sh := range []struct{ count, m, n, k int }{
@@ -299,11 +299,74 @@ func TestGemmBatchBiasMatchesSeededAccumulate(t *testing.T) {
 		for _, workers := range []int{1, 2, 7} {
 			got := randMat(rng, sh.count*mn) // stale contents must not leak through
 			GemmBatch(sh.count, false, sh.m, sh.n, sh.k, as, sh.k, mk, Dense(false, bs, sh.n, kn),
-				false, bias, got, sh.n, mn, workers)
+				false, Epilogue{Bias: bias}, got, sh.n, mn, workers)
 			for j := range want {
 				if got[j] != want[j] {
 					t.Fatalf("%+v workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
 						sh, workers, j/mn, j%mn, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestGemmBatchEpilogueMatchesHelperPass asserts the full epilogue — bias
+// on the first K slice's store, normalization and ReLU on the last's, by the
+// microkernel for full tiles and in Go for ragged ones — is bit-for-bit a C
+// filled with the bias, the product accumulated onto it and then a pass of
+// the Go element helper: with and without a bias, over a packed and an
+// in-place B, at ragged n, K on both sides of every slice boundary and any
+// worker budget.
+func TestGemmBatchEpilogueMatchesHelperPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const count, srcLen = 2, 9000
+	src := randMat(rng, count*srcLen)
+	for _, m := range []int{1, 3, 8, 65} {
+		for _, k := range []int{1, 27, kcBlock, kcBlock + 1, 864} {
+			rows := make([]int, k)
+			for i := range rows {
+				rows[i] = rng.Intn(6000)
+			}
+			type operand struct {
+				n  int
+				op Operand
+			}
+			var operands []operand
+			for _, nStarts := range []int{3, 67} {
+				starts := make([]int, nStarts)
+				for i := range starts {
+					starts[i] = rng.Intn(2900)
+				}
+				operands = append(operands, operand{4 * nStarts, NewGathered(rows, starts, 4).Operand(false, src, srcLen)})
+			}
+			for _, n := range []int{1, 17, 300} {
+				operands = append(operands, operand{n, Dense(false, randMat(rng, count*k*n), n, k*n)})
+			}
+			a := randMat(rng, m*k)
+			norm := testStats(rng, m)
+			for _, o := range operands {
+				n, op := o.n, o.op
+				for _, bias := range [][]float32{randMat(rng, m), nil} {
+					want := make([]float32, count*m*n)
+					if bias != nil {
+						for j := range want {
+							want[j] = bias[j%(m*n)/n]
+						}
+					}
+					GemmBatch(count, false, m, n, k, a, k, 0, op, true, Epilogue{}, want, n, m*n, 1)
+					for j, v := range want {
+						want[j] = norm.apply(v, j%(m*n)/n)
+					}
+					for _, workers := range []int{1, 2, 4} {
+						got := randMat(rng, count*m*n) // stale contents must not leak through
+						GemmBatch(count, false, m, n, k, a, k, 0, op, false, Epilogue{Bias: bias, Norm: norm}, got, n, m*n, workers)
+						for j := range want {
+							if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+								t.Fatalf("m=%d k=%d n=%d bias=%v workers=%d: element %d = %v, want %v (bit-for-bit)",
+									m, k, n, bias != nil, workers, j, got[j], want[j])
+							}
+						}
+					}
 				}
 			}
 		}

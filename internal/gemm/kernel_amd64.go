@@ -32,12 +32,12 @@ func xgetbv0() (eax, edx uint32)
 
 // kernel is the microkernel macroKernel calls: the assembly where it is
 // live, kernelGo otherwise.
-func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool) {
+func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore) {
 	if useAsm {
-		kernelAVX2(a[:len(rows)*mr], b, rows, quads, c, ldc, overwrite)
+		kernelAVX2(a[:len(rows)*mr], b, rows, quads, c, ldc, st)
 		return
 	}
-	kernelGo(a, b, rows, quads, c, ldc, overwrite)
+	kernelGo(a, b, rows, quads, c, ldc, st)
 }
 
 // copyRows packs the leading K steps of one full panel of a row-major B,
@@ -82,12 +82,13 @@ func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
 // extremes of its offset tables, which NewGathered computed.
 
 // kernelAVX2 is kernelGo in AVX2 assembly: element-wise SIMD of the same
-// multiply-round-add-round recurrence, so it produces the same bits. It
-// reads a[:len(rows)*mr] and b[rows[p]+quads[q] :][:4] for every K step p and
-// quad q, and touches exactly the mr×nr block c[i*ldc : i*ldc+nr], i < mr.
+// multiply-round-add-round recurrence and the same store, so it produces the
+// same bits. It reads a[:len(rows)*mr] and b[rows[p]+quads[q] :][:4] for
+// every K step p and quad q, and touches exactly the mr×nr block
+// c[i*ldc : i*ldc+nr], i < mr. st's row pointers each address mr values.
 //
 //go:noescape
-func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool)
+func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore)
 
 // transposeAVX2 moves `blocks` 8-step blocks of K as 8×8 in-register
 // transposes: dst[p·nr + jj] = src[jj·ldb + p] for p < 8·blocks, jj < nr.

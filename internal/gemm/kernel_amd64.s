@@ -32,7 +32,47 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VADDPS       Y11, lo, lo;  \
 	VADDPS       Y12, hi, hi
 
-// func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool)
+// Adds row i's bias, broadcast from off(BX), to the row's accumulators:
+// acc + bias, the accumulator first, where the add of a bias-filled C had it.
+#define BIASROW(off, lo, hi) \
+	VBROADCASTSS off(BX), Y8; \
+	VADDPS       Y8, lo, lo;  \
+	VADDPS       Y8, hi, hi
+
+// Normalizes and rectifies four floats: the xmm half x of a row register is
+// widened to float64 in Y8, x̂ = (v − mean)·rstd (Y12, Y13) rounded back to
+// float32 in X8.
+#define NORM4(x) \
+	VCVTPS2PD  x, Y8;    \
+	VSUBPD     Y12, Y8, Y8; \
+	VMULPD     Y13, Y8, Y8; \
+	VCVTPD2PSY Y8, X8
+
+// One 8-float half v (xmm half vx) of row i: x̂ of both quarters, then
+// relu(γ·x̂ + β) with γ, β in Y14, Y11 — product and sum rounded separately,
+// never fused — and VMAXPS taking +0 (Y15) as its second source, which it
+// returns for NaN, −0 and every v ≤ 0.
+#define NORMHALF(v, vx) \
+	VEXTRACTF128 $1, v, X9;      \
+	NORM4(vx);                   \
+	VMOVAPS      X8, X10;        \
+	NORM4(X9);                   \
+	VINSERTF128  $1, X8, Y10, Y8; \
+	VMULPS       Y8, Y14, Y8;    \
+	VADDPS       Y11, Y8, Y8;    \
+	VMAXPS       Y15, Y8, v
+
+// Row i of the normalizing store: its statistics broadcast from the mean
+// and rstd tables (SI, DI) at o8 = 8i, and gamma and beta (BX, CX) at o4 = 4i.
+#define NORMROW(o8, o4, lo, lox, hi, hix) \
+	VBROADCASTSD o8(SI), Y12; \
+	VBROADCASTSD o8(DI), Y13; \
+	VBROADCASTSS o4(BX), Y14; \
+	VBROADCASTSS o4(CX), Y11; \
+	NORMHALF(lo, lox);           \
+	NORMHALF(hi, hix)
+
+// func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore)
 //
 // The 4×16 tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
 // (columns 8-15). a is a packed mr-row panel (4 floats per K step). K step p
@@ -40,8 +80,10 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // hold &b[quads[q]], so a step costs one load of rows[p] besides the runs.
 // Where the runs pair up — quads[1] = quads[0]+4 and quads[3] = quads[2]+4,
 // as in a packed panel or a volume row a multiple of 8 wide — each 8-column
-// half is one 32-byte load; otherwise it is two 16-byte ones.
-TEXT ·kernelAVX2(SB), NOSPLIT, $0-113
+// half is one 32-byte load; otherwise it is two 16-byte ones. The store
+// follows st (a tileStore: add at 0, bias 8, gamma 16, beta 24, mean 32,
+// rstd 40).
+TEXT ·kernelAVX2(SB), NOSPLIT, $0-120
 	MOVQ   a_base+0(FP), SI
 	MOVQ   b_base+24(FP), DI
 	MOVQ   rows_base+48(FP), BX
@@ -108,17 +150,41 @@ merge:
 	LEAQ    (DX)(R8*1), R9      // row 1
 	LEAQ    (DX)(R8*2), R10     // row 2
 	LEAQ    (R9)(R8*2), R11     // row 3
-	MOVBLZX overwrite+112(FP), AX
-	TESTB   AL, AL
-	JNZ     store
-	VADDPS  (DX), Y0, Y0
-	VADDPS  32(DX), Y1, Y1
-	VADDPS  (R9), Y2, Y2
-	VADDPS  32(R9), Y3, Y3
-	VADDPS  (R10), Y4, Y4
-	VADDPS  32(R10), Y5, Y5
-	VADDPS  (R11), Y6, Y6
-	VADDPS  32(R11), Y7, Y7
+	MOVQ    st+112(FP), AX
+	MOVBLZX 0(AX), BX
+	TESTB   BL, BL
+	JNZ     add
+	MOVQ    8(AX), BX           // bias
+	TESTQ   BX, BX
+	JZ      norm
+	BIASROW(0, Y0, Y1)
+	BIASROW(4, Y2, Y3)
+	BIASROW(8, Y4, Y5)
+	BIASROW(12, Y6, Y7)
+	JMP     norm
+
+add:
+	VADDPS (DX), Y0, Y0
+	VADDPS 32(DX), Y1, Y1
+	VADDPS (R9), Y2, Y2
+	VADDPS 32(R9), Y3, Y3
+	VADDPS (R10), Y4, Y4
+	VADDPS 32(R10), Y5, Y5
+	VADDPS (R11), Y6, Y6
+	VADDPS 32(R11), Y7, Y7
+
+norm:
+	MOVQ   16(AX), BX           // gamma
+	TESTQ  BX, BX
+	JZ     store
+	MOVQ   24(AX), CX           // beta
+	MOVQ   32(AX), SI           // mean
+	MOVQ   40(AX), DI           // rstd
+	VXORPS Y15, Y15, Y15
+	NORMROW(0, 0, Y0, X0, Y1, X1)
+	NORMROW(8, 4, Y2, X2, Y3, X3)
+	NORMROW(16, 8, Y4, X4, Y5, X5)
+	NORMROW(24, 12, Y6, X6, Y7, X7)
 
 store:
 	VMOVUPS Y0, (DX)

@@ -6,8 +6,8 @@ package gemm
 // paths.
 const useAsm = false
 
-func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, overwrite bool) {
-	kernelGo(a, b, rows, quads, c, ldc, overwrite)
+func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore) {
+	kernelGo(a, b, rows, quads, c, ldc, st)
 }
 
 func copyRows(dst, src []float32, ldb, pw int) int { return 0 }

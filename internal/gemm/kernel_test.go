@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // specials are the float32 values whose handling differs between a correct
@@ -36,27 +37,70 @@ func sameBits(x, y float32) bool {
 	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
 }
 
+// testStats returns the statistics of a normalizing store over n rows that
+// visit the edge cases: row 0 has zero variance (rstd = 1/√ε), γ is 0 on
+// row 1 and negative on row 2, and the rest are drawn at random.
+func testStats(rng *rand.Rand, n int) Norm {
+	const eps = 1e-5
+	s := Norm{make([]float64, n), make([]float64, n), make([]float32, n), make([]float32, n)}
+	for r := range n {
+		variance, gamma := 0.2+rng.Float64(), float32(rng.NormFloat64())
+		switch r % 4 {
+		case 0:
+			variance = 0
+		case 1:
+			gamma = 0
+		case 2:
+			gamma = -float32(math.Abs(float64(gamma))) - 0.1
+		}
+		s.Mean[r], s.Rstd[r] = rng.NormFloat64(), 1/math.Sqrt(variance+eps)
+		s.Gamma[r], s.Beta[r] = gamma, float32(rng.NormFloat64())
+	}
+	return s
+}
+
+// kernelStores are the ways the microkernel stores its tile, by subtest
+// name: over C, added to C, plus the row bias (the first K slice of a biased
+// product), plus the bias and then normalized (a one-slice product with the
+// full epilogue), and added to C and then normalized (the last of several).
+var kernelStores = []struct {
+	name          string
+	add, bias, bn bool
+}{
+	{"overwritefalse", true, false, false},
+	{"overwritetrue", false, false, false},
+	{"bias", false, true, false},
+	{"biasnorm", false, true, true},
+	{"addnorm", true, false, true},
+}
+
 // TestAsmKernelMatchesPortable pins the claim the whole package rests on:
 // the assembly microkernel and kernelGo produce the same tile, bit for bit,
 // from the same operands — including over non-finite and subnormal inputs —
-// and write nothing outside it. The pw subtests read B as a packed panel;
-// the inplace ones read it through scattered offsets, with the 4-float runs
-// paired (one 32-byte load per half), unpaired, half paired, and as the
-// ragged last panel of a block, whose dead lanes repeat lane 0.
+// and write nothing outside it, through every store (kernelStores). The pw
+// subtests read B as a packed panel; the inplace ones read it through
+// scattered offsets, with the 4-float runs paired (one 32-byte load per
+// half), unpaired, half paired, and as the ragged last panel of a block,
+// whose dead lanes repeat lane 0.
 func TestAsmKernelMatchesPortable(t *testing.T) {
 	if !useAsm {
 		t.Skip("no assembly microkernel on this CPU/architecture: kernelGo is the live kernel")
+	}
+	var ts tileStore
+	if offs := [...]uintptr{unsafe.Offsetof(ts.add), unsafe.Offsetof(ts.bias), unsafe.Offsetof(ts.gamma),
+		unsafe.Offsetof(ts.beta), unsafe.Offsetof(ts.mean), unsafe.Offsetof(ts.rstd)}; offs != [...]uintptr{0, 8, 16, 24, 32, 40} {
+		t.Fatalf("tileStore field offsets %v, but kernel_amd64.s reads 0, 8, 16, 24, 32, 40", offs)
 	}
 	const ldc = nr + 3
 	gens := []struct {
 		name string
 		fn   func(*rand.Rand, int) []float32
 	}{{"normal", randMat}, {"special", randSpecial}}
-	check := func(t *testing.T, a, b []float32, rows []int, quads *[4]int, seed []float32, overwrite bool) {
+	check := func(t *testing.T, a, b []float32, rows []int, quads *[4]int, seed []float32, ts *tileStore) {
 		want := append([]float32(nil), seed...)
 		got := append([]float32(nil), seed...)
-		kernelGo(a, b, rows, quads, want, ldc, overwrite)
-		kernel(a, b, rows, quads, got, ldc, overwrite)
+		kernelGo(a, b, rows, quads, want, ldc, ts)
+		kernel(a, b, rows, quads, got, ldc, ts)
 		// Every element, gutter columns included: kernelGo leaves those
 		// alone, so the assembly must too.
 		for i := range want {
@@ -66,17 +110,30 @@ func TestAsmKernelMatchesPortable(t *testing.T) {
 			}
 		}
 	}
+	// tileFor draws the store a kernelStores entry describes, its bias and
+	// statistics from gen.
+	tileFor := func(rng *rand.Rand, gen func(*rand.Rand, int) []float32, add, bias, bn bool) *tileStore {
+		st := store{add: add}
+		if bias {
+			st.bias = gen(rng, mr)
+		}
+		if bn {
+			st.norm = testStats(rng, mr)
+		}
+		ts := st.tile(0)
+		return &ts
+	}
 	for _, pw := range []int{0, 1, 2, 3, 7, kcBlock - 1, kcBlock} {
-		for _, overwrite := range []bool{false, true} {
+		for _, sk := range kernelStores {
 			for _, gen := range gens {
-				t.Run(fmt.Sprintf("pw%d_overwrite%v_%s", pw, overwrite, gen.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("pw%d_%s_%s", pw, sk.name, gen.name), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(17 + pw)))
 					a := gen.fn(rng, pw*mr)
 					b := gen.fn(rng, pw*nr)
 					seed := gen.fn(rng, mr*ldc)
 					blk := bBlock{b: b, rows: panelRows[:pw]}
 					quads := blk.quads(0)
-					check(t, a, b, blk.rows, &quads, seed, overwrite)
+					check(t, a, b, blk.rows, &quads, seed, tileFor(rng, gen.fn, sk.add, sk.bias, sk.bn))
 				})
 			}
 		}
@@ -107,9 +164,9 @@ func TestAsmKernelMatchesPortable(t *testing.T) {
 	}
 	for _, pw := range []int{0, 1, 2, 3, 7, 27, 216, kcBlock - 1, kcBlock} {
 		for name, layout := range layouts {
-			for _, overwrite := range []bool{false, true} {
+			for _, sk := range kernelStores {
 				for _, gen := range gens {
-					t.Run(fmt.Sprintf("inplace_pw%d_%s_overwrite%v_%s", pw, name, overwrite, gen.name), func(t *testing.T) {
+					t.Run(fmt.Sprintf("inplace_pw%d_%s_%s_%s", pw, name, sk.name, gen.name), func(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(41 + pw)))
 						a := gen.fn(rng, pw*mr)
 						src := gen.fn(rng, srcLen)
@@ -118,7 +175,8 @@ func TestAsmKernelMatchesPortable(t *testing.T) {
 							rows[p] = rng.Intn(offLimit)
 						}
 						quads := layout(rng)
-						check(t, a, src, rows, &quads, gen.fn(rng, mr*ldc), overwrite)
+						seed := gen.fn(rng, mr*ldc)
+						check(t, a, src, rows, &quads, seed, tileFor(rng, gen.fn, sk.add, sk.bias, sk.bn))
 					})
 				}
 			}
@@ -305,7 +363,7 @@ func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 				k, n = n, k
 			}
 			GemmBatch(count, false, 1, n, k, a, k, 0, g.Operand(trans, src, stride),
-				false, nil, c, n, n, 1)
+				false, Epilogue{}, c, n, n, 1)
 		}
 	}
 	for name, call := range map[string]func(){

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"math"
+	"sync"
 
+	"repro/internal/gemm"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -160,6 +162,24 @@ func (b *BatchNorm) trainStats(xd []float32, n, spatial, ci int) (mean, rstd flo
 // evalStats returns channel ci's running mean and 1/sqrt(running var+eps).
 func (b *BatchNorm) evalStats(ci int) (mean, rstd float64) {
 	return b.RunningMean[ci], 1.0 / math.Sqrt(b.RunningVar[ci]+b.Eps)
+}
+
+// rstdTables recycles the per-call 1/σ tables of evalNorm, so a steady-state
+// evaluation-mode block allocates none.
+var rstdTables = sync.Pool{New: func() any { return new([]float64) }}
+
+// evalNorm is the evaluation-mode normalization as a GEMM epilogue: the
+// running mean, 1/sqrt(running var+eps) written into *rstd (grown to fit),
+// and the live γ and β — the arithmetic of evalInto followed by ReLU.
+func (b *BatchNorm) evalNorm(rstd *[]float64) gemm.Norm {
+	if cap(*rstd) < b.Channels {
+		*rstd = make([]float64, b.Channels)
+	}
+	r := (*rstd)[:b.Channels]
+	for ci := range r {
+		_, r[ci] = b.evalStats(ci)
+	}
+	return gemm.Norm{Mean: b.RunningMean, Rstd: r, Gamma: b.Gamma.Value.Data(), Beta: b.Beta.Value.Data()}
 }
 
 // evalInto normalizes x with the running statistics into a caller-provided

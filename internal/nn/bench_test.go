@@ -226,3 +226,31 @@ func BenchmarkBatchNormForward(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMaxPool3D pools a post-ReLU activation — about half its elements
+// +0, so which element of a window wins is unpredictable — at the first
+// pooling site of a serving micro-batch: 4 samples, 8 channels of 16³.
+func BenchmarkMaxPool3D(b *testing.B) {
+	x := tensor.Randn(rand.New(rand.NewSource(1)), 0, 1, 4, 8, 16, 16, 16)
+	for i, v := range x.Data() {
+		x.Data()[i] = max(v, 0)
+	}
+	for _, w := range budgets() {
+		b.Run(fmt.Sprintf("infer/workers=%d", w), func(b *testing.B) {
+			p := NewMaxPool3D(2)
+			p.SetWorkers(w)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.Recycle(p.Infer(x))
+			}
+		})
+		b.Run(fmt.Sprintf("forward/workers=%d", w), func(b *testing.B) {
+			p := NewMaxPool3D(2)
+			p.SetWorkers(w)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Forward(x)
+			}
+		})
+	}
+}

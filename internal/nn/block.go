@@ -12,8 +12,9 @@ import (
 // normalization and ReLU — as one block that owns its buffers. It computes
 // exactly what the chain Conv3D → BatchNorm → ReLU computes, bit for bit (the
 // convolution is a Conv3D, the statistics go through the same BatchNorm code,
-// every element through the helpers of elementwise.go), in fewer passes over
-// the activation and with nothing allocated per step:
+// every element through the helpers of elementwise.go or, in evaluation
+// mode, through the GEMM epilogue that rounds as they do), in fewer passes
+// over the activation and with nothing allocated per step:
 //
 //   - Training forward: the convolution writes z into a buffer the block
 //     keeps; after BatchNorm's two statistics passes, one pass overwrites z
@@ -23,7 +24,10 @@ import (
 //     yields Σdy and Σdy·x̂ — a masked element adds +0, as the chain's zeroed
 //     gradient does — and one pass writes dL/dz over the incoming gradient;
 //     then the convolution's bias, kernel and input-gradient passes.
-//   - Evaluation forward and Infer: the convolution, then one in-place pass.
+//   - Evaluation forward and Infer: one convolution, whose GEMM store adds
+//     the bias, normalizes with the running statistics and rectifies each
+//     element while it is still in a register (gemm.Norm) — no pass of its
+//     own.
 //
 // Ownership: Forward's result and Backward's result are the block's own
 // buffers — laid out on first use, grown to the largest shape seen, reused by
@@ -87,9 +91,7 @@ func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	bn := b.BN
 	if !bn.training {
 		b.fwdXhat, b.fwdY = nil, nil
-		y := b.Conv.ForwardOwned(x, &b.y)
-		b.evalInPlace(y)
-		return y
+		return b.eval(x, b.y.Shaped)
 	}
 	z := b.Conv.ForwardOwned(x, &b.xhat)
 	y := b.y.Shaped(z.Shape()...)
@@ -116,34 +118,17 @@ func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// evalInPlace overwrites a convolution output with max(0, BN(z)) under the
-// running statistics.
-func (b *ConvBNReLU) evalInPlace(z *tensor.Tensor) {
-	bn := b.BN
-	n, c, spatial := bn.check("ConvBNReLU", z)
-	zd := z.Data()
-	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
-	parallel.ForWorkers(bn.workers, c, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			mean, rstd := bn.evalStats(ci)
-			g, bt := gd[ci], bd[ci]
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * spatial
-				zs := zd[base : base+spatial]
-				for i, v := range zs {
-					zs[i] = relu(bnAffine(g, bnNormalize(v, mean, rstd), bt))
-				}
-			}
-		}
-	})
-}
-
 // Infer computes the evaluation-mode forward — whatever the training flag —
 // into one pool-backed tensor, retaining nothing.
-func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
-	y := b.Conv.Infer(x)
-	b.evalInPlace(y)
-	return y
+func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor { return b.eval(x, tensor.NewScratch) }
+
+// eval is the evaluation-mode forward into a tensor drawn from alloc: the
+// convolution with max(0, BN(z)) under the running statistics applied by its
+// GEMM's store.
+func (b *ConvBNReLU) eval(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+	rstd := rstdTables.Get().(*[]float64)
+	defer rstdTables.Put(rstd)
+	return b.Conv.apply(x, alloc, b.BN.evalNorm(rstd))
 }
 
 // Backward accumulates the four parameter gradients and returns dL/d(input)

@@ -246,11 +246,37 @@ func compareStep(t *testing.T, c *chain, b *ConvBNReLU, s site, n int, rng *rand
 	assertSameBits(t, "input after the forward passes", xKeep.Data(), x.Data())
 }
 
+// compareSpecials runs the evaluation-mode Forward and Infer through the GEMM
+// chain and the block on an input with NaN, ±Inf and −0 voxels sprinkled
+// through it, with channel 0's running variance zero (rstd = 1/√ε), and
+// compares them bit for bit.
+func compareSpecials(t *testing.T, c *chain, b *ConvBNReLU, s site) {
+	t.Helper()
+	c.bn.RunningVar[0], b.BN.RunningVar[0] = 0, 0
+	rng := rand.New(rand.NewSource(18))
+	x := randTensor(rng, s.n, s.inC, s.d, s.h, s.w)
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+	xd := x.Data()
+	for i := 0; i < 4+len(xd)/1000; i++ {
+		xd[rng.Intn(len(xd))] = specials[i%len(specials)]
+	}
+	c.setTraining(false)
+	b.SetTraining(false)
+	want := c.forward(x)
+	assertSameBits(t, "evaluation output", want.Data(), b.Forward(x).Data())
+	got := b.Infer(x)
+	assertSameBits(t, "Infer", want.Data(), got.Data())
+	tensor.Recycle(got)
+}
+
 // TestBlockMatchesChain: the block against the chain on the ten bench_net
 // sites and on awkward shapes, at 1/2/4 workers — bit for bit against the
 // GEMM chain, within the parity bounds against the direct one; at two
 // workers a second training step reuses every owned buffer, stale contents
-// and all.
+// and all. The specials subtests hold the evaluation-mode forward to the
+// GEMM chain on non-finite and −0 inputs and a zero-variance channel, at a
+// full-tile site, one of three K slices and one with ragged outC and
+// packed B.
 func TestBlockMatchesChain(t *testing.T) {
 	for _, oracle := range []string{"gemm", "direct"} {
 		for _, workers := range []int{1, 2, 4} {
@@ -263,6 +289,15 @@ func TestBlockMatchesChain(t *testing.T) {
 					if workers == 2 {
 						compareStep(t, c, b, s, s.n, rng, false)
 					}
+				})
+			}
+			if oracle != "gemm" {
+				continue
+			}
+			for _, s := range []site{benchNetSites[1], benchNetSites[6], awkwardSites[0]} {
+				t.Run(fmt.Sprintf("gemm/w%d/%s_specials", workers, s.name), func(t *testing.T) {
+					c, b := newPair(s, workers)
+					compareSpecials(t, c, b, s)
 				})
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/gemm"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -66,21 +67,22 @@ func (c *Conv3D) DropCaches() { c.input = nil }
 // Backward.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.input = x
-	return c.apply(x, tensor.New)
+	return c.apply(x, tensor.New, gemm.Norm{})
 }
 
 // ForwardOwned is Forward with the output written into dst.
 func (c *Conv3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
 	c.input = x
-	return c.apply(x, dst.Shaped)
+	return c.apply(x, dst.Shaped, gemm.Norm{})
 }
 
 // apply runs the forward kernel into a tensor drawn from alloc, retaining
-// nothing.
-func (c *Conv3D) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+// nothing. A set norm is applied to every output element after the bias, by
+// the GEMM's store (a ConvBNReLU's evaluation-mode forward).
+func (c *Conv3D) apply(x *tensor.Tensor, alloc allocFunc, norm gemm.Norm) *tensor.Tensor {
 	n, _, d, h, w := check5D("Conv3D", x)
 	out := alloc(n, c.OutChannels, d, h, w)
-	c.forwardGEMMInto(x, out)
+	c.forwardGEMMInto(x, out, norm)
 	return out
 }
 

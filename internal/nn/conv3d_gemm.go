@@ -39,6 +39,12 @@ import (
 // K = OC·K³ dot per element. A 1×1×1 convolution needs no halo: the
 // activation slab already is P, read as one flat row of voxels per channel.
 //
+// The forward's bias is added by the GEMM's store (gemm.Epilogue), as the
+// element leaves the register tile, so the output is written once; in a
+// ConvBNReLU's evaluation-mode forward the same store then applies the
+// running-statistics BatchNorm and the ReLU, and the body site is this one
+// product.
+//
 // Every product runs as a gemm.GemmBatch over the batch — parallel over
 // (sample × column block) with a fixed per-element accumulation order, so all
 // three passes are bit-for-bit independent of the worker budget — and the
@@ -156,34 +162,34 @@ func overPatches(src []float32, n, ch, d, h, w, k, workers int,
 	}
 }
 
-// convGEMM computes dst[n] = wmat·P(src[n]) for every sample (plus bias[r]
-// on row r when bias is non-nil): the same-padded K³ convolution of the [n,
-// ch, d, h, w] activation src with the m filters whose rows wmat ([m, ch·K³])
-// holds. Every element of dst is written. The filters are packed once per
-// call and shared by every sample; P is read in place where volume rows are
-// a multiple of 4 wide.
+// convGEMM computes dst[n] = wmat·P(src[n]) for every sample, finished by
+// ep's store: the same-padded K³ convolution of the [n, ch, d, h, w]
+// activation src with the m filters whose rows wmat ([m, ch·K³]) holds.
+// Every element of dst is written. The filters are packed once per call and
+// shared by every sample; P is read in place where volume rows are a
+// multiple of 4 wide.
 func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
-	bias, dst []float32, workers int) {
+	ep gemm.Epilogue, dst []float32, workers int) {
 
 	cols := d * h * w
 	kdim := ch * k * k * k
 	overPatches(src, n, ch, d, h, w, k, workers, func(n0, count int, p gemm.Gathered, buf []float32, stride int) {
 		gemm.GemmBatch(count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(false, buf, stride),
-			false, bias, dst[n0*m*cols:], cols, m*cols, workers)
+			false, ep, dst[n0*m*cols:], cols, m*cols, workers)
 	})
 }
 
 // forwardGEMMInto is the GEMM forward — training, evaluation and Infer alike
-// — into a caller-provided output tensor. Every element is written: the bias
-// first, as in the direct reference, then the product accumulated onto it —
-// each column block seeded by the worker about to multiply into it.
-func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
+// — into a caller-provided output tensor. Every element is written once, by
+// the GEMM's store: the product plus the bias, rounded as if the bias came
+// first, as in the direct reference — and then norm, when set.
+func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor, norm gemm.Norm) {
 	n, ic, d, h, w := check5D("Conv3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
 	convGEMM(c.W.Value.Data(), c.OutChannels, ic, c.Kernel, x.Data(), n, d, h, w,
-		c.B.Value.Data(), out.Data(), c.workers)
+		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm}, out.Data(), c.workers)
 }
 
 // weightGradGEMM is the GEMM kernel-gradient pass: per-sample partials
@@ -202,7 +208,7 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	defer tensor.PutScratch(partials)
 	overPatches(x.Data(), n, ic, d, h, w, c.Kernel, workers, func(n0, count int, p gemm.Gathered, buf []float32, stride int) {
 		gemm.GemmBatch(count, false, oc, kdim, cols, god[n0*oc*cols:], cols, oc*cols, p.Operand(true, buf, stride),
-			false, nil, partials[n0*oc*kdim:], kdim, oc*kdim, workers)
+			false, gemm.Epilogue{}, partials[n0*oc*kdim:], kdim, oc*kdim, workers)
 	})
 	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc*kdim, workers)
 }
@@ -226,7 +232,7 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 			}
 		}
 	}
-	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, nil, gradIn.Data(), c.workers)
+	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, gemm.Epilogue{}, gradIn.Data(), c.workers)
 }
 
 // reduceWeightPartials adds n concatenated per-sample partial gradient

@@ -137,7 +137,7 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	defer tensor.PutScratch(partials)
 	gemm.GemmBatch(n, false, ic, rows, inCols, xd, inCols, ic*inCols,
 		gemm.Dense(true, gradCols, inCols, rows*inCols),
-		false, nil, partials, rows, ic*rows, workers)
+		false, gemm.Epilogue{}, partials, rows, ic*rows, workers)
 	reduceWeightPartials(gwd, partials, n, ic*rows, workers)
 
 	// Input gradient: gIn[n] = W·gradCols.

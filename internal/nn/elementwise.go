@@ -3,10 +3,13 @@ package nn
 import "math"
 
 // Element-wise arithmetic shared by the standalone BatchNorm / ReLU layers
-// and the fused ConvBNReLU block. Both sides call these and nothing else for
-// the per-element work, so the chain and the block agree bit for bit by
-// construction — including at GOAMD64=v3 and on architectures where the
-// compiler fuses a*b + c, which it then does identically on either side.
+// and the fused ConvBNReLU block's training passes. Both sides call these
+// and nothing else for the per-element work, so the chain and the block
+// agree bit for bit by construction. Every operation is rounded where it is
+// written — no a*b + c the compiler could fuse — because the block's
+// evaluation-mode forward does not call them: the GEMM's store computes the
+// same formula (gemm.Norm) in vector registers, and TestBlockMatchesChain
+// holds the two to the same bits, GOAMD64=v3 and 386 included.
 
 // pick returns a where y > 0 and b everywhere else (y NaN, ±0 or negative).
 // It is a select, not a branch: the sign of an activation is a coin toss the
@@ -31,8 +34,8 @@ func bnNormalize(v float32, mean, rstd float64) float32 {
 	return float32((float64(v) - mean) * rstd)
 }
 
-// bnAffine is one element of γ·x̂ + β.
-func bnAffine(gamma, xhat, beta float32) float32 { return gamma*xhat + beta }
+// bnAffine is one element of γ·x̂ + β, the product rounded before the sum.
+func bnAffine(gamma, xhat, beta float32) float32 { return float32(gamma*xhat) + beta }
 
 // bnReduce adds one element to a channel's two backward reductions, Σdy and
 // Σdy·x̂.

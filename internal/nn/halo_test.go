@@ -78,7 +78,7 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 				}
 				got := make([]float32, kdim*n)
 				gemm.GemmBatch(1, false, kdim, n, kdim, eye, kdim, 0, p.Operand(trans, halo, 0),
-					false, nil, got, n, 0, 2)
+					false, gemm.Epilogue{}, got, n, 0, 2)
 				for i := 0; i < kdim; i++ {
 					for j := 0; j < n; j++ {
 						r, v := i, j

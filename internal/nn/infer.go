@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"repro/internal/gemm"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -27,8 +28,9 @@ import (
 // soon as the next layer has produced its output, so a steady-state inference
 // step performs zero fresh scratch allocations (asserted by
 // TestSequentialInferScratchSteadyState, like the training-step test). The
-// fused block's Infer normalizes and rectifies the convolution's output in
-// place, so a body site costs one pool tensor, not three.
+// fused block's Infer is one convolution whose GEMM store adds the bias,
+// normalizes and rectifies each element on its way out, so a body site costs
+// one pool tensor and one write of it, not three.
 //
 // Calling Backward after Infer is invalid only in the sense that Infer is not
 // a Forward: it leaves the layer's backward caches untouched (possibly stale
@@ -44,7 +46,9 @@ type InferLayer interface {
 // Infer computes the convolution of x without caching it for Backward; the
 // result is pool-backed and bit-for-bit identical to Forward's (one forward
 // kernel serves both).
-func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor { return c.apply(x, tensor.NewScratch) }
+func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor {
+	return c.apply(x, tensor.NewScratch, gemm.Norm{})
+}
 
 // Infer upsamples x without caching it for Backward; the result is
 // pool-backed and bit-for-bit identical to Forward's.
@@ -143,41 +147,9 @@ func (s *ChannelSoftmax) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // Infer downsamples x without recording the backward argmax.
 func (m *MaxPool3D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	n, c, d, h, w := check5D("MaxPool3D", x)
-	s := m.Size
-	if d%s != 0 || h%s != 0 || w%s != 0 {
-		panic("nn: MaxPool3D size does not divide volume")
-	}
-	od, oh, ow := d/s, h/s, w/s
+	n, c, od, oh, ow := m.outShape(x)
 	out := tensor.NewScratch(n, c, od, oh, ow)
-	xd := x.Data()
-	outd := out.Data()
-	outCh := od * oh * ow
-	parallel.ForWorkers(m.workers, n*c, 1, func(lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			base := blk * d * h * w
-			oi := blk * outCh
-			for z := 0; z < od; z++ {
-				for y := 0; y < oh; y++ {
-					for xx := 0; xx < ow; xx++ {
-						best := xd[base+(z*s*h+y*s)*w+xx*s]
-						for kz := 0; kz < s; kz++ {
-							for ky := 0; ky < s; ky++ {
-								row := base + ((z*s+kz)*h+y*s+ky)*w + xx*s
-								for kx := 0; kx < s; kx++ {
-									if v := xd[row+kx]; v > best {
-										best = v
-									}
-								}
-							}
-						}
-						outd[oi] = best
-						oi++
-					}
-				}
-			}
-		}
-	})
+	m.pool(x, out, nil)
 	return out
 }
 

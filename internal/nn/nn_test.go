@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,6 +231,39 @@ func TestMaxPool3DGradients(t *testing.T) {
 		x.Data()[i] = float32((i*7)%97) / 10
 	}
 	checkGradients(t, NewMaxPool3D(2), x, 0.05)
+}
+
+// TestMaxPool3DMatchesBranchyLoop holds the branch-free windows of Forward
+// and Infer to the branchy loop they replaced (maxPoolSerial), values and
+// winners bit for bit, on inputs drawn mostly from a handful of values — NaN
+// (first in a window and later), ties, −0 against +0, ±Inf — at pool sizes 2
+// and 3 and 1/2 workers.
+func TestMaxPool3DMatchesBranchyLoop(t *testing.T) {
+	few := []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)), 1, -1,
+		float32(math.Inf(1)), float32(math.Inf(-1))}
+	rng := rand.New(rand.NewSource(19))
+	for _, s := range []int{2, 3} {
+		x := randTensor(rng, 2, 3, 2*s, 3*s, 4*s)
+		for i := range x.Data() {
+			if rng.Intn(4) != 0 {
+				x.Data()[i] = few[rng.Intn(len(few))]
+			}
+		}
+		want, wantArg := maxPoolSerial(x, s)
+		for _, workers := range []int{1, 2} {
+			p := NewMaxPool3D(s)
+			p.SetWorkers(workers)
+			assertSameBits(t, fmt.Sprintf("size %d workers %d Forward", s, workers), want.Data(), p.Forward(x).Data())
+			for i, a := range wantArg {
+				if p.argmax[i] != a {
+					t.Fatalf("size %d workers %d: output %d won by input %d, want %d", s, workers, i, p.argmax[i], a)
+				}
+			}
+			got := p.Infer(x)
+			assertSameBits(t, fmt.Sprintf("size %d workers %d Infer", s, workers), want.Data(), got.Data())
+			tensor.Recycle(got)
+		}
+	}
 }
 
 func TestMaxPool3DPanicsOnIndivisible(t *testing.T) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -41,51 +42,84 @@ func (m *MaxPool3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Te
 }
 
 func (m *MaxPool3D) forward(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	n, c, d, h, w := check5D("MaxPool3D", x)
-	s := m.Size
-	if d%s != 0 || h%s != 0 || w%s != 0 {
-		panic(fmt.Sprintf("nn: MaxPool3D size %d does not divide volume %dx%dx%d", s, d, h, w))
-	}
-	od, oh, ow := d/s, h/s, w/s
+	n, c, od, oh, ow := m.outShape(x)
 	out := alloc(n, c, od, oh, ow)
 	m.inShape = append(m.inShape[:0], x.Shape()...)
 	if cap(m.argmax) < out.Size() {
 		m.argmax = make([]int32, out.Size())
 	}
 	m.argmax = m.argmax[:out.Size()]
+	m.pool(x, out, m.argmax)
+	return out
+}
 
-	xd := x.Data()
-	outd := out.Data()
+// outShape checks that the pool size divides x's volume and returns the
+// pooled shape.
+func (m *MaxPool3D) outShape(x *tensor.Tensor) (n, c, od, oh, ow int) {
+	n, c, d, h, w := check5D("MaxPool3D", x)
+	s := m.Size
+	if d%s != 0 || h%s != 0 || w%s != 0 {
+		panic(fmt.Sprintf("nn: MaxPool3D size %d does not divide volume %dx%dx%d", s, d, h, w))
+	}
+	return n, c, d / s, h / s, w / s
+}
+
+// pool writes the maximum of every window of x into out and, when argmax is
+// non-nil, the flat input index of its winner. Within a window the elements
+// are visited in (z, y, x) order and one replaces the running maximum only
+// when it is greater, so a NaN never does (and a NaN first element stays),
+// and the first of equal maxima wins, +0 and −0 included.
+func (m *MaxPool3D) pool(x, out *tensor.Tensor, argmax []int32) {
+	n, c, d, h, w := check5D("MaxPool3D", x)
+	s := m.Size
+	od, oh, ow := d/s, h/s, w/s
+	xd, outd := x.Data(), out.Data()
 	outCh := od * oh * ow
 	parallel.ForWorkers(m.workers, n*c, 1, func(lo, hi int) {
+		// The window's offsets from its corner, in visiting order.
+		var buf [8]int
+		win := buf[:0]
+		for kz := 0; kz < s; kz++ {
+			for ky := 0; ky < s; ky++ {
+				for kx := 0; kx < s; kx++ {
+					win = append(win, (kz*h+ky)*w+kx)
+				}
+			}
+		}
 		for blk := lo; blk < hi; blk++ {
 			base := blk * d * h * w
 			oi := blk * outCh
 			for z := 0; z < od; z++ {
 				for y := 0; y < oh; y++ {
+					row := base + (z*s*h+y*s)*w
 					for xx := 0; xx < ow; xx++ {
-						bestIdx := base + (z*s*h+y*s)*w + xx*s
-						best := xd[bestIdx]
-						for kz := 0; kz < s; kz++ {
-							for ky := 0; ky < s; ky++ {
-								row := base + ((z*s+kz)*h+y*s+ky)*w + xx*s
-								for kx := 0; kx < s; kx++ {
-									if v := xd[row+kx]; v > best {
-										best = v
-										bestIdx = row + kx
-									}
-								}
-							}
+						corner := row + xx*s
+						best, at := xd[corner], corner
+						for _, off := range win[1:] {
+							best, at = greater(xd[corner+off], corner+off, best, at)
 						}
 						outd[oi] = best
-						m.argmax[oi] = int32(bestIdx)
+						if argmax != nil {
+							argmax[oi] = int32(at)
+						}
 						oi++
 					}
 				}
 			}
 		}
 	})
-	return out
+}
+
+// greater returns (v, i) when v > best and (best, at) otherwise. It is a
+// select, not a branch: after a ReLU, whether the next element of a window
+// wins is a coin toss the branch predictor loses.
+func greater(v float32, i int, best float32, at int) (float32, int) {
+	var keep uint32
+	if v > best {
+		keep = ^uint32(0)
+		at = i
+	}
+	return math.Float32frombits(math.Float32bits(v)&keep | math.Float32bits(best)&^keep), at
 }
 
 // Backward routes each output gradient to the input element that won the max.

@@ -294,3 +294,41 @@ func (c *ConvTranspose3D) backwardSerial(gradOut *tensor.Tensor) *tensor.Tensor 
 	}
 	return gradIn
 }
+
+// maxPoolSerial is the branchy single-threaded pooling loop MaxPool3D ran
+// before its windows became selects: the reference for its values and
+// winners. An element replaces the running maximum only when it is greater.
+func maxPoolSerial(x *tensor.Tensor, s int) (*tensor.Tensor, []int32) {
+	n, c, d, h, w := check5D("MaxPool3D", x)
+	od, oh, ow := d/s, h/s, w/s
+	out := tensor.New(n, c, od, oh, ow)
+	argmax := make([]int32, out.Size())
+	xd, outd := x.Data(), out.Data()
+	oi := 0
+	for blk := 0; blk < n*c; blk++ {
+		base := blk * d * h * w
+		for z := 0; z < od; z++ {
+			for y := 0; y < oh; y++ {
+				for xx := 0; xx < ow; xx++ {
+					bestIdx := base + (z*s*h+y*s)*w + xx*s
+					best := xd[bestIdx]
+					for kz := 0; kz < s; kz++ {
+						for ky := 0; ky < s; ky++ {
+							row := base + ((z*s+kz)*h+y*s+ky)*w + xx*s
+							for kx := 0; kx < s; kx++ {
+								if v := xd[row+kx]; v > best {
+									best = v
+									bestIdx = row + kx
+								}
+							}
+						}
+					}
+					outd[oi] = best
+					argmax[oi] = int32(bestIdx)
+					oi++
+				}
+			}
+		}
+	}
+	return out, argmax
+}
