@@ -2,7 +2,8 @@
 // real training on synthetic brain phantoms, under either distribution
 // strategy of the paper: -strategy data trains every experiment across all
 // GPUs serially; -strategy experiment distributes one single-GPU experiment
-// per GPU (the Ray.Tune approach).
+// per GPU (the Ray.Tune approach). Both run on the same campaign runner, as
+// trials of width -gpus or 1.
 //
 // Usage:
 //
@@ -58,7 +59,7 @@ func main() {
 
 	mode := flag.String("mode", "search", "search (the paper's HPO), coordinator or worker (fault-tolerant multi-process training)")
 	strategy := flag.String("strategy", "experiment", "distribution strategy: data or experiment")
-	gpus := flag.Int("gpus", 4, "GPUs to use (4 per simulated node)")
+	gpus := flag.Int("gpus", 4, "GPUs to use: 1-4 on one simulated node, or a multiple of 4 on 4-GPU nodes")
 	epochs := flag.Int("epochs", 3, "training epochs per experiment")
 	trials := flag.Int("trials", 8, "experiments to run (truncates the 32-point grid)")
 	cases := flag.Int("cases", 16, "phantom cases to generate")

@@ -19,11 +19,13 @@
 // network owns, so a training step allocates none), Dice losses and
 // optimizers (loss, optim, metrics), the data path from NIfTI phantoms to
 // TFRecords and tf.Data-style pipelines (msd, nifti,
-// volume, record, pipeline, profiler), the unified training-orchestration
+// volume, record, pipeline), the unified training-orchestration
 // layer — one Session loop over pluggable strategies with an ordered
 // callback chain and bit-exact checkpoint/resume (train, ckpt) — the
 // distribution layer selecting and driving those strategies with resumable
-// hyper-parameter campaigns (allreduce, mirrored, raysgd, tune, cluster)
+// hyper-parameter campaigns (allreduce, mirrored, raysgd, tune, cluster;
+// both of the paper's strategies run on one tune runner as trials of width
+// W or 1)
 // — allreduce runs one ring and hierarchical reduction over any link,
 // in-process channels or TCP between processes, mirrored writes the
 // data-parallel step once as a Rank that a Trainer runs R of in-process
@@ -39,7 +41,7 @@
 // with Prometheus text exposition, a never-blocking JSONL trace-event
 // stream, and pprof mounting, instrumented through train/serve/allreduce/
 // dist/tensor and surfaced by the binaries' /metrics, -trace and
-// -metrics-addr flags (telemetry, with profiler as a thin span-report view)
+// -metrics-addr flags, plus per-stage span reports (telemetry)
 // — and the DistMIS facade (core).
 //
 // See README.md for a tour and PAPER.md for the source-paper summary.

@@ -5,7 +5,7 @@
 // dataset on disk, then feeds three simulated training epochs twice — once
 // decoding NIfTI per epoch (online) and once reading pre-binarized records
 // (offline) — through the interleave → map → prefetch pipeline, and prints
-// the profiler's verdict.
+// the per-stage span report with its bottleneck stage.
 //
 // Run with: go run ./examples/pipeline_offline
 package main
@@ -20,8 +20,8 @@ import (
 
 	"repro/internal/msd"
 	"repro/internal/pipeline"
-	"repro/internal/profiler"
 	"repro/internal/record"
+	"repro/internal/telemetry"
 	"repro/internal/volume"
 )
 
@@ -53,9 +53,9 @@ func main() {
 	}
 
 	// Offline binarization: preprocess once, serialize as TFRecords. The
-	// one-time cost is timed separately from the per-epoch profiler so the
+	// one-time cost is timed separately from the per-epoch spans so the
 	// bottleneck report reflects what happens inside the training loop.
-	prof := profiler.New()
+	prof := telemetry.NewSpanGroup()
 	binarizeStart := time.Now()
 	recPath := filepath.Join(dir, "train.tfrecord")
 	func() {
@@ -149,7 +149,15 @@ func main() {
 	fmt.Printf("online  (NIfTI decode every epoch):  %8s\n", onlineTime.Round(time.Millisecond))
 	fmt.Printf("offline (pre-binarized TFRecords):   %8s\n", offlineTime.Round(time.Millisecond))
 	fmt.Printf("offline speedup: %.2fx over %d epochs\n\n", float64(onlineTime)/float64(offlineTime), epochs)
-	fmt.Println("profiler report (cumulative):")
-	fmt.Print(prof.String())
-	fmt.Printf("\nbottleneck stage: %s — matching the paper's Tensorboard finding\n", prof.Bottleneck())
+	// Stats sorts stages by descending total, so the first is the
+	// bottleneck.
+	stats := prof.Stats()
+	fmt.Println("span report (cumulative):")
+	fmt.Printf("%-16s %12s %8s %12s %7s\n", "stage", "total", "count", "mean", "share")
+	for _, st := range stats {
+		fmt.Printf("%-16s %12s %8d %12s %6.1f%%\n",
+			st.Stage, st.Total.Round(time.Microsecond), st.Count,
+			st.Mean.Round(time.Microsecond), st.Fraction*100)
+	}
+	fmt.Printf("\nbottleneck stage: %s — matching the paper's Tensorboard finding\n", stats[0].Stage)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/msd"
 	"repro/internal/raysgd"
+	"repro/internal/train"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -24,13 +25,13 @@ func main() {
 
 	// Phantom dataset: 20 cases of 16^3 voxels, 4 modalities.
 	cfg := msd.Config{Cases: 20, D: 16, H: 16, W: 16, Seed: 3}
-	var train, val []*volume.Sample
+	var trainSet, val []*volume.Sample
 	for i := 0; i < 16; i++ {
 		s, err := volume.Preprocess(msd.GenerateCase(cfg, i), 4)
 		if err != nil {
 			log.Fatal(err)
 		}
-		train = append(train, s)
+		trainSet = append(trainSet, s)
 	}
 	for i := 16; i < 20; i++ {
 		s, err := volume.Preprocess(msd.GenerateCase(cfg, i), 4)
@@ -67,19 +68,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mode %s, global batch %d, effective lr %.2g\n",
-		tr.Mode(), tr.GlobalBatch(), tr.EffectiveLR())
+		tr.Mode(), tr.GlobalBatch(), tr.Strategy().LR())
 
 	const target = 0.89 // the paper's reported Dice score
 	start := time.Now()
 	best := 0.0
-	last, err := tr.Fit(train, val, 60, func(s raysgd.EpochStats) bool {
+	sess, err := tr.NewSession(60, train.ReportFunc(func(s train.EpochStats) bool {
 		if s.ValDice > best {
 			best = s.ValDice
 		}
 		fmt.Printf("epoch %3d  loss %.4f  val dice %.4f  (%.1fs)\n",
 			s.Epoch, s.MeanLoss, s.ValDice, time.Since(start).Seconds())
 		return s.ValDice < target
-	})
+	}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	last, err := sess.Fit(trainSet, val)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/raysgd"
 	"repro/internal/record"
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/internal/tune"
 	"repro/internal/unet"
 	"repro/internal/volume"
@@ -46,7 +47,7 @@ func TestTrainingReachesReferenceDice(t *testing.T) {
 		t.Skip("real training takes ~1 minute; skipped in -short")
 	}
 	cfg := msd.Config{Cases: 20, D: 16, H: 16, W: 16, Seed: 3}
-	train := phantoms(t, cfg, 0, 16, 4)
+	trainSet := phantoms(t, cfg, 0, 16, 4)
 	val := phantoms(t, cfg, 16, 20, 4)
 
 	net := unet.Config{InChannels: 4, OutChannels: 1, BaseFilters: 4, Steps: 3, Kernel: 3, UpKernel: 2, Seed: 2}
@@ -69,19 +70,22 @@ func TestTrainingReachesReferenceDice(t *testing.T) {
 	}
 	const target = 0.89
 	best := 0.0
-	_, err = tr.Fit(train, val, 60, func(s raysgd.EpochStats) bool {
+	sess, err := tr.NewSession(60, train.ReportFunc(func(s train.EpochStats) bool {
 		if s.ValDice > best {
 			best = s.ValDice
 		}
 		return best < target
-	})
+	}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Fit(trainSet, val); err != nil {
 		t.Fatal(err)
 	}
 	if best < target {
 		t.Fatalf("validation Dice %.4f below the paper's reference %.2f", best, target)
 	}
-	if !tr.InSync() {
+	if !tr.Strategy().InSync() {
 		t.Fatal("replicas diverged during the full training run")
 	}
 }
@@ -157,7 +161,11 @@ func TestEndToEndDataPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := tr.Fit(decoded[:4], decoded[4:], 1, nil)
+	sess, err := tr.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := sess.Fit(decoded[:4], decoded[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +278,13 @@ func TestMultiClassTrainingPath(t *testing.T) {
 // stats are part of neither path's evaluation.
 func TestCheckpointResumeMidTraining(t *testing.T) {
 	cfg := msd.Config{Cases: 4, D: 8, H: 8, W: 8, Seed: 37}
-	var train []*volume.Sample
+	var trainSet []*volume.Sample
 	for i := 0; i < 4; i++ {
 		s, err := volume.Preprocess(msd.GenerateCase(cfg, i), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		train = append(train, s)
+		trainSet = append(trainSet, s)
 	}
 	net := unet.Config{InChannels: 4, OutChannels: 1, BaseFilters: 2, Steps: 2, Kernel: 3, UpKernel: 2, Seed: 8}
 	cl, err := cluster.ForGPUs(1)
@@ -294,16 +302,20 @@ func TestCheckpointResumeMidTraining(t *testing.T) {
 		return tr
 	}
 	a := mk()
-	if _, err := a.Fit(train, nil, 2, nil); err != nil {
+	sess, err := a.NewSession(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Fit(trainSet, nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "mid.ckpt")
-	if err := ckpt.SaveFile(path, a.Model().Params(), map[string]float64{"epoch": 2}); err != nil {
+	if err := ckpt.SaveFile(path, a.Strategy().Model().Params(), map[string]float64{"epoch": 2}); err != nil {
 		t.Fatal(err)
 	}
 
 	b := mk()
-	meta, err := ckpt.LoadFile(path, b.Model().Params())
+	meta, err := ckpt.LoadFile(path, b.Strategy().Model().Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +323,7 @@ func TestCheckpointResumeMidTraining(t *testing.T) {
 		t.Fatalf("meta %v", meta)
 	}
 	// The restored model must match the saved one parameter-for-parameter.
-	pa, pb := a.Model().Params(), b.Model().Params()
+	pa, pb := a.Strategy().Model().Params(), b.Strategy().Model().Params()
 	for i := range pa {
 		if tensor.MaxAbsDiff(pa[i].Value, pb[i].Value) != 0 {
 			t.Fatalf("param %s differs after restore", pa[i].Name)

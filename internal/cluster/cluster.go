@@ -33,14 +33,25 @@ func MareNostrum(nodes int) (*Cluster, error) {
 	}, nil
 }
 
-// ForGPUs returns the smallest MareNostrum cluster holding n GPUs, matching
-// the paper's scaling ladder (1..32 GPUs on 4-GPU nodes).
+// ForGPUs returns a MareNostrum cluster of exactly n GPUs, matching the
+// paper's scaling ladder (1..32 GPUs): one n-GPU node for n ≤ 4, whole
+// 4-GPU nodes above that. A campaign asking for n GPUs therefore gets n
+// trial slots, never a rounded-up node.
 func ForGPUs(n int) (*Cluster, error) {
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		return nil, fmt.Errorf("cluster: GPU count must be positive, got %d", n)
+	case n <= 4:
+		c, err := MareNostrum(1)
+		if err != nil {
+			return nil, err
+		}
+		c.GPUsPerNode = n
+		return c, nil
+	case n%4 != 0:
+		return nil, fmt.Errorf("cluster: %d GPUs above one node must be whole 4-GPU nodes", n)
 	}
-	nodes := (n + 3) / 4
-	return MareNostrum(nodes)
+	return MareNostrum(n / 4)
 }
 
 // TotalGPUs returns the number of GPUs in the cluster.
@@ -124,6 +135,19 @@ func (a *Alloc) Acquire() (int, bool) {
 		}
 		return 0, false
 	}
+}
+
+// AcquireN reserves n free GPUs according to the policy, or none and false
+// when fewer than n are free.
+func (a *Alloc) AcquireN(n int) ([]int, bool) {
+	if n > a.FreeGPUs() {
+		return nil, false
+	}
+	gpus := make([]int, n)
+	for i := range gpus {
+		gpus[i], _ = a.Acquire()
+	}
+	return gpus, true
 }
 
 func (a *Alloc) take(g int) {

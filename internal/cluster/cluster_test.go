@@ -25,18 +25,34 @@ func TestMareNostrumRejectsBadNodes(t *testing.T) {
 }
 
 func TestForGPUs(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 1, 4: 1, 5: 2, 8: 2, 12: 3, 16: 4, 32: 8}
-	for gpus, nodes := range cases {
+	// One n-GPU node up to a full node, whole 4-GPU nodes above: the cluster
+	// holds exactly the GPUs asked for.
+	cases := map[int][2]int{1: {1, 1}, 2: {1, 2}, 3: {1, 3}, 4: {1, 4}, 8: {2, 4}, 12: {3, 4}, 16: {4, 4}, 32: {8, 4}}
+	for gpus, want := range cases {
 		c, err := ForGPUs(gpus)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.NodeCount != nodes {
-			t.Fatalf("%d GPUs: %d nodes, want %d", gpus, c.NodeCount, nodes)
+		if c.NodeCount != want[0] || c.GPUsPerNode != want[1] || c.TotalGPUs() != gpus {
+			t.Fatalf("%d GPUs: %d nodes × %d, want %d × %d", gpus, c.NodeCount, c.GPUsPerNode, want[0], want[1])
 		}
 	}
-	if _, err := ForGPUs(0); err == nil {
-		t.Fatal("0 GPUs must error")
+	for _, bad := range []int{0, -1, 5, 6, 10} {
+		if _, err := ForGPUs(bad); err == nil {
+			t.Fatalf("ForGPUs(%d) must error", bad)
+		}
+	}
+}
+
+func TestAcquireNAllOrNothing(t *testing.T) {
+	c, _ := MareNostrum(1)
+	a := c.NewAlloc(Pack)
+	gpus, ok := a.AcquireN(3)
+	if !ok || len(gpus) != 3 || a.Active() != 3 {
+		t.Fatalf("AcquireN(3) = %v %v, active %d", gpus, ok, a.Active())
+	}
+	if _, ok := a.AcquireN(2); ok || a.Active() != 3 {
+		t.Fatalf("AcquireN(2) with one free GPU must take nothing; active %d", a.Active())
 	}
 }
 

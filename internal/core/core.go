@@ -1,23 +1,21 @@
 // Package core is the DistMIS facade: the paper's framework entry point that
 // trains 3D medical image segmentation models on a multi-node multi-GPU
-// cluster under either of the two distribution strategies — data parallelism
-// (every experiment over all GPUs, serialized) or experiment parallelism
-// (one experiment per GPU, scheduled by the tune layer). Real mathematics
-// runs end to end: phantom MSD-like volumes, preprocessing, the 3D U-Net,
-// Dice losses, ring all-reduce and hyper-parameter search.
+// cluster under either of the two distribution strategies. Both are one
+// campaign on tune.Runner with a trial width w: data parallelism is w = W
+// (each experiment on all W GPUs, one at a time), experiment parallelism is
+// w = 1 (W one-GPU experiments at a time). Real mathematics runs end to end:
+// phantom MSD-like volumes, preprocessing, the 3D U-Net, Dice losses, ring
+// all-reduce and hyper-parameter search.
 package core
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/augment"
 	"repro/internal/cluster"
 	"repro/internal/msd"
-	"repro/internal/parallel"
 	"repro/internal/raysgd"
 	"repro/internal/train"
 	"repro/internal/tune"
@@ -47,13 +45,13 @@ type Options struct {
 	BatchPerReplica int
 	Seed            int64
 
-	// Workers is the machine-wide compute-worker budget (0 = all cores).
-	// Data-parallel runs hand it to the single trainer; experiment-parallel
-	// runs divide it among the concurrent single-GPU trials.
+	// Workers is the machine-wide compute-worker budget (0 = all cores),
+	// divided among the concurrently running trials: one data-parallel trial
+	// gets all of it, W experiment-parallel trials a share each.
 	Workers int
 
-	// Scheduler optionally enables early stopping in experiment-parallel
-	// mode (nil = FIFO, the paper's behaviour).
+	// Scheduler optionally enables early stopping under either strategy
+	// (nil = FIFO, the paper's behaviour).
 	Scheduler tune.Scheduler
 
 	// MaxTrainCases / MaxValCases cap the dataset for quick runs; 0 means
@@ -89,7 +87,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// TrialResult is the outcome of one experiment.
+// TrialResult is the outcome of one experiment. Dice is the best validation
+// Dice over the trial's reported epochs.
 type TrialResult struct {
 	Config tune.Config
 	Dice   float64
@@ -137,16 +136,32 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	start := time.Now()
-	var trials []TrialResult
-	switch opts.Strategy {
-	case StrategyData:
-		trials, err = runDataParallel(opts, cl, configs, train, val)
-	case StrategyExperiment:
-		trials, err = runExperimentParallel(opts, cl, configs, train, val)
+	// The strategy is the trial width: data parallelism runs each trial on
+	// all GPUs, experiment parallelism one trial per GPU.
+	width := 1
+	if opts.Strategy == StrategyData {
+		width = opts.GPUs
 	}
+	runner, err := tune.NewRunner(cl, opts.Scheduler, "dice", "max")
 	if err != nil {
 		return nil, err
+	}
+	runner.Width = width
+	runner.Workers = opts.Workers
+	runner.CheckpointDir = opts.CheckpointDir
+
+	start := time.Now()
+	analysis, err := runner.Run(configs, func(ctx *tune.TrialContext) error {
+		return trainOne(opts, cl, width, ctx, train, val)
+	})
+	if err != nil {
+		return nil, err
+	}
+	trials := make([]TrialResult, 0, len(analysis.Trials))
+	for _, tr := range analysis.Trials {
+		res := TrialResult{Config: tr.Config, Status: tr.Status().String(), Err: tr.Err()}
+		res.Dice, _ = tr.BestMetric("dice", "max")
+		trials = append(trials, res)
 	}
 
 	res := &Result{
@@ -198,20 +213,22 @@ func prepareData(opts Options) (train, val []*volume.Sample, err error) {
 	return train, val, nil
 }
 
-// trainOne trains one configuration on the given GPU count through a
-// train.Session and returns the final validation Dice. The report hook
-// forwards per-epoch metrics. When trialDir is non-empty the session
-// checkpoints there every epoch and resumes from an existing checkpoint —
-// replaying the restored epochs through the report protocol so schedulers
-// observe the same stream as an uninterrupted run.
-func trainOne(opts Options, cl *cluster.Cluster, cfg tune.Config, gpus, workers int, trialDir string,
-	trainSet, val []*volume.Sample, report func(epoch int, dice float64) bool) (float64, error) {
+// trainOne trains the trial's configuration on gpus GPUs and its worker
+// share through a train.Session, reporting each epoch's validation Dice to
+// the runner. When the campaign is resumable the session checkpoints into
+// the trial's directory every epoch and resumes from an existing checkpoint
+// — replaying the restored epochs through the report protocol so the
+// scheduler and the trial's best Dice see the same stream as an
+// uninterrupted run.
+func trainOne(opts Options, cl *cluster.Cluster, gpus int, ctx *tune.TrialContext,
+	trainSet, val []*volume.Sample) error {
 
+	cfg := ctx.Trial.Config
 	var aug *augment.Pipeline
 	if cfg.Has("augment") {
 		var err error
 		if aug, err = augment.ByName(cfg.Str("augment"), opts.Seed); err != nil {
-			return 0, err
+			return err
 		}
 		if aug.Len() == 0 {
 			aug = nil
@@ -226,134 +243,35 @@ func trainOne(opts Options, cl *cluster.Cluster, cfg tune.Config, gpus, workers 
 		BaseLR:          cfg.Float("lr"),
 		BatchPerReplica: opts.BatchPerReplica,
 		Seed:            opts.Seed,
-		Workers:         workers,
+		Workers:         ctx.Workers,
 		Augment:         aug,
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 
-	var cbs []train.Callback
-	if report != nil {
-		cbs = append(cbs, train.ReportFunc(func(st train.EpochStats) bool {
-			return report(st.Epoch, st.ValDice)
-		}))
+	report := func(st train.EpochStats) bool {
+		return ctx.Report(st.Epoch, map[string]float64{"dice": st.ValDice})
+	}
+	cbs := []train.Callback{train.ReportFunc(report)}
+	trialDir, err := ctx.Dir()
+	if err != nil {
+		return err
 	}
 	ckptPath := ""
 	if trialDir != "" {
-		if err := os.MkdirAll(trialDir, 0o755); err != nil {
-			return 0, err
-		}
 		ckptPath = filepath.Join(trialDir, "session.ckpt")
 		cbs = append(cbs, &train.PeriodicCheckpoint{Path: ckptPath, Every: 1})
 	}
 	sess, err := tr.NewSession(opts.Epochs, cbs...)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if ckptPath != "" {
-		var replay func(train.EpochStats) bool
-		if report != nil {
-			replay = func(st train.EpochStats) bool { return report(st.Epoch, st.ValDice) }
-		}
-		if _, err := sess.ResumeFromFile(ckptPath, replay); err != nil {
-			return 0, err
-		}
-	}
-	last, err := sess.Fit(trainSet, val)
-	if err != nil {
-		return 0, err
-	}
-	return last.ValDice, nil
-}
-
-// runDataParallel serializes experiments, each spanning all GPUs.
-func runDataParallel(opts Options, cl *cluster.Cluster, configs []tune.Config,
-	train, val []*volume.Sample) ([]TrialResult, error) {
-
-	out := make([]TrialResult, 0, len(configs))
-	for i, cfg := range configs {
-		trialDir := ""
-		if opts.CheckpointDir != "" {
-			trialDir = tune.TrialDir(opts.CheckpointDir, i)
-		}
-		dice, err := trainOne(opts, cl, cfg, opts.GPUs, opts.Workers, trialDir, train, val, nil)
-		res := TrialResult{Config: cfg, Dice: dice, Status: "TERMINATED", Err: err}
-		if err != nil {
-			res.Status = "ERRORED"
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// runExperimentParallel distributes single-GPU experiments with the tune
-// runner, one per GPU.
-func runExperimentParallel(opts Options, cl *cluster.Cluster, configs []tune.Config,
-	train, val []*volume.Sample) ([]TrialResult, error) {
-
-	runner, err := tune.NewRunner(cl, opts.Scheduler, "dice", "max")
-	if err != nil {
-		return nil, err
-	}
-	runner.CheckpointDir = opts.CheckpointDir
-	// The runner schedules one single-GPU trial per cluster GPU (rounded up
-	// to whole nodes, so possibly more than opts.GPUs) but never more than
-	// there are configs; divide the budget by the real concurrency so the
-	// trials share the machine without oversubscribing or idling it.
-	concurrent := cl.TotalGPUs()
-	if len(configs) < concurrent {
-		concurrent = len(configs)
-	}
-	// ShareN distributes the budget remainder across the concurrent trial
-	// slots (Share would floor it, idling total%concurrent cores). Each
-	// running trial holds one slot from a free stack and returns it when it
-	// finishes, so at any moment the running trials hold disjoint shares —
-	// a monotonic round-robin counter would let two live trials land on the
-	// same (large or small) share once trials start finishing out of order.
-	shares := parallel.ShareN(opts.Workers, concurrent)
-	freeSlots := make([]int, len(shares))
-	for i := range freeSlots {
-		freeSlots[i] = i
-	}
-	var slotMu sync.Mutex
-	analysis, err := runner.Run(configs, func(ctx *tune.TrialContext) error {
-		slotMu.Lock()
-		slot := -1
-		if n := len(freeSlots); n > 0 {
-			slot = freeSlots[n-1]
-			freeSlots = freeSlots[:n-1]
-		}
-		slotMu.Unlock()
-		perTrial := shares[len(shares)-1] // smallest share, if oversubscribed
-		if slot >= 0 {
-			perTrial = shares[slot]
-			defer func() {
-				slotMu.Lock()
-				freeSlots = append(freeSlots, slot)
-				slotMu.Unlock()
-			}()
-		}
-		trialDir, err := ctx.Dir()
-		if err != nil {
+		if _, err := sess.ResumeFromFile(ckptPath, report); err != nil {
 			return err
 		}
-		_, err = trainOne(opts, cl, ctx.Trial.Config, 1, perTrial, trialDir, train, val,
-			func(epoch int, dice float64) bool {
-				return ctx.Report(epoch, map[string]float64{"dice": dice})
-			})
-		return err
-	})
-	if err != nil {
-		return nil, err
 	}
-	out := make([]TrialResult, 0, len(analysis.Trials))
-	for _, tr := range analysis.Trials {
-		res := TrialResult{Config: tr.Config, Status: tr.Status().String(), Err: tr.Err()}
-		if d, ok := tr.BestMetric("dice", "max"); ok {
-			res.Dice = d
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	_, err = sess.Fit(trainSet, val)
+	return err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/tune"
@@ -97,12 +98,20 @@ func TestRunExperimentParallelStrategy(t *testing.T) {
 
 func TestBothStrategiesExploreSameSpace(t *testing.T) {
 	// Figure 1: the two pipelines differ only in distribution; the set of
-	// experiments is identical.
-	data, err := Run(smallOptions(StrategyData, 1))
+	// experiments is identical. Data parallelism on one GPU and experiment
+	// parallelism on two both run trials of width 1, so each trial trains
+	// the same single-replica model and must score the same Dice bit for
+	// bit — the best epoch's, on both sides.
+	mk := func(strategy Strategy, gpus int) Options {
+		opts := smallOptions(strategy, gpus)
+		opts.Epochs = 2
+		return opts
+	}
+	data, err := Run(mk(StrategyData, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := Run(smallOptions(StrategyExperiment, 2))
+	exp, err := Run(mk(StrategyExperiment, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +124,10 @@ func TestBothStrategiesExploreSameSpace(t *testing.T) {
 			if data.Trials[i].Config[k] != exp.Trials[i].Config[k] {
 				t.Fatalf("trial %d differs on %s", i, k)
 			}
+		}
+		if d, e := data.Trials[i].Dice, exp.Trials[i].Dice; math.Float64bits(d) != math.Float64bits(e) {
+			t.Errorf("trial %v: data dice %v (%#x) != experiment dice %v (%#x)",
+				data.Trials[i].Config, d, math.Float64bits(d), e, math.Float64bits(e))
 		}
 	}
 }

@@ -11,16 +11,18 @@ import (
 
 // TestGoldenRunBitIdentical pins the exact per-trial validation Dice of Run
 // under both distribution strategies for fixed seeds, captured from the
-// pre-train.Session implementation. Trials are keyed by their rendered
-// config (deterministic), so the concurrent experiment-parallel schedule
-// cannot permute the comparison.
+// pre-train.Session implementation. A trial's Dice is its best epoch's; the
+// two gemm/data lr=0.05 entries moved when data-parallel trials stopped
+// reporting their last epoch's instead (the training bits are unchanged).
+// Trials are keyed by their rendered config (deterministic), so the
+// concurrent experiment-parallel schedule cannot permute the comparison.
 func TestGoldenRunBitIdentical(t *testing.T) {
 	want := map[string]map[string]uint64{
 		"gemm/data": {
 			"augment=flip;loss=dice;lr=0.01;optimizer=sgd;": 0x3faab68a0473c1ab,
-			"augment=flip;loss=dice;lr=0.05;optimizer=sgd;": 0x3fab6db6db6db6db,
+			"augment=flip;loss=dice;lr=0.05;optimizer=sgd;": 0x3fadae6076b981db,
 			"augment=none;loss=dice;lr=0.01;optimizer=sgd;": 0x3faab68a0473c1ab,
-			"augment=none;loss=dice;lr=0.05;optimizer=sgd;": 0x3fabed61bed61bed,
+			"augment=none;loss=dice;lr=0.05;optimizer=sgd;": 0x3facd85689039b0b,
 		},
 		"gemm/experiment": {
 			"augment=flip;loss=dice;lr=0.01;optimizer=sgd;": 0x3faab68a0473c1ab,

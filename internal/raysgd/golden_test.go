@@ -43,10 +43,10 @@ func fingerprintModel(m *unet.UNet) uint64 {
 	return h.Sum64()
 }
 
-// TestGoldenFitBitIdentical pins the exact numerical outcome of Fit for
-// fixed seeds, captured from the pre-train.Session implementation (the
-// bespoke epoch loop this package used before the unified orchestration
-// API). The refactored adapter must reproduce every bit: final model
+// TestGoldenFitBitIdentical pins the exact numerical outcome of a session
+// built by NewSession for fixed seeds, captured from the pre-train.Session
+// implementation (the bespoke epoch loop this package used before the
+// unified orchestration API). The session must reproduce every bit: final model
 // fingerprint, mean loss and validation Dice. Values are worker-count
 // invariant. The two rows were re-captured when the convolution's input
 // gradient became one K = OC·K³ dot per element instead of K³ scatter-added
@@ -84,12 +84,12 @@ func TestGoldenFitBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			last, err := tr.Fit(samples(t, 8), samples(t, 2), 2, nil)
+			last, err := fit(t, tr, samples(t, 8), samples(t, 2), 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := golden{
-				params: fingerprintModel(tr.Model()),
+				params: fingerprintModel(tr.Strategy().Model()),
 				loss:   math.Float64bits(last.MeanLoss),
 				dice:   math.Float64bits(last.ValDice),
 			}

@@ -1,7 +1,6 @@
 package raysgd
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/msd"
 	"repro/internal/optim"
+	"repro/internal/train"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -81,7 +81,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("nil cluster must error")
 	}
 	cfg = testConfig(t, 2)
-	cfg.GPUs = 9 // cluster sized for 2
+	cfg.GPUs = 3 // cluster sized for 2
 	if _, err := New(cfg); err == nil {
 		t.Fatal("too many GPUs must error")
 	}
@@ -104,24 +104,38 @@ func TestTrainerModeAndBatchScaling(t *testing.T) {
 		t.Fatalf("global batch %d, want 2×2", tr.GlobalBatch())
 	}
 	// Paper's scaling rule: lr = base × GPUs.
-	if math.Abs(tr.EffectiveLR()-0.1) > 1e-12 {
-		t.Fatalf("lr %v, want 0.1", tr.EffectiveLR())
+	if lr := tr.Strategy().LR(); math.Abs(lr-0.1) > 1e-12 {
+		t.Fatalf("lr %v, want 0.1", lr)
 	}
 }
 
+// fit trains a fresh session of the trainer for the given epochs, with the
+// report hook (when non-nil) as its per-epoch callback.
+func fit(t *testing.T, tr *Trainer, trainSet, val []*volume.Sample, epochs int, report func(train.EpochStats) bool) (*train.EpochStats, error) {
+	t.Helper()
+	var cbs []train.Callback
+	if report != nil {
+		cbs = append(cbs, train.ReportFunc(report))
+	}
+	sess, err := tr.NewSession(epochs, cbs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess.Fit(trainSet, val)
+}
+
 func TestMultiNodeUsesHierarchicalReducerAndStaysInSync(t *testing.T) {
-	tr, err := New(testConfig(t, 6)) // 2 nodes
+	tr, err := New(testConfig(t, 8)) // 2 nodes
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Mode() != RayCluster {
 		t.Fatalf("mode %v, want ray-cluster", tr.Mode())
 	}
-	train := samples(t, 12)
-	if _, err := tr.Fit(train, nil, 1, nil); err != nil {
+	if _, err := fit(t, tr, samples(t, 16), nil, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.InSync() {
+	if !tr.Strategy().InSync() {
 		t.Fatal("replicas diverged under hierarchical all-reduce")
 	}
 }
@@ -131,10 +145,8 @@ func TestFitTrainsAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := samples(t, 8)
-	val := samples(t, 2)
-	var epochs []EpochStats
-	last, err := tr.Fit(train, val, 3, func(s EpochStats) bool {
+	var epochs []train.EpochStats
+	last, err := fit(t, tr, samples(t, 8), samples(t, 2), 3, func(s train.EpochStats) bool {
 		epochs = append(epochs, s)
 		return true
 	})
@@ -165,9 +177,8 @@ func TestFitEarlyStopViaCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := samples(t, 4)
 	count := 0
-	_, err = tr.Fit(train, nil, 10, func(s EpochStats) bool {
+	_, err = fit(t, tr, samples(t, 4), nil, 10, func(train.EpochStats) bool {
 		count++
 		return count < 2
 	})
@@ -184,50 +195,12 @@ func TestFitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Fit(nil, nil, 1, nil); err == nil {
+	if _, err := fit(t, tr, nil, nil, 1, nil); err == nil {
 		t.Fatal("empty training set must error")
 	}
 	// Batch larger than the dataset.
-	if _, err := tr.Fit(samples(t, 1), nil, 1, nil); err == nil {
+	if _, err := fit(t, tr, samples(t, 1), nil, 1, nil); err == nil {
 		t.Fatal("global batch > dataset must error")
-	}
-}
-
-func TestPredictShapeAndRange(t *testing.T) {
-	tr, err := New(testConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := samples(t, 1)[0]
-	pred, err := tr.Predict(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pred.SameShape(s.Mask) {
-		t.Fatalf("prediction shape %v vs mask %v", pred.Shape(), s.Mask.Shape())
-	}
-	for _, v := range pred.Data() {
-		if v <= 0 || v >= 1 {
-			t.Fatalf("probability %v out of (0,1)", v)
-		}
-	}
-}
-
-func TestEvaluateSet(t *testing.T) {
-	tr, err := New(testConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := samples(t, 3)
-	d, err := tr.EvaluateSet(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 0 || d > 1 {
-		t.Fatalf("dice %v", d)
-	}
-	if _, err := tr.EvaluateSet(nil); err == nil {
-		t.Fatal("empty set must error")
 	}
 }
 
@@ -242,15 +215,15 @@ func TestAugmentedFitRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := samples(t, 4)
-	if _, err := tr.Fit(train, nil, 2, nil); err != nil {
+	trainSet := samples(t, 4)
+	if _, err := fit(t, tr, trainSet, nil, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Augmentation must not mutate the caller's samples.
 	fresh := samples(t, 4)
-	for i := range train {
+	for i := range trainSet {
 		for j, v := range fresh[i].Input.Data() {
-			if train[i].Input.Data()[j] != v {
+			if trainSet[i].Input.Data()[j] != v {
 				t.Fatal("Fit mutated the training samples")
 			}
 		}
@@ -264,97 +237,13 @@ func TestCyclicLRApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := samples(t, 4)
-	if _, err := tr.Fit(train, nil, 2, nil); err != nil {
+	if _, err := fit(t, tr, samples(t, 4), nil, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	// After 4 steps (2 epochs × 2 steps) the LR must follow the schedule,
 	// not the scaled base rate.
-	got := tr.EffectiveLR()
+	got := tr.Strategy().LR()
 	if got < 0.001 || got > 0.009 {
 		t.Fatalf("cyclic LR not applied: %v", got)
-	}
-}
-
-// paramHash fingerprints the model parameters bit-for-bit.
-func paramHash(u *unet.UNet) string {
-	var sum uint64 = 1469598103934665603
-	for _, p := range u.Params() {
-		for _, v := range p.Value.Data() {
-			sum ^= uint64(math.Float32bits(v))
-			sum *= 1099511628211
-		}
-	}
-	return fmt.Sprintf("%016x", sum)
-}
-
-// TestRepeatedFitContinuesSession: two 2-epoch Fit calls on one trainer are
-// bit-identical to a single 4-epoch call — the session (cursor, history,
-// optimizer state) survives across Fit calls instead of restarting.
-func TestRepeatedFitContinuesSession(t *testing.T) {
-	train := samples(t, 8)
-	val := samples(t, 2)
-
-	straight, err := New(testConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := straight.Fit(train, val, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	split, err := New(testConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reported []EpochStats
-	report := func(s EpochStats) bool { reported = append(reported, s); return true }
-	if _, err := split.Fit(train, val, 2, report); err != nil {
-		t.Fatal(err)
-	}
-	last, err := split.Fit(train, val, 2, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := paramHash(split.Model()), paramHash(straight.Model()); got != want {
-		t.Fatalf("split 2+2 params %s != straight 4-epoch params %s", got, want)
-	}
-	if last.Epoch != 3 {
-		t.Fatalf("second Fit's last epoch %d, want 3 (continued cursor)", last.Epoch)
-	}
-	if len(reported) != 4 {
-		t.Fatalf("reported %d epochs across both calls, want 4", len(reported))
-	}
-	for i, s := range reported {
-		if s.Epoch != i {
-			t.Fatalf("reported epoch %d at position %d — session restarted", s.Epoch, i)
-		}
-	}
-	if sess := split.Session(); sess == nil || sess.Epoch() != 4 || len(sess.History()) != 4 {
-		t.Fatalf("session cursor/history did not continue: %+v", sess)
-	}
-}
-
-// TestRepeatedFitAfterEarlyStop: an early stop latched by one Fit's report
-// does not wedge the next Fit call.
-func TestRepeatedFitAfterEarlyStop(t *testing.T) {
-	tr, err := New(testConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := samples(t, 4)
-	if _, err := tr.Fit(train, nil, 3, func(EpochStats) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Session().Epoch(); got != 1 {
-		t.Fatalf("early-stopped after %d epochs, want 1", got)
-	}
-	n := 0
-	if _, err := tr.Fit(train, nil, 2, func(EpochStats) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("second Fit trained no epochs — stop latch not cleared")
 	}
 }

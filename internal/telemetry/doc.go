@@ -1,8 +1,8 @@
 // Package telemetry is the process-wide observability layer: a
 // concurrency-safe registry of named counters, gauges and fixed-bucket
 // histograms with Prometheus text exposition, a structured JSONL
-// trace-event stream, and the shared span-aggregation primitive the
-// pipeline profiler is built on. It is dependency-free (standard library
+// trace-event stream, and a span-aggregation primitive for per-stage
+// bottleneck reports. It is dependency-free (standard library
 // only) and sits below every other internal package, so the training
 // sessions, the serving tier, the all-reduce transport and the
 // fault-tolerant coordinator all observe themselves through one mechanism
@@ -51,7 +51,8 @@
 // # Spans
 //
 // SpanGroup aggregates named spans into per-stage totals under one
-// mutex+clock implementation; internal/profiler's bottleneck reports are
-// a thin view over it, and a SpanGroup with an attached Tracer emits
-// every ended span as a trace record too.
+// mutex+clock implementation; Stats lists the stages by descending total,
+// so its first row is the bottleneck (examples/pipeline_offline prints that
+// report), and a SpanGroup with an attached Tracer emits every ended span
+// as a trace record too.
 package telemetry

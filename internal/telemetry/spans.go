@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// SpanGroup aggregates named spans into per-stage totals and counts — the
-// shared timing primitive behind internal/profiler's bottleneck reports.
-// It is safe for concurrent use; the clock is injectable for deterministic
+// SpanGroup aggregates named spans into per-stage totals and counts, the
+// timing primitive behind per-stage bottleneck reports (the paper's
+// input-pipeline profiling). It is safe for concurrent use; the clock is injectable for deterministic
 // tests, and an attached Tracer receives every ended span as a trace
 // record.
 type SpanGroup struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -340,6 +341,33 @@ func TestSpanGroupStats(t *testing.T) {
 	g.Reset()
 	if len(g.Stats()) != 0 {
 		t.Fatal("Reset left stages behind")
+	}
+}
+
+// TestSpanGroupConcurrentAndTieOrder: an empty group reports nothing,
+// concurrent Adds lose no span, and stages with equal totals sort by name.
+func TestSpanGroupConcurrentAndTieOrder(t *testing.T) {
+	g := NewSpanGroup()
+	if len(g.Stats()) != 0 {
+		t.Fatal("empty group must report no stages")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				g.Add("b", time.Millisecond)
+				g.Add("a", time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if g.Count("a") != 1600 || g.Total("b") != 1600*time.Millisecond {
+		t.Fatalf("a count %d, b total %v, want 1600 and 1.6s", g.Count("a"), g.Total("b"))
+	}
+	if st := g.Stats(); st[0].Stage != "a" || st[1].Stage != "b" {
+		t.Fatalf("tied stages in order %s, %s; want a, b", st[0].Stage, st[1].Stage)
 	}
 }
 

@@ -2,11 +2,10 @@
 // epoch/step loop (Session) driving a pluggable distribution Strategy and an
 // ordered Callback chain, with full session-state checkpointing.
 //
-// Before this package the repository had four disjoint loop APIs — core's
-// inline per-trial loop, raysgd.Trainer.Fit, mirrored.Trainer.Step driven by
-// hand, and tune.Runner's trial execution — none of which shared callbacks,
-// checkpointing or memory-pressure hooks. They are now thin adapters over
-// Session:
+// Session is the one training entry point: a core campaign trial, a dist
+// worker, the online controller and the examples all build a Session (raysgd
+// only selects its strategy and batch), so callbacks, checkpointing and
+// memory-pressure hooks exist once:
 //
 //   - Strategy abstracts the per-step optimization update: Single (one
 //     model, no reduction — the paper's sequential case),
@@ -32,5 +31,6 @@
 // The experiment layer builds on the same mechanism: tune.Runner records
 // terminal trial outcomes under a campaign directory and core resumes
 // in-flight trials from their session checkpoints, so an interrupted
-// hyper-parameter search picks up where it stopped.
+// hyper-parameter search — under either distribution strategy — picks up
+// where it stopped.
 package train

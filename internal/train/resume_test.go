@@ -171,10 +171,11 @@ func TestCursorSurvivesBeyondFloat32(t *testing.T) {
 	const bigStep = 1<<24 + 3 // not representable as float32
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 	first := singleStrategy(t, "sgd", 1)
-	sess1, err := NewSession(Config{Strategy: first, Epochs: 1, GlobalBatch: 2, Seed: 3, InitialStep: bigStep})
+	sess1, err := NewSession(Config{Strategy: first, Epochs: 1, GlobalBatch: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess1.step = bigStep
 	if _, err := sess1.Fit(samples(t, 4), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ type Config struct {
 	// Callbacks fire in order at every hook point; a callback error aborts
 	// the session.
 	Callbacks []Callback
-	// InitialStep offsets the global step counter (schedules stay
-	// continuous when a caller fits the same strategy repeatedly).
-	InitialStep int
 }
 
 // EpochStats summarizes one training epoch.
@@ -41,9 +38,9 @@ type EpochStats struct {
 }
 
 // Session owns the canonical epoch/step loop: shuffle, batch, strategy
-// step, evaluate, with callbacks at every phase boundary. All four
-// orchestration layers (core, raysgd, tune trials, examples) drive training
-// through it.
+// step, evaluate, with callbacks at every phase boundary. Every training
+// run — a core campaign trial, a dist worker, the online controller, the
+// examples — drives training through it.
 type Session struct {
 	cfg   Config
 	epoch int // next epoch to run — the resume cursor
@@ -71,10 +68,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.GlobalBatch < 1 {
 		return nil, fmt.Errorf("train: GlobalBatch must be ≥ 1, got %d", cfg.GlobalBatch)
 	}
-	if cfg.InitialStep < 0 {
-		return nil, fmt.Errorf("train: InitialStep must be ≥ 0, got %d", cfg.InitialStep)
-	}
-	return &Session{cfg: cfg, step: cfg.InitialStep}, nil
+	return &Session{cfg: cfg}, nil
 }
 
 // Strategy returns the session's distribution strategy.
@@ -99,8 +93,8 @@ func (s *Session) ExtendEpochs(n int) error {
 }
 
 // ClearStop clears a previously requested stop so a later Fit can run.
-// Callers that reuse one session across Fit calls (raysgd, the online
-// controller) reset the early-stop latch between calls; resume-replay
+// Callers that reuse one session across Fit calls (the online controller)
+// reset the early-stop latch between calls; resume-replay
 // paths (ResumeFromFile with a report that declines) intentionally leave
 // it set.
 func (s *Session) ClearStop() { s.stopped, s.stopWhy = false, "" }

@@ -106,9 +106,6 @@ func TestNewSessionValidation(t *testing.T) {
 	if _, err := NewSession(Config{Strategy: strat, Epochs: 1, GlobalBatch: 0}); err == nil {
 		t.Fatal("zero batch must error")
 	}
-	if _, err := NewSession(Config{Strategy: strat, Epochs: 1, GlobalBatch: 2, InitialStep: -1}); err == nil {
-		t.Fatal("negative initial step must error")
-	}
 }
 
 func TestSessionFitRecordsHistory(t *testing.T) {

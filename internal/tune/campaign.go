@@ -25,9 +25,8 @@ func trialRecordPath(dir string, id int) string {
 }
 
 // TrialDir returns the per-trial checkpoint directory under a campaign
-// directory — where core places each trial's session checkpoint. Both the
-// data-parallel and the experiment-parallel strategy use this layout, so a
-// campaign interrupted under one naming convention resumes under the same.
+// directory — what TrialContext.Dir hands each trainable, and where core
+// places each trial's session checkpoint.
 func TrialDir(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("trial-%04d", id))
 }

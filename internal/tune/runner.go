@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/parallel"
 )
 
 // TrialContext is handed to the user's training function. Its Report method
@@ -13,6 +14,11 @@ import (
 // reports metrics each epoch and learns whether to keep going.
 type TrialContext struct {
 	Trial *Trial
+	// Workers is the trial's share of the runner's compute-worker budget:
+	// the runner's concurrent trials split Runner.Workers with
+	// parallel.ShareN, one share per slot, so running trials hold disjoint
+	// shares that together use the whole budget.
+	Workers int
 
 	runner *Runner
 	stop   bool
@@ -57,12 +63,21 @@ func (c *TrialContext) Dir() (string, error) {
 // hyperparameters as argument".
 type Trainable func(ctx *TrialContext) error
 
-// Runner executes a set of trials over a cluster, one GPU per trial.
+// Runner executes a set of trials over a cluster, Width GPUs per trial.
 type Runner struct {
 	Cluster   *cluster.Cluster
 	Placement cluster.PlacementPolicy
 	Metric    string
 	Mode      string // "max" (default) or "min"
+
+	// Width is the number of GPUs each trial holds (0 means 1). At most
+	// TotalGPUs/Width trials run at once: width 1 is the paper's experiment
+	// parallelism, width TotalGPUs its data parallelism (trials in series,
+	// each on every GPU).
+	Width int
+	// Workers is the compute-worker budget (0 = all cores) the concurrent
+	// trials divide; each reads its share from TrialContext.Workers.
+	Workers int
 
 	// CheckpointDir, when non-empty, makes the campaign resumable: every
 	// trial's terminal outcome is recorded under it, a re-run with the same
@@ -94,7 +109,7 @@ func NewRunner(cl *cluster.Cluster, sched Scheduler, metric, mode string) (*Runn
 	return &Runner{Cluster: cl, Placement: cluster.Pack, Metric: metric, Mode: mode, scheduler: sched}, nil
 }
 
-// Run executes one trial per configuration, at most one per GPU
+// Run executes one trial per configuration, at most TotalGPUs/Width
 // concurrently, and blocks until all trials finish. This is the analogue of
 // Tune.Run: "the batch of experiments are run through Tune.Run, passing the
 // set of hyper-parameters to explore".
@@ -104,6 +119,10 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 	}
 	if trainable == nil {
 		return nil, fmt.Errorf("tune: nil trainable")
+	}
+	width := max(r.Width, 1)
+	if width > r.Cluster.TotalGPUs() {
+		return nil, fmt.Errorf("tune: trial width %d exceeds the cluster's %d GPUs", width, r.Cluster.TotalGPUs())
 	}
 	r.trials = make([]*Trial, len(configs))
 	for i, cfg := range configs {
@@ -144,12 +163,12 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 	next := 0
 	var wg sync.WaitGroup
 
-	// One worker per GPU pulls pending trials until none remain.
-	workers := r.Cluster.TotalGPUs()
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	for w := 0; w < workers; w++ {
+	// One goroutine per trial slot pulls pending trials until none remain.
+	// The slot index picks the trial's worker share, so the running trials
+	// always hold disjoint shares.
+	slots := min(r.Cluster.TotalGPUs()/width, len(configs))
+	shares := parallel.ShareN(r.Workers, slots)
+	for slot := range slots {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -164,16 +183,16 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 				}
 				trial := r.trials[next]
 				next++
-				gpu, ok := alloc.Acquire()
+				gpus, ok := alloc.AcquireN(width)
 				mu.Unlock()
 				if !ok {
-					// Cannot happen: workers ≤ GPUs.
-					trial.setErr(fmt.Errorf("tune: no GPU available"))
+					// Cannot happen: slots × width ≤ GPUs.
+					trial.setErr(fmt.Errorf("tune: no %d free GPUs", width))
 					continue
 				}
-				trial.setGPU(gpu)
+				trial.setGPUs(gpus)
 				trial.setStatus(Running)
-				ctx := &TrialContext{Trial: trial, runner: r}
+				ctx := &TrialContext{Trial: trial, Workers: shares[slot], runner: r}
 				err := runTrial(ctx, trainable)
 				switch {
 				case err != nil:
@@ -197,7 +216,9 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 					}
 				}
 				mu.Lock()
-				alloc.Release(gpu)
+				for _, g := range gpus {
+					alloc.Release(g)
+				}
 				mu.Unlock()
 			}
 		}()

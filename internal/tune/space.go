@@ -1,8 +1,11 @@
 // Package tune is the experiment-distribution layer of the reproduction,
 // standing in for Ray.Tune: hyper-parameter search spaces, trial lifecycle,
 // early-stopping schedulers (FIFO, median stopping, ASHA) and a concurrent
-// runner that places one trial per GPU on a cluster, exactly the paper's
-// experiment-parallel strategy.
+// runner that places trials of a fixed GPU width on a cluster and divides
+// the compute-worker budget among the running ones. Both of the paper's
+// strategies are this runner: width 1 is experiment parallelism (one trial
+// per GPU), width W on a W-GPU cluster is data parallelism (trials in
+// series, each across every GPU).
 package tune
 
 import (

@@ -50,14 +50,14 @@ type Trial struct {
 
 	mu      sync.Mutex
 	status  Status
-	gpu     int
+	gpus    []int
 	reports []Report
 	err     error
 }
 
 // NewTrial creates a pending trial.
 func NewTrial(id int, cfg Config) *Trial {
-	return &Trial{ID: id, Config: cfg, status: Pending, gpu: -1}
+	return &Trial{ID: id, Config: cfg, status: Pending}
 }
 
 // Status returns the current lifecycle state.
@@ -67,11 +67,11 @@ func (t *Trial) Status() Status {
 	return t.status
 }
 
-// GPU returns the GPU the trial is (or was) placed on, -1 if never placed.
-func (t *Trial) GPU() int {
+// GPUs returns the GPUs the trial holds (or held), nil if never placed.
+func (t *Trial) GPUs() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.gpu
+	return append([]int(nil), t.gpus...)
 }
 
 // Err returns the trial's failure, if any.
@@ -129,10 +129,10 @@ func (t *Trial) setStatus(s Status) {
 	t.status = s
 }
 
-func (t *Trial) setGPU(g int) {
+func (t *Trial) setGPUs(gpus []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.gpu = g
+	t.gpus = gpus
 }
 
 func (t *Trial) setErr(err error) {
@@ -164,8 +164,8 @@ type Analysis struct {
 	Mode   string
 }
 
-// Best returns the trial with the best final metric, or nil when no trial
-// reported it.
+// Best returns the trial with the best reported metric (each trial scored by
+// its best report), or nil when no trial reported it.
 func (a *Analysis) Best() *Trial {
 	var best *Trial
 	var bestV float64

@@ -232,7 +232,12 @@ func TestRunnerPlacesOneTrialPerGPU(t *testing.T) {
 		cfgs[i] = Config{"i": i}
 	}
 	_, err := r.Run(cfgs, func(ctx *TrialContext) error {
-		g := ctx.Trial.GPU()
+		gpus := ctx.Trial.GPUs()
+		if len(gpus) != 1 {
+			t.Errorf("trial holds GPUs %v, want one", gpus)
+			return nil
+		}
+		g := gpus[0]
 		mu.Lock()
 		if inUse[g] {
 			overlap = true
@@ -251,6 +256,80 @@ func TestRunnerPlacesOneTrialPerGPU(t *testing.T) {
 	}
 	if overlap {
 		t.Fatal("two trials shared a GPU concurrently")
+	}
+}
+
+// TestRunnerWidthTwoOnFourGPUs: trials of width 2 on one 4-GPU node run at
+// most two at a time, each on two GPUs of its own, and the running trials'
+// worker shares are the two disjoint slots of ShareN(budget, 2).
+func TestRunnerWidthTwoOnFourGPUs(t *testing.T) {
+	cl := testCluster(t, 1) // 4 GPUs
+	r, _ := NewRunner(cl, nil, "m", "max")
+	r.Width = 2
+	r.Workers = 7 // ShareN(7, 2) = [4 3]
+	var mu sync.Mutex
+	active, peak := 0, 0
+	inUse := map[int]bool{}
+	sharesInUse := map[int]int{}
+	var problems []string
+	cfgs := make([]Config, 8)
+	for i := range cfgs {
+		cfgs[i] = Config{"i": i}
+	}
+	pair := make(chan struct{})
+	_, err := r.Run(cfgs, func(ctx *TrialContext) error {
+		gpus := ctx.Trial.GPUs()
+		mu.Lock()
+		active++
+		peak = max(peak, active)
+		if len(gpus) != 2 || gpus[0] == gpus[1] {
+			problems = append(problems, fmt.Sprintf("trial holds GPUs %v, want 2 distinct", gpus))
+		}
+		for _, g := range gpus {
+			if inUse[g] {
+				problems = append(problems, fmt.Sprintf("GPU %d shared by two running trials", g))
+			}
+			inUse[g] = true
+		}
+		if ctx.Workers != 4 && ctx.Workers != 3 {
+			problems = append(problems, fmt.Sprintf("worker share %d, want 4 or 3", ctx.Workers))
+		}
+		if sharesInUse[ctx.Workers]++; sharesInUse[ctx.Workers] > 1 {
+			problems = append(problems, fmt.Sprintf("share %d held by two running trials", ctx.Workers))
+		}
+		mu.Unlock()
+		// Trials rendezvous in pairs, proving two run concurrently; the
+		// timeout keeps the test from hanging if they cannot.
+		select {
+		case pair <- struct{}{}:
+		case <-pair:
+		case <-time.After(500 * time.Millisecond):
+		}
+		mu.Lock()
+		active--
+		for _, g := range gpus {
+			inUse[g] = false
+		}
+		sharesInUse[ctx.Workers]--
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+	if peak != 2 {
+		t.Fatalf("peak concurrency %d, want 2 trials of width 2 on 4 GPUs", peak)
+	}
+}
+
+func TestRunnerRejectsWidthBeyondCluster(t *testing.T) {
+	r, _ := NewRunner(testCluster(t, 1), nil, "m", "max")
+	r.Width = 5
+	if _, err := r.Run([]Config{{}}, func(*TrialContext) error { return nil }); err == nil {
+		t.Fatal("width 5 on 4 GPUs must error")
 	}
 }
 
