@@ -6,12 +6,9 @@
 // Usage:
 //
 //	benchtable [-table1] [-fig4a] [-fig4b] [-trials N] [-reps N] [-seed N]
-//	benchtable -dist [-dist-widths 1,2,4] [-dist-codecs none,fp16,int8]
 //
-// -dist leaves the simulation entirely: it spawns real worker processes
-// (re-executing this binary) per width × codec cell and reports measured
-// wall-clock step times over the TCP all-reduce ring, with fp16/int8
-// gradient wire compression in the non-none columns.
+// Measured multi-process step times are not simulated here: run
+// distmis -mode coordinator -codec C, or the benchmark's dist.* probes.
 package main
 
 import (
@@ -34,16 +31,6 @@ func main() {
 	trials := flag.Int("trials", 0, "override the number of experiments in the search (default: paper's 32)")
 	reps := flag.Int("reps", 0, "override the repetition count (default: paper's 3)")
 	seed := flag.Int64("seed", 0, "override the simulation seed")
-	distBench := flag.Bool("dist", false, "measure real multi-process wall-clock step times (spawns worker processes) instead of the paper tables")
-	distWidths := flag.String("dist-widths", "1,2,4", "comma-separated data-parallel widths for -dist")
-	distCodecs := flag.String("dist-codecs", "none,fp16,int8", "comma-separated gradient codecs for -dist")
-	distCases := flag.Int("dist-cases", 8, "phantom cases for -dist")
-	distDim := flag.Int("dist-dim", 8, "cubic volume edge for -dist")
-	distEpochs := flag.Int("dist-epochs", 2, "training epochs per -dist cell")
-	distBatch := flag.Int("dist-batch", 4, "global batch for -dist (must divide by every width)")
-	distWorkers := flag.Int("dist-workers", 0, "per-worker compute budget for -dist (0 = all cores)")
-	distJoin := flag.String("dist-worker-join", "", "internal: run as a -dist worker process joining this coordinator address")
-	distSpawnWorkers := flag.Int("dist-spawn-workers", 0, "internal: compute budget forwarded to a -dist worker process")
 	tracePath := flag.String("trace", "", "write JSONL trace events for the run to FILE")
 	metricsAddr := flag.String("metrics-addr", "", "debug listener address exposing /metrics and /debug/pprof/ (\"\" = off)")
 	flag.Parse()
@@ -65,32 +52,6 @@ func main() {
 		defer tracer.Close()
 	}
 
-	if *distJoin != "" {
-		if err := runDistWorkerMode(*distJoin, *distSpawnWorkers); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *distBench {
-		widths, err := parseWidths(*distWidths)
-		if err != nil {
-			log.Fatal(err)
-		}
-		codecs, err := parseCodecs(*distCodecs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		end := tracer.Span("dist_bench")
-		if err := runDistBench(distBenchConfig{
-			widths: widths, codecs: codecs,
-			cases: *distCases, dim: *distDim, epochs: *distEpochs,
-			batch: *distBatch, workers: *distWorkers,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		end("widths", *distWidths, "codecs", *distCodecs)
-		return
-	}
 	cfg, err := experiments.PaperCampaign()
 	if err != nil {
 		log.Fatal(err)

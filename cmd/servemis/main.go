@@ -28,11 +28,8 @@
 // With -pprof the standard net/http/pprof endpoints are additionally
 // mounted under /debug/pprof/ on the same listener.
 //
-// Load-generator mode (-bench) skips HTTP and drives the server in-process
-// with N closed-loop clients for a fixed duration, printing a
-// throughput/latency table for BENCH.md:
-//
-//	servemis -bench -clients 8 -duration 10s
+// Closed-loop serving throughput and latency are measured by the
+// repository benchmark's serve_multi_window workload (bash benchmark/run.sh).
 //
 // Usage:
 //
@@ -40,7 +37,6 @@
 //	         [-linger D] [-queue N] [-patch N] [-stride N]
 //	         [-blend uniform|gaussian] [-workers N]
 //	         [-filters N] [-steps N] [-in N] [-out N] [-seed N]
-//	         [-bench] [-clients N] [-duration D] [-dim N] [-cases N]
 package main
 
 import (
@@ -52,12 +48,10 @@ import (
 	"io"
 	"log"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -112,11 +106,6 @@ func main() {
 	onlineLR := flag.Float64("online-lr", 0.01, "shadow fine-tuning learning rate")
 	onlineBatch := flag.Int("online-batch", 1, "shadow fine-tuning batch size")
 
-	bench := flag.Bool("bench", false, "run the closed-loop load generator instead of serving HTTP")
-	clients := flag.Int("clients", 8, "closed-loop load-generator clients")
-	duration := flag.Duration("duration", 10*time.Second, "load-generator run time")
-	dim := flag.Int("dim", 16, "load-generator volume edge")
-	cases := flag.Int("cases", 4, "distinct load-generator volumes")
 	flag.Parse()
 
 	var blendMode patch.BlendMode
@@ -199,21 +188,6 @@ func main() {
 		ctrl.Start()
 		log.Printf("online controller running (generation %d, margin %.3f, tick %s)",
 			ctrl.Generation(), *onlineMargin, *onlineInterval)
-	}
-
-	if *bench {
-		runBench(srv, benchConfig{
-			clients:  *clients,
-			duration: *duration,
-			dim:      *dim,
-			cases:    *cases,
-			channels: *inC,
-			replicas: *replicas,
-			maxBatch: *maxBatch,
-			maxQueue: *queueDepth,
-		})
-		srv.Close()
-		return
 	}
 
 	mux := http.NewServeMux()
@@ -580,90 +554,4 @@ func tensorFromParts(shape []int, data []float32) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("%d voxels for shape %v (want %d)", len(data), shape, n)
 	}
 	return tensor.FromSlice(data, shape...), nil
-}
-
-// benchConfig parameterizes the closed-loop load generator.
-type benchConfig struct {
-	clients  int
-	duration time.Duration
-	dim      int
-	cases    int
-	channels int
-	replicas int
-	maxBatch int
-	maxQueue int
-}
-
-// runBench drives the server with closed-loop clients — each submits a
-// request, waits for the result, and immediately submits the next; on
-// backpressure it honours the retry-after hint — then prints a
-// throughput/latency table.
-func runBench(srv *serve.Server, bc benchConfig) {
-	vols := make([]*tensor.Tensor, bc.cases)
-	rng := rand.New(rand.NewSource(42))
-	for i := range vols {
-		vols[i] = tensor.Randn(rng, 0, 1, bc.channels, bc.dim, bc.dim, bc.dim)
-	}
-
-	type clientResult struct {
-		lat      []time.Duration
-		rejected int
-	}
-	results := make([]clientResult, bc.clients)
-	deadline := time.Now().Add(bc.duration)
-	done := make(chan int, bc.clients)
-	for c := 0; c < bc.clients; c++ {
-		go func(c int) {
-			defer func() { done <- c }()
-			for i := 0; time.Now().Before(deadline); i++ {
-				t0 := time.Now()
-				_, err := srv.Segment(vols[(c+i)%len(vols)])
-				if err != nil {
-					if o, ok := err.(*serve.OverloadedError); ok {
-						results[c].rejected++
-						time.Sleep(o.RetryAfter)
-						continue
-					}
-					log.Fatalf("client %d: %v", c, err)
-				}
-				results[c].lat = append(results[c].lat, time.Since(t0))
-			}
-		}(c)
-	}
-	for range results {
-		<-done
-	}
-
-	var all []time.Duration
-	rejected := 0
-	for _, r := range results {
-		all = append(all, r.lat...)
-		rejected += r.rejected
-	}
-	if len(all) == 0 {
-		log.Fatal("bench completed no requests; lengthen -duration or shrink -dim")
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	q := func(p float64) time.Duration { return all[int(p*float64(len(all)-1))] }
-	st := srv.Stats()
-
-	fmt.Printf("SERVING LOAD TEST: %d closed-loop clients, %s, %d^3 volumes, %d distinct cases\n",
-		bc.clients, bc.duration, bc.dim, bc.cases)
-	fmt.Printf("replicas=%d maxbatch=%d patches/request=%d\n\n",
-		bc.replicas, bc.maxBatch, int(st.Patches/st.Requests))
-	fmt.Printf("| clients | req/s | patch/s | p50 | p90 | p99 | max | batch fill | rejected |\n")
-	fmt.Printf("|---------|-------|---------|-----|-----|-----|-----|------------|----------|\n")
-	fmt.Printf("| %d | %.1f | %.1f | %s | %s | %s | %s | %.2f | %d |\n\n",
-		bc.clients,
-		float64(len(all))/bc.duration.Seconds(),
-		float64(st.Patches)/bc.duration.Seconds(),
-		q(0.50).Round(time.Millisecond), q(0.90).Round(time.Millisecond),
-		q(0.99).Round(time.Millisecond), all[len(all)-1].Round(time.Millisecond),
-		st.AvgBatchFill, rejected)
-	fmt.Printf("stage latencies (p50/p99): queue %s/%s, dispatch %s/%s, compute %s/%s, blend %s/%s\n",
-		st.Queue.P50.Round(time.Microsecond), st.Queue.P99.Round(time.Microsecond),
-		st.Batch.P50.Round(time.Microsecond), st.Batch.P99.Round(time.Microsecond),
-		st.Compute.P50.Round(time.Microsecond), st.Compute.P99.Round(time.Microsecond),
-		st.Blend.P50.Round(time.Microsecond), st.Blend.P99.Round(time.Microsecond))
-	fmt.Printf("final queue depth %d (bound %d)\n", st.QueueDepth, bc.maxQueue)
 }

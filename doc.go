@@ -18,12 +18,13 @@
 // ReLU block per body site, every activation and gradient in a buffer the
 // network owns, so a training step allocates none), Dice losses and
 // optimizers (loss, optim, metrics), the data path from NIfTI phantoms to
-// TFRecords and tf.Data-style pipelines (msd, nifti,
-// volume, record, pipeline), the unified training-orchestration
-// layer — one Session loop over pluggable strategies with an ordered
-// callback chain and bit-exact checkpoint/resume (train, ckpt) — the
+// TFRecords and tf.Data-style pipelines for the paper's one task, binarized
+// whole-tumour segmentation (msd, nifti, volume, record, pipeline), the
+// unified training-orchestration layer — one Session loop over pluggable
+// strategies with an ordered callback chain and bit-exact checkpoint/resume
+// (train, ckpt) — the
 // distribution layer selecting and driving those strategies with resumable
-// hyper-parameter campaigns (allreduce, mirrored, raysgd, tune, cluster;
+// grid-search campaigns (allreduce, mirrored, raysgd, tune, cluster;
 // both of the paper's strategies run on one tune runner as trials of width
 // W or 1)
 // — allreduce runs one ring and hierarchical reduction over any link,

@@ -12,10 +12,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/loss"
 	"repro/internal/msd"
-	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/raysgd"
 	"repro/internal/record"
 	"repro/internal/tensor"
@@ -213,62 +210,6 @@ func TestStrategiesAgreeOnBestConfig(t *testing.T) {
 	if data.Best.Float("lr") != exp.Best.Float("lr") || data.Best.Str("loss") != exp.Best.Str("loss") {
 		t.Fatalf("strategies disagree: data %v vs exp %v (dice %.4f vs %.4f)",
 			data.Best, exp.Best, data.BestDice, exp.BestDice)
-	}
-}
-
-// TestMultiClassTrainingPath exercises the original 4-class MSD task (the
-// extension the paper binarizes away): U-Net with 4 output channels +
-// channel softmax + multi-class Dice loss, trained for a few steps on
-// one-hot phantom labels.
-func TestMultiClassTrainingPath(t *testing.T) {
-	cfg := msd.Config{Cases: 4, D: 8, H: 8, W: 8, Seed: 31}
-	var samples []*volume.Sample
-	for i := 0; i < 4; i++ {
-		s, err := volume.PreprocessMultiClass(msd.GenerateCase(cfg, i), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples = append(samples, s)
-	}
-	in, masks, err := volume.Batch(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := unet.MustNew(unet.Config{
-		InChannels: 4, OutChannels: volume.NumClasses, BaseFilters: 2, Steps: 2,
-		Kernel: 3, UpKernel: 2, Seed: 6,
-	})
-	softmax := nn.NewChannelSoftmax()
-	l := loss.NewMultiDice()
-	opt := optim.NewAdam(5e-3)
-
-	var first, last float64
-	for step := 0; step < 15; step++ {
-		u.ZeroGrads()
-		logits := u.Forward(in)
-		probs := softmax.Forward(logits)
-		v, grad := l.Eval(probs, masks)
-		if step == 0 {
-			first = v
-		}
-		last = v
-		u.Backward(softmax.Backward(grad))
-		opt.Step(u.Params())
-	}
-	if !(last < first) {
-		t.Fatalf("multi-class loss did not decrease: %v -> %v", first, last)
-	}
-	// Per-class dice must be defined for all four classes.
-	logits := u.Forward(in)
-	probs := softmax.Forward(logits)
-	scores := loss.PerClassDice(probs, masks, 0.1)
-	if len(scores) != volume.NumClasses {
-		t.Fatalf("per-class scores %v", scores)
-	}
-	for c, s := range scores {
-		if s < 0 || s > 1 {
-			t.Fatalf("class %d dice %v", c, s)
-		}
 	}
 }
 

@@ -26,10 +26,9 @@ var (
 	opDurations = telemetry.Default().HistogramVec("allreduce_op_ns",
 		"collective operation duration in nanoseconds",
 		telemetry.GeometricDurationBounds(10*time.Microsecond, 1000*time.Second, 60),
-		"op", "allreduce", "gather", "broadcast")
+		"op", "allreduce", "gather")
 	opAllReduce = opDurations.With("allreduce")
 	opGather    = opDurations.With("gather")
-	opBroadcast = opDurations.With("broadcast")
 
 	// Codec metrics: gradient chunk payload bytes after encoding (what the
 	// wire actually carries) next to the float32 bytes they replace —

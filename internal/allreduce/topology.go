@@ -507,37 +507,6 @@ func (t *Topology) GatherAll64(v float64) ([]float64, error) {
 	return full, nil
 }
 
-// Broadcast64 distributes rank 0's value to every member.
-func (t *Topology) Broadcast64(v float64) (float64, error) {
-	if t.n == 1 {
-		return v, nil
-	}
-	t.op++
-	t.armDeadline()
-	defer t.clearDeadline()
-	defer observeOp(opBroadcast, time.Now())
-
-	if t.leader != nil {
-		got, err := t.ringBroadcastList(t.leader, 0, []float64{v}, 1)
-		if err != nil {
-			return 0, err
-		}
-		if len(got) == 1 {
-			v = got[0]
-		}
-	}
-	if t.intra != nil {
-		got, err := t.ringBroadcastList(t.intra, 0, []float64{v}, 2)
-		if err != nil {
-			return 0, err
-		}
-		if len(got) == 1 {
-			v = got[0]
-		}
-	}
-	return v, nil
-}
-
 // seqOf packs (phase, step) into a frame's Seq for protocol validation.
 func seqOf(phase uint32, s int) uint32 { return phase<<16 | uint32(s) }
 

@@ -219,27 +219,6 @@ func TestGatherAll64Ordered(t *testing.T) {
 	})
 }
 
-func TestBroadcast64(t *testing.T) {
-	forEachLayout(t, layoutGroupSizes, func(t *testing.T, form formFunc, n, gs int) {
-		tops := form(t, n, gs, NetConfig{Gen: 5, OpTimeout: 5 * time.Second})
-		const want = 42.125
-		runAll(t, tops, func(tp *Topology) error {
-			in := -1.0
-			if tp.Rank() == 0 {
-				in = want
-			}
-			got, err := tp.Broadcast64(in)
-			if err != nil {
-				return err
-			}
-			if got != want {
-				return fmt.Errorf("got %v want %v", got, want)
-			}
-			return nil
-		})
-	})
-}
-
 // TestLocalTopologyCloseUnblocks: closing a member's links fails a peer
 // blocked on them instead of hanging it.
 func TestLocalTopologyCloseUnblocks(t *testing.T) {

@@ -253,7 +253,8 @@ func trainOne(opts Options, cl *cluster.Cluster, gpus int, ctx *tune.TrialContex
 	report := func(st train.EpochStats) bool {
 		return ctx.Report(st.Epoch, map[string]float64{"dice": st.ValDice})
 	}
-	cbs := []train.Callback{train.ReportFunc(report)}
+	// Telemetry only observes: it feeds the process-wide train_* metrics.
+	cbs := []train.Callback{train.ReportFunc(report), train.NewTelemetry(nil, nil)}
 	trialDir, err := ctx.Dir()
 	if err != nil {
 		return err

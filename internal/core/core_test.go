@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/tune"
 )
 
@@ -160,5 +164,54 @@ func TestAugmentDoublesTrainingSet(t *testing.T) {
 func TestDefaultOptionsRunnable(t *testing.T) {
 	if DefaultOptions().Space.Size() != 32 {
 		t.Fatal("default space should be the paper's 32-experiment grid")
+	}
+}
+
+// scrape reads one sample from the process-wide registry's Prometheus page;
+// a family nothing has registered reads as 0.
+func scrape(t *testing.T, series string) float64 {
+	t.Helper()
+	var page bytes.Buffer
+	if err := telemetry.WriteText(&page, telemetry.Default()); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestRunFeedsTrainTelemetry: every campaign step, under either strategy,
+// is counted in the train_* metric families the README catalogues —
+// train_steps_total and the forward-phase histogram both rise by the
+// campaign's optimizer-step count.
+func TestRunFeedsTrainTelemetry(t *testing.T) {
+	for _, strategy := range []Strategy{StrategyData, StrategyExperiment} {
+		t.Run(string(strategy), func(t *testing.T) {
+			opts := smallOptions(strategy, 2)
+			width := 1
+			if strategy == StrategyData {
+				width = opts.GPUs
+			}
+			// Batches drop their remainder; augmentation keeps the set size.
+			want := float64(opts.Space.Size() * opts.Epochs * (opts.MaxTrainCases / (opts.BatchPerReplica * width)))
+			const forward = `train_phase_ns_count{phase="forward"}`
+			steps0, fwd0 := scrape(t, "train_steps_total"), scrape(t, forward)
+			if _, err := Run(opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := scrape(t, "train_steps_total") - steps0; got != want {
+				t.Errorf("train_steps_total rose by %v, want %v", got, want)
+			}
+			if got := scrape(t, forward) - fwd0; got != want {
+				t.Errorf("%s rose by %v, want %v", forward, got, want)
+			}
+		})
 	}
 }

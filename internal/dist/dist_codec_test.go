@@ -1,11 +1,15 @@
 package dist
 
 import (
+	"bytes"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/telemetry"
 	"repro/internal/unet"
 )
 
@@ -101,11 +105,32 @@ func TestBucketedNoneDeterministic(t *testing.T) {
 	}
 }
 
+// commWaitCount reads train_phase_ns_count{phase="comm_wait"} from the
+// process-wide registry's Prometheus page; 0 while nothing has registered it.
+func commWaitCount(t *testing.T) float64 {
+	t.Helper()
+	var page bytes.Buffer
+	if err := telemetry.WriteText(&page, telemetry.Default()); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, `train_phase_ns_count{phase="comm_wait"} `); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
 // TestFP16LossWithinTolerance is the accuracy acceptance gate: the same
 // training plan run uncompressed and under fp16 gradient compression must
 // end with final training losses within the documented tolerance (BENCH.md:
 // |Δloss| ≤ 0.05 on the phantom task — fp16 keeps ~2⁻¹¹ relative gradient
-// error, far below the signal).
+// error, far below the signal). The fp16 run's workers must also report
+// their overlapped reducer's stalls as the comm_wait training phase.
 func TestFP16LossWithinTolerance(t *testing.T) {
 	lossFor := func(codec string) float64 {
 		spec := testSpec(t)
@@ -116,7 +141,11 @@ func TestFP16LossWithinTolerance(t *testing.T) {
 		return finalTrainLoss(t, spec)
 	}
 	none := lossFor("none")
+	waits := commWaitCount(t)
 	fp16 := lossFor("fp16")
+	if commWaitCount(t) <= waits {
+		t.Errorf("the fp16 run recorded no comm_wait phase (count stayed at %v)", waits)
+	}
 	if math.IsNaN(none) || math.IsNaN(fp16) {
 		t.Fatalf("final losses: none=%g fp16=%g", none, fp16)
 	}

@@ -340,7 +340,7 @@ func (w *Worker) train(run *genRun, rank int, members []string, spec TrainSpec) 
 	if w.cfg.Hooks != nil {
 		hook = w.cfg.Hooks.AfterStep
 	}
-	cbs = append(cbs, &notifier{w: w, gen: run.gen, rank: rank, hook: hook})
+	cbs = append(cbs, &notifier{w: w, gen: run.gen, rank: rank, hook: hook}, train.NewTelemetry(nil, nil))
 
 	session, err := train.NewSession(train.Config{
 		Strategy:    strat,

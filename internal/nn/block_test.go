@@ -396,8 +396,8 @@ func TestBlockBackwardNeedsTrainingForward(t *testing.T) {
 	}
 }
 
-// TestReLUSelectMatchesBranch pins the branch-free rectifiers to the branchy
-// definitions they replaced on every class of float, the ones a select could
+// TestReLUSelectMatchesBranch pins the branch-free rectifier to the branchy
+// definition it replaced on every class of float, the ones a select could
 // get wrong included.
 func TestReLUSelectMatchesBranch(t *testing.T) {
 	nan := float32(math.NaN())
@@ -409,22 +409,13 @@ func TestReLUSelectMatchesBranch(t *testing.T) {
 	g := randTensor(rand.New(rand.NewSource(17)), 1, 1, 1, 1, len(vals))
 
 	wantY, wantG := make([]float32, len(vals)), make([]float32, len(vals))
-	wantLY, wantLG := make([]float32, len(vals)), make([]float32, len(vals))
-	const alpha = float32(0.01)
 	for i, v := range vals {
 		if v > 0 {
 			wantY[i], wantG[i] = v, g.Data()[i]
-			wantLY[i], wantLG[i] = v, g.Data()[i]
-		} else {
-			wantLY[i], wantLG[i] = alpha*v, alpha*g.Data()[i]
 		}
 	}
 	r := NewReLU()
 	assertSameBits(t, "ReLU.Forward", wantY, r.Forward(x).Data())
 	assertSameBits(t, "ReLU.Backward", wantG, r.Backward(g).Data())
 	assertSameBits(t, "ReLU.Infer", wantY, r.Infer(x).Data())
-	l := NewLeakyReLU(float64(alpha))
-	assertSameBits(t, "LeakyReLU.Forward", wantLY, l.Forward(x).Data())
-	assertSameBits(t, "LeakyReLU.Backward", wantLG, l.Backward(g).Data())
-	assertSameBits(t, "LeakyReLU.Infer", wantLY, l.Infer(x).Data())
 }

@@ -11,19 +11,16 @@ import "math"
 // same formula (gemm.Norm) in vector registers, and TestBlockMatchesChain
 // holds the two to the same bits, GOAMD64=v3 and 386 included.
 
-// pick returns a where y > 0 and b everywhere else (y NaN, ±0 or negative).
-// It is a select, not a branch: the sign of an activation is a coin toss the
-// branch predictor loses half the time.
-func pick(y, a, b float32) float32 {
+// gate returns g where y > 0 and +0 everywhere else (y NaN, ±0 or
+// negative). It is a select, not a branch: the sign of an activation is a
+// coin toss the branch predictor loses half the time.
+func gate(y, g float32) float32 {
 	var keep uint32
 	if y > 0 {
 		keep = ^uint32(0)
 	}
-	return math.Float32frombits(math.Float32bits(a)&keep | math.Float32bits(b)&^keep)
+	return math.Float32frombits(math.Float32bits(g) & keep)
 }
-
-// gate returns g where y > 0 and +0 everywhere else.
-func gate(y, g float32) float32 { return pick(y, g, 0) }
 
 // relu is max(0, v) with NaN and −0 mapped to +0.
 func relu(v float32) float32 { return gate(v, v) }

@@ -69,60 +69,6 @@ func TestSequentialInferMatchesForward(t *testing.T) {
 	})
 }
 
-// ablationNet builds the ablation-variant layer stack: InstanceNorm +
-// LeakyReLU body, ChannelSoftmax head — the layers that used to fall back
-// to Forward inside Sequential.Infer.
-func ablationNet() *Sequential {
-	rng := rand.New(rand.NewSource(17))
-	return NewSequential(
-		NewConv3D("a", 2, 4, 3, rng),
-		NewInstanceNorm("a", 4),
-		NewLeakyReLU(0.01),
-		NewConv3D("b", 4, 3, 1, rng),
-		NewChannelSoftmax(),
-	)
-}
-
-// TestAblationInferMatchesForward asserts the new InstanceNorm, LeakyReLU
-// and ChannelSoftmax fast paths are bit-for-bit identical to Forward, and
-// that the whole ablation stack now runs pool-backed through
-// Sequential.Infer with zero steady-state scratch allocations.
-func TestAblationInferMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
-
-	fwd := ablationNet()
-	fwd.SetTraining(false)
-	want := fwd.Forward(x)
-
-	inf := ablationNet()
-	got := inf.Infer(x)
-	wd, gd := want.Data(), got.Data()
-	if len(wd) != len(gd) {
-		t.Fatalf("size mismatch: %d vs %d", len(wd), len(gd))
-	}
-	for i := range wd {
-		if wd[i] != gd[i] {
-			t.Fatalf("element %d: Infer %v != Forward %v", i, gd[i], wd[i])
-		}
-	}
-	tensor.Recycle(got)
-
-	if raceEnabled {
-		return // sync.Pool drops a fraction of Puts under the race detector
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	step := func() { tensor.Recycle(inf.Infer(x)) }
-	step()
-	step()
-	before := tensor.ScratchStatsSnapshot()
-	step()
-	after := tensor.ScratchStatsSnapshot()
-	if n := after.Allocs - before.Allocs; n != 0 {
-		t.Fatalf("steady-state ablation inference performed %d scratch allocations, want 0", n)
-	}
-}
-
 // TestSequentialInferScratchSteadyState asserts the fast path's pool
 // contract: after warm-up, an inference step gets every activation and
 // scratch buffer from the pool — zero fresh scratch allocations.

@@ -52,10 +52,13 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Layer is a differentiable computation. Forward must be called before
-// Backward; Backward receives dL/d(output) and returns dL/d(input).
+// Backward; Backward receives dL/d(output) and returns dL/d(input). Infer is
+// the evaluation-mode forward on the inference fast path (infer.go): a
+// pool-backed result, no reference to x or the result retained.
 type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
+	Infer(x *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 }
 

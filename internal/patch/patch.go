@@ -3,7 +3,9 @@
 // ("numerous approaches ... use sampled sub-volume patches because of memory
 // limitations ... this approach loses spatial information and has very poor
 // performing time for both training and inference"). It exists so the
-// full-volume-vs-patches comparison can actually be run.
+// full-volume-vs-patches comparison can actually be run. The window loop
+// runs a model's forward-only Infer (the nn.Layer fast path) and recycles
+// every window prediction once it is blended.
 package patch
 
 import (
@@ -98,17 +100,11 @@ func RandomPatches(s *volume.Sample, n, pd, ph, pw int, posBias float64, rng *ra
 	return out, nil
 }
 
-// Predictor produces per-voxel probabilities for a batched input; the U-Net
-// satisfies it.
+// Predictor produces per-voxel probabilities for a batched input on the
+// forward-only fast path: Infer retains no state and returns a pool-backed
+// result the caller owns, which the sliding-window machinery recycles after
+// blending. The U-Net satisfies it.
 type Predictor interface {
-	Forward(x *tensor.Tensor) *tensor.Tensor
-}
-
-// Inferer is an optional Predictor extension: a forward-only fast path that
-// retains no state and returns a pool-backed result the caller owns. The
-// sliding-window machinery uses it when available and recycles each window
-// prediction after blending.
-type Inferer interface {
 	Infer(x *tensor.Tensor) *tensor.Tensor
 }
 
@@ -433,20 +429,13 @@ func (sw SlidingWindow) InferReplicas(models []Predictor, s *volume.Sample) (*te
 	wins := sw.Windows(d, h, w)
 
 	preds := make([]*tensor.Tensor, len(wins))
-	pooled := make([]bool, len(wins))
 	runOne := func(m Predictor, i int) error {
 		wn := wins[i]
 		p, err := Extract(s, wn.Z, wn.Y, wn.X, wn.D, wn.H, wn.W)
 		if err != nil {
 			return err
 		}
-		in := p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...)
-		if inf, ok := m.(Inferer); ok {
-			preds[i] = inf.Infer(in)
-			pooled[i] = true
-		} else {
-			preds[i] = m.Forward(in)
-		}
+		preds[i] = m.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...))
 		return nil
 	}
 
@@ -485,10 +474,8 @@ func (sw SlidingWindow) InferReplicas(models []Predictor, s *volume.Sample) (*te
 	}
 
 	out, err := sw.BlendPredictions(wins, preds, d, h, w)
-	for i, p := range preds {
-		if pooled[i] {
-			tensor.Recycle(p)
-		}
+	for _, p := range preds {
+		tensor.Recycle(p)
 	}
 	return out, err
 }

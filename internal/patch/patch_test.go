@@ -170,14 +170,12 @@ func TestSlidingWindowValidate(t *testing.T) {
 	}
 }
 
-// identityPredictor returns its input unchanged (C in = C out), so
+// identityPredictor returns a copy of its input (C in = C out), so
 // overlap-averaged reconstruction must equal the original volume exactly.
+// It copies because the caller owns, and recycles, what Infer returns.
 type identityPredictor struct{}
 
-func (identityPredictor) Forward(x *tensor.Tensor) *tensor.Tensor {
-	s := x.Shape()
-	return x.Reshape(s[1], s[2], s[3], s[4]).Reshape(s...)
-}
+func (identityPredictor) Infer(x *tensor.Tensor) *tensor.Tensor { return x.Clone() }
 
 func TestSlidingWindowIdentityReconstruction(t *testing.T) {
 	s := sample(t, 8)
@@ -261,7 +259,7 @@ func TestSlidingWindowAveragesOverlaps(t *testing.T) {
 
 type predictorFunc func(*tensor.Tensor) *tensor.Tensor
 
-func (f predictorFunc) Forward(x *tensor.Tensor) *tensor.Tensor { return f(x) }
+func (f predictorFunc) Infer(x *tensor.Tensor) *tensor.Tensor { return f(x) }
 
 // TestInferReplicasInvariant asserts the parallelized window loop is
 // deterministic: N replicas with identical weights produce bit-for-bit the

@@ -1,10 +1,10 @@
 // Package pipeline implements tf.Data-style input pipelines over goroutines:
-// deterministic-order Map with parallel workers, Interleave over a cycle of
-// sub-streams, Shuffle with a bounded buffer, Batch, Repeat, Take and
-// Prefetch. These are the combinators the paper relies on to feed the 3D
-// U-Net ("reading the files for binarization can be parallelized using
-// interleave functions, while the binarization process can be mapped over
-// the read data; in addition, the dataset can be pre-fetched").
+// Interleave over a cycle of sub-streams, Shuffle with a bounded buffer,
+// Batch and Prefetch. These are the combinators the paper relies on to feed
+// the 3D U-Net ("reading the files for binarization can be parallelized
+// using interleave functions, while the binarization process can be mapped
+// over the read data; in addition, the dataset can be pre-fetched"); the
+// mapping is the producer passed to FromFunc.
 package pipeline
 
 import (
@@ -113,100 +113,6 @@ func FromFunc[T any](n int, f func(i int) T) Dataset[T] {
 			i++
 			return v, true
 		}}
-	})
-}
-
-// Map applies f to every element, sequentially.
-func Map[T, U any](d Dataset[T], f func(T) U) Dataset[U] {
-	return New(func() Iterator[U] {
-		src := d.Iterate()
-		return &funcIterator[U]{
-			next: func() (U, bool) {
-				v, ok := src.Next()
-				if !ok {
-					var zero U
-					return zero, false
-				}
-				return f(v), true
-			},
-			close: src.Close,
-		}
-	})
-}
-
-// ParallelMap applies f with the given parallelism while preserving element
-// order, like tf.data's map(num_parallel_calls=...).
-func ParallelMap[T, U any](d Dataset[T], parallelism int, f func(T) U) Dataset[U] {
-	if parallelism <= 1 {
-		return Map(d, f)
-	}
-	return New(func() Iterator[U] {
-		src := d.Iterate()
-		type task struct {
-			v   T
-			out chan U
-		}
-		tasks := make(chan task)
-		order := make(chan chan U, parallelism)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-
-		wg.Add(parallelism)
-		for i := 0; i < parallelism; i++ {
-			go func() {
-				defer wg.Done()
-				for t := range tasks {
-					t.out <- f(t.v)
-				}
-			}()
-		}
-		// Dispatcher: reads the source and hands out tasks in order.
-		go func() {
-			defer close(tasks)
-			defer close(order)
-			for {
-				v, ok := src.Next()
-				if !ok {
-					return
-				}
-				out := make(chan U, 1)
-				select {
-				case order <- out:
-				case <-stop:
-					return
-				}
-				select {
-				case tasks <- task{v: v, out: out}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-
-		var once sync.Once
-		closeAll := func() {
-			once.Do(func() {
-				close(stop)
-				go func() {
-					// Drain pending promises so workers can finish.
-					for range order {
-					}
-					wg.Wait()
-					src.Close()
-				}()
-			})
-		}
-		return &funcIterator[U]{
-			next: func() (U, bool) {
-				out, ok := <-order
-				if !ok {
-					var zero U
-					return zero, false
-				}
-				return <-out, true
-			},
-			close: closeAll,
-		}
 	})
 }
 
@@ -324,66 +230,6 @@ func Batch[T any](d Dataset[T], size int, dropRemainder bool) Dataset[[]T] {
 					return nil, false
 				}
 				return batch, true
-			},
-			close: src.Close,
-		}
-	})
-}
-
-// Repeat cycles the dataset count times; count <= 0 repeats forever.
-func Repeat[T any](d Dataset[T], count int) Dataset[T] {
-	return New(func() Iterator[T] {
-		var src Iterator[T]
-		epoch := 0
-		return &funcIterator[T]{
-			next: func() (T, bool) {
-				for {
-					if src == nil {
-						if count > 0 && epoch >= count {
-							var zero T
-							return zero, false
-						}
-						src = d.Iterate()
-						epoch++
-					}
-					v, ok := src.Next()
-					if ok {
-						return v, true
-					}
-					src.Close()
-					src = nil
-					if count > 0 && epoch >= count {
-						var zero T
-						return zero, false
-					}
-				}
-			},
-			close: func() {
-				if src != nil {
-					src.Close()
-				}
-			},
-		}
-	})
-}
-
-// Take truncates the dataset to its first n elements.
-func Take[T any](d Dataset[T], n int) Dataset[T] {
-	return New(func() Iterator[T] {
-		src := d.Iterate()
-		left := n
-		return &funcIterator[T]{
-			next: func() (T, bool) {
-				if left <= 0 {
-					var zero T
-					return zero, false
-				}
-				v, ok := src.Next()
-				if !ok {
-					return v, false
-				}
-				left--
-				return v, true
 			},
 			close: src.Close,
 		}

@@ -32,70 +32,6 @@ func TestDatasetReopenable(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	got := Map(ints(4), func(i int) int { return i * i }).Collect()
-	want := []int{0, 1, 4, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
-func TestParallelMapPreservesOrder(t *testing.T) {
-	// Workers sleep inversely to the index, so unordered execution would
-	// scramble results.
-	got := ParallelMap(ints(20), 8, func(i int) int {
-		time.Sleep(time.Duration(20-i) * time.Millisecond / 4)
-		return i * 10
-	}).Collect()
-	for i := range got {
-		if got[i] != i*10 {
-			t.Fatalf("order broken at %d: %v", i, got)
-		}
-	}
-}
-
-func TestParallelMapActuallyParallel(t *testing.T) {
-	var concurrent, peak int32
-	ParallelMap(ints(16), 8, func(i int) int {
-		c := atomic.AddInt32(&concurrent, 1)
-		for {
-			p := atomic.LoadInt32(&peak)
-			if c <= p || atomic.CompareAndSwapInt32(&peak, p, c) {
-				break
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-		atomic.AddInt32(&concurrent, -1)
-		return i
-	}).Collect()
-	if atomic.LoadInt32(&peak) < 2 {
-		t.Fatalf("peak concurrency %d, expected >= 2", peak)
-	}
-}
-
-func TestParallelMapDegenerateParallelism(t *testing.T) {
-	got := ParallelMap(ints(5), 1, func(i int) int { return i + 1 }).Collect()
-	if len(got) != 5 || got[4] != 5 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestParallelMapEarlyClose(t *testing.T) {
-	d := ParallelMap(ints(1000), 4, func(i int) int { return i })
-	it := d.Iterate()
-	for i := 0; i < 3; i++ {
-		if _, ok := it.Next(); !ok {
-			t.Fatal("unexpected exhaustion")
-		}
-	}
-	it.Close() // must not deadlock or leak
-	if _, ok := it.Next(); ok {
-		t.Fatal("Next after Close must report exhaustion")
-	}
-}
-
 func TestInterleaveRoundRobin(t *testing.T) {
 	// Two sub-streams of three elements each, cycle 2 → strict alternation.
 	d := Interleave(FromSlice([]int{0, 100}), 2, func(base int) Dataset[int] {
@@ -210,38 +146,6 @@ func TestBatchDropRemainder(t *testing.T) {
 	}
 }
 
-func TestRepeatFinite(t *testing.T) {
-	got := Repeat(ints(3), 3).Collect()
-	if len(got) != 9 {
-		t.Fatalf("length %d", len(got))
-	}
-	if got[3] != 0 || got[8] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestRepeatForeverWithTake(t *testing.T) {
-	got := Take(Repeat(ints(2), 0), 7).Collect()
-	if len(got) != 7 {
-		t.Fatalf("length %d", len(got))
-	}
-}
-
-func TestRepeatEmptyDatasetTerminates(t *testing.T) {
-	// Repeating an empty finite count must not spin forever.
-	got := Repeat(ints(0), 3).Collect()
-	if len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTakeMoreThanAvailable(t *testing.T) {
-	got := Take(ints(3), 10).Collect()
-	if len(got) != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestPrefetchDeliversAll(t *testing.T) {
 	got := Prefetch(ints(50), 8).Collect()
 	if len(got) != 50 {
@@ -256,7 +160,7 @@ func TestPrefetchDeliversAll(t *testing.T) {
 
 func TestPrefetchOverlapsProducer(t *testing.T) {
 	var produced int32
-	slow := Map(ints(10), func(i int) int {
+	slow := FromFunc(10, func(i int) int {
 		atomic.AddInt32(&produced, 1)
 		return i
 	})
@@ -284,12 +188,11 @@ func TestPrefetchEarlyCloseDoesNotLeak(t *testing.T) {
 }
 
 func TestComposedPipeline(t *testing.T) {
-	// interleave → parallel map → shuffle → batch → prefetch, the paper's
-	// full input pipeline shape.
+	// interleave → shuffle → batch → prefetch, the paper's full input
+	// pipeline shape; each sub-stream's producer maps its index.
 	d := Interleave(ints(4), 2, func(shard int) Dataset[int] {
-		return FromFunc(5, func(i int) int { return shard*5 + i })
+		return FromFunc(5, func(i int) int { return (shard*5 + i) * 2 })
 	})
-	d = ParallelMap(d, 4, func(v int) int { return v * 2 })
 	d = Shuffle(d, 8, 3)
 	batched := Batch(d, 4, false)
 	out := Prefetch(batched, 2).Collect()

@@ -186,64 +186,69 @@ func (f *Features) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal decodes a feature map produced by Marshal.
+// Unmarshal decodes a feature map produced by Marshal. Every length in the
+// payload is checked against the bytes that remain before it is used, so
+// malformed input yields an error, never a panic.
 func Unmarshal(data []byte) (*Features, error) {
 	f := NewFeatures()
 	le := binary.LittleEndian
 	pos := 0
-	need := func(n int) error {
-		if pos+n > len(data) {
+	// need fails unless n elements of size bytes remain; dividing the
+	// remainder, rather than multiplying n, keeps any stored n from
+	// overflowing.
+	need := func(n, size uint64) error {
+		if n > uint64(len(data)-pos)/size {
 			return fmt.Errorf("record: truncated feature map at offset %d", pos)
 		}
 		return nil
 	}
-	if err := need(4); err != nil {
+	if err := need(4, 1); err != nil {
 		return nil, err
 	}
-	count := int(le.Uint32(data[pos:]))
+	count := le.Uint32(data[pos:])
 	pos += 4
-	for i := 0; i < count; i++ {
-		if err := need(4); err != nil {
+	for i := uint32(0); i < count; i++ {
+		if err := need(4, 1); err != nil {
 			return nil, err
 		}
-		klen := int(le.Uint32(data[pos:]))
+		klen := uint64(le.Uint32(data[pos:]))
 		pos += 4
-		if err := need(klen + 1 + 8); err != nil {
+		if err := need(klen+1+8, 1); err != nil {
 			return nil, err
 		}
-		key := string(data[pos : pos+klen])
-		pos += klen
+		key := string(data[pos : pos+int(klen)])
+		pos += int(klen)
 		kind := data[pos]
 		pos++
-		n := int(le.Uint64(data[pos:]))
+		n := le.Uint64(data[pos:])
 		pos += 8
 		switch kind {
 		case kindBytes:
-			if err := need(n); err != nil {
+			if err := need(n, 1); err != nil {
 				return nil, err
 			}
-			f.AddBytes(key, append([]byte(nil), data[pos:pos+n]...))
-			pos += n
+			f.AddBytes(key, append([]byte(nil), data[pos:pos+int(n)]...))
+			pos += int(n)
 		case kindFloat32:
-			if err := need(n * 4); err != nil {
+			if err := need(n, 4); err != nil {
 				return nil, err
 			}
 			vals := make([]float32, n)
-			for j := 0; j < n; j++ {
+			for j := range vals {
 				vals[j] = math.Float32frombits(le.Uint32(data[pos+j*4:]))
 			}
 			f.AddFloats(key, vals)
-			pos += n * 4
+			pos += len(vals) * 4
 		case kindInt64:
-			if err := need(n * 8); err != nil {
+			if err := need(n, 8); err != nil {
 				return nil, err
 			}
 			vals := make([]int64, n)
-			for j := 0; j < n; j++ {
+			for j := range vals {
 				vals[j] = int64(le.Uint64(data[pos+j*8:]))
 			}
 			f.AddInts(key, vals)
-			pos += n * 8
+			pos += len(vals) * 8
 		default:
 			return nil, fmt.Errorf("record: unknown feature kind %d for %q", kind, key)
 		}

@@ -59,9 +59,18 @@ func tensorFeature(f *Features, dataKey, shapeKey string) (*tensor.Tensor, error
 	if !ok {
 		return nil, fmt.Errorf("record: sample missing %q", shapeKey)
 	}
+	if len(shape64) == 0 {
+		return nil, fmt.Errorf("record: %q has an empty shape", dataKey)
+	}
 	shape := make([]int, len(shape64))
 	n := 1
 	for i, d := range shape64 {
+		if d <= 0 {
+			return nil, fmt.Errorf("record: %q shape %v has a non-positive dimension", dataKey, shape64)
+		}
+		if d > int64(len(data)/n) { // n·d would exceed the values (or overflow)
+			return nil, fmt.Errorf("record: %q shape %v does not match %d values", dataKey, shape64, len(data))
+		}
 		shape[i] = int(d)
 		n *= shape[i]
 	}

@@ -251,7 +251,7 @@ func TestTrialDirPlacement(t *testing.T) {
 // and spaces interior points geometrically.
 func TestLogSpacedGrid(t *testing.T) {
 	d := LogSpaced("lr", 1e-2, 3e-2, 5)
-	vals := d.GridValues()
+	vals := d.Values
 	if len(vals) != 5 {
 		t.Fatalf("%d values", len(vals))
 	}

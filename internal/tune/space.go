@@ -1,17 +1,16 @@
 // Package tune is the experiment-distribution layer of the reproduction,
-// standing in for Ray.Tune: hyper-parameter search spaces, trial lifecycle,
-// early-stopping schedulers (FIFO, median stopping, ASHA) and a concurrent
-// runner that places trials of a fixed GPU width on a cluster and divides
-// the compute-worker budget among the running ones. Both of the paper's
-// strategies are this runner: width 1 is experiment parallelism (one trial
-// per GPU), width W on a W-GPU cluster is data parallelism (trials in
-// series, each across every GPU).
+// standing in for Ray.Tune: hyper-parameter grids (the paper sweeps a grid,
+// so there is no random search), trial lifecycle, early-stopping schedulers
+// (FIFO, median stopping, ASHA) and a concurrent runner that places trials
+// of a fixed GPU width on a cluster and divides the compute-worker budget
+// among the running ones. Both of the paper's strategies are this runner:
+// width 1 is experiment parallelism (one trial per GPU), width W on a W-GPU
+// cluster is data parallelism (trials in series, each across every GPU).
 package tune
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -49,75 +48,23 @@ func (c Config) clone() Config {
 	return out
 }
 
-// Dimension is one axis of a search space.
-type Dimension interface {
-	Name() string
-	// GridValues enumerates the axis for grid search; nil means the axis
-	// is continuous and cannot be grid-enumerated.
-	GridValues() []any
-	// Sample draws one value for random search.
-	Sample(rng *rand.Rand) any
+// Dimension is one axis of a grid search space: a name and the values it
+// takes, in the order given.
+type Dimension struct {
+	Name   string
+	Values []any
 }
 
-type gridDim struct {
-	name   string
-	values []any
-}
-
-func (d gridDim) Name() string              { return d.name }
-func (d gridDim) GridValues() []any         { return d.values }
-func (d gridDim) Sample(rng *rand.Rand) any { return d.values[rng.Intn(len(d.values))] }
-
-// Grid declares a discrete axis with explicit values.
+// Grid declares an axis with explicit values.
 func Grid(name string, values ...any) Dimension {
 	if len(values) == 0 {
 		panic("tune: Grid needs at least one value")
 	}
-	return gridDim{name: name, values: values}
+	return Dimension{Name: name, Values: values}
 }
 
-// Choice is an alias of Grid matching Ray.Tune's tune.choice.
-func Choice(name string, values ...any) Dimension { return Grid(name, values...) }
-
-type uniformDim struct {
-	name   string
-	lo, hi float64
-}
-
-func (d uniformDim) Name() string              { return d.name }
-func (d uniformDim) GridValues() []any         { return nil }
-func (d uniformDim) Sample(rng *rand.Rand) any { return d.lo + rng.Float64()*(d.hi-d.lo) }
-
-// Uniform declares a continuous axis sampled uniformly from [lo, hi).
-func Uniform(name string, lo, hi float64) Dimension {
-	if hi <= lo {
-		panic("tune: Uniform needs hi > lo")
-	}
-	return uniformDim{name: name, lo: lo, hi: hi}
-}
-
-type logUniformDim struct {
-	name   string
-	lo, hi float64
-}
-
-func (d logUniformDim) Name() string      { return d.name }
-func (d logUniformDim) GridValues() []any { return nil }
-func (d logUniformDim) Sample(rng *rand.Rand) any {
-	return math.Exp(math.Log(d.lo) + rng.Float64()*(math.Log(d.hi)-math.Log(d.lo)))
-}
-
-// LogUniform declares a continuous axis sampled log-uniformly from [lo, hi),
-// the conventional scale for learning rates.
-func LogUniform(name string, lo, hi float64) Dimension {
-	if lo <= 0 || hi <= lo {
-		panic("tune: LogUniform needs 0 < lo < hi")
-	}
-	return logUniformDim{name: name, lo: lo, hi: hi}
-}
-
-// LogSpaced declares a discrete axis of n values geometrically spaced over
-// [lo, hi], endpoints included — the grid-search analogue of LogUniform.
+// LogSpaced declares an axis of n values geometrically spaced over [lo, hi],
+// endpoints included.
 // Learning-rate grids are conventionally extended this way: linearly spaced
 // extensions of a range like the paper's 1e-2–3e-2 crowd the top decade,
 // while log spacing covers each octave evenly.
@@ -135,7 +82,7 @@ func LogSpaced(name string, lo, hi float64, n int) Dimension {
 	}
 	// Pin the endpoints exactly: exp(log(x)) may round a ULP away.
 	values[0], values[n-1] = lo, hi
-	return gridDim{name: name, values: values}
+	return Dimension{Name: name, Values: values}
 }
 
 // Space is a product of dimensions.
@@ -150,29 +97,25 @@ func NewSpace(dims ...Dimension) (*Space, error) {
 	}
 	seen := map[string]bool{}
 	for _, d := range dims {
-		if seen[d.Name()] {
-			return nil, fmt.Errorf("tune: duplicate dimension %q", d.Name())
+		if seen[d.Name] {
+			return nil, fmt.Errorf("tune: duplicate dimension %q", d.Name)
 		}
-		seen[d.Name()] = true
+		seen[d.Name] = true
 	}
 	return &Space{dims: dims}, nil
 }
 
 // GridConfigs enumerates the cross product of all axes ("this set of
 // configurations becomes the cross-product of the different values for each
-// option", §III-B.2). It fails if any axis is continuous.
+// option", §III-B.2). The error is always nil.
 func (s *Space) GridConfigs() ([]Config, error) {
 	out := []Config{{}}
 	for _, d := range s.dims {
-		values := d.GridValues()
-		if values == nil {
-			return nil, fmt.Errorf("tune: dimension %q is continuous; use SampleConfigs", d.Name())
-		}
-		next := make([]Config, 0, len(out)*len(values))
+		next := make([]Config, 0, len(out)*len(d.Values))
 		for _, base := range out {
-			for _, v := range values {
+			for _, v := range d.Values {
 				c := base.clone()
-				c[d.Name()] = v
+				c[d.Name] = v
 				next = append(next, c)
 			}
 		}
@@ -181,29 +124,11 @@ func (s *Space) GridConfigs() ([]Config, error) {
 	return out, nil
 }
 
-// SampleConfigs draws n random configurations.
-func (s *Space) SampleConfigs(n int, seed int64) []Config {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Config, n)
-	for i := range out {
-		c := Config{}
-		for _, d := range s.dims {
-			c[d.Name()] = d.Sample(rng)
-		}
-		out[i] = c
-	}
-	return out
-}
-
-// Size returns the grid cardinality, or 0 if any axis is continuous.
+// Size returns the grid cardinality.
 func (s *Space) Size() int {
 	n := 1
 	for _, d := range s.dims {
-		vs := d.GridValues()
-		if vs == nil {
-			return 0
-		}
-		n *= len(vs)
+		n *= len(d.Values)
 	}
 	return n
 }

@@ -90,19 +90,6 @@ func (t *Trial) Reports() []Report {
 	return out
 }
 
-// LastMetric returns the most recent value of a metric and whether any
-// report carried it.
-func (t *Trial) LastMetric(name string) (float64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := len(t.reports) - 1; i >= 0; i-- {
-		if v, ok := t.reports[i].Metrics[name]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
 // BestMetric returns the best value of a metric under the given mode
 // ("max" or "min").
 func (t *Trial) BestMetric(name, mode string) (float64, bool) {

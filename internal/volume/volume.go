@@ -2,7 +2,8 @@
 // Task 1 volumes: z-score standardization of voxel intensities, cropping the
 // 155-slice axis to 152 so three 2x poolings divide evenly, channels-first
 // transposition, and binarization of the 4-class ground truth into a whole-
-// tumour mask.
+// tumour mask. The binarized task is the only one the repository trains,
+// as in the paper; the label constants name the raw classes it merges.
 package volume
 
 import (
@@ -149,32 +150,6 @@ func (v *Volume) LabelMask() *tensor.Tensor {
 	return tensor.FromSlice(v.BinarizeLabels(), 1, v.D, v.H, v.W)
 }
 
-// OneHotLabels returns the labels one-hot encoded as a [NumClasses, D, H, W]
-// tensor, supporting the original 4-class MSD task (the paper binarizes it;
-// the multi-class path is provided as the natural extension).
-func (v *Volume) OneHotLabels() *tensor.Tensor {
-	t := tensor.New(NumClasses, v.D, v.H, v.W)
-	td := t.Data()
-	spatial := v.D * v.H * v.W
-	for i, l := range v.Labels {
-		td[int(l)*spatial+i] = 1
-	}
-	return t
-}
-
-// PreprocessMultiClass is Preprocess with a one-hot 4-class mask instead of
-// the binarized whole-tumour mask.
-func PreprocessMultiClass(v *Volume, minDiv int) (*Sample, error) {
-	s, err := Preprocess(v, minDiv)
-	if err != nil {
-		return nil, err
-	}
-	depth := s.Input.Dim(1)
-	work := v.CropDepth(depth)
-	s.Mask = work.OneHotLabels()
-	return s, nil
-}
-
 // Sample is a preprocessed training example: channels-first input and
 // binary mask, both ready to batch.
 type Sample struct {
@@ -248,27 +223,6 @@ func Batch(samples []*Sample) (inputs, masks *tensor.Tensor, err error) {
 		copy(masks.Data()[i*maskStride:(i+1)*maskStride], s.Mask.Data())
 	}
 	return inputs, masks, nil
-}
-
-// FlipW returns a copy of the sample mirrored along the W (last) axis, the
-// simple augmentation exercised by the "augment" axis of the benchmark's
-// hyper-parameter space.
-func FlipW(s *Sample) *Sample {
-	flip := func(t *tensor.Tensor) *tensor.Tensor {
-		out := t.Clone()
-		shape := t.Shape()
-		w := shape[len(shape)-1]
-		rows := t.Size() / w
-		od := out.Data()
-		td := t.Data()
-		for r := 0; r < rows; r++ {
-			for x := 0; x < w; x++ {
-				od[r*w+x] = td[r*w+w-1-x]
-			}
-		}
-		return out
-	}
-	return &Sample{Name: s.Name + "-flip", Input: flip(s.Input), Mask: flip(s.Mask)}
 }
 
 // Split partitions n case indices into train/validation/test index sets with
