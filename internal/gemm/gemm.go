@@ -11,8 +11,8 @@
 // microkernel is hand-written assembly (kernel_amd64.s) holding the 4×16
 // tile in eight YMM registers; everywhere else it is the portable kernelGo,
 // which is also the oracle the assembly is tested against. gemm.go names
-// neither: each build supplies kernel, copyRows, transposeRows and
-// gatherCols (kernel_amd64.go, kernel_noasm.go).
+// neither: each build supplies kernel, copyRows and transposeRows
+// (kernel_amd64.go, kernel_noasm.go).
 //
 // Arithmetic: every C element starts from zero per kcBlock slice and, in
 // ascending K, takes acc = round(acc + round(a·b)) — a separately rounded
@@ -56,10 +56,10 @@
 // matrix, whose elements are short runs scattered through a buffer at
 // offsets listed once, is how the convolution engine multiplies by a patch
 // matrix that exists only as a zero-haloed activation plus an offset table.
-// A gathered matrix of 4-float runs is read in place, with no copy; its
-// transpose and the 1-float form are packed. The microkernel sees the same
-// floats in the same order whichever way B reaches it, so a product is
-// bit-for-bit the same through any of them.
+// A gathered matrix of 4-float runs is read in place, with no copy; the
+// 1-float form is packed. The microkernel sees the same floats in the same
+// order whichever way B reaches it, so a product is bit-for-bit the same
+// through any of them.
 //
 // The packed A and the packing panels come from the tensor scratch pool, so
 // steady-state callers allocate nothing.
@@ -293,9 +293,9 @@ func packWhole(transA bool, m, k, mPad int, a []float32, lda int, dst []float32)
 // and with it how the microkernel reaches it — packed into panels block by
 // block, or read in place.
 type Operand struct {
-	trans  bool
 	src    []float32 // instance i's B is src[i·stride:]
 	stride int
+	trans  bool     // Dense only
 	ldb    int      // Dense only
 	g      Gathered // zero for Dense
 }
@@ -314,9 +314,10 @@ func Dense(trans bool, b []float32, ldb, stride int) Operand {
 //
 // — len(rows) rows by run·len(starts) columns. A convolution's patch matrix
 // has this form over a zero-haloed activation: a row is a (channel, kernel
-// tap) offset, a column start an output voxel's. run is 4, where V is read
-// in place and its transpose packed four K steps per vector load (amd64), or
-// 1, the plain per-element gather.
+// tap) offset, a column start an output voxel's — and so does its transpose
+// over a channels-last copy, a row a voxel's offset and a start a tap's plus
+// four channels'. run is 4, where V is read in place, or 1, the plain
+// per-element gather, packed.
 type Gathered struct {
 	rows, starts []int
 	run          int
@@ -343,9 +344,9 @@ func NewGathered(rows, starts []int, run int) Gathered {
 }
 
 // Operand is the GemmBatch operand whose instance i is V over
-// src[i·stride:], or Vᵀ when trans.
-func (g Gathered) Operand(trans bool, src []float32, stride int) Operand {
-	return Operand{trans: trans, src: src, stride: stride, g: g}
+// src[i·stride:].
+func (g Gathered) Operand(src []float32, stride int) Operand {
+	return Operand{src: src, stride: stride, g: g}
 }
 
 // extremes returns the smallest and largest element of a non-empty list.
@@ -358,8 +359,8 @@ func extremes(xs []int) (lo, hi int) {
 }
 
 // inPlace reports whether the microkernel reads the operand where it lies:
-// a gathered matrix of 4-float runs, not transposed.
-func (o *Operand) inPlace() bool { return o.g.run == 4 && !o.trans }
+// a gathered matrix of 4-float runs.
+func (o *Operand) inPlace() bool { return o.g.run == 4 }
 
 // check panics unless a gathered operand is k×n and the source of its last
 // instance holds every offset — the bounds check of the assembly that reads
@@ -369,11 +370,7 @@ func (o *Operand) check(count, n, k int) {
 	if o.g.run == 0 {
 		return
 	}
-	rows, cols := len(o.g.rows), o.g.run*len(o.g.starts)
-	if o.trans {
-		rows, cols = cols, rows
-	}
-	if rows != k || cols != n {
+	if len(o.g.rows) != k || o.g.run*len(o.g.starts) != n {
 		panic("gemm: gathered operand shape does not match the product")
 	}
 	if o.stride < 0 || len(o.src) < (count-1)*o.stride+o.g.span {
@@ -400,7 +397,7 @@ func (o *Operand) block(i, p0, pw, j0, jw int, buf []float32) bBlock {
 	case o.g.run == 0:
 		packB(o.trans, src, o.ldb, p0, pw, j0, jw, buf)
 	default:
-		o.g.pack(o.trans, src, p0, pw, j0, jw, buf)
+		o.g.pack(src, p0, pw, j0, jw, buf)
 	}
 	return bBlock{b: buf, rows: panelRows[:pw]}
 }
@@ -420,61 +417,17 @@ func (b *bBlock) quads(jp int) [4]int {
 	return q
 }
 
-// pack writes the pw×jw block of V — of Vᵀ when trans — at (p0, j0) into
-// dst as nr-column panels, zero past jw. V itself is packed only at run 1:
-// at run 4 it is read in place.
-func (g *Gathered) pack(trans bool, src []float32, p0, pw, j0, jw int, dst []float32) {
-	if !trans {
-		rows, starts := g.rows[p0:p0+pw], g.starts[j0:j0+jw]
-		for jp := 0; jp*nr < jw; jp++ {
-			out := dst[jp*pw*nr : (jp+1)*pw*nr]
-			clear(out)
-			for jj, sb := range starts[jp*nr : min(jw, (jp+1)*nr)] {
-				for p, rb := range rows {
-					out[p*nr+jj] = src[rb+sb]
-				}
-			}
-		}
-		return
-	}
-	// K runs along the starts. At run 4 a panel goes through gatherCols
-	// whole; a ragged last panel repeats its first row in the dead lanes,
-	// which are zeroed afterwards.
-	rows, starts := g.rows[j0:j0+jw], g.starts[p0/g.run:(p0+pw)/g.run]
+// pack writes the pw×jw block of a run-1 V at (p0, j0) into dst as
+// nr-column panels, zero past jw. At run 4 V is read in place instead.
+func (g *Gathered) pack(src []float32, p0, pw, j0, jw int, dst []float32) {
+	rows, starts := g.rows[p0:p0+pw], g.starts[j0:j0+jw]
 	for jp := 0; jp*nr < jw; jp++ {
 		out := dst[jp*pw*nr : (jp+1)*pw*nr]
-		var lanes [nr]int
-		live := copy(lanes[:], rows[jp*nr:])
-		if g.run == 1 {
-			clear(out)
-			for jj, rb := range lanes[:live] {
-				for p, sb := range starts {
-					out[p*nr+jj] = src[rb+sb]
-				}
+		clear(out)
+		for jj, sb := range starts[jp*nr : min(jw, (jp+1)*nr)] {
+			for p, rb := range rows {
+				out[p*nr+jj] = src[rb+sb]
 			}
-			continue
-		}
-		for jj := live; jj < nr; jj++ {
-			lanes[jj] = lanes[0]
-		}
-		gatherCols(out, src, &lanes, starts)
-		if live < nr {
-			for p := 0; p < pw; p++ {
-				clear(out[p*nr+live : (p+1)*nr])
-			}
-		}
-	}
-}
-
-// gatherColsGo is one full panel of a transposed run-4 gathered block:
-// dst[(4v+e)·nr + jj] = src[rows[jj] + quads[v] + e]. It is the portable
-// gatherCols and the reference for the assembly one.
-func gatherColsGo(dst, src []float32, rows *[nr]int, quads []int) {
-	for v, qb := range quads {
-		out := dst[4*v*nr:][:4*nr]
-		for jj, rb := range rows {
-			x := (*[4]float32)(src[rb+qb:])
-			out[jj], out[nr+jj], out[2*nr+jj], out[3*nr+jj] = x[0], x[1], x[2], x[3]
 		}
 	}
 }

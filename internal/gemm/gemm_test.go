@@ -141,8 +141,10 @@ func TestGemmWorkerCountInvariant(t *testing.T) {
 // TestGemmGatheredMatchesDense asserts the virtual-B contract: a product
 // whose B is a gathered operand — an offset description of a stored matrix,
 // read in place or packed — is bit-for-bit equal to Gemm over the stored
-// matrix, in either orientation, at both run lengths and several worker
-// budgets.
+// matrix, in either orientation, at several worker budgets. A row-major
+// op(B) is described at run 4 where its rows allow it (run 1 otherwise); a
+// transposed one, whose columns are contiguous, by run-1 tables that walk
+// the stored matrix column-major.
 func TestGemmGatheredMatchesDense(t *testing.T) {
 	shapes := []struct{ m, n, k int }{
 		{16, 4096, 216}, // conv forward shape
@@ -165,26 +167,27 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 					b := randMat(rng, sh.k*sh.n)
 					seed := randMat(rng, sh.m*sh.n)
 
-					// b is stored k×n as op(B) itself, or n×k when trans.
-					vRows, vCols := sh.k, sh.n
+					// b is stored k×n as op(B) itself, or n×k when trans:
+					// op(B)[p, j] = b[p·sp + j·sj].
+					ldb, sp, sj := sh.n, sh.n, 1
 					if trans {
-						vRows, vCols = sh.n, sh.k
+						ldb, sp, sj = sh.k, 1, sh.k
 					}
 					want := append([]float32(nil), seed...)
-					Gemm(false, trans, sh.m, sh.n, sh.k, a, sh.k, b, vCols, acc, want, sh.n, 1)
+					Gemm(false, trans, sh.m, sh.n, sh.k, a, sh.k, b, ldb, acc, want, sh.n, 1)
 
 					run := 1
-					if vCols%4 == 0 {
+					if !trans && sh.n%4 == 0 {
 						run = 4
 					}
-					rows, starts := make([]int, vRows), make([]int, vCols/run)
+					rows, starts := make([]int, sh.k), make([]int, sh.n/run)
 					for i := range rows {
-						rows[i] = i * vCols
+						rows[i] = i * sp
 					}
 					for i := range starts {
-						starts[i] = i * run
+						starts[i] = i * run * sj
 					}
-					op := NewGathered(rows, starts, run).Operand(trans, b, 0)
+					op := NewGathered(rows, starts, run).Operand(b, 0)
 					for _, workers := range []int{1, 3, 8} {
 						got := append([]float32(nil), seed...)
 						GemmBatch(1, false, sh.m, sh.n, sh.k, a, sh.k, 0, op, acc, Epilogue{}, got, sh.n, 0, workers)
@@ -225,8 +228,8 @@ func TestGemmInPlaceMatchesPacked(t *testing.T) {
 				for j := range each {
 					each[j] = starts[j/4] + j%4
 				}
-				inPlace := NewGathered(rows, starts, 4).Operand(false, src, srcLen)
-				packed := NewGathered(rows, each, 1).Operand(false, src, srcLen)
+				inPlace := NewGathered(rows, starts, 4).Operand(src, srcLen)
+				packed := NewGathered(rows, each, 1).Operand(src, srcLen)
 				a := randMat(rng, m*k)
 				for _, bias := range [][]float32{nil, randMat(rng, m)} {
 					want := make([]float32, count*m*n)
@@ -337,7 +340,7 @@ func TestGemmBatchEpilogueMatchesHelperPass(t *testing.T) {
 				for i := range starts {
 					starts[i] = rng.Intn(2900)
 				}
-				operands = append(operands, operand{4 * nStarts, NewGathered(rows, starts, 4).Operand(false, src, srcLen)})
+				operands = append(operands, operand{4 * nStarts, NewGathered(rows, starts, 4).Operand(src, srcLen)})
 			}
 			for _, n := range []int{1, 17, 300} {
 				operands = append(operands, operand{n, Dense(false, randMat(rng, count*k*n), n, k*n)})

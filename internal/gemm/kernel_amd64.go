@@ -63,16 +63,6 @@ func transposeRows(dst, src []float32, ldb, pw int) int {
 	return done
 }
 
-// gatherCols packs one full panel of a transposed run-4 gathered block: the
-// assembly where it is live, the portable loop otherwise.
-func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
-	if useAsm {
-		gatherColsAVX2(dst[:len(quads)*4*nr], src, rows, quads)
-		return
-	}
-	gatherColsGo(dst, src, rows, quads)
-}
-
 // The assembly routines index their slices by the shape arguments alone and
 // never look at a length: the wrappers above, and macroKernel for the
 // kernel's c, slice each operand to the extent named here first, which is
@@ -100,10 +90,3 @@ func transposeAVX2(dst, src []float32, ldb, blocks int)
 //
 //go:noescape
 func copyPanelAVX2(dst, src []float32, ldb, pw int)
-
-// gatherColsAVX2 is gatherColsGo: dst[(4v+e)·nr + jj] = src[rows[jj] +
-// quads[v] + e] for v < len(quads), jj < nr, e < 4, as 4×8 in-register
-// transposes.
-//
-//go:noescape
-func gatherColsAVX2(dst, src []float32, rows *[nr]int, quads []int)

@@ -303,65 +303,3 @@ row:
 copied:
 	VZEROUPPER
 	RET
-
-// Loads the 4-float runs at R9 + 4·rows[j], j = first..first+7 (BX points at
-// rows, o is first's byte offset), as [row j | row j+4] register halves and
-// transposes them into four 8-float rows of the packed panel at off(DI), 64
-// bytes apart — half of TRANSPOSE8's shuffle network.
-#define GATHER4x8(o, off) \
-	MOVQ        o+0(BX), AX;                \
-	VMOVUPS     (R9)(AX*4), X0;             \
-	MOVQ        o+8(BX), AX;                \
-	VMOVUPS     (R9)(AX*4), X1;             \
-	MOVQ        o+16(BX), AX;               \
-	VMOVUPS     (R9)(AX*4), X2;             \
-	MOVQ        o+24(BX), AX;               \
-	VMOVUPS     (R9)(AX*4), X3;             \
-	MOVQ        o+32(BX), AX;               \
-	VINSERTF128 $1, (R9)(AX*4), Y0, Y0;     \
-	MOVQ        o+40(BX), AX;               \
-	VINSERTF128 $1, (R9)(AX*4), Y1, Y1;     \
-	MOVQ        o+48(BX), AX;               \
-	VINSERTF128 $1, (R9)(AX*4), Y2, Y2;     \
-	MOVQ        o+56(BX), AX;               \
-	VINSERTF128 $1, (R9)(AX*4), Y3, Y3;     \
-	VUNPCKLPS   Y1, Y0, Y4;                 \
-	VUNPCKHPS   Y1, Y0, Y5;                 \
-	VUNPCKLPS   Y3, Y2, Y6;                 \
-	VUNPCKHPS   Y3, Y2, Y7;                 \
-	VSHUFPS     $0x44, Y6, Y4, Y0;          \
-	VSHUFPS     $0xEE, Y6, Y4, Y1;          \
-	VSHUFPS     $0x44, Y7, Y5, Y2;          \
-	VSHUFPS     $0xEE, Y7, Y5, Y3;          \
-	VMOVUPS     Y0, off+0(DI);              \
-	VMOVUPS     Y1, off+64(DI);             \
-	VMOVUPS     Y2, off+128(DI);            \
-	VMOVUPS     Y3, off+192(DI)
-
-// func gatherColsAVX2(dst, src []float32, rows *[16]int, quads []int)
-//
-// dst[(4v+e)·16 + j] = src[rows[j] + quads[v] + e] for j < 16, e < 4: one
-// packed B panel whose column j is scattered through src, four K steps per
-// iteration.
-TEXT ·gatherColsAVX2(SB), NOSPLIT, $0-80
-	MOVQ  dst_base+0(FP), DI
-	MOVQ  src_base+24(FP), SI
-	MOVQ  rows+48(FP), BX
-	MOVQ  quads_base+56(FP), DX
-	MOVQ  quads_len+64(FP), CX
-	TESTQ CX, CX
-	JZ    transposed
-
-quad:
-	MOVQ (DX), AX
-	LEAQ (SI)(AX*4), R9
-	GATHER4x8(0, 0)
-	GATHER4x8(64, 32)
-	ADDQ $8, DX
-	ADDQ $256, DI
-	DECQ CX
-	JNZ  quad
-
-transposed:
-	VZEROUPPER
-	RET

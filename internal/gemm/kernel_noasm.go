@@ -13,7 +13,3 @@ func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st 
 func copyRows(dst, src []float32, ldb, pw int) int { return 0 }
 
 func transposeRows(dst, src []float32, ldb, pw int) int { return 0 }
-
-func gatherCols(dst, src []float32, rows *[nr]int, quads []int) {
-	gatherColsGo(dst, src, rows, quads)
-}

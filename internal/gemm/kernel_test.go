@@ -239,43 +239,12 @@ func checkPanels(t *testing.T, name string, dst []float32, width, pw, ew int, at
 	}
 }
 
-// TestAsmGatherMatchesPortable holds the assembly gather packer to the Go
-// loop it replaces, bit for bit (non-finite values included: a packer only
-// moves floats), and checks it writes nothing outside the panel.
-func TestAsmGatherMatchesPortable(t *testing.T) {
-	if !useAsm {
-		t.Skip("no assembly packers on this CPU/architecture: the Go loops are the live ones")
-	}
-	rng := rand.New(rand.NewSource(29))
-	src := randSpecial(rng, 5000)
-	offsets := func(n, limit int) []int {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = rng.Intn(limit)
-		}
-		return xs
-	}
-	for _, steps := range []int{0, 1, 2, 5, kcBlock / 4, kcBlock} {
-		// K along quads: `steps` quads (4·steps K steps), sixteen rows.
-		rows, quads := offsets(nr, 4000), offsets(steps, 990)
-		want := randMat(rng, 4*steps*nr+2)
-		got := append([]float32(nil), want...)
-		gatherColsGo(want[1:], src, (*[nr]int)(rows), quads)
-		gatherCols(got[1:], src, (*[nr]int)(rows), quads)
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("gatherCols quads=%d: element %d = %v, want %v", steps, i-1, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestPackGatheredMatchesContract checks the B blocks of a gathered operand
 // against the matrix it describes, element by element, for the vector run
-// length and the per-element one, either orientation, blocks at the origin
-// and off it, and row and column counts that leave full, ragged and
-// single-lane last panels: packed panels padding lanes included, and the
-// in-place view of a run-4 V through the offsets the microkernel reads.
+// length and the per-element one, blocks at the origin and off it, and row
+// and column counts that leave full, ragged and single-lane last panels:
+// packed panels padding lanes included, and the in-place view of a run-4 V
+// through the offsets the microkernel reads.
 func TestPackGatheredMatchesContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	src := randMat(rng, 6000)
@@ -289,28 +258,16 @@ func TestPackGatheredMatchesContract(t *testing.T) {
 				for i := range starts {
 					starts[i] = rng.Intn(1900)
 				}
-				g := NewGathered(rows, starts, run)
 				v := func(r, c int) float32 { return src[rows[r]+starts[c/run]+c%run] }
-				for _, trans := range []bool{false, true} {
-					kdim, n := nRows, nStarts*run
-					at := v
-					if trans {
-						kdim, n = n, kdim
-						at = func(p, e int) float32 { return v(e, p) }
-					}
+				kdim, n := nRows, nStarts*run
+				op := NewGathered(rows, starts, run).Operand(src, 0)
+				for _, off := range []int{0, 4} {
 					// A block starts on a run boundary of the starts' axis.
-					pStep, jStep := 1, run
-					if trans {
-						pStep, jStep = run, 1
-					}
-					op := g.Operand(trans, src, 0)
-					for _, off := range []int{0, 4} {
-						p0, j0 := min(off, kdim-pStep), min(off, n-jStep)
-						pw, jw := kdim-p0, n-j0
-						name := fmt.Sprintf("trans=%v run=%d rows=%d starts=%d at (%d,%d)", trans, run, nRows, nStarts, p0, j0)
-						blk := op.block(0, p0, pw, j0, jw, randMat(rng, pw*(jw+nr)))
-						checkBlock(t, name, &blk, pw, jw, func(p, e int) float32 { return at(p0+p, j0+e) })
-					}
+					p0, j0 := min(off, kdim-1), min(off, n-run)
+					pw, jw := kdim-p0, n-j0
+					name := fmt.Sprintf("run=%d rows=%d starts=%d at (%d,%d)", run, nRows, nStarts, p0, j0)
+					blk := op.block(0, p0, pw, j0, jw, randMat(rng, pw*(jw+nr)))
+					checkBlock(t, name, &blk, pw, jw, func(p, e int) float32 { return v(p0+p, j0+e) })
 				}
 			}
 		}
@@ -347,31 +304,27 @@ func checkBlock(t *testing.T, name string, blk *bBlock, pw, jw int, at func(p, e
 }
 
 // TestPackGatheredRejectsOutOfRange: the offsets are the caller's, and the
-// assembly that reads a gathered operand — packed or in place — checks
-// nothing, so offsets that leave the source must panic before any element
-// moves: a negative pair when the tables are made, one past the end of any
-// instance's source when a product is asked for.
+// assembly that reads a gathered operand in place checks nothing, so offsets
+// that leave the source must panic before any element moves: a negative pair
+// when the tables are made, one past the end of any instance's source when a
+// product is asked for.
 func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 	src := make([]float32, 100)
 	c := make([]float32, 2*4*12)
 	a := make([]float32, 4*24)
-	product := func(trans bool, count, stride int, rows, starts []int) func() {
+	product := func(count, stride int, rows, starts []int) func() {
 		return func() {
 			g := NewGathered(rows, starts, 4)
 			k, n := len(rows), 4*len(starts)
-			if trans {
-				k, n = n, k
-			}
-			GemmBatch(count, false, 1, n, k, a, k, 0, g.Operand(trans, src, stride),
+			GemmBatch(count, false, 1, n, k, a, k, 0, g.Operand(src, stride),
 				false, Epilogue{}, c, n, n, 1)
 		}
 	}
 	for name, call := range map[string]func(){
-		"past the end":                  product(true, 1, 0, []int{0, 90}, []int{0, 4, 7}),
-		"negative":                      product(true, 1, 0, []int{3, -8}, []int{4}),
-		"in place past the end":         product(false, 1, 0, []int{0, 90}, []int{0, 4, 7}),
-		"in place negative":             product(false, 1, 0, []int{3, 8}, []int{-12, 4}),
-		"in place, last instance's end": product(false, 2, 50, []int{0, 40}, []int{0, 4, 7}),
+		"past the end":        product(1, 0, []int{0, 90}, []int{0, 4, 7}),
+		"negative row":        product(1, 0, []int{3, -8}, []int{4}),
+		"negative start":      product(1, 0, []int{3, 8}, []int{-12, 4}),
+		"last instance's end": product(2, 50, []int{0, 40}, []int{0, 4, 7}),
 	} {
 		func() {
 			defer func() {
@@ -383,5 +336,5 @@ func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 		}()
 	}
 	// The last case's first instance alone is in range.
-	product(false, 1, 50, []int{0, 40}, []int{0, 4, 7})()
+	product(1, 50, []int{0, 40}, []int{0, 4, 7})()
 }

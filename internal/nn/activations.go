@@ -53,6 +53,7 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if r.output == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
+	checkGradShape("ReLU.Backward", gradOut, r.output.Shape()...)
 	gradIn := tensor.New(gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()
@@ -116,6 +117,7 @@ func (s *Sigmoid) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tens
 	if s.output == nil {
 		panic("nn: Sigmoid.Backward called before Forward")
 	}
+	checkGradShape("Sigmoid.Backward", gradOut, s.output.Shape()...)
 	gradIn := alloc(gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()

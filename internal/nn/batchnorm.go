@@ -14,9 +14,12 @@ import (
 // statistics and updates running estimates; in evaluation mode it uses the
 // running estimates.
 //
-// Forward and Backward parallelize over channels: each channel's statistics,
-// running estimates and output plane belong to exactly one worker, so the
-// float64 accumulation order per channel is unchanged from the serial code.
+// Forward and Backward parallelize over groups of four channels: each
+// channel's statistics, running estimates and output plane belong to exactly
+// one worker, so the float64 accumulation order per channel is unchanged
+// from the serial code. Each reduction is a chain of dependent adds, bound
+// by the add's latency, so a group's four chains are stepped together
+// (forChannelQuads); each keeps its own order.
 type BatchNorm struct {
 	workerBudget
 
@@ -92,9 +95,10 @@ func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	xd, od, xh := x.Data(), out.Data(), b.xhat.Data()
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
 	b.sizeStats()
-	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			mean, rstd := b.trainStats(xd, n, spatial, ci)
+	forChannelQuads(b.workers, c, func(lanes *[4]int, live int) {
+		b.trainStats(xd, n, spatial, lanes, live)
+		for _, ci := range lanes[:live] {
+			mean, rstd := b.mean[ci], b.rstd[ci]
 			g, bt := gd[ci], bd[ci]
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
@@ -127,36 +131,63 @@ func (b *BatchNorm) sizeStats() {
 	}
 }
 
-// trainStats computes the batch statistics of channel ci of xd ([n, C,
-// spatial]) in two float64 passes, samples ascending, records them for
-// Backward, folds them into the running estimates and returns the mean and
-// 1/sqrt(var+eps). Each channel belongs to one caller at a time.
-func (b *BatchNorm) trainStats(xd []float32, n, spatial, ci int) (mean, rstd float64) {
+// trainStats computes the batch statistics of the live channels of a group
+// of xd ([n, C, spatial]) in two float64 passes, samples ascending, the
+// group's chains stepped together; records them for Backward (b.mean,
+// b.rstd) and folds them into the running estimates. Each channel belongs to
+// one caller at a time.
+func (b *BatchNorm) trainStats(xd []float32, n, spatial int, lanes *[4]int, live int) {
 	c := b.Channels
 	m := float64(n * spatial)
-	var sum float64
+	var sum, varSum, mean [4]float64
 	for ni := 0; ni < n; ni++ {
-		base := (ni*c + ci) * spatial
-		for _, v := range xd[base : base+spatial] {
-			sum += float64(v)
-		}
+		addSums(&sum, planes(xd, ni*c, spatial, lanes))
 	}
-	mean = sum / m
-	var varSum float64
+	for j := range mean {
+		mean[j] = sum[j] / m
+	}
 	for ni := 0; ni < n; ni++ {
-		base := (ni*c + ci) * spatial
-		for _, v := range xd[base : base+spatial] {
-			dv := float64(v) - mean
-			varSum += dv * dv
-		}
+		addSquaredDevs(&varSum, &mean, planes(xd, ni*c, spatial, lanes))
 	}
-	variance := varSum / m
-	rstd = 1.0 / math.Sqrt(variance+b.Eps)
-	b.mean[ci] = mean
-	b.rstd[ci] = rstd
-	b.RunningMean[ci] = (1-b.Momentum)*b.RunningMean[ci] + b.Momentum*mean
-	b.RunningVar[ci] = (1-b.Momentum)*b.RunningVar[ci] + b.Momentum*variance
-	return mean, rstd
+	for j, ci := range lanes[:live] {
+		variance := varSum[j] / m
+		b.mean[ci] = mean[j]
+		b.rstd[ci] = 1.0 / math.Sqrt(variance+b.Eps)
+		b.RunningMean[ci] = (1-b.Momentum)*b.RunningMean[ci] + b.Momentum*mean[j]
+		b.RunningVar[ci] = (1-b.Momentum)*b.RunningVar[ci] + b.Momentum*variance
+	}
+}
+
+// addSums adds the elements of four planes onto four float64 chains, one
+// chain per plane, in element order.
+func addSums(s *[4]float64, p [4][]float32) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	p0 := p[0]
+	p1, p2, p3 := p[1][:len(p0)], p[2][:len(p0)], p[3][:len(p0)]
+	for i, v := range p0 {
+		s0 += float64(v)
+		s1 += float64(p1[i])
+		s2 += float64(p2[i])
+		s3 += float64(p3[i])
+	}
+	*s = [4]float64{s0, s1, s2, s3}
+}
+
+// addSquaredDevs adds the squared deviations of four planes' elements from
+// their plane's mean onto four float64 chains, in element order.
+func addSquaredDevs(s, mean *[4]float64, p [4][]float32) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	m0, m1, m2, m3 := mean[0], mean[1], mean[2], mean[3]
+	p0 := p[0]
+	p1, p2, p3 := p[1][:len(p0)], p[2][:len(p0)], p[3][:len(p0)]
+	for i, v := range p0 {
+		d0, d1, d2, d3 := float64(v)-m0, float64(p1[i])-m1, float64(p2[i])-m2, float64(p3[i])-m3
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	*s = [4]float64{s0, s1, s2, s3}
 }
 
 // evalStats returns channel ci's running mean and 1/sqrt(running var+eps).
@@ -211,6 +242,7 @@ func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if b.xhat == nil {
 		panic("nn: BatchNorm.Backward called before Forward in training mode")
 	}
+	checkGradShape("BatchNorm.Backward", gradOut, b.xhat.Shape()...)
 	n, c, spatial := b.check("BatchNorm.Backward", gradOut)
 	m := float64(n * spatial)
 	gradIn := tensor.New(gradOut.Shape()...)
@@ -219,27 +251,64 @@ func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gid := gradIn.Data()
 	xh := b.xhat.Data()
 
-	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			var sumDy, sumDyXhat float64
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * spatial
-				gs, hs := god[base:base+spatial], xh[base:base+spatial]
-				for i, g := range gs {
-					sumDy, sumDyXhat = bnReduce(sumDy, sumDyXhat, float64(g), hs[i])
-				}
-			}
-			k := b.channelGrads(ci, sumDy, sumDyXhat, m)
+	forChannelQuads(b.workers, c, func(lanes *[4]int, live int) {
+		sumDy, sumDyXhat := b.gradSums(god, nil, xh, n, spatial, lanes)
+		for j, ci := range lanes[:live] {
+			k := b.channelGrads(ci, sumDy[j], sumDyXhat[j], m)
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
 				gs, hs, ds := god[base:base+spatial], xh[base:base+spatial], gid[base:base+spatial]
 				for i, g := range gs {
-					ds[i] = bnInputGrad(k, m, float64(g), sumDy, hs[i], sumDyXhat)
+					ds[i] = bnInputGrad(k, m, float64(g), sumDy[j], hs[i], sumDyXhat[j])
 				}
 			}
 		}
 	})
 	return gradIn
+}
+
+// gradSums returns the backward reductions Σdy and Σdy·x̂ of a group of
+// channels of god and x̂ ([n, C, spatial]), samples ascending, the group's
+// chains stepped together. dy is the gradient itself, or — when yd, the
+// output of a ReLU that followed, is non-nil — the gradient gated by yd > 0.
+func (b *BatchNorm) gradSums(god, yd, xh []float32, n, spatial int, lanes *[4]int) (sumDy, sumDyXhat [4]float64) {
+	c := b.Channels
+	var y [4][]float32
+	for ni := 0; ni < n; ni++ {
+		if yd != nil {
+			y = planes(yd, ni*c, spatial, lanes)
+		}
+		addGradSums(&sumDy, &sumDyXhat, planes(god, ni*c, spatial, lanes), y, planes(xh, ni*c, spatial, lanes))
+	}
+	return sumDy, sumDyXhat
+}
+
+// addGradSums adds four planes' elements onto their channels' Σdy and Σdy·x̂
+// chains, in element order: dy = g, gated by y > 0 where y's planes are set.
+func addGradSums(sumDy, sumDyXhat *[4]float64, g, y, h [4][]float32) {
+	s0, s1, s2, s3 := sumDy[0], sumDy[1], sumDy[2], sumDy[3]
+	x0, x1, x2, x3 := sumDyXhat[0], sumDyXhat[1], sumDyXhat[2], sumDyXhat[3]
+	g0 := g[0]
+	n := len(g0)
+	g1, g2, g3 := g[1][:n], g[2][:n], g[3][:n]
+	h0, h1, h2, h3 := h[0][:n], h[1][:n], h[2][:n], h[3][:n]
+	gated := y[0] != nil
+	var y0, y1, y2, y3 []float32
+	if gated {
+		y0, y1, y2, y3 = y[0][:n], y[1][:n], y[2][:n], y[3][:n]
+	}
+	for i, d0 := range g0 {
+		d1, d2, d3 := g1[i], g2[i], g3[i]
+		if gated {
+			d0, d1, d2, d3 = gate(y0[i], d0), gate(y1[i], d1), gate(y2[i], d2), gate(y3[i], d3)
+		}
+		s0, x0 = bnReduce(s0, x0, float64(d0), h0[i])
+		s1, x1 = bnReduce(s1, x1, float64(d1), h1[i])
+		s2, x2 = bnReduce(s2, x2, float64(d2), h2[i])
+		s3, x3 = bnReduce(s3, x3, float64(d3), h3[i])
+	}
+	*sumDy = [4]float64{s0, s1, s2, s3}
+	*sumDyXhat = [4]float64{x0, x1, x2, x3}
 }
 
 // channelGrads accumulates channel ci's γ and β gradients from its two

@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -100,9 +98,10 @@ func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	zd, yd := z.Data(), y.Data()
 	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
 	bn.sizeStats()
-	parallel.ForWorkers(bn.workers, c, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			mean, rstd := bn.trainStats(zd, n, spatial, ci)
+	forChannelQuads(bn.workers, c, func(lanes *[4]int, live int) {
+		bn.trainStats(zd, n, spatial, lanes, live)
+		for _, ci := range lanes[:live] {
+			mean, rstd := bn.mean[ci], bn.rstd[ci]
 			g, bt := gd[ci], bd[ci]
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
@@ -152,29 +151,19 @@ func (b *ConvBNReLU) preConvGrad(gradOut *tensor.Tensor) {
 	if b.fwdY == nil {
 		panic("nn: ConvBNReLU.Backward called before Forward in training mode")
 	}
-	if !gradOut.SameShape(b.fwdY) {
-		panic(fmt.Sprintf("nn: ConvBNReLU.Backward gradient shape %v does not match the output's %v",
-			gradOut.Shape(), b.fwdY.Shape()))
-	}
+	checkGradShape("ConvBNReLU.Backward", gradOut, b.fwdY.Shape()...)
 	n, c, spatial := bn.check("ConvBNReLU.Backward", gradOut)
 	m := float64(n * spatial)
 	god, yd, xh := gradOut.Data(), b.fwdY.Data(), b.fwdXhat.Data()
-	parallel.ForWorkers(bn.workers, c, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			var sumDy, sumDyXhat float64
+	forChannelQuads(bn.workers, c, func(lanes *[4]int, live int) {
+		sumDy, sumDyXhat := bn.gradSums(god, yd, xh, n, spatial, lanes)
+		for j, ci := range lanes[:live] {
+			k := bn.channelGrads(ci, sumDy[j], sumDyXhat[j], m)
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
 				gs, ys, hs := god[base:base+spatial], yd[base:base+spatial], xh[base:base+spatial]
 				for i, g := range gs {
-					sumDy, sumDyXhat = bnReduce(sumDy, sumDyXhat, float64(gate(ys[i], g)), hs[i])
-				}
-			}
-			k := bn.channelGrads(ci, sumDy, sumDyXhat, m)
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * spatial
-				gs, ys, hs := god[base:base+spatial], yd[base:base+spatial], xh[base:base+spatial]
-				for i, g := range gs {
-					gs[i] = bnInputGrad(k, m, float64(gate(ys[i], g)), sumDy, hs[i], sumDyXhat)
+					gs[i] = bnInputGrad(k, m, float64(gate(ys[i], g)), sumDy[j], hs[i], sumDyXhat[j])
 				}
 			}
 		}

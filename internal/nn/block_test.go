@@ -65,6 +65,7 @@ var awkwardSites = []site{
 	{"ic1", 1, 4, 3, 3, 3, 4, 5},
 	{"k1", 3, 2, 1, 2, 3, 5, 2},
 	{"k5", 2, 2, 5, 1, 4, 4, 6},
+	{"c6", 3, 6, 3, 2, 4, 3, 5}, // the second group of four channels is half empty
 }
 
 // chain is the oracle: the three standalone layers the block replaces. A

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/gemm"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -17,10 +16,10 @@ import (
 // Every pass is a blocked matrix multiply against a patch matrix that is
 // never built (conv3d_gemm.go): the forward pass — training, evaluation and
 // Infer alike — and the input gradient are one routine, the kernel gradient
-// packs the same operand transposed, and the bias gradient is a per-channel
-// sum. All of them are bit-for-bit independent of the worker budget, and
-// they match the single-threaded direct-loop reference the tests keep within
-// the ULP bounds TestConvParity asserts.
+// reads the transpose in place from a channels-last copy, and the bias
+// gradient is a per-channel sum. All of them are bit-for-bit independent of
+// the worker budget, and they match the single-threaded direct-loop
+// reference the tests keep within the ULP bounds TestConvParity asserts.
 type Conv3D struct {
 	workerBudget
 
@@ -105,8 +104,9 @@ func (c *Conv3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tenso
 	}
 	x := c.input
 	n, _, d, h, w := check5D("Conv3D.Backward", x)
+	checkGradShape("Conv3D.Backward", gradOut, n, c.OutChannels, d, h, w)
 
-	c.biasGradPass(gradOut.Data(), n, d*h*w, c.workers)
+	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, d*h*w, c.workers)
 	c.weightGradGEMM(gradOut)
 	if alloc == nil {
 		return nil
@@ -116,25 +116,28 @@ func (c *Conv3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tenso
 	return gradIn
 }
 
-// biasGradPass accumulates the bias gradient — the sum of gradOut per
-// output channel — with one owner per channel and samples added in
-// ascending order. The per-(sample, channel) float32 sub-totals make it
-// bit-for-bit equal to the serial reference at any worker budget.
-func (c *Conv3D) biasGradPass(god []float32, n, chStride, workers int) {
-	oc := c.OutChannels
-	gbd := c.B.Grad.Data()
-	sampleStride := oc * chStride
-	parallel.ForWorkers(workers, oc, 1, func(lo, hi int) {
-		for oci := lo; oci < hi; oci++ {
-			for ni := 0; ni < n; ni++ {
-				oBase := ni*sampleStride + oci*chStride
-				var biasAcc float32
-				for _, g := range god[oBase : oBase+chStride] {
-					if g != 0 {
-						biasAcc += g
-					}
-				}
-				gbd[oci] += biasAcc
+// biasGrad accumulates the bias gradient of a convolution — the sum of god
+// ([n, len(gb), chStride]) per output channel — onto gb: per sample a
+// float32 sub-total from +0 in element order, added onto the channel's
+// gradient with samples ascending, which is the serial reference's order at
+// any worker budget. Four channels' chains are stepped together.
+func biasGrad(gb, god []float32, n, chStride, workers int) {
+	c := len(gb)
+	forChannelQuads(workers, c, func(lanes *[4]int, live int) {
+		for ni := 0; ni < n; ni++ {
+			p := planes(god, ni*c, chStride, lanes)
+			p0 := p[0]
+			p1, p2, p3 := p[1][:len(p0)], p[2][:len(p0)], p[3][:len(p0)]
+			var s0, s1, s2, s3 float32
+			for i, g := range p0 {
+				s0 += g
+				s1 += p1[i]
+				s2 += p2[i]
+				s3 += p3[i]
+			}
+			sums := [4]float32{s0, s1, s2, s3}
+			for j, ci := range lanes[:live] {
+				gb[ci] += sums[j]
 			}
 		}
 	})

@@ -30,14 +30,25 @@ import (
 // builds once per call. Where volume rows are a multiple of 4 wide the GEMM
 // microkernel reads P there in place, four voxels per run, and no B panel is
 // built; other widths are packed element by element. So one routine,
-// convGEMM, is the training forward, Infer and the input gradient, and the
-// kernel gradient differs only in multiplying by P transposed, which is
-// packed. The kernel consumes the same floats in the same order as from
-// panels copied out of a materialized patch matrix, so the forward output
-// and the kernel gradient are bit-for-bit what the im2col lowering this
-// replaced produced (TestConvGoldenHash); the input gradient is one
-// K = OC·K³ dot per element. A 1×1×1 convolution needs no halo: the
-// activation slab already is P, read as one flat row of voxels per channel.
+// convGEMM, is the training forward, Infer and the input gradient. A 1×1×1
+// convolution needs no halo: the activation slab already is P, read as one
+// flat row of voxels per channel.
+//
+// The kernel gradient multiplies by Pᵀ, whose K steps are voxels, and reads
+// it in place too, from a channels-last copy of the activation
+// ([D+2p][H+2p][W+2p][Cp], Cp = IC rounded up to 4, the extra channels zero;
+// padChannelsLast): there the four channels c0..c0+3 a tap reads for a voxel
+// are one run, at the voxel's offset plus the tap's (patchTransposed). The
+// product's columns come out in (tap, c) order, padding channels included,
+// and reduceWeightPartials permutes them onto gW's (c, tap) layout as it
+// adds the samples up. One path serves every kernel size and row width.
+//
+// The kernel consumes the same floats in the same order as from panels
+// copied out of a materialized patch matrix — each gW element sees the same
+// K sequence in the same kcBlock slices — so the forward output and the
+// kernel gradient are bit-for-bit what the im2col lowering this replaced
+// produced (TestConvGoldenHash); the input gradient is one K = OC·K³ dot per
+// element.
 //
 // The forward's bias is added by the GEMM's store (gemm.Epilogue), as the
 // element leaves the register tile, so the output is written once; in a
@@ -127,20 +138,24 @@ func patchMatrix(g haloGeom, ch, k int, buf *[]int) gemm.Gathered {
 	return gemm.NewGathered(tables[:nRows], tables[nRows:], run)
 }
 
-// overPatches calls fn with the patch matrices P(src[n0]), …,
-// P(src[n0+count−1]) of consecutive groups of samples of a [n, ch, d, h, w]
-// activation: one gathered matrix p over buf, sample i's at buf[i·stride:].
-// The offset tables are built and range-checked once per call. A 1×1×1
-// kernel needs no halo — the activation slab already is P, one flat row of
-// voxels per channel — so buf is src and the whole batch is one group.
-// Otherwise a group is one sample per worker: enough independent products to
-// keep the budget busy where one sample is a single column block, while the
-// halo buffer, drawn once and refilled per group, stays the size of the
-// workers' working set whatever the batch.
-func overPatches(src []float32, n, ch, d, h, w, k, workers int,
-	fn func(n0, count int, p gemm.Gathered, buf []float32, stride int)) {
+// convGEMM computes dst[n] = wmat·P(src[n]) for every sample, finished by
+// ep's store: the same-padded K³ convolution of the [n, ch, d, h, w]
+// activation src with the m filters whose rows wmat ([m, ch·K³]) holds.
+// Every element of dst is written. The filters are packed once per call and
+// shared by every sample; P is read in place where volume rows are a
+// multiple of 4 wide.
+//
+// A 1×1×1 kernel needs no halo — the activation slab already is P, one flat
+// row of voxels per channel — so the whole batch is one product over src.
+// Otherwise the samples go in groups of one per worker: enough independent
+// products to keep the budget busy where one sample is a single column
+// block, while the halo buffer, drawn once and refilled per group, stays the
+// size of the workers' working set whatever the batch.
+func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
+	ep gemm.Epilogue, dst []float32, workers int) {
 
 	cols := d * h * w
+	kdim := ch * k * k * k
 	if k == 1 {
 		d, h, w = 1, 1, cols
 	}
@@ -148,8 +163,12 @@ func overPatches(src []float32, n, ch, d, h, w, k, workers int,
 	tables := patchTables.Get().(*[]int)
 	defer patchTables.Put(tables)
 	p := patchMatrix(g, ch, k, tables)
+	product := func(n0, count int, buf []float32, stride int) {
+		gemm.GemmBatch(count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(buf, stride),
+			false, ep, dst[n0*m*cols:], cols, m*cols, workers)
+	}
 	if k == 1 {
-		fn(0, n, p, src, ch*cols)
+		product(0, n, src, ch*cols)
 		return
 	}
 	group := min(n, parallel.Resolve(workers))
@@ -158,25 +177,8 @@ func overPatches(src []float32, n, ch, d, h, w, k, workers int,
 	for n0 := 0; n0 < n; n0 += group {
 		count := min(group, n-n0)
 		padHalo(halo, src[n0*ch*cols:], count*ch, g, workers)
-		fn(n0, count, p, halo, ch*g.vol)
+		product(n0, count, halo, ch*g.vol)
 	}
-}
-
-// convGEMM computes dst[n] = wmat·P(src[n]) for every sample, finished by
-// ep's store: the same-padded K³ convolution of the [n, ch, d, h, w]
-// activation src with the m filters whose rows wmat ([m, ch·K³]) holds.
-// Every element of dst is written. The filters are packed once per call and
-// shared by every sample; P is read in place where volume rows are a
-// multiple of 4 wide.
-func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
-	ep gemm.Epilogue, dst []float32, workers int) {
-
-	cols := d * h * w
-	kdim := ch * k * k * k
-	overPatches(src, n, ch, d, h, w, k, workers, func(n0, count int, p gemm.Gathered, buf []float32, stride int) {
-		gemm.GemmBatch(count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(false, buf, stride),
-			false, ep, dst[n0*m*cols:], cols, m*cols, workers)
-	})
 }
 
 // forwardGEMMInto is the GEMM forward — training, evaluation and Infer alike
@@ -192,25 +194,103 @@ func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor, norm gemm.Norm) {
 		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm}, out.Data(), c.workers)
 }
 
+// padChannelsLast copies count samples of a [count, ch, d, h, w] activation
+// into dst channels-last, [count][d+2p][h+2p][w+2p][cp], zero in the border
+// and in channels ch..cp−1.
+func padChannelsLast(dst, src []float32, count, ch, cp int, g haloGeom, workers int) {
+	cols := g.d * g.h * g.w
+	planes := g.d + 2*g.p
+	plane := g.hp * g.wp * cp
+	parallel.ForWorkers(workers, count*planes, 1, func(lo, hi int) {
+		for item := lo; item < hi; item++ {
+			out := dst[item*plane : (item+1)*plane]
+			clear(out)
+			ni, z := item/planes, item%planes-g.p
+			if z < 0 || z >= g.d {
+				continue
+			}
+			in := src[ni*ch*cols+z*g.h*g.w:]
+			for y := 0; y < g.h; y++ {
+				row := out[((y+g.p)*g.wp+g.p)*cp:][:g.w*cp]
+				channel := func(c int) []float32 { return in[c*cols+y*g.w:][:g.w] }
+				c := 0
+				for ; c+4 <= ch; c += 4 {
+					r0, r1, r2, r3 := channel(c), channel(c+1), channel(c+2), channel(c+3)
+					for x, v := range r0 {
+						*(*[4]float32)(row[x*cp+c:]) = [4]float32{v, r1[x], r2[x], r3[x]}
+					}
+				}
+				for ; c < ch; c++ {
+					for x, v := range channel(c) {
+						row[x*cp+c] = v
+					}
+				}
+			}
+		}
+	})
+}
+
+// patchTransposed describes Pᵀ of one sample's channels-last halo (cp
+// channels, cp a multiple of 4) as a gathered matrix read in place: K step v
+// is voxel v, at rows[v] = its window corner's offset, and column run
+// (tap, c0) — channels c0..c0+3 of kernel tap tap — starts at the tap's
+// offset from the corner plus c0. The columns are in (tap, c) order, kk·cp
+// of them. The tables are written into *buf, which grows to fit them.
+func patchTransposed(g haloGeom, cp, k int, buf *[]int) gemm.Gathered {
+	tables := (*buf)[:0]
+	for z := 0; z < g.d; z++ {
+		for y := 0; y < g.h; y++ {
+			for x, base := 0, (z*g.hp+y)*g.wp; x < g.w; x++ {
+				tables = append(tables, (base+x)*cp)
+			}
+		}
+	}
+	nRows := len(tables)
+	for kz := 0; kz < k; kz++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				tap := ((kz*g.hp+ky)*g.wp + kx) * cp
+				for c0 := 0; c0 < cp; c0 += 4 {
+					tables = append(tables, tap+c0)
+				}
+			}
+		}
+	}
+	*buf = tables
+	return gemm.NewGathered(tables[:nRows], tables[nRows:], 4)
+}
+
 // weightGradGEMM is the GEMM kernel-gradient pass: per-sample partials
-// gOut[n]·P(x[n])ᵀ in parallel over (sample × column block), then
-// gW += partials in ascending sample order per element.
+// gOut[n]·P(x[n])ᵀ, in (tap, c) column order, in parallel over (sample ×
+// column block) and sample groups as convGEMM forms them; then gW +=
+// partials in ascending sample order per element.
 func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	x := c.input
 	n, ic, d, h, w := check5D("Conv3D.Backward", x)
-	oc := c.OutChannels
+	oc, k := c.OutChannels, c.Kernel
+	kk := k * k * k
 	cols := d * h * w
-	kdim := ic * c.Kernel * c.Kernel * c.Kernel
+	cp := (ic + 3) &^ 3
+	ncols := kk * cp
 	workers := c.workers
-	god := gradOut.Data()
+	xd, god := x.Data(), gradOut.Data()
 
-	partials := tensor.GetScratch(n * oc * kdim)
+	g := newHaloGeom(d, h, w, k)
+	tables := patchTables.Get().(*[]int)
+	defer patchTables.Put(tables)
+	pt := patchTransposed(g, cp, k, tables)
+	group := min(n, parallel.Resolve(workers))
+	halo := tensor.GetScratch(group * g.vol * cp)
+	defer tensor.PutScratch(halo)
+	partials := tensor.GetScratch(n * oc * ncols)
 	defer tensor.PutScratch(partials)
-	overPatches(x.Data(), n, ic, d, h, w, c.Kernel, workers, func(n0, count int, p gemm.Gathered, buf []float32, stride int) {
-		gemm.GemmBatch(count, false, oc, kdim, cols, god[n0*oc*cols:], cols, oc*cols, p.Operand(true, buf, stride),
-			false, gemm.Epilogue{}, partials[n0*oc*kdim:], kdim, oc*kdim, workers)
-	})
-	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc*kdim, workers)
+	for n0 := 0; n0 < n; n0 += group {
+		count := min(group, n-n0)
+		padChannelsLast(halo, xd[n0*ic*cols:], count, ic, cp, g, workers)
+		gemm.GemmBatch(count, false, oc, ncols, cols, god[n0*oc*cols:], cols, oc*cols, pt.Operand(halo, g.vol*cp),
+			false, gemm.Epilogue{}, partials[n0*oc*ncols:], ncols, oc*ncols, workers)
+	}
+	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc, ic, kk, cp, workers)
 }
 
 // inputGradGEMM is the GEMM input-gradient pass: the convolution of gradOut
@@ -235,16 +315,25 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, gemm.Epilogue{}, gradIn.Data(), c.workers)
 }
 
-// reduceWeightPartials adds n concatenated per-sample partial gradient
-// buffers (elems floats each) onto grad. Each gradient element is owned by
-// one worker and receives its partials in ascending sample order, so the
-// reduction is bit-for-bit identical at any worker budget.
-func reduceWeightPartials(grad, partials []float32, n, elems, workers int) {
-	parallel.ForWorkers(workers, elems, 4096, func(lo, hi int) {
+// reduceWeightPartials adds n per-sample partial kernel gradients onto
+// grad ([rows, ch, taps]). Each partial is [rows, taps, stride], stride ≥ ch:
+// element (r, c, tap) of sample i is partials[((i·rows + r)·taps + tap)·stride
+// + c], so a partial with its columns in (tap, c) order — padding channels
+// past ch ignored — lands on the (c, tap) layout; at taps 1 and stride ch it
+// is grad's own layout. Each gradient element is owned by one worker and
+// receives its partials in ascending sample order, so the reduction is
+// bit-for-bit identical at any worker budget.
+func reduceWeightPartials(grad, partials []float32, n, rows, ch, taps, stride, workers int) {
+	size := rows * taps * stride
+	parallel.ForWorkers(workers, rows*taps, max(1, 4096/ch), func(lo, hi int) {
 		for ni := 0; ni < n; ni++ {
-			part := partials[ni*elems : (ni+1)*elems]
-			for j := lo; j < hi; j++ {
-				grad[j] += part[j]
+			part := partials[ni*size : (ni+1)*size]
+			for item := lo; item < hi; item++ {
+				r, tap := item/taps, item%taps
+				dst := grad[r*ch*taps+tap:]
+				for c, v := range part[item*stride:][:ch] {
+					dst[c*taps] += v
+				}
 			}
 		}
 	})

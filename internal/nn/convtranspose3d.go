@@ -90,9 +90,10 @@ func (c *ConvTranspose3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *ten
 	x := c.input
 	n, _, d, h, w := check5D("ConvTranspose3D.Backward", x)
 	k := c.Kernel
+	checkGradShape("ConvTranspose3D.Backward", gradOut, n, c.OutChannels, d*k, h*k, w*k)
 	gradIn := alloc(x.Shape()...)
 
-	c.biasGradPass(gradOut.Data(), n, d*k*h*k*w*k, c.workers)
+	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, d*k*h*k*w*k, c.workers)
 	c.backwardGEMMInto(gradOut, gradIn)
 	return gradIn
 }

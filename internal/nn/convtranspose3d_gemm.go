@@ -138,7 +138,7 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	gemm.GemmBatch(n, false, ic, rows, inCols, xd, inCols, ic*inCols,
 		gemm.Dense(true, gradCols, inCols, rows*inCols),
 		false, gemm.Epilogue{}, partials, rows, ic*rows, workers)
-	reduceWeightPartials(gwd, partials, n, ic*rows, workers)
+	reduceWeightPartials(gwd, partials, n, ic, rows, 1, rows, workers)
 
 	// Input gradient: gIn[n] = W·gradCols.
 	for ni := 0; ni < n; ni++ {
@@ -146,24 +146,4 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 			wd, rows, gradCols[ni*rows*inCols:(ni+1)*rows*inCols], inCols,
 			false, gid[ni*ic*inCols:(ni+1)*ic*inCols], inCols, workers)
 	}
-}
-
-// biasGradPass accumulates the bias gradient — the sum of gradOut per
-// output channel, samples in ascending order as in the serial reference —
-// with one owner per channel.
-func (c *ConvTranspose3D) biasGradPass(god []float32, n, outCh, workers int) {
-	oc := c.OutChannels
-	gbd := c.B.Grad.Data()
-	parallel.ForWorkers(workers, oc, 1, func(lo, hi int) {
-		for oci := lo; oci < hi; oci++ {
-			for ni := 0; ni < n; ni++ {
-				base := (ni*oc + oci) * outCh
-				var acc float32
-				for _, g := range god[base : base+outCh] {
-					acc += g
-				}
-				gbd[oci] += acc
-			}
-		}
-	})
 }

@@ -43,6 +43,8 @@ var convGolden = map[string]uint64{
 	"k5 deep K":             0xf3c1227f3673b176,
 	"k1":                    0x1f6e37ad67d8f2a2,
 	"ic 1":                  0x36fa792092abd2a4,
+	"ic 5 batch 3":          0x156261a324d96b8d,
+	"ic 6 width 5":          0xb7d516ea1ab2633f,
 }
 
 var convGoldenCases = []struct {
@@ -71,6 +73,11 @@ var convGoldenCases = []struct {
 	{"k5 deep K", 4, 2, 5, 1, 5, 5, 8},
 	{"k1", 4, 3, 1, 2, 5, 3, 7},
 	{"ic 1", 1, 4, 3, 2, 4, 4, 4},
+	// Channel counts that leave 3 and 2 zero channels in a channels-last
+	// group of four: a batch of 3 (a ragged sample group at 2 workers) and a
+	// row 5 wide (the per-element forward).
+	{"ic 5 batch 3", 5, 4, 3, 3, 4, 5, 8},
+	{"ic 6 width 5", 6, 3, 3, 2, 4, 3, 5},
 }
 
 func fnvFloats(h uint64, vs []float32) uint64 {

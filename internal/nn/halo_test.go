@@ -31,14 +31,17 @@ func patchAt(x []float32, d, h, w, k, r, v int) float32 {
 
 // TestHaloPackerMatchesNaiveGather multiplies the identity by the patch
 // matrix, and by its transpose, through the GEMM exactly as the convolution
-// hands it over — offset tables over the haloed copy, read in place or
-// packed — and compares each element of the product with the per-element
-// definition. A product with the identity reproduces its other factor bit
-// for bit, so an element the tables misaddress shows, and so does any read
-// of the NaN the halo buffer starts out as. The shapes are the ones a packer
-// gets wrong first: odd extents, rows narrower than the kernel, rows that
-// are a multiple of 4 but not of the 16-wide panel, a K³·IC deeper than one
-// K slice, a volume wider than one column block.
+// hands them over — P as offset tables over the haloed copy, read in place
+// or packed; Pᵀ as offset tables over the channels-last copy, read in place,
+// with its (tap, c) columns and the zero padding channels — and compares
+// each element of the product with the per-element definition. A product
+// with the identity reproduces its other factor bit for bit, so an element
+// the tables misaddress shows, and so does any read of the NaN the halo
+// buffers start out as. The shapes are the ones a packer gets wrong first:
+// odd extents, rows narrower than the kernel, rows that are a multiple of 4
+// but not of the 16-wide panel, a K³·IC deeper than one K slice, a volume
+// wider than one column block, a 1×1×1 kernel, and channel counts that
+// leave one to three padding channels.
 func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 	cases := []struct{ ch, k, d, h, w int }{
 		{3, 3, 5, 6, 7},
@@ -52,44 +55,63 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 		{2, 3, 3, 4, 20},
 		{9, 3, 8, 8, 8},  // 512 voxels: two column blocks forward, two K slices transposed
 		{2, 3, 3, 3, 36}, // 324 voxels: a ragged last panel of one quad
+		{3, 1, 3, 4, 5},
+		{9, 1, 2, 3, 4},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("ch%d_k%d_%dx%dx%d", tc.ch, tc.k, tc.d, tc.h, tc.w), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			x := randTensor(rng, tc.ch, tc.d, tc.h, tc.w).Data()
 			g := newHaloGeom(tc.d, tc.h, tc.w, tc.k)
-			halo := make([]float32, tc.ch*g.vol)
-			for i := range halo {
-				halo[i] = float32(math.NaN()) // padHalo must overwrite all of it
-			}
-			padHalo(halo, x, tc.ch, g, 2)
-			var tables []int
-			p := patchMatrix(g, tc.ch, tc.k, &tables)
-
-			patchRows, voxels := tc.ch*tc.k*tc.k*tc.k, tc.d*tc.h*tc.w
-			for _, trans := range []bool{false, true} {
-				kdim, n := patchRows, voxels
-				if trans {
-					kdim, n = voxels, patchRows
+			kk, voxels := tc.k*tc.k*tc.k, tc.d*tc.h*tc.w
+			nans := func(n int) []float32 {
+				buf := make([]float32, n)
+				for i := range buf {
+					buf[i] = float32(math.NaN()) // the copy must overwrite all of it
 				}
+				return buf
+			}
+			// identityTimes returns I·V for the kdim×n operand op.
+			identityTimes := func(op gemm.Operand, kdim, n int) []float32 {
 				eye := make([]float32, kdim*kdim)
 				for i := 0; i < kdim; i++ {
 					eye[i*kdim+i] = 1
 				}
 				got := make([]float32, kdim*n)
-				gemm.GemmBatch(1, false, kdim, n, kdim, eye, kdim, 0, p.Operand(trans, halo, 0),
+				gemm.GemmBatch(1, false, kdim, n, kdim, eye, kdim, 0, op,
 					false, gemm.Epilogue{}, got, n, 0, 2)
-				for i := 0; i < kdim; i++ {
-					for j := 0; j < n; j++ {
-						r, v := i, j
-						if trans {
-							r, v = v, r
-						}
-						want := patchAt(x, tc.d, tc.h, tc.w, tc.k, r, v)
-						if got := got[i*n+j]; math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("trans=%v element (%d,%d) = %v, want %v", trans, i, j, got, want)
-						}
+				return got
+			}
+			check := func(what string, got, want float32, i, j int) {
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s element (%d,%d) = %v, want %v", what, i, j, got, want)
+				}
+			}
+			var tables []int
+
+			halo := nans(tc.ch * g.vol)
+			padHalo(halo, x, tc.ch, g, 2)
+			patchRows := tc.ch * kk
+			got := identityTimes(patchMatrix(g, tc.ch, tc.k, &tables).Operand(halo, 0), patchRows, voxels)
+			for r := 0; r < patchRows; r++ {
+				for v := 0; v < voxels; v++ {
+					check("P", got[r*voxels+v], patchAt(x, tc.d, tc.h, tc.w, tc.k, r, v), r, v)
+				}
+			}
+
+			cp := (tc.ch + 3) &^ 3
+			last := nans(g.vol * cp)
+			padChannelsLast(last, x, 1, tc.ch, cp, g, 2)
+			n := kk * cp
+			got = identityTimes(patchTransposed(g, cp, tc.k, &tables).Operand(last, 0), voxels, n)
+			for v := 0; v < voxels; v++ {
+				for j := 0; j < n; j++ {
+					tap, c := j/cp, j%cp
+					var want float32
+					if c < tc.ch {
+						want = patchAt(x, tc.d, tc.h, tc.w, tc.k, c*kk+tap, v)
 					}
+					check("Pᵀ", got[v*n+j], want, v, j)
 				}
 			}
 		})

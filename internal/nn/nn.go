@@ -27,7 +27,9 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -207,4 +209,36 @@ func check5D(op string, t *tensor.Tensor) (n, c, d, h, w int) {
 		panic(fmt.Sprintf("nn: %s expects a 5-D [N,C,D,H,W] tensor, got shape %v", op, s))
 	}
 	return s[0], s[1], s[2], s[3], s[4]
+}
+
+// checkGradShape panics, naming both shapes, unless gradOut has the shape of
+// the output it is the gradient of.
+func checkGradShape(op string, gradOut *tensor.Tensor, out ...int) {
+	if !slices.Equal(gradOut.Shape(), out) {
+		panic(fmt.Sprintf("nn: %s gradient shape %v does not match the output's %v", op, gradOut.Shape(), out))
+	}
+}
+
+// forChannelQuads runs fn over channels [0, c) in groups of four, one group
+// per parallel chunk: lanes holds the group's channels, the first live of
+// them real. A last group of fewer than four repeats its first channel in
+// the dead lanes, so a reduction steps four chains whatever c is; a caller
+// reads back the live lanes only.
+func forChannelQuads(workers, c int, fn func(lanes *[4]int, live int)) {
+	parallel.ForWorkers(workers, c, 4, func(lo, hi int) {
+		lanes := [4]int{lo, lo, lo, lo}
+		for ci := lo + 1; ci < hi; ci++ {
+			lanes[ci-lo] = ci
+		}
+		fn(&lanes, hi-lo)
+	})
+}
+
+// planes returns the size-float planes lanes[j] of a channel-major buffer,
+// counted from plane base: the channels of one sample when base is n·C.
+func planes(data []float32, base, size int, lanes *[4]int) (p [4][]float32) {
+	for j, ci := range lanes {
+		p[j] = data[(base+ci)*size:][:size]
+	}
+	return p
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -432,6 +433,50 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 			}()
 			l.Backward(tensor.New(1, 1, 2, 2, 2))
 		}()
+	}
+}
+
+// TestBackwardRejectsMismatchedGradient feeds each layer a gradient whose
+// shape differs from its forward output's — a smaller or larger batch, a
+// different extent or channel count — and demands a panic that names both
+// shapes, instead of gradients computed over the wrong extent or an index
+// error from deep inside a kernel.
+func TestBackwardRejectsMismatchedGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := []struct {
+		name  string
+		layer Layer
+		in    []int // forward input
+		grad  []int // the mismatched gradient
+	}{
+		{"BatchNorm smaller batch", NewBatchNorm("bn", 3), []int{2, 3, 2, 2, 2}, []int{1, 3, 2, 2, 2}},
+		{"BatchNorm larger batch", NewBatchNorm("bn", 3), []int{2, 3, 2, 2, 2}, []int{3, 3, 2, 2, 2}},
+		{"BatchNorm other extent", NewBatchNorm("bn", 3), []int{2, 3, 2, 2, 2}, []int{2, 3, 2, 2, 3}},
+		{"Conv3D larger batch", NewConv3D("c", 2, 3, 3, rng), []int{1, 2, 4, 4, 4}, []int{2, 3, 4, 4, 4}},
+		{"Conv3D smaller batch", NewConv3D("c", 2, 3, 3, rng), []int{2, 2, 4, 4, 4}, []int{1, 3, 4, 4, 4}},
+		{"Conv3D other extent", NewConv3D("c", 2, 3, 3, rng), []int{1, 2, 4, 4, 4}, []int{1, 3, 4, 4, 3}},
+		{"Conv3D other channels", NewConv3D("c", 2, 3, 3, rng), []int{1, 2, 4, 4, 4}, []int{1, 2, 4, 4, 4}},
+		{"ConvTranspose3D larger batch", NewConvTranspose3D("u", 2, 3, 2, rng), []int{1, 2, 2, 2, 2}, []int{2, 3, 4, 4, 4}},
+		{"ConvTranspose3D smaller batch", NewConvTranspose3D("u", 2, 3, 2, rng), []int{2, 2, 2, 2, 2}, []int{1, 3, 4, 4, 4}},
+		{"ConvTranspose3D input extent", NewConvTranspose3D("u", 2, 3, 2, rng), []int{1, 2, 2, 2, 2}, []int{1, 3, 2, 2, 2}},
+		{"ReLU smaller", NewReLU(), []int{2, 3, 2, 2, 2}, []int{1, 3, 2, 2, 2}},
+		{"ReLU larger", NewReLU(), []int{1, 3, 2, 2, 2}, []int{2, 3, 2, 2, 2}},
+		{"Sigmoid smaller", NewSigmoid(), []int{2, 1, 2, 2, 2}, []int{2, 1, 2, 2, 1}},
+		{"Sigmoid larger", NewSigmoid(), []int{1, 1, 2, 2, 2}, []int{2, 1, 2, 2, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := tc.layer.Forward(randTensor(rng, tc.in...))
+			grad := randTensor(rng, tc.grad...)
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("gradient shape %v does not match the output's %v", grad.Shape(), out.Shape())
+				if !strings.Contains(msg, want) {
+					t.Fatalf("Backward panicked with %q, want a message containing %q", msg, want)
+				}
+			}()
+			tc.layer.Backward(grad)
+		})
 	}
 }
 

@@ -26,37 +26,50 @@ var equalityWorkerCounts = []int{1, 2, 3, 7, 16}
 
 // TestLayersWorkerCountInvariant checks that for every parallel layer the
 // results are bit-for-bit independent of the worker budget (budget 1 is the
-// deterministic baseline the others must reproduce).
+// deterministic baseline the others must reproduce). The per-channel
+// reductions run four channels to a parallel chunk, so BatchNorm and the
+// ConvBNReLU block also run at 6 and 9 channels, where the last group of
+// four is cut short.
 func TestLayersWorkerCountInvariant(t *testing.T) {
-	const n, c, d, h, w = 2, 4, 4, 6, 6
-	rng := rand.New(rand.NewSource(3))
-	x := randTensor(rng, n, c, d, h, w)
-	gradOut := randTensor(rng, n, c, d, h, w)
-
-	layers := map[string]func() Layer{
-		"BatchNorm": func() Layer { return NewBatchNorm("bn", c) },
-		"MaxPool3D": func() Layer { return NewMaxPool3D(2) },
-		"ReLU":      func() Layer { return NewReLU() },
-		"Sigmoid":   func() Layer { return NewSigmoid() },
+	const n, d, h, w = 2, 4, 6, 6
+	layers := []struct {
+		name    string
+		inC, c  int
+		mk      func() Layer
+		shrinks bool // halves every extent (the gradient is the pooled shape)
+	}{
+		{"BatchNorm", 4, 4, func() Layer { return NewBatchNorm("bn", 4) }, false},
+		{"MaxPool3D", 4, 4, func() Layer { return NewMaxPool3D(2) }, true},
+		{"ReLU", 4, 4, func() Layer { return NewReLU() }, false},
+		{"Sigmoid", 4, 4, func() Layer { return NewSigmoid() }, false},
+		{"BatchNorm_c6", 6, 6, func() Layer { return NewBatchNorm("bn", 6) }, false},
+		{"BatchNorm_c9", 9, 9, func() Layer { return NewBatchNorm("bn", 9) }, false},
+		{"ConvBNReLU_c6", 3, 6, func() Layer { return NewConvBNReLU("b", 3, 6, 3, rand.New(rand.NewSource(5))) }, false},
+		{"ConvBNReLU_c9", 3, 9, func() Layer { return NewConvBNReLU("b", 3, 9, 3, rand.New(rand.NewSource(5))) }, false},
 	}
-	for name, mk := range layers {
-		t.Run(name, func(t *testing.T) {
-			base := mk()
-			base.(WorkerSetter).SetWorkers(1)
-			refOut := base.Forward(x)
-			refGrad := gradOut
-			if name == "MaxPool3D" {
-				refGrad = randTensor(rand.New(rand.NewSource(9)), n, c, d/2, h/2, w/2)
+	for _, tc := range layers {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			x := randTensor(rng, n, tc.inC, d, h, w)
+			gradOut := randTensor(rng, n, tc.c, d, h, w)
+			if tc.shrinks {
+				gradOut = randTensor(rand.New(rand.NewSource(9)), n, tc.c, d/2, h/2, w/2)
 			}
-			refIn := base.Backward(refGrad)
-
-			for _, workers := range equalityWorkerCounts[1:] {
-				l := mk()
+			// The block's Backward overwrites its gradient and its results
+			// are its own buffers: every call gets a copy, every result is
+			// copied out.
+			step := func(workers int) (out, in []float32, l Layer) {
+				l = tc.mk()
 				l.(WorkerSetter).SetWorkers(workers)
-				out := l.Forward(x)
-				assertBitEqual(t, "forward output", workers, refOut.Data(), out.Data())
-				in := l.Backward(refGrad)
-				assertBitEqual(t, "input gradient", workers, refIn.Data(), in.Data())
+				out = append([]float32(nil), l.Forward(x).Data()...)
+				in = append([]float32(nil), l.Backward(gradOut.Clone()).Data()...)
+				return out, in, l
+			}
+			refOut, refIn, base := step(1)
+			for _, workers := range equalityWorkerCounts[1:] {
+				out, in, l := step(workers)
+				assertBitEqual(t, "forward output", workers, refOut, out)
+				assertBitEqual(t, "input gradient", workers, refIn, in)
 				for pi, p := range l.Params() {
 					assertBitEqual(t, p.Name+" gradient", workers, base.Params()[pi].Grad.Data(), p.Grad.Data())
 				}
