@@ -61,6 +61,15 @@
 // order whichever way B reaches it, so a product is bit-for-bit the same
 // through any of them.
 //
+// C is a Target: a stored row-major matrix (Into), or a Scattered one, whose
+// elements go in short strided runs to offsets listed once — how a stride-2
+// transposed convolution's product lands on its output voxels with no column
+// buffer and no scatter pass. The assembly stores full tiles whose row pairs
+// interleave (step 2, adjacent rows) as contiguous runs; any other scattered
+// tile goes through the Go store that merges ragged tiles. Either way each
+// element is stored once, with the same epilogue, so the bits are those of
+// the dense product scattered afterwards.
+//
 // The packed A and the packing panels come from the tensor scratch pool, so
 // steady-state callers allocate nothing.
 package gemm
@@ -118,7 +127,7 @@ func Gemm(transA, transB bool, m, n, k int,
 	accumulate bool, c []float32, ldc int, workers int) {
 
 	GemmBatch(1, transA, m, n, k, a, lda, 0, Dense(transB, b, ldb, 0),
-		accumulate, Epilogue{}, c, ldc, 0, workers)
+		accumulate, Epilogue{}, Into(c, ldc, 0), workers)
 }
 
 // Epilogue is what GemmBatch's store does to each element of a
@@ -177,14 +186,13 @@ func (e *Epilogue) check(m int, accumulate bool) {
 // GemmBatch computes count independent, same-shape products
 // C[i] = op(A[i])·op(B[i]) (or += when accumulate is true). Instance i's A
 // is a[i·strideA:] with leading dimension lda (strideA 0: every instance
-// shares one A, packed once), its C is c[i·strideC:] with leading dimension
-// ldc, and its B is b's instance i. The parallel partition is over
-// (instance × column block) pairs, so the parallel degree is
-// count × ⌈n/ncBlock⌉ — what lets a convolution over a batch scale with the
-// batch size when one sample's column count fits in one or two blocks. Each
-// C element is owned by exactly one worker and accumulated in an order —
-// K ascending within a kcBlock slice, slices ascending — that depends only
-// on the problem shape, so results are bit-for-bit identical to count
+// shares one A, packed once), its B is b's instance i and its C is c's. The
+// parallel partition is over (instance × column block) pairs, so the parallel
+// degree is count × ⌈n/ncBlock⌉ — what lets a convolution over a batch scale
+// with the batch size when one sample's column count fits in one or two
+// blocks. Each C element is owned by exactly one worker and accumulated in an
+// order — K ascending within a kcBlock slice, slices ascending — that depends
+// only on the problem shape, so results are bit-for-bit identical to count
 // sequential Gemm calls at any budget.
 //
 // ep (not combined with accumulate) is applied by the store that writes each
@@ -192,13 +200,14 @@ func (e *Epilogue) check(m int, accumulate bool) {
 // so neither costs a pass of its own.
 func GemmBatch(count int, transA bool, m, n, k int,
 	a []float32, lda, strideA int, b Operand,
-	accumulate bool, ep Epilogue, c []float32, ldc, strideC, workers int) {
+	accumulate bool, ep Epilogue, c Target, workers int) {
 
 	if count <= 0 || m <= 0 || n <= 0 {
 		return
 	}
 	ep.check(m, accumulate)
 	b.check(count, n, k)
+	c.check(count, m, n)
 	if k <= 0 {
 		// No K: C is the bias (zero without one), normalized if asked.
 		if !accumulate {
@@ -211,9 +220,9 @@ func GemmBatch(count int, transA bool, m, n, k int,
 					v = ep.Norm.apply(v, r)
 				}
 				for i := 0; i < count; i++ {
-					row := c[i*strideC+r*ldc:][:n]
-					for j := range row {
-						row[j] = v
+					ci, row := c.instance(i), c.row(r)
+					for j := 0; j < n; j++ {
+						ci[row+c.col(j)] = v
 					}
 				}
 			}
@@ -226,6 +235,7 @@ func GemmBatch(count int, transA bool, m, n, k int,
 	mPad := aSize / k
 	nBlocks := (n + ncBlock - 1) / ncBlock
 	parallel.ForWorkers(workers, count*nBlocks, 1, func(lo, hi int) {
+		c := c // macroKernel takes c's address: taking the captured one's would move it to the heap
 		var panels []float32
 		if !b.inPlace() {
 			panels = tensor.GetScratch(kcBlock * ncBlock)
@@ -237,7 +247,7 @@ func GemmBatch(count int, transA bool, m, n, k int,
 			if strideA != 0 {
 				ai = packedA[i*aSize : (i+1)*aSize]
 			}
-			ci := c[i*strideC:]
+			ci := c.instance(i)
 			j0 := jb * ncBlock
 			jw := min(ncBlock, n-j0)
 			for p0 := 0; p0 < k; p0 += kcBlock {
@@ -252,8 +262,7 @@ func GemmBatch(count int, transA bool, m, n, k int,
 				}
 				for i0 := 0; i0 < m; i0 += mcBlock {
 					iw := min(mcBlock, m-i0)
-					macroKernel(iw, jw, pw, ai[mPad*p0+i0*pw:], &blk,
-						ci, i0*ldc+j0, ldc, &st, i0)
+					macroKernel(iw, jw, pw, ai[mPad*p0+i0*pw:], &blk, &c, ci, i0, j0, &st)
 				}
 			}
 		}
@@ -347,6 +356,118 @@ func NewGathered(rows, starts []int, run int) Gathered {
 // src[i·stride:].
 func (g Gathered) Operand(src []float32, stride int) Operand {
 	return Operand{src: src, stride: stride, g: g}
+}
+
+// Target is the C side of a GemmBatch: where each instance's product is
+// stored — a row-major matrix, or a Scattered layout.
+type Target struct {
+	dst    []float32 // instance i's C is dst[i·stride:]
+	stride int
+	ldc    int       // dense only
+	s      Scattered // zero for dense
+}
+
+// Into is the target of dense row-major matrices: instance i's C is the m×n
+// matrix at c[i·stride:] with leading dimension ldc.
+func Into(c []float32, ldc, stride int) Target {
+	return Target{dst: c, stride: stride, ldc: ldc}
+}
+
+// Scattered is the mirror of Gathered on the C side: a destination whose
+// elements go in short strided runs to offsets listed once,
+//
+//	C[r, run·v + e] is stored at dst[rows[r] + starts[v] + e·step],  e < run
+//
+// — len(rows) rows by run·len(starts) columns; a dense C would be rows[r] =
+// r·ldc, starts[v] = 4v, run 4, step 1. A stride-k transposed convolution's
+// output has this form: a row is an (output channel, kernel tap) offset, a
+// start the window corner of four input voxels along a volume row, the step
+// k — and where the kernel's kx taps are adjacent rows, a full tile's store
+// interleaves each pair of rows in registers and writes contiguous runs. run
+// is 4, or 1 for rows whose width is not a multiple of 4 (one start per
+// column). Every element must have an offset of its own: two that share one
+// race.
+type Scattered struct {
+	rows, starts []int
+	run, step    int
+	span         int // the destination must hold at least this many floats
+}
+
+// NewScattered checks the offset tables of a scattered destination once, so
+// the products that store through it check only the length of their
+// destination, and the assembly none.
+func NewScattered(rows, starts []int, run, step int) Scattered {
+	if run != 1 && run != 4 || step < 1 {
+		panic("gemm: scattered run must be 1 or 4, and step positive")
+	}
+	s := Scattered{rows: rows, starts: starts, run: run, step: step}
+	if len(rows) > 0 && len(starts) > 0 {
+		lo, hi := extremes(rows)
+		slo, shi := extremes(starts)
+		if lo+slo < 0 {
+			panic("gemm: scattered offset is negative")
+		}
+		s.span = hi + shi + (run-1)*step + 1
+	}
+	return s
+}
+
+// Into is the GemmBatch target whose instance i is C scattered over
+// dst[i·stride:]. s must come from NewScattered: a zero Scattered, which a
+// Target reads as dense, panics.
+func (s Scattered) Into(dst []float32, stride int) Target {
+	if s.run == 0 {
+		panic("gemm: Scattered not made by NewScattered")
+	}
+	return Target{dst: dst, stride: stride, s: s}
+}
+
+// check panics unless a scattered target is m×n and the destination of its
+// last instance holds every offset — the bounds check of the assembly that
+// stores through it, which does none. A dense target's rows are sliced, and
+// so checked, as tiles are stored.
+func (t Target) check(count, m, n int) {
+	if t.s.run == 0 {
+		return
+	}
+	if len(t.s.rows) != m || t.s.run*len(t.s.starts) != n {
+		panic("gemm: scattered target shape does not match the product")
+	}
+	if t.stride < 0 || len(t.dst) < (count-1)*t.stride+t.s.span {
+		panic("gemm: scattered offsets run past the end of the destination")
+	}
+}
+
+// instance returns the destination of instance i, from its C's origin.
+func (t Target) instance(i int) []float32 { return t.dst[i*t.stride:] }
+
+// row returns the offset of row r of C; col that of column j, so element
+// (r, j) is stored at row(r) + col(j).
+func (t Target) row(r int) int {
+	if t.s.run == 0 {
+		return r * t.ldc
+	}
+	return t.s.rows[r]
+}
+
+func (t Target) col(j int) int {
+	switch t.s.run {
+	case 0:
+		return j
+	case 1:
+		return t.s.starts[j]
+	}
+	return t.s.starts[j/4] + j%4*t.s.step
+}
+
+// pairs reports whether the store of the full tile whose first row is r, as
+// st says, is the assembly's scattered store: a first-slice store (bias and
+// normalization allowed, no add) of runs of 4, step 2, whose rows r, r+1 and
+// r+2, r+3 are adjacent.
+func (t Target) pairs(st *store, r int) bool {
+	rows := t.s.rows
+	return t.s.run == 4 && t.s.step == 2 && !st.add &&
+		rows[r+1] == rows[r]+1 && rows[r+3] == rows[r+2]+1
 }
 
 // extremes returns the smallest and largest element of a non-empty list.
@@ -523,11 +644,19 @@ type store struct {
 
 // tileStore is a store as the microkernel reads it, for the mr rows of one
 // full tile. kernel_amd64.s reads the fields at the offsets noted.
+//
+// With rows set the tile is scattered (never added): element (i, 4q+e) goes
+// to c[rows[i] + starts[q] + 2e], c being the instance's whole destination.
+// The assembly takes rows to be two adjacent pairs (rows[1] = rows[0]+1,
+// rows[3] = rows[2]+1) and stores each pair as four 8-float runs, the two
+// rows interleaved; kernelGo stores any rows.
 type tileStore struct {
 	add         bool         // 0
 	bias        *[mr]float32 // 8: nil, or the rows' bias
 	gamma, beta *[mr]float32 // 16, 24: gamma nil, no normalization
 	mean, rstd  *[mr]float64 // 32, 40
+	rows        *[mr]int     // 48: nil, a dense tile
+	starts      *[4]int      // 56: the column runs' starts of a scattered tile
 }
 
 // tile returns the store of the full tile whose first row is r.
@@ -544,43 +673,68 @@ func (s *store) tile(r int) tileStore {
 }
 
 // macroKernel multiplies the packed iw×pw A block by the pw×jw B block into
-// C at offset cOff, whose first row is row r0 of the product, storing as st
-// says. Full mr×nr tiles are stored by the microkernel; a ragged edge tile is
-// computed into a stack buffer and only its live rows and columns stored, by
-// the same epilogue in Go. A B panel stays in L1 while the A panels stream
-// past it.
-func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff, ldc int, st *store, r0 int) {
+// the rows r0.. and columns j0.. of instance C ci, stored through c as st
+// says. Full mr×nr tiles of a dense C, and those of a scattered C that pair
+// up, are stored by the microkernel; any other tile — ragged, or scattered
+// in a way the microkernel does not store — is computed into a stack buffer
+// and its live elements stored one by one, by the same epilogue in Go. A B
+// panel stays in L1 while the A panels stream past it.
+func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
 	var tile [mr * nr]float32
 	var tiles [mcBlock / mr]tileStore
+	var starts [4]int // the scattered tiles' column starts, this panel's
+	var cols [nr]int  // the panel's column offsets
 	for ip := 0; ip < iw/mr; ip++ {
-		tiles[ip] = st.tile(r0 + ip*mr)
+		r := r0 + ip*mr
+		tiles[ip] = st.tile(r)
+		if c.pairs(st, r) {
+			tiles[ip].rows, tiles[ip].starts = (*[mr]int)(c.s.rows[r:]), &starts
+		}
 	}
 	for jp := 0; jp*nr < jw; jp++ {
 		quads := b.quads(jp)
-		cols := min(nr, jw-jp*nr)
+		j := j0 + jp*nr
+		live := min(nr, jw-jp*nr)
+		if c.s.run == 0 {
+			for jj := range cols[:live] {
+				cols[jj] = j + jj
+			}
+		} else {
+			for jj := range cols[:live] {
+				cols[jj] = c.col(j + jj)
+			}
+			starts = [4]int{cols[0], cols[4], cols[8], cols[12]}
+		}
 		for ip := 0; ip*mr < iw; ip++ {
 			ap := packedA[ip*pw*mr : (ip+1)*pw*mr]
 			rows := min(mr, iw-ip*mr)
-			base := cOff + ip*mr*ldc + jp*nr
-			if rows == mr && cols == nr {
-				kernel(ap, b.b, b.rows, &quads, c[base:base+(mr-1)*ldc+nr], ldc, &tiles[ip])
-				continue
+			r := r0 + ip*mr
+			if rows == mr && live == nr {
+				if c.s.run == 0 {
+					base := r*c.ldc + j
+					kernel(ap, b.b, b.rows, &quads, ci[base:base+(mr-1)*c.ldc+nr], c.ldc, &tiles[ip])
+					continue
+				}
+				if tiles[ip].rows != nil {
+					kernel(ap, b.b, b.rows, &quads, ci, 0, &tiles[ip])
+					continue
+				}
 			}
 			kernel(ap, b.b, b.rows, &quads, tile[:], nr, &tileStore{})
 			for ii := 0; ii < rows; ii++ {
-				r := r0 + ip*mr + ii
-				crow := c[base+ii*ldc:][:cols]
-				for jj, v := range tile[ii*nr:][:cols] {
+				row := c.row(r + ii)
+				for jj, v := range tile[ii*nr:][:live] {
+					at := row + cols[jj]
 					switch {
 					case st.add:
-						v = crow[jj] + v
+						v = ci[at] + v
 					case st.bias != nil:
-						v = st.bias[r] + v
+						v = st.bias[r+ii] + v
 					}
 					if st.norm.Mean != nil {
-						v = st.norm.apply(v, r)
+						v = st.norm.apply(v, r+ii)
 					}
-					crow[jj] = v
+					ci[at] = v
 				}
 			}
 		}
@@ -590,8 +744,9 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c []float32, cOff
 // kernelGo is the portable microkernel and the reference for the assembly
 // one: it computes the mr×nr tile product of a packed A panel and the B panel
 // whose K step p, columns 4q..4q+3, is b[rows[p] + quads[q] :][:4], over
-// len(rows) K steps, and stores it as st says into the mr×nr block at the
-// head of c, rows ldc apart, touching nothing else of c. The tile is worked
+// len(rows) K steps, and stores it as st says: into the mr×nr block at the
+// head of c, rows ldc apart, or, when st is scattered, to the tile's offsets
+// in c, touching nothing else of c. The tile is worked
 // as nr/4 strips of 4×4, one per quad, so that a strip's sixteen
 // accumulators are locals the compiler keeps in registers (an array would
 // live in memory, and updating them four to a tuple assignment spills and
@@ -627,7 +782,10 @@ func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, s
 		for i, row := range [mr][4]float32{
 			{c00, c01, c02, c03}, {c10, c11, c12, c13}, {c20, c21, c22, c23}, {c30, c31, c32, c33},
 		} {
-			crow := (*[4]float32)(c[i*ldc+4*q:])
+			var crow *[4]float32 // a dense tile's row; a scattered tile never adds
+			if st.rows == nil {
+				crow = (*[4]float32)(c[i*ldc+4*q:])
+			}
 			for jj := range row {
 				switch {
 				case st.add:
@@ -639,7 +797,12 @@ func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, s
 					row[jj] = normReLU(row[jj], st.mean[i], st.rstd[i], st.gamma[i], st.beta[i])
 				}
 			}
-			*crow = row
+			if crow != nil {
+				*crow = row
+				continue
+			}
+			out := c[st.rows[i]+st.starts[q]:]
+			out[0], out[2], out[4], out[6] = row[0], row[1], row[2], row[3]
 		}
 	}
 }

@@ -72,6 +72,19 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	NORMHALF(lo, lox);           \
 	NORMHALF(hi, hix)
 
+// Stores one 8-column half of a row pair, lo (the first row) and hi (the
+// second), interleaved — lo[0], hi[0], lo[1], hi[1], … — as two 8-float runs:
+// columns 0-3 at base + 4·q0 and columns 4-7 at base + 4·q1 bytes. VUNPCK
+// interleaves within each 128-bit lane, so the lanes' low halves make the
+// first run and their high halves the second.
+#define PAIR(lo, hi, base, q0, q1) \
+	VUNPCKLPS  hi, lo, Y8;          \
+	VUNPCKHPS  hi, lo, Y9;          \
+	VPERM2F128 $0x20, Y9, Y8, Y10;  \
+	VPERM2F128 $0x31, Y9, Y8, Y11;  \
+	VMOVUPS    Y10, (base)(q0*4);   \
+	VMOVUPS    Y11, (base)(q1*4)
+
 // func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore)
 //
 // The 4×16 tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
@@ -82,7 +95,9 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // as in a packed panel or a volume row a multiple of 8 wide — each 8-column
 // half is one 32-byte load; otherwise it is two 16-byte ones. The store
 // follows st (a tileStore: add at 0, bias 8, gamma 16, beta 24, mean 32,
-// rstd 40).
+// rstd 40, rows 48, starts 56). A scattered store (rows set, never add) takes
+// c as the whole destination and ldc as unused, and writes rows 0 and 1, and
+// rows 2 and 3, interleaved at c + rows[0] and c + rows[2] plus each start.
 TEXT ·kernelAVX2(SB), NOSPLIT, $0-120
 	MOVQ   a_base+0(FP), SI
 	MOVQ   b_base+24(FP), DI
@@ -187,6 +202,9 @@ norm:
 	NORMROW(24, 12, Y6, X6, Y7, X7)
 
 store:
+	MOVQ    48(AX), BX          // scattered rows
+	TESTQ   BX, BX
+	JNZ     scatter
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
 	VMOVUPS Y2, (R9)
@@ -195,6 +213,23 @@ store:
 	VMOVUPS Y5, 32(R10)
 	VMOVUPS Y6, (R11)
 	VMOVUPS Y7, 32(R11)
+	VZEROUPPER
+	RET
+
+scatter:
+	MOVQ 0(BX), R8
+	MOVQ 16(BX), R9
+	LEAQ (DX)(R8*4), R8         // rows 0 and 1
+	LEAQ (DX)(R9*4), R9         // rows 2 and 3
+	MOVQ 56(AX), AX             // starts
+	MOVQ 0(AX), R10
+	MOVQ 8(AX), R11
+	MOVQ 16(AX), R12
+	MOVQ 24(AX), R13
+	PAIR(Y0, Y2, R8, R10, R11)
+	PAIR(Y1, Y3, R8, R12, R13)
+	PAIR(Y4, Y6, R9, R10, R11)
+	PAIR(Y5, Y7, R9, R12, R13)
 	VZEROUPPER
 	RET
 

@@ -317,7 +317,7 @@ func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 			g := NewGathered(rows, starts, 4)
 			k, n := len(rows), 4*len(starts)
 			GemmBatch(count, false, 1, n, k, a, k, 0, g.Operand(src, stride),
-				false, Epilogue{}, c, n, n, 1)
+				false, Epilogue{}, Into(c, n, n), 1)
 		}
 	}
 	for name, call := range map[string]func(){

@@ -130,69 +130,3 @@ func (s *Sigmoid) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tens
 	})
 	return gradIn
 }
-
-// ConcatChannels concatenates a and b along the channel axis; it implements
-// the U-Net skip connections. Both inputs must agree on every other
-// dimension.
-func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor { return concatChannels(a, b, tensor.New) }
-
-// ConcatChannelsScratch is ConcatChannels with a pool-backed result, for the
-// inference fast path.
-func ConcatChannelsScratch(a, b *tensor.Tensor) *tensor.Tensor {
-	return concatChannels(a, b, tensor.NewScratch)
-}
-
-// ConcatChannelsOwned is ConcatChannels with the result written into dst.
-func ConcatChannelsOwned(a, b *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	return concatChannels(a, b, dst.Shaped)
-}
-
-func concatChannels(a, b *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	na, ca, da, ha, wa := check5D("ConcatChannels", a)
-	nb, cb, db, hb, wb := check5D("ConcatChannels", b)
-	if na != nb || da != db || ha != hb || wa != wb {
-		panic("nn: ConcatChannels spatial/batch mismatch")
-	}
-	out := alloc(na, ca+cb, da, ha, wa)
-	spatial := da * ha * wa
-	ad, bd, od := a.Data(), b.Data(), out.Data()
-	for ni := 0; ni < na; ni++ {
-		dst := ni * (ca + cb) * spatial
-		srcA := ni * ca * spatial
-		copy(od[dst:dst+ca*spatial], ad[srcA:srcA+ca*spatial])
-		srcB := ni * cb * spatial
-		copy(od[dst+ca*spatial:dst+(ca+cb)*spatial], bd[srcB:srcB+cb*spatial])
-	}
-	return out
-}
-
-// SplitChannelsGrad splits a gradient w.r.t. a channel concatenation back
-// into the gradients of the two inputs with ca and cb channels respectively.
-func SplitChannelsGrad(grad *tensor.Tensor, ca, cb int) (ga, gb *tensor.Tensor) {
-	return splitChannelsGrad(grad, ca, cb, tensor.New, tensor.New)
-}
-
-// SplitChannelsGradOwned is SplitChannelsGrad with the two halves written
-// into dstA and dstB.
-func SplitChannelsGradOwned(grad *tensor.Tensor, ca, cb int, dstA, dstB *tensor.Owned) (ga, gb *tensor.Tensor) {
-	return splitChannelsGrad(grad, ca, cb, dstA.Shaped, dstB.Shaped)
-}
-
-func splitChannelsGrad(grad *tensor.Tensor, ca, cb int, allocA, allocB allocFunc) (ga, gb *tensor.Tensor) {
-	n, c, d, h, w := check5D("SplitChannelsGrad", grad)
-	if c != ca+cb {
-		panic("nn: SplitChannelsGrad channel count mismatch")
-	}
-	ga = allocA(n, ca, d, h, w)
-	gb = allocB(n, cb, d, h, w)
-	spatial := d * h * w
-	gd, gad, gbd := grad.Data(), ga.Data(), gb.Data()
-	for ni := 0; ni < n; ni++ {
-		src := ni * c * spatial
-		dstA := ni * ca * spatial
-		copy(gad[dstA:dstA+ca*spatial], gd[src:src+ca*spatial])
-		dstB := ni * cb * spatial
-		copy(gbd[dstB:dstB+cb*spatial], gd[src+ca*spatial:src+c*spatial])
-	}
-	return ga, gb
-}

@@ -106,7 +106,7 @@ func (c *Conv3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tenso
 	n, _, d, h, w := check5D("Conv3D.Backward", x)
 	checkGradShape("Conv3D.Backward", gradOut, n, c.OutChannels, d, h, w)
 
-	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, d*h*w, c.workers)
+	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, c.OutChannels, d*h*w, c.workers)
 	c.weightGradGEMM(gradOut)
 	if alloc == nil {
 		return nil
@@ -116,16 +116,15 @@ func (c *Conv3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tenso
 	return gradIn
 }
 
-// biasGrad accumulates the bias gradient of a convolution — the sum of god
-// ([n, len(gb), chStride]) per output channel — onto gb: per sample a
-// float32 sub-total from +0 in element order, added onto the channel's
-// gradient with samples ascending, which is the serial reference's order at
-// any worker budget. Four channels' chains are stepped together.
-func biasGrad(gb, god []float32, n, chStride, workers int) {
-	c := len(gb)
-	forChannelQuads(workers, c, func(lanes *[4]int, live int) {
+// biasGrad accumulates the bias gradient of a convolution — the sum of the
+// first len(gb) channels of god ([n, ch, chStride]), per channel — onto gb:
+// per sample a float32 sub-total from +0 in element order, added onto the
+// channel's gradient with samples ascending, which is the serial reference's
+// order at any worker budget. Four channels' chains are stepped together.
+func biasGrad(gb, god []float32, n, ch, chStride, workers int) {
+	forChannelQuads(workers, len(gb), func(lanes *[4]int, live int) {
 		for ni := 0; ni < n; ni++ {
-			p := planes(god, ni*c, chStride, lanes)
+			p := planes(god, ni*ch, chStride, lanes)
 			p0 := p[0]
 			p1, p2, p3 := p[1][:len(p0)], p[2][:len(p0)], p[3][:len(p0)]
 			var s0, s1, s2, s3 float32

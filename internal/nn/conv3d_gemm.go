@@ -165,7 +165,7 @@ func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
 	p := patchMatrix(g, ch, k, tables)
 	product := func(n0, count int, buf []float32, stride int) {
 		gemm.GemmBatch(count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(buf, stride),
-			false, ep, dst[n0*m*cols:], cols, m*cols, workers)
+			false, ep, gemm.Into(dst[n0*m*cols:], cols, m*cols), workers)
 	}
 	if k == 1 {
 		product(0, n, src, ch*cols)
@@ -288,7 +288,7 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 		count := min(group, n-n0)
 		padChannelsLast(halo, xd[n0*ic*cols:], count, ic, cp, g, workers)
 		gemm.GemmBatch(count, false, oc, ncols, cols, god[n0*oc*cols:], cols, oc*cols, pt.Operand(halo, g.vol*cp),
-			false, gemm.Epilogue{}, partials[n0*oc*ncols:], ncols, oc*ncols, workers)
+			false, gemm.Epilogue{}, gemm.Into(partials[n0*oc*ncols:], ncols, oc*ncols), workers)
 	}
 	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc, ic, kk, cp, workers)
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -10,9 +11,10 @@ import (
 // ConvTranspose3D is the paper's up-convolution: a transposed convolution
 // with a 2x2x2 kernel and stride 2 in each dimension, exactly doubling the
 // spatial extent. Because the stride equals the kernel size, output windows
-// do not overlap, so every pass is a matrix multiply plus a pure copy into or
+// do not overlap, so every pass is a matrix multiply plus at most a pure copy
 // out of column form (convtranspose3d_gemm.go) — bit-for-bit independent of
-// the worker budget.
+// the worker budget — and can write, and read its gradient from, the leading
+// channels of a wider tensor.
 type ConvTranspose3D struct {
 	workerBudget
 
@@ -56,10 +58,11 @@ func (c *ConvTranspose3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return c.apply(x, tensor.New)
 }
 
-// ForwardOwned is Forward with the output written into dst.
-func (c *ConvTranspose3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+// ForwardInto is Forward with the output written into the first OC channels
+// of dst ([N, C ≥ OC, K·D, K·H, K·W]), and nothing else of dst.
+func (c *ConvTranspose3D) ForwardInto(x, dst *tensor.Tensor) {
 	c.input = x
-	return c.apply(x, dst.Shaped)
+	c.forwardGEMMInto(x, dst)
 }
 
 // apply runs the forward kernel into a tensor drawn from alloc, retaining
@@ -75,25 +78,40 @@ func (c *ConvTranspose3D) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tenso
 // Backward accumulates parameter gradients and returns dL/d(input): the bias
 // pass first, then the fused kernel- and input-gradient pass.
 func (c *ConvTranspose3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return c.backward(gradOut, tensor.New)
+	return c.backward(gradOut, c.OutChannels, tensor.New)
 }
 
-// BackwardOwned is Backward with the input gradient written into dst.
-func (c *ConvTranspose3D) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	return c.backward(gradOut, dst.Shaped)
+// BackwardWindow is Backward with the output gradient read in place from the
+// first OC channels of g ([N, C ≥ OC, …]), and the input gradient written
+// into dst.
+func (c *ConvTranspose3D) BackwardWindow(g *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+	ch := windowChannels("ConvTranspose3D.BackwardWindow", g, c.OutChannels)
+	return c.backward(g, ch, dst.Shaped)
 }
 
-func (c *ConvTranspose3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+// backward runs both passes on the first OC channels of g ([N, ch, …]).
+func (c *ConvTranspose3D) backward(g *tensor.Tensor, ch int, alloc allocFunc) *tensor.Tensor {
 	if c.input == nil {
 		panic("nn: ConvTranspose3D.Backward called before Forward")
 	}
 	x := c.input
 	n, _, d, h, w := check5D("ConvTranspose3D.Backward", x)
 	k := c.Kernel
-	checkGradShape("ConvTranspose3D.Backward", gradOut, n, c.OutChannels, d*k, h*k, w*k)
+	checkGradShape("ConvTranspose3D.Backward", g, n, ch, d*k, h*k, w*k)
 	gradIn := alloc(x.Shape()...)
 
-	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, d*k*h*k*w*k, c.workers)
-	c.backwardGEMMInto(gradOut, gradIn)
+	vol := d * k * h * k * w * k
+	biasGrad(c.B.Grad.Data(), g.Data(), n, ch, vol, c.workers)
+	c.backwardGEMMInto(g, gradIn)
 	return gradIn
+}
+
+// windowChannels returns the channel count of t after checking that it holds
+// at least oc channels.
+func windowChannels(op string, t *tensor.Tensor, oc int) int {
+	_, ch, _, _, _ := check5D(op, t)
+	if oc > ch {
+		panic(fmt.Sprintf("nn: %s needs %d channels, %v has %d", op, oc, t.Shape(), ch))
+	}
+	return ch
 }

@@ -12,91 +12,102 @@ import (
 // stride, output windows never overlap, so the transposed convolution is a
 // matrix product whose column matrix sits on the output side. With W as the
 // [IC, OC·K³] matrix, x[n] as [IC, D·H·W] and Cols as [OC·K³, D·H·W] (one
-// row per output channel and position within a window),
+// row per output channel and position within a window, in (oc, kz, ky, kx)
+// order),
 //
-//	forward:          Cols    = Wᵀ·x[n],  Out[n] = scatter(Cols) + b
+//	forward:          Out[n]  = scatter(Wᵀ·x[n] + b)
 //	backward-weights: gW     += x[n]·Colsᵀ(gOut[n])
 //	backward-input:   gIn[n]  = W·Cols(gOut[n])
 //
-// where Cols(gOut[n]) gathers the output gradient back into column form. The
-// scatter and gather are pure copies (each output voxel belongs to exactly
-// one window) of a matrix only K³/stride³ = 1× the output, parallelized over
-// single-owner output-channel / row partitions.
+// The forward's scatter is the GEMM's store into a gemm.Scattered Out[n]
+// (upScatter), so one batched product, Wᵀ packed once, writes every output
+// voxel once, bias added; at K = 2 each register tile holds two kx row
+// pairs, which the assembly store interleaves into contiguous runs. The
+// backward gathers the output gradient into column form once, a pure copy
+// (each output voxel belongs to exactly one window), for the two batched
+// gradient products. Out may be the first OC channels of a wider tensor, the
+// decoder's concatenation.
 
-// forwardGEMMInto runs the GEMM forward kernel into a caller-provided output
-// tensor (every element is written exactly once by the non-overlapping
-// window scatter), retaining nothing — the shared body of the training
-// forward and the inference fast path.
-func (c *ConvTranspose3D) forwardGEMMInto(x, out *tensor.Tensor) {
+// upScatter describes the output of one sample as the scattered destination
+// of the forward product: row (oc, kz, ky, kx) at channel oc's plane plus
+// the tap's offset from the window corner, and voxel (z, y, x)'s window
+// corner as its start, four voxels a run where rows are a multiple of 4 wide
+// (the outputs K apart), one otherwise. The tables are written into *buf,
+// which grows to fit them.
+func upScatter(oc, k, d, h, w int, buf *[]int) gemm.Scattered {
+	oh, ow := h*k, w*k
+	plane := d * k * oh * ow
+	tables := (*buf)[:0]
+	for o := 0; o < oc; o++ {
+		for kz := 0; kz < k; kz++ {
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					tables = append(tables, o*plane+(kz*oh+ky)*ow+kx)
+				}
+			}
+		}
+	}
+	nRows := len(tables)
+	run := 1
+	if w%4 == 0 {
+		run = 4
+	}
+	for z := 0; z < d; z++ {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x += run {
+				tables = append(tables, (z*k*oh+y*k)*ow+x*k)
+			}
+		}
+	}
+	*buf = tables
+	return gemm.NewScattered(tables[:nRows], tables[nRows:], run, k)
+}
+
+// forwardGEMMInto runs the forward product into the first OC channels of dst
+// ([N, C ≥ OC, K·D, K·H, K·W]), retaining nothing — the shared body of the
+// training forward and the inference fast path. Every element of those
+// channels is written once, by the GEMM's store, and nothing else of dst.
+func (c *ConvTranspose3D) forwardGEMMInto(x, dst *tensor.Tensor) {
 	n, ic, d, h, w := check5D("ConvTranspose3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: ConvTranspose3D expects %d input channels, got %d", c.InChannels, ic))
 	}
-	k := c.Kernel
-	od, oh, ow := d*k, h*k, w*k
-	oc := c.OutChannels
-
-	xd := x.Data()
-	outd := out.Data()
-	wd := c.W.Value.Data()
-	bd := c.B.Value.Data()
-
-	inCols := d * h * w
-	outCh := od * oh * ow
-	kk := k * k * k
-	rows := oc * kk
-	workers := c.workers
-
-	colsBuf := tensor.GetScratch(rows * inCols)
-	defer tensor.PutScratch(colsBuf)
-	for ni := 0; ni < n; ni++ {
-		xSlab := xd[ni*ic*inCols : (ni+1)*ic*inCols]
-		// Cols = Wᵀ·x[n]: W is stored [IC, OC·K³] row-major, so op(A)=Aᵀ.
-		gemm.Gemm(true, false, rows, inCols, ic, wd, rows, xSlab, inCols, false, colsBuf, inCols, workers)
-		// Scatter each (oc, kz, ky, kx) row into its strided output plane;
-		// windows do not overlap, so every output voxel is written once.
-		oBase := ni * oc * outCh
-		parallel.ForWorkers(workers, oc, 1, func(lo, hi int) {
-			for oci := lo; oci < hi; oci++ {
-				bias := bd[oci]
-				for tap := 0; tap < kk; tap++ {
-					kx := tap % k
-					ky := (tap / k) % k
-					kz := tap / (k * k)
-					src := colsBuf[(oci*kk+tap)*inCols:]
-					for z := 0; z < d; z++ {
-						for y := 0; y < h; y++ {
-							s := (z*h + y) * w
-							drow := outd[oBase+oci*outCh+((z*k+kz)*oh+y*k+ky)*ow+kx:]
-							for xx := 0; xx < w; xx++ {
-								drow[xx*k] = bias + src[s+xx]
-							}
-						}
-					}
-				}
-			}
-		})
+	k, oc := c.Kernel, c.OutChannels
+	ch := windowChannels("ConvTranspose3D", dst, oc)
+	if s := dst.Shape(); s[0] != n || s[2] != d*k || s[3] != h*k || s[4] != w*k {
+		panic(fmt.Sprintf("nn: ConvTranspose3D output %v does not fit input %v", s, x.Shape()))
 	}
+	kk := k * k * k
+	rows, cols := oc*kk, d*h*w
+
+	tables := patchTables.Get().(*[]int)
+	defer patchTables.Put(tables)
+	out := upScatter(oc, k, d, h, w, tables)
+	bias := tensor.GetScratch(rows)
+	defer tensor.PutScratch(bias)
+	for r := range bias {
+		bias[r] = c.B.Value.Data()[r/kk]
+	}
+	// Out = Wᵀ·x[n] + b: W is stored [IC, OC·K³] row-major, so op(A) = Aᵀ.
+	gemm.GemmBatch(n, true, rows, cols, ic, c.W.Value.Data(), rows, 0,
+		gemm.Dense(false, x.Data(), cols, ic*cols),
+		false, gemm.Epilogue{Bias: bias}, out.Into(dst.Data(), ch*d*k*h*k*w*k), c.workers)
 }
 
 // backwardGEMMInto is the fused GEMM kernel- and input-gradient pass (the
-// bias pass runs in the layer before it): the output gradient is gathered
-// into column form once and feeds both the batched kernel-gradient product
-// and the per-sample input-gradient GEMMs, so the two paths stay fused on
-// one gather.
-func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
+// bias pass runs in the layer before it) on the output gradient in the first
+// OC channels of g: they are gathered into column form once and feed
+// both the batched kernel-gradient product and the batched input-gradient
+// product.
+func (c *ConvTranspose3D) backwardGEMMInto(g, gradIn *tensor.Tensor) {
 	x := c.input
 	n, ic, d, h, w := check5D("ConvTranspose3D.Backward", x)
+	ch := g.Dim(1)
 	k := c.Kernel
 	od, oh, ow := d*k, h*k, w*k
 	oc := c.OutChannels
 
-	xd := x.Data()
-	gid := gradIn.Data()
-	god := gradOut.Data()
-	wd := c.W.Value.Data()
-	gwd := c.W.Grad.Data()
-
+	god := g.Data()
 	inCols := d * h * w
 	outCh := od * oh * ow
 	kk := k * k * k
@@ -105,7 +116,7 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 
 	// Gather the whole batch's output gradients into column form (inverse
 	// of the forward scatter), one owner per (sample, oc, tap) row, so the
-	// kernel-gradient pass below can run every sample's product at once.
+	// products below run every sample at once.
 	gradCols := tensor.GetScratch(n * rows * inCols)
 	defer tensor.PutScratch(gradCols)
 	parallel.ForWorkers(workers, n*rows, 1, func(lo, hi int) {
@@ -116,12 +127,12 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 			kx := tap % k
 			ky := (tap / k) % k
 			kz := tap / (k * k)
-			oBase := ni * oc * outCh
+			oBase := (ni*ch + oci) * outCh
 			dst := gradCols[(ni*rows+r)*inCols:]
 			for z := 0; z < d; z++ {
 				for y := 0; y < h; y++ {
 					s := (z*h + y) * w
-					srow := god[oBase+oci*outCh+((z*k+kz)*oh+y*k+ky)*ow+kx:]
+					srow := god[oBase+((z*k+kz)*oh+y*k+ky)*ow+kx:]
 					for xx := 0; xx < w; xx++ {
 						dst[s+xx] = srow[xx*k]
 					}
@@ -135,15 +146,13 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	// order per element (see conv3d_gemm.go).
 	partials := tensor.GetScratch(n * ic * rows)
 	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, ic, rows, inCols, xd, inCols, ic*inCols,
+	gemm.GemmBatch(n, false, ic, rows, inCols, x.Data(), inCols, ic*inCols,
 		gemm.Dense(true, gradCols, inCols, rows*inCols),
-		false, gemm.Epilogue{}, partials, rows, ic*rows, workers)
-	reduceWeightPartials(gwd, partials, n, ic, rows, 1, rows, workers)
+		false, gemm.Epilogue{}, gemm.Into(partials, rows, ic*rows), workers)
+	reduceWeightPartials(c.W.Grad.Data(), partials, n, ic, rows, 1, rows, workers)
 
-	// Input gradient: gIn[n] = W·gradCols.
-	for ni := 0; ni < n; ni++ {
-		gemm.Gemm(false, false, ic, inCols, rows,
-			wd, rows, gradCols[ni*rows*inCols:(ni+1)*rows*inCols], inCols,
-			false, gid[ni*ic*inCols:(ni+1)*ic*inCols], inCols, workers)
-	}
+	// Input gradient: gIn[n] = W·gradCols[n], W packed once.
+	gemm.GemmBatch(n, false, ic, inCols, rows, c.W.Value.Data(), rows, 0,
+		gemm.Dense(false, gradCols, inCols, rows*inCols),
+		false, gemm.Epilogue{}, gemm.Into(gradIn.Data(), inCols, ic*inCols), workers)
 }

@@ -125,3 +125,121 @@ func TestConvGoldenHash(t *testing.T) {
 		})
 	}
 }
+
+// convTransposeGolden pins what ConvTranspose3D produces — the forward
+// output (Forward and Infer alike), the input gradient, the kernel gradient
+// and the bias gradient, hashed together — as captured at commit c771b3c, the
+// parent of the scattered-store rewrite, where the forward multiplied into a
+// column buffer and scattered it, with REPRO_GOLDEN_PRINT=1. The first four
+// cases are the benchmark network's two up sites at batch 2 and 4; the rest
+// are the shapes that take the GEMM's Go store instead of the assembly's:
+// a kernel of 3 (step 3), rows 5 and 1 wide (one start per column), one input
+// channel. The last case writes into, and reads its gradient from, the first
+// OC channels of a wider tensor.
+var convTransposeGolden = map[string]uint64{
+	"site 32->32 4^3":         0xbbfcacabdcc9a171,
+	"site 32->32 4^3 batch 4": 0xbf766c456f8defcb,
+	"site 16->16 8^3":         0xe020e09754411c1d,
+	"site 16->16 8^3 batch 4": 0xb4c471388848c4e0,
+	"k3":                      0xc0cb237bf6268f64,
+	"width 5":                 0xdb7acbaee45cf34e,
+	"width 1":                 0x2d9049bd05ccdcc9,
+	"ic 1":                    0x6ea65e5845985b61,
+	"window 4 of 9":           0xdc1e7b1ebf394fca,
+}
+
+var convTransposeGoldenCases = []struct {
+	name         string
+	inC, outC, k int
+	n, d, h, w   int
+	wide         int // window: the first outC channels of wide; 0 is no window
+}{
+	{"site 32->32 4^3", 32, 32, 2, 2, 4, 4, 4, 0},
+	{"site 32->32 4^3 batch 4", 32, 32, 2, 4, 4, 4, 4, 0},
+	{"site 16->16 8^3", 16, 16, 2, 2, 8, 8, 8, 0},
+	{"site 16->16 8^3 batch 4", 16, 16, 2, 4, 8, 8, 8, 0},
+	{"k3", 3, 2, 3, 2, 2, 3, 4, 0},
+	{"width 5", 4, 3, 2, 2, 3, 2, 5, 0},
+	{"width 1", 3, 5, 2, 2, 2, 3, 1, 0},
+	{"ic 1", 1, 4, 2, 2, 4, 4, 4, 0},
+	{"window 4 of 9", 8, 4, 2, 2, 4, 2, 8, 9},
+}
+
+func TestConvTransposeGoldenHash(t *testing.T) {
+	print := os.Getenv("REPRO_GOLDEN_PRINT") != ""
+	for i, tc := range convTransposeGoldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(2900 + i)))
+			k := tc.k
+			x := randTensor(rng, tc.n, tc.inC, tc.d, tc.h, tc.w)
+			gradOut := randTensor(rng, tc.n, tc.outC, tc.d*k, tc.h*k, tc.w*k)
+			for _, workers := range []int{1, 2, 4} {
+				c := NewConvTranspose3D("u", tc.inC, tc.outC, k, rand.New(rand.NewSource(int64(88+i))))
+				c.SetWorkers(workers)
+				out := c.Forward(x)
+				gradIn := c.Backward(gradOut)
+				inferred := c.Infer(x)
+				assertBitEqual(t, "Infer vs Forward", workers, out.Data(), inferred.Data())
+				tensor.Recycle(inferred)
+				if tc.wide > 0 {
+					checkConvTransposeWindow(t, c, tc.wide, x, out, gradIn, gradOut)
+				}
+
+				h := fnvFloats(14695981039346656037, out.Data())
+				h = fnvFloats(h, gradIn.Data())
+				h = fnvFloats(h, c.W.Grad.Data())
+				h = fnvFloats(h, c.B.Grad.Data())
+				if print {
+					t.Logf("workers=%d golden %q: %#x", workers, tc.name, h)
+				} else if want := convTransposeGolden[tc.name]; h != want {
+					t.Errorf("workers=%d: forward + gradients hash %#x, want %#x (captured at the parent commit)", workers, h, want)
+				}
+			}
+		})
+	}
+}
+
+// checkConvTransposeWindow runs c's windowed passes — the forward into the
+// first OC channels of a wide tensor, the backward from the same channels of
+// a wide gradient — and holds them to the plain passes' out, gradIn and
+// parameter gradients bit for bit; every channel from OC on must keep the NaN
+// it was filled with.
+func checkConvTransposeWindow(t *testing.T, c *ConvTranspose3D, wide int, x, out, gradIn, gradOut *tensor.Tensor) {
+	t.Helper()
+	s := out.Shape()
+	n, oc, vol := s[0], s[1], s[2]*s[3]*s[4]
+	window := func(w *tensor.Tensor, ni int) []float32 { return w.Data()[ni*wide*vol:][:oc*vol] }
+	nan := float32(math.NaN())
+	dst := tensor.New(n, wide, s[2], s[3], s[4])
+	dst.Fill(nan)
+	for _, infer := range []bool{false, true} {
+		if infer {
+			dst.Fill(nan)
+			c.InferInto(x, dst)
+		} else {
+			c.ForwardInto(x, dst)
+		}
+		for ni := 0; ni < n; ni++ {
+			assertSameBits(t, "window forward", out.Data()[ni*oc*vol:][:oc*vol], window(dst, ni))
+		}
+		for i, v := range dst.Data() {
+			if ch := i / vol % wide; ch >= oc && !math.IsNaN(float64(v)) {
+				t.Fatalf("forward wrote %v to channel %d, past its %d", v, ch, oc)
+			}
+		}
+	}
+
+	// The parameter gradients hold one plain Backward's; the windowed one
+	// must leave them as it finds them after a reset.
+	wantW, wantB := c.W.Grad.Clone(), c.B.Grad.Clone()
+	ZeroGrads(c.Params())
+	g := tensor.New(n, wide, s[2], s[3], s[4])
+	g.Fill(nan)
+	for ni := 0; ni < n; ni++ {
+		copy(window(g, ni), gradOut.Data()[ni*oc*vol:][:oc*vol])
+	}
+	var owned tensor.Owned
+	assertSameBits(t, "window input gradient", gradIn.Data(), c.BackwardWindow(g, &owned).Data())
+	assertSameBits(t, "window kernel gradient", wantW.Data(), c.W.Grad.Data())
+	assertSameBits(t, "window bias gradient", wantB.Data(), c.B.Grad.Data())
+}

@@ -79,7 +79,7 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 				}
 				got := make([]float32, kdim*n)
 				gemm.GemmBatch(1, false, kdim, n, kdim, eye, kdim, 0, op,
-					false, gemm.Epilogue{}, got, n, 0, 2)
+					false, gemm.Epilogue{}, gemm.Into(got, n, 0), 2)
 				return got
 			}
 			check := func(what string, got, want float32, i, j int) {

@@ -46,6 +46,9 @@ func (c *ConvTranspose3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return c.apply(x, tensor.NewScratch)
 }
 
+// InferInto is ForwardInto without caching x for Backward.
+func (c *ConvTranspose3D) InferInto(x, dst *tensor.Tensor) { c.forwardGEMMInto(x, dst) }
+
 // Infer normalizes x with the running statistics — the evaluation-mode
 // forward regardless of the layer's training flag — caching nothing.
 func (b *BatchNorm) Infer(x *tensor.Tensor) *tensor.Tensor {

@@ -244,25 +244,30 @@ func TestMaxPool3DMatchesBranchyLoop(t *testing.T) {
 		float32(math.Inf(1)), float32(math.Inf(-1))}
 	rng := rand.New(rand.NewSource(19))
 	for _, s := range []int{2, 3} {
-		x := randTensor(rng, 2, 3, 2*s, 3*s, 4*s)
-		for i := range x.Data() {
-			if rng.Intn(4) != 0 {
-				x.Data()[i] = few[rng.Intn(len(few))]
-			}
-		}
-		want, wantArg := maxPoolSerial(x, s)
-		for _, workers := range []int{1, 2} {
-			p := NewMaxPool3D(s)
-			p.SetWorkers(workers)
-			assertSameBits(t, fmt.Sprintf("size %d workers %d Forward", s, workers), want.Data(), p.Forward(x).Data())
-			for i, a := range wantArg {
-				if p.argmax[i] != a {
-					t.Fatalf("size %d workers %d: output %d won by input %d, want %d", s, workers, i, p.argmax[i], a)
+		// Output rows of 4 and 8 run only the four-abreast loop, the others
+		// its tail too.
+		for _, ow := range []int{1, 2, 3, 4, 5, 8} {
+			x := randTensor(rng, 2, 3, 2*s, 3*s, ow*s)
+			for i := range x.Data() {
+				if rng.Intn(4) != 0 {
+					x.Data()[i] = few[rng.Intn(len(few))]
 				}
 			}
-			got := p.Infer(x)
-			assertSameBits(t, fmt.Sprintf("size %d workers %d Infer", s, workers), want.Data(), got.Data())
-			tensor.Recycle(got)
+			want, wantArg := maxPoolSerial(x, s)
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("size %d width %d workers %d", s, ow, workers)
+				p := NewMaxPool3D(s)
+				p.SetWorkers(workers)
+				assertSameBits(t, name+" Forward", want.Data(), p.Forward(x).Data())
+				for i, a := range wantArg {
+					if p.argmax[i] != a {
+						t.Fatalf("%s: output %d won by input %d, want %d", name, i, p.argmax[i], a)
+					}
+				}
+				got := p.Infer(x)
+				assertSameBits(t, name+" Infer", want.Data(), got.Data())
+				tensor.Recycle(got)
+			}
 		}
 	}
 }
@@ -381,20 +386,6 @@ func TestSequentialComposesAndPropagates(t *testing.T) {
 	seq.SetTraining(false) // must not panic and must flip BN
 }
 
-func TestConcatChannelsAndSplit(t *testing.T) {
-	a := randInput(14, 2, 3, 2, 2, 2)
-	b := randInput(15, 2, 1, 2, 2, 2)
-	cat := ConcatChannels(a, b)
-	if cat.Dim(1) != 4 {
-		t.Fatalf("concat channels %d", cat.Dim(1))
-	}
-	// Round trip through split.
-	ga, gb := SplitChannelsGrad(cat, 3, 1)
-	if tensor.MaxAbsDiff(ga, a) != 0 || tensor.MaxAbsDiff(gb, b) != 0 {
-		t.Fatal("concat/split round trip failed")
-	}
-}
-
 func TestParamCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := NewConv3D("c", 4, 8, 3, rng)
@@ -463,6 +454,8 @@ func TestBackwardRejectsMismatchedGradient(t *testing.T) {
 		{"ReLU larger", NewReLU(), []int{1, 3, 2, 2, 2}, []int{2, 3, 2, 2, 2}},
 		{"Sigmoid smaller", NewSigmoid(), []int{2, 1, 2, 2, 2}, []int{2, 1, 2, 2, 1}},
 		{"Sigmoid larger", NewSigmoid(), []int{1, 1, 2, 2, 2}, []int{2, 1, 2, 2, 2}},
+		{"MaxPool3D same size", NewMaxPool3D(2), []int{2, 4, 4, 4, 4}, []int{1, 8, 2, 2, 2}},
+		{"MaxPool3D larger", NewMaxPool3D(2), []int{1, 2, 4, 4, 4}, []int{1, 2, 2, 2, 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -68,7 +68,9 @@ func (m *MaxPool3D) outShape(x *tensor.Tensor) (n, c, od, oh, ow int) {
 // non-nil, the flat input index of its winner. Within a window the elements
 // are visited in (z, y, x) order and one replaces the running maximum only
 // when it is greater, so a NaN never does (and a NaN first element stays),
-// and the first of equal maxima wins, +0 and −0 included.
+// and the first of equal maxima wins, +0 and −0 included. Four windows of a
+// row are stepped abreast, each in its own order: one window's selects are a
+// chain of dependent compares.
 func (m *MaxPool3D) pool(x, out *tensor.Tensor, argmax []int32) {
 	n, c, d, h, w := check5D("MaxPool3D", x)
 	s := m.Size
@@ -92,17 +94,27 @@ func (m *MaxPool3D) pool(x, out *tensor.Tensor, argmax []int32) {
 			for z := 0; z < od; z++ {
 				for y := 0; y < oh; y++ {
 					row := base + (z*s*h+y*s)*w
-					for xx := 0; xx < ow; xx++ {
-						corner := row + xx*s
-						best, at := xd[corner], corner
+					for xx := 0; xx < ow; xx += 4 {
+						// Past the row's end the lanes repeat its last window.
+						last := row + (min(xx+4, ow)-1)*s
+						c0 := row + xx*s
+						c1, c2, c3 := min(c0+s, last), min(c0+2*s, last), min(c0+3*s, last)
+						b0, b1, b2, b3 := xd[c0], xd[c1], xd[c2], xd[c3]
+						a0, a1, a2, a3 := c0, c1, c2, c3
 						for _, off := range win[1:] {
-							best, at = greater(xd[corner+off], corner+off, best, at)
+							b0, a0 = greater(xd[c0+off], c0+off, b0, a0)
+							b1, a1 = greater(xd[c1+off], c1+off, b1, a1)
+							b2, a2 = greater(xd[c2+off], c2+off, b2, a2)
+							b3, a3 = greater(xd[c3+off], c3+off, b3, a3)
 						}
-						outd[oi] = best
+						live := min(4, ow-xx)
+						best := [4]float32{b0, b1, b2, b3}
+						copy(outd[oi:oi+live], best[:])
 						if argmax != nil {
-							argmax[oi] = int32(at)
+							at := [4]int32{int32(a0), int32(a1), int32(a2), int32(a3)}
+							copy(argmax[oi:oi+live], at[:])
 						}
-						oi++
+						oi += live
 					}
 				}
 			}
@@ -136,12 +148,11 @@ func (m *MaxPool3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Te
 	if m.inShape == nil {
 		panic("nn: MaxPool3D.Backward called before Forward")
 	}
-	gradIn := alloc(m.inShape...)
+	in, sz := m.inShape, m.Size
+	checkGradShape("MaxPool3D.Backward", gradOut, in[0], in[1], in[2]/sz, in[3]/sz, in[4]/sz)
+	gradIn := alloc(in...)
 	gid := gradIn.Data()
 	god := gradOut.Data()
-	if len(god) != len(m.argmax) {
-		panic(fmt.Sprintf("nn: MaxPool3D.Backward gradient size %d does not match cached %d", len(god), len(m.argmax)))
-	}
 	// Argmax indices from one (sample, channel) block always point into that
 	// block's input region, so chunking on block boundaries keeps the
 	// scatter-add race-free — and lets each chunk zero its own region first.

@@ -108,10 +108,36 @@ func (c *chainNet) forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	for i, d := range c.dec {
-		h = nn.ConcatChannels(c.ups[i].Forward(h), c.skips[len(c.skips)-1-i])
+		h = concat(c.ups[i].Forward(h), c.skips[len(c.skips)-1-i])
 		h = nn.NewSequential(d...).Forward(h)
 	}
 	return c.act.Forward(c.head.Forward(h))
+}
+
+// concat is the channel concatenation [a, b] as a fresh tensor.
+func concat(a, b *tensor.Tensor) *tensor.Tensor {
+	s := a.Shape()
+	out := tensor.New(s[0], s[1]+b.Dim(1), s[2], s[3], s[4])
+	pa, pb := a.Size()/s[0], b.Size()/s[0]
+	for ni := 0; ni < s[0]; ni++ {
+		copy(out.Data()[ni*(pa+pb):], a.Data()[ni*pa:][:pa])
+		copy(out.Data()[ni*(pa+pb)+pa:], b.Data()[ni*pb:][:pb])
+	}
+	return out
+}
+
+// split is concat's gradient: g's first ca channels and the rest, as fresh
+// tensors.
+func split(g *tensor.Tensor, ca int) (ga, gb *tensor.Tensor) {
+	s := g.Shape()
+	ga = tensor.New(s[0], ca, s[2], s[3], s[4])
+	gb = tensor.New(s[0], s[1]-ca, s[2], s[3], s[4])
+	pa, pb := ga.Size()/s[0], gb.Size()/s[0]
+	for ni := 0; ni < s[0]; ni++ {
+		copy(ga.Data()[ni*pa:][:pa], g.Data()[ni*(pa+pb):])
+		copy(gb.Data()[ni*pb:][:pb], g.Data()[ni*(pa+pb)+pa:])
+	}
+	return ga, gb
 }
 
 func (c *chainNet) backward(gradOut *tensor.Tensor) {
@@ -119,7 +145,7 @@ func (c *chainNet) backward(gradOut *tensor.Tensor) {
 	skipGrads := make([]*tensor.Tensor, len(c.skips))
 	for i := len(c.dec) - 1; i >= 0; i-- {
 		g = nn.NewSequential(c.dec[i]...).Backward(g)
-		gUp, gSkip := nn.SplitChannelsGrad(g, c.upC[i], g.Dim(1)-c.upC[i])
+		gUp, gSkip := split(g, c.upC[i])
 		skipGrads[len(c.skips)-1-i] = gSkip
 		g = c.ups[i].Backward(gUp)
 	}

@@ -15,13 +15,14 @@
 // # Wiring and ownership
 //
 // Each "convolution → batch normalization → ReLU" site is one nn.ConvBNReLU
-// block (two per resolution step, a and b); pooling, the up-convolutions, the
-// skip concatenation and its gradient split, and the 1x1x1 head are the
-// standalone nn layers. Every tensor that stays inside the network — block
-// outputs and x̂, pooled and up-sampled activations, concatenations, logits,
-// and every gradient flowing back between layers — lives in a buffer the
-// block or the network owns (tensor.Owned): laid out by the first step, grown
-// to the largest batch seen, resliced afterwards and released by DropCaches.
+// block (two per resolution step, a and b); pooling, the up-convolutions and
+// the 1x1x1 head are the standalone nn layers. An up-convolution writes the
+// up half of its step's skip concatenation itself, and reads its gradient
+// from there. Every tensor that stays inside the network — block outputs and
+// x̂, pooled activations, concatenations, logits, and every gradient flowing
+// back between layers — lives in a buffer the block or the network owns
+// (tensor.Owned): laid out by the first step, grown to the largest batch
+// seen, resliced afterwards and released by DropCaches.
 // A steady-state training step therefore allocates no activation and no
 // gradient, and leaves no garbage for the collector
 // (TestOwnedBuffersAllocationGuard).
@@ -117,21 +118,18 @@ type encStep struct {
 }
 
 // decStep is one decoder resolution step: the up-convolution, the skip
-// concatenation and two body blocks.
+// concatenation — the up-convolution's output, then a copy of the skip — and
+// two body blocks.
 type decStep struct {
 	up   *nn.ConvTranspose3D
 	a, b *nn.ConvBNReLU
 
-	upChannels   int // channels arriving from below
-	skipChannels int // channels of the encoder skip
+	upChannels int // channels arriving from below
 
-	upOut  tensor.Owned // up-convolution output
 	cat    tensor.Owned // [up, skip] concatenation
-	gUp    tensor.Owned // the concatenation gradient's two halves
-	gSkip  tensor.Owned
 	upGrad tensor.Owned // gradient w.r.t. the step's input
 
-	skipGrad *tensor.Tensor // gSkip as the last Backward shaped it, for the encoder
+	catGrad *tensor.Tensor // a's input gradient from the last Backward; the encoder reads its skip half
 }
 
 // UNet is the full network.
@@ -184,11 +182,10 @@ func New(cfg Config) (*UNet, error) {
 		fBelow := cfg.Filters(s + 1)
 		f := cfg.Filters(s)
 		d := &decStep{
-			up:           nn.NewConvTranspose3D(fmt.Sprintf("dec%d.up", s), fBelow, fBelow, cfg.UpKernel, rng),
-			a:            nn.NewConvBNReLU(fmt.Sprintf("dec%d.a", s), fBelow+f, f, cfg.Kernel, rng),
-			b:            nn.NewConvBNReLU(fmt.Sprintf("dec%d.b", s), f, f, cfg.Kernel, rng),
-			upChannels:   fBelow,
-			skipChannels: f,
+			up:         nn.NewConvTranspose3D(fmt.Sprintf("dec%d.up", s), fBelow, fBelow, cfg.UpKernel, rng),
+			a:          nn.NewConvBNReLU(fmt.Sprintf("dec%d.a", s), fBelow+f, f, cfg.Kernel, rng),
+			b:          nn.NewConvBNReLU(fmt.Sprintf("dec%d.b", s), f, f, cfg.Kernel, rng),
+			upChannels: fBelow,
 		}
 		u.dec = append(u.dec, d)
 	}
@@ -305,10 +302,9 @@ func (u *UNet) DropCaches() {
 	}
 	for _, d := range u.dec {
 		d.up.DropCaches()
-		for _, o := range []*tensor.Owned{&d.upOut, &d.cat, &d.gUp, &d.gSkip, &d.upGrad} {
-			o.Release()
-		}
-		d.skipGrad = nil
+		d.cat.Release()
+		d.upGrad.Release()
+		d.catGrad = nil
 	}
 	u.head.DropCaches()
 	u.act.DropCaches()
@@ -362,9 +358,12 @@ func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	for i, d := range u.dec {
-		up := d.up.ForwardOwned(h, &d.upOut)
-		h = nn.ConcatChannelsOwned(up, u.skips[len(u.skips)-1-i], &d.cat)
-		h = d.b.Forward(d.a.Forward(h))
+		skip := u.skips[len(u.skips)-1-i]
+		s := skip.Shape()
+		cat := d.cat.Shaped(s[0], d.upChannels+s[1], s[2], s[3], s[4])
+		d.up.ForwardInto(h, cat)
+		copyChannels(cat, skip, d.upChannels)
+		h = d.b.Forward(d.a.Forward(cat))
 	}
 	return u.act.Forward(u.head.ForwardOwned(h, &u.headOut))
 }
@@ -403,12 +402,14 @@ func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	for i, d := range u.dec {
-		up := d.up.Infer(h)
-		recycle(h)
 		skip := skips[len(skips)-1-i]
-		h = nn.ConcatChannelsScratch(up, skip)
-		tensor.Recycle(up)
+		s := skip.Shape()
+		cat := tensor.NewScratch(s[0], d.upChannels+s[1], s[2], s[3], s[4])
+		d.up.InferInto(h, cat)
+		recycle(h)
+		copyChannels(cat, skip, d.upChannels)
 		tensor.Recycle(skip)
+		h = cat
 		t := d.a.Infer(h)
 		tensor.Recycle(h)
 		h = d.b.Infer(t)
@@ -432,10 +433,8 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 
 	for i := len(u.dec) - 1; i >= 0; i-- {
 		d := u.dec[i]
-		g = d.a.Backward(d.b.Backward(g))
-		var gUp *tensor.Tensor
-		gUp, d.skipGrad = nn.SplitChannelsGradOwned(g, d.upChannels, d.skipChannels, &d.gUp, &d.gSkip)
-		g = d.up.BackwardOwned(gUp, &d.upGrad)
+		d.catGrad = d.a.Backward(d.b.Backward(g))
+		g = d.up.BackwardWindow(d.catGrad, &d.upGrad)
 		if u.gradSink != nil {
 			u.gradSink(u.decParams[i])
 		}
@@ -445,7 +444,8 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 		e := u.enc[i]
 		if e.pool != nil { // the decoder step at this resolution took the skip
 			g = e.pool.BackwardOwned(g, &e.poolGrad)
-			g.Accumulate(u.dec[len(u.dec)-1-i].skipGrad)
+			d := u.dec[len(u.dec)-1-i]
+			addChannels(g, d.catGrad, d.upChannels)
 		}
 		g = e.b.Backward(g)
 		if i > 0 {
@@ -455,6 +455,28 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 		}
 		if u.gradSink != nil {
 			u.gradSink(u.encParams[i])
+		}
+	}
+}
+
+// copyChannels copies src ([N, C, …]) into channels [c0, c0+C) of dst.
+func copyChannels(dst, src *tensor.Tensor, c0 int) {
+	n, c := src.Dim(0), src.Dim(1)
+	vol := src.Size() / (n * c)
+	for ni := 0; ni < n; ni++ {
+		copy(dst.Data()[(ni*dst.Dim(1)+c0)*vol:][:c*vol], src.Data()[ni*c*vol:][:c*vol])
+	}
+}
+
+// addChannels adds channels [c0, c0+C) of src onto dst ([N, C, …]), element
+// by element: the bits of dst.Accumulate on a copy of the window.
+func addChannels(dst, src *tensor.Tensor, c0 int) {
+	n, c := dst.Dim(0), dst.Dim(1)
+	vol := dst.Size() / (n * c)
+	for ni := 0; ni < n; ni++ {
+		d := dst.Data()[ni*c*vol:][:c*vol]
+		for j, v := range src.Data()[(ni*src.Dim(1)+c0)*vol:][:c*vol] {
+			d[j] += v
 		}
 	}
 }
