@@ -238,24 +238,6 @@ func BenchmarkAllReduceModel(b *testing.B) {
 	b.ReportMetric(naive/ring, "naive/ring-cost")
 }
 
-// BenchmarkUNetForward measures the real forward pass of a scaled-down
-// U-Net on one phantom volume.
-func BenchmarkUNetForward(b *testing.B) {
-	cfg := unet.Config{InChannels: 4, OutChannels: 1, BaseFilters: 4, Steps: 3, Kernel: 3, UpKernel: 2, Seed: 1}
-	u := unet.MustNew(cfg)
-	u.SetTraining(false)
-	s := benchSamples(b, 1, 16)[0]
-	in, _, err := volume.Batch([]*volume.Sample{s})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Forward(in)
-	}
-}
-
 // BenchmarkUNetTrainStep measures a full real training step: forward, Dice
 // loss, backward.
 func BenchmarkUNetTrainStep(b *testing.B) {

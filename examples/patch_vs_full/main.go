@@ -21,6 +21,7 @@ import (
 	"repro/internal/msd"
 	"repro/internal/optim"
 	"repro/internal/patch"
+	"repro/internal/tensor"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -79,16 +80,14 @@ func main() {
 	})
 	patchTrain := time.Since(patchStart)
 
-	// --- Evaluation: full-volume Dice for both.
-	full.SetTraining(false)
-	patched.SetTraining(false)
-
+	// --- Evaluation: full-volume Dice for both, through Infer.
 	evalStart := time.Now()
 	fullDice := 0.0
 	for _, s := range val {
 		in := s.Input.Reshape(append([]int{1}, s.Input.Shape()...)...)
-		pred := full.Forward(in)
+		pred := full.Infer(in)
 		fullDice += metrics.DiceScore(pred.Reshape(s.Mask.Shape()...), s.Mask)
+		tensor.Recycle(pred)
 	}
 	fullDice /= float64(len(val))
 	fullInfer := time.Since(evalStart)

@@ -215,7 +215,7 @@ func splitNames(b []byte) []string {
 // Model is anything checkpointable through its named parameters. Models
 // that also implement nn.AuxStater (the U-Net does, for its batch-norm
 // running statistics) get that state saved and restored too, so a restored
-// model's evaluation-mode forward is bit-for-bit the original's.
+// model's Infer is bit-for-bit the original's.
 type Model interface {
 	Params() []*nn.Param
 }

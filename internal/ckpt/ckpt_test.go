@@ -82,7 +82,7 @@ func TestLoadRejectsShapeMismatch(t *testing.T) {
 
 // TestModelRoundTripBitwiseForward is the full serving contract: a trained
 // U-Net saved with SaveModel and loaded into a fresh differently-seeded net
-// must produce bit-for-bit identical evaluation-mode forwards — parameters
+// must produce bit-for-bit identical Infer outputs — parameters
 // AND batch-norm running statistics round-trip exactly.
 func TestModelRoundTripBitwiseForward(t *testing.T) {
 	dir := t.TempDir()
@@ -91,7 +91,7 @@ func TestModelRoundTripBitwiseForward(t *testing.T) {
 	src := tinyNet(5)
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.Randn(rng, 0, 1, 1, 2, 4, 4, 4)
-	// Train-mode steps move the running statistics away from their init.
+	// Training forwards move the running statistics away from their init.
 	src.Forward(x)
 	src.Forward(x)
 	if err := SaveModelFile(path, src, map[string]float64{"epoch": 2}); err != nil {
@@ -107,25 +107,16 @@ func TestModelRoundTripBitwiseForward(t *testing.T) {
 		t.Fatalf("meta %v", meta)
 	}
 
-	src.SetTraining(false)
-	dst.SetTraining(false)
-	want := src.Forward(x)
-	got := dst.Forward(x)
+	want := src.Infer(x)
+	got := dst.Infer(x)
 	wd, gd := want.Data(), got.Data()
 	for i := range wd {
 		if wd[i] != gd[i] {
-			t.Fatalf("eval forward element %d differs after round trip: %v vs %v", i, gd[i], wd[i])
+			t.Fatalf("Infer element %d differs after round trip: %v vs %v", i, gd[i], wd[i])
 		}
 	}
-
-	// And through the inference fast path, which the serving layer uses.
-	inf := dst.Infer(x)
-	for i := range wd {
-		if inf.Data()[i] != wd[i] {
-			t.Fatalf("Infer element %d differs after round trip", i)
-		}
-	}
-	tensor.Recycle(inf)
+	tensor.Recycle(want)
+	tensor.Recycle(got)
 }
 
 // TestLoadModelToleratesParamsOnlyCheckpoint: a plain Save checkpoint loads
@@ -219,16 +210,10 @@ func TestResumeTrainingEquivalence(t *testing.T) {
 	if _, err := Load(&buf, dst.Params()); err != nil {
 		t.Fatal(err)
 	}
-	src.SetTraining(false)
-	dst.SetTraining(false)
+	// BatchNorm running stats are not parameters; fresh stats give slightly
+	// different Infer outputs, so compare training forwards instead.
 	a := src.Forward(x)
 	bOut := dst.Forward(x)
-	// Note: BatchNorm running stats are not parameters; fresh stats give
-	// slightly different eval outputs, so compare in training mode instead.
-	src.SetTraining(true)
-	dst.SetTraining(true)
-	a = src.Forward(x)
-	bOut = dst.Forward(x)
 	if tensor.MaxAbsDiff(a, bOut) > 1e-6 {
 		t.Fatalf("restored model diverges: %v", tensor.MaxAbsDiff(a, bOut))
 	}

@@ -4,23 +4,17 @@
 // topology facts (which GPUs share a node) the performance model needs.
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/gpusim"
-	"repro/internal/netsim"
-)
+import "fmt"
 
 // Cluster is a homogeneous multi-node multi-GPU machine.
 type Cluster struct {
 	NodeCount   int
 	GPUsPerNode int
-	Fabric      netsim.Fabric
-	Device      gpusim.Device
 }
 
-// MareNostrum returns the paper's cluster with the given node count:
-// IBM Power9 nodes with 4 NVIDIA V100 16 GB GPUs, InfiniBand interconnect.
+// MareNostrum returns the paper's cluster with the given node count: IBM
+// Power9 nodes with 4 NVIDIA V100 16 GB GPUs each. The device and
+// interconnect models live in gpusim and netsim; perfmodel carries them.
 func MareNostrum(nodes int) (*Cluster, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("cluster: node count must be positive, got %d", nodes)
@@ -28,8 +22,6 @@ func MareNostrum(nodes int) (*Cluster, error) {
 	return &Cluster{
 		NodeCount:   nodes,
 		GPUsPerNode: 4,
-		Fabric:      netsim.MareNostrum(),
-		Device:      gpusim.V100(),
 	}, nil
 }
 

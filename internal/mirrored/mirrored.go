@@ -167,8 +167,8 @@ func (t *Trainer) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	return losses[0], nil
 }
 
-// Evaluate computes the mean hard Dice score of the current model over a
-// validation batch, in evaluation mode.
+// Evaluate computes the mean hard Dice score of the current model's Infer
+// over a validation batch.
 func (t *Trainer) Evaluate(inputs, masks *tensor.Tensor) float64 {
 	// The other replicas are idle during evaluation, so replica 0 may use
 	// the trainer's whole worker budget instead of its training share.

@@ -231,10 +231,8 @@ func (s *Rank) gatherLoss(l float64) (float64, error) {
 // the same score everywhere without an eval-phase collective — the wire
 // stays idle (and cannot fault) between epochs.
 func (s *Rank) Evaluate(inputs, masks *tensor.Tensor) float64 {
-	m := s.model
-	m.SetTraining(false)
-	defer m.SetTraining(true)
-	pred := m.Forward(inputs)
+	pred := s.model.Infer(inputs)
+	defer tensor.Recycle(pred)
 	return metrics.DiceScore(pred, masks)
 }
 

@@ -5,14 +5,12 @@ import (
 	"sync"
 
 	"repro/internal/gemm"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
 // BatchNorm normalizes each channel over the batch and spatial dimensions,
-// as the paper applies before each ReLU. In training mode it uses batch
-// statistics and updates running estimates; in evaluation mode it uses the
-// running estimates.
+// as the paper applies before each ReLU. Forward uses the batch statistics
+// and updates the running estimates; Infer uses the running estimates.
 //
 // Forward and Backward parallelize over groups of four channels: each
 // channel's statistics, running estimates and output plane belong to exactly
@@ -35,9 +33,7 @@ type BatchNorm struct {
 	RunningMean []float64
 	RunningVar  []float64
 
-	training bool
-
-	// Cached by a training-mode Forward for Backward.
+	// Cached by Forward for Backward.
 	xhat *tensor.Tensor
 	mean []float64
 	rstd []float64 // 1/sqrt(var+eps)
@@ -54,7 +50,6 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 		Beta:        NewParam(name+".beta", tensor.New(c)),
 		RunningMean: make([]float64, c),
 		RunningVar:  make([]float64, c),
-		training:    true,
 	}
 	for i := range bn.RunningVar {
 		bn.RunningVar[i] = 1
@@ -66,9 +61,9 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // AuxState exposes the running statistics — trained state that is not a
-// parameter but must survive a checkpoint for evaluation-mode forwards to
-// reproduce. The returned slices alias the layer's state: checkpoint
-// loading writes into them in place.
+// parameter but must survive a checkpoint for Infer to reproduce. The
+// returned slices alias the layer's state: checkpoint loading writes into
+// them in place.
 func (b *BatchNorm) AuxState() map[string][]float64 {
 	return map[string][]float64{
 		b.name + ".running_mean": b.RunningMean,
@@ -76,21 +71,15 @@ func (b *BatchNorm) AuxState() map[string][]float64 {
 	}
 }
 
-// SetTraining toggles batch-statistics (true) vs running-statistics (false).
-func (b *BatchNorm) SetTraining(training bool) { b.training = training }
-
 // DropCaches implements CacheDropper: the retained x̂ is dropped. Backward
-// requires a fresh training-mode Forward afterwards.
+// requires a fresh Forward afterwards.
 func (b *BatchNorm) DropCaches() { b.xhat = nil }
 
-// Forward normalizes x per channel.
+// Forward normalizes x per channel with the batch statistics and folds them
+// into the running estimates.
 func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	if !b.training {
-		b.evalInto(x, out)
-		return out
-	}
 	n, c, spatial := b.check("BatchNorm", x)
+	out := tensor.New(x.Shape()...)
 	b.xhat = tensor.New(x.Shape()...)
 	xd, od, xh := x.Data(), out.Data(), b.xhat.Data()
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
@@ -196,12 +185,12 @@ func (b *BatchNorm) evalStats(ci int) (mean, rstd float64) {
 }
 
 // rstdTables recycles the per-call 1/σ tables of evalNorm, so a steady-state
-// evaluation-mode block allocates none.
+// ConvBNReLU.Infer allocates none.
 var rstdTables = sync.Pool{New: func() any { return new([]float64) }}
 
-// evalNorm is the evaluation-mode normalization as a GEMM epilogue: the
-// running mean, 1/sqrt(running var+eps) written into *rstd (grown to fit),
-// and the live γ and β — the arithmetic of evalInto followed by ReLU.
+// evalNorm is Infer's normalization as a GEMM epilogue: the running mean,
+// 1/sqrt(running var+eps) written into *rstd (grown to fit), and the live γ
+// and β — the arithmetic of Infer followed by ReLU.
 func (b *BatchNorm) evalNorm(rstd *[]float64) gemm.Norm {
 	if cap(*rstd) < b.Channels {
 		*rstd = make([]float64, b.Channels)
@@ -213,34 +202,10 @@ func (b *BatchNorm) evalNorm(rstd *[]float64) gemm.Norm {
 	return gemm.Norm{Mean: b.RunningMean, Rstd: r, Gamma: b.Gamma.Value.Data(), Beta: b.Beta.Value.Data()}
 }
 
-// evalInto normalizes x with the running statistics into a caller-provided
-// output tensor (every element is written), retaining nothing — the shared
-// body of the evaluation-mode forward and the inference fast path.
-func (b *BatchNorm) evalInto(x, out *tensor.Tensor) {
-	n, c, spatial := b.check("BatchNorm", x)
-	xd := x.Data()
-	od := out.Data()
-	gd := b.Gamma.Value.Data()
-	bd := b.Beta.Value.Data()
-	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			mean, rstd := b.evalStats(ci)
-			g, bt := gd[ci], bd[ci]
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * spatial
-				xs, ys := xd[base:base+spatial], od[base:base+spatial]
-				for i, v := range xs {
-					ys[i] = bnAffine(g, bnNormalize(v, mean, rstd), bt)
-				}
-			}
-		}
-	})
-}
-
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if b.xhat == nil {
-		panic("nn: BatchNorm.Backward called before Forward in training mode")
+		panic("nn: BatchNorm.Backward called before Forward")
 	}
 	checkGradShape("BatchNorm.Backward", gradOut, b.xhat.Shape()...)
 	n, c, spatial := b.check("BatchNorm.Backward", gradOut)

@@ -10,22 +10,22 @@ import (
 // normalization and ReLU — as one block that owns its buffers. It computes
 // exactly what the chain Conv3D → BatchNorm → ReLU computes, bit for bit (the
 // convolution is a Conv3D, the statistics go through the same BatchNorm code,
-// every element through the helpers of elementwise.go or, in evaluation
-// mode, through the GEMM epilogue that rounds as they do), in fewer passes
-// over the activation and with nothing allocated per step:
+// every element through the helpers of elementwise.go or, in Infer, through
+// the GEMM epilogue that rounds as they do), in fewer passes over the
+// activation and with nothing allocated per step:
 //
-//   - Training forward: the convolution writes z into a buffer the block
-//     keeps; after BatchNorm's two statistics passes, one pass overwrites z
-//     with x̂ and writes y = max(0, γ·x̂+β) into a second buffer. The chain
-//     holds four activation-sized tensors and a mask here; the block two.
+//   - Forward (always training): the convolution writes z into a buffer the
+//     block keeps; after BatchNorm's two statistics passes, one pass
+//     overwrites z with x̂ and writes y = max(0, γ·x̂+β) into a second
+//     buffer. The chain holds four activation-sized tensors and a mask here;
+//     the block two.
 //   - Backward: the ReLU mask is y > 0, so one reduction pass over (g, y, x̂)
 //     yields Σdy and Σdy·x̂ — a masked element adds +0, as the chain's zeroed
 //     gradient does — and one pass writes dL/dz over the incoming gradient;
 //     then the convolution's bias, kernel and input-gradient passes.
-//   - Evaluation forward and Infer: one convolution, whose GEMM store adds
-//     the bias, normalizes with the running statistics and rectifies each
-//     element while it is still in a register (gemm.Norm) — no pass of its
-//     own.
+//   - Infer: one convolution, whose GEMM store adds the bias, normalizes
+//     with the running statistics and rectifies each element while it is
+//     still in a register (gemm.Norm) — no pass of its own.
 //
 // Ownership: Forward's result and Backward's result are the block's own
 // buffers — laid out on first use, grown to the largest shape seen, reused by
@@ -38,12 +38,12 @@ type ConvBNReLU struct {
 	Conv *Conv3D
 	BN   *BatchNorm
 
-	xhat   tensor.Owned // z, then x̂ (training forward)
+	xhat   tensor.Owned // z, then x̂
 	y      tensor.Owned // the block's output
 	gradIn tensor.Owned // dL/d(input)
 
-	// What the last Forward left in the buffers above for Backward: x̂ and y
-	// after a training-mode Forward, nil after an evaluation-mode one.
+	// What the last Forward left in the buffers above for Backward: x̂ and y,
+	// nil before any Forward and after DropCaches.
 	fwdXhat, fwdY *tensor.Tensor
 }
 
@@ -63,9 +63,6 @@ func (b *ConvBNReLU) Params() []*Param { return append(b.Conv.Params(), b.BN.Par
 // AuxState exposes the normalization's running statistics.
 func (b *ConvBNReLU) AuxState() map[string][]float64 { return b.BN.AuxState() }
 
-// SetTraining toggles batch statistics (true) vs running statistics (false).
-func (b *ConvBNReLU) SetTraining(training bool) { b.BN.SetTraining(training) }
-
 // SetWorkers sets the worker budget of every pass.
 func (b *ConvBNReLU) SetWorkers(workers int) {
 	b.Conv.SetWorkers(workers)
@@ -84,13 +81,10 @@ func (b *ConvBNReLU) DropCaches() {
 	b.fwdXhat, b.fwdY = nil, nil
 }
 
-// Forward computes max(0, BN(conv(x))) into the block's output buffer.
+// Forward computes max(0, BN(conv(x))) under the batch statistics into the
+// block's output buffer and folds them into the running estimates.
 func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	bn := b.BN
-	if !bn.training {
-		b.fwdXhat, b.fwdY = nil, nil
-		return b.eval(x, b.y.Shaped)
-	}
 	z := b.Conv.ForwardOwned(x, &b.xhat)
 	y := b.y.Shaped(z.Shape()...)
 	b.fwdXhat, b.fwdY = z, y
@@ -117,17 +111,13 @@ func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// Infer computes the evaluation-mode forward — whatever the training flag —
-// into one pool-backed tensor, retaining nothing.
-func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor { return b.eval(x, tensor.NewScratch) }
-
-// eval is the evaluation-mode forward into a tensor drawn from alloc: the
-// convolution with max(0, BN(z)) under the running statistics applied by its
-// GEMM's store.
-func (b *ConvBNReLU) eval(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+// Infer computes max(0, BN(conv(x))) under the running statistics into one
+// pool-backed tensor, retaining nothing: the convolution, with the
+// normalization and ReLU applied by its GEMM's store.
+func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
 	rstd := rstdTables.Get().(*[]float64)
 	defer rstdTables.Put(rstd)
-	return b.Conv.apply(x, alloc, b.BN.evalNorm(rstd))
+	return b.Conv.apply(x, tensor.NewScratch, b.BN.evalNorm(rstd))
 }
 
 // Backward accumulates the four parameter gradients and returns dL/d(input)
@@ -149,7 +139,7 @@ func (b *ConvBNReLU) BackwardParams(gradOut *tensor.Tensor) {
 func (b *ConvBNReLU) preConvGrad(gradOut *tensor.Tensor) {
 	bn := b.BN
 	if b.fwdY == nil {
-		panic("nn: ConvBNReLU.Backward called before Forward in training mode")
+		panic("nn: ConvBNReLU.Backward called before Forward")
 	}
 	checkGradShape("ConvBNReLU.Backward", gradOut, b.fwdY.Shape()...)
 	n, c, spatial := bn.check("ConvBNReLU.Backward", gradOut)

@@ -110,8 +110,6 @@ func newPair(s site, workers int) (*chain, *ConvBNReLU) {
 
 func (c *chain) params() []*Param { return append(c.conv.Params(), c.bn.Params()...) }
 
-func (c *chain) setTraining(training bool) { c.bn.SetTraining(training) }
-
 func (c *chain) forward(x *tensor.Tensor) *tensor.Tensor {
 	var y *tensor.Tensor
 	if c.direct {
@@ -195,8 +193,7 @@ func (c *chain) matchStats(t *testing.T, what string, want, got []float64) {
 }
 
 // compareStep runs one training step — and, when forwardOnly is set too, one
-// Infer and one evaluation-mode Forward — through both and compares every
-// product.
+// Infer — through both and compares every product.
 func compareStep(t *testing.T, c *chain, b *ConvBNReLU, s site, n int, rng *rand.Rand, forwardOnly bool) {
 	t.Helper()
 	x := randTensor(rng, n, s.inC, s.d, s.h, s.w)
@@ -205,8 +202,6 @@ func compareStep(t *testing.T, c *chain, b *ConvBNReLU, s site, n int, rng *rand
 
 	ZeroGrads(c.params())
 	ZeroGrads(b.Params())
-	c.setTraining(true)
-	b.SetTraining(true)
 	want := c.forward(x)
 	got := b.Forward(x)
 	c.match(t, "training output", want.Data(), got.Data(), forwardMaxULP)
@@ -232,25 +227,16 @@ func compareStep(t *testing.T, c *chain, b *ConvBNReLU, s site, n int, rng *rand
 		return
 	}
 
-	// Infer under the training flag is the evaluation-mode forward.
 	wantInfer, gotInfer := c.infer(x), b.Infer(x)
 	c.match(t, "Infer", wantInfer.Data(), gotInfer.Data(), forwardMaxULP)
-
-	c.setTraining(false)
-	b.SetTraining(false)
-	wantEval := c.forward(x)
-	gotEval := b.Forward(x)
-	c.match(t, "evaluation output", wantEval.Data(), gotEval.Data(), forwardMaxULP)
-	assertSameBits(t, "Infer vs evaluation Forward", gotEval.Data(), gotInfer.Data())
 	tensor.Recycle(wantInfer)
 	tensor.Recycle(gotInfer)
 	assertSameBits(t, "input after the forward passes", xKeep.Data(), x.Data())
 }
 
-// compareSpecials runs the evaluation-mode Forward and Infer through the GEMM
-// chain and the block on an input with NaN, ±Inf and −0 voxels sprinkled
-// through it, with channel 0's running variance zero (rstd = 1/√ε), and
-// compares them bit for bit.
+// compareSpecials runs Infer through the GEMM chain and the block on an
+// input with NaN, ±Inf and −0 voxels sprinkled through it, with channel 0's
+// running variance zero (rstd = 1/√ε), and compares them bit for bit.
 func compareSpecials(t *testing.T, c *chain, b *ConvBNReLU, s site) {
 	t.Helper()
 	c.bn.RunningVar[0], b.BN.RunningVar[0] = 0, 0
@@ -261,12 +247,10 @@ func compareSpecials(t *testing.T, c *chain, b *ConvBNReLU, s site) {
 	for i := 0; i < 4+len(xd)/1000; i++ {
 		xd[rng.Intn(len(xd))] = specials[i%len(specials)]
 	}
-	c.setTraining(false)
-	b.SetTraining(false)
-	want := c.forward(x)
-	assertSameBits(t, "evaluation output", want.Data(), b.Forward(x).Data())
+	want := c.infer(x)
 	got := b.Infer(x)
 	assertSameBits(t, "Infer", want.Data(), got.Data())
+	tensor.Recycle(want)
 	tensor.Recycle(got)
 }
 
@@ -274,9 +258,8 @@ func compareSpecials(t *testing.T, c *chain, b *ConvBNReLU, s site) {
 // sites and on awkward shapes, at 1/2/4 workers — bit for bit against the
 // GEMM chain, within the parity bounds against the direct one; at two
 // workers a second training step reuses every owned buffer, stale contents
-// and all. The specials subtests hold the evaluation-mode forward to the
-// GEMM chain on non-finite and −0 inputs and a zero-variance channel, at a
-// full-tile site, one of three K slices and one with ragged outC and
+// and all. The specials subtests hold Infer to the GEMM chain on
+// non-finite and −0 inputs and a zero-variance channel, at a full-tile site, one of three K slices and one with ragged outC and
 // packed B.
 func TestBlockMatchesChain(t *testing.T) {
 	for _, oracle := range []string{"gemm", "direct"} {
@@ -315,7 +298,6 @@ func TestBlockGrowAndReslice(t *testing.T) {
 		compareStep(t, c, b, s, n, rng, true)
 	}
 	ZeroGrads(b.Params())
-	b.SetTraining(true)
 	x := randTensor(rng, 3, s.inC, s.d, s.h, s.w)
 	y3 := b.Forward(x)
 	b.Backward(randTensor(rng, y3.Shape()...))
@@ -366,9 +348,9 @@ func TestBlockOwnedBuffersSteadyState(t *testing.T) {
 	}
 }
 
-// TestBlockBackwardNeedsTrainingForward: Backward without a training-mode
-// Forward — before any, after an evaluation-mode one, after DropCaches —
-// panics instead of reading stale buffers.
+// TestBlockBackwardNeedsTrainingForward: Backward without a Forward — before
+// any, after an Infer only, after DropCaches — panics instead of reading
+// stale buffers.
 func TestBlockBackwardNeedsTrainingForward(t *testing.T) {
 	s := awkwardSites[0]
 	_, b := newPair(s, 1)
@@ -385,10 +367,8 @@ func TestBlockBackwardNeedsTrainingForward(t *testing.T) {
 		b.Backward(g.Clone())
 	}
 	mustPanic("before Forward")
-	b.SetTraining(false)
-	b.Forward(x)
-	mustPanic("after an evaluation-mode Forward")
-	b.SetTraining(true)
+	tensor.Recycle(b.Infer(x))
+	mustPanic("after an Infer only")
 	b.Forward(x)
 	b.DropCaches()
 	mustPanic("after DropCaches")

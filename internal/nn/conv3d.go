@@ -14,12 +14,13 @@ import (
 // 1x1x1 sigmoid head).
 //
 // Every pass is a blocked matrix multiply against a patch matrix that is
-// never built (conv3d_gemm.go): the forward pass — training, evaluation and
-// Infer alike — and the input gradient are one routine, the kernel gradient
-// reads the transpose in place from a channels-last copy, and the bias
-// gradient is a per-channel sum. All of them are bit-for-bit independent of
-// the worker budget, and they match the single-threaded direct-loop
-// reference the tests keep within the ULP bounds TestConvParity asserts.
+// never built (conv3d_gemm.go): the forward pass — Forward, Infer and
+// ConvBNReLU's Infer with its epilogue alike — and the input gradient are
+// one routine, the kernel gradient reads the transpose in place from a
+// channels-last copy, and the bias gradient is a per-channel sum. All of
+// them are bit-for-bit independent of the worker budget, and they match the
+// single-threaded direct-loop reference the tests keep within the ULP bounds
+// TestConvParity asserts.
 type Conv3D struct {
 	workerBudget
 
@@ -77,7 +78,7 @@ func (c *Conv3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tenso
 
 // apply runs the forward kernel into a tensor drawn from alloc, retaining
 // nothing. A set norm is applied to every output element after the bias, by
-// the GEMM's store (a ConvBNReLU's evaluation-mode forward).
+// the GEMM's store (ConvBNReLU.Infer).
 func (c *Conv3D) apply(x *tensor.Tensor, alloc allocFunc, norm gemm.Norm) *tensor.Tensor {
 	n, _, d, h, w := check5D("Conv3D", x)
 	out := alloc(n, c.OutChannels, d, h, w)

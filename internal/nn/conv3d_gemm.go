@@ -51,8 +51,8 @@ import (
 // element.
 //
 // The forward's bias is added by the GEMM's store (gemm.Epilogue), as the
-// element leaves the register tile, so the output is written once; in a
-// ConvBNReLU's evaluation-mode forward the same store then applies the
+// element leaves the register tile, so the output is written once; in
+// ConvBNReLU.Infer the same store then applies the
 // running-statistics BatchNorm and the ReLU, and the body site is this one
 // product.
 //

@@ -48,23 +48,3 @@ func TestConv3DHoldsNoScratch(t *testing.T) {
 	assertBitEqual(t, "input grad after DropCaches", 1, gin2.Data(), gin2b.Data())
 	assertBitEqual(t, "kernel grad after DropCaches", 1, ctrl.W.Grad.Data(), sub.W.Grad.Data())
 }
-
-// TestSequentialDropCachesReachesLayers: the container forwards the hook to
-// every cache-holding layer.
-func TestSequentialDropCachesReachesLayers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	conv := NewConv3D("c", 2, 2, 3, rng)
-	up := NewConvTranspose3D("u", 2, 2, 2, rng)
-	seq := NewSequential(conv, NewReLU(), up)
-
-	x := tensor.Randn(rng, 0, 1, 1, 2, 4, 4, 4)
-	out := seq.Forward(x)
-	seq.Backward(tensor.New(out.Shape()...))
-	if conv.input == nil || up.input == nil {
-		t.Fatal("expected retained inputs after a training step")
-	}
-	seq.DropCaches()
-	if conv.input != nil || up.input != nil {
-		t.Fatal("Sequential.DropCaches missed a layer")
-	}
-}

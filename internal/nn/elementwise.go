@@ -6,8 +6,8 @@ import "math"
 // and the fused ConvBNReLU block's training passes. Both sides call these
 // and nothing else for the per-element work, so the chain and the block
 // agree bit for bit by construction. Every operation is rounded where it is
-// written — no a*b + c the compiler could fuse — because the block's
-// evaluation-mode forward does not call them: the GEMM's store computes the
+// written — no a*b + c the compiler could fuse — because the block's Infer
+// does not call them: the GEMM's store computes the
 // same formula (gemm.Norm) in vector registers, and TestBlockMatchesChain
 // holds the two to the same bits, GOAMD64=v3 and 386 included.
 

@@ -8,14 +8,22 @@
 // they need during Forward so that Backward can be called immediately after
 // with the gradient of the loss w.r.t. the layer output.
 //
+// Each method has one behaviour; no mode switches between them. Forward is
+// the training forward: BatchNorm normalizes with the batch statistics and
+// updates its running estimates, and every layer caches what Backward needs.
+// Infer is the forward that evaluation and serving run: BatchNorm normalizes
+// with the running statistics and nothing is cached (infer.go).
+//
 // Who owns a result depends on the method, never on the layer: Forward and
 // Backward return fresh tensors and never write to their argument; Infer
 // returns a tensor from the scratch pool and retains nothing; the ...Owned
 // variants write into a tensor.Owned buffer the caller keeps across steps
-// (how unet runs without allocating). All of them run the same kernel, which
-// writes every element of its output. ConvBNReLU is the one exception to the
-// first rule: it owns its buffers itself and its Backward overwrites the
-// gradient it is given (see block.go).
+// (how unet runs without allocating). Only the allocator differs: a layer's
+// forms run one kernel, which writes every element of its output — save that
+// BatchNorm's and ConvBNReLU's Infer normalize with the running statistics
+// instead of the batch's. ConvBNReLU is the one exception to the first rule:
+// it owns its buffers itself and its Backward overwrites the gradient it is
+// given (see block.go).
 //
 // The convolution layers have one implementation each, lowered to blocked
 // GEMMs from internal/gemm (conv3d_gemm.go, convtranspose3d_gemm.go); Conv3D
@@ -53,21 +61,16 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Layer is a differentiable computation. Forward must be called before
-// Backward; Backward receives dL/d(output) and returns dL/d(input). Infer is
-// the evaluation-mode forward on the inference fast path (infer.go): a
-// pool-backed result, no reference to x or the result retained.
+// Layer is a differentiable computation. Forward is the training forward and
+// must be called before Backward; Backward receives dL/d(output) and returns
+// dL/d(input). Infer is the forward-only pass (infer.go): running
+// statistics, a pool-backed result, no reference to x or the result
+// retained.
 type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	Infer(x *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
-}
-
-// Trainable is implemented by layers that behave differently in training and
-// evaluation mode (e.g. BatchNorm).
-type Trainable interface {
-	SetTraining(training bool)
 }
 
 // WorkerSetter is implemented by layers whose kernels run on the parallel
@@ -94,76 +97,12 @@ func (w *workerBudget) SetWorkers(workers int) { w.workers = workers }
 // the three differ only in who owns the result.
 type allocFunc func(shape ...int) *tensor.Tensor
 
-// Sequential chains layers.
-type Sequential struct {
-	Layers []Layer
-}
-
-// NewSequential builds a Sequential from the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
-
-// Forward runs x through every layer in order.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates gradOut through the layers in reverse order.
-func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		gradOut = s.Layers[i].Backward(gradOut)
-	}
-	return gradOut
-}
-
-// Params returns the parameters of all layers in order.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-// SetTraining forwards the training flag to every trainable layer.
-func (s *Sequential) SetTraining(training bool) {
-	for _, l := range s.Layers {
-		if t, ok := l.(Trainable); ok {
-			t.SetTraining(training)
-		}
-	}
-}
-
-// SetWorkers forwards the worker budget to every parallel-capable layer.
-func (s *Sequential) SetWorkers(workers int) {
-	for _, l := range s.Layers {
-		if w, ok := l.(WorkerSetter); ok {
-			w.SetWorkers(workers)
-		}
-	}
-}
-
-// AuxStater is implemented by layers (and layer containers) carrying
-// trained non-parameter state — e.g. BatchNorm running statistics — that a
-// checkpoint must capture for evaluation-mode forwards to reproduce. The
+// AuxStater is implemented by layers (and networks) carrying trained
+// non-parameter state — e.g. BatchNorm running statistics — that a
+// checkpoint must capture for Infer to reproduce. The
 // returned slices alias the live state; loaders write into them in place.
 type AuxStater interface {
 	AuxState() map[string][]float64
-}
-
-// AuxState merges the auxiliary state of every stateful layer.
-func (s *Sequential) AuxState() map[string][]float64 {
-	out := map[string][]float64{}
-	for _, l := range s.Layers {
-		if a, ok := l.(AuxStater); ok {
-			for k, v := range a.AuxState() {
-				out[k] = v
-			}
-		}
-	}
-	return out
 }
 
 // CacheDropper is implemented by layers that retain state between steps:
@@ -174,17 +113,6 @@ func (s *Sequential) AuxState() map[string][]float64 {
 // Forward and Backward is not.
 type CacheDropper interface {
 	DropCaches()
-}
-
-// DropCaches releases the retained caches of every cache-holding layer —
-// the memory-pressure hook long-lived trainers fire between the training
-// and evaluation phases of an epoch.
-func (s *Sequential) DropCaches() {
-	for _, l := range s.Layers {
-		if c, ok := l.(CacheDropper); ok {
-			c.DropCaches()
-		}
-	}
 }
 
 // ParamCount sums the element counts of the given parameters.

@@ -332,3 +332,61 @@ func maxPoolSerial(x *tensor.Tensor, s int) (*tensor.Tensor, []int32) {
 	}
 	return out, argmax
 }
+
+// Sequential chains layers: the small networks the layer tests compose
+// (TestUNetWorkerCountInvariant, the Infer tests). No program builds one.
+type Sequential struct {
+	Layers []Layer
+}
+
+// NewSequential builds a Sequential from the given layers.
+func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
+
+// Forward runs x through every layer's Forward in order.
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
+	for _, l := range s.Layers {
+		x = l.Forward(x)
+	}
+	return x
+}
+
+// Backward propagates gradOut through the layers in reverse order.
+func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	for i := len(s.Layers) - 1; i >= 0; i-- {
+		gradOut = s.Layers[i].Backward(gradOut)
+	}
+	return gradOut
+}
+
+// Infer runs x through every layer's Infer, recycling each intermediate
+// activation as soon as the next layer has consumed it. The returned tensor
+// is pool-backed.
+func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
+	in := x
+	for _, l := range s.Layers {
+		out := l.Infer(in)
+		if in != x {
+			tensor.Recycle(in)
+		}
+		in = out
+	}
+	return in
+}
+
+// Params returns the parameters of all layers in order.
+func (s *Sequential) Params() []*Param {
+	var ps []*Param
+	for _, l := range s.Layers {
+		ps = append(ps, l.Params()...)
+	}
+	return ps
+}
+
+// SetWorkers forwards the worker budget to every parallel-capable layer.
+func (s *Sequential) SetWorkers(workers int) {
+	for _, l := range s.Layers {
+		if w, ok := l.(WorkerSetter); ok {
+			w.SetWorkers(workers)
+		}
+	}
+}

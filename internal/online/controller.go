@@ -102,9 +102,9 @@ type Controller struct {
 	cfg Config
 
 	sess   *train.Session
-	shadow *unet.UNet // the session strategy's model (training mode)
-	live   *unet.UNet // eval-mode mirror of the currently served weights
-	last   *unet.UNet // eval-mode last-good generation (rollback target)
+	shadow *unet.UNet // the session strategy's model, which the session trains
+	live   *unet.UNet // mirror of the currently served weights, scored by Infer
+	last   *unet.UNet // last-good generation (rollback target), scored by Infer
 
 	gen         int64
 	hasLast     bool
@@ -201,12 +201,10 @@ func NewController(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	live.SetTraining(false)
 	last, err := unet.New(evalCfg)
 	if err != nil {
 		return nil, err
 	}
-	last.SetTraining(false)
 
 	c := &Controller{
 		cfg:    cfg,

@@ -24,7 +24,6 @@ func TestControllerDrivesRealServer(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		m.SetTraining(false)
 		return m, nil
 	}
 	srv, err := serve.New(serve.Config{

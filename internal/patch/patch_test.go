@@ -195,7 +195,6 @@ func TestSlidingWindowWithUNet(t *testing.T) {
 		InChannels: 4, OutChannels: 1, BaseFilters: 2, Steps: 2,
 		Kernel: 3, UpKernel: 2, Seed: 5,
 	})
-	u.SetTraining(false)
 	sw := SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{4, 4, 4}}
 	out, err := sw.Infer(u, s)
 	if err != nil {
@@ -271,7 +270,6 @@ func TestInferReplicasInvariant(t *testing.T) {
 			InChannels: 4, OutChannels: 1, BaseFilters: 2, Steps: 2,
 			Kernel: 3, UpKernel: 2, Seed: 5,
 		})
-		u.SetTraining(false)
 		return u
 	}
 	for _, blend := range []BlendMode{BlendUniform, BlendGaussian} {
@@ -309,7 +307,6 @@ func TestBlendWorkerCountInvariant(t *testing.T) {
 		InChannels: 4, OutChannels: 1, BaseFilters: 2, Steps: 2,
 		Kernel: 3, UpKernel: 2, Seed: 7,
 	})
-	u.SetTraining(false)
 	base := SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{2, 2, 2}}
 	want, err := base.Infer(u, s)
 	if err != nil {

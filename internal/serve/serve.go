@@ -16,8 +16,9 @@
 // separate blend pass — which is still bitwise identical because every
 // voxel receives exactly one contribution.
 //
-// Because the inference fast path is bit-for-bit an evaluation-mode forward
-// and blending always accumulates windows in scan order, a batched result
+// Because Infer gives a window the same bits whatever its batch neighbours
+// (unet's TestInferBatchInvariant) and blending always accumulates windows
+// in scan order, a batched result
 // is bitwise identical to a standalone patch.SlidingWindow.Infer on the
 // same checkpoint, no matter how requests interleave (TestBatchedMatchesReference).
 //

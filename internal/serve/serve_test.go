@@ -63,14 +63,13 @@ func testSamples(t *testing.T, n, dim int) []*volume.Sample {
 
 func unetFactory() (Model, error) { return unet.New(testNetConfig()) }
 
-// referenceModel loads the checkpoint into a standalone eval-mode U-Net.
+// referenceModel loads the checkpoint into a standalone U-Net.
 func referenceModel(t *testing.T, path string) *unet.UNet {
 	t.Helper()
 	u := unet.MustNew(testNetConfig())
 	if _, err := ckpt.LoadModelFile(path, u); err != nil {
 		t.Fatal(err)
 	}
-	u.SetTraining(false)
 	return u
 }
 

@@ -24,13 +24,12 @@ func tensorBytes(t *tensor.Tensor) []byte {
 	return out
 }
 
-// distinctModel builds an eval-mode model with seed-distinct weights.
+// distinctModel builds a model with seed-distinct weights.
 func distinctModel(t *testing.T, seed int64) *unet.UNet {
 	t.Helper()
 	cfg := testNetConfig()
 	cfg.Seed = seed
 	u := unet.MustNew(cfg)
-	u.SetTraining(false)
 	return u
 }
 

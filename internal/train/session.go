@@ -257,17 +257,12 @@ func (s *Session) Evaluate(val []*volume.Sample) (float64, error) {
 		return 0, fmt.Errorf("train: empty evaluation set")
 	}
 	var sum float64
-	n := 0
-	for _, sm := range val {
+	for i, sm := range val {
 		in, mask, err := volume.Batch([]*volume.Sample{sm})
 		if err != nil {
-			continue
+			return 0, fmt.Errorf("train: validation sample %d: %w", i, err)
 		}
 		sum += s.cfg.Strategy.Evaluate(in, mask)
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("train: no evaluable validation samples")
 	}
 	return sum / float64(len(val)), nil
 }

@@ -278,6 +278,68 @@ func TestCacheReleaseBitNeutral(t *testing.T) {
 	}
 }
 
+// evalCounter counts the evaluation phases a Fit runs.
+type evalCounter struct {
+	NopCallback
+	n int
+}
+
+func (c *evalCounter) OnEvalBegin(*Session, int) error { c.n++; return nil }
+
+// TestValidationDoesNotAffectTraining: evaluation reads the model and writes
+// nothing the training steps read, so a Fit with a validation set trains
+// bit for bit as one without — every epoch's mean loss, the parameters
+// (ParamHash) and the running statistics — for Single and for a 2-replica
+// mirrored strategy.
+func TestValidationDoesNotAffectTraining(t *testing.T) {
+	for _, build := range []struct {
+		name string
+		mk   func(*testing.T) Strategy
+	}{
+		{"single", func(t *testing.T) Strategy { return singleStrategy(t, "adam", 1) }},
+		{"mirrored", func(t *testing.T) Strategy { return mirroredStrategy(t, "adam", 2) }},
+	} {
+		t.Run(build.name, func(t *testing.T) {
+			const epochs = 3
+			run := func(val []*volume.Sample) (losses []float64, hash string, fp uint64) {
+				strat := build.mk(t)
+				evals := &evalCounter{}
+				sess, err := NewSession(Config{Strategy: strat, Epochs: epochs, GlobalBatch: 2, Seed: 3,
+					Callbacks: []Callback{evals}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.Fit(samples(t, 4), val); err != nil {
+					t.Fatal(err)
+				}
+				if want := min(len(val), 1) * epochs; evals.n != want {
+					t.Fatalf("%d evaluation phases, want %d", evals.n, want)
+				}
+				for _, e := range sess.History() {
+					losses = append(losses, e.MeanLoss)
+				}
+				return losses, mirrored.ParamHash(strat.Model()), fingerprint(strat.Model())
+			}
+			wantLosses, wantHash, wantFP := run(nil)
+			gotLosses, gotHash, gotFP := run(samples(t, 3))
+			if len(gotLosses) != epochs || len(wantLosses) != epochs {
+				t.Fatalf("%d and %d epochs recorded, want %d", len(gotLosses), len(wantLosses), epochs)
+			}
+			for i := range wantLosses {
+				if math.Float64bits(gotLosses[i]) != math.Float64bits(wantLosses[i]) {
+					t.Fatalf("epoch %d mean loss %v with validation, %v without", i, gotLosses[i], wantLosses[i])
+				}
+			}
+			if gotHash != wantHash {
+				t.Fatalf("ParamHash %s with validation, %s without", gotHash, wantHash)
+			}
+			if gotFP != wantFP {
+				t.Fatalf("parameters and running statistics %#x with validation, %#x without", gotFP, wantFP)
+			}
+		})
+	}
+}
+
 func TestSessionEmptyTrainErrors(t *testing.T) {
 	strat := singleStrategy(t, "sgd", 1)
 	sess, err := NewSession(Config{Strategy: strat, Epochs: 1, GlobalBatch: 2, Seed: 1})

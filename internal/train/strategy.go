@@ -25,7 +25,8 @@ type Strategy interface {
 	// Step runs one optimization step on a global batch ([N, C, D, H, W]
 	// inputs, [N, 1, D, H, W] masks) and returns the mean replica loss.
 	Step(inputs, masks *tensor.Tensor) (float64, error)
-	// Evaluate returns the mean hard Dice over a batch in evaluation mode.
+	// Evaluate returns the mean hard Dice of the model's Infer over a batch;
+	// it writes nothing the next Step reads.
 	Evaluate(inputs, masks *tensor.Tensor) float64
 	// Model returns the canonical (replica 0) network — the checkpoint
 	// read/write target.
@@ -124,10 +125,8 @@ func (s *Single) Step(inputs, masks *tensor.Tensor) (float64, error) {
 
 // Evaluate implements Strategy.
 func (s *Single) Evaluate(inputs, masks *tensor.Tensor) float64 {
-	m := s.model
-	m.SetTraining(false)
-	defer m.SetTraining(true)
-	pred := m.Forward(inputs)
+	pred := s.model.Infer(inputs)
+	defer tensor.Recycle(pred)
 	return metrics.DiceScore(pred, masks)
 }
 

@@ -107,7 +107,9 @@ func NewSpace(dims ...Dimension) (*Space, error) {
 
 // GridConfigs enumerates the cross product of all axes ("this set of
 // configurations becomes the cross-product of the different values for each
-// option", §III-B.2). The error is always nil.
+// option", §III-B.2): the first dimension varies slowest, values come in
+// the order given, and a dimension without values empties the grid
+// (TestGridConfigsOrder). The error is always nil.
 func (s *Space) GridConfigs() ([]Config, error) {
 	out := []Config{{}}
 	for _, d := range s.dims {

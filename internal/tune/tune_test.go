@@ -3,7 +3,9 @@ package tune
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,6 +33,55 @@ func TestGridConfigsCrossProduct(t *testing.T) {
 			t.Fatalf("duplicate config %s", key)
 		}
 		seen[key] = true
+	}
+}
+
+// TestGridConfigsOrder pins the order trials are launched in: dimensions in
+// the order given (the first varies slowest, names are not sorted), values
+// in the order given, the same slice on every call; a dimension without
+// values makes the grid empty.
+func TestGridConfigsOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dims []Dimension
+		want []Config
+	}{
+		{"single dimension", []Dimension{Grid("env", "prod", "staging", "dev")},
+			[]Config{{"env": "prod"}, {"env": "staging"}, {"env": "dev"}}},
+		{"two dimensions", []Dimension{Grid("x", "a", "b"), Grid("y", 1, 2)},
+			[]Config{{"x": "a", "y": 1}, {"x": "a", "y": 2}, {"x": "b", "y": 1}, {"x": "b", "y": 2}}},
+		{"names not sorted", []Dimension{Grid("z", 0.3, 0.1), Grid("a", "q", "p"), Grid("m", true)},
+			[]Config{
+				{"z": 0.3, "a": "q", "m": true}, {"z": 0.3, "a": "p", "m": true},
+				{"z": 0.1, "a": "q", "m": true}, {"z": 0.1, "a": "p", "m": true},
+			}},
+		{"empty dimension", []Dimension{Grid("x", "a", "b"), {Name: "none"}}, []Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSpace(tc.dims...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := s.GridConfigs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(first) != len(tc.want) || s.Size() != len(tc.want) {
+				t.Fatalf("%d configs (Size %d), want %d", len(first), s.Size(), len(tc.want))
+			}
+			for i, want := range tc.want {
+				if !maps.Equal(first[i], want) {
+					t.Errorf("config %d = %v, want %v", i, first[i], want)
+				}
+			}
+			again, err := s.GridConfigs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(first, again, maps.Equal) {
+				t.Errorf("second call %v, first %v", again, first)
+			}
+		})
 	}
 }
 

@@ -20,31 +20,6 @@ func inferTestConfig() Config {
 	}
 }
 
-// TestInferMatchesEvalForward asserts the inference fast path produces
-// bit-for-bit the evaluation-mode Forward output.
-func TestInferMatchesEvalForward(t *testing.T) {
-	t.Run("gemm", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(2))
-		x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
-
-		u := MustNew(inferTestConfig())
-		// A training step first, so running stats diverge from their
-		// initial values and eval mode is meaningfully exercised.
-		u.Forward(x)
-		u.SetTraining(false)
-		want := u.Forward(x)
-		got := u.Infer(x)
-
-		wd, gd := want.Data(), got.Data()
-		for i := range wd {
-			if wd[i] != gd[i] {
-				t.Fatalf("element %d: Infer %v != eval Forward %v", i, gd[i], wd[i])
-			}
-		}
-		tensor.Recycle(got)
-	})
-}
-
 // TestInferScratchSteadyState asserts a steady-state U-Net inference step
 // performs zero fresh scratch allocations — every activation, patch matrix
 // and packing panel comes from the pool.

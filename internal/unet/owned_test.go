@@ -2,6 +2,7 @@ package unet
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -77,13 +78,10 @@ func (c *chainNet) layers() []nn.Layer {
 	return append(ls, c.head)
 }
 
-func (c *chainNet) configure(workers int, training bool) {
+func (c *chainNet) configure(workers int) {
 	for _, l := range append(c.layers(), c.act) {
 		if w, ok := l.(nn.WorkerSetter); ok {
 			w.SetWorkers(workers)
-		}
-		if tr, ok := l.(nn.Trainable); ok {
-			tr.SetTraining(training)
 		}
 	}
 	for _, p := range c.pools {
@@ -91,27 +89,54 @@ func (c *chainNet) configure(workers int, training bool) {
 	}
 }
 
-func (c *chainNet) params() []*nn.Param { return nn.NewSequential(c.layers()...).Params() }
-
-func (c *chainNet) auxState() map[string][]float64 {
-	return nn.NewSequential(c.layers()...).AuxState()
+func (c *chainNet) params() []*nn.Param {
+	var ps []*nn.Param
+	for _, l := range c.layers() {
+		ps = append(ps, l.Params()...)
+	}
+	return ps
 }
 
-func (c *chainNet) forward(x *tensor.Tensor) *tensor.Tensor {
-	c.skips = c.skips[:0]
+func (c *chainNet) auxState() map[string][]float64 {
+	out := map[string][]float64{}
+	for _, l := range c.layers() {
+		if a, ok := l.(nn.AuxStater); ok {
+			maps.Copy(out, a.AuxState())
+		}
+	}
+	return out
+}
+
+// forward runs x through every layer's Forward, keeping the skips for
+// backward — or, with infer set, through every layer's Infer.
+func (c *chainNet) forward(x *tensor.Tensor, infer bool) *tensor.Tensor {
+	run := func(l nn.Layer, h *tensor.Tensor) *tensor.Tensor {
+		if infer {
+			return l.Infer(h)
+		}
+		return l.Forward(h)
+	}
+	var skips []*tensor.Tensor
 	h := x
 	for i, e := range c.enc {
-		h = nn.NewSequential(e...).Forward(h)
+		for _, l := range e {
+			h = run(l, h)
+		}
 		if i < len(c.pools) {
-			c.skips = append(c.skips, h)
-			h = c.pools[i].Forward(h)
+			skips = append(skips, h)
+			h = run(c.pools[i], h)
 		}
 	}
 	for i, d := range c.dec {
-		h = concat(c.ups[i].Forward(h), c.skips[len(c.skips)-1-i])
-		h = nn.NewSequential(d...).Forward(h)
+		h = concat(run(c.ups[i], h), skips[len(skips)-1-i])
+		for _, l := range d {
+			h = run(l, h)
+		}
 	}
-	return c.act.Forward(c.head.Forward(h))
+	if !infer {
+		c.skips = skips
+	}
+	return run(c.act, run(c.head, h))
 }
 
 // concat is the channel concatenation [a, b] as a fresh tensor.
@@ -141,10 +166,16 @@ func split(g *tensor.Tensor, ca int) (ga, gb *tensor.Tensor) {
 }
 
 func (c *chainNet) backward(gradOut *tensor.Tensor) {
+	back := func(ls []nn.Layer, g *tensor.Tensor) *tensor.Tensor {
+		for i := len(ls) - 1; i >= 0; i-- {
+			g = ls[i].Backward(g)
+		}
+		return g
+	}
 	g := c.head.Backward(c.act.Backward(gradOut))
 	skipGrads := make([]*tensor.Tensor, len(c.skips))
 	for i := len(c.dec) - 1; i >= 0; i-- {
-		g = nn.NewSequential(c.dec[i]...).Backward(g)
+		g = back(c.dec[i], g)
 		gUp, gSkip := split(g, c.upC[i])
 		skipGrads[len(c.skips)-1-i] = gSkip
 		g = c.ups[i].Backward(gUp)
@@ -154,28 +185,28 @@ func (c *chainNet) backward(gradOut *tensor.Tensor) {
 			g = c.pools[i].Backward(g)
 			g.Accumulate(skipGrads[i])
 		}
-		g = nn.NewSequential(c.enc[i]...).Backward(g)
+		g = back(c.enc[i], g)
 	}
 }
 
 // TestBlockNetworkMatchesStandaloneLayers: the network on fused blocks and
 // owned buffers against the same wiring built from standalone layers — the
 // prediction, every parameter gradient and every running statistic bit for
-// bit, over two training steps and an evaluation pass, at 1/2/4 workers.
+// bit, over two training steps and an Infer, at 1/2/4 workers.
 func TestBlockNetworkMatchesStandaloneLayers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("gemm/w%d", workers), func(t *testing.T) {
 			cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 4, Steps: 3,
 				Kernel: 3, UpKernel: 2, Seed: 6, Workers: workers}
 			u, ref := MustNew(cfg), newChainNet(cfg)
-			ref.configure(workers, true)
+			ref.configure(workers)
 			rng := rand.New(rand.NewSource(7))
 			for step := 0; step < 2; step++ {
 				x := tensor.Randn(rng, 0, 1, 2, 2, 8, 8, 8)
 				g := tensor.Randn(rng, 0, 1, 2, 1, 8, 8, 8)
 				u.ZeroGrads()
 				nn.ZeroGrads(ref.params())
-				sameBits(t, "prediction", ref.forward(x).Data(), u.Forward(x).Data())
+				sameBits(t, "prediction", ref.forward(x, false).Data(), u.Forward(x).Data())
 				ref.backward(g)
 				u.Backward(g)
 				for i, p := range ref.params() {
@@ -197,10 +228,7 @@ func TestBlockNetworkMatchesStandaloneLayers(t *testing.T) {
 				t.Fatalf("%d auxiliary entries, want %d", len(aux), len(ref.auxState()))
 			}
 			x := tensor.Randn(rng, 0, 1, 3, 2, 8, 8, 8)
-			u.SetTraining(false)
-			ref.configure(workers, false)
-			want := ref.forward(x)
-			sameBits(t, "evaluation prediction", want.Data(), u.Forward(x).Data())
+			want := ref.forward(x, true)
 			got := u.Infer(x)
 			sameBits(t, "Infer", want.Data(), got.Data())
 			tensor.Recycle(got)

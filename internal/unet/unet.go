@@ -12,6 +12,11 @@
 // with the identical filter progression. The builder is fully configurable
 // so alternative wirings can be expressed.
 //
+// Forward always trains: batch normalization uses the batch statistics and
+// updates the running estimates. Infer is the one evaluation forward —
+// validation, serving, patches and the online controller score through it —
+// and uses the running statistics. There is no mode to switch.
+//
 // # Wiring and ownership
 //
 // Each "convolution → batch normalization → ReLU" site is one nn.ConvBNReLU
@@ -267,15 +272,6 @@ func (u *UNet) SetWorkers(workers int) {
 	u.act.SetWorkers(workers)
 }
 
-// SetTraining toggles training mode on every body block's batch
-// normalization (the only part of the network that computes differently in
-// evaluation mode).
-func (u *UNet) SetTraining(training bool) {
-	for _, b := range u.blocks() {
-		b.SetTraining(training)
-	}
-}
-
 // ZeroGrads clears all parameter gradients.
 func (u *UNet) ZeroGrads() { nn.ZeroGrads(u.params) }
 
@@ -317,7 +313,7 @@ func (u *UNet) DropCaches() {
 
 // AuxState merges the batch-norm running statistics of every normalization
 // layer — the trained non-parameter state a checkpoint must capture for
-// evaluation-mode forwards to reproduce. The slices alias the live state.
+// Infer to reproduce. The slices alias the live state.
 func (u *UNet) AuxState() map[string][]float64 {
 	out := map[string][]float64{}
 	for _, b := range u.blocks() {
@@ -342,8 +338,9 @@ func (u *UNet) checkInput(op string, x *tensor.Tensor) {
 	}
 }
 
-// Forward computes per-voxel probabilities for x ([N, InC, D, H, W]) and
-// keeps what Backward needs. Spatial dimensions must be divisible by
+// Forward is the training forward: it computes per-voxel probabilities for
+// x ([N, InC, D, H, W]) under the batch statistics, updates the running
+// estimates and keeps what Backward needs. Spatial dimensions must be divisible by
 // MinVolume(). x is only read, and must stay unchanged until Backward has
 // run; the returned prediction is a fresh tensor the caller owns.
 func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -368,15 +365,15 @@ func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return u.act.Forward(u.head.ForwardOwned(h, &u.headOut))
 }
 
-// Infer computes per-voxel probabilities like an evaluation-mode Forward —
-// bit-for-bit identically, the kernels are shared — but forward-only and
-// without touching anything the network owns: every activation is a tensor
-// from the scratch pool, one per body block, recycled the moment its consumer
-// has run; nothing is retained; batch normalization always uses the running
-// statistics. So Infer may be interleaved with training steps on the same
-// model (between a Forward and its Backward too) without disturbing either,
-// and after warm-up a steady-state Infer performs zero fresh scratch
-// allocations (TestInferScratchSteadyState).
+// Infer computes per-voxel probabilities under the running statistics — bit
+// for bit the standalone layers' Infers chained, whatever a sample's batch
+// neighbours — forward-only and without touching anything the network owns:
+// every activation is a tensor from the scratch pool, one per body block,
+// recycled the moment its consumer has run; nothing is retained. So Infer
+// may be interleaved with training steps on the same model (between a
+// Forward and its Backward too) without disturbing either, and after warm-up
+// a steady-state Infer performs zero fresh scratch allocations
+// (TestInferScratchSteadyState).
 //
 // x is only read. The returned tensor is pool-backed and the caller's: hold
 // it as long as needed, then tensor.Recycle it (or let the GC have it).

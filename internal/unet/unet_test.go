@@ -104,13 +104,12 @@ func TestForwardRejectsIndivisibleVolume(t *testing.T) {
 
 func TestForwardDeterministic(t *testing.T) {
 	u := MustNew(tinyConfig())
-	u.SetTraining(false)
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.Randn(rng, 0, 1, 1, 2, 4, 4, 4)
 	y1 := u.Forward(x).Clone()
 	y2 := u.Forward(x)
 	if tensor.MaxAbsDiff(y1, y2) != 0 {
-		t.Fatal("eval-mode forward must be deterministic")
+		t.Fatal("forward must be deterministic")
 	}
 }
 
