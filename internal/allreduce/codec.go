@@ -266,7 +266,7 @@ func (int8Codec) Decode(payload []byte) ([]float32, error) {
 	scale := math.Float32frombits(binary.LittleEndian.Uint32(payload[4:]))
 	out := make([]float32, len(payload)-int8Header)
 	for i := range out {
-		out[i] = mn + float32(payload[int8Header+i])*scale
+		out[i] = mn + float32(float32(payload[int8Header+i])*scale)
 	}
 	return out, nil
 }

@@ -6,6 +6,11 @@ package gemm
 // AVX2 and the OS saves the YMM state. Decided once, at package init.
 var useAsm = hasAVX2()
 
+// AVX2 reports whether this package's AVX2 paths are live, for packages
+// that carry AVX2 assembly of their own and want the same once-at-init
+// decision.
+func AVX2() bool { return useAsm }
+
 func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

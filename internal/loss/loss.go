@@ -43,7 +43,7 @@ func (d *Dice) Eval(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	t := target.Data()
 	var inter, sumP, sumT float64
 	for i := range p {
-		inter += float64(p[i]) * float64(t[i])
+		inter += float64(float64(p[i]) * float64(t[i]))
 		sumP += float64(p[i])
 		sumT += float64(t[i])
 	}
@@ -56,7 +56,7 @@ func (d *Dice) Eval(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	g := grad.Data()
 	den2 := den * den
 	for i := range p {
-		g[i] = float32(-(2*float64(t[i])*den - num) / den2)
+		g[i] = float32(-(float64(2*float64(t[i])*den) - num) / den2)
 	}
 	return l, grad
 }
@@ -82,9 +82,9 @@ func (d *QuadraticDice) Eval(pred, target *tensor.Tensor) (float64, *tensor.Tens
 	t := target.Data()
 	var inter, sumP2, sumT2 float64
 	for i := range p {
-		inter += float64(p[i]) * float64(t[i])
-		sumP2 += float64(p[i]) * float64(p[i])
-		sumT2 += float64(t[i]) * float64(t[i])
+		inter += float64(float64(p[i]) * float64(t[i]))
+		sumP2 += float64(float64(p[i]) * float64(p[i]))
+		sumT2 += float64(float64(t[i]) * float64(t[i]))
 	}
 	num := 2*inter + d.Epsilon
 	den := sumP2 + sumT2 + d.Epsilon
@@ -95,7 +95,7 @@ func (d *QuadraticDice) Eval(pred, target *tensor.Tensor) (float64, *tensor.Tens
 	g := grad.Data()
 	den2 := den * den
 	for i := range p {
-		g[i] = float32(-(2*float64(t[i])*den - num*2*float64(p[i])) / den2)
+		g[i] = float32(-(float64(2*float64(t[i])*den) - float64(num*2*float64(p[i]))) / den2)
 	}
 	return l, grad
 }
@@ -123,7 +123,7 @@ func (b *BCE) Eval(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	for i := range p {
 		pi := math.Min(math.Max(float64(p[i]), b.Epsilon), 1-b.Epsilon)
 		ti := float64(t[i])
-		l += -(ti*math.Log(pi) + (1-ti)*math.Log(1-pi))
+		l += -(float64(ti*math.Log(pi)) + float64((1-ti)*math.Log(1-pi)))
 		g[i] = float32((pi - ti) / (pi * (1 - pi)) / n)
 	}
 	return l / n, grad

@@ -142,8 +142,8 @@ func (b *BatchNorm) trainStats(xd []float32, n, spatial int, lanes *[4]int, live
 		variance := varSum[j] / m
 		b.mean[ci] = mean[j]
 		b.rstd[ci] = 1.0 / math.Sqrt(variance+b.Eps)
-		b.RunningMean[ci] = (1-b.Momentum)*b.RunningMean[ci] + b.Momentum*mean[j]
-		b.RunningVar[ci] = (1-b.Momentum)*b.RunningVar[ci] + b.Momentum*variance
+		b.RunningMean[ci] = float64((1-b.Momentum)*b.RunningMean[ci]) + float64(b.Momentum*mean[j])
+		b.RunningVar[ci] = float64((1-b.Momentum)*b.RunningVar[ci]) + float64(b.Momentum*variance)
 	}
 }
 
@@ -171,10 +171,10 @@ func addSquaredDevs(s, mean *[4]float64, p [4][]float32) {
 	p1, p2, p3 := p[1][:len(p0)], p[2][:len(p0)], p[3][:len(p0)]
 	for i, v := range p0 {
 		d0, d1, d2, d3 := float64(v)-m0, float64(p1[i])-m1, float64(p2[i])-m2, float64(p3[i])-m3
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	*s = [4]float64{s0, s1, s2, s3}
 }
@@ -250,7 +250,19 @@ func (b *BatchNorm) gradSums(god, yd, xh []float32, n, spatial int, lanes *[4]in
 
 // addGradSums adds four planes' elements onto their channels' Σdy and Σdy·x̂
 // chains, in element order: dy = g, gated by y > 0 where y's planes are set.
+// The gated sums run their leading multiple of 4 elements in AVX2 where it
+// is live.
 func addGradSums(sumDy, sumDyXhat *[4]float64, g, y, h [4][]float32) {
+	if y[0] != nil {
+		done := gradSumsVec(sumDy, sumDyXhat, &g, &y, &h)
+		for j := range g {
+			g[j], y[j], h[j] = g[j][done:], y[j][done:], h[j][done:]
+		}
+	}
+	addGradSumsGo(sumDy, sumDyXhat, g, y, h)
+}
+
+func addGradSumsGo(sumDy, sumDyXhat *[4]float64, g, y, h [4][]float32) {
 	s0, s1, s2, s3 := sumDy[0], sumDy[1], sumDy[2], sumDy[3]
 	x0, x1, x2, x3 := sumDyXhat[0], sumDyXhat[1], sumDyXhat[2], sumDyXhat[3]
 	g0 := g[0]

@@ -254,3 +254,32 @@ func BenchmarkMaxPool3D(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConvBNReLU times the training block at the benchmark network's
+// top body site — batch 2, 8 → 8 channels of 16³, k = 3 — at the default
+// worker budget: forward is the convolution plus the statistics and
+// normalize-and-rectify passes, backward the ReLU/BatchNorm gradient passes
+// plus the convolution's three. Backward overwrites its gradient, so each
+// iteration starts from a fresh copy, outside the timer.
+func BenchmarkConvBNReLU(b *testing.B) {
+	x := benchInput(1, benchIC)
+	g := benchInput(3, benchIC)
+	block := NewConvBNReLU("b", benchIC, benchIC, 3, rand.New(rand.NewSource(2)))
+	b.Run("forward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			block.Forward(x)
+		}
+	})
+	b.Run("backward", func(b *testing.B) {
+		block.Forward(x)
+		grad := g.Clone()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(grad.Data(), g.Data())
+			b.StartTimer()
+			block.Backward(grad)
+		}
+	})
+}

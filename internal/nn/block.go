@@ -10,9 +10,10 @@ import (
 // normalization and ReLU — as one block that owns its buffers. It computes
 // exactly what the chain Conv3D → BatchNorm → ReLU computes, bit for bit (the
 // convolution is a Conv3D, the statistics go through the same BatchNorm code,
-// every element through the helpers of elementwise.go or, in Infer, through
-// the GEMM epilogue that rounds as they do), in fewer passes over the
-// activation and with nothing allocated per step:
+// every element through the arithmetic of elementwise.go's helpers — in
+// their Go loops, or in the AVX2 loops held bit for bit to them — or, in
+// Infer, through the GEMM epilogue that rounds as they do), in fewer passes
+// over the activation and with nothing allocated per step:
 //
 //   - Forward (always training): the convolution writes z into a buffer the
 //     block keeps; after BatchNorm's two statistics passes, one pass
@@ -99,12 +100,7 @@ func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 			g, bt := gd[ci], bd[ci]
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
-				zs, ys := zd[base:base+spatial], yd[base:base+spatial]
-				for i, v := range zs {
-					xh := bnNormalize(v, mean, rstd)
-					zs[i] = xh
-					ys[i] = relu(bnAffine(g, xh, bt))
-				}
+				normRelu(zd[base:base+spatial], yd[base:base+spatial], mean, rstd, g, bt)
 			}
 		}
 	})
@@ -151,10 +147,7 @@ func (b *ConvBNReLU) preConvGrad(gradOut *tensor.Tensor) {
 			k := bn.channelGrads(ci, sumDy[j], sumDyXhat[j], m)
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * spatial
-				gs, ys, hs := god[base:base+spatial], yd[base:base+spatial], xh[base:base+spatial]
-				for i, g := range gs {
-					gs[i] = bnInputGrad(k, m, float64(gate(ys[i], g)), sumDy[j], hs[i], sumDyXhat[j])
-				}
+				gatedInputGrad(god[base:base+spatial], yd[base:base+spatial], xh[base:base+spatial], k, m, sumDy[j], sumDyXhat[j])
 			}
 		}
 	})

@@ -215,10 +215,7 @@ func padChannelsLast(dst, src []float32, count, ch, cp int, g haloGeom, workers 
 				channel := func(c int) []float32 { return in[c*cols+y*g.w:][:g.w] }
 				c := 0
 				for ; c+4 <= ch; c += 4 {
-					r0, r1, r2, r3 := channel(c), channel(c+1), channel(c+2), channel(c+3)
-					for x, v := range r0 {
-						*(*[4]float32)(row[x*cp+c:]) = [4]float32{v, r1[x], r2[x], r3[x]}
-					}
+					interleave(row[c:], in[c*cols+y*g.w:], cols, cp, g.w)
 				}
 				for ; c < ch; c++ {
 					for x, v := range channel(c) {
@@ -228,6 +225,22 @@ func padChannelsLast(dst, src []float32, count, ch, cp int, g haloGeom, workers 
 			}
 		}
 	})
+}
+
+// interleave copies four channel rows of count voxels, channel j at
+// src[j·stride:], into dst channels-last: dst[x·cp + j] = src[j·stride + x].
+// The leading multiple of 4 voxels runs in AVX2 where it is live.
+func interleave(dst, src []float32, stride, cp, count int) {
+	if done := interleaveVec(dst, src, stride, cp, count); done < count {
+		interleaveGo(dst[done*cp:], src[done:], stride, cp, count-done)
+	}
+}
+
+func interleaveGo(dst, src []float32, stride, cp, count int) {
+	r0, r1, r2, r3 := src[:count], src[stride:][:count], src[2*stride:][:count], src[3*stride:][:count]
+	for x, v := range r0 {
+		*(*[4]float32)(dst[x*cp:]) = [4]float32{v, r1[x], r2[x], r3[x]}
+	}
 }
 
 // patchTransposed describes Pᵀ of one sample's channels-last halo (cp

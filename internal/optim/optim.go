@@ -51,7 +51,7 @@ func (s *SGD) Step(params []*nn.Param) {
 		g := p.Grad.Data()
 		if s.Momentum == 0 {
 			for i := range v {
-				v[i] -= float32(s.lr) * g[i]
+				v[i] -= float32(float32(s.lr) * g[i])
 			}
 			continue
 		}
@@ -62,8 +62,8 @@ func (s *SGD) Step(params []*nn.Param) {
 		}
 		m := float32(s.Momentum)
 		for i := range v {
-			vel[i] = m*vel[i] + g[i]
-			v[i] -= float32(s.lr) * vel[i]
+			vel[i] = float32(m*vel[i]) + g[i]
+			v[i] -= float32(float32(s.lr) * vel[i])
 		}
 	}
 }
@@ -122,8 +122,8 @@ func (a *Adam) Step(params []*nn.Param) {
 		b1 := float32(a.Beta1)
 		b2 := float32(a.Beta2)
 		for i := range val {
-			m[i] = b1*m[i] + (1-b1)*g[i]
-			v[i] = b2*v[i] + (1-b2)*g[i]*g[i]
+			m[i] = float32(b1*m[i]) + float32((1-b1)*g[i])
+			v[i] = float32(b2*v[i]) + float32((1-b2)*g[i]*g[i])
 			mh := float64(m[i]) / c1
 			vh := float64(v[i]) / c2
 			val[i] -= float32(a.lr * mh / (math.Sqrt(vh) + a.Epsilon))
@@ -317,7 +317,7 @@ func (c *CyclicLR) At(step int) float64 {
 	if c.Gamma != 1 {
 		amp *= math.Pow(c.Gamma, cycle-1)
 	}
-	lr := c.Base + amp*math.Max(0, 1-x)
+	lr := c.Base + float64(amp*math.Max(0, 1-x))
 	return lr
 }
 
