@@ -16,12 +16,11 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/loss"
 	"repro/internal/metrics"
 	"repro/internal/msd"
-	"repro/internal/optim"
 	"repro/internal/patch"
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -37,13 +36,13 @@ func main() {
 	log.SetFlags(0)
 
 	cfg := msd.Config{Cases: 14, D: volDim, H: volDim, W: volDim, Seed: 3}
-	var train, val []*volume.Sample
+	var trainSet, val []*volume.Sample
 	for i := 0; i < 10; i++ {
 		s, err := volume.Preprocess(msd.GenerateCase(cfg, i), 4)
 		if err != nil {
 			log.Fatal(err)
 		}
-		train = append(train, s)
+		trainSet = append(trainSet, s)
 	}
 	for i := 10; i < 14; i++ {
 		s, err := volume.Preprocess(msd.GenerateCase(cfg, i), 4)
@@ -55,23 +54,21 @@ func main() {
 	netCfg := unet.Config{InChannels: 4, OutChannels: 1, BaseFilters: 4, Steps: 2, Kernel: 3, UpKernel: 2, Seed: 2}
 
 	// --- Full-volume training.
-	full := unet.MustNew(netCfg)
 	fullStart := time.Now()
-	trainSteps(full, func(rng *rand.Rand) []*volume.Sample {
+	full := trainSteps(netCfg, func(rng *rand.Rand) []*volume.Sample {
 		out := make([]*volume.Sample, batch)
 		for i := range out {
-			out[i] = train[rng.Intn(len(train))]
+			out[i] = trainSet[rng.Intn(len(trainSet))]
 		}
 		return out
 	})
 	fullTrain := time.Since(fullStart)
 
 	// --- Patch training: same step count, same batch, 8^3 patches.
-	patched := unet.MustNew(netCfg)
 	patchStart := time.Now()
 	prng := rand.New(rand.NewSource(77))
-	trainSteps(patched, func(rng *rand.Rand) []*volume.Sample {
-		src := train[rng.Intn(len(train))]
+	patched := trainSteps(netCfg, func(rng *rand.Rand) []*volume.Sample {
+		src := trainSet[rng.Intn(len(trainSet))]
 		ps, err := patch.RandomPatches(src, batch, patchDim, patchDim, patchDim, 0.7, prng)
 		if err != nil {
 			log.Fatal(err)
@@ -122,21 +119,22 @@ func main() {
 	}
 }
 
-// trainSteps runs a fixed number of Adam steps on batches from nextBatch.
-func trainSteps(u *unet.UNet, nextBatch func(rng *rand.Rand) []*volume.Sample) {
+// trainSteps runs a fixed number of Adam steps of the sequential strategy
+// on batches from nextBatch and returns the trained model.
+func trainSteps(netCfg unet.Config, nextBatch func(rng *rand.Rand) []*volume.Sample) *unet.UNet {
+	st, err := train.NewSingle(train.SingleConfig{Net: netCfg, Loss: "dice", Optimizer: "adam", LR: 2e-3})
+	if err != nil {
+		log.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
-	l := loss.NewDice()
-	opt := optim.NewAdam(2e-3)
 	for step := 0; step < steps; step++ {
-		samples := nextBatch(rng)
-		in, mask, err := volume.Batch(samples)
+		in, mask, err := volume.Batch(nextBatch(rng))
 		if err != nil {
 			log.Fatal(err)
 		}
-		u.ZeroGrads()
-		pred := u.Forward(in)
-		_, grad := l.Eval(pred, mask)
-		u.Backward(grad)
-		opt.Step(u.Params())
+		if _, err := st.Step(in, mask); err != nil {
+			log.Fatal(err)
+		}
 	}
+	return st.Model()
 }

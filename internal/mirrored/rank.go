@@ -42,9 +42,9 @@ type Rank struct {
 
 // SetPhaseObserver implements train.PhaseReporter: fn receives this rank's
 // exact forward/backward/allreduce/optim durations for every subsequent
-// step (plus comm_wait on the overlapped path). The allreduce phase
-// includes waiting for the slowest member. Not synchronized with Step —
-// install it before training starts.
+// step (plus comm_wait on the overlapped path; no allreduce at width 1).
+// The allreduce phase includes waiting for the slowest member. Not
+// synchronized with Step — install it before training starts.
 func (s *Rank) SetPhaseObserver(fn func(phase string, d time.Duration)) { s.phaseObs = fn }
 
 // SetBucketBytes switches Step to the bucketed, overlapped reduction path
@@ -85,7 +85,10 @@ func NewRank(topo *allreduce.Topology, net unet.Config, lossName, optName string
 // gradient average over the topology, identical optimizer update
 // everywhere. Every member must call it with the same global batch. The
 // returned loss is the rank-ordered mean over all shards — the same value
-// on every rank.
+// on every rank. At width 1 — the paper's sequential case, and every
+// experiment-parallel trial — the average of one buffer is the identity,
+// so the step skips the flatten/all-reduce/unflatten round trip and
+// reports no allreduce phase.
 func (s *Rank) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	n := inputs.Dim(0)
 	w := s.topo.Width()
@@ -112,18 +115,22 @@ func (s *Rank) Step(inputs, masks *tensor.Tensor) (float64, error) {
 
 	s.model.Backward(grad)
 	t2 := time.Now()
-
-	flat := flattenGrads(s.model.Params())
-	if err := s.topo.AllReduceAverage(flat); err != nil {
-		return 0, err
+	t3 := t2
+	if w > 1 {
+		flat := flattenGrads(s.model.Params())
+		if err := s.topo.AllReduceAverage(flat); err != nil {
+			return 0, err
+		}
+		t3 = time.Now()
+		unflattenGrads(s.model.Params(), flat)
 	}
-	t3 := time.Now()
-	unflattenGrads(s.model.Params(), flat)
 	s.opt.Step(s.model.Params())
 	if obs := s.phaseObs; obs != nil {
 		obs("forward", t1.Sub(t0))
 		obs("backward", t2.Sub(t1))
-		obs("allreduce", t3.Sub(t2))
+		if w > 1 {
+			obs("allreduce", t3.Sub(t2))
+		}
 		obs("optim", time.Since(t3))
 	}
 

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -400,82 +398,29 @@ func positions(dim, patch, stride int) []int {
 	}
 }
 
-// Infer runs the predictor over every window of the sample's input and
-// returns the overlap-blended full-volume probability map with the same
-// channel count as the model output. With a single predictor the windows
-// run serially in scan order; InferReplicas parallelizes across model
-// replicas.
+// Infer runs the predictor over every window of the sample's input, serially
+// in scan order, and returns the overlap-blended full-volume probability map
+// with the same channel count as the model output.
 func (sw SlidingWindow) Infer(model Predictor, s *volume.Sample) (*tensor.Tensor, error) {
-	return sw.InferReplicas([]Predictor{model}, s)
-}
-
-// InferReplicas is Infer with the window loop parallelized across model
-// replicas: each replica is owned by exactly one goroutine and the
-// goroutines pull window indices from a shared counter, so no model ever
-// runs two windows concurrently. Replicas must hold identical weights; they
-// typically share a worker budget via parallel.ShareN. Because every window
-// prediction is computed independently and blending happens afterwards in
-// scan order, the result is bitwise independent of the replica count
-// (TestInferReplicasInvariant).
-func (sw SlidingWindow) InferReplicas(models []Predictor, s *volume.Sample) (*tensor.Tensor, error) {
 	if err := sw.Validate(); err != nil {
 		return nil, err
-	}
-	if len(models) == 0 {
-		return nil, fmt.Errorf("patch: no models")
 	}
 	sh := s.Input.Shape()
 	d, h, w := sh[1], sh[2], sh[3]
 	wins := sw.Windows(d, h, w)
 
 	preds := make([]*tensor.Tensor, len(wins))
-	runOne := func(m Predictor, i int) error {
-		wn := wins[i]
+	defer func() {
+		for _, p := range preds {
+			tensor.Recycle(p)
+		}
+	}()
+	for i, wn := range wins {
 		p, err := Extract(s, wn.Z, wn.Y, wn.X, wn.D, wn.H, wn.W)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		preds[i] = m.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...))
-		return nil
+		preds[i] = model.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...))
 	}
-
-	if len(models) == 1 {
-		for i := range wins {
-			if err := runOne(models[0], i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var (
-			next     atomic.Int64
-			firstErr atomic.Pointer[error]
-			wg       sync.WaitGroup
-		)
-		wg.Add(len(models))
-		for _, m := range models {
-			go func(m Predictor) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(wins) || firstErr.Load() != nil {
-						return
-					}
-					if err := runOne(m, i); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-			}(m)
-		}
-		wg.Wait()
-		if e := firstErr.Load(); e != nil {
-			return nil, *e
-		}
-	}
-
-	out, err := sw.BlendPredictions(wins, preds, d, h, w)
-	for _, p := range preds {
-		tensor.Recycle(p)
-	}
-	return out, err
+	return sw.BlendPredictions(wins, preds, d, h, w)
 }

@@ -260,44 +260,6 @@ type predictorFunc func(*tensor.Tensor) *tensor.Tensor
 
 func (f predictorFunc) Infer(x *tensor.Tensor) *tensor.Tensor { return f(x) }
 
-// TestInferReplicasInvariant asserts the parallelized window loop is
-// deterministic: N replicas with identical weights produce bit-for-bit the
-// single-model result, for any replica count and blend mode.
-func TestInferReplicasInvariant(t *testing.T) {
-	s := sample(t, 8)
-	newModel := func() *unet.UNet {
-		u := unet.MustNew(unet.Config{
-			InChannels: 4, OutChannels: 1, BaseFilters: 2, Steps: 2,
-			Kernel: 3, UpKernel: 2, Seed: 5,
-		})
-		return u
-	}
-	for _, blend := range []BlendMode{BlendUniform, BlendGaussian} {
-		sw := SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{2, 2, 2}, Blend: blend}
-		want, err := sw.Infer(newModel(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, replicas := range []int{2, 3} {
-			models := make([]Predictor, replicas)
-			for i := range models {
-				models[i] = newModel()
-			}
-			got, err := sw.InferReplicas(models, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wd, gd := want.Data(), got.Data()
-			for i := range wd {
-				if wd[i] != gd[i] {
-					t.Fatalf("blend=%d replicas=%d: element %d differs (%v vs %v)",
-						blend, replicas, i, gd[i], wd[i])
-				}
-			}
-		}
-	}
-}
-
 // TestBlendWorkerCountInvariant asserts the blend stage itself is bitwise
 // independent of its worker budget (the parallel partition is over output
 // channels; windows always accumulate in scan order).

@@ -1,14 +1,15 @@
 // Package raysgd is the multi-node data-parallel orchestration layer, the
 // analogue of Ray.SGD over Distributed TensorFlow: it selects the paper's
 // three parallelism cases from the GPU count (§III-B.2) — sequential on one
-// GPU, MirroredStrategy within a node, Ray cluster across nodes — and builds
-// the matching train.Strategy: a single model, or a mirrored.Trainer whose
-// ranks reduce over a flat ring within a node or, across nodes, over the
-// hierarchical layout with one group per node (mirrored.Config.GroupSize =
-// GPUsPerNode). The epoch loop itself lives in train.Session: NewSession
-// builds one over the selected strategy with the trainer's global batch,
-// seed, augmentation and cyclic learning-rate schedule, and callers compose
-// reporting, checkpointing and early stopping as callbacks.
+// GPU, MirroredStrategy within a node, Ray cluster across nodes. The three
+// are one synchronous step at different widths, so every case builds a
+// mirrored.Trainer with one replica per GPU; the mode chooses only the ring
+// layout: flat within a node (the sequential case is width 1, whose step
+// skips the reduction) or, across nodes, hierarchical with one group per
+// node (mirrored.Config.GroupSize = GPUsPerNode). The epoch loop itself
+// lives in train.Session: NewSession builds one over the trainer with its
+// global batch, seed, augmentation and cyclic learning-rate schedule, and
+// callers compose reporting, checkpointing and early stopping as callbacks.
 package raysgd
 
 import (
@@ -84,15 +85,16 @@ type Config struct {
 	Augment *augment.Pipeline
 }
 
-// Trainer is a distributed data-parallel trainer: a mode-selected
-// train.Strategy plus the session wiring to drive it.
+// Trainer is a distributed data-parallel trainer: a mirrored.Trainer laid
+// out for the selected mode plus the session wiring to drive it.
 type Trainer struct {
 	cfg   Config
 	mode  Mode
 	strat train.Strategy
 }
 
-// New validates the config and builds the strategy for the selected mode.
+// New validates the config and builds the mirrored trainer for the selected
+// mode.
 func New(cfg Config) (*Trainer, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("raysgd: nil cluster")
@@ -105,34 +107,19 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	mode := ModeFor(cfg.GPUs, cfg.Cluster.GPUsPerNode)
 
-	var strat train.Strategy
-	var err error
-	if mode == Sequential {
-		// One replica: the linear LR scaling rule is the identity and no
-		// gradient reduction is needed — train.Single skips both without
-		// changing a bit of the arithmetic.
-		strat, err = train.NewSingle(train.SingleConfig{
-			Net:       cfg.Net,
-			Loss:      cfg.Loss,
-			Optimizer: cfg.Optimizer,
-			LR:        cfg.BaseLR,
-			Workers:   cfg.Workers,
-		})
-	} else {
-		mcfg := mirrored.Config{
-			Replicas:  cfg.GPUs,
-			Net:       cfg.Net,
-			Loss:      cfg.Loss,
-			Optimizer: cfg.Optimizer,
-			BaseLR:    cfg.BaseLR,
-			ScaleLR:   true,
-			Workers:   cfg.Workers,
-		}
-		if mode == RayCluster {
-			mcfg.GroupSize = cfg.Cluster.GPUsPerNode
-		}
-		strat, err = mirrored.New(mcfg)
+	mcfg := mirrored.Config{
+		Replicas:  cfg.GPUs,
+		Net:       cfg.Net,
+		Loss:      cfg.Loss,
+		Optimizer: cfg.Optimizer,
+		BaseLR:    cfg.BaseLR,
+		ScaleLR:   true,
+		Workers:   cfg.Workers,
 	}
+	if mode == RayCluster {
+		mcfg.GroupSize = cfg.Cluster.GPUsPerNode
+	}
+	strat, err := mirrored.New(mcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -142,8 +129,9 @@ func New(cfg Config) (*Trainer, error) {
 // Mode returns the selected parallelism case.
 func (t *Trainer) Mode() Mode { return t.mode }
 
-// Strategy returns the mode-selected train.Strategy: the (synchronized)
-// model, the replicas' sync state and the learning rate in use.
+// Strategy returns the trainer's mirrored.Trainer as a train.Strategy: the
+// (synchronized) model, the replicas' sync state and the learning rate in
+// use.
 func (t *Trainer) Strategy() train.Strategy { return t.strat }
 
 // GlobalBatch returns BatchPerReplica × GPUs, the paper's scaling rule.

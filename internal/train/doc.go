@@ -7,14 +7,14 @@
 // only selects its strategy and batch), so callbacks, checkpointing and
 // memory-pressure hooks exist once:
 //
-//   - Strategy abstracts the per-step optimization update: Single (one
-//     model, no reduction — the paper's sequential case),
-//     mirrored.Trainer (synchronous data parallelism: R replicas, flat or
-//     hierarchical all-reduce over in-process links) and mirrored.Rank (one
-//     member of that same step, which a dist worker runs over TCP) all
-//     satisfy it. raysgd selects between Single and mirrored.Trainer from
-//     the GPU count, exactly the paper's three-case mode selection
-//     (§III-B.2).
+//   - Strategy abstracts the per-step optimization update. The step
+//     exists once, as mirrored.Rank: mirrored.Trainer (synchronous data
+//     parallelism: R ranks, flat or hierarchical all-reduce over in-process
+//     links) and a dist worker (one rank over TCP) run it, and Single — the
+//     paper's sequential case — is the width-1 rank, whose step skips the
+//     reduction. raysgd always builds a mirrored.Trainer, one replica per
+//     GPU; the paper's three-case mode selection (§III-B.2) chooses only
+//     its ring layout.
 //   - Callback is the ordered hook chain (OnTrainBegin, OnEpochBegin,
 //     OnStepBegin/End, OnEvalBegin, OnEpochEnd, OnCheckpoint, OnTrainEnd).
 //     Built-ins cover metric history, learning-rate schedules, early
