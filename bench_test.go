@@ -1,135 +1,28 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablations around them. Run with:
+// Benchmarks of the real implementations: the online vs offline input
+// pipeline (the paper's §III-B.1 ablation), prefetch and interleave widths,
+// the ring all-reduce and a U-Net training step. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run XXX -bench=. -benchmem
 //
-// Table I and Figure 4 benches execute the full discrete-event campaign
-// simulation and report the resulting speed-ups as benchmark metrics;
-// the pipeline and all-reduce benches measure the real implementations.
+// Table I and Figure 4 come from the analytic model (go run ./cmd/benchtable);
+// internal/experiments' golden test pins their numbers.
 package repro
 
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/allreduce"
-	"repro/internal/experiments"
-	"repro/internal/gpusim"
 	"repro/internal/loss"
 	"repro/internal/msd"
-	"repro/internal/netsim"
-	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/record"
 	"repro/internal/tensor"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
-
-// BenchmarkTable1 regenerates the paper's Table I (both methods, 1..32
-// GPUs, 3 repetitions) per iteration and reports the headline speed-ups.
-func BenchmarkTable1(b *testing.B) {
-	cfg, err := experiments.PaperCampaign()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rows []experiments.Measurement
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.RunTable1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := rows[len(rows)-1]
-	b.ReportMetric(last.Data.Speedup, "data-speedup@32")
-	b.ReportMetric(last.Exp.Speedup, "exp-speedup@32")
-}
-
-// BenchmarkTable1DataParallel times one data-parallel campaign per GPU
-// count (the left half of Table I).
-func BenchmarkTable1DataParallel(b *testing.B) {
-	p, err := perfmodel.Paper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range experiments.PaperGPUCounts {
-		b.Run(fmt.Sprintf("gpus=%d", n), func(b *testing.B) {
-			var sec float64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(1))
-				epochs := make([]int, 32)
-				for j := range epochs {
-					epochs[j] = p.ConvergenceEpochs(rng)
-				}
-				sec = experiments.DataParallelCampaignSec(p, n, epochs, rng)
-			}
-			b.ReportMetric(sec/3600, "simulated-hours")
-		})
-	}
-}
-
-// BenchmarkTable1ExperimentParallel times one experiment-parallel campaign
-// per GPU count (the right half of Table I).
-func BenchmarkTable1ExperimentParallel(b *testing.B) {
-	p, err := perfmodel.Paper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range experiments.PaperGPUCounts {
-		b.Run(fmt.Sprintf("gpus=%d", n), func(b *testing.B) {
-			var sec float64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(1))
-				epochs := make([]int, 32)
-				for j := range epochs {
-					epochs[j] = p.ConvergenceEpochs(rng)
-				}
-				sec = experiments.ExperimentParallelCampaignSec(p, n, epochs, rng)
-			}
-			b.ReportMetric(sec/3600, "simulated-hours")
-		})
-	}
-}
-
-// BenchmarkFig4a regenerates the elapsed-time curves with whiskers.
-func BenchmarkFig4a(b *testing.B) {
-	cfg, err := experiments.PaperCampaign()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dataS, expS experiments.Series
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dataS, expS = experiments.Fig4a(rows)
-	}
-	b.ReportMetric(dataS.Mean[len(dataS.Mean)-1]/3600, "data-hours@32")
-	b.ReportMetric(expS.Mean[len(expS.Mean)-1]/3600, "exp-hours@32")
-}
-
-// BenchmarkFig4b regenerates the speed-up curves.
-func BenchmarkFig4b(b *testing.B) {
-	cfg, err := experiments.PaperCampaign()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dataS, expS experiments.Series
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dataS, expS = experiments.Fig4b(rows)
-	}
-	b.ReportMetric(dataS.Mean[len(dataS.Mean)-1], "data-speedup@32")
-	b.ReportMetric(expS.Mean[len(expS.Mean)-1], "exp-speedup@32")
-}
 
 // benchSamples builds a small preprocessed dataset once per benchmark.
 func benchSamples(b *testing.B, n, dim int) []*volume.Sample {
@@ -223,21 +116,6 @@ func BenchmarkAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkAllReduceModel compares the analytic ring vs naive cost at the
-// paper's message size across the GPU ladder.
-func BenchmarkAllReduceModel(b *testing.B) {
-	f := netsim.MareNostrum()
-	size := 4.0 * float64(unet.MustNew(unet.PaperConfig()).ParamCount())
-	var ring, naive float64
-	for i := 0; i < b.N; i++ {
-		for _, n := range experiments.PaperGPUCounts {
-			ring += f.RingAllReduceTime(size, n, 1e-3)
-			naive += f.NaiveAllReduceTime(size, n, 1e-3)
-		}
-	}
-	b.ReportMetric(naive/ring, "naive/ring-cost")
-}
-
 // BenchmarkUNetTrainStep measures a full real training step: forward, Dice
 // loss, backward.
 func BenchmarkUNetTrainStep(b *testing.B) {
@@ -293,24 +171,4 @@ func BenchmarkInterleaveWidth(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkMemoryModel exercises the 16 GB memory wall check across batch
-// sizes (ablation: per-replica batch 1 vs 2 under the V100 model).
-func BenchmarkMemoryModel(b *testing.B) {
-	dev := gpusim.V100()
-	cost, err := gpusim.CostUNet(unet.PaperConfig(), 152, 240, 240)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fits := 0
-	for i := 0; i < b.N; i++ {
-		fits = 0
-		for batch := 1; batch <= 8; batch++ {
-			if dev.FitsMemory(cost, batch) {
-				fits++
-			}
-		}
-	}
-	b.ReportMetric(float64(fits), "max-batch")
 }

@@ -1,13 +1,15 @@
 // Command benchtable regenerates the paper's evaluation artifacts from the
-// cluster simulation: Table I (-table1), Figure 4a (-fig4a) and Figure 4b
-// (-fig4b). With no selection flags it prints all three. Kernel and layer
-// timings live in the repository benchmark (bash benchmark/run.sh --trace 1).
+// analytic cluster model in internal/experiments: Table I (-table1), Figure
+// 4a (-fig4a) and Figure 4b (-fig4b). With no selection flags it prints all
+// three; -ablation adds the ring-vs-naive all-reduce table. Kernel and
+// layer timings live in the repository benchmark (bash benchmark/run.sh
+// --trace 1).
 //
 // Usage:
 //
-//	benchtable [-table1] [-fig4a] [-fig4b] [-trials N] [-reps N] [-seed N]
+//	benchtable [-table1] [-fig4a] [-fig4b] [-ablation] [-trials N] [-reps N] [-seed N]
 //
-// Measured multi-process step times are not simulated here: run
+// Measured multi-process step times are not modelled here: run
 // distmis -mode coordinator -codec C, or the benchmark's dist.* probes.
 package main
 
@@ -17,7 +19,6 @@ import (
 	"log"
 
 	"repro/internal/experiments"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -30,27 +31,8 @@ func main() {
 	ablation := flag.Bool("ablation", false, "print the ring-vs-naive all-reduce ablation table")
 	trials := flag.Int("trials", 0, "override the number of experiments in the search (default: paper's 32)")
 	reps := flag.Int("reps", 0, "override the repetition count (default: paper's 3)")
-	seed := flag.Int64("seed", 0, "override the simulation seed")
-	tracePath := flag.String("trace", "", "write JSONL trace events for the run to FILE")
-	metricsAddr := flag.String("metrics-addr", "", "debug listener address exposing /metrics and /debug/pprof/ (\"\" = off)")
+	seed := flag.Int64("seed", 0, "override the model's random seed")
 	flag.Parse()
-
-	if *metricsAddr != "" {
-		bound, err := telemetry.ServeDebug(*metricsAddr, telemetry.Default())
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug listener on http://%s/metrics", bound)
-	}
-	var tracer *telemetry.Tracer
-	if *tracePath != "" {
-		t, err := telemetry.NewTracerFile(*tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tracer = t
-		defer tracer.Close()
-	}
 
 	cfg, err := experiments.PaperCampaign()
 	if err != nil {
@@ -66,12 +48,10 @@ func main() {
 		cfg.Seed = *seed
 	}
 
-	endCampaign := tracer.Span("table1_campaign")
 	rows, err := experiments.RunTable1(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	endCampaign("trials", fmt.Sprint(cfg.Trials), "reps", fmt.Sprint(cfg.Reps))
 
 	all := !*table1 && !*fig4a && !*fig4b && !*ablation
 	if *table1 || all {

@@ -34,10 +34,10 @@
 // coordinator/worker layer on top: elastic membership with heartbeats and
 // generations, step-granular session checkpoints, and recovery that
 // resumes survivors (or a rejoined worker) from the last checkpoint with
-// bit-for-bit the uninterrupted run's final parameters — the MareNostrum
-// performance model and discrete-event simulator regenerating the paper's
-// Table I and Figure 4 plus deterministic network-fault injection for the
-// TCP transport (gpusim, netsim, perfmodel, simsched, experiments), the
+// bit-for-bit the uninterrupted run's final parameters — one analytic
+// model of the paper's MareNostrum cluster regenerating its Table I and
+// Figure 4 (experiments), deterministic network-fault injection for the
+// TCP transport (netsim), the
 // unified observability layer — a process-wide lock-free metrics registry
 // with Prometheus text exposition, a never-blocking JSONL trace-event
 // stream, and pprof mounting, instrumented through train/serve/allreduce/

@@ -274,8 +274,8 @@ func TestCheckpointResumeMidTraining(t *testing.T) {
 
 // TestPaperModelMemoryStory ties the model and memory substrate together:
 // the paper-scale U-Net must fit batch 2 on a V100 but not much more, and
-// the real network must match the analytic parameter count used by the
-// simulation (asserted in gpusim tests; revalidated here at the seam).
+// the real network must match the parameter count the analytic model uses
+// (asserted in experiments' tests; revalidated here at the seam).
 func TestPaperModelMemoryStory(t *testing.T) {
 	u := unet.MustNew(unet.PaperConfig())
 	if u.ParamCount() != 409657 {

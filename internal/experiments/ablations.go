@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-
-	"repro/internal/perfmodel"
 )
 
 // AllReduceAblation compares the campaign makespan of the data-parallel
@@ -18,32 +15,13 @@ type AllReduceAblation struct {
 	NaivePenalty float64 // NaiveSec / RingSec
 }
 
-// naiveStepTime mirrors perfmodel.StepTimeDataParallel but swaps the ring
-// cost model for the gather-broadcast baseline.
-func naiveStepTime(p perfmodel.Params, nGPUs int) float64 {
-	replicasOnNode := nGPUs
-	if replicasOnNode > p.Fabric.GPUsPerNode {
-		replicasOnNode = p.Fabric.GPUsPerNode
-	}
-	ar := 0.0
-	if nGPUs > 1 {
-		sw := p.SWStepIntraSec
-		if nGPUs > p.Fabric.GPUsPerNode {
-			sw = p.SWStepInterSec
-		}
-		ar = p.Fabric.NaiveAllReduceTime(p.Cost.ParamBytes, nGPUs, sw)
-	}
-	return p.ComputeSec() + p.HostStallSec(replicasOnNode) + ar + p.StragglerSec(nGPUs)
-}
-
 // RunAllReduceAblation computes both variants for every GPU count, using a
 // fixed 90-epoch experiment and the paper's 32-trial search.
-func RunAllReduceAblation(p perfmodel.Params, gpuCounts []int) []AllReduceAblation {
+func RunAllReduceAblation(p Params, gpuCounts []int) []AllReduceAblation {
 	out := make([]AllReduceAblation, 0, len(gpuCounts))
 	for _, n := range gpuCounts {
-		steps := float64(p.StepsPerEpoch(n))
-		ring := 32 * 90 * (steps*p.StepTimeDataParallel(n) + p.EpochFixedSec)
-		naive := 32 * 90 * (steps*naiveStepTime(p, n) + p.EpochFixedSec)
+		ring := 32 * 90 * p.EpochTimeDataParallel(n, true)
+		naive := 32 * 90 * p.EpochTimeDataParallel(n, false)
 		out = append(out, AllReduceAblation{
 			GPUs:         n,
 			RingSec:      ring,
@@ -63,43 +41,4 @@ func FormatAllReduceAblation(rows []AllReduceAblation) string {
 			r.GPUs, FormatHMS(r.RingSec), FormatHMS(r.NaiveSec), r.NaivePenalty)
 	}
 	return b.String()
-}
-
-// NodeWidthAblation reruns the experiment-parallel campaign under a
-// different GPUs-per-node (e.g. the 8-GPU nodes of newer clusters), showing
-// how node width shifts the data-parallel host-contention knee.
-type NodeWidthAblation struct {
-	GPUsPerNode int
-	GPUs        int
-	DataSpeedup float64
-	ExpSpeedup  float64
-}
-
-// RunNodeWidthAblation computes Table-I speedups for alternative node
-// widths; the paper's cluster has width 4.
-func RunNodeWidthAblation(p perfmodel.Params, widths, gpuCounts []int, seed int64) ([]NodeWidthAblation, error) {
-	var out []NodeWidthAblation
-	for _, wWidth := range widths {
-		if wWidth <= 0 {
-			return nil, fmt.Errorf("experiments: invalid node width %d", wWidth)
-		}
-		pw := p
-		pw.Fabric.GPUsPerNode = wWidth
-
-		rng := rand.New(rand.NewSource(seed))
-		epochs := trialEpochs(pw, 32, rng)
-		baseData := DataParallelCampaignSec(pw, 1, epochs, rand.New(rand.NewSource(seed+1)))
-		baseExp := ExperimentParallelCampaignSec(pw, 1, epochs, rand.New(rand.NewSource(seed+2)))
-		for _, n := range gpuCounts {
-			data := DataParallelCampaignSec(pw, n, epochs, rand.New(rand.NewSource(seed+1)))
-			exp := ExperimentParallelCampaignSec(pw, n, epochs, rand.New(rand.NewSource(seed+2)))
-			out = append(out, NodeWidthAblation{
-				GPUsPerNode: wWidth,
-				GPUs:        n,
-				DataSpeedup: baseData / data,
-				ExpSpeedup:  baseExp / exp,
-			})
-		}
-	}
-	return out, nil
 }

@@ -45,44 +45,3 @@ func TestAllReduceAblation(t *testing.T) {
 		t.Fatalf("rendering:\n%s", out)
 	}
 }
-
-func TestNodeWidthAblation(t *testing.T) {
-	cfg, err := PaperCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := RunNodeWidthAblation(cfg.Params, []int{4, 8}, []int{8, 32}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	get := func(width, gpus int) NodeWidthAblation {
-		for _, r := range rows {
-			if r.GPUsPerNode == width && r.GPUs == gpus {
-				return r
-			}
-		}
-		t.Fatalf("missing row %d/%d", width, gpus)
-		return NodeWidthAblation{}
-	}
-	// With 8-GPU nodes, 8 GPUs stay on NVLink: data parallelism avoids the
-	// inter-node tier it pays on 4-GPU nodes — but packs 8 replicas onto
-	// one host, so the host-feed contention model must make it *worse*
-	// overall (the paper's §V point that node topology matters).
-	w4 := get(4, 8)
-	w8 := get(8, 8)
-	if w4.DataSpeedup == w8.DataSpeedup {
-		t.Fatal("node width had no effect on data parallelism")
-	}
-	// Experiment parallelism is insensitive to node width (no gradient
-	// traffic) up to I/O contention, which is width-independent here.
-	if diff := w4.ExpSpeedup - w8.ExpSpeedup; diff > 0.5 || diff < -0.5 {
-		t.Fatalf("experiment parallelism should be ≈width-independent: %v vs %v",
-			w4.ExpSpeedup, w8.ExpSpeedup)
-	}
-	if _, err := RunNodeWidthAblation(cfg.Params, []int{0}, []int{8}, 1); err == nil {
-		t.Fatal("invalid width must error")
-	}
-}

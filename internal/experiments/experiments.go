@@ -2,18 +2,17 @@
 // (elapsed time and speed-up of the data-parallel and experiment-parallel
 // methods for 1..32 GPUs) and Figure 4 (elapsed-time and speed-up curves
 // with min/max whiskers over three repetitions). Campaign durations come
-// from the mechanistic performance model in internal/perfmodel, executed on
-// the discrete-event engine in internal/simsched.
+// from one analytic model of the paper's cluster (model.go): a V100 device
+// model, an NVLink/InfiniBand interconnect and the paper's workload facts.
 package experiments
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
-	"repro/internal/perfmodel"
-	"repro/internal/simsched"
 	"repro/internal/tune"
 )
 
@@ -22,7 +21,7 @@ var PaperGPUCounts = []int{1, 2, 4, 8, 12, 16, 32}
 
 // CampaignConfig describes one Table-I regeneration run.
 type CampaignConfig struct {
-	Params    perfmodel.Params
+	Params    Params
 	Trials    int   // experiments in the hyper-parameter search
 	Reps      int   // repetitions averaged (paper: 3)
 	Seed      int64 // base seed for convergence + jitter draws
@@ -32,7 +31,7 @@ type CampaignConfig struct {
 // PaperCampaign returns the paper's configuration: the 32-trial cross
 // product, 3 repetitions, GPUs 1..32.
 func PaperCampaign() (CampaignConfig, error) {
-	p, err := perfmodel.Paper()
+	p, err := Paper()
 	if err != nil {
 		return CampaignConfig{}, err
 	}
@@ -61,7 +60,7 @@ type Measurement struct {
 }
 
 // trialEpochs draws the per-trial effective epoch counts for one repetition.
-func trialEpochs(p perfmodel.Params, trials int, rng *rand.Rand) []int {
+func trialEpochs(p Params, trials int, rng *rand.Rand) []int {
 	out := make([]int, trials)
 	for i := range out {
 		out[i] = p.ConvergenceEpochs(rng)
@@ -72,45 +71,43 @@ func trialEpochs(p perfmodel.Params, trials int, rng *rand.Rand) []int {
 // DataParallelCampaignSec returns the makespan of running every experiment
 // of the search serially, each distributed over n GPUs — the paper's
 // data-parallel method.
-func DataParallelCampaignSec(p perfmodel.Params, nGPUs int, epochs []int, rng *rand.Rand) float64 {
+func DataParallelCampaignSec(p Params, nGPUs int, epochs []int, rng *rand.Rand) float64 {
 	var total float64
 	for _, e := range epochs {
-		total += p.TrialStartupSec + p.ExperimentTimeDataParallel(nGPUs, e)*p.Jitter(rng)
+		total += p.TrialStartupSec + float64(e)*p.EpochTimeDataParallel(nGPUs, true)*p.Jitter(rng)
 	}
 	return total
 }
 
 // ExperimentParallelCampaignSec returns the makespan of running the search
 // with one trial per GPU under greedy FIFO placement — the paper's
-// Ray.Tune experiment-parallel method. Concurrently active trials slow each
-// other down through shared-filesystem contention.
-func ExperimentParallelCampaignSec(p perfmodel.Params, nGPUs int, epochs []int, rng *rand.Rand) float64 {
-	// Pre-draw per-trial jitter in trial order so scheduling order does not
-	// change the random stream.
-	jitters := make([]float64, len(epochs))
-	for i := range jitters {
-		jitters[i] = p.Jitter(rng)
-	}
-
-	eng := simsched.New()
-	active := 0
-	next := 0
-	var launch func()
-	launch = func() {
-		for active < nGPUs && next < len(epochs) {
-			i := next
-			next++
-			active++
-			base := p.TrialTimeSingleGPU(epochs[i]) * jitters[i]
-			dur := p.TrialStartupSec + base*p.IOSlowdown(active)
-			eng.Schedule(dur, func() {
-				active--
-				launch()
-			})
+// Ray.Tune experiment-parallel method. Each trial is slowed by
+// shared-filesystem contention among the trials running when it launches.
+func ExperimentParallelCampaignSec(p Params, nGPUs int, epochs []int, rng *rand.Rand) float64 {
+	var now float64
+	// Completion times of the running trials, in launch order.
+	running := make([]float64, 0, nGPUs)
+	for _, e := range epochs {
+		if len(running) == nGPUs {
+			// The earliest completion frees a GPU; on equal times the
+			// earlier-launched trial finishes first.
+			first := 0
+			for i, t := range running {
+				if t < running[first] {
+					first = i
+				}
+			}
+			now = running[first]
+			running = slices.Delete(running, first, first+1)
 		}
+		base := p.TrialTimeSingleGPU(e) * p.Jitter(rng)
+		dur := p.TrialStartupSec + base*p.IOSlowdown(len(running)+1)
+		running = append(running, now+dur)
 	}
-	launch()
-	return eng.Run()
+	if len(running) == 0 {
+		return 0
+	}
+	return slices.Max(running)
 }
 
 // RunTable1 regenerates Table I for the given configuration.

@@ -40,8 +40,8 @@ func DefaultConfig() Config {
 }
 
 // PaperShapeConfig returns a config with the paper's full volume extent
-// (155 slices of 240x240); used by the simulator's memory model, not for
-// real pure-Go training.
+// (155 slices of 240x240), too large for real pure-Go training; the
+// analytic model in internal/experiments costs its 152-slice crop.
 func PaperShapeConfig() Config {
 	return Config{Cases: PaperCases, D: 155, H: 240, W: 240, Seed: 7}
 }

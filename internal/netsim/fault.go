@@ -1,3 +1,8 @@
+// Package netsim injects network faults into the real TCP transport. A
+// Fault wraps an allreduce.Conn and perturbs it — added delay and seeded
+// jitter, hard connection drops after a fixed frame count, one-directional
+// partitions, slow-worker behaviour — so every transport failure mode has a
+// reproducible test without touching real network infrastructure.
 package netsim
 
 import (
@@ -8,13 +13,6 @@ import (
 
 	"repro/internal/allreduce"
 )
-
-// This file is netsim's second role: next to the α+β latency *models* above
-// it provides a deterministic fault *injector* for the real TCP transport.
-// A Fault wraps an allreduce.Conn and perturbs it — added delay and seeded
-// jitter, hard connection drops after a fixed frame count, one-directional
-// partitions, slow-worker behaviour — so every transport failure mode has a
-// reproducible test without touching real network infrastructure.
 
 // ErrInjectedDrop is the error surfaced by a connection the injector killed.
 var ErrInjectedDrop = errors.New("netsim: injected connection drop")

@@ -65,15 +65,15 @@ type Trainable func(ctx *TrialContext) error
 
 // Runner executes a set of trials over a cluster, Width GPUs per trial.
 type Runner struct {
-	Cluster   *cluster.Cluster
-	Placement cluster.PlacementPolicy
-	Metric    string
-	Mode      string // "max" (default) or "min"
+	Cluster *cluster.Cluster
+	Metric  string
+	Mode    string // "max" (default) or "min"
 
-	// Width is the number of GPUs each trial holds (0 means 1). At most
-	// TotalGPUs/Width trials run at once: width 1 is the paper's experiment
-	// parallelism, width TotalGPUs its data parallelism (trials in series,
-	// each on every GPU).
+	// Width is the number of GPUs each trial holds (0 means 1). The
+	// cluster's GPUs form TotalGPUs/Width slots, slot s holding GPUs
+	// [s·Width, (s+1)·Width), and each slot runs one trial at a time:
+	// width 1 is the paper's experiment parallelism, width TotalGPUs its
+	// data parallelism (trials in series, each on every GPU).
 	Width int
 	// Workers is the compute-worker budget (0 = all cores) the concurrent
 	// trials divide; each reads its share from TrialContext.Workers.
@@ -106,7 +106,7 @@ func NewRunner(cl *cluster.Cluster, sched Scheduler, metric, mode string) (*Runn
 	if sched == nil {
 		sched = FIFO{}
 	}
-	return &Runner{Cluster: cl, Placement: cluster.Pack, Metric: metric, Mode: mode, scheduler: sched}, nil
+	return &Runner{Cluster: cl, Metric: metric, Mode: mode, scheduler: sched}, nil
 }
 
 // Run executes one trial per configuration, at most TotalGPUs/Width
@@ -158,20 +158,23 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 		}
 	}
 
-	alloc := r.Cluster.NewAlloc(r.Placement)
 	var mu sync.Mutex
 	next := 0
 	var wg sync.WaitGroup
 
 	// One goroutine per trial slot pulls pending trials until none remain.
-	// The slot index picks the trial's worker share, so the running trials
-	// always hold disjoint shares.
+	// The slot index picks the trial's GPUs and worker share, so the
+	// running trials always hold disjoint GPUs and disjoint shares.
 	slots := min(r.Cluster.TotalGPUs()/width, len(configs))
 	shares := parallel.ShareN(r.Workers, slots)
 	for slot := range slots {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			gpus := make([]int, width)
+			for i := range gpus {
+				gpus[i] = slot*width + i
+			}
 			for {
 				mu.Lock()
 				for next < len(r.trials) && restored[next] {
@@ -183,13 +186,7 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 				}
 				trial := r.trials[next]
 				next++
-				gpus, ok := alloc.AcquireN(width)
 				mu.Unlock()
-				if !ok {
-					// Cannot happen: slots × width ≤ GPUs.
-					trial.setErr(fmt.Errorf("tune: no %d free GPUs", width))
-					continue
-				}
 				trial.setGPUs(gpus)
 				trial.setStatus(Running)
 				ctx := &TrialContext{Trial: trial, Workers: shares[slot], runner: r}
@@ -215,11 +212,6 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 						trial.setErr(werr)
 					}
 				}
-				mu.Lock()
-				for _, g := range gpus {
-					alloc.Release(g)
-				}
-				mu.Unlock()
 			}
 		}()
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestASHAStateRoundTrip: export → import into a fresh scheduler preserves
@@ -55,12 +57,17 @@ func TestASHAStateRoundTrip(t *testing.T) {
 // cannot reconstruct — reports from trials that died without a terminal
 // record. The new trial's verdict flips on exactly that evidence.
 func TestCampaignPersistsSchedulerState(t *testing.T) {
-	cl := testCluster(t, 1)
+	// One GPU: trials run one at a time in config order, so every report
+	// meets the rung population the comments below describe.
+	cl, err := cluster.ForGPUs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	// dice by trial: 0→0.8 (finishes), 1→0.9 (finishes), 2→0.95 (reports,
-	// then dies), 3→0.85 (dies before reporting; runs fully on resume).
-	// Ascending order keeps every pass-1 reporter in ASHA's top half.
-	cfgs := []Config{{"dice": 0.8}, {"dice": 0.9}, {"dice": 0.95}, {"dice": 0.85}}
+	// dice by trial: 0→0.8 (finishes), 1→0.9 (finishes), 2→0.85 (dies
+	// before reporting; runs first on resume), 3→0.95 (reports, then dies;
+	// re-runs after trial 2 on resume).
+	cfgs := []Config{{"dice": 0.8}, {"dice": 0.9}, {"dice": 0.85}, {"dice": 0.95}}
 
 	r1, err := NewRunner(cl, NewASHA("dice", "max", 2, 2), "dice", "max")
 	if err != nil {
@@ -86,10 +93,11 @@ func TestCampaignPersistsSchedulerState(t *testing.T) {
 	}
 
 	// Resume with a fresh ASHA. The persisted rung holds {0.8, 0.9, 0.95};
-	// trial 3's 0.85 lands below the 0.9 cut and must stop. Replay of
+	// trial 2's 0.85 lands below the 0.9 cut and must stop. Replay of
 	// terminal records alone would see only {0.8, 0.9} — a rung whose cut
 	// is 0.85, where the trial survives — so a stop proves the state file
-	// was used, 0.95 coming from a trial that died without a record.
+	// was used, 0.95 coming from a trial that died without a record and
+	// re-reports only after trial 2.
 	r2, err := NewRunner(cl, NewASHA("dice", "max", 2, 2), "dice", "max")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +107,7 @@ func TestCampaignPersistsSchedulerState(t *testing.T) {
 		d := ctx.Trial.Config.Float("dice")
 		cont := ctx.Report(2, map[string]float64{"dice": d})
 		if d == 0.85 && cont {
-			t.Error("trial 3 must be stopped against the restored rung population")
+			t.Error("trial 2 must be stopped against the restored rung population")
 		}
 		return nil
 	})
