@@ -3,8 +3,8 @@
 // IPDPS 2022, arXiv:2110.15884).
 //
 // The library lives under internal/: a float32 tensor engine with
-// zero-copy views and a pooled scratch-buffer allocator, the fork-join
-// worker pool, a cache-blocked register-tiled GEMM (an AVX2 assembly
+// zero-copy views, owned buffers and call-scoped scratch workspaces, the
+// fork-join worker pool, a cache-blocked register-tiled GEMM (an AVX2 assembly
 // microkernel on amd64, a bit-identical portable one elsewhere) that reads
 // its B operand through offset tables and the 3D CNN layers on top of it
 // (tensor, parallel, gemm, nn — a convolution has one implementation, which
@@ -16,7 +16,8 @@
 // per-sample partial products so its parallelism scales with the batch),
 // the paper's 3D U-Net (unet — one fused convolution → batch-norm →
 // ReLU block per body site, every activation and gradient in a buffer the
-// network owns, so a training step allocates none), Dice losses and
+// network owns and every layer's scratch in one workspace it owns, so a
+// training step allocates none), Dice losses and
 // optimizers (loss, optim, metrics), the data path from NIfTI phantoms to
 // TFRecords and tf.Data-style pipelines for the paper's one task, binarized
 // whole-tumour segmentation (msd, nifti, volume, record, pipeline), the

@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/msd"
 	"repro/internal/patch"
-	"repro/internal/tensor"
 	"repro/internal/train"
 	"repro/internal/unet"
 	"repro/internal/volume"
@@ -84,7 +83,6 @@ func main() {
 		in := s.Input.Reshape(append([]int{1}, s.Input.Shape()...)...)
 		pred := full.Infer(in)
 		fullDice += metrics.DiceScore(pred.Reshape(s.Mask.Shape()...), s.Mask)
-		tensor.Recycle(pred)
 	}
 	fullDice /= float64(len(val))
 	fullInfer := time.Since(evalStart)

@@ -115,8 +115,6 @@ func TestModelRoundTripBitwiseForward(t *testing.T) {
 			t.Fatalf("Infer element %d differs after round trip: %v vs %v", i, gd[i], wd[i])
 		}
 	}
-	tensor.Recycle(want)
-	tensor.Recycle(got)
 }
 
 // TestLoadModelToleratesParamsOnlyCheckpoint: a plain Save checkpoint loads

@@ -70,8 +70,9 @@
 // element is stored once, with the same epilogue, so the bits are those of
 // the dense product scattered afterwards.
 //
-// The packed A and the packing panels come from the tensor scratch pool, so
-// steady-state callers allocate nothing.
+// The packed A and the packing panels come from a tensor.Workspace the
+// caller passes in with the call, so a caller that owns one allocates
+// nothing in steady state.
 package gemm
 
 import (
@@ -121,12 +122,14 @@ var panelRows = func() (r [kcBlock]int) {
 // true, over dense row-major operands: op(A) is m×k, op(B) is k×n and C is
 // m×n with leading dimensions lda, ldb, ldc. transA/transB select op(X) =
 // Xᵀ, in which case the stored A is k×m (resp. B is n×k). workers is the
-// parallel worker budget (0 = the global default).
+// parallel worker budget (0 = the global default). The packing buffers come
+// from a workspace of the call's own.
 func Gemm(transA, transB bool, m, n, k int,
 	a []float32, lda int, b []float32, ldb int,
 	accumulate bool, c []float32, ldc int, workers int) {
 
-	GemmBatch(1, transA, m, n, k, a, lda, 0, Dense(transB, b, ldb, 0),
+	var ws tensor.Workspace
+	GemmBatch(&ws, 1, transA, m, n, k, a, lda, 0, Dense(transB, b, ldb, 0),
 		accumulate, Epilogue{}, Into(c, ldc, 0), workers)
 }
 
@@ -198,7 +201,10 @@ func (e *Epilogue) check(m int, accumulate bool) {
 // ep (not combined with accumulate) is applied by the store that writes each
 // element: the bias by the first K slice's, the normalization by the last's,
 // so neither costs a pass of its own.
-func GemmBatch(count int, transA bool, m, n, k int,
+//
+// The packed A, and one B panel per worker slot where B is not read in
+// place, are taken from ws and given back before GemmBatch returns.
+func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 	a []float32, lda, strideA int, b Operand,
 	accumulate bool, ep Epilogue, c Target, workers int) {
 
@@ -230,16 +236,26 @@ func GemmBatch(count int, transA bool, m, n, k int,
 		return
 	}
 
-	packedA, aSize := packAll(transA, m, k, a, lda, strideA, count, workers)
-	defer tensor.PutScratch(packedA)
-	mPad := aSize / k
+	mark := ws.Mark()
+	defer ws.Release(mark)
+	mPad := (m + mr - 1) / mr * mr
+	aSize := mPad * k
+	packed := aSize
+	if strideA != 0 {
+		packed *= count
+	}
+	packedA := ws.Take(packed)
+	packAll(transA, m, k, mPad, a, lda, strideA, count, packedA, workers)
 	nBlocks := (n + ncBlock - 1) / ncBlock
-	parallel.ForWorkers(workers, count*nBlocks, 1, func(lo, hi int) {
+	var panels []float32
+	if !b.inPlace() {
+		panels = ws.Take(min(parallel.Resolve(workers), count*nBlocks) * kcBlock * ncBlock)
+	}
+	parallel.ForWorkers(workers, count*nBlocks, 1, func(slot, lo, hi int) {
 		c := c // macroKernel takes c's address: taking the captured one's would move it to the heap
-		var panels []float32
-		if !b.inPlace() {
-			panels = tensor.GetScratch(kcBlock * ncBlock)
-			defer tensor.PutScratch(panels)
+		var panel []float32
+		if panels != nil {
+			panel = panels[slot*kcBlock*ncBlock:][:kcBlock*ncBlock]
 		}
 		for item := lo; item < hi; item++ {
 			i, jb := item/nBlocks, item%nBlocks
@@ -252,7 +268,7 @@ func GemmBatch(count int, transA bool, m, n, k int,
 			jw := min(ncBlock, n-j0)
 			for p0 := 0; p0 < k; p0 += kcBlock {
 				pw := min(kcBlock, k-p0)
-				blk := b.block(i, p0, pw, j0, jw, panels)
+				blk := b.block(i, p0, pw, j0, jw, panel)
 				st := store{add: p0 > 0 || accumulate}
 				if p0 == 0 {
 					st.bias = ep.Bias
@@ -270,24 +286,19 @@ func GemmBatch(count int, transA bool, m, n, k int,
 }
 
 // packAll packs op(A) of every instance — of one, when strideA is 0 — whole,
-// into one scratch buffer: instance i's K slice at p0 is packA's mr-row
-// panels of all m rows, at i·size + mPad·p0 with mPad = m rounded up to mr.
-// It returns the buffer and size, the floats per instance.
-func packAll(transA bool, m, k int, a []float32, lda, strideA, count, workers int) ([]float32, int) {
-	mPad := (m + mr - 1) / mr * mr
-	size := mPad * k
+// into buf: instance i's K slice at p0 is packA's mr-row panels of all m
+// rows, at i·mPad·k + mPad·p0.
+func packAll(transA bool, m, k, mPad int, a []float32, lda, strideA, count int, buf []float32, workers int) {
 	if strideA == 0 {
-		buf := tensor.GetScratch(size)
 		packWhole(transA, m, k, mPad, a, lda, buf)
-		return buf, size
+		return
 	}
-	buf := tensor.GetScratch(count * size)
-	parallel.ForWorkers(workers, count, 1, func(lo, hi int) {
+	size := mPad * k
+	parallel.ForWorkers(workers, count, 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			packWhole(transA, m, k, mPad, a[i*strideA:], lda, buf[i*size:(i+1)*size])
 		}
 	})
-	return buf, size
 }
 
 // packWhole packs all of one op(A), K slice by K slice, as packAll lays it

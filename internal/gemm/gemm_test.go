@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // naive computes C (+)= op(A)·op(B) with a float64-accumulating triple loop,
@@ -190,7 +192,7 @@ func TestGemmGatheredMatchesDense(t *testing.T) {
 					op := NewGathered(rows, starts, run).Operand(b, 0)
 					for _, workers := range []int{1, 3, 8} {
 						got := append([]float32(nil), seed...)
-						GemmBatch(1, false, sh.m, sh.n, sh.k, a, sh.k, 0, op, acc, Epilogue{}, Into(got, sh.n, 0), workers)
+						GemmBatch(new(tensor.Workspace), 1, false, sh.m, sh.n, sh.k, a, sh.k, 0, op, acc, Epilogue{}, Into(got, sh.n, 0), workers)
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("workers=%d: element %d = %v, want %v (bit-for-bit)",
@@ -233,10 +235,10 @@ func TestGemmInPlaceMatchesPacked(t *testing.T) {
 				a := randMat(rng, m*k)
 				for _, bias := range [][]float32{nil, randMat(rng, m)} {
 					want := make([]float32, count*m*n)
-					GemmBatch(count, false, m, n, k, a, k, 0, packed, false, Epilogue{Bias: bias}, Into(want, n, m*n), 1)
+					GemmBatch(new(tensor.Workspace), count, false, m, n, k, a, k, 0, packed, false, Epilogue{Bias: bias}, Into(want, n, m*n), 1)
 					for _, workers := range []int{1, 2, 4} {
 						got := randMat(rng, count*m*n)
-						GemmBatch(count, false, m, n, k, a, k, 0, inPlace, false, Epilogue{Bias: bias}, Into(got, n, m*n), workers)
+						GemmBatch(new(tensor.Workspace), count, false, m, n, k, a, k, 0, inPlace, false, Epilogue{Bias: bias}, Into(got, n, m*n), workers)
 						for i := range want {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 								t.Fatalf("m=%d k=%d n=%d bias=%v workers=%d: element %d = %v, want %v (bit-for-bit)",
@@ -265,7 +267,7 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 7, 16} {
 		got := append([]float32(nil), seed...)
-		GemmBatch(count, false, m, n, k, as, k, m*k, Dense(true, bs, k, n*k),
+		GemmBatch(new(tensor.Workspace), count, false, m, n, k, as, k, m*k, Dense(true, bs, k, n*k),
 			true, Epilogue{}, Into(got, n, m*n), workers)
 		for j := range want {
 			if got[j] != want[j] {
@@ -301,7 +303,7 @@ func TestGemmBatchBiasMatchesSeededAccumulate(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 7} {
 			got := randMat(rng, sh.count*mn) // stale contents must not leak through
-			GemmBatch(sh.count, false, sh.m, sh.n, sh.k, as, sh.k, mk, Dense(false, bs, sh.n, kn),
+			GemmBatch(new(tensor.Workspace), sh.count, false, sh.m, sh.n, sh.k, as, sh.k, mk, Dense(false, bs, sh.n, kn),
 				false, Epilogue{Bias: bias}, Into(got, sh.n, mn), workers)
 			for j := range want {
 				if got[j] != want[j] {
@@ -356,13 +358,13 @@ func TestGemmBatchEpilogueMatchesHelperPass(t *testing.T) {
 							want[j] = bias[j%(m*n)/n]
 						}
 					}
-					GemmBatch(count, false, m, n, k, a, k, 0, op, true, Epilogue{}, Into(want, n, m*n), 1)
+					GemmBatch(new(tensor.Workspace), count, false, m, n, k, a, k, 0, op, true, Epilogue{}, Into(want, n, m*n), 1)
 					for j, v := range want {
 						want[j] = norm.apply(v, j%(m*n)/n)
 					}
 					for _, workers := range []int{1, 2, 4} {
 						got := randMat(rng, count*m*n) // stale contents must not leak through
-						GemmBatch(count, false, m, n, k, a, k, 0, op, false, Epilogue{Bias: bias, Norm: norm}, Into(got, n, m*n), workers)
+						GemmBatch(new(tensor.Workspace), count, false, m, n, k, a, k, 0, op, false, Epilogue{Bias: bias, Norm: norm}, Into(got, n, m*n), workers)
 						for j := range want {
 							if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 								t.Fatalf("m=%d k=%d n=%d bias=%v workers=%d: element %d = %v, want %v (bit-for-bit)",

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"repro/internal/tensor"
 )
 
 // specials are the float32 values whose handling differs between a correct
@@ -316,7 +318,7 @@ func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 		return func() {
 			g := NewGathered(rows, starts, 4)
 			k, n := len(rows), 4*len(starts)
-			GemmBatch(count, false, 1, n, k, a, k, 0, g.Operand(src, stride),
+			GemmBatch(new(tensor.Workspace), count, false, 1, n, k, a, k, 0, g.Operand(src, stride),
 				false, Epilogue{}, Into(c, n, n), 1)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"repro/internal/tensor"
 )
 
 // scatterLayout builds a scattered destination of m rows and n columns that
@@ -106,7 +108,7 @@ func TestGemmScatteredMatchesDense(t *testing.T) {
 							}
 						}
 					}
-					GemmBatch(count, false, m, n, k, a, k, 0, Dense(false, b, n, k*n), acc, e, Into(dense, n, m*n), 1)
+					GemmBatch(new(tensor.Workspace), count, false, m, n, k, a, k, 0, Dense(false, b, n, k*n), acc, e, Into(dense, n, m*n), 1)
 					want := append([]float32(nil), seed...)
 					for i := 0; i < count; i++ {
 						for r := 0; r < m; r++ {
@@ -117,7 +119,7 @@ func TestGemmScatteredMatchesDense(t *testing.T) {
 					}
 					for _, workers := range []int{1, 2, 4} {
 						got := append([]float32(nil), seed...)
-						GemmBatch(count, false, m, n, k, a, k, 0, Dense(false, b, n, k*n), acc, e, s.Into(got, stride), workers)
+						GemmBatch(new(tensor.Workspace), count, false, m, n, k, a, k, 0, Dense(false, b, n, k*n), acc, e, s.Into(got, stride), workers)
 						for i := range want {
 							if !sameBits(got[i], want[i]) {
 								t.Fatalf("workers=%d: destination %d = %v (%#08x), want %v (%#08x)", workers, i,
@@ -210,7 +212,7 @@ func TestScatteredRejectsOutOfRange(t *testing.T) {
 	product := func(count, stride int, rows, starts []int, run, step int) func() {
 		return func() {
 			s := NewScattered(rows, starts, run, step)
-			GemmBatch(count, false, 2, 8, 3, a, 3, 0, Dense(false, b, 8, 0),
+			GemmBatch(new(tensor.Workspace), count, false, 2, 8, 3, a, 3, 0, Dense(false, b, 8, 0),
 				false, Epilogue{}, s.Into(dst, stride), 1)
 		}
 	}
@@ -225,7 +227,7 @@ func TestScatteredRejectsOutOfRange(t *testing.T) {
 		"run 2":               product(1, 0, []int{0, 40}, []int{0, 2, 4, 6}, 2, 1),
 		"step 0":              product(1, 0, []int{0, 40}, []int{0, 4}, 4, 0),
 		"zero Scattered": func() {
-			GemmBatch(1, false, 2, 8, 3, a, 3, 0, Dense(false, b, 8, 0),
+			GemmBatch(new(tensor.Workspace), 1, false, 2, 8, 3, a, 3, 0, Dense(false, b, 8, 0),
 				false, Epilogue{}, Scattered{}.Into(dst, 0), 1)
 		},
 	} {

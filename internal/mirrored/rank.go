@@ -238,9 +238,7 @@ func (s *Rank) gatherLoss(l float64) (float64, error) {
 // the same score everywhere without an eval-phase collective — the wire
 // stays idle (and cannot fault) between epochs.
 func (s *Rank) Evaluate(inputs, masks *tensor.Tensor) float64 {
-	pred := s.model.Infer(inputs)
-	defer tensor.Recycle(pred)
-	return metrics.DiceScore(pred, masks)
+	return metrics.DiceScore(s.model.Infer(inputs), masks)
 }
 
 // Model implements train.Strategy.

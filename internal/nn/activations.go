@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -25,40 +23,37 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Params returns nil: ReLU has no trainable parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-// DropCaches implements CacheDropper: the retained output is dropped.
+// DropCaches drops the retained output.
 func (r *ReLU) DropCaches() { r.output = nil }
 
-// Forward computes max(0, x) and retains the output for Backward.
+// Forward is ForwardInto a fresh tensor.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	r.output = r.apply(x, tensor.New)
-	return r.output
+	return r.ForwardInto(x, tensor.New(x.Shape()...))
 }
 
-// apply writes max(0, x) over every element of a tensor drawn from alloc.
-func (r *ReLU) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	out := alloc(x.Shape()...)
-	xd := x.Data()
-	od := out.Data()
-	parallel.ForWorkers(r.workers, len(xd), elemGrain, func(lo, hi int) {
-		xs, ys := xd[lo:hi], od[lo:hi]
-		for i, v := range xs {
-			ys[i] = relu(v)
-		}
-	})
-	return out
+// ForwardInto writes max(0, x) into dst and retains it for Backward.
+func (r *ReLU) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	r.output = r.InferInto(x, dst)
+	return dst
 }
 
-// Backward zeroes gradients where the input was non-positive.
+// Backward is BackwardInto a fresh tensor.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return r.BackwardInto(gradOut, tensor.New(gradOut.Shape()...))
+}
+
+// BackwardInto writes into gradIn the gradient, zeroed where the input was
+// non-positive.
+func (r *ReLU) BackwardInto(gradOut, gradIn *tensor.Tensor) *tensor.Tensor {
 	if r.output == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
 	checkGradShape("ReLU.Backward", gradOut, r.output.Shape()...)
-	gradIn := tensor.New(gradOut.Shape()...)
+	checkDst("ReLU.Backward", gradIn, gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()
 	yd := r.output.Data()
-	parallel.ForWorkers(r.workers, len(god), elemGrain, func(lo, hi int) {
+	parallel.ForWorkers(r.workers, len(god), elemGrain, func(_, lo, hi int) {
 		gs, ys, ds := god[lo:hi], yd[lo:hi], gid[lo:hi]
 		for i, g := range gs {
 			ds[i] = gate(ys[i], g)
@@ -80,49 +75,36 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 // Params returns nil: sigmoid has no trainable parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
 
-// DropCaches implements CacheDropper: the retained output is dropped.
+// DropCaches drops the retained output.
 func (s *Sigmoid) DropCaches() { s.output = nil }
 
-// Forward computes 1/(1+exp(-x)) and caches the output.
+// Forward is ForwardInto a fresh tensor.
 func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	s.output = s.apply(x, tensor.New)
-	return s.output
+	return s.ForwardInto(x, tensor.New(x.Shape()...))
 }
 
-// apply writes the sigmoid of x over every element of a tensor drawn from
-// alloc.
-func (s *Sigmoid) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	out := alloc(x.Shape()...)
-	xd := x.Data()
-	od := out.Data()
-	parallel.ForWorkers(s.workers, len(xd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = float32(1.0 / (1.0 + math.Exp(-float64(xd[i]))))
-		}
-	})
-	return out
+// ForwardInto writes 1/(1+exp(-x)) into dst and retains it for Backward.
+func (s *Sigmoid) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	s.output = s.InferInto(x, dst)
+	return dst
 }
 
-// Backward uses dσ/dx = σ(x)(1−σ(x)).
+// Backward is BackwardInto a fresh tensor.
 func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return s.backward(gradOut, tensor.New)
+	return s.BackwardInto(gradOut, tensor.New(gradOut.Shape()...))
 }
 
-// BackwardOwned is Backward with the input gradient written into dst.
-func (s *Sigmoid) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	return s.backward(gradOut, dst.Shaped)
-}
-
-func (s *Sigmoid) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
+// BackwardInto writes the gradient into gradIn, using dσ/dx = σ(x)(1−σ(x)).
+func (s *Sigmoid) BackwardInto(gradOut, gradIn *tensor.Tensor) *tensor.Tensor {
 	if s.output == nil {
 		panic("nn: Sigmoid.Backward called before Forward")
 	}
 	checkGradShape("Sigmoid.Backward", gradOut, s.output.Shape()...)
-	gradIn := alloc(gradOut.Shape()...)
+	checkDst("Sigmoid.Backward", gradIn, gradOut.Shape()...)
 	god := gradOut.Data()
 	gid := gradIn.Data()
 	od := s.output.Data()
-	parallel.ForWorkers(s.workers, len(god), elemGrain, func(lo, hi int) {
+	parallel.ForWorkers(s.workers, len(god), elemGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			y := od[i]
 			gid[i] = god[i] * y * (1 - y)

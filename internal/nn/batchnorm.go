@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/gemm"
 	"repro/internal/tensor"
@@ -37,6 +36,8 @@ type BatchNorm struct {
 	xhat *tensor.Tensor
 	mean []float64
 	rstd []float64 // 1/sqrt(var+eps)
+
+	evalRstd []float64 // Infer's 1/sqrt(running var+eps), refreshed per call
 }
 
 // NewBatchNorm creates a batch-normalization layer for c channels.
@@ -71,15 +72,20 @@ func (b *BatchNorm) AuxState() map[string][]float64 {
 	}
 }
 
-// DropCaches implements CacheDropper: the retained x̂ is dropped. Backward
-// requires a fresh Forward afterwards.
+// DropCaches drops the retained x̂. Backward requires a fresh Forward
+// afterwards.
 func (b *BatchNorm) DropCaches() { b.xhat = nil }
 
-// Forward normalizes x per channel with the batch statistics and folds them
-// into the running estimates.
+// Forward is ForwardInto a fresh tensor.
 func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return b.ForwardInto(x, tensor.New(x.Shape()...))
+}
+
+// ForwardInto normalizes x per channel with the batch statistics into out
+// and folds them into the running estimates.
+func (b *BatchNorm) ForwardInto(x, out *tensor.Tensor) *tensor.Tensor {
 	n, c, spatial := b.check("BatchNorm", x)
-	out := tensor.New(x.Shape()...)
+	checkDst("BatchNorm", out, x.Shape()...)
 	b.xhat = tensor.New(x.Shape()...)
 	xd, od, xh := x.Data(), out.Data(), b.xhat.Data()
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
@@ -184,33 +190,33 @@ func (b *BatchNorm) evalStats(ci int) (mean, rstd float64) {
 	return b.RunningMean[ci], 1.0 / math.Sqrt(b.RunningVar[ci]+b.Eps)
 }
 
-// rstdTables recycles the per-call 1/σ tables of evalNorm, so a steady-state
-// ConvBNReLU.Infer allocates none.
-var rstdTables = sync.Pool{New: func() any { return new([]float64) }}
-
 // evalNorm is Infer's normalization as a GEMM epilogue: the running mean,
-// 1/sqrt(running var+eps) written into *rstd (grown to fit), and the live γ
+// 1/sqrt(running var+eps) written into the layer's table, and the live γ
 // and β — the arithmetic of Infer followed by ReLU.
-func (b *BatchNorm) evalNorm(rstd *[]float64) gemm.Norm {
-	if cap(*rstd) < b.Channels {
-		*rstd = make([]float64, b.Channels)
+func (b *BatchNorm) evalNorm() gemm.Norm {
+	if len(b.evalRstd) != b.Channels {
+		b.evalRstd = make([]float64, b.Channels)
 	}
-	r := (*rstd)[:b.Channels]
-	for ci := range r {
-		_, r[ci] = b.evalStats(ci)
+	for ci := range b.evalRstd {
+		_, b.evalRstd[ci] = b.evalStats(ci)
 	}
-	return gemm.Norm{Mean: b.RunningMean, Rstd: r, Gamma: b.Gamma.Value.Data(), Beta: b.Beta.Value.Data()}
+	return gemm.Norm{Mean: b.RunningMean, Rstd: b.evalRstd, Gamma: b.Gamma.Value.Data(), Beta: b.Beta.Value.Data()}
 }
 
-// Backward implements the standard batch-norm gradient.
+// Backward is BackwardInto a fresh tensor.
 func (b *BatchNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return b.BackwardInto(gradOut, tensor.New(gradOut.Shape()...))
+}
+
+// BackwardInto writes the standard batch-norm gradient into gradIn.
+func (b *BatchNorm) BackwardInto(gradOut, gradIn *tensor.Tensor) *tensor.Tensor {
 	if b.xhat == nil {
 		panic("nn: BatchNorm.Backward called before Forward")
 	}
 	checkGradShape("BatchNorm.Backward", gradOut, b.xhat.Shape()...)
+	checkDst("BatchNorm.Backward", gradIn, gradOut.Shape()...)
 	n, c, spatial := b.check("BatchNorm.Backward", gradOut)
 	m := float64(n * spatial)
-	gradIn := tensor.New(gradOut.Shape()...)
 
 	god := gradOut.Data()
 	gid := gradIn.Data()

@@ -176,9 +176,8 @@ func BenchmarkConv3DBackwardInput(b *testing.B) {
 	}
 }
 
-// BenchmarkConv3DInfer measures the forward into a pool-backed output (the
-// inference fast path); BenchmarkConv3DForward runs the same kernel into a
-// freshly allocated one.
+// BenchmarkConv3DInfer measures the inference forward, which caches nothing;
+// BenchmarkConv3DForward runs the same kernel and caches the input.
 func BenchmarkConv3DInfer(b *testing.B) {
 	x := benchInput(1, benchIC)
 	for _, w := range budgets() {
@@ -187,7 +186,7 @@ func BenchmarkConv3DInfer(b *testing.B) {
 			c.SetWorkers(w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tensor.Recycle(c.Infer(x))
+				c.Infer(x)
 			}
 		})
 	}
@@ -241,7 +240,7 @@ func BenchmarkMaxPool3D(b *testing.B) {
 			p.SetWorkers(w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tensor.Recycle(p.Infer(x))
+				p.Infer(x)
 			}
 		})
 		b.Run(fmt.Sprintf("forward/workers=%d", w), func(b *testing.B) {

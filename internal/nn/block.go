@@ -33,8 +33,8 @@ import (
 // every later call and released by DropCaches — so each is valid only until
 // the block's next Forward (resp. Backward), and a caller that needs it
 // longer copies it. Backward OVERWRITES the gradient it is given; Forward and
-// Infer never touch their input. Infer draws its one tensor from the scratch
-// pool and retains nothing, like every other Infer.
+// Infer never touch their input. InferInto writes the tensor it is given and
+// retains nothing, like every other InferInto.
 type ConvBNReLU struct {
 	Conv *Conv3D
 	BN   *BatchNorm
@@ -70,9 +70,11 @@ func (b *ConvBNReLU) SetWorkers(workers int) {
 	b.BN.SetWorkers(workers)
 }
 
-// DropCaches implements CacheDropper: the retained input reference and every
-// owned buffer — x̂, the output, the input gradient — are released; the next
-// Forward lays them out again.
+// SetWorkspace points the convolution's scratch at ws (Conv3D.SetWorkspace).
+func (b *ConvBNReLU) SetWorkspace(ws *tensor.Workspace) { b.Conv.SetWorkspace(ws) }
+
+// DropCaches releases the retained input reference and every owned buffer —
+// x̂, the output, the input gradient; the next Forward lays them out again.
 func (b *ConvBNReLU) DropCaches() {
 	b.Conv.DropCaches()
 	b.BN.DropCaches()
@@ -86,10 +88,11 @@ func (b *ConvBNReLU) DropCaches() {
 // block's output buffer and folds them into the running estimates.
 func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	bn := b.BN
-	z := b.Conv.ForwardOwned(x, &b.xhat)
+	n, _, d, h, w := check5D("ConvBNReLU", x)
+	z := b.Conv.ForwardInto(x, b.xhat.Shaped(n, b.Conv.OutChannels, d, h, w))
 	y := b.y.Shaped(z.Shape()...)
 	b.fwdXhat, b.fwdY = z, y
-	n, c, spatial := bn.check("ConvBNReLU", z)
+	_, c, spatial := bn.check("ConvBNReLU", z)
 	zd, yd := z.Data(), y.Data()
 	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
 	bn.sizeStats()
@@ -107,27 +110,31 @@ func (b *ConvBNReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// Infer computes max(0, BN(conv(x))) under the running statistics into one
-// pool-backed tensor, retaining nothing: the convolution, with the
-// normalization and ReLU applied by its GEMM's store.
+// Infer is InferInto a fresh tensor.
 func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
-	rstd := rstdTables.Get().(*[]float64)
-	defer rstdTables.Put(rstd)
-	return b.Conv.apply(x, tensor.NewScratch, b.BN.evalNorm(rstd))
+	return b.InferInto(x, tensor.New(b.Conv.outShape(x)...))
+}
+
+// InferInto computes max(0, BN(conv(x))) under the running statistics into
+// dst, retaining nothing: the convolution, with the normalization and ReLU
+// applied by its GEMM's store.
+func (b *ConvBNReLU) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	b.Conv.forward(x, dst, b.BN.evalNorm())
+	return dst
 }
 
 // Backward accumulates the four parameter gradients and returns dL/d(input)
 // in the block's own buffer. gradOut is overwritten (with dL/dz).
 func (b *ConvBNReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	b.preConvGrad(gradOut)
-	return b.Conv.BackwardOwned(gradOut, &b.gradIn)
+	return b.Conv.BackwardInto(gradOut, b.gradIn.Shaped(b.Conv.input.Shape()...))
 }
 
 // BackwardParams is Backward without the input-gradient pass, for the
 // network's first block, whose input gradient nobody reads.
 func (b *ConvBNReLU) BackwardParams(gradOut *tensor.Tensor) {
 	b.preConvGrad(gradOut)
-	b.Conv.backward(gradOut, nil)
+	b.Conv.BackwardInto(gradOut, nil)
 }
 
 // preConvGrad runs the ReLU and BatchNorm backward passes in place: γ and β

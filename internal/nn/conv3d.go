@@ -32,6 +32,9 @@ type Conv3D struct {
 	B *Param // [OC]
 
 	input *tensor.Tensor // cached for backward
+
+	ws     *tensor.Workspace // scratch of every pass: its own, or its network's
+	tables []int             // offset tables of the running pass
 }
 
 // NewConv3D creates a stride-1 same-padded cubic convolution. Weights are
@@ -51,70 +54,67 @@ func NewConv3D(name string, inC, outC, kernel int, rng *rand.Rand) *Conv3D {
 		Kernel:      kernel,
 		W:           NewParam(name+".w", w),
 		B:           NewParam(name+".b", b),
+		ws:          new(tensor.Workspace),
 	}
 }
 
 // Params returns the kernel and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// DropCaches implements CacheDropper: the retained input reference is
-// dropped (the layer holds no scratch between calls). A Backward without an
-// intervening Forward is invalid after this call, as it is before any
-// Forward.
+// SetWorkspace points the layer's scratch at ws, shared with layers that
+// never run at the same time as this one (unet.New shares one per network).
+func (c *Conv3D) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
+
+// DropCaches drops the retained input. A Backward without an intervening
+// Forward is invalid after this call, as it is before any Forward.
 func (c *Conv3D) DropCaches() { c.input = nil }
 
-// Forward computes the convolution of x ([N, IC, D, H, W]) and caches x for
-// Backward.
+// Forward is ForwardInto a fresh tensor.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.input = x
-	return c.apply(x, tensor.New, gemm.Norm{})
+	return c.ForwardInto(x, tensor.New(c.outShape(x)...))
 }
 
-// ForwardOwned is Forward with the output written into dst.
-func (c *Conv3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
+// ForwardInto computes the convolution of x ([N, IC, D, H, W]) into dst
+// ([N, OC, D, H, W]) and caches x for Backward.
+func (c *Conv3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	c.forward(x, dst, gemm.Norm{})
 	c.input = x
-	return c.apply(x, dst.Shaped, gemm.Norm{})
+	return dst
 }
 
-// apply runs the forward kernel into a tensor drawn from alloc, retaining
-// nothing. A set norm is applied to every output element after the bias, by
-// the GEMM's store (ConvBNReLU.Infer).
-func (c *Conv3D) apply(x *tensor.Tensor, alloc allocFunc, norm gemm.Norm) *tensor.Tensor {
+// outShape is the output shape for input x.
+func (c *Conv3D) outShape(x *tensor.Tensor) []int {
 	n, _, d, h, w := check5D("Conv3D", x)
-	out := alloc(n, c.OutChannels, d, h, w)
-	c.forwardGEMMInto(x, out, norm)
-	return out
+	return []int{n, c.OutChannels, d, h, w}
 }
 
-// Backward accumulates kernel/bias gradients and returns dL/d(input).
+// Backward is BackwardInto a fresh tensor.
 func (c *Conv3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return c.backward(gradOut, tensor.New)
+	return c.BackwardInto(gradOut, tensor.New(c.cachedInput().Shape()...))
 }
 
-// BackwardOwned is Backward with the input gradient written into dst.
-func (c *Conv3D) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	return c.backward(gradOut, dst.Shaped)
-}
-
-// backward accumulates the parameter gradients and writes dL/d(input) into a
-// tensor drawn from alloc; a nil alloc skips the input-gradient pass and
-// returns nil.
-func (c *Conv3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	if c.input == nil {
-		panic("nn: Conv3D.Backward called before Forward")
-	}
-	x := c.input
+// BackwardInto accumulates the kernel and bias gradients and writes
+// dL/d(input) into dst; a nil dst skips the input-gradient pass.
+func (c *Conv3D) BackwardInto(gradOut, dst *tensor.Tensor) *tensor.Tensor {
+	x := c.cachedInput()
 	n, _, d, h, w := check5D("Conv3D.Backward", x)
 	checkGradShape("Conv3D.Backward", gradOut, n, c.OutChannels, d, h, w)
 
 	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, c.OutChannels, d*h*w, c.workers)
 	c.weightGradGEMM(gradOut)
-	if alloc == nil {
-		return nil
+	if dst != nil {
+		checkDst("Conv3D.Backward", dst, x.Shape()...)
+		c.inputGradGEMM(gradOut, dst)
 	}
-	gradIn := alloc(x.Shape()...)
-	c.inputGradGEMM(gradOut, gradIn)
-	return gradIn
+	return dst
+}
+
+// cachedInput is the input of the last Forward.
+func (c *Conv3D) cachedInput() *tensor.Tensor {
+	if c.input == nil {
+		panic("nn: Conv3D.Backward called before Forward")
+	}
+	return c.input
 }
 
 // biasGrad accumulates the bias gradient of a convolution — the sum of the

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/gemm"
 	"repro/internal/parallel"
@@ -27,7 +26,7 @@ import (
 // a K/2-wide zero border on every side (haloGeom, padHalo); in there the
 // element tap r reads for voxel v sits at rows[r] + starts[v] with no bounds
 // to test — a gemm.Gathered matrix, whose two offset tables patchMatrix
-// builds once per call. Where volume rows are a multiple of 4 wide the GEMM
+// builds once per call into the layer's table buffer. Where volume rows are a multiple of 4 wide the GEMM
 // microkernel reads P there in place, four voxels per run, and no B panel is
 // built; other widths are packed element by element. So one routine,
 // convGEMM, is the training forward, Infer and the input gradient. A 1×1×1
@@ -61,10 +60,10 @@ import (
 // three passes are bit-for-bit independent of the worker budget — and the
 // kernel gradient is reduced onto gW from per-sample partials in ascending
 // sample order. The GEMM packs its A side — W, W′ or the output gradient —
-// once per call. Halo buffers, W′, the packed A and the partials come from
-// the tensor scratch pool and go back before the pass returns: the layer
-// holds nothing between calls but the input it was given, so Infer can run
-// on a model that is training.
+// once per call. Halo buffers, W′, the packed A and the partials are taken
+// from the layer's workspace and given back before the pass returns: the
+// layer holds nothing between calls but the input it was given and its
+// offset-table buffer.
 
 // haloGeom locates a [d, h, w] volume inside its zero-haloed copy.
 type haloGeom struct {
@@ -83,7 +82,7 @@ func newHaloGeom(d, h, w, k int) haloGeom {
 // padHalo copies count channel volumes from src into dst with a zero border.
 func padHalo(dst, src []float32, count int, g haloGeom, workers int) {
 	cols := g.d * g.h * g.w
-	parallel.ForWorkers(workers, count, 1, func(lo, hi int) {
+	parallel.ForWorkers(workers, count, 1, func(_, lo, hi int) {
 		for ch := lo; ch < hi; ch++ {
 			out := dst[ch*g.vol : (ch+1)*g.vol]
 			clear(out)
@@ -96,10 +95,6 @@ func padHalo(dst, src []float32, count int, g haloGeom, workers int) {
 		}
 	})
 }
-
-// patchTables recycles the offset tables of convolution calls, so a
-// steady-state call allocates none.
-var patchTables = sync.Pool{New: func() any { return new([]int) }}
 
 // patchMatrix describes the patch matrix of one sample's haloed activation
 // ([ch] volumes of g.vol floats) as a gathered matrix: patch row r =
@@ -149,22 +144,21 @@ func patchMatrix(g haloGeom, ch, k int, buf *[]int) gemm.Gathered {
 // row of voxels per channel — so the whole batch is one product over src.
 // Otherwise the samples go in groups of one per worker: enough independent
 // products to keep the budget busy where one sample is a single column
-// block, while the halo buffer, drawn once and refilled per group, stays the
+// block, while the halo buffer, taken once and refilled per group, stays the
 // size of the workers' working set whatever the batch.
-func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
-	ep gemm.Epilogue, dst []float32, workers int) {
+func (c *Conv3D) convGEMM(wmat []float32, m, ch int, src []float32, n, d, h, w int,
+	ep gemm.Epilogue, dst []float32) {
 
+	k, workers := c.Kernel, c.workers
 	cols := d * h * w
 	kdim := ch * k * k * k
 	if k == 1 {
 		d, h, w = 1, 1, cols
 	}
 	g := newHaloGeom(d, h, w, k)
-	tables := patchTables.Get().(*[]int)
-	defer patchTables.Put(tables)
-	p := patchMatrix(g, ch, k, tables)
+	p := patchMatrix(g, ch, k, &c.tables)
 	product := func(n0, count int, buf []float32, stride int) {
-		gemm.GemmBatch(count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(buf, stride),
+		gemm.GemmBatch(c.ws, count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(buf, stride),
 			false, ep, gemm.Into(dst[n0*m*cols:], cols, m*cols), workers)
 	}
 	if k == 1 {
@@ -172,8 +166,9 @@ func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
 		return
 	}
 	group := min(n, parallel.Resolve(workers))
-	halo := tensor.GetScratch(group * ch * g.vol)
-	defer tensor.PutScratch(halo)
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
+	halo := c.ws.Take(group * ch * g.vol)
 	for n0 := 0; n0 < n; n0 += group {
 		count := min(group, n-n0)
 		padHalo(halo, src[n0*ch*cols:], count*ch, g, workers)
@@ -181,17 +176,18 @@ func convGEMM(wmat []float32, m, ch, k int, src []float32, n, d, h, w int,
 	}
 }
 
-// forwardGEMMInto is the GEMM forward — training, evaluation and Infer alike
-// — into a caller-provided output tensor. Every element is written once, by
-// the GEMM's store: the product plus the bias, rounded as if the bias came
-// first, as in the direct reference — and then norm, when set.
-func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor, norm gemm.Norm) {
+// forward is the GEMM forward — training, evaluation and Infer alike — into
+// dst. Every element is written once, by the GEMM's store: the product plus
+// the bias, rounded as if the bias came first, as in the direct reference —
+// and then norm, when set.
+func (c *Conv3D) forward(x, dst *tensor.Tensor, norm gemm.Norm) {
 	n, ic, d, h, w := check5D("Conv3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
-	convGEMM(c.W.Value.Data(), c.OutChannels, ic, c.Kernel, x.Data(), n, d, h, w,
-		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm}, out.Data(), c.workers)
+	checkDst("Conv3D", dst, n, c.OutChannels, d, h, w)
+	c.convGEMM(c.W.Value.Data(), c.OutChannels, ic, x.Data(), n, d, h, w,
+		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm}, dst.Data())
 }
 
 // padChannelsLast copies count samples of a [count, ch, d, h, w] activation
@@ -201,7 +197,7 @@ func padChannelsLast(dst, src []float32, count, ch, cp int, g haloGeom, workers 
 	cols := g.d * g.h * g.w
 	planes := g.d + 2*g.p
 	plane := g.hp * g.wp * cp
-	parallel.ForWorkers(workers, count*planes, 1, func(lo, hi int) {
+	parallel.ForWorkers(workers, count*planes, 1, func(_, lo, hi int) {
 		for item := lo; item < hi; item++ {
 			out := dst[item*plane : (item+1)*plane]
 			clear(out)
@@ -289,18 +285,16 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	xd, god := x.Data(), gradOut.Data()
 
 	g := newHaloGeom(d, h, w, k)
-	tables := patchTables.Get().(*[]int)
-	defer patchTables.Put(tables)
-	pt := patchTransposed(g, cp, k, tables)
+	pt := patchTransposed(g, cp, k, &c.tables)
 	group := min(n, parallel.Resolve(workers))
-	halo := tensor.GetScratch(group * g.vol * cp)
-	defer tensor.PutScratch(halo)
-	partials := tensor.GetScratch(n * oc * ncols)
-	defer tensor.PutScratch(partials)
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
+	halo := c.ws.Take(group * g.vol * cp)
+	partials := c.ws.Take(n * oc * ncols)
 	for n0 := 0; n0 < n; n0 += group {
 		count := min(group, n-n0)
 		padChannelsLast(halo, xd[n0*ic*cols:], count, ic, cp, g, workers)
-		gemm.GemmBatch(count, false, oc, ncols, cols, god[n0*oc*cols:], cols, oc*cols, pt.Operand(halo, g.vol*cp),
+		gemm.GemmBatch(c.ws, count, false, oc, ncols, cols, god[n0*oc*cols:], cols, oc*cols, pt.Operand(halo, g.vol*cp),
 			false, gemm.Epilogue{}, gemm.Into(partials[n0*oc*ncols:], ncols, oc*ncols), workers)
 	}
 	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc, ic, kk, cp, workers)
@@ -314,8 +308,9 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 	kk := c.Kernel * c.Kernel * c.Kernel
 	wd := c.W.Value.Data()
 
-	flipped := tensor.GetScratch(ic * oc * kk)
-	defer tensor.PutScratch(flipped)
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
+	flipped := c.ws.Take(ic * oc * kk)
 	for ici := 0; ici < ic; ici++ {
 		for oci := 0; oci < oc; oci++ {
 			dst := flipped[(ici*oc+oci)*kk:][:kk]
@@ -325,7 +320,7 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 			}
 		}
 	}
-	convGEMM(flipped, ic, oc, c.Kernel, gradOut.Data(), n, d, h, w, gemm.Epilogue{}, gradIn.Data(), c.workers)
+	c.convGEMM(flipped, ic, oc, gradOut.Data(), n, d, h, w, gemm.Epilogue{}, gradIn.Data())
 }
 
 // reduceWeightPartials adds n per-sample partial kernel gradients onto
@@ -338,7 +333,7 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 // bit-for-bit identical at any worker budget.
 func reduceWeightPartials(grad, partials []float32, n, rows, ch, taps, stride, workers int) {
 	size := rows * taps * stride
-	parallel.ForWorkers(workers, rows*taps, max(1, 4096/ch), func(lo, hi int) {
+	parallel.ForWorkers(workers, rows*taps, max(1, 4096/ch), func(_, lo, hi int) {
 		for ni := 0; ni < n; ni++ {
 			part := partials[ni*size : (ni+1)*size]
 			for item := lo; item < hi; item++ {

@@ -26,6 +26,9 @@ type ConvTranspose3D struct {
 	B *Param // [OC]
 
 	input *tensor.Tensor
+
+	ws     *tensor.Workspace // scratch of every pass: its own, or its network's
+	tables []int             // offset tables of the running pass
 }
 
 // NewConvTranspose3D creates a kernel-2 stride-2 transposed convolution.
@@ -40,70 +43,66 @@ func NewConvTranspose3D(name string, inC, outC, kernel int, rng *rand.Rand) *Con
 		Kernel:      kernel,
 		W:           NewParam(name+".w", w),
 		B:           NewParam(name+".b", b),
+		ws:          new(tensor.Workspace),
 	}
 }
 
 // Params returns the kernel and bias parameters.
 func (c *ConvTranspose3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// DropCaches implements CacheDropper: the retained input reference (one
-// full activation tensor) is dropped. Backward requires a fresh Forward
-// afterwards.
+// SetWorkspace points the layer's scratch at ws, shared with layers that
+// never run at the same time as this one (unet.New shares one per network).
+func (c *ConvTranspose3D) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
+
+// DropCaches drops the retained input reference (one full activation
+// tensor). Backward requires a fresh Forward afterwards.
 func (c *ConvTranspose3D) DropCaches() { c.input = nil }
 
-// Forward upsamples x from [N, IC, D, H, W] to [N, OC, K·D, K·H, K·W] and
-// caches x for Backward.
+// Forward is ForwardInto a fresh tensor.
 func (c *ConvTranspose3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.input = x
-	return c.apply(x, tensor.New)
-}
-
-// ForwardInto is Forward with the output written into the first OC channels
-// of dst ([N, C ≥ OC, K·D, K·H, K·W]), and nothing else of dst.
-func (c *ConvTranspose3D) ForwardInto(x, dst *tensor.Tensor) {
-	c.input = x
-	c.forwardGEMMInto(x, dst)
-}
-
-// apply runs the forward kernel into a tensor drawn from alloc, retaining
-// nothing.
-func (c *ConvTranspose3D) apply(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
 	n, _, d, h, w := check5D("ConvTranspose3D", x)
 	k := c.Kernel
-	out := alloc(n, c.OutChannels, d*k, h*k, w*k)
-	c.forwardGEMMInto(x, out)
-	return out
+	return c.ForwardInto(x, tensor.New(n, c.OutChannels, d*k, h*k, w*k))
 }
 
-// Backward accumulates parameter gradients and returns dL/d(input): the bias
-// pass first, then the fused kernel- and input-gradient pass.
+// ForwardInto upsamples x from [N, IC, D, H, W] into the first OC channels
+// of dst ([N, C ≥ OC, K·D, K·H, K·W]), and nothing else of dst, and caches x
+// for Backward.
+func (c *ConvTranspose3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	c.InferInto(x, dst)
+	c.input = x
+	return dst
+}
+
+// Backward is BackwardInto a fresh tensor.
 func (c *ConvTranspose3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return c.backward(gradOut, c.OutChannels, tensor.New)
+	return c.BackwardInto(gradOut, tensor.New(c.cachedInput().Shape()...))
 }
 
-// BackwardWindow is Backward with the output gradient read in place from the
-// first OC channels of g ([N, C ≥ OC, …]), and the input gradient written
-// into dst.
-func (c *ConvTranspose3D) BackwardWindow(g *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	ch := windowChannels("ConvTranspose3D.BackwardWindow", g, c.OutChannels)
-	return c.backward(g, ch, dst.Shaped)
-}
-
-// backward runs both passes on the first OC channels of g ([N, ch, …]).
-func (c *ConvTranspose3D) backward(g *tensor.Tensor, ch int, alloc allocFunc) *tensor.Tensor {
-	if c.input == nil {
-		panic("nn: ConvTranspose3D.Backward called before Forward")
-	}
-	x := c.input
+// BackwardInto accumulates the parameter gradients and writes dL/d(input)
+// into dst, reading the output gradient in place from the first OC channels
+// of g ([N, C ≥ OC, …]): the bias pass first, then the fused kernel- and
+// input-gradient pass.
+func (c *ConvTranspose3D) BackwardInto(g, dst *tensor.Tensor) *tensor.Tensor {
+	x := c.cachedInput()
 	n, _, d, h, w := check5D("ConvTranspose3D.Backward", x)
 	k := c.Kernel
+	ch := windowChannels("ConvTranspose3D.Backward", g, c.OutChannels)
 	checkGradShape("ConvTranspose3D.Backward", g, n, ch, d*k, h*k, w*k)
-	gradIn := alloc(x.Shape()...)
+	checkDst("ConvTranspose3D.Backward", dst, x.Shape()...)
 
 	vol := d * k * h * k * w * k
 	biasGrad(c.B.Grad.Data(), g.Data(), n, ch, vol, c.workers)
-	c.backwardGEMMInto(g, gradIn)
-	return gradIn
+	c.backwardGEMMInto(g, dst)
+	return dst
+}
+
+// cachedInput is the input of the last Forward.
+func (c *ConvTranspose3D) cachedInput() *tensor.Tensor {
+	if c.input == nil {
+		panic("nn: ConvTranspose3D.Backward called before Forward")
+	}
+	return c.input
 }
 
 // windowChannels returns the channel count of t after checking that it holds

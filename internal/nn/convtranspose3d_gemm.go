@@ -63,11 +63,11 @@ func upScatter(oc, k, d, h, w int, buf *[]int) gemm.Scattered {
 	return gemm.NewScattered(tables[:nRows], tables[nRows:], run, k)
 }
 
-// forwardGEMMInto runs the forward product into the first OC channels of dst
-// ([N, C ≥ OC, K·D, K·H, K·W]), retaining nothing — the shared body of the
-// training forward and the inference fast path. Every element of those
-// channels is written once, by the GEMM's store, and nothing else of dst.
-func (c *ConvTranspose3D) forwardGEMMInto(x, dst *tensor.Tensor) {
+// InferInto is ForwardInto without caching x for Backward: the forward
+// product into the first OC channels of dst ([N, C ≥ OC, K·D, K·H, K·W]).
+// Every element of those channels is written once, by the GEMM's store, and
+// nothing else of dst.
+func (c *ConvTranspose3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
 	n, ic, d, h, w := check5D("ConvTranspose3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: ConvTranspose3D expects %d input channels, got %d", c.InChannels, ic))
@@ -80,18 +80,18 @@ func (c *ConvTranspose3D) forwardGEMMInto(x, dst *tensor.Tensor) {
 	kk := k * k * k
 	rows, cols := oc*kk, d*h*w
 
-	tables := patchTables.Get().(*[]int)
-	defer patchTables.Put(tables)
-	out := upScatter(oc, k, d, h, w, tables)
-	bias := tensor.GetScratch(rows)
-	defer tensor.PutScratch(bias)
+	out := upScatter(oc, k, d, h, w, &c.tables)
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
+	bias := c.ws.Take(rows)
 	for r := range bias {
 		bias[r] = c.B.Value.Data()[r/kk]
 	}
 	// Out = Wᵀ·x[n] + b: W is stored [IC, OC·K³] row-major, so op(A) = Aᵀ.
-	gemm.GemmBatch(n, true, rows, cols, ic, c.W.Value.Data(), rows, 0,
+	gemm.GemmBatch(c.ws, n, true, rows, cols, ic, c.W.Value.Data(), rows, 0,
 		gemm.Dense(false, x.Data(), cols, ic*cols),
 		false, gemm.Epilogue{Bias: bias}, out.Into(dst.Data(), ch*d*k*h*k*w*k), c.workers)
+	return dst
 }
 
 // backwardGEMMInto is the fused GEMM kernel- and input-gradient pass (the
@@ -117,9 +117,10 @@ func (c *ConvTranspose3D) backwardGEMMInto(g, gradIn *tensor.Tensor) {
 	// Gather the whole batch's output gradients into column form (inverse
 	// of the forward scatter), one owner per (sample, oc, tap) row, so the
 	// products below run every sample at once.
-	gradCols := tensor.GetScratch(n * rows * inCols)
-	defer tensor.PutScratch(gradCols)
-	parallel.ForWorkers(workers, n*rows, 1, func(lo, hi int) {
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
+	gradCols := c.ws.Take(n * rows * inCols)
+	parallel.ForWorkers(workers, n*rows, 1, func(_, lo, hi int) {
 		for item := lo; item < hi; item++ {
 			ni, r := item/rows, item%rows
 			tap := r % kk
@@ -144,15 +145,14 @@ func (c *ConvTranspose3D) backwardGEMMInto(g, gradIn *tensor.Tensor) {
 	// Kernel gradient: per-sample partials x[n]·gradColsᵀ in parallel over
 	// (sample × column block), then gW += partials in ascending sample
 	// order per element (see conv3d_gemm.go).
-	partials := tensor.GetScratch(n * ic * rows)
-	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, ic, rows, inCols, x.Data(), inCols, ic*inCols,
+	partials := c.ws.Take(n * ic * rows)
+	gemm.GemmBatch(c.ws, n, false, ic, rows, inCols, x.Data(), inCols, ic*inCols,
 		gemm.Dense(true, gradCols, inCols, rows*inCols),
 		false, gemm.Epilogue{}, gemm.Into(partials, rows, ic*rows), workers)
 	reduceWeightPartials(c.W.Grad.Data(), partials, n, ic, rows, 1, rows, workers)
 
 	// Input gradient: gIn[n] = W·gradCols[n], W packed once.
-	gemm.GemmBatch(n, false, ic, inCols, rows, c.W.Value.Data(), rows, 0,
+	gemm.GemmBatch(c.ws, n, false, ic, inCols, rows, c.W.Value.Data(), rows, 0,
 		gemm.Dense(false, gradCols, inCols, rows*inCols),
 		false, gemm.Epilogue{}, gemm.Into(gradIn.Data(), inCols, ic*inCols), workers)
 }

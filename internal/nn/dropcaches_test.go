@@ -7,16 +7,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestConv3DHoldsNoScratch: a training step hands every scratch buffer it
-// drew back to the pool — the layer holds none between calls — so all the
-// ROADMAP memory-pressure hook has to drop is the retained input, and the
-// next step must not change a bit.
+// TestConv3DHoldsNoScratch: a training step gives every workspace float it
+// took back before returning — the layer holds no scratch between calls —
+// so all the memory-pressure hook has to drop is the retained input, and
+// the next step must not change a bit.
 func TestConv3DHoldsNoScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mk := func() *Conv3D {
-		c := NewConv3D("c", 2, 3, 3, rand.New(rand.NewSource(7)))
-		c.SetWorkers(1) // Gets and Puts are process-wide counters
-		return c
+		return NewConv3D("c", 2, 3, 3, rand.New(rand.NewSource(7)))
 	}
 	x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
 	g := tensor.Randn(rng, 0, 1, 2, 3, 4, 4, 4)
@@ -33,9 +31,8 @@ func TestConv3DHoldsNoScratch(t *testing.T) {
 	before := tensor.ScratchStatsSnapshot()
 	sub.Forward(x)
 	sub.Backward(g)
-	after := tensor.ScratchStatsSnapshot()
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
-		t.Fatalf("a training step drew %d scratch buffers and returned %d", gets, puts)
+	if gets := tensor.ScratchStatsSnapshot().Gets - before.Gets; gets == 0 || sub.ws.Mark() != (tensor.Mark{}) {
+		t.Fatalf("a training step took %d workspace buffers and kept some of them", gets)
 	}
 	sub.DropCaches()
 	if sub.input != nil {

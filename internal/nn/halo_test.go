@@ -78,7 +78,7 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 					eye[i*kdim+i] = 1
 				}
 				got := make([]float32, kdim*n)
-				gemm.GemmBatch(1, false, kdim, n, kdim, eye, kdim, 0, op,
+				gemm.GemmBatch(new(tensor.Workspace), 1, false, kdim, n, kdim, eye, kdim, 0, op,
 					false, gemm.Epilogue{}, gemm.Into(got, n, 0), 2)
 				return got
 			}
@@ -183,30 +183,34 @@ func TestBackwardInputSeesUpdatedWeights(t *testing.T) {
 }
 
 // TestTrainingStepScratchSteadyStateConv is the layer-local allocation
-// contract: after a warm-up a forward/backward step draws every buffer (halo
-// copies, partials, the flipped kernel, packed weights and panels) from the scratch
-// pool — zero fresh allocations.
+// contract: after a warm-up a forward/backward step takes every scratch
+// buffer (halo copies, partials, the flipped kernel, packed weights and
+// panels) from the layer's workspace without allocating, and gives them all
+// back before returning.
 func TestTrainingStepScratchSteadyStateConv(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a fraction of Puts under the race detector")
-	}
 	const inC, outC, k, n, dim = 4, 6, 3, 2, 8
 	rng := rand.New(rand.NewSource(9))
 	x := randTensor(rng, n, inC, dim, dim, dim)
 	gradOut := randTensor(rng, n, outC, dim, dim, dim)
 	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(4)))
+	out, gradIn := tensor.New(n, outC, dim, dim, dim), tensor.New(n, inC, dim, dim, dim)
 
 	step := func() {
 		ZeroGrads(c.Params())
-		c.Forward(x)
-		c.Backward(gradOut)
+		c.ForwardInto(x, out)
+		c.BackwardInto(gradOut, gradIn)
 	}
-	step()
 	step()
 	before := tensor.ScratchStatsSnapshot()
 	step()
 	after := tensor.ScratchStatsSnapshot()
 	if got := after.Allocs - before.Allocs; got != 0 {
 		t.Fatalf("steady-state conv step performed %d scratch allocations, want 0", got)
+	}
+	if after.Gets == before.Gets {
+		t.Fatal("test is vacuous: the step took nothing from the workspace")
+	}
+	if c.ws.Mark() != (tensor.Mark{}) {
+		t.Fatal("the step returned with workspace floats still taken")
 	}
 }

@@ -1,66 +1,68 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/gemm"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Inference fast path.
+// Inference.
 //
 // Forward is the training forward: it retains whatever Backward needs — the
-// convolution input, the ReLU output, x̂, the pooling argmax — normalizes
-// with the batch statistics and hands out a fresh output tensor (or, through
-// the ...Owned variants and the ConvBNReLU block, a buffer that lives across
-// steps), because outputs live on as skip connections and loss inputs.
-// Evaluation and serving run forward-only, at high call rates, on models
-// that may be training at the same time, where none of that fits: retained
-// activations are dead weight, fresh outputs churn the allocator, an owned
-// buffer would be shared with the training step, and the batch statistics
-// would make a sample's score depend on its neighbours.
+// convolution input, the ReLU output, x̂, the pooling argmax — and
+// normalizes with the batch statistics. Evaluation and serving run
+// forward-only, at high call rates, on models that may be mid-way through a
+// training step, where none of that fits: retained activations are dead
+// weight, overwriting Backward's caches would corrupt the step, and the
+// batch statistics would make a sample's score depend on its neighbours.
 //
-// Infer, part of the Layer interface, is that forward. It normalizes with
-// the running statistics, writes into tensors drawn from the tensor scratch
-// pool, and neither reads nor writes any layer state but the parameters and
-// running statistics. Where the two forwards compute the same function (all
-// but BatchNorm and ConvBNReLU) Infer runs Forward's kernel behind another
-// allocator, so the bits are equal (infer_test.go); ConvBNReLU's Infer
+// Infer, part of the Layer interface, is that forward, and InferInto its
+// one entry point. It normalizes with the running statistics and leaves
+// every cache Backward reads alone. Where the two forwards compute the same
+// function (all but BatchNorm and ConvBNReLU) InferInto is the kernel
+// ForwardInto runs, so the bits are equal (infer_test.go); ConvBNReLU's
 // carries the bits of the standalone layers' Infers chained
-// (TestBlockMatchesChain). Callers recycle each consumed input as soon as
-// the next layer has produced its output, so a steady-state inference step
-// performs zero fresh scratch allocations (unet's TestInferScratchSteadyState,
-// like the training-step test). The fused block's Infer is one convolution
+// (TestBlockMatchesChain). The fused block's InferInto is one convolution
 // whose GEMM store adds the bias, normalizes and rectifies each element on
-// its way out, so a body site costs one pool tensor and one write of it, not
-// three.
+// its way out, so a body site costs one write of its output, not three.
 //
 // Calling Backward after Infer is invalid only in the sense that Infer is not
 // a Forward: it leaves the layer's backward caches untouched (possibly stale
 // from an earlier Forward, or still valid for a Backward yet to come).
 
-// Infer computes the convolution of x without caching it for Backward; the
-// result is pool-backed and bit-for-bit identical to Forward's (one forward
-// kernel serves both).
+// Infer is InferInto a fresh tensor.
 func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return c.apply(x, tensor.NewScratch, gemm.Norm{})
-}
-
-// Infer upsamples x without caching it for Backward; the result is
-// pool-backed and bit-for-bit identical to Forward's.
-func (c *ConvTranspose3D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return c.apply(x, tensor.NewScratch)
+	return c.InferInto(x, tensor.New(c.outShape(x)...))
 }
 
 // InferInto is ForwardInto without caching x for Backward.
-func (c *ConvTranspose3D) InferInto(x, dst *tensor.Tensor) { c.forwardGEMMInto(x, dst) }
+func (c *Conv3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	c.forward(x, dst, gemm.Norm{})
+	return dst
+}
 
-// Infer normalizes x with the running statistics, caching nothing.
+// Infer is InferInto a fresh tensor.
+func (c *ConvTranspose3D) Infer(x *tensor.Tensor) *tensor.Tensor {
+	n, _, d, h, w := check5D("ConvTranspose3D", x)
+	k := c.Kernel
+	return c.InferInto(x, tensor.New(n, c.OutChannels, d*k, h*k, w*k))
+}
+
+// Infer is InferInto a fresh tensor.
 func (b *BatchNorm) Infer(x *tensor.Tensor) *tensor.Tensor {
+	return b.InferInto(x, tensor.New(x.Shape()...))
+}
+
+// InferInto normalizes x with the running statistics into out, caching
+// nothing.
+func (b *BatchNorm) InferInto(x, out *tensor.Tensor) *tensor.Tensor {
 	n, c, spatial := b.check("BatchNorm", x)
-	out := tensor.NewScratch(x.Shape()...)
+	checkDst("BatchNorm", out, x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
-	parallel.ForWorkers(b.workers, c, 1, func(lo, hi int) {
+	parallel.ForWorkers(b.workers, c, 1, func(_, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			mean, rstd := b.evalStats(ci)
 			g, bt := gd[ci], bd[ci]
@@ -76,16 +78,50 @@ func (b *BatchNorm) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Infer computes max(0, x) without retaining the output for Backward.
-func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor { return r.apply(x, tensor.NewScratch) }
+// Infer is InferInto a fresh tensor.
+func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
+	return r.InferInto(x, tensor.New(x.Shape()...))
+}
 
-// Infer computes the sigmoid without caching the output for Backward.
-func (s *Sigmoid) Infer(x *tensor.Tensor) *tensor.Tensor { return s.apply(x, tensor.NewScratch) }
+// InferInto writes max(0, x) into dst without retaining it for Backward.
+func (r *ReLU) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	checkDst("ReLU", dst, x.Shape()...)
+	xd, od := x.Data(), dst.Data()
+	parallel.ForWorkers(r.workers, len(xd), elemGrain, func(_, lo, hi int) {
+		xs, ys := xd[lo:hi], od[lo:hi]
+		for i, v := range xs {
+			ys[i] = relu(v)
+		}
+	})
+	return dst
+}
 
-// Infer downsamples x without recording the backward argmax.
+// Infer is InferInto a fresh tensor.
+func (s *Sigmoid) Infer(x *tensor.Tensor) *tensor.Tensor {
+	return s.InferInto(x, tensor.New(x.Shape()...))
+}
+
+// InferInto writes the sigmoid of x into dst without retaining it for
+// Backward.
+func (s *Sigmoid) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	checkDst("Sigmoid", dst, x.Shape()...)
+	xd, od := x.Data(), dst.Data()
+	parallel.ForWorkers(s.workers, len(xd), elemGrain, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = float32(1.0 / (1.0 + math.Exp(-float64(xd[i]))))
+		}
+	})
+	return dst
+}
+
+// Infer is InferInto a fresh tensor.
 func (m *MaxPool3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 	n, c, od, oh, ow := m.outShape(x)
-	out := tensor.NewScratch(n, c, od, oh, ow)
-	m.pool(x, out, nil)
-	return out
+	return m.InferInto(x, tensor.New(n, c, od, oh, ow))
+}
+
+// InferInto downsamples x into dst without recording the backward argmax.
+func (m *MaxPool3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	m.pool(x, dst, nil)
+	return dst
 }

@@ -14,16 +14,22 @@
 // Infer is the forward that evaluation and serving run: BatchNorm normalizes
 // with the running statistics and nothing is cached (infer.go).
 //
-// Who owns a result depends on the method, never on the layer: Forward and
-// Backward return fresh tensors and never write to their argument; Infer
-// returns a tensor from the scratch pool and retains nothing; the ...Owned
-// variants write into a tensor.Owned buffer the caller keeps across steps
-// (how unet runs without allocating). Only the allocator differs: a layer's
-// forms run one kernel, which writes every element of its output — save that
-// BatchNorm's and ConvBNReLU's Infer normalize with the running statistics
-// instead of the batch's. ConvBNReLU is the one exception to the first rule:
-// it owns its buffers itself and its Backward overwrites the gradient it is
-// given (see block.go).
+// Each pass has one entry point, which writes into a tensor it is given:
+// ForwardInto, BackwardInto and InferInto write every element of dst and
+// return it. Forward, Backward and Infer are those passes into a fresh
+// tensor.New — what the test oracles and one-off callers use; unet passes
+// buffers it owns (tensor.Owned) and allocates nothing per step. No pass
+// writes to its argument, save ConvBNReLU's Backward, which overwrites the
+// gradient it is given and, like its Forward, returns a buffer the block
+// owns (see block.go).
+//
+// Scratch — halo copies, the flipped kernel, packed operands, partial sums —
+// comes from the layer's tensor.Workspace, taken and given back within the
+// pass. A layer built alone owns its workspace; unet.New points every layer
+// of a network at the network's one (SetWorkspace), since its layers run one
+// at a time. The convolutions' offset tables are layer fields, rebuilt per
+// call. So a layer holds no scratch between calls, and once a workspace
+// has seen a shape, passes at that shape take no fresh scratch.
 //
 // The convolution layers have one implementation each, lowered to blocked
 // GEMMs from internal/gemm (conv3d_gemm.go, convtranspose3d_gemm.go); Conv3D
@@ -64,8 +70,8 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Layer is a differentiable computation. Forward is the training forward and
 // must be called before Backward; Backward receives dL/d(output) and returns
 // dL/d(input). Infer is the forward-only pass (infer.go): running
-// statistics, a pool-backed result, no reference to x or the result
-// retained.
+// statistics, no reference to x or the result retained. Each returns a
+// fresh tensor.
 type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
@@ -90,29 +96,12 @@ type workerBudget struct {
 // SetWorkers sets the layer's worker budget; 0 restores the global default.
 func (w *workerBudget) SetWorkers(workers int) { w.workers = workers }
 
-// allocFunc is where a kernel's output tensor comes from: tensor.New (a
-// fresh tensor — Forward and Backward), tensor.NewScratch (the scratch pool —
-// Infer) or a tensor.Owned's Shaped (a buffer the caller keeps across steps —
-// the ...Owned methods). Every kernel writes every element of its output, so
-// the three differ only in who owns the result.
-type allocFunc func(shape ...int) *tensor.Tensor
-
 // AuxStater is implemented by layers (and networks) carrying trained
 // non-parameter state — e.g. BatchNorm running statistics — that a
 // checkpoint must capture for Infer to reproduce. The
 // returned slices alias the live state; loaders write into them in place.
 type AuxStater interface {
 	AuxState() map[string][]float64
-}
-
-// CacheDropper is implemented by layers that retain state between steps:
-// references to the activations Backward needs, the pooling argmax record,
-// the fused block's owned buffers (no layer keeps a pooled scratch buffer
-// across calls). DropCaches drops them for the GC. Calling it between an
-// optimizer step and the next forward is always safe; calling it between
-// Forward and Backward is not.
-type CacheDropper interface {
-	DropCaches()
 }
 
 // ParamCount sums the element counts of the given parameters.
@@ -143,7 +132,16 @@ func check5D(op string, t *tensor.Tensor) (n, c, d, h, w int) {
 // the output it is the gradient of.
 func checkGradShape(op string, gradOut *tensor.Tensor, out ...int) {
 	if !slices.Equal(gradOut.Shape(), out) {
-		panic(fmt.Sprintf("nn: %s gradient shape %v does not match the output's %v", op, gradOut.Shape(), out))
+		// Only a copy may escape, or every call would heap-allocate out.
+		panic(fmt.Sprintf("nn: %s gradient shape %v does not match the output's %v", op, gradOut.Shape(), slices.Clone(out)))
+	}
+}
+
+// checkDst panics, naming both shapes, unless dst has the shape a pass
+// writes.
+func checkDst(op string, dst *tensor.Tensor, want ...int) {
+	if !slices.Equal(dst.Shape(), want) {
+		panic(fmt.Sprintf("nn: %s destination shape %v, want %v", op, dst.Shape(), slices.Clone(want)))
 	}
 }
 
@@ -153,7 +151,7 @@ func checkGradShape(op string, gradOut *tensor.Tensor, out ...int) {
 // the dead lanes, so a reduction steps four chains whatever c is; a caller
 // reads back the live lanes only.
 func forChannelQuads(workers, c int, fn func(lanes *[4]int, live int)) {
-	parallel.ForWorkers(workers, c, 4, func(lo, hi int) {
+	parallel.ForWorkers(workers, c, 4, func(_, lo, hi int) {
 		lanes := [4]int{lo, lo, lo, lo}
 		for ci := lo + 1; ci < hi; ci++ {
 			lanes[ci-lo] = ci

@@ -29,28 +29,26 @@ func NewMaxPool3D(size int) *MaxPool3D { return &MaxPool3D{Size: size} }
 // Params returns nil: pooling has no trainable parameters.
 func (m *MaxPool3D) Params() []*Param { return nil }
 
-// DropCaches implements CacheDropper: the argmax record is dropped. Backward
-// requires a fresh Forward afterwards.
+// DropCaches drops the argmax record. Backward requires a fresh Forward
+// afterwards.
 func (m *MaxPool3D) DropCaches() { m.inShape, m.argmax = nil, nil }
 
-// Forward downsamples x from [N, C, D, H, W] to [N, C, D/s, H/s, W/s].
-func (m *MaxPool3D) Forward(x *tensor.Tensor) *tensor.Tensor { return m.forward(x, tensor.New) }
-
-// ForwardOwned is Forward with the output written into dst.
-func (m *MaxPool3D) ForwardOwned(x *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	return m.forward(x, dst.Shaped)
+// Forward is ForwardInto a fresh tensor.
+func (m *MaxPool3D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	n, c, od, oh, ow := m.outShape(x)
+	return m.ForwardInto(x, tensor.New(n, c, od, oh, ow))
 }
 
-func (m *MaxPool3D) forward(x *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	n, c, od, oh, ow := m.outShape(x)
-	out := alloc(n, c, od, oh, ow)
+// ForwardInto downsamples x from [N, C, D, H, W] into dst
+// ([N, C, D/s, H/s, W/s]) and records each window's winner for Backward.
+func (m *MaxPool3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
 	m.inShape = append(m.inShape[:0], x.Shape()...)
-	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int32, out.Size())
+	if cap(m.argmax) < dst.Size() {
+		m.argmax = make([]int32, dst.Size())
 	}
-	m.argmax = m.argmax[:out.Size()]
-	m.pool(x, out, m.argmax)
-	return out
+	m.argmax = m.argmax[:dst.Size()]
+	m.pool(x, dst, m.argmax)
+	return dst
 }
 
 // outShape checks that the pool size divides x's volume and returns the
@@ -72,12 +70,13 @@ func (m *MaxPool3D) outShape(x *tensor.Tensor) (n, c, od, oh, ow int) {
 // row are stepped abreast, each in its own order: one window's selects are a
 // chain of dependent compares.
 func (m *MaxPool3D) pool(x, out *tensor.Tensor, argmax []int32) {
-	n, c, d, h, w := check5D("MaxPool3D", x)
+	n, c, od, oh, ow := m.outShape(x)
+	checkDst("MaxPool3D", out, n, c, od, oh, ow)
+	_, _, d, h, w := check5D("MaxPool3D", x)
 	s := m.Size
-	od, oh, ow := d/s, h/s, w/s
 	xd, outd := x.Data(), out.Data()
 	outCh := od * oh * ow
-	parallel.ForWorkers(m.workers, n*c, 1, func(lo, hi int) {
+	parallel.ForWorkers(m.workers, n*c, 1, func(_, lo, hi int) {
 		// The window's offsets from its corner, in visiting order.
 		var buf [8]int
 		win := buf[:0]
@@ -134,36 +133,38 @@ func greater(v float32, i int, best float32, at int) (float32, int) {
 	return math.Float32frombits(math.Float32bits(v)&keep | math.Float32bits(best)&^keep), at
 }
 
-// Backward routes each output gradient to the input element that won the max.
+// Backward is BackwardInto a fresh tensor.
 func (m *MaxPool3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return m.backward(gradOut, tensor.New)
+	return m.BackwardInto(gradOut, tensor.New(m.cachedShape()...))
 }
 
-// BackwardOwned is Backward with the input gradient written into dst.
-func (m *MaxPool3D) BackwardOwned(gradOut *tensor.Tensor, dst *tensor.Owned) *tensor.Tensor {
-	return m.backward(gradOut, dst.Shaped)
-}
-
-func (m *MaxPool3D) backward(gradOut *tensor.Tensor, alloc allocFunc) *tensor.Tensor {
-	if m.inShape == nil {
-		panic("nn: MaxPool3D.Backward called before Forward")
-	}
-	in, sz := m.inShape, m.Size
+// BackwardInto routes each output gradient to the input element that won
+// the max, into gradIn.
+func (m *MaxPool3D) BackwardInto(gradOut, gradIn *tensor.Tensor) *tensor.Tensor {
+	in, sz := m.cachedShape(), m.Size
 	checkGradShape("MaxPool3D.Backward", gradOut, in[0], in[1], in[2]/sz, in[3]/sz, in[4]/sz)
-	gradIn := alloc(in...)
+	checkDst("MaxPool3D.Backward", gradIn, in...)
 	gid := gradIn.Data()
 	god := gradOut.Data()
 	// Argmax indices from one (sample, channel) block always point into that
 	// block's input region, so chunking on block boundaries keeps the
 	// scatter-add race-free — and lets each chunk zero its own region first.
-	n, c := m.inShape[0], m.inShape[1]
+	n, c := in[0], in[1]
 	outCh := len(god) / (n * c)
 	inCh := len(gid) / (n * c)
-	parallel.ForWorkers(m.workers, n*c, 1, func(lo, hi int) {
+	parallel.ForWorkers(m.workers, n*c, 1, func(_, lo, hi int) {
 		clear(gid[lo*inCh : hi*inCh])
 		for i := lo * outCh; i < hi*outCh; i++ {
 			gid[m.argmax[i]] += god[i]
 		}
 	})
 	return gradIn
+}
+
+// cachedShape is the input shape of the last Forward.
+func (m *MaxPool3D) cachedShape() []int {
+	if m.inShape == nil {
+		panic("nn: MaxPool3D.Backward called before Forward")
+	}
+	return m.inShape
 }

@@ -358,19 +358,12 @@ func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gradOut
 }
 
-// Infer runs x through every layer's Infer, recycling each intermediate
-// activation as soon as the next layer has consumed it. The returned tensor
-// is pool-backed.
+// Infer runs x through every layer's Infer.
 func (s *Sequential) Infer(x *tensor.Tensor) *tensor.Tensor {
-	in := x
 	for _, l := range s.Layers {
-		out := l.Infer(in)
-		if in != x {
-			tensor.Recycle(in)
-		}
-		in = out
+		x = l.Infer(x)
 	}
-	return in
+	return x
 }
 
 // Params returns the parameters of all layers in order.

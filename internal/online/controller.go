@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/train"
 	"repro/internal/unet"
 	"repro/internal/volume"
@@ -350,7 +349,6 @@ func (c *Controller) probe(m *unet.UNet, s *volume.Sample) (float64, float64, er
 	pred := m.Infer(inputs)
 	dice := metrics.DiceScore(pred, masks)
 	drift := metrics.Drift(pred, masks)
-	tensor.Recycle(pred)
 	return dice, drift, nil
 }
 
@@ -362,9 +360,7 @@ func (c *Controller) evalSet(m *unet.UNet, set []*volume.Sample) (float64, error
 		if err != nil {
 			return 0, err
 		}
-		pred := m.Infer(inputs)
-		sum += metrics.DiceScore(pred, masks)
-		tensor.Recycle(pred)
+		sum += metrics.DiceScore(m.Infer(inputs), masks)
 	}
 	return sum / float64(len(set)), nil
 }

@@ -113,15 +113,13 @@ func ShareN(total, parts int) []int {
 	return shares
 }
 
-// For partitions [0, n) into chunks of at most grain indices and calls
-// fn(lo, hi) for every chunk using the default worker budget. It blocks
-// until every chunk is done. fn must treat [lo, hi) as its exclusive
-// property; chunks never overlap.
-func For(n, grain int, fn func(lo, hi int)) {
-	ForWorkers(0, n, grain, fn)
-}
-
-// ForWorkers is For with an explicit worker budget (0 = global default).
+// ForWorkers partitions [0, n) into chunks of at most grain indices and
+// calls fn(slot, lo, hi) for every chunk, with a worker budget of workers
+// (0 = global default). It blocks until every chunk is done. fn must treat
+// [lo, hi) as its exclusive property; chunks never overlap. slot names the
+// worker running the chunk — 0 for the caller, distinct for every worker of
+// the call and below min(Resolve(workers), number of chunks) — so a kernel
+// can hand each worker a buffer of its own, taken before the call.
 //
 // The chunk decomposition depends only on n and grain, and workers pull
 // chunk indices from an atomic counter, so every chunk runs exactly once
@@ -132,7 +130,7 @@ func For(n, grain int, fn func(lo, hi int)) {
 // a resident helper mid-job. A panic in any chunk is re-raised on the
 // calling goroutine with its original value after all workers have
 // drained; the helper that hit it stays in the pool.
-func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
+func ForWorkers(workers, n, grain int, fn func(slot, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -150,7 +148,7 @@ func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 	}
 	if j == nil {
 		for lo := 0; lo < n; lo += grain {
-			fn(lo, min(lo+grain, n))
+			fn(0, lo, min(lo+grain, n))
 		}
 		return
 	}
@@ -160,10 +158,11 @@ func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 	j.next.Store(0)
 	j.panicked.Store(nil)
 	j.pending.Store(int32(len(j.team)))
-	for _, h := range j.team {
+	for i, h := range j.team {
+		h.slot = i + 1
 		h.hand(j)
 	}
-	j.work() // the caller is worker 0
+	j.work(0) // the caller is worker 0
 	// Every chunk is claimed now; a helper that has not taken the job yet
 	// has nothing left to do, so take the job back instead of waiting for
 	// it to wake.
@@ -187,7 +186,7 @@ func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 // claimed. Each helper owns one record, used while it leads a call, so a
 // call allocates nothing.
 type job struct {
-	fn               func(lo, hi int)
+	fn               func(slot, lo, hi int)
 	n, grain, chunks int
 	spin             bool      // GOMAXPROCS > 1 when the call started
 	team             []*helper // claimed helpers; team[0] lends this record
@@ -201,8 +200,9 @@ type job struct {
 // panicValue boxes a recovered panic for transport across goroutines.
 type panicValue struct{ val any }
 
-// work runs chunks until none is left or a chunk has panicked.
-func (j *job) work() {
+// work runs chunks as worker slot until none is left or a chunk has
+// panicked.
+func (j *job) work(slot int) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicked.CompareAndSwap(nil, &panicValue{val: r})
@@ -214,7 +214,7 @@ func (j *job) work() {
 			return
 		}
 		lo := c * j.grain
-		j.fn(lo, min(lo+j.grain, j.n))
+		j.fn(slot, lo, min(lo+j.grain, j.n))
 	}
 }
 
@@ -257,6 +257,7 @@ type helper struct {
 	parked  atomic.Bool         // parked on wake
 	wake    chan struct{}       // capacity 1; a stale token only causes a re-check
 	lead    *job                // the record this helper lends when it leads
+	slot    int                 // worker slot in the job handed over, set by its caller
 }
 
 // hand gives j to h and wakes it if it parked.
@@ -275,7 +276,7 @@ func (h *helper) loop() {
 	spin := false
 	for {
 		j := h.await(spin)
-		j.work()
+		j.work(h.slot)
 		spin = j.spin
 		j.done()
 	}

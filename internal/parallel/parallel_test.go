@@ -14,7 +14,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 		for _, grain := range []int{0, 1, 3, 64, 5000} {
 			for _, workers := range []int{1, 2, 3, 8, 100} {
 				hits := make([]int32, n+1)
-				ForWorkers(workers, n, grain, func(lo, hi int) {
+				ForWorkers(workers, n, grain, func(_, lo, hi int) {
 					if lo < 0 || hi > n || lo >= hi {
 						t.Errorf("n=%d grain=%d workers=%d: bad chunk [%d,%d)", n, grain, workers, lo, hi)
 						return
@@ -39,7 +39,7 @@ func TestForChunkBoundaries(t *testing.T) {
 	const n, grain = 103, 10
 	for _, workers := range []int{1, 4} {
 		var starts sync32Set
-		ForWorkers(workers, n, grain, func(lo, hi int) {
+		ForWorkers(workers, n, grain, func(_, lo, hi int) {
 			if lo%grain != 0 {
 				t.Errorf("workers=%d: chunk start %d not aligned to grain %d", workers, lo, grain)
 			}
@@ -72,7 +72,7 @@ func TestForPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: panic value %v, want original value \"boom\"", workers, r)
 				}
 			}()
-			ForWorkers(workers, 100, 1, func(lo, hi int) {
+			ForWorkers(workers, 100, 1, func(_, lo, hi int) {
 				if lo == 50 {
 					panic("boom")
 				}
@@ -164,4 +164,27 @@ func (s *sync32Set) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.vals)
+}
+
+// TestForWorkersSlots: each chunk runs on a slot below the call's effective
+// budget, min(workers, chunks), and no slot runs two chunks at once — the
+// contract that lets a kernel give each slot a buffer of its own.
+func TestForWorkersSlots(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, 2, 5, 64} {
+			limit := min(workers, n)
+			busy := make([]atomic.Int32, limit)
+			ForWorkers(workers, n, 1, func(slot, lo, hi int) {
+				if slot < 0 || slot >= limit {
+					t.Errorf("workers=%d n=%d: slot %d outside [0, %d)", workers, n, slot, limit)
+					return
+				}
+				if busy[slot].Add(1) != 1 {
+					t.Errorf("workers=%d n=%d: slot %d runs two chunks at once", workers, n, slot)
+				}
+				runtime.Gosched()
+				busy[slot].Add(-1)
+			})
+		}
+	}
 }

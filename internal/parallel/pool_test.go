@@ -26,7 +26,7 @@ func within(t *testing.T, d time.Duration, f func()) {
 // exactly once.
 func checkCover(t *testing.T, workers, n, grain int) {
 	hits := make([]int32, n)
-	ForWorkers(workers, n, grain, func(lo, hi int) {
+	ForWorkers(workers, n, grain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -64,8 +64,8 @@ func TestForNested(t *testing.T) {
 	within(t, 30*time.Second, func() {
 		for it := 0; it < 50; it++ {
 			var total atomic.Int64
-			ForWorkers(4, 8, 1, func(lo, hi int) {
-				ForWorkers(4, 100, 3, func(lo, hi int) {
+			ForWorkers(4, 8, 1, func(_, lo, hi int) {
+				ForWorkers(4, 100, 3, func(_, lo, hi int) {
 					total.Add(int64(hi - lo))
 				})
 			})
@@ -89,7 +89,7 @@ func TestForPanicKeepsHelpers(t *testing.T) {
 					t.Errorf("recovered %v, want \"helper boom\"", r)
 				}
 			}()
-			ForWorkers(4, 64, 1, func(lo, hi int) {
+			ForWorkers(4, 64, 1, func(_, lo, hi int) {
 				if lo%2 == 1 {
 					panic("helper boom")
 				}
@@ -105,7 +105,7 @@ func TestForPanicKeepsHelpers(t *testing.T) {
 		width := len(hs) + 1
 		var arrived atomic.Int32
 		all := make(chan struct{})
-		ForWorkers(width, width, 1, func(lo, hi int) {
+		ForWorkers(width, width, 1, func(_, lo, hi int) {
 			if arrived.Add(1) == int32(width) {
 				close(all)
 			}
@@ -125,7 +125,7 @@ func TestForSingleProcNoSpin(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	within(t, 20*time.Second, func() {
 		var sum atomic.Int64
-		fn := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+		fn := func(_, lo, hi int) { sum.Add(int64(hi - lo)) }
 		for it := 0; it < 2000; it++ {
 			ForWorkers(4, 64, 1, fn)
 		}
@@ -139,7 +139,7 @@ func TestForSingleProcNoSpin(t *testing.T) {
 // nothing — no goroutine, no job record, no closure.
 func TestForWorkersNoAllocs(t *testing.T) {
 	var sink atomic.Int64
-	fn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	fn := func(_, lo, hi int) { sink.Add(int64(hi - lo)) }
 	if allocs := testing.AllocsPerRun(200, func() { ForWorkers(2, 64, 1, fn) }); allocs != 0 {
 		t.Fatalf("ForWorkers(2, …) allocates %v objects per call, want 0", allocs)
 	}

@@ -4,8 +4,8 @@
 // limitations ... this approach loses spatial information and has very poor
 // performing time for both training and inference"). It exists so the
 // full-volume-vs-patches comparison can actually be run. The window loop
-// runs a model's forward-only Infer (the nn.Layer fast path) and recycles
-// every window prediction once it is blended.
+// runs a model's forward-only Infer and copies each window's prediction out
+// before the next window's Infer.
 package patch
 
 import (
@@ -99,9 +99,9 @@ func RandomPatches(s *volume.Sample, n, pd, ph, pw int, posBias float64, rng *ra
 }
 
 // Predictor produces per-voxel probabilities for a batched input on the
-// forward-only fast path: Infer retains no state and returns a pool-backed
-// result the caller owns, which the sliding-window machinery recycles after
-// blending. The U-Net satisfies it.
+// forward-only path. Infer's result may be a buffer the predictor owns and
+// overwrites on its next Infer, so a caller copies out what it keeps. The
+// U-Net satisfies it.
 type Predictor interface {
 	Infer(x *tensor.Tensor) *tensor.Tensor
 }
@@ -291,7 +291,7 @@ func (wn Window) ScatterWeighted(acc []float32, outC, d, h, w int, pred, wmap []
 // so the result is bitwise identical at any worker budget.
 func NormalizeBlend(acc, weight []float32, outC, workers int) {
 	spatial := len(weight)
-	parallel.ForWorkers(workers, outC, 1, func(lo, hi int) {
+	parallel.ForWorkers(workers, outC, 1, func(_, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			base := ci * spatial
 			for i := 0; i < spatial; i++ {
@@ -337,7 +337,7 @@ func (sw SlidingWindow) BlendPredictions(wins []Window, preds []*tensor.Tensor, 
 	acc := tensor.New(outC, d, h, w)
 	ad := acc.Data()
 	spatial := d * h * w
-	parallel.ForWorkers(sw.Workers, outC, 1, func(lo, hi int) {
+	parallel.ForWorkers(sw.Workers, outC, 1, func(_, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			for i, wn := range wins {
 				pdd := preds[i].Data()
@@ -410,17 +410,12 @@ func (sw SlidingWindow) Infer(model Predictor, s *volume.Sample) (*tensor.Tensor
 	wins := sw.Windows(d, h, w)
 
 	preds := make([]*tensor.Tensor, len(wins))
-	defer func() {
-		for _, p := range preds {
-			tensor.Recycle(p)
-		}
-	}()
 	for i, wn := range wins {
 		p, err := Extract(s, wn.Z, wn.Y, wn.X, wn.D, wn.H, wn.W)
 		if err != nil {
 			return nil, err
 		}
-		preds[i] = model.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...))
+		preds[i] = model.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...)).Clone()
 	}
 	return sw.BlendPredictions(wins, preds, d, h, w)
 }

@@ -47,9 +47,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Model is one servable replica: a forward-only fast path returning a
-// pool-backed prediction, named parameters for checkpoint loading, and a
-// worker budget so replicas can share the machine. unet.UNet satisfies it;
+// Model is one servable replica: a forward-only Infer, whose result may be a
+// buffer the model overwrites on its next Infer (each prediction is copied
+// out at once), named parameters for checkpoint loading, and a worker
+// budget so replicas can share the machine. unet.UNet satisfies it;
 // models also implementing nn.AuxStater get their auxiliary state (batch
 // norm running statistics) restored on Reload.
 type Model interface {
@@ -148,7 +149,7 @@ type task struct {
 type request struct {
 	x     *tensor.Tensor // [C, D, H, W] input volume, read-only until done
 	wins  []patch.Window
-	preds []*tensor.Tensor // pool-backed [1, outC, pd, ph, pw] per window
+	preds []*tensor.Tensor // [1, outC, pd, ph, pw] per window, copied out of the replica
 	left  atomic.Int64
 	done  chan struct{}
 
@@ -173,9 +174,11 @@ type microbatch struct {
 	formed time.Time
 }
 
-// replica is one model instance with its round-robin dispatch channel.
+// replica is one model instance with its round-robin dispatch channel and
+// the batch buffer its micro-batches are assembled in.
 type replica struct {
 	model Model
+	batch tensor.Owned
 	ch    chan *microbatch
 	done  chan struct{}
 }
@@ -400,9 +403,6 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return out, nil
 	}
 	out, err := s.cfg.Window.BlendPredictions(wins, req.preds, d, h, w)
-	for _, p := range req.preds {
-		tensor.Recycle(p)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +472,7 @@ func (s *Server) batcher() {
 	}
 }
 
-// runReplica assembles each micro-batch into a pooled batch tensor, runs
+// runReplica assembles each micro-batch into the replica's batch buffer, runs
 // the no-grad forward, and scatters per-sample predictions back to their
 // requests.
 func (s *Server) runReplica(r *replica) {
@@ -485,7 +485,7 @@ func (s *Server) runReplica(r *replica) {
 		c := mb.tasks[0].req.x.Shape()[0]
 		b := len(mb.tasks)
 		pvol := ext.D * ext.H * ext.W
-		batch := tensor.NewScratch(b, c, ext.D, ext.H, ext.W)
+		batch := r.batch.Shaped(b, c, ext.D, ext.H, ext.W)
 		bd := batch.Data()
 		for i, t := range mb.tasks {
 			wn := t.req.wins[t.win]
@@ -526,9 +526,7 @@ func (s *Server) runReplica(r *replica) {
 				xs := req.x.Shape()
 				req.wins[t.win].ScatterWeighted(req.acc, outC, xs[1], xs[2], xs[3], sample, req.wmap)
 			} else {
-				pred := tensor.NewScratch(1, outC, ext.D, ext.H, ext.W)
-				copy(pred.Data(), sample)
-				req.preds[t.win] = pred
+				req.preds[t.win] = tensor.FromSlice(append([]float32(nil), sample...), 1, outC, ext.D, ext.H, ext.W)
 			}
 			s.m.patches.Inc()
 			s.pending.Add(-1)
@@ -536,8 +534,6 @@ func (s *Server) runReplica(r *replica) {
 				close(req.done)
 			}
 		}
-		tensor.Recycle(batch)
-		tensor.Recycle(out)
 		s.m.busy.Dec()
 	}
 }

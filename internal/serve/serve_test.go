@@ -158,7 +158,7 @@ type blockingModel struct {
 func (m *blockingModel) Infer(x *tensor.Tensor) *tensor.Tensor {
 	<-m.release
 	sh := x.Shape()
-	out := tensor.NewScratch(sh[0], m.outC, sh[2], sh[3], sh[4])
+	out := tensor.New(sh[0], m.outC, sh[2], sh[3], sh[4])
 	for i := range out.Data() {
 		out.Data()[i] = 0.5
 	}
@@ -420,7 +420,7 @@ type channelAwareModel struct{}
 
 func (channelAwareModel) Infer(x *tensor.Tensor) *tensor.Tensor {
 	sh := x.Shape()
-	out := tensor.NewScratch(sh[0], 1, sh[2], sh[3], sh[4])
+	out := tensor.New(sh[0], 1, sh[2], sh[3], sh[4])
 	od := out.Data()
 	xd := x.Data()
 	pvol := sh[2] * sh[3] * sh[4]

@@ -25,8 +25,8 @@
 // path holds the child pointer — there is no per-observation map lookup
 // and no way to explode cardinality at runtime. Func variants
 // (CounterFunc/GaugeFunc) sample a callback at scrape time, for values
-// another subsystem already maintains (scratch-pool counters, queue
-// depths).
+// another subsystem already maintains (queue depths, replica
+// utilization).
 //
 // Reads never block writes: Value/Snapshot and the Prometheus handler
 // load the same atomics the hot path stores, so a monitoring poller

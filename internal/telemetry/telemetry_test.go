@@ -198,7 +198,7 @@ func TestConcurrentHammer(t *testing.T) {
 			}
 		}
 	}()
-	parallel.For(n, 64, func(lo, hi int) {
+	parallel.ForWorkers(0, n, 64, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c.Inc()
 			g.Add(1)

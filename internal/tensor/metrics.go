@@ -1,61 +1,9 @@
 package tensor
 
-import (
-	"strconv"
+import "repro/internal/telemetry"
 
-	"repro/internal/telemetry"
-)
-
-// Scratch-pool metrics on the process-wide registry. Traffic is broken down
-// by capacity class under a fixed "class" label — the class's capacity in
-// floats, plus "oversize" for requests above the largest class that fall
-// back to plain allocation. A healthy steady state shows every
-// tensor_scratch_allocs_total series flat while tensor_scratch_gets_total
-// keeps climbing: the zero-fresh-allocation claim the unet scratch-pool
-// test makes, observable on a live /metrics page. The children are resolved
-// into arrays at init so the hot path stays one array index plus an atomic
-// add per counter.
-
-// numScratchClasses is the pooled capacity-class count; index
-// numScratchClasses in the metric arrays is the oversize fallback.
-const numScratchClasses = maxScratchBits - minScratchBits + 1
-
-var (
-	scratchClassLabels = func() []string {
-		out := make([]string, numScratchClasses+1)
-		for i := 0; i < numScratchClasses; i++ {
-			out[i] = strconv.Itoa(1 << (i + minScratchBits))
-		}
-		out[numScratchClasses] = "oversize"
-		return out
-	}()
-
-	scratchGetsVec = telemetry.Default().CounterVec("tensor_scratch_gets_total",
-		"scratch buffer requests by capacity class (floats)",
-		"class", scratchClassLabels...)
-	scratchAllocsVec = telemetry.Default().CounterVec("tensor_scratch_allocs_total",
-		"scratch requests that missed the pool and hit the allocator, by capacity class (floats)",
-		"class", scratchClassLabels...)
-	scratchAllocBytes = telemetry.Default().Counter("tensor_scratch_alloc_bytes_total",
-		"bytes freshly allocated for scratch buffers (pool misses and oversize requests)")
-
-	scratchClassGets   [numScratchClasses + 1]*telemetry.Counter
-	scratchClassAllocs [numScratchClasses + 1]*telemetry.Counter
-)
-
-func init() {
-	for i, lbl := range scratchClassLabels {
-		scratchClassGets[i] = scratchGetsVec.With(lbl)
-		scratchClassAllocs[i] = scratchAllocsVec.With(lbl)
-	}
-	telemetry.Default().CounterFunc("tensor_scratch_puts_total",
-		"scratch buffers recycled into the pool", scratchCounters.puts.Load)
-	telemetry.Default().GaugeFunc("tensor_scratch_hit_ratio",
-		"fraction of scratch requests served without allocating", func() float64 {
-			s := ScratchStatsSnapshot()
-			if s.Gets == 0 {
-				return 0
-			}
-			return 1 - float64(s.Allocs)/float64(s.Gets)
-		})
-}
+// workspaceAllocBytes counts the bytes workspaces freshly allocate — a
+// backing laid out at a new high-water mark and the overflow of a call that
+// outgrew it. A healthy steady state shows the series flat.
+var workspaceAllocBytes = telemetry.Default().Counter("tensor_workspace_alloc_bytes_total",
+	"bytes freshly allocated for workspace backings and their overflow")

@@ -3,8 +3,7 @@ package tensor
 import "slices"
 
 // Owned is a tensor buffer that belongs to one long-lived owner — a layer
-// block, a network — instead of to the garbage collector or the scratch
-// pool: laid out by the first call that needs it, grown to the largest
+// block, a network — instead of to the garbage collector: laid out by the first call that needs it, grown to the largest
 // volume ever asked for, and resliced (never reallocated) afterwards. An
 // owner whose shapes repeat from step to step therefore allocates nothing in
 // steady state, and the Go runtime never zeroes a fresh activation for it.
@@ -18,7 +17,7 @@ type Owned struct {
 // UNDEFINED — whatever the buffer's last user left there — so the caller
 // must write every element before reading any. The result aliases every
 // tensor earlier Shaped calls returned, and stays valid until the next
-// Shaped call with a different shape or Release. Recycle ignores it.
+// Shaped call with a different shape or Release.
 func (o *Owned) Shaped(shape ...int) *Tensor {
 	if o.t != nil && slices.Equal(o.t.shape, shape) {
 		return o.t
@@ -35,7 +34,6 @@ func (o *Owned) Shaped(shape ...int) *Tensor {
 		shape:   dims,
 		strides: computeStrides(dims),
 		data:    o.buf[:n:n],
-		view:    true, // the owner, not the pool, decides the buffer's fate
 	}
 	return o.t
 }

@@ -4,11 +4,10 @@ import "testing"
 
 // TestOwnedGrowsOnceThenReslices: an Owned allocates when a volume exceeds
 // everything seen before and never otherwise — equal shapes return the same
-// header, smaller ones a window on the same backing — Recycle cannot pull its
-// buffer into the scratch pool, and Release starts over.
+// header, smaller ones a window on the same backing — and Release starts over.
 func TestOwnedGrowsOnceThenReslices(t *testing.T) {
 	var o Owned
-	a := o.Shaped(2, 4, 16) // a scratch-pool capacity class, which Recycle would take
+	a := o.Shaped(2, 4, 16)
 	if a.Size() != 128 || a.Dim(2) != 16 {
 		t.Fatalf("shape %v", a.Shape())
 	}
@@ -24,12 +23,6 @@ func TestOwnedGrowsOnceThenReslices(t *testing.T) {
 		t.Fatal("reslicing cleared the buffer; contents are the last user's")
 	}
 
-	before := ScratchStatsSnapshot()
-	Recycle(o.Shaped(2, 4, 16))
-	if after := ScratchStatsSnapshot(); after.Puts != before.Puts {
-		t.Fatal("Recycle pooled an owned buffer")
-	}
-
 	big := o.Shaped(4, 64)
 	if &big.Data()[0] == &a.Data()[0] {
 		t.Fatal("a larger shape did not grow the backing")
@@ -40,5 +33,19 @@ func TestOwnedGrowsOnceThenReslices(t *testing.T) {
 	o.Release()
 	if fresh := o.Shaped(4, 64); &fresh.Data()[0] == &big.Data()[0] {
 		t.Fatal("Release kept the buffer")
+	}
+}
+
+// TestRecycleKeepsOwnedData: Recycle on a tensor an Owned hands out leaves
+// it whole — the owner hands the same header out again — so the owner's
+// next same-shape Shaped still has its data.
+func TestRecycleKeepsOwnedData(t *testing.T) {
+	var o Owned
+	a := o.Shaped(2, 3)
+	a.Fill(5)
+	Recycle(a)
+	b := o.Shaped(2, 3)
+	if b.Size() != 6 || b.At(1, 2) != 5 {
+		t.Fatalf("after Recycle, Shaped returned %d floats", b.Size())
 	}
 }

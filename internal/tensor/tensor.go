@@ -18,12 +18,6 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	data    []float32
-
-	// view marks tensors created by View/Slice, whose data is a window
-	// into another tensor's backing. Recycle refuses to pool such windows:
-	// a mid-buffer slice whose capacity coincides with a pool class would
-	// otherwise hand overlapping buffers to later GetScratch callers.
-	view bool
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -192,15 +186,13 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		shape:   append([]int(nil), shape...),
 		strides: computeStrides(shape),
 		data:    t.data,
-		view:    t.view, // reshaping a view yields a view
 	}
 }
 
 // View returns a tensor of the given shape over t's backing array starting
 // at flat element offset off — a zero-copy window: mutating the view
 // mutates t and vice versa. The window [off, off+volume) must lie inside
-// t's data; View panics otherwise. Passing a view to Recycle is a no-op
-// (only the tensor that owns the full backing may recycle it).
+// t's data; View panics otherwise.
 func (t *Tensor) View(off int, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if off < 0 || off+n > len(t.data) {
@@ -210,7 +202,6 @@ func (t *Tensor) View(off int, shape ...int) *Tensor {
 		shape:   append([]int(nil), shape...),
 		strides: computeStrides(shape),
 		data:    t.data[off : off+n : off+n],
-		view:    true,
 	}
 }
 

@@ -101,25 +101,32 @@ func retainedFloats(u *UNet) int {
 	return total
 }
 
-// TestTrainingStepHoldsNoScratch: every scratch buffer a training step draws
-// is back in the pool when the step returns — the convolutions keep no patch
-// or halo buffers between calls — so DropCaches has only references to drop.
+// TestTrainingStepHoldsNoScratch: every workspace float a Forward, a
+// Backward or an Infer takes is given back before it returns — the layers
+// keep no patch or halo buffers between calls — so the network's workspace
+// is fully released between calls, and Infer may run between a Forward and
+// its Backward.
 func TestTrainingStepHoldsNoScratch(t *testing.T) {
 	cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 2,
 		Kernel: 3, UpKernel: 2, Seed: 4}
 	u := MustNew(cfg)
 	rng := rand.New(rand.NewSource(8))
 	x := tensor.Randn(rng, 0, 1, 2, 2, 4, 4, 4)
+	released := func(what string) {
+		t.Helper()
+		if u.ws.Mark() != (tensor.Mark{}) {
+			t.Fatalf("%s returned with workspace floats still taken", what)
+		}
+	}
 
 	before := tensor.ScratchStatsSnapshot()
 	out := u.Forward(x)
+	released("Forward")
+	u.Infer(x)
+	released("Infer")
 	u.Backward(tensor.New(out.Shape()...))
-	after := tensor.ScratchStatsSnapshot()
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
-		t.Fatalf("a training step drew %d scratch buffers and returned %d", gets, puts)
-	}
-	u.DropCaches()
-	if dropped := tensor.ScratchStatsSnapshot(); dropped.Puts != after.Puts {
-		t.Fatalf("DropCaches returned %d scratch buffers; the network should hold none", dropped.Puts-after.Puts)
+	released("Backward")
+	if tensor.ScratchStatsSnapshot().Gets == before.Gets {
+		t.Fatal("test is vacuous: the calls took nothing from the workspace")
 	}
 }

@@ -27,17 +27,21 @@
 // x̂, pooled activations, concatenations, logits, and every gradient flowing
 // back between layers — lives in a buffer the block or the network owns
 // (tensor.Owned): laid out by the first step, grown to the largest batch
-// seen, resliced afterwards and released by DropCaches.
-// A steady-state training step therefore allocates no activation and no
-// gradient, and leaves no garbage for the collector
-// (TestOwnedBuffersAllocationGuard).
+// seen, resliced afterwards and released by DropCaches. Infer has buffers
+// of its own, apart from the training ones because it may run between a
+// Forward and its Backward: one per live role — a ping-pong pair between
+// layers, each skip, each concatenation and the prediction — not one per
+// site. The layers' scratch comes from one tensor.Workspace the network
+// owns, shared by every layer since they run one at a time, and given back
+// before each call returns. A steady-state training step or Infer therefore
+// allocates no activation, gradient or scratch, and leaves next to no
+// garbage for the collector (TestOwnedBuffersAllocationGuard).
 //
-// What crosses the API belongs to the caller. Forward, Infer and Backward
-// only read the tensor they are given. Forward returns a fresh prediction the
-// caller may keep indefinitely; Infer returns a pool-backed one the caller
-// may keep, and should tensor.Recycle when done. Nothing else the network
-// computes is reachable from outside, so there is nothing a caller could hold
-// that a later call overwrites. A UNet is not safe for concurrent use.
+// Forward, Infer and Backward only read the tensor they are given. Forward
+// returns a fresh prediction the caller may keep indefinitely. Infer returns
+// the network's own prediction buffer, valid until the next Infer; a caller
+// that needs it longer copies it. Nothing else the network computes is
+// reachable from outside. A UNet is not safe for concurrent use.
 package unet
 
 import (
@@ -120,6 +124,7 @@ type encStep struct {
 
 	pooled   tensor.Owned // pool output
 	poolGrad tensor.Owned // gradient w.r.t. b's output: un-pooled, plus the skip's
+	skip     tensor.Owned // Infer's b output, held for the decoder
 }
 
 // decStep is one decoder resolution step: the up-convolution, the skip
@@ -131,8 +136,9 @@ type decStep struct {
 
 	upChannels int // channels arriving from below
 
-	cat    tensor.Owned // [up, skip] concatenation
-	upGrad tensor.Owned // gradient w.r.t. the step's input
+	cat      tensor.Owned // [up, skip] concatenation
+	upGrad   tensor.Owned // gradient w.r.t. the step's input
+	inferCat tensor.Owned // Infer's concatenation
 
 	catGrad *tensor.Tensor // a's input gradient from the last Backward; the encoder reads its skip half
 }
@@ -149,8 +155,13 @@ type UNet struct {
 	actGrad  tensor.Owned // gradient w.r.t. the logits
 	headGrad tensor.Owned // gradient w.r.t. the last decoder block's output
 
+	ping, pong tensor.Owned // Infer's activations between layers
+	pred       tensor.Owned // Infer's result
+
+	ws tensor.Workspace // every layer's scratch
+
 	params []*nn.Param
-	skips  []*tensor.Tensor // encoder outputs awaiting the decoder, shallow first
+	skips  []*tensor.Tensor // the running forward's encoder outputs awaiting the decoder, shallow first
 
 	// Per-group parameter slices in gradient completion order (head, then
 	// decoder steps deep→shallow, then encoder steps deep→shallow), built
@@ -198,6 +209,13 @@ func New(cfg Config) (*UNet, error) {
 	u.head = nn.NewConv3D("head", cfg.BaseFilters, cfg.OutChannels, 1, rng)
 	u.act = nn.NewSigmoid()
 	u.SetWorkers(cfg.Workers)
+	for _, b := range u.blocks() {
+		b.SetWorkspace(&u.ws)
+	}
+	for _, d := range u.dec {
+		d.up.SetWorkspace(&u.ws)
+	}
+	u.head.SetWorkspace(&u.ws)
 
 	for _, e := range u.enc {
 		g := append(e.a.Params(), e.b.Params()...)
@@ -276,15 +294,16 @@ func (u *UNet) SetWorkers(workers int) {
 func (u *UNet) ZeroGrads() { nn.ZeroGrads(u.params) }
 
 // DropCaches releases everything the network retains between steps: every
-// buffer it and its blocks own — activations, x̂, input and skip gradients —
-// plus the layers' references to their last input and output and the pooling
-// argmax records. Parameters, their gradients and the running statistics
-// stay. The next Forward lays the buffers out again and computes the same
-// bits (TestDropCachesBitNeutralAcrossSteps). This is the ROADMAP's
-// memory-pressure hook — long-lived trainers call it between the training and
-// evaluation phases (train.CacheRelease does) so validation volumes never
-// coexist with the last training batch's activations. Calling it between
-// Forward and Backward is invalid, as for nn.CacheDropper.
+// buffer it and its blocks own — activations, x̂, input and skip gradients,
+// Infer's buffers, the scratch workspace's backing — plus the layers'
+// references to their last input and output and the pooling argmax
+// records. Parameters, their gradients and the running statistics stay.
+// The next Forward lays the buffers out again and computes the same bits
+// (TestDropCachesBitNeutralAcrossSteps). This is the memory-pressure hook —
+// long-lived trainers call it between the training and evaluation phases
+// (train.CacheRelease does) so validation volumes never coexist with the
+// last training batch's activations. It is safe between an optimizer step
+// and the next Forward, not between a Forward and its Backward.
 func (u *UNet) DropCaches() {
 	for _, b := range u.blocks() {
 		b.DropCaches()
@@ -295,11 +314,13 @@ func (u *UNet) DropCaches() {
 		}
 		e.pooled.Release()
 		e.poolGrad.Release()
+		e.skip.Release()
 	}
 	for _, d := range u.dec {
 		d.up.DropCaches()
 		d.cat.Release()
 		d.upGrad.Release()
+		d.inferCat.Release()
 		d.catGrad = nil
 	}
 	u.head.DropCaches()
@@ -307,6 +328,10 @@ func (u *UNet) DropCaches() {
 	u.headOut.Release()
 	u.actGrad.Release()
 	u.headGrad.Release()
+	u.ping.Release()
+	u.pong.Release()
+	u.pred.Release()
+	u.ws = tensor.Workspace{}
 	clear(u.skips)
 	u.skips = u.skips[:0]
 }
@@ -345,85 +370,70 @@ func (u *UNet) checkInput(op string, x *tensor.Tensor) {
 // run; the returned prediction is a fresh tensor the caller owns.
 func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 	u.checkInput("Forward", x)
+	k := u.Cfg.UpKernel
 	u.skips = u.skips[:0]
 	h := x
 	for _, e := range u.enc {
 		h = e.b.Forward(e.a.Forward(h))
 		if e.pool != nil {
 			u.skips = append(u.skips, h)
-			h = e.pool.ForwardOwned(h, &e.pooled)
+			h = e.pool.ForwardInto(h, like(&e.pooled, h, h.Dim(1), 1, k))
 		}
 	}
 	for i, d := range u.dec {
 		skip := u.skips[len(u.skips)-1-i]
-		s := skip.Shape()
-		cat := d.cat.Shaped(s[0], d.upChannels+s[1], s[2], s[3], s[4])
+		cat := like(&d.cat, skip, d.upChannels+skip.Dim(1), 1, 1)
 		d.up.ForwardInto(h, cat)
 		copyChannels(cat, skip, d.upChannels)
 		h = d.b.Forward(d.a.Forward(cat))
 	}
-	return u.act.Forward(u.head.ForwardOwned(h, &u.headOut))
+	return u.act.Forward(u.head.ForwardInto(h, like(&u.headOut, h, u.Cfg.OutChannels, 1, 1)))
 }
 
 // Infer computes per-voxel probabilities under the running statistics — bit
 // for bit the standalone layers' Infers chained, whatever a sample's batch
-// neighbours — forward-only and without touching anything the network owns:
-// every activation is a tensor from the scratch pool, one per body block,
-// recycled the moment its consumer has run; nothing is retained. So Infer
-// may be interleaved with training steps on the same model (between a
-// Forward and its Backward too) without disturbing either, and after warm-up
-// a steady-state Infer performs zero fresh scratch allocations
-// (TestInferScratchSteadyState).
+// neighbours — forward-only, in Infer's own buffers: it touches nothing
+// Backward reads, so it may be interleaved with training steps on the same
+// model (between a Forward and its Backward too) without disturbing either.
 //
-// x is only read. The returned tensor is pool-backed and the caller's: hold
-// it as long as needed, then tensor.Recycle it (or let the GC have it).
+// x is only read. The result is the network's own buffer, valid until the
+// next Infer.
 func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 	u.checkInput("Infer", x)
-	// recycle returns an intermediate to the pool unless it is the caller's
-	// input, which the fast path never owns.
-	recycle := func(t *tensor.Tensor) {
-		if t != x {
-			tensor.Recycle(t)
-		}
-	}
-	skips := make([]*tensor.Tensor, 0, len(u.enc)-1)
+	k := u.Cfg.UpKernel
+	u.skips = u.skips[:0]
 	h := x
 	for _, e := range u.enc {
-		t := e.a.Infer(h)
-		recycle(h)
-		h = e.b.Infer(t)
-		tensor.Recycle(t)
-		if e.pool != nil {
-			skips = append(skips, h)
-			h = e.pool.Infer(h) // the skip stays alive for the decoder
+		f := e.a.Conv.OutChannels
+		t := e.a.InferInto(h, like(&u.ping, h, f, 1, 1))
+		if e.pool == nil {
+			h = e.b.InferInto(t, like(&u.pong, t, f, 1, 1))
+			break
 		}
+		skip := e.b.InferInto(t, like(&e.skip, t, f, 1, 1))
+		u.skips = append(u.skips, skip)
+		h = e.pool.InferInto(skip, like(&u.pong, skip, f, 1, k))
 	}
 	for i, d := range u.dec {
-		skip := skips[len(skips)-1-i]
-		s := skip.Shape()
-		cat := tensor.NewScratch(s[0], d.upChannels+s[1], s[2], s[3], s[4])
+		skip := u.skips[len(u.skips)-1-i]
+		cat := like(&d.inferCat, skip, d.upChannels+skip.Dim(1), 1, 1)
 		d.up.InferInto(h, cat)
-		recycle(h)
 		copyChannels(cat, skip, d.upChannels)
-		tensor.Recycle(skip)
-		h = cat
-		t := d.a.Infer(h)
-		tensor.Recycle(h)
-		h = d.b.Infer(t)
-		tensor.Recycle(t)
+		f := d.a.Conv.OutChannels
+		t := d.a.InferInto(cat, like(&u.ping, cat, f, 1, 1))
+		h = d.b.InferInto(t, like(&u.pong, t, f, 1, 1))
 	}
-	t := u.head.Infer(h)
-	recycle(h)
-	out := u.act.Infer(t)
-	tensor.Recycle(t)
-	return out
+	logits := u.head.InferInto(h, like(&u.ping, h, u.Cfg.OutChannels, 1, 1))
+	return u.act.InferInto(logits, u.pred.Shaped(logits.Shape()...))
 }
 
 // Backward propagates dL/d(output) through the network, accumulating
 // parameter gradients. gradOut is only read. The gradient w.r.t. the
 // network's input is not computed: no caller has a use for it.
 func (u *UNet) Backward(gradOut *tensor.Tensor) {
-	g := u.head.BackwardOwned(u.act.BackwardOwned(gradOut, &u.actGrad), &u.headGrad)
+	k := u.Cfg.UpKernel
+	g := u.act.BackwardInto(gradOut, u.actGrad.Shaped(gradOut.Shape()...))
+	g = u.head.BackwardInto(g, like(&u.headGrad, g, u.Cfg.BaseFilters, 1, 1))
 	if u.gradSink != nil {
 		u.gradSink(u.headParams)
 	}
@@ -431,7 +441,7 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 	for i := len(u.dec) - 1; i >= 0; i-- {
 		d := u.dec[i]
 		d.catGrad = d.a.Backward(d.b.Backward(g))
-		g = d.up.BackwardWindow(d.catGrad, &d.upGrad)
+		g = d.up.BackwardInto(d.catGrad, like(&d.upGrad, d.catGrad, d.upChannels, 1, k))
 		if u.gradSink != nil {
 			u.gradSink(u.decParams[i])
 		}
@@ -440,7 +450,7 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 	for i := len(u.enc) - 1; i >= 0; i-- {
 		e := u.enc[i]
 		if e.pool != nil { // the decoder step at this resolution took the skip
-			g = e.pool.BackwardOwned(g, &e.poolGrad)
+			g = e.pool.BackwardInto(g, like(&e.poolGrad, g, g.Dim(1), k, 1))
 			d := u.dec[len(u.dec)-1-i]
 			addChannels(g, d.catGrad, d.upChannels)
 		}
@@ -454,6 +464,13 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 			u.gradSink(u.encParams[i])
 		}
 	}
+}
+
+// like lays o out as [N, c, D, H, W] with x's N and x's extent scaled by
+// num/den.
+func like(o *tensor.Owned, x *tensor.Tensor, c, num, den int) *tensor.Tensor {
+	s := x.Shape()
+	return o.Shaped(s[0], c, s[2]*num/den, s[3]*num/den, s[4]*num/den)
 }
 
 // copyChannels copies src ([N, C, …]) into channels [c0, c0+C) of dst.
