@@ -23,7 +23,7 @@
 //	distmis -mode coordinator [-width N] [-epochs N] [-cases N] [-dim N]
 //	        [-batch N] [-lr F] [-loss NAME] [-optimizer NAME] [-ckpt FILE]
 //	        [-ckpt-every N] [-group-size N] [-codec none|fp16|int8]
-//	        [-bucket-kb N] [-kill-rank R -kill-step S]
+//	        [-kill-rank R -kill-step S]
 //
 // spawns N worker processes (re-executing this binary in -mode worker),
 // trains the single configuration data-parallel over a socket ring, and
@@ -84,7 +84,6 @@ func main() {
 	opTimeoutMS := flag.Int("op-timeout-ms", 0, "coordinator: per-collective deadline in ms (0 = 10s)")
 	codec := flag.String("codec", "none",
 		fmt.Sprintf("coordinator: gradient wire codec: %s", strings.Join(allreduce.CodecNames(), ", ")))
-	bucketKB := flag.Int("bucket-kb", 0, "coordinator: gradient bucket KiB for the overlapped reduction (0 = auto: monolithic for none, 64 for lossy codecs; <0 forces monolithic)")
 	killRank := flag.Int("kill-rank", -1, "coordinator: rank to kill abruptly in generation 1 (-1 = none)")
 	killStep := flag.Int("kill-step", 1, "coordinator: optimizer step after which -kill-rank dies")
 	joinAddr := flag.String("join", "", "worker: coordinator control address to join")
@@ -114,8 +113,7 @@ func main() {
 			steps: *steps, filters: *filters, seed: *seed, workers: *workers,
 			batch: *batch, lr: *lr, loss: *lossName,
 			optimizer: *optName, ckpt: *ckptFile, ckptEvery: *ckptEvery,
-			groupSize: *groupSize, opTimeoutMS: *opTimeoutMS,
-			codec: *codec, bucketKB: *bucketKB,
+			groupSize: *groupSize, opTimeoutMS: *opTimeoutMS, codec: *codec,
 			killRank: *killRank, killStep: *killStep,
 			trace: *tracePath,
 		})
@@ -209,7 +207,6 @@ type coordSpec struct {
 	loss, optimizer, ckpt                     string
 	ckptEvery, groupSize, opTimeoutMS         int
 	codec                                     string
-	bucketKB                                  int
 	killRank, killStep                        int
 	trace                                     string
 }
@@ -238,7 +235,7 @@ func runCoordinatorMode(s coordSpec) {
 		GroupSize: s.groupSize,
 		CkptPath:  s.ckpt, CkptEverySteps: s.ckptEvery,
 		OpTimeoutMS: s.opTimeoutMS,
-		Codec:       s.codec, BucketKB: s.bucketKB,
+		Codec:       s.codec,
 	}
 
 	exe, err := os.Executable()
@@ -284,19 +281,13 @@ func runCoordinatorMode(s coordSpec) {
 
 	fmt.Printf("distmis coordinator: width=%d batch=%d epochs=%d volume=%d^3 ckpt=%s\n",
 		s.width, s.batch, s.epochs, s.dim, s.ckpt)
-	res, err := runCoordinator(coord, spawn)
+	coord.SetSpawn(spawn)
+	res, err := coord.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("final-params-hash=%s gens=%d reforms=%d steps=%d width=%d\n",
 		res.Hash, res.Gens, res.Reforms, res.Steps, res.Width)
-}
-
-// runCoordinator wires the spawner in (NewCoordinator needs the bound
-// address first) and runs the generation loop.
-func runCoordinator(c *dist.Coordinator, spawn func() error) (*dist.Result, error) {
-	c.SetSpawn(spawn)
-	return c.Run()
 }
 
 // runWorkerMode joins a coordinator and serves training generations until

@@ -127,7 +127,7 @@ func Run(opts Options) (*Result, error) {
 	}
 	tune.SortConfigs(configs)
 
-	train, val, err := prepareData(opts)
+	train, val, err := msd.Split(opts.Dataset, opts.Net.MinVolume(), opts.MaxTrainCases, opts.MaxValCases)
 	if err != nil {
 		return nil, err
 	}
@@ -177,40 +177,6 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// prepareData generates the phantom dataset, applies the paper's
-// preprocessing and returns the train and validation sample sets.
-func prepareData(opts Options) (train, val []*volume.Sample, err error) {
-	ds, err := msd.Generate(opts.Dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	minDiv := opts.Net.MinVolume()
-	collect := func(idx []int, cap int) ([]*volume.Sample, error) {
-		if cap > 0 && len(idx) > cap {
-			idx = idx[:cap]
-		}
-		out := make([]*volume.Sample, 0, len(idx))
-		for _, i := range idx {
-			s, err := volume.Preprocess(ds.Cases[i], minDiv)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		}
-		return out, nil
-	}
-	if train, err = collect(ds.Train, opts.MaxTrainCases); err != nil {
-		return nil, nil, err
-	}
-	if val, err = collect(ds.Val, opts.MaxValCases); err != nil {
-		return nil, nil, err
-	}
-	if len(train) == 0 {
-		return nil, nil, fmt.Errorf("core: empty training split")
-	}
-	return train, val, nil
 }
 
 // trainOne trains the trial's configuration on gpus GPUs and its worker

@@ -32,11 +32,6 @@ type CoordinatorConfig struct {
 	Width int       // target data-parallel width (required)
 	Spec  TrainSpec // the training plan broadcast to every generation
 
-	// Spawn, when non-nil, launches one worker process aimed at the
-	// coordinator's address; it is called once per vacant slot while
-	// gathering. Nil means workers join on their own (tests, manual runs).
-	Spawn func() error
-
 	HeartbeatTimeout time.Duration // silence before a worker is dead (0 = 2s)
 	StepTimeout      time.Duration // training no-progress watchdog (0 = 60s)
 	MemberWait       time.Duration // full-width wait before degrading (0 = 30s)
@@ -44,10 +39,11 @@ type CoordinatorConfig struct {
 	Logf             func(format string, args ...any)
 
 	// Tracer, when non-nil, receives one structured event per membership
-	// lifecycle transition: gen_start, worker_lost, halt, reform, rejoin,
-	// degraded, checkpoint and run_done. The records carry the generation
-	// and identify workers by address and slot, so a fault-injection run's
-	// recovery path can be asserted from the JSONL stream alone.
+	// lifecycle transition: gen_start, worker_lost, worker_fail, halt,
+	// reform, rejoin, degraded, checkpoint and run_done. The records carry
+	// the generation and identify workers by address and slot, so a
+	// fault-injection run's recovery path can be asserted from the JSONL
+	// stream alone.
 	Tracer *telemetry.Tracer
 }
 
@@ -81,15 +77,38 @@ type event struct {
 	join bool  // m is a fresh connection that completed its hello
 }
 
+// phase is where the run loop stands between two generations' starts.
+// Every event means the same in each phase; only the completion check
+// that moves the run on differs.
+type phase int
+
+const (
+	gathering phase = iota // waiting for a membership to start a generation
+	training               // a generation is running
+	halting                // stopping every survivor before a reform
+)
+
 // Coordinator drives a fault-tolerant data-parallel run.
 type Coordinator struct {
 	cfg    CoordinatorConfig
+	spawn  func() error // launches one worker aimed at Addr (nil = none)
 	ln     net.Listener
 	ev     chan event
 	closed chan struct{} // run loop gone; unblocks event producers
 
-	members []*member // join order; slots assigned from here
-	gen     uint32
+	// Run-loop state.
+	members   []*member // join order; slots assigned from here
+	gen       uint32
+	phase     phase
+	deadline  time.Time // gathering: degrade; halting: drop the busy
+	spawned   int       // spawns not yet joined
+	reform    bool      // the running generation must be re-formed
+	failed    time.Time // the running generation's first failure report
+	progress  time.Time // the running generation's last step progress
+	finalStep int       // global steps the running generation reached
+	ckptStep  int       // highest checkpointed step, from any generation
+	reforms   int       // reforms so far
+	sinceCkpt int       // reforms since ckptStep last advanced
 }
 
 // trace emits one lifecycle event stamped with the current generation.
@@ -150,16 +169,18 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: coordinator listen: %w", err)
 	}
-	return &Coordinator{cfg: cfg, ln: ln, ev: make(chan event, 64), closed: make(chan struct{})}, nil
+	return &Coordinator{cfg: cfg, ln: ln, ev: make(chan event, 64), closed: make(chan struct{}), ckptStep: -1}, nil
 }
 
 // Addr returns the bound control address workers should dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// SetSpawn installs the worker spawner after construction — the spawner
-// usually needs Addr, which only exists once NewCoordinator has bound the
-// listener. Must be called before Run.
-func (c *Coordinator) SetSpawn(spawn func() error) { c.cfg.Spawn = spawn }
+// SetSpawn installs the worker spawner, which launches one worker process
+// aimed at Addr; it is called once per vacant slot while gathering. It
+// exists apart from the config because the spawner usually needs Addr,
+// which only exists once NewCoordinator has bound the listener. Without
+// one, workers join on their own. Must be called before Run.
+func (c *Coordinator) SetSpawn(spawn func() error) { c.spawn = spawn }
 
 // accept admits workers: read the hello, then stream the connection's
 // messages into the event loop.
@@ -214,7 +235,7 @@ func (c *Coordinator) live() []*member {
 // assignSlots fills vacant slots from parked members in join order. Once
 // the first generation has run, a parked member acquiring a slot is a
 // recovery — a respawned replacement or an elastic rejoin — whichever
-// event path slotted it, so the rejoin trace event is emitted here.
+// event slotted it, so the rejoin trace event is emitted here.
 func (c *Coordinator) assignSlots() {
 	used := map[int]bool{}
 	for _, m := range c.members {
@@ -239,8 +260,14 @@ func (c *Coordinator) assignSlots() {
 	}
 }
 
-// drop removes a dead member.
-func (c *Coordinator) drop(m *member) {
+// lose drops a dead member. Losing a slotted one is traced with its cause
+// and re-forms the running generation.
+func (c *Coordinator) lose(m *member, cause, why string) {
+	c.cfg.Logf("gen %d: worker %s (slot %d) lost: %s", c.gen, m.addr, m.slot, why)
+	if m.slot >= 0 {
+		c.trace("worker_lost", "addr", m.addr, "slot", strconv.Itoa(m.slot), "cause", cause)
+		c.reform = true
+	}
 	m.conn.Close()
 	for i, o := range c.members {
 		if o == m {
@@ -265,292 +292,243 @@ func (c *Coordinator) stopAll() {
 }
 
 // Run drives the generation loop to completion: gather a membership, start
-// a generation, supervise it, and on any failure halt the survivors and
-// re-form. It returns when every rank of a generation finishes with the
-// same parameter hash, or with a named error.
+// a generation, and on any failure halt the survivors and re-form. It
+// returns when every rank of a generation finishes with the same parameter
+// hash, or with a named error.
 func (c *Coordinator) Run() (*Result, error) {
 	defer c.ln.Close()
 	go c.accept()
 	defer close(c.closed)
 	defer c.stopAll()
 
-	lastCkptStep := -1
-	reformsSinceCkpt := 0
-	reforms := 0
-
-	for {
-		width, err := c.gather()
-		if err != nil {
-			return nil, err
-		}
-		c.gen++
-		live := c.live()
-		members := make([]string, width)
-		for rank, m := range live {
-			members[rank] = m.addr
-			m.idle, m.done, m.hash = false, false, ""
-		}
-		c.cfg.Logf("gen %d: starting width-%d ring %v", c.gen, width, members)
-		c.trace("gen_start", "width", strconv.Itoa(width))
-		for rank, m := range live {
-			c.sendTo(m, ctrlMsg{Type: msgStart, Gen: c.gen, Rank: rank, Members: members, Spec: &c.cfg.Spec, Suspect: -1})
-		}
-
-		res, ckptStep, err := c.supervise(lastCkptStep)
-		if ckptStep > lastCkptStep {
-			lastCkptStep = ckptStep
-			reformsSinceCkpt = 0
-		}
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			res.Gens = int(c.gen)
-			res.Reforms = reforms
-			c.trace("run_done", "hash", res.Hash,
-				"steps", strconv.Itoa(res.Steps), "width", strconv.Itoa(res.Width))
-			return res, nil
-		}
-
-		// The generation failed: halt every survivor, then re-form.
-		reforms++
-		reformsSinceCkpt++
-		if reformsSinceCkpt > c.cfg.MaxReforms {
-			return nil, fmt.Errorf("%w: %d consecutive reforms stuck at checkpoint step %d",
-				ErrTooManyReforms, reformsSinceCkpt, lastCkptStep)
-		}
-		if err := c.haltAll(); err != nil {
-			return nil, err
-		}
-		c.trace("reform", "reforms", strconv.Itoa(reforms))
-	}
-}
-
-// gather waits for the membership: the full target width, or — once the
-// member-wait budget runs out — a degraded width the global batch still
-// shards over. Dead slots are respawned through the Spawn hook.
-func (c *Coordinator) gather() (int, error) {
-	deadline := time.Now().Add(c.cfg.MemberWait)
-	spawned := 0
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
+	c.gather()
 	for {
-		if c.cfg.Spawn != nil {
-			for len(c.members)+spawned < c.cfg.Width {
-				if err := c.cfg.Spawn(); err != nil {
-					return 0, fmt.Errorf("dist: spawn worker: %w", err)
-				}
-				spawned++
-			}
-		}
-		if len(c.live()) >= c.cfg.Width {
-			return c.cfg.Width, nil
-		}
-		if time.Now().After(deadline) {
-			w := len(c.live())
-			if w == 0 {
-				return 0, fmt.Errorf("%w: no workers joined within %v", ErrMembership, c.cfg.MemberWait)
-			}
-			if c.cfg.Spec.GlobalBatch%w != 0 {
-				return 0, fmt.Errorf("%w: degraded width %d cannot shard global batch %d",
-					ErrMembership, w, c.cfg.Spec.GlobalBatch)
-			}
-			c.cfg.Logf("gen %d: degrading to width %d of %d", c.gen+1, w, c.cfg.Width)
-			c.trace("degraded", "width", strconv.Itoa(w), "target", strconv.Itoa(c.cfg.Width))
-			return w, nil
+		if res, err := c.advance(); res != nil || err != nil {
+			return res, err
 		}
 		select {
 		case ev := <-c.ev:
-			if ev.join {
-				c.members = append(c.members, ev.m)
-				ev.m.lastSeen = time.Now()
-				if ev.m.slot < 0 { // joins arrive unslotted
-					c.assignSlots()
-				}
-				spawned-- // a join consumes an outstanding spawn, if any
-				if spawned < 0 {
-					spawned = 0
-				}
-				continue
-			}
-			c.handleCommon(ev)
+			c.handle(ev)
 		case <-tick.C:
 			c.reapStale()
-		}
-	}
-}
-
-// supervise runs one generation's event loop. It returns (result, ckpt,
-// nil) on full completion, (nil, ckpt, nil) when the generation failed and
-// a reform is needed, and a terminal error otherwise.
-func (c *Coordinator) supervise(ckptStep int) (*Result, int, error) {
-	lastProgress := time.Now()
-	finalStep := 0
-	needReform := false
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		live := c.live()
-		if len(live) == 0 {
-			return nil, ckptStep, fmt.Errorf("%w: every worker died mid-generation", ErrMembership)
-		}
-		if needReform {
-			return nil, ckptStep, nil
-		}
-		alldone := true
-		for _, m := range live {
-			if !m.done {
-				alldone = false
-				break
-			}
-		}
-		if alldone {
-			hash := live[0].hash
-			for _, m := range live[1:] {
-				if m.hash != hash {
-					return nil, ckptStep, fmt.Errorf("%w: gen %d hashes %q vs %q",
-						ErrDesync, c.gen, hash, m.hash)
-				}
-			}
-			return &Result{Hash: hash, Steps: finalStep, Width: len(live)}, ckptStep, nil
-		}
-
-		select {
-		case ev := <-c.ev:
-			switch {
-			case ev.join:
-				c.members = append(c.members, ev.m)
-				ev.m.lastSeen = time.Now()
-				c.assignSlots()
-				if ev.m.slot >= 0 {
-					// An elastic rejoin with a free slot: fold it in.
-					c.cfg.Logf("gen %d: worker %s rejoined, re-forming", c.gen, ev.m.addr)
-					needReform = true
-				}
-			case ev.err != nil:
-				if c.isMember(ev.m) {
-					c.cfg.Logf("gen %d: worker %s (slot %d) died: %v", c.gen, ev.m.addr, ev.m.slot, ev.err)
-					wasLive := ev.m.slot >= 0
-					if wasLive {
-						c.trace("worker_lost", "addr", ev.m.addr,
-							"slot", strconv.Itoa(ev.m.slot), "cause", "link")
-					}
-					c.drop(ev.m)
-					if wasLive {
-						needReform = true
-					}
-				}
-			default:
-				if !c.isMember(ev.m) {
-					continue
-				}
-				ev.m.lastSeen = time.Now()
-				msg := ev.msg
-				if msg.Type == msgCkpt && msg.Step > ckptStep {
-					// Durable progress counts whatever generation sent it.
-					ckptStep = msg.Step
-					c.trace("checkpoint", "step", strconv.Itoa(msg.Step))
-				}
-				if msg.Gen != c.gen {
-					continue // stale chatter from a previous generation
-				}
-				switch msg.Type {
-				case msgStepDone:
-					lastProgress = time.Now()
-					if msg.Step >= finalStep {
-						finalStep = msg.Step + 1
-					}
-				case msgCkpt:
-					lastProgress = time.Now()
-				case msgDone:
-					ev.m.done, ev.m.idle, ev.m.hash = true, true, msg.Hash
-					if msg.Step > finalStep {
-						finalStep = msg.Step
-					}
-				case msgFail:
-					c.cfg.Logf("gen %d: worker %s (rank slot %d) failed, suspect %d: %s",
-						c.gen, ev.m.addr, ev.m.slot, msg.Suspect, msg.Err)
-					c.trace("worker_fail", "addr", ev.m.addr,
-						"slot", strconv.Itoa(ev.m.slot), "suspect", strconv.Itoa(msg.Suspect))
-					ev.m.idle = true
-					needReform = true
-				}
-			}
-		case <-tick.C:
-			if c.reapStale() {
-				needReform = true
-			}
-			if time.Since(lastProgress) > c.cfg.StepTimeout {
-				c.cfg.Logf("gen %d: no step progress for %v, re-forming", c.gen, c.cfg.StepTimeout)
-				needReform = true
-				lastProgress = time.Now()
+			if c.phase == halting {
+				// Resent so none waits on a halt that crossed a drop or rejoin.
+				c.sendHalts()
 			}
 		}
 	}
 }
 
-// haltAll stops the current generation on every survivor and waits until
-// each is idle (acked, failed or dead). The halt is resent on every tick to
-// each slotted member still busy, so none waits on a message that crossed a
-// drop or rejoin; a member that has not acknowledged within StepTimeout —
-// the time a step may take to make progress — is dropped, as reapStale
-// drops a silent one.
-func (c *Coordinator) haltAll() error {
-	c.trace("halt")
-	deadline := time.Now().Add(c.cfg.StepTimeout)
-	c.sendHalts()
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		settled := true
-		for _, m := range c.live() {
-			if !m.idle {
-				settled = false
-				break
-			}
+// handle applies one event to the membership. An event means the same in
+// every phase.
+func (c *Coordinator) handle(ev event) {
+	m := ev.m
+	if ev.join {
+		c.members = append(c.members, m)
+		m.lastSeen = time.Now()
+		if c.spawned > 0 {
+			c.spawned-- // a join consumes an outstanding spawn
 		}
-		if settled {
+		c.assignSlots()
+		if m.slot >= 0 {
+			// The newcomer filled a vacancy: a running generation is
+			// narrower than the target and re-forms to take it in.
+			c.cfg.Logf("gen %d: worker %s joined slot %d", c.gen, m.addr, m.slot)
+			c.reform = true
+		}
+		return
+	}
+	if !c.isMember(m) {
+		return
+	}
+	if ev.err != nil {
+		c.lose(m, "link", ev.err.Error())
+		return
+	}
+	m.lastSeen = time.Now()
+	msg := ev.msg
+	if msg.Type == msgCkpt && msg.Step > c.ckptStep {
+		// Durable progress counts whatever generation sent it.
+		c.ckptStep, c.sinceCkpt = msg.Step, 0
+		c.trace("checkpoint", "step", strconv.Itoa(msg.Step))
+	}
+	if msg.Gen != c.gen {
+		return // heartbeat, or stale chatter from a previous generation
+	}
+	switch msg.Type {
+	case msgStepDone:
+		c.progress = time.Now()
+		c.finalStep = max(c.finalStep, msg.Step+1)
+	case msgCkpt:
+		c.progress = time.Now()
+	case msgDone:
+		m.done, m.idle, m.hash = true, true, msg.Hash
+		c.finalStep = max(c.finalStep, msg.Step)
+	case msgFail:
+		c.cfg.Logf("gen %d: worker %s (rank slot %d) failed, suspect %d: %s",
+			c.gen, m.addr, m.slot, msg.Suspect, msg.Err)
+		c.trace("worker_fail", "addr", m.addr,
+			"slot", strconv.Itoa(m.slot), "suspect", strconv.Itoa(msg.Suspect))
+		m.idle = true
+		if c.failed.IsZero() {
+			c.failed = time.Now()
+		}
+	case msgHaltAck:
+		m.idle = true
+	}
+}
+
+// reapStale drops members whose heartbeats stopped.
+func (c *Coordinator) reapStale() {
+	now := time.Now()
+	for _, m := range append([]*member(nil), c.members...) {
+		if now.Sub(m.lastSeen) > c.cfg.HeartbeatTimeout {
+			c.lose(m, "heartbeat", "heartbeat stale")
+		}
+	}
+}
+
+// advance runs the current phase's completion check until the phase stops
+// changing. It returns the result once a generation completes, or a
+// terminal error.
+func (c *Coordinator) advance() (*Result, error) {
+	for {
+		p := c.phase
+		var res *Result
+		var err error
+		switch p {
+		case gathering:
+			err = c.gathered()
+		case training:
+			res, err = c.trained()
+		case halting:
+			err = c.halted()
+		}
+		if res != nil || err != nil || c.phase == p {
+			return res, err
+		}
+	}
+}
+
+// gather waits for a new membership.
+func (c *Coordinator) gather() {
+	c.phase, c.deadline, c.spawned = gathering, time.Now().Add(c.cfg.MemberWait), 0
+}
+
+// gathered starts the next generation at the full target width, or — once
+// the member-wait budget runs out — at a degraded width the global batch
+// still shards over. Vacant slots are respawned through the spawner.
+func (c *Coordinator) gathered() error {
+	for c.spawn != nil && len(c.members)+c.spawned < c.cfg.Width {
+		if err := c.spawn(); err != nil {
+			return fmt.Errorf("dist: spawn worker: %w", err)
+		}
+		c.spawned++
+	}
+	live := c.live()
+	if w := len(live); w < c.cfg.Width {
+		if time.Now().Before(c.deadline) {
 			return nil
 		}
-		select {
-		case ev := <-c.ev:
-			switch {
-			case ev.join:
-				c.members = append(c.members, ev.m)
-				ev.m.lastSeen = time.Now()
-				c.assignSlots()
-			case ev.err != nil:
-				if c.isMember(ev.m) {
-					c.drop(ev.m)
-				}
-			default:
-				if !c.isMember(ev.m) {
-					continue
-				}
-				ev.m.lastSeen = time.Now()
-				switch ev.msg.Type {
-				case msgHaltAck, msgFail, msgDone:
-					if ev.msg.Gen == c.gen || ev.msg.Type == msgHaltAck {
-						ev.m.idle = true
-					}
-				}
+		if w == 0 {
+			return fmt.Errorf("%w: no workers joined within %v", ErrMembership, c.cfg.MemberWait)
+		}
+		if c.cfg.Spec.GlobalBatch%w != 0 {
+			return fmt.Errorf("%w: degraded width %d cannot shard global batch %d",
+				ErrMembership, w, c.cfg.Spec.GlobalBatch)
+		}
+		c.cfg.Logf("gen %d: degrading to width %d of %d", c.gen+1, w, c.cfg.Width)
+		c.trace("degraded", "width", strconv.Itoa(w), "target", strconv.Itoa(c.cfg.Width))
+	}
+
+	c.gen++
+	c.phase, c.reform, c.failed, c.progress, c.finalStep = training, false, time.Time{}, time.Now(), 0
+	members := make([]string, len(live))
+	for rank, m := range live {
+		members[rank] = m.addr
+		m.idle, m.done, m.hash = false, false, ""
+	}
+	c.cfg.Logf("gen %d: starting width-%d ring %v", c.gen, len(live), members)
+	c.trace("gen_start", "width", strconv.Itoa(len(live)))
+	for rank, m := range live {
+		c.sendTo(m, ctrlMsg{Type: msgStart, Gen: c.gen, Rank: rank, Members: members, Spec: &c.cfg.Spec, Suspect: -1})
+	}
+	return nil
+}
+
+// failGrace is how long a failure report waits before it halts the
+// generation. A rank fails because something broke its ring, most often a
+// peer's death, and the report and the dead peer's broken control link
+// race to the coordinator over separate sockets; the grace lets the loss
+// that caused the failure be traced before the halt.
+const failGrace = 100 * time.Millisecond
+
+// trained completes the run once every rank is done with equal hashes, and
+// halts the generation on a loss, a rejoin, a failure report (after
+// failGrace) or a step that makes no progress within StepTimeout.
+func (c *Coordinator) trained() (*Result, error) {
+	live := c.live()
+	if len(live) == 0 {
+		return nil, fmt.Errorf("%w: every worker died mid-generation", ErrMembership)
+	}
+	if c.reform || !c.failed.IsZero() && time.Since(c.failed) > failGrace {
+		c.halt()
+		return nil, nil
+	}
+	for _, m := range live {
+		if !m.done {
+			if time.Since(c.progress) > c.cfg.StepTimeout {
+				c.cfg.Logf("gen %d: no step progress for %v, re-forming", c.gen, c.cfg.StepTimeout)
+				c.halt()
 			}
-		case <-tick.C:
-			c.reapStale()
-			if time.Now().After(deadline) {
-				for _, m := range c.live() {
-					if !m.idle {
-						c.cfg.Logf("gen %d: worker %s (slot %d) did not acknowledge the halt within %v, dropping",
-							c.gen, m.addr, m.slot, c.cfg.StepTimeout)
-						c.trace("worker_lost", "addr", m.addr,
-							"slot", strconv.Itoa(m.slot), "cause", "halt")
-						c.drop(m)
-					}
-				}
-			}
-			c.sendHalts()
+			return nil, nil
 		}
 	}
+	hash := live[0].hash
+	for _, m := range live[1:] {
+		if m.hash != hash {
+			return nil, fmt.Errorf("%w: gen %d hashes %q vs %q", ErrDesync, c.gen, hash, m.hash)
+		}
+	}
+	c.trace("run_done", "hash", hash,
+		"steps", strconv.Itoa(c.finalStep), "width", strconv.Itoa(len(live)))
+	return &Result{Hash: hash, Gens: int(c.gen), Reforms: c.reforms, Steps: c.finalStep, Width: len(live)}, nil
+}
+
+// halt stops the current generation on every survivor.
+func (c *Coordinator) halt() {
+	c.phase, c.deadline = halting, time.Now().Add(c.cfg.StepTimeout)
+	c.trace("halt")
+	c.sendHalts()
+}
+
+// halted re-forms once every survivor is idle (acked, failed, done or
+// dead). A member that has not gone idle within StepTimeout — the time a
+// step may take to make progress — is dropped, as reapStale drops a
+// silent one. The reform fails the run once MaxReforms of them in a row
+// have passed without a new checkpoint.
+func (c *Coordinator) halted() error {
+	past := time.Now().After(c.deadline)
+	for _, m := range c.live() {
+		if m.idle {
+			continue
+		}
+		if !past {
+			return nil
+		}
+		c.lose(m, "halt", fmt.Sprintf("no halt acknowledgement within %v", c.cfg.StepTimeout))
+	}
+	c.reforms++
+	c.sinceCkpt++
+	if c.sinceCkpt > c.cfg.MaxReforms {
+		return fmt.Errorf("%w: %d consecutive reforms stuck at checkpoint step %d",
+			ErrTooManyReforms, c.sinceCkpt, c.ckptStep)
+	}
+	c.trace("reform", "reforms", strconv.Itoa(c.reforms))
+	c.gather()
+	return nil
 }
 
 // sendHalts asks every busy slotted member to halt the current generation.
@@ -560,38 +538,6 @@ func (c *Coordinator) sendHalts() {
 			c.sendTo(m, ctrlMsg{Type: msgHalt, Gen: c.gen, Suspect: -1})
 		}
 	}
-}
-
-// handleCommon processes events that matter in every phase.
-func (c *Coordinator) handleCommon(ev event) {
-	if ev.err != nil {
-		if c.isMember(ev.m) {
-			c.drop(ev.m)
-		}
-		return
-	}
-	if c.isMember(ev.m) {
-		ev.m.lastSeen = time.Now()
-	}
-}
-
-// reapStale drops members whose heartbeats stopped; reports whether a
-// slotted member was lost.
-func (c *Coordinator) reapStale() bool {
-	lost := false
-	now := time.Now()
-	for _, m := range append([]*member(nil), c.members...) {
-		if now.Sub(m.lastSeen) > c.cfg.HeartbeatTimeout {
-			c.cfg.Logf("gen %d: worker %s (slot %d) heartbeat stale, dropping", c.gen, m.addr, m.slot)
-			if m.slot >= 0 {
-				lost = true
-				c.trace("worker_lost", "addr", m.addr,
-					"slot", strconv.Itoa(m.slot), "cause", "heartbeat")
-			}
-			c.drop(m)
-		}
-	}
-	return lost
 }
 
 // isMember reports whether m is still part of the membership.

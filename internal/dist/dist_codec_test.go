@@ -81,30 +81,6 @@ func TestCodecKillAndRejoinBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBucketedNoneDeterministic forces the overlapped bucketed reducer under
-// the identity codec (tiny buckets, so every step streams several) and
-// checks the path is deterministic: two identical runs agree bit-for-bit.
-// The bucketed hash legitimately differs from the monolithic default — the
-// flatten grouping changes float accumulation order — which is exactly why
-// codec=none keeps the monolithic path unless BucketKB is set explicitly.
-func TestBucketedNoneDeterministic(t *testing.T) {
-	run := func() string {
-		spec := testSpec(t)
-		spec.BucketKB = 1 // ~256 floats per bucket → many buckets per step
-		res, err := runCluster(t, spec, 3, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Gens != 1 || res.Steps != 4 {
-			t.Fatalf("bucketed run: %d gens, %d steps", res.Gens, res.Steps)
-		}
-		return res.Hash
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("two identical bucketed runs diverged: %s vs %s", a, b)
-	}
-}
-
 // commWaitCount reads train_phase_ns_count{phase="comm_wait"} from the
 // process-wide registry's Prometheus page; 0 while nothing has registered it.
 func commWaitCount(t *testing.T) float64 {

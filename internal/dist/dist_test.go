@@ -36,15 +36,7 @@ func testSpec(t *testing.T) TrainSpec {
 // path — until the coordinator finishes.
 func runCluster(t *testing.T, spec TrainSpec, width int, hooks *Hooks, mod func(*CoordinatorConfig)) (*Result, error) {
 	t.Helper()
-	cfg := CoordinatorConfig{
-		Width:            width,
-		Spec:             spec,
-		HeartbeatTimeout: 3 * time.Second,
-		StepTimeout:      60 * time.Second,
-		MemberWait:       20 * time.Second,
-		MaxReforms:       5,
-		Logf:             t.Logf,
-	}
+	cfg := clusterConfig(t, spec, width)
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -76,6 +68,19 @@ func runCluster(t *testing.T, spec TrainSpec, width int, hooks *Hooks, mod func(
 	res, err := c.Run()
 	wg.Wait()
 	return res, err
+}
+
+// clusterConfig is the coordinator configuration the cluster tests share.
+func clusterConfig(t *testing.T, spec TrainSpec, width int) CoordinatorConfig {
+	return CoordinatorConfig{
+		Width:            width,
+		Spec:             spec,
+		HeartbeatTimeout: 3 * time.Second,
+		StepTimeout:      60 * time.Second,
+		MemberWait:       20 * time.Second,
+		MaxReforms:       5,
+		Logf:             t.Logf,
+	}
 }
 
 // stallWatchdog crashes the test binary with every goroutine's stack if the

@@ -68,35 +68,17 @@ type TrainSpec struct {
 	// Codec names the gradient wire codec ("" or "none" = raw float32,
 	// "fp16", "int8"). Every worker applies the same spec, and the ring
 	// handshake re-verifies — a worker started with a divergent codec fails
-	// formation rather than desyncing.
+	// formation rather than desyncing. The codec also fixes the reduction:
+	// monolithic for a lossless codec (bit-identical to the in-process
+	// mirrored trainer), lossyBucketBytes buckets overlapped with backward
+	// for a lossy one.
 	Codec string `json:"codec,omitempty"`
-	// BucketKB sets the gradient bucket size in KiB for the overlapped
-	// reduction path. 0 means automatic: monolithic for the "none" codec
-	// (bit-identical to the in-process mirrored trainer), defaultBucketKB
-	// for lossy codecs (already non-bit-exact vs mirrored, so they take the
-	// overlap win by default). Negative forces monolithic regardless.
-	BucketKB int `json:"bucketKB,omitempty"`
 }
 
-// defaultBucketKB is the automatic bucket size for lossy codecs: ~1/25 of
-// the paper U-Net's gradient volume, deep enough to pipeline without
+// lossyBucketBytes is the gradient bucket size under a lossy codec: ~1/25
+// of the paper U-Net's gradient volume, deep enough to pipeline without
 // drowning small buckets in frame overhead.
-const defaultBucketKB = 64
-
-// bucketBytes resolves the BucketKB policy to a byte count for
-// mirrored.Rank.SetBucketBytes (0 = monolithic).
-func (s *TrainSpec) bucketBytes(c allreduce.Codec) int {
-	switch {
-	case s.BucketKB > 0:
-		return s.BucketKB << 10
-	case s.BucketKB < 0:
-		return 0
-	case c.Lossless():
-		return 0
-	default:
-		return defaultBucketKB << 10
-	}
-}
+const lossyBucketBytes = 64 << 10
 
 // Validate reports whether the spec is complete enough to train from.
 func (s *TrainSpec) Validate() error {
@@ -141,38 +123,11 @@ func (s *TrainSpec) opTimeout() time.Duration {
 }
 
 // buildData generates the phantom dataset locally and returns the train and
-// validation sample sets — the same preprocessing as the core layer, keyed
-// only by the spec, so every worker sees identical bytes.
+// validation sample sets — keyed only by the spec, so every worker sees
+// identical bytes.
 func (s *TrainSpec) buildData(net unet.Config) (train, val []*volume.Sample, err error) {
-	ds, err := msd.Generate(msd.Config{Cases: s.Cases, D: s.Dim, H: s.Dim, W: s.Dim, Seed: s.DataSeed})
-	if err != nil {
-		return nil, nil, err
-	}
-	minDiv := net.MinVolume()
-	collect := func(idx []int, cap int) ([]*volume.Sample, error) {
-		if cap > 0 && len(idx) > cap {
-			idx = idx[:cap]
-		}
-		out := make([]*volume.Sample, 0, len(idx))
-		for _, i := range idx {
-			sm, err := volume.Preprocess(ds.Cases[i], minDiv)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sm)
-		}
-		return out, nil
-	}
-	if train, err = collect(ds.Train, 0); err != nil {
-		return nil, nil, err
-	}
-	if val, err = collect(ds.Val, s.ValCases); err != nil {
-		return nil, nil, err
-	}
-	if len(train) == 0 {
-		return nil, nil, fmt.Errorf("dist: empty training split")
-	}
-	return train, val, nil
+	return msd.Split(msd.Config{Cases: s.Cases, D: s.Dim, H: s.Dim, W: s.Dim, Seed: s.DataSeed},
+		net.MinVolume(), 0, s.ValCases)
 }
 
 // Control-message types on the coordinator link (JSON lines, one object per

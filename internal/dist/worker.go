@@ -331,7 +331,9 @@ func (w *Worker) train(run *genRun, rank int, members []string, spec TrainSpec) 
 	if err != nil {
 		return err
 	}
-	strat.SetBucketBytes(spec.bucketBytes(codec))
+	if !codec.Lossless() {
+		strat.SetBucketBytes(lossyBucketBytes)
+	}
 	cbs := []train.Callback{&haltCheck{halt: run.halt}}
 	if rank == 0 {
 		cbs = append(cbs, &train.StepCheckpoint{Path: spec.CkptPath, EverySteps: spec.CkptEverySteps})

@@ -168,6 +168,41 @@ func Generate(cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
+// Split generates the dataset and returns its preprocessed training and
+// validation samples, cropped to a multiple of minDiv and capped at
+// maxTrain and maxVal cases (0 means all). The result depends only on its
+// arguments, so every process that calls it sees identical bytes.
+func Split(cfg Config, minDiv, maxTrain, maxVal int) (train, val []*volume.Sample, err error) {
+	ds, err := Generate(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	collect := func(idx []int, limit int) ([]*volume.Sample, error) {
+		if limit > 0 && len(idx) > limit {
+			idx = idx[:limit]
+		}
+		out := make([]*volume.Sample, 0, len(idx))
+		for _, i := range idx {
+			s, err := volume.Preprocess(ds.Cases[i], minDiv)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, s)
+		}
+		return out, nil
+	}
+	if train, err = collect(ds.Train, maxTrain); err != nil {
+		return nil, nil, err
+	}
+	if val, err = collect(ds.Val, maxVal); err != nil {
+		return nil, nil, err
+	}
+	if len(train) == 0 {
+		return nil, nil, fmt.Errorf("msd: empty training split")
+	}
+	return train, val, nil
+}
+
 // WriteNIfTI materializes the dataset in the MSD on-disk layout:
 //
 //	dir/imagesTr/BRATS_xxx.nii  (4-D: W,H,D,modalities)
