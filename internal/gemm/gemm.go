@@ -107,6 +107,10 @@ const (
 	// of one K slice (96 KiB at full depth) stream past each B panel from L2.
 	// It bounds no buffer — A is packed whole, once per call.
 	mcBlock = 64
+
+	// packGrain bounds the floats of a shared A one packing chunk writes:
+	// five full-depth row panels, 30 KiB.
+	packGrain = 8192
 )
 
 // panelRows is the row-offset table of a packed B panel: K step p starts
@@ -287,10 +291,11 @@ func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 
 // packAll packs op(A) of every instance — of one, when strideA is 0 — whole,
 // into buf: instance i's K slice at p0 is packA's mr-row panels of all m
-// rows, at i·mPad·k + mPad·p0.
+// rows, at i·mPad·k + mPad·p0. Instances are packed in parallel; a shared A
+// is split over (K slice × row panel) instead.
 func packAll(transA bool, m, k, mPad int, a []float32, lda, strideA, count int, buf []float32, workers int) {
 	if strideA == 0 {
-		packWhole(transA, m, k, mPad, a, lda, buf)
+		packShared(transA, m, k, mPad, a, lda, buf, workers)
 		return
 	}
 	size := mPad * k
@@ -307,6 +312,22 @@ func packWhole(transA bool, m, k, mPad int, a []float32, lda int, dst []float32)
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		packA(transA, a, lda, 0, m, p0, min(kcBlock, k-p0), dst[mPad*p0:])
 	}
+}
+
+// packShared is packWhole on a worker budget: each work item packs one
+// mr-row panel of one K slice into the place packWhole puts it, so the
+// bits do not depend on the budget.
+func packShared(transA bool, m, k, mPad int, a []float32, lda int, dst []float32, workers int) {
+	panels := mPad / mr
+	slices := (k + kcBlock - 1) / kcBlock
+	grain := max(1, packGrain/(mr*min(k, kcBlock)))
+	parallel.ForWorkers(workers, slices*panels, grain, func(_, lo, hi int) {
+		for item := lo; item < hi; item++ {
+			p0, i0 := item/panels*kcBlock, item%panels*mr
+			pw := min(kcBlock, k-p0)
+			packA(transA, a, lda, i0, min(mr, m-i0), p0, pw, dst[mPad*p0+i0*pw:])
+		}
+	})
 }
 
 // Operand is the B side of a GemmBatch: where each instance's op(B) lives,

@@ -340,3 +340,34 @@ func TestPackGatheredRejectsOutOfRange(t *testing.T) {
 	// The last case's first instance alone is in range.
 	product(1, 50, []int{0, 40}, []int{0, 4, 7})()
 }
+
+// TestSharedPackMatchesPackWhole: a shared A packed over (K slice × row
+// panel) on any worker budget is bit for bit the serial packWhole, for row
+// counts around the panel height and depths around the K slice. The buffer
+// starts as noise, so a float left unwritten shows too.
+func TestSharedPackMatchesPackWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, trans := range []bool{false, true} {
+		for _, m := range []int{1, 3, 4, 5, 8, 65} {
+			for _, k := range []int{1, 383, 384, 385, 864} {
+				lda := k
+				if trans {
+					lda = m
+				}
+				a := randMat(rng, m*k)
+				mPad := (m + mr - 1) / mr * mr
+				want := randMat(rng, mPad*k)
+				packWhole(trans, m, k, mPad, a, lda, want)
+				for _, workers := range []int{1, 2, 4} {
+					got := randMat(rng, mPad*k)
+					packShared(trans, m, k, mPad, a, lda, got, workers)
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("trans=%v m=%d k=%d workers=%d: element %d = %v, want %v", trans, m, k, workers, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/loss"
 	"repro/internal/optim"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/unet"
@@ -323,12 +325,60 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 			p.Grad.Data()[i] = float32(rng.NormFloat64())
 		}
 	}
-	flat := flattenGrads(u.Params())
+	flat := flattenGrads(nil, u.Params())
 	u2 := unet.MustNew(tinyNet())
 	unflattenGrads(u2.Params(), flat)
 	for i, p := range u.Params() {
 		if tensor.MaxAbsDiff(p.Grad, u2.Params()[i].Grad) != 0 {
 			t.Fatal("flatten/unflatten corrupted gradients")
 		}
+	}
+}
+
+// TestStepScopeFollowsBudget: a width-1 step at a budget of one opens no
+// step scope and hands nothing to a helper; at two it runs inside a scope,
+// which is closed again when Step returns. A wider step opens none.
+func TestStepScopeFollowsBudget(t *testing.T) {
+	forks := telemetry.Default().Counter("parallel_forks_total", "")
+	for _, workers := range []int{1, 2} {
+		net := tinyNet()
+		net.Workers = workers
+		rk, err := NewRank(allreduce.LocalTopologies(1, 0, allreduce.NetConfig{})[0], net, "dice", "adam", 1e-3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inStep := false
+		rk.SetPhaseObserver(func(string, time.Duration) { inStep = inStep || parallel.InStep() })
+		in, mask := randBatch(5, 2)
+		before := forks.Value()
+		if _, err := rk.Step(in, mask); err != nil {
+			t.Fatal(err)
+		}
+		forked := forks.Value() - before
+		if workers == 1 && (inStep || forked != 0) {
+			t.Errorf("budget-1 step: in a step scope %v, %d forks; want neither", inStep, forked)
+		}
+		if workers == 2 && (!inStep || forked == 0) {
+			t.Errorf("budget-2 step: in a step scope %v, %d forks; want both", inStep, forked)
+		}
+		if parallel.InStep() {
+			t.Fatalf("budget-%d step left a step scope open", workers)
+		}
+	}
+	// Two ranks of two workers each: a step that waits on a peer opens none.
+	cfg := trainerConfig(2)
+	cfg.Workers = 4
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inStep := false
+	tr.SetPhaseObserver(func(string, time.Duration) { inStep = inStep || parallel.InStep() })
+	in, mask := randBatch(6, 2)
+	if _, err := tr.Step(in, mask); err != nil {
+		t.Fatal(err)
+	}
+	if inStep {
+		t.Error("a width-2 step opened a step scope")
 	}
 }

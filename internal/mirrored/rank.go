@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/unet"
 )
@@ -36,6 +37,12 @@ type Rank struct {
 	// all-reduces each bucket while backward keeps computing. 0 keeps the
 	// monolithic flatten → one all-reduce path.
 	bucketBytes int
+
+	// flat is the all-reduce's gradient buffer, laid out at the first step
+	// and grown to the largest reduction: the whole gradient on the
+	// monolithic path, the largest bucket on the bucketed one, whose
+	// reducer handles one bucket at a time.
+	flat []float32
 
 	phaseObs func(phase string, d time.Duration) // nil = no phase timing
 }
@@ -89,6 +96,14 @@ func NewRank(topo *allreduce.Topology, net unet.Config, lossName, optName string
 // experiment-parallel trial — the average of one buffer is the identity,
 // so the step skips the flatten/all-reduce/unflatten round trip and
 // reports no allreduce phase.
+//
+// The optimizer runs on the network's worker budget. A width-1 step whose
+// budget is above one is a parallel.BeginStep scope, so the helpers stay
+// hot across its serial stretches. At a budget of one — experiment-parallel
+// trials, replicas sharing two cores — there are no helpers to keep hot,
+// and a wider step opens none either: it waits on its peers, and dist
+// workers, one process per rank, each default to every core, so hot
+// helpers would take the cores the peers compute on.
 func (s *Rank) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	n := inputs.Dim(0)
 	w := s.topo.Width()
@@ -98,6 +113,12 @@ func (s *Rank) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	if masks.Dim(0) != n {
 		return 0, fmt.Errorf("mirrored: masks batch %d does not match inputs %d", masks.Dim(0), n)
 	}
+	workers := parallel.Resolve(s.model.Cfg.Workers)
+	if workers > 1 && w == 1 {
+		parallel.BeginStep()
+		defer parallel.EndStep()
+	}
+	s.opt.SetWorkers(workers)
 	shard := n / w
 	rank := s.topo.Rank()
 	in := inputs.Slice(rank*shard, (rank+1)*shard)
@@ -117,12 +138,12 @@ func (s *Rank) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	t2 := time.Now()
 	t3 := t2
 	if w > 1 {
-		flat := flattenGrads(s.model.Params())
-		if err := s.topo.AllReduceAverage(flat); err != nil {
+		s.flat = flattenGrads(s.flat, s.model.Params())
+		if err := s.topo.AllReduceAverage(s.flat); err != nil {
 			return 0, err
 		}
 		t3 = time.Now()
-		unflattenGrads(s.model.Params(), flat)
+		unflattenGrads(s.model.Params(), s.flat)
 	}
 	s.opt.Step(s.model.Params())
 	if obs := s.phaseObs; obs != nil {
@@ -165,16 +186,16 @@ func (s *Rank) finishOverlapped(l float64, grad *tensor.Tensor, t0, t1 time.Time
 	var commTime time.Duration // written by the reducer, read after errCh
 	go func() {
 		for ps := range buckets {
-			flat := flattenGrads(ps)
+			s.flat = flattenGrads(s.flat, ps)
 			st := time.Now()
-			if err := s.topo.AllReduceAverage(flat); err != nil {
+			if err := s.topo.AllReduceAverage(s.flat); err != nil {
 				errCh <- err
 				for range buckets { // drain so the sink never blocks
 				}
 				return
 			}
 			commTime += time.Since(st)
-			unflattenGrads(ps, flat)
+			unflattenGrads(ps, s.flat)
 		}
 		errCh <- nil
 	}()
@@ -298,14 +319,18 @@ func (s *Rank) InSync() bool {
 	return true
 }
 
-// flattenGrads concatenates parameter gradients into one buffer, the unit
-// of the all-reduce.
-func flattenGrads(params []*nn.Param) []float32 {
+// flattenGrads concatenates parameter gradients into buf, the unit of the
+// all-reduce, and returns the filled buffer: buf itself when its capacity
+// suffices, a new one of the exact size otherwise.
+func flattenGrads(buf []float32, params []*nn.Param) []float32 {
 	n := 0
 	for _, p := range params {
 		n += p.Grad.Size()
 	}
-	out := make([]float32, 0, n)
+	if cap(buf) < n {
+		buf = make([]float32, 0, n)
+	}
+	out := buf[:0]
 	for _, p := range params {
 		out = append(out, p.Grad.Data()...)
 	}

@@ -311,15 +311,16 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 	mark := c.ws.Mark()
 	defer c.ws.Release(mark)
 	flipped := c.ws.Take(ic * oc * kk)
-	for ici := 0; ici < ic; ici++ {
-		for oci := 0; oci < oc; oci++ {
-			dst := flipped[(ici*oc+oci)*kk:][:kk]
+	parallel.ForWorkers(c.workers, ic*oc, max(1, 4096/kk), func(_, lo, hi int) {
+		for pair := lo; pair < hi; pair++ {
+			ici, oci := pair/oc, pair%oc
+			dst := flipped[pair*kk:][:kk]
 			src := wd[(oci*ic+ici)*kk:][:kk]
 			for tap := range dst {
 				dst[tap] = src[kk-1-tap]
 			}
 		}
-	}
+	})
 	c.convGEMM(flipped, ic, oc, gradOut.Data(), n, d, h, w, gemm.Epilogue{}, gradIn.Data())
 }
 

@@ -106,7 +106,7 @@ func (s *Sigmoid) Infer(x *tensor.Tensor) *tensor.Tensor {
 func (s *Sigmoid) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
 	checkDst("Sigmoid", dst, x.Shape()...)
 	xd, od := x.Data(), dst.Data()
-	parallel.ForWorkers(s.workers, len(xd), elemGrain, func(_, lo, hi int) {
+	parallel.ForWorkers(s.workers, len(xd), expGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			od[i] = float32(1.0 / (1.0 + math.Exp(-float64(xd[i]))))
 		}

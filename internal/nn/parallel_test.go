@@ -29,7 +29,8 @@ var equalityWorkerCounts = []int{1, 2, 3, 7, 16}
 // deterministic baseline the others must reproduce). The per-channel
 // reductions run four channels to a parallel chunk, so BatchNorm and the
 // ConvBNReLU block also run at 6 and 9 channels, where the last group of
-// four is cut short.
+// four is cut short; at 16 channels the block's weight flip and packing and
+// the sigmoid run in several chunks.
 func TestLayersWorkerCountInvariant(t *testing.T) {
 	const n, d, h, w = 2, 4, 6, 6
 	layers := []struct {
@@ -46,6 +47,10 @@ func TestLayersWorkerCountInvariant(t *testing.T) {
 		{"BatchNorm_c9", 9, 9, func() Layer { return NewBatchNorm("bn", 9) }, false},
 		{"ConvBNReLU_c6", 3, 6, func() Layer { return NewConvBNReLU("b", 3, 6, 3, rand.New(rand.NewSource(5))) }, false},
 		{"ConvBNReLU_c9", 3, 9, func() Layer { return NewConvBNReLU("b", 3, 9, 3, rand.New(rand.NewSource(5))) }, false},
+		// Enough weights that W′ and the shared packed A split into
+		// several chunks, and enough voxels that the sigmoid does.
+		{"ConvBNReLU_c16", 16, 16, func() Layer { return NewConvBNReLU("b", 16, 16, 3, rand.New(rand.NewSource(5))) }, false},
+		{"Sigmoid_c16", 16, 16, func() Layer { return NewSigmoid() }, false},
 	}
 	for _, tc := range layers {
 		t.Run(tc.name, func(t *testing.T) {

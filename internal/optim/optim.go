@@ -7,14 +7,21 @@ package optim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 )
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
 	// Step applies one update using the current gradients.
 	Step(params []*nn.Param)
+	// SetWorkers sets the worker budget Step runs on; 0 (the default)
+	// means the parallel package's global default. The update of each
+	// element is independent of every other, so the bits do not depend on
+	// the budget.
+	SetWorkers(workers int)
 	// SetLR changes the current learning rate (used by schedules).
 	SetLR(lr float64)
 	// LR returns the current learning rate.
@@ -22,8 +29,71 @@ type Optimizer interface {
 	Name() string
 }
 
+// stepGrain is how many elements of the concatenated parameters one chunk
+// of an update covers: a few microseconds of Adam's per-element work.
+const stepGrain = 4096
+
+// span is one parameter's slices of an update, at offset off in the
+// concatenation of all of them.
+type span struct {
+	off       int
+	val, grad []float32
+	m, v      []float32 // the optimizer's state for the parameter, if any
+}
+
+// stepper runs an optimizer's element update on its worker budget. Its
+// spans are rebuilt every step into the same backing, so a step allocates
+// nothing for them.
+type stepper struct {
+	workers int
+	spans   []span
+}
+
+// SetWorkers implements Optimizer.
+func (s *stepper) SetWorkers(workers int) { s.workers = workers }
+
+// update calls fn for every parameter's part of every chunk of the
+// concatenated params, as one parallel region over all of them; [lo, hi)
+// indexes the span. m and v (either may be nil) supply each span's state,
+// created zeroed where a parameter has none yet.
+func (s *stepper) update(params []*nn.Param, m, v map[*nn.Param][]float32, fn func(sp *span, lo, hi int)) {
+	total := 0
+	for _, p := range params {
+		s.spans = append(s.spans, span{off: total, val: p.Value.Data(), grad: p.Grad.Data(),
+			m: state(m, p), v: state(v, p)})
+		total += p.Value.Size()
+	}
+	parallel.ForWorkers(s.workers, total, stepGrain, func(_, lo, hi int) {
+		i := sort.Search(len(s.spans), func(i int) bool {
+			return s.spans[i].off+len(s.spans[i].val) > lo
+		})
+		for ; lo < hi; i++ {
+			sp := &s.spans[i]
+			end := min(hi-sp.off, len(sp.val))
+			fn(sp, lo-sp.off, end)
+			lo = sp.off + end
+		}
+	})
+	clear(s.spans) // keep no parameter alive
+	s.spans = s.spans[:0]
+}
+
+// state returns p's slot in st, creating it zeroed; nil for a nil st.
+func state(st map[*nn.Param][]float32, p *nn.Param) []float32 {
+	if st == nil {
+		return nil
+	}
+	s, ok := st[p]
+	if !ok {
+		s = make([]float32, p.Value.Size())
+		st[p] = s
+	}
+	return s
+}
+
 // SGD is stochastic gradient descent with optional momentum.
 type SGD struct {
+	stepper
 	lr       float64
 	Momentum float64
 
@@ -46,30 +116,30 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // Step implements Optimizer.
 func (s *SGD) Step(params []*nn.Param) {
-	for _, p := range params {
-		v := p.Value.Data()
-		g := p.Grad.Data()
-		if s.Momentum == 0 {
+	var vel map[*nn.Param][]float32
+	if s.Momentum != 0 {
+		vel = s.velocity
+	}
+	lr, m := float32(s.lr), float32(s.Momentum)
+	s.update(params, vel, nil, func(sp *span, lo, hi int) {
+		v, g := sp.val[lo:hi], sp.grad[lo:hi]
+		if sp.m == nil {
 			for i := range v {
-				v[i] -= float32(float32(s.lr) * g[i])
+				v[i] -= float32(lr * g[i])
 			}
-			continue
+			return
 		}
-		vel, ok := s.velocity[p]
-		if !ok {
-			vel = make([]float32, len(v))
-			s.velocity[p] = vel
-		}
-		m := float32(s.Momentum)
+		vel := sp.m[lo:hi]
 		for i := range v {
 			vel[i] = float32(m*vel[i]) + g[i]
-			v[i] -= float32(float32(s.lr) * vel[i])
+			v[i] -= float32(lr * vel[i])
 		}
-	}
+	})
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) used by the paper.
 type Adam struct {
+	stepper
 	lr      float64
 	Beta1   float64
 	Beta2   float64
@@ -106,29 +176,19 @@ func (a *Adam) Step(params []*nn.Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
-		val := p.Value.Data()
-		g := p.Grad.Data()
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float32, len(val))
-			a.m[p] = m
-		}
-		v, ok := a.v[p]
-		if !ok {
-			v = make([]float32, len(val))
-			a.v[p] = v
-		}
-		b1 := float32(a.Beta1)
-		b2 := float32(a.Beta2)
+	b1, b2 := float32(a.Beta1), float32(a.Beta2)
+	lr, eps := a.lr, a.Epsilon
+	a.update(params, a.m, a.v, func(sp *span, lo, hi int) {
+		val, g := sp.val[lo:hi], sp.grad[lo:hi]
+		m, v := sp.m[lo:hi], sp.v[lo:hi]
 		for i := range val {
 			m[i] = float32(b1*m[i]) + float32((1-b1)*g[i])
 			v[i] = float32(b2*v[i]) + float32((1-b2)*g[i]*g[i])
 			mh := float64(m[i]) / c1
 			vh := float64(v[i]) / c2
-			val[i] -= float32(a.lr * mh / (math.Sqrt(vh) + a.Epsilon))
+			val[i] -= float32(lr * mh / (math.Sqrt(vh) + eps))
 		}
-	}
+	})
 }
 
 // Stater is implemented by optimizers whose internal state must survive a

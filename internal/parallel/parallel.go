@@ -13,9 +13,19 @@
 // hands them a job, runs chunks itself and then waits for the helpers that
 // started. Between jobs a helper, and a caller waiting for its helpers,
 // polls for a short fixed window (spinWindow) before parking on a channel,
-// so the back-to-back kernel calls of a training step hand work over without
-// a scheduler wake-up while an idle process burns no CPU. Polling happens
-// only when GOMAXPROCS > 1.
+// so an idle process burns no CPU. Polling happens only when
+// GOMAXPROCS > 1.
+//
+// A training step is about 140 such calls with serial stretches between
+// them, and chunks of work, some longer than spinWindow, so a helper — or a
+// caller waiting for a helper's last chunk — would park and need a
+// scheduler wake-up several times a step. A caller that runs a step on more
+// than one worker therefore opens a step scope (BeginStep … EndStep): while
+// any scope is open, an idle helper and a waiting caller keep polling,
+// yielding the processor between checks, instead of parking. Outside a
+// scope nothing changes, so callers at a budget of one — which never hand
+// work to a helper — and multi-worker calls outside a step spin no longer
+// than spinWindow.
 //
 // Helpers are shared by every caller in the process. When concurrent
 // callers — mirrored replicas, experiment-parallel trials, serving replicas
@@ -38,6 +48,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // EnvWorkers is the environment variable consulted at startup for the
@@ -45,13 +57,26 @@ import (
 const EnvWorkers = "REPRO_WORKERS"
 
 // spinWindow is how long an idle helper polls for its next job, and a
-// caller polls for its helpers to finish, before parking. It covers the
-// serial glue between two kernel calls of a training step, so a helper is
-// still polling when the next call hands it work; a parked helper costs a
-// scheduler wake-up of several microseconds on every call instead.
+// caller polls for its helpers to finish, before parking outside a step
+// scope. It covers the short serial glue between two kernel calls, so a
+// helper is still polling when the next call hands it work; a parked helper
+// costs a scheduler wake-up of several microseconds instead.
 const spinWindow = 100 * time.Microsecond
 
 var defaultWorkers atomic.Int64
+
+// scopes counts the step scopes open in the process.
+var scopes atomic.Int32
+
+// forks counts calls that handed work to at least one helper, and parks the
+// times a helper stopped polling and parked: with both, a profile of a
+// training step shows how often its helpers had to be woken.
+var (
+	forks = telemetry.Default().Counter("parallel_forks_total",
+		"ForWorkers calls that handed work to at least one helper")
+	parks = telemetry.Default().Counter("parallel_helper_parks_total",
+		"times an idle helper stopped polling and parked")
+)
 
 func init() {
 	w := runtime.GOMAXPROCS(0)
@@ -113,6 +138,23 @@ func ShareN(total, parts int) []int {
 	return shares
 }
 
+// BeginStep opens a step scope: until the matching EndStep, an idle helper
+// polls for its next job, and a caller for its helpers to finish, instead
+// of parking after spinWindow, so none of the step's calls waits for a
+// parked goroutine to wake. Scopes are process-wide and may nest or
+// overlap; helpers stay hot while any is open. Open one only around work
+// that runs on more than one worker: the helpers it keeps hot take cores
+// that callers at a budget of one leave to others. At GOMAXPROCS 1, where
+// nothing polls, a scope has no effect.
+func BeginStep() { scopes.Add(1) }
+
+// EndStep closes a scope BeginStep opened. Once none is open, a polling
+// helper parks at the end of its current spinWindow.
+func EndStep() { scopes.Add(-1) }
+
+// InStep reports whether a step scope is open.
+func InStep() bool { return scopes.Load() > 0 }
+
 // ForWorkers partitions [0, n) into chunks of at most grain indices and
 // calls fn(slot, lo, hi) for every chunk, with a worker budget of workers
 // (0 = global default). It blocks until every chunk is done. fn must treat
@@ -153,6 +195,7 @@ func ForWorkers(workers, n, grain int, fn func(slot, lo, hi int)) {
 		return
 	}
 
+	forks.Inc()
 	j.fn, j.n, j.grain, j.chunks = fn, n, grain, chunks
 	j.spin = runtime.GOMAXPROCS(0) > 1
 	j.next.Store(0)
@@ -230,10 +273,17 @@ func (j *job) done() {
 	}
 }
 
-// wait blocks until every team member has finished or been taken back.
+// wait blocks until every team member has finished or been taken back,
+// polling first when j.spin is set: for spinWindow, and for as long as a
+// step scope is open.
 func (j *job) wait() {
-	if j.spin && poll(func() bool { return j.pending.Load() == 0 }) {
-		return
+	for j.spin {
+		if poll(func() bool { return j.pending.Load() == 0 }) {
+			return
+		}
+		if !InStep() {
+			break
+		}
 	}
 	j.parked.Store(true)
 	for j.pending.Load() != 0 {
@@ -282,13 +332,19 @@ func (h *helper) loop() {
 	}
 }
 
-// await returns the next job handed to h, polling first when spin is set.
+// await returns the next job handed to h, polling first when spin is set:
+// for spinWindow, and for as long as a step scope is open.
 func (h *helper) await(spin bool) *job {
-	if spin && poll(func() bool { return h.job.Load() != nil }) {
-		if j := h.job.Swap(nil); j != nil {
-			return j
+	for spin {
+		if poll(func() bool { return h.job.Load() != nil }) {
+			if j := h.job.Swap(nil); j != nil {
+				return j
+			}
+		} else if !InStep() {
+			break
 		}
 	}
+	parks.Inc()
 	h.parked.Store(true)
 	for {
 		if j := h.job.Swap(nil); j != nil {

@@ -144,3 +144,101 @@ func TestForWorkersNoAllocs(t *testing.T) {
 		t.Fatalf("ForWorkers(2, …) allocates %v objects per call, want 0", allocs)
 	}
 }
+
+// TestStepScopeKeepsHelpersHot: while a step scope is open an idle helper
+// never parks — parking is not chosen inside a scope, however long the
+// helper waits — and once the scope closes it parks after a bounded poll.
+func TestStepScopeKeepsHelpersHot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	within(t, 30*time.Second, func() {
+		ForWorkers(2, 2, 1, func(_, _, _ int) {})
+		// Let every helper park first, so a park counted below can only
+		// come from a helper that ran a job inside the scope.
+		for _, h := range *pool.helpers.Load() {
+			for !h.parked.Load() {
+				time.Sleep(spinWindow)
+			}
+		}
+		BeginStep()
+		// Each chunk waits for the other, so the helper takes the job.
+		var arrived sync.WaitGroup
+		arrived.Add(2)
+		ForWorkers(2, 2, 1, func(_, _, _ int) {
+			arrived.Done()
+			arrived.Wait()
+		})
+		before := parks.Value()
+		time.Sleep(20 * spinWindow)
+		if got := parks.Value() - before; got != 0 {
+			t.Errorf("%d helper parks while a step scope was open, want 0", got)
+		}
+		EndStep()
+		if InStep() {
+			t.Fatal("InStep after the only scope closed")
+		}
+		for parks.Value() == before {
+			time.Sleep(spinWindow)
+		}
+	})
+}
+
+// TestStepScopeKeepsCallerHot: a caller that waits for a helper's chunk
+// longer than spinWindow does not park while a step scope is open, and
+// does once none is.
+func TestStepScopeKeepsCallerHot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	callerParked := func() bool {
+		for _, h := range *pool.helpers.Load() {
+			if h.lead.parked.Load() {
+				return true
+			}
+		}
+		return false
+	}
+	// run makes the helper's chunk outlast the caller's and reports whether
+	// the caller parked; inside a scope it gives up after 20 × spinWindow.
+	run := func(scoped bool) (parked bool) {
+		var arrived sync.WaitGroup
+		arrived.Add(2)
+		ForWorkers(2, 2, 1, func(slot, _, _ int) {
+			arrived.Done()
+			arrived.Wait()
+			if slot == 0 {
+				return
+			}
+			for start := time.Now(); !parked; time.Sleep(spinWindow) {
+				parked = callerParked()
+				if scoped && time.Since(start) > 20*spinWindow {
+					break
+				}
+			}
+		})
+		return parked
+	}
+	within(t, 30*time.Second, func() {
+		BeginStep()
+		parked := run(true)
+		EndStep()
+		if parked {
+			t.Error("the caller parked while a step scope was open")
+		}
+		if !run(false) {
+			t.Error("the caller never parked outside a step scope")
+		}
+	})
+}
+
+// TestForkCounter: a call that hands work to a helper counts one fork; a
+// call at budget one, which runs inline, counts none.
+func TestForkCounter(t *testing.T) {
+	fn := func(_, _, _ int) {}
+	before := forks.Value()
+	ForWorkers(1, 64, 1, fn)
+	if got := forks.Value() - before; got != 0 {
+		t.Errorf("budget-1 call counted %d forks, want 0", got)
+	}
+	ForWorkers(2, 64, 1, fn)
+	if got := forks.Value() - before; got != 1 {
+		t.Errorf("budget-2 call counted %d forks, want 1", got)
+	}
+}

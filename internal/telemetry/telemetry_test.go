@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/parallel"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -170,7 +168,7 @@ d_sampled_total 42
 	}
 }
 
-// TestConcurrentHammer drives Inc/Add/Observe from parallel.For workers
+// TestConcurrentHammer drives Inc/Add/Observe from four goroutines
 // while a reader scrapes — run under -race this is the registry's
 // correctness test, and the totals check catches lost updates.
 func TestConcurrentHammer(t *testing.T) {
@@ -198,18 +196,25 @@ func TestConcurrentHammer(t *testing.T) {
 			}
 		}
 	}()
-	parallel.ForWorkers(0, n, 64, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.Inc()
-			g.Add(1)
-			h.Observe(float64(i % 20000))
-			if i%2 == 0 {
-				v.With("get").Inc()
-			} else {
-				v.With("put").Inc()
+	const writers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += writers {
+				c.Inc()
+				g.Add(1)
+				h.Observe(float64(i % 20000))
+				if i%2 == 0 {
+					v.With("get").Inc()
+				} else {
+					v.With("put").Inc()
+				}
 			}
-		}
-	})
+		}(w)
+	}
+	wg.Wait()
 	<-done
 	if c.Value() != n {
 		t.Fatalf("counter = %d, want %d", c.Value(), n)

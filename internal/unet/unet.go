@@ -49,6 +49,7 @@ import (
 	"math/rand"
 
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -384,7 +385,7 @@ func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 		skip := u.skips[len(u.skips)-1-i]
 		cat := like(&d.cat, skip, d.upChannels+skip.Dim(1), 1, 1)
 		d.up.ForwardInto(h, cat)
-		copyChannels(cat, skip, d.upChannels)
+		copyChannels(cat, skip, d.upChannels, u.Cfg.Workers)
 		h = d.b.Forward(d.a.Forward(cat))
 	}
 	return u.act.Forward(u.head.ForwardInto(h, like(&u.headOut, h, u.Cfg.OutChannels, 1, 1)))
@@ -418,7 +419,7 @@ func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 		skip := u.skips[len(u.skips)-1-i]
 		cat := like(&d.inferCat, skip, d.upChannels+skip.Dim(1), 1, 1)
 		d.up.InferInto(h, cat)
-		copyChannels(cat, skip, d.upChannels)
+		copyChannels(cat, skip, d.upChannels, u.Cfg.Workers)
 		f := d.a.Conv.OutChannels
 		t := d.a.InferInto(cat, like(&u.ping, cat, f, 1, 1))
 		h = d.b.InferInto(t, like(&u.pong, t, f, 1, 1))
@@ -452,7 +453,7 @@ func (u *UNet) Backward(gradOut *tensor.Tensor) {
 		if e.pool != nil { // the decoder step at this resolution took the skip
 			g = e.pool.BackwardInto(g, like(&e.poolGrad, g, g.Dim(1), k, 1))
 			d := u.dec[len(u.dec)-1-i]
-			addChannels(g, d.catGrad, d.upChannels)
+			addChannels(g, d.catGrad, d.upChannels, u.Cfg.Workers)
 		}
 		g = e.b.Backward(g)
 		if i > 0 {
@@ -473,24 +474,38 @@ func like(o *tensor.Owned, x *tensor.Tensor, c, num, den int) *tensor.Tensor {
 	return o.Shaped(s[0], c, s[2]*num/den, s[3]*num/den, s[4]*num/den)
 }
 
-// copyChannels copies src ([N, C, …]) into channels [c0, c0+C) of dst.
-func copyChannels(dst, src *tensor.Tensor, c0 int) {
+// channelGrain is how many floats one chunk of copyChannels or
+// addChannels moves, in whole channel volumes.
+const channelGrain = 16384
+
+// copyChannels copies src ([N, C, …]) into channels [c0, c0+C) of dst, on a
+// worker budget of workers.
+func copyChannels(dst, src *tensor.Tensor, c0, workers int) {
 	n, c := src.Dim(0), src.Dim(1)
 	vol := src.Size() / (n * c)
-	for ni := 0; ni < n; ni++ {
-		copy(dst.Data()[(ni*dst.Dim(1)+c0)*vol:][:c*vol], src.Data()[ni*c*vol:][:c*vol])
-	}
+	dd, sd, dc := dst.Data(), src.Data(), dst.Dim(1)
+	parallel.ForWorkers(workers, n*c, max(1, channelGrain/vol), func(_, lo, hi int) {
+		for item := lo; item < hi; item++ {
+			ni, ci := item/c, item%c
+			copy(dd[(ni*dc+c0+ci)*vol:][:vol], sd[item*vol:][:vol])
+		}
+	})
 }
 
 // addChannels adds channels [c0, c0+C) of src onto dst ([N, C, …]), element
-// by element: the bits of dst.Accumulate on a copy of the window.
-func addChannels(dst, src *tensor.Tensor, c0 int) {
+// by element, on a worker budget of workers: the bits of dst.Accumulate on a
+// copy of the window.
+func addChannels(dst, src *tensor.Tensor, c0, workers int) {
 	n, c := dst.Dim(0), dst.Dim(1)
 	vol := dst.Size() / (n * c)
-	for ni := 0; ni < n; ni++ {
-		d := dst.Data()[ni*c*vol:][:c*vol]
-		for j, v := range src.Data()[(ni*src.Dim(1)+c0)*vol:][:c*vol] {
-			d[j] += v
+	dd, sd, sc := dst.Data(), src.Data(), src.Dim(1)
+	parallel.ForWorkers(workers, n*c, max(1, channelGrain/vol), func(_, lo, hi int) {
+		for item := lo; item < hi; item++ {
+			ni, ci := item/c, item%c
+			d := dd[item*vol:][:vol]
+			for j, v := range sd[(ni*sc+c0+ci)*vol:][:vol] {
+				d[j] += v
+			}
 		}
-	}
+	})
 }
