@@ -386,7 +386,7 @@ func newOnlineController(o onlineOptions) (*online.Controller, error) {
 	if o.ckptPath != "" && !resuming {
 		// Fine-tune from the served checkpoint, not from random init; a
 		// resumed state directory already carries the newer weights.
-		if _, err := ckpt.LoadModelFile(o.ckptPath, ctrl.Shadow()); err != nil {
+		if _, err := ckpt.LoadFile(o.ckptPath, ctrl.Shadow()); err != nil {
 			return nil, fmt.Errorf("bootstrapping shadow from %s: %w", o.ckptPath, err)
 		}
 		if err := ctrl.SyncLive(); err != nil {

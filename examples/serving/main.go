@@ -56,7 +56,7 @@ func main() {
 	for _, p := range u.Params() {
 		p.Value.AddScaled(-0.01, p.Grad)
 	}
-	if err := ckpt.SaveModelFile(ckptPath, u, map[string]float64{"epoch": 1}); err != nil {
+	if err := ckpt.SaveFile(ckptPath, u, nil); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpointed %d-parameter U-Net to %s\n", u.ParamCount(), ckptPath)

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,6 +22,44 @@ func tinyNet(seed int64) *unet.UNet {
 	})
 }
 
+// paramList is a Model without auxiliary state.
+type paramList []*nn.Param
+
+func (l paramList) Params() []*nn.Param { return l }
+
+// sameBits reports the first place where two models, or the session
+// states loaded with them, differ in a single bit.
+func sameBits(a, b Model, sa, sb map[string][]float64) error {
+	pa, pb := a.Params(), b.Params()
+	if len(pa) != len(pb) {
+		return fmt.Errorf("%d parameters, want %d", len(pb), len(pa))
+	}
+	for i, p := range pa {
+		for j, v := range p.Value.Data() {
+			if math.Float32bits(v) != math.Float32bits(pb[i].Value.Data()[j]) {
+				return fmt.Errorf("parameter %s[%d]: %v, want %v", p.Name, j, pb[i].Value.Data()[j], v)
+			}
+		}
+	}
+	for _, pair := range [][2]map[string][]float64{{auxOf(a), auxOf(b)}, {sa, sb}} {
+		want, got := pair[0], pair[1]
+		if len(got) != len(want) {
+			return fmt.Errorf("%d state entries, want %d", len(got), len(want))
+		}
+		for k, vals := range want {
+			if len(got[k]) != len(vals) {
+				return fmt.Errorf("state %q: %d values, want %d", k, len(got[k]), len(vals))
+			}
+			for i, v := range vals {
+				if math.Float64bits(got[k][i]) != math.Float64bits(v) {
+					return fmt.Errorf("state %q[%d]: bits %#x, want %#x", k, i, math.Float64bits(got[k][i]), math.Float64bits(v))
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := tinyNet(1)
 	rng := rand.New(rand.NewSource(2))
@@ -29,43 +69,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	meta := map[string]float64{"epoch": 42, "dice": 0.89, "lr": 1e-4}
-	if err := Save(&buf, src.Params(), meta); err != nil {
+	if err := Save(&buf, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := tinyNet(99) // different init
-	gotMeta, err := Load(&buf, dst.Params())
+	state, err := Load(&buf, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range src.Params() {
-		if tensor.MaxAbsDiff(p.Value, dst.Params()[i].Value) != 0 {
-			t.Fatalf("param %s not restored", p.Name)
-		}
-	}
-	if gotMeta["epoch"] != 42 {
-		t.Fatalf("meta %v", gotMeta)
-	}
-	if lr := gotMeta["lr"]; lr < 0.99e-4 || lr > 1.01e-4 { // float32 round trip
-		t.Fatalf("lr meta %v", lr)
-	}
-	if d := gotMeta["dice"]; d < 0.889 || d > 0.891 { // float32 round trip
-		t.Fatalf("dice meta %v", d)
+	if err := sameBits(src, dst, nil, state); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLoadRejectsShapeMismatch(t *testing.T) {
 	src := tinyNet(1)
 	var buf bytes.Buffer
-	if err := Save(&buf, src.Params(), nil); err != nil {
+	if err := Save(&buf, src, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := unet.MustNew(unet.Config{
 		InChannels: 2, OutChannels: 1, BaseFilters: 4, Steps: 2, // wider net
 		Kernel: 3, UpKernel: 2, Seed: 1,
 	})
-	_, err := Load(&buf, other.Params())
+	_, err := Load(&buf, other)
 	if err == nil {
 		t.Fatal("shape mismatch must error")
 	}
@@ -80,8 +108,41 @@ func TestLoadRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsArchitectureMismatch: a deeper U-Net of the same width
+// shares most of its parameter names and shapes with a shallower one, so
+// matching parameters by name alone would load part of it and drop the
+// rest. Load compares the stored name list in order and must refuse,
+// naming the first parameter where the two architectures part, and leave
+// the model untouched.
+func TestLoadRejectsArchitectureMismatch(t *testing.T) {
+	deep := unet.MustNew(unet.Config{
+		InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 3,
+		Kernel: 3, UpKernel: 2, Seed: 1,
+	})
+	var buf bytes.Buffer
+	if err := Save(&buf, deep, nil); err != nil {
+		t.Fatal(err)
+	}
+	shallow, before := tinyNet(2), tinyNet(2)
+	_, err := Load(&buf, shallow)
+	if err == nil {
+		t.Fatal("a Steps: 3 checkpoint loaded into a Steps: 2 network")
+	}
+	i := 0
+	for shallow.Params()[i].Name == deep.Params()[i].Name {
+		i++
+	}
+	first := fmt.Sprintf("%q where the model has %q", deep.Params()[i].Name, shallow.Params()[i].Name)
+	if !strings.Contains(err.Error(), first) {
+		t.Fatalf("error %q does not name the first differing parameter (%s)", err, first)
+	}
+	if err := sameBits(before, shallow, nil, nil); err != nil {
+		t.Fatalf("a rejected load changed the model: %v", err)
+	}
+}
+
 // TestModelRoundTripBitwiseForward is the full serving contract: a trained
-// U-Net saved with SaveModel and loaded into a fresh differently-seeded net
+// U-Net saved with SaveFile and loaded into a fresh differently-seeded net
 // must produce bit-for-bit identical Infer outputs — parameters
 // AND batch-norm running statistics round-trip exactly.
 func TestModelRoundTripBitwiseForward(t *testing.T) {
@@ -94,17 +155,13 @@ func TestModelRoundTripBitwiseForward(t *testing.T) {
 	// Training forwards move the running statistics away from their init.
 	src.Forward(x)
 	src.Forward(x)
-	if err := SaveModelFile(path, src, map[string]float64{"epoch": 2}); err != nil {
+	if err := SaveFile(path, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := tinyNet(9) // different weights AND different running stats
-	meta, err := LoadModelFile(path, dst)
-	if err != nil {
+	if _, err := LoadFile(path, dst); err != nil {
 		t.Fatal(err)
-	}
-	if meta["epoch"] != 2 {
-		t.Fatalf("meta %v", meta)
 	}
 
 	want := src.Infer(x)
@@ -117,28 +174,34 @@ func TestModelRoundTripBitwiseForward(t *testing.T) {
 	}
 }
 
-// TestLoadModelToleratesParamsOnlyCheckpoint: a plain Save checkpoint loads
-// into a stateful model, leaving auxiliary state untouched.
-func TestLoadModelToleratesParamsOnlyCheckpoint(t *testing.T) {
+// TestLoadRejectsMissingAuxState: a checkpoint written from a model without
+// auxiliary state must not load into one that has it — the running
+// statistics would be left as they were, and Infer would silently differ
+// from the saved model's.
+func TestLoadRejectsMissingAuxState(t *testing.T) {
 	src := tinyNet(1)
 	var buf bytes.Buffer
-	if err := Save(&buf, src.Params(), nil); err != nil {
+	if err := Save(&buf, paramList(src.Params()), nil); err != nil {
 		t.Fatal(err)
 	}
-	dst := tinyNet(2)
-	if _, err := LoadModel(&buf, dst); err != nil {
-		t.Fatalf("params-only checkpoint must load: %v", err)
+	dst, before := tinyNet(2), tinyNet(2)
+	_, err := Load(&buf, dst)
+	if err == nil || !strings.Contains(err.Error(), "auxiliary state") {
+		t.Fatalf("checkpoint without auxiliary state loaded into a U-Net: %v", err)
+	}
+	if err := sameBits(before, dst, nil, nil); err != nil {
+		t.Fatalf("a rejected load changed the model: %v", err)
 	}
 }
 
 func TestLoadRejectsMissingParam(t *testing.T) {
 	p := nn.NewParam("only", tensor.Ones(2))
 	var buf bytes.Buffer
-	if err := Save(&buf, []*nn.Param{p}, nil); err != nil {
+	if err := Save(&buf, paramList{p}, nil); err != nil {
 		t.Fatal(err)
 	}
 	q := nn.NewParam("other", tensor.Ones(2))
-	if _, err := Load(&buf, []*nn.Param{q}); err == nil {
+	if _, err := Load(&buf, paramList{q}); err == nil {
 		t.Fatal("missing parameter must error")
 	}
 }
@@ -146,13 +209,13 @@ func TestLoadRejectsMissingParam(t *testing.T) {
 func TestSaveRejectsUnnamedParam(t *testing.T) {
 	p := nn.NewParam("", tensor.Ones(2))
 	var buf bytes.Buffer
-	if err := Save(&buf, []*nn.Param{p}, nil); err == nil {
+	if err := Save(&buf, paramList{p}, nil); err == nil {
 		t.Fatal("unnamed parameter must error")
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a checkpoint")), nil); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a checkpoint")), paramList{}); err == nil {
 		t.Fatal("garbage must error")
 	}
 }
@@ -161,7 +224,8 @@ func TestFileRoundTripAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
 	src := tinyNet(3)
-	if err := SaveFile(path, src.Params(), map[string]float64{"epoch": 7}); err != nil {
+	state := map[string][]float64{"epoch": {7}}
+	if err := SaveFile(path, src, state); err != nil {
 		t.Fatal(err)
 	}
 	// No temp file left behind.
@@ -169,27 +233,24 @@ func TestFileRoundTripAtomic(t *testing.T) {
 		t.Fatal("temp file not cleaned up")
 	}
 	dst := tinyNet(4)
-	meta, err := LoadFile(path, dst.Params())
+	got, err := LoadFile(path, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta["epoch"] != 7 {
-		t.Fatalf("meta %v", meta)
-	}
-	if tensor.MaxAbsDiff(src.Params()[0].Value, dst.Params()[0].Value) != 0 {
-		t.Fatal("weights not restored from file")
+	if err := sameBits(src, dst, state, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt"), nil); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt"), paramList{}); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
 
 // TestResumeTrainingEquivalence verifies the checkpoint contract end to
 // end: training 2 steps, checkpointing, then loading into a fresh model
-// must reproduce identical forward outputs.
+// must reproduce bit-identical forward outputs.
 func TestResumeTrainingEquivalence(t *testing.T) {
 	src := tinyNet(5)
 	rng := rand.New(rand.NewSource(6))
@@ -201,18 +262,19 @@ func TestResumeTrainingEquivalence(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, src.Params(), nil); err != nil {
+	if err := Save(&buf, src, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst := tinyNet(7)
-	if _, err := Load(&buf, dst.Params()); err != nil {
+	if _, err := Load(&buf, dst); err != nil {
 		t.Fatal(err)
 	}
-	// BatchNorm running stats are not parameters; fresh stats give slightly
-	// different Infer outputs, so compare training forwards instead.
 	a := src.Forward(x)
-	bOut := dst.Forward(x)
-	if tensor.MaxAbsDiff(a, bOut) > 1e-6 {
-		t.Fatalf("restored model diverges: %v", tensor.MaxAbsDiff(a, bOut))
+	b := dst.Forward(x)
+	if d := tensor.MaxAbsDiff(a, b); d != 0 {
+		t.Fatalf("restored model diverges: %v", d)
+	}
+	if err := sameBits(src, dst, nil, nil); err != nil {
+		t.Fatalf("running statistics diverge after a training forward: %v", err)
 	}
 }

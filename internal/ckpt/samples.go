@@ -3,9 +3,7 @@ package ckpt
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/record"
@@ -21,26 +19,14 @@ import (
 // payload per sample, in buffer order.
 
 // sampleStreamMarker tags the leading payload so model checkpoints (whose
-// features carry param:/meta- keys instead) are rejected on load.
+// features carry param: and shape: keys instead) are rejected on load.
 const sampleStreamMarker = "sample-stream"
 
 // SaveSamples writes the state map and samples to w.
 func SaveSamples(w io.Writer, samples []*volume.Sample, state map[string][]float64) error {
 	f := record.NewFeatures()
 	f.AddInts(sampleStreamMarker, []int64{int64(len(samples))})
-	keys := make([]string, 0, len(state))
-	for k := range state {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		vals := state[k]
-		bits := make([]int64, len(vals))
-		for i, v := range vals {
-			bits[i] = int64(math.Float64bits(v))
-		}
-		f.AddInts("state:"+k, bits)
-	}
+	addBits(f, "state:", state)
 	rw := record.NewWriter(w)
 	if err := rw.Write(f.Marshal()); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
@@ -63,26 +49,16 @@ func LoadSamples(r io.Reader) ([]*volume.Sample, map[string][]float64, error) {
 	if _, ok := f.Ints[sampleStreamMarker]; !ok {
 		return nil, nil, fmt.Errorf("ckpt: not a sample-stream checkpoint (marker missing)")
 	}
-	state := map[string][]float64{}
-	for key, bits := range f.Ints {
-		if key == sampleStreamMarker {
-			continue
-		}
-		name, ok := strings.CutPrefix(key, "state:")
-		if !ok {
+	for key := range f.Ints {
+		if key != sampleStreamMarker && !strings.HasPrefix(key, "state:") {
 			return nil, nil, fmt.Errorf("ckpt: not a sample-stream checkpoint (leading payload has %q)", key)
 		}
-		vals := make([]float64, len(bits))
-		for i, b := range bits {
-			vals[i] = math.Float64frombits(uint64(b))
-		}
-		state[name] = vals
 	}
 	samples, err := record.ReadSamples(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return samples, state, nil
+	return samples, readBits(f, "state:"), nil
 }
 
 // SaveSamplesFile writes a sample-stream checkpoint to path atomically.

@@ -107,7 +107,7 @@ func TestSampleStreamRejectsForeignCheckpoint(t *testing.T) {
 	}
 
 	modelPath := filepath.Join(t.TempDir(), "real-model.ckpt")
-	if err := SaveFile(modelPath, nil, map[string]float64{"epoch": 1}); err != nil {
+	if err := SaveFile(modelPath, tinyNet(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadSamplesFile(modelPath); err == nil {

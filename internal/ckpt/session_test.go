@@ -16,85 +16,52 @@ func TestSessionRoundTripBitExact(t *testing.T) {
 		"adam.lr":        {1e-4},
 		"adam.m:enc1.aw": {math.Pi, math.Copysign(0, -1), 1e-300, math.Nextafter(1, 2)},
 		"session.hist":   {0.1, 0.2, 0.30000000000000004},
+		"session.step":   {1<<53 - 1},
 	}
-	meta := map[string]float64{"session.epoch": 3, "session.step": 12}
 
 	var buf bytes.Buffer
-	if err := SaveSession(&buf, src, state, meta); err != nil {
+	if err := Save(&buf, src, state); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := tinyNet(2)
-	gotState, gotMeta, err := LoadSession(bytes.NewReader(buf.Bytes()), dst)
+	got, err := Load(bytes.NewReader(buf.Bytes()), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotState) != len(state) {
-		t.Fatalf("state keys %d, want %d", len(gotState), len(state))
-	}
-	for k, want := range state {
-		got := gotState[k]
-		if len(got) != len(want) {
-			t.Fatalf("state %q: %d values, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("state %q[%d]: bits %#x, want %#x", k, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	}
-	if gotMeta["session.epoch"] != 3 || gotMeta["session.step"] != 12 {
-		t.Fatalf("meta %v", gotMeta)
-	}
-	// Parameters and aux state restored bitwise.
-	sp, dp := src.Params(), dst.Params()
-	for i := range sp {
-		a, b := sp[i].Value.Data(), dp[i].Value.Data()
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("param %s diverges", sp[i].Name)
-			}
-		}
-	}
-	srcAux, dstAux := src.AuxState(), dst.AuxState()
-	for k, a := range srcAux {
-		for i := range a {
-			if a[i] != dstAux[k][i] {
-				t.Fatalf("aux %s diverges", k)
-			}
-		}
+	if err := sameBits(src, dst, state, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestLoadModelSkipsSessionState: a session checkpoint doubles as a model
-// checkpoint — model-only loaders ignore the session namespace.
+// checkpoint — a model loader restores the model and ignores the state.
 func TestLoadModelSkipsSessionState(t *testing.T) {
 	src := tinyNet(1)
 	var buf bytes.Buffer
 	state := map[string][]float64{"adam.t": {3}, "adam.lr": {0.01}}
-	if err := SaveSession(&buf, src, state, map[string]float64{"epoch": 1}); err != nil {
+	if err := Save(&buf, src, state); err != nil {
 		t.Fatal(err)
 	}
 	dst := tinyNet(2)
-	meta, err := LoadModel(bytes.NewReader(buf.Bytes()), dst)
-	if err != nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), dst); err != nil {
 		t.Fatal(err)
 	}
-	if meta["epoch"] != 1 {
-		t.Fatalf("meta %v", meta)
+	if err := sameBits(src, dst, nil, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestLoadSessionOnModelCheckpoint: a plain model checkpoint loads as a
-// session with empty state (the caller decides whether that is an error).
+// TestLoadSessionOnModelCheckpoint: a bare model checkpoint loads with an
+// empty session state (the caller decides whether that is an error).
 func TestLoadSessionOnModelCheckpoint(t *testing.T) {
 	src := tinyNet(1)
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, src, nil); err != nil {
+	if err := Save(&buf, src, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst := tinyNet(2)
-	state, _, err := LoadSession(bytes.NewReader(buf.Bytes()), dst)
+	state, err := Load(bytes.NewReader(buf.Bytes()), dst)
 	if err != nil {
 		t.Fatal(err)
 	}

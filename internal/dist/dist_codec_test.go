@@ -22,7 +22,7 @@ func finalTrainLoss(t *testing.T, spec TrainSpec) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, _, err := ckpt.LoadSessionFile(spec.CkptPath, m)
+	state, err := ckpt.LoadFile(spec.CkptPath, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -583,11 +583,11 @@ func (c *Controller) save() error {
 	if err := c.sess.SaveCheckpointFile(filepath.Join(dir, sessionFile)); err != nil {
 		return err
 	}
-	if err := ckpt.SaveModelFile(filepath.Join(dir, liveFile), c.live, map[string]float64{"dice": c.liveDice}); err != nil {
+	if err := ckpt.SaveFile(filepath.Join(dir, liveFile), c.live, nil); err != nil {
 		return err
 	}
 	if c.hasLast {
-		if err := ckpt.SaveModelFile(filepath.Join(dir, lastGoodFile), c.last, map[string]float64{"dice": c.promoDice}); err != nil {
+		if err := ckpt.SaveFile(filepath.Join(dir, lastGoodFile), c.last, nil); err != nil {
 			return err
 		}
 	}
@@ -650,11 +650,11 @@ func (c *Controller) restore() (bool, error) {
 	if err := c.sess.LoadCheckpointFile(filepath.Join(dir, sessionFile)); err != nil {
 		return false, fmt.Errorf("online: resuming session: %w", err)
 	}
-	if _, err := ckpt.LoadModelFile(filepath.Join(dir, liveFile), c.live); err != nil {
+	if _, err := ckpt.LoadFile(filepath.Join(dir, liveFile), c.live); err != nil {
 		return false, fmt.Errorf("online: resuming live model: %w", err)
 	}
 	if c.hasLast {
-		if _, err := ckpt.LoadModelFile(filepath.Join(dir, lastGoodFile), c.last); err != nil {
+		if _, err := ckpt.LoadFile(filepath.Join(dir, lastGoodFile), c.last); err != nil {
 			return false, fmt.Errorf("online: resuming last-good model: %w", err)
 		}
 	}

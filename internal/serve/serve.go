@@ -253,7 +253,7 @@ func (s *Server) Reload(path string) error {
 	if err != nil {
 		return fmt.Errorf("serve: reload staging model: %w", err)
 	}
-	if _, err := ckpt.LoadModelFile(path, staging); err != nil {
+	if _, err := ckpt.LoadFile(path, staging); err != nil {
 		return err
 	}
 	return s.SwapModel(staging)

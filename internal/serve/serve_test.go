@@ -41,7 +41,7 @@ func trainedCheckpoint(t *testing.T, seed int64) string {
 	}
 	u.Forward(x) // second stats update with the new weights
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := ckpt.SaveModelFile(path, u, map[string]float64{"seed": float64(seed)}); err != nil {
+	if err := ckpt.SaveFile(path, u, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -67,7 +67,7 @@ func unetFactory() (Model, error) { return unet.New(testNetConfig()) }
 func referenceModel(t *testing.T, path string) *unet.UNet {
 	t.Helper()
 	u := unet.MustNew(testNetConfig())
-	if _, err := ckpt.LoadModelFile(path, u); err != nil {
+	if _, err := ckpt.LoadFile(path, u); err != nil {
 		t.Fatal(err)
 	}
 	return u

@@ -17,10 +17,7 @@ const (
 	histDiceKey  = "session.hist.dice"
 	histStepsKey = "session.hist.steps"
 	histEpochKey = "session.hist.epoch"
-	// The epoch/step cursor lives in the float64 state namespace — the
-	// metadata codec narrows to float32, which would corrupt step counters
-	// past 2^24. Float32 copies are kept in the metadata for inspection
-	// (they are what `LoadModel` surfaces), but restore reads the state.
+	// The epoch/step cursor.
 	cursorEpochKey = "session.epoch"
 	cursorStepKey  = "session.step"
 	// The mid-epoch cursor: steps completed inside the (unfinished) epoch
@@ -34,10 +31,10 @@ const (
 // checkpointState assembles the full session state: optimizer internals
 // from the strategy plus the metric history, all as float64 slices stored
 // bit-exactly.
-func (s *Session) checkpointState() (map[string][]float64, map[string]float64, error) {
+func (s *Session) checkpointState() (map[string][]float64, error) {
 	state, err := s.cfg.Strategy.ExportOptimState()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := len(s.history)
 	loss := make([]float64, n)
@@ -58,33 +55,28 @@ func (s *Session) checkpointState() (map[string][]float64, map[string]float64, e
 	state[cursorStepKey] = []float64{float64(s.step)}
 	state[cursorStepInEpochKey] = []float64{float64(s.stepInEpoch)}
 	state[cursorPartialLossKey] = []float64{s.partialLoss}
-	meta := map[string]float64{
-		cursorEpochKey:       float64(s.epoch),
-		cursorStepKey:        float64(s.step),
-		cursorStepInEpochKey: float64(s.stepInEpoch),
-	}
-	return state, meta, nil
+	return state, nil
 }
 
 // SaveCheckpoint writes the complete session state — model parameters,
 // auxiliary state, optimizer moments and counters, epoch/step cursor and
 // metric history — to w. Everything float-valued round-trips bit-exactly.
 func (s *Session) SaveCheckpoint(w io.Writer) error {
-	state, meta, err := s.checkpointState()
+	state, err := s.checkpointState()
 	if err != nil {
 		return err
 	}
-	return ckpt.SaveSession(w, s.cfg.Strategy.Model(), state, meta)
+	return ckpt.Save(w, s.cfg.Strategy.Model(), state)
 }
 
 // SaveCheckpointFile writes a session checkpoint to path atomically and
 // fires the OnCheckpoint hook.
 func (s *Session) SaveCheckpointFile(path string) error {
-	state, meta, err := s.checkpointState()
+	state, err := s.checkpointState()
 	if err != nil {
 		return err
 	}
-	if err := ckpt.SaveSessionFile(path, s.cfg.Strategy.Model(), state, meta); err != nil {
+	if err := ckpt.SaveFile(path, s.cfg.Strategy.Model(), state); err != nil {
 		return err
 	}
 	return s.fire(func(cb Callback) error { return cb.OnCheckpoint(s, path) })
@@ -96,8 +88,7 @@ func (s *Session) SaveCheckpointFile(path string) error {
 // and the epoch/step cursor and history are re-established. The next Fit
 // continues bit-identically to a session that never stopped.
 func (s *Session) LoadCheckpoint(r io.Reader) error {
-	strat := s.cfg.Strategy
-	state, _, err := ckpt.LoadSession(r, strat.Model())
+	state, err := ckpt.Load(r, s.cfg.Strategy.Model())
 	if err != nil {
 		return err
 	}
@@ -106,8 +97,7 @@ func (s *Session) LoadCheckpoint(r io.Reader) error {
 
 // LoadCheckpointFile restores a session from a checkpoint file.
 func (s *Session) LoadCheckpointFile(path string) error {
-	strat := s.cfg.Strategy
-	state, _, err := ckpt.LoadSessionFile(path, strat.Model())
+	state, err := ckpt.LoadFile(path, s.cfg.Strategy.Model())
 	if err != nil {
 		return err
 	}

@@ -197,7 +197,8 @@ func TestCursorSurvivesBeyondFloat32(t *testing.T) {
 }
 
 // TestLoadCheckpointValidation: a session checkpoint refuses to load when
-// the metadata is missing or the cursor exceeds the session budget.
+// its cursor exceeds the session budget or it holds another optimizer's
+// state.
 func TestLoadCheckpointValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 	strat := singleStrategy(t, "adam", 1)
