@@ -34,11 +34,12 @@
 // the free helpers, and concurrent callers share one pool instead of each
 // adding goroutines of its own.
 //
-// Workers claim fixed-size chunks from a shared atomic counter, so the
-// partition of [0, n) into chunks depends only on n and grain, never on the
-// worker count, the helpers claimed or scheduling order. Kernels that write
-// disjoint chunks are therefore bit-for-bit deterministic for any worker
-// budget.
+// The partition of [0, n) into chunks depends only on n and grain, never on
+// the worker count, the helpers claimed or scheduling order, so kernels that
+// write disjoint chunks are bit-for-bit deterministic for any budget. Each
+// worker owns a contiguous range of a call's chunks, which it drains before
+// it steals from the others; kernels split their work sample-major, so at a
+// batch of one sample per worker each sample stays in one core's cache.
 package parallel
 
 import (
@@ -70,12 +71,15 @@ var scopes atomic.Int32
 
 // forks counts calls that handed work to at least one helper, and parks the
 // times a helper stopped polling and parked: with both, a profile of a
-// training step shows how often its helpers had to be woken.
+// training step shows how often its helpers had to be woken. steals counts
+// the forks in which a worker ran a chunk of another worker's range.
 var (
 	forks = telemetry.Default().Counter("parallel_forks_total",
 		"ForWorkers calls that handed work to at least one helper")
 	parks = telemetry.Default().Counter("parallel_helper_parks_total",
 		"times an idle helper stopped polling and parked")
+	steals = telemetry.Default().Counter("parallel_chunk_steals_total",
+		"ForWorkers calls in which a worker ran a chunk of another worker's range")
 )
 
 func init() {
@@ -163,8 +167,9 @@ func InStep() bool { return scopes.Load() > 0 }
 // the call and below min(Resolve(workers), number of chunks) — so a kernel
 // can hand each worker a buffer of its own, taken before the call.
 //
-// The chunk decomposition depends only on n and grain, and workers pull
-// chunk indices from an atomic counter, so every chunk runs exactly once
+// The chunk decomposition depends only on n and grain. The chunks are split
+// into one contiguous range per worker; slot s claims the s-th in ascending
+// order before it steals from the others, so every chunk runs exactly once
 // regardless of the budget or of how many helpers were free. With an
 // effective budget of one worker, a single chunk or no free helper, fn runs
 // on the calling goroutine with no synchronization. fn may itself call
@@ -196,9 +201,10 @@ func ForWorkers(workers, n, grain int, fn func(slot, lo, hi int)) {
 	}
 
 	forks.Inc()
-	j.fn, j.n, j.grain, j.chunks = fn, n, grain, chunks
+	j.fn, j.n, j.grain = fn, n, grain
+	j.split(chunks)
 	j.spin = runtime.GOMAXPROCS(0) > 1
-	j.next.Store(0)
+	j.stole.Store(false)
 	j.panicked.Store(nil)
 	j.pending.Store(int32(len(j.team)))
 	for i, h := range j.team {
@@ -215,6 +221,9 @@ func ForWorkers(workers, n, grain int, fn func(slot, lo, hi int)) {
 		}
 	}
 	j.wait()
+	if j.stole.Load() {
+		steals.Inc()
+	}
 	p := j.panicked.Load()
 	j.fn = nil // the record outlives the call; do not keep fn's captures alive
 	j.release()
@@ -229,35 +238,66 @@ func ForWorkers(workers, n, grain int, fn func(slot, lo, hi int)) {
 // claimed. Each helper owns one record, used while it leads a call, so a
 // call allocates nothing.
 type job struct {
-	fn               func(slot, lo, hi int)
-	n, grain, chunks int
-	spin             bool      // GOMAXPROCS > 1 when the call started
-	team             []*helper // claimed helpers; team[0] lends this record
-	next             atomic.Int64
-	pending          atomic.Int32 // team members yet to finish or be taken back
-	panicked         atomic.Pointer[panicValue]
-	parked           atomic.Bool   // the caller is parked on wake
-	wake             chan struct{} // capacity 1; a stale token only causes a re-check
+	fn       func(slot, lo, hi int)
+	n, grain int
+	spin     bool      // GOMAXPROCS > 1 when the call started
+	team     []*helper // claimed helpers; team[0] lends this record
+	spans    []span    // slot s's range of chunks at spans[s]
+	stole    atomic.Bool
+	pending  atomic.Int32 // team members yet to finish or be taken back
+	panicked atomic.Pointer[panicValue]
+	parked   atomic.Bool   // the caller is parked on wake
+	wake     chan struct{} // capacity 1; a stale token only causes a re-check
+}
+
+// span is one worker's range of chunks, claimed from next up to end by its
+// owner and then by workers that drained their own. It fills a cache line,
+// so a claim from one range does not evict another range's cursor.
+type span struct {
+	next atomic.Int64
+	end  int64
+	_    [48]byte
+}
+
+// split divides chunks into one contiguous range per worker of the call,
+// the caller's first and the first chunks%workers one chunk longer.
+func (j *job) split(chunks int) {
+	w := len(j.team) + 1
+	if cap(j.spans) < w {
+		j.spans = make([]span, w)
+	}
+	j.spans = j.spans[:w]
+	base, rem := chunks/w, chunks%w
+	for s := range j.spans {
+		j.spans[s].next.Store(int64(s*base + min(s, rem)))
+		j.spans[s].end = int64((s+1)*base + min(s+1, rem))
+	}
 }
 
 // panicValue boxes a recovered panic for transport across goroutines.
 type panicValue struct{ val any }
 
-// work runs chunks as worker slot until none is left or a chunk has
-// panicked.
+// work runs chunks as worker slot — its own range's, then the other
+// ranges' from slot+1 on — until none is left or a chunk has panicked.
 func (j *job) work(slot int) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicked.CompareAndSwap(nil, &panicValue{val: r})
 		}
 	}()
-	for {
-		c := int(j.next.Add(1) - 1)
-		if c >= j.chunks || j.panicked.Load() != nil {
-			return
+	w := len(j.spans)
+	for i := range w {
+		s := &j.spans[(slot+i)%w]
+		for c := s.next.Add(1) - 1; c < s.end; c = s.next.Add(1) - 1 {
+			if j.panicked.Load() != nil {
+				return
+			}
+			if i > 0 && !j.stole.Load() {
+				j.stole.Store(true)
+			}
+			lo := int(c) * j.grain
+			j.fn(slot, lo, min(lo+j.grain, j.n))
 		}
-		lo := c * j.grain
-		j.fn(slot, lo, min(lo+j.grain, j.n))
 	}
 }
 

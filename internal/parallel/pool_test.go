@@ -120,7 +120,8 @@ func TestForPanicKeepsHelpers(t *testing.T) {
 
 // TestForSingleProcNoSpin: with GOMAXPROCS=1 and a budget above it, the
 // helpers and the caller park instead of polling, so thousands of tiny
-// calls finish promptly.
+// calls finish promptly — in a step scope too, where every helper that ran
+// a job parks after it.
 func TestForSingleProcNoSpin(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	within(t, 20*time.Second, func() {
@@ -132,7 +133,115 @@ func TestForSingleProcNoSpin(t *testing.T) {
 		if got := sum.Load(); got != 2000*64 {
 			t.Errorf("covered %d indices, want %d", got, 2000*64)
 		}
+
+		BeginStep()
+		defer EndStep()
+		const calls = 50
+		before := parks.Value()
+		for it := 0; it < calls; it++ {
+			// Each chunk waits for the others, so all three helpers take
+			// the job.
+			var arrived sync.WaitGroup
+			arrived.Add(4)
+			ForWorkers(4, 4, 1, func(_, _, _ int) {
+				arrived.Done()
+				arrived.Wait()
+			})
+		}
+		for deadline := time.Now().Add(5 * time.Second); parks.Value()-before < 3*calls; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d helper parks after %d calls in a step scope at GOMAXPROCS 1, want %d: the helpers polled",
+					parks.Value()-before, calls, 3*calls)
+			}
+		}
 	})
+}
+
+// TestForWorkersOwnRangeFirst pins which worker runs which chunk. Each
+// worker of a call owns one contiguous range of the chunks — slot s the
+// s-th, the first chunks%workers one chunk longer — and with every helper
+// free each slot's first chunk is its own range's first: every first chunk
+// waits until all workers of the call have started, so none can have
+// drained its range and stolen yet. A worker claims its own range in
+// ascending order, then the other ranges', from slot+1 on, each in
+// ascending order; every chunk runs exactly once.
+func TestForWorkersOwnRangeFirst(t *testing.T) {
+	within(t, 60*time.Second, func() {
+		for budget := 1; budget <= 7; budget++ {
+			for _, chunks := range []int{budget - 1, budget, budget + 1, 3*budget + 2} {
+				if chunks < 1 {
+					continue
+				}
+				checkOwnRangeFirst(t, budget, chunks)
+			}
+		}
+	})
+}
+
+func checkOwnRangeFirst(t *testing.T, budget, chunks int) {
+	t.Helper()
+	w := min(budget, chunks)
+	starts := make([]int, w+1)
+	for s := range w {
+		starts[s+1] = starts[s] + chunks/w
+		if s < chunks%w {
+			starts[s+1]++
+		}
+	}
+	owner := func(c int) int {
+		s := w - 1
+		for c < starts[s] {
+			s--
+		}
+		return s
+	}
+	var mu sync.Mutex
+	ran := make([][]int, w) // the chunks each slot ran, in order
+	hits := make([]int, chunks)
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	ForWorkers(budget, chunks, 1, func(slot, lo, _ int) {
+		if slot < 0 || slot >= w {
+			t.Errorf("budget=%d chunks=%d: slot %d outside [0, %d)", budget, chunks, slot, w)
+			return
+		}
+		mu.Lock()
+		first := len(ran[slot]) == 0
+		ran[slot] = append(ran[slot], lo)
+		hits[lo]++
+		mu.Unlock()
+		if !first {
+			return
+		}
+		if arrived.Add(1) == int32(w) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			t.Errorf("budget=%d chunks=%d: only %d of %d workers started", budget, chunks, arrived.Load(), w)
+		}
+	})
+	for c, h := range hits {
+		if h != 1 {
+			t.Errorf("budget=%d chunks=%d: chunk %d ran %d times", budget, chunks, c, h)
+		}
+	}
+	for s, seq := range ran {
+		if len(seq) == 0 || seq[0] != starts[s] {
+			t.Errorf("budget=%d chunks=%d: slot %d ran %v first, want its range's first chunk %d", budget, chunks, s, seq, starts[s])
+			continue
+		}
+		// Order a slot's chunks by (steal distance of their range, index):
+		// its sequence must rise strictly in that order.
+		key := func(c int) int { return ((owner(c)-s+w)%w)*chunks + c }
+		for i := 1; i < len(seq); i++ {
+			if key(seq[i]) <= key(seq[i-1]) {
+				t.Errorf("budget=%d chunks=%d: slot %d ran %v, out of claiming order", budget, chunks, s, seq)
+				break
+			}
+		}
+	}
 }
 
 // TestForWorkersNoAllocs: a multi-worker call with a pre-built fn allocates
