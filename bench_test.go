@@ -1,6 +1,6 @@
 // Benchmarks of the real implementations: the online vs offline input
-// pipeline (the paper's §III-B.1 ablation), prefetch and interleave widths,
-// the ring all-reduce and a U-Net training step. Run with:
+// pipeline (the paper's §III-B.1 ablation), the ring all-reduce and a U-Net
+// training step. Run with:
 //
 //	go test -run XXX -bench=. -benchmem
 //
@@ -10,16 +10,13 @@ package repro
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/allreduce"
 	"repro/internal/loss"
 	"repro/internal/msd"
-	"repro/internal/pipeline"
 	"repro/internal/record"
-	"repro/internal/tensor"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -134,41 +131,5 @@ func BenchmarkUNetTrainStep(b *testing.B) {
 		pred := u.Forward(in)
 		_, grad := l.Eval(pred, mask)
 		u.Backward(grad)
-	}
-}
-
-// BenchmarkPrefetchDepth sweeps the pipeline prefetch depth.
-func BenchmarkPrefetchDepth(b *testing.B) {
-	for _, depth := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := pipeline.FromFunc(64, func(i int) *tensor.Tensor {
-					t := tensor.New(4, 8, 8)
-					t.Fill(float32(i))
-					return t
-				})
-				n := pipeline.Prefetch(d, depth).Count()
-				if n != 64 {
-					b.Fatalf("lost elements: %d", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkInterleaveWidth sweeps the interleave cycle length.
-func BenchmarkInterleaveWidth(b *testing.B) {
-	for _, cycle := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("cycle=%d", cycle), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				shards := pipeline.FromFunc(8, func(i int) int { return i })
-				d := pipeline.Interleave(shards, cycle, func(shard int) pipeline.Dataset[int] {
-					return pipeline.FromFunc(16, func(j int) int { return shard*16 + j })
-				})
-				if n := d.Count(); n != 128 {
-					b.Fatalf("lost elements: %d", n)
-				}
-			}
-		})
 	}
 }

@@ -47,5 +47,8 @@
 // — and the DistMIS facade (core).
 //
 // See README.md for a tour and PAPER.md for the source-paper summary.
-// Executables live in cmd/ and runnable examples in examples/.
+// Executables live in cmd/. The walk-throughs are tests: ExampleRun
+// (internal/core) and ExampleGenerateCase (internal/msd) are testable
+// examples, and this package's integration tests train to the paper's Dice
+// band and compare full-volume with patch training.
 package repro

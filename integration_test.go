@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +13,9 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/msd"
+	"repro/internal/patch"
 	"repro/internal/raysgd"
 	"repro/internal/record"
 	"repro/internal/tensor"
@@ -279,5 +282,104 @@ func TestPaperModelMemoryStory(t *testing.T) {
 	u := unet.MustNew(unet.PaperConfig())
 	if u.ParamCount() != 409657 {
 		t.Fatalf("param count %d", u.ParamCount())
+	}
+}
+
+// TestFullVolumeBeatsPatchesAtEqualSteps is the comparison behind the
+// paper's full-volume design (§I, §II-A.1): patches save memory but lose
+// spatial context. Two identical U-Nets train for the same number of Adam
+// steps, one on full 16³ volumes and one on random 8³ patches, and both are
+// scored by full-volume validation Dice (the patch model through
+// sliding-window inference). On a run this small one step count is a noisy
+// reading: either model's validation Dice swings by up to ±0.1 between
+// neighbouring step counts, and patches come out ahead at some of them
+// (steps 150, 170 and 180 of a 260-step run). So both models are scored
+// every 20 steps over the second half of training, and the test compares
+// the means.
+func TestFullVolumeBeatsPatchesAtEqualSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two models for 160 steps; skipped in -short")
+	}
+	const (
+		patchDim  = 8
+		batch     = 2
+		steps     = 160
+		evalFrom  = steps / 2 // score at evalFrom, evalFrom+evalEvery, …, steps
+		evalEvery = 20
+		margin    = 0.03
+	)
+	cfg := msd.Config{Cases: 14, D: 16, H: 16, W: 16, Seed: 3}
+	trainSet := phantoms(t, cfg, 0, 10, 4)
+	val := phantoms(t, cfg, 10, 14, 4)
+	netCfg := unet.Config{InChannels: 4, OutChannels: 1, BaseFilters: 4, Steps: 2, Kernel: 3, UpKernel: 2, Seed: 2}
+
+	// meanDice trains on batches from next and returns the mean of score's
+	// readings at the evaluation points.
+	meanDice := func(name string, next func(rng *rand.Rand) []*volume.Sample, score func(*unet.UNet) float64) float64 {
+		st, err := train.NewSingle(train.SingleConfig{Net: netCfg, Loss: "dice", Optimizer: "adam", LR: 2e-3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(42))
+		var sum float64
+		var readings []float64
+		for step := 1; step <= steps; step++ {
+			in, mask, err := volume.Batch(next(rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Step(in, mask); err != nil {
+				t.Fatal(err)
+			}
+			if step >= evalFrom && (step-evalFrom)%evalEvery == 0 {
+				d := score(st.Model())
+				readings = append(readings, d)
+				sum += d
+			}
+		}
+		t.Logf("%s: validation Dice at steps %d, %d, … %d: %.4f", name, evalFrom, evalFrom+evalEvery, steps, readings)
+		return sum / float64(len(readings))
+	}
+
+	full := meanDice("full volume", func(rng *rand.Rand) []*volume.Sample {
+		out := make([]*volume.Sample, batch)
+		for i := range out {
+			out[i] = trainSet[rng.Intn(len(trainSet))]
+		}
+		return out
+	}, func(m *unet.UNet) float64 {
+		var dice float64
+		for _, s := range val {
+			pred := m.Infer(s.Input.Reshape(append([]int{1}, s.Input.Shape()...)...))
+			dice += metrics.DiceScore(pred.Reshape(s.Mask.Shape()...), s.Mask)
+		}
+		return dice / float64(len(val))
+	})
+
+	prng := rand.New(rand.NewSource(77))
+	sw := patch.SlidingWindow{
+		Patch:  [3]int{patchDim, patchDim, patchDim},
+		Stride: [3]int{patchDim / 2, patchDim / 2, patchDim / 2},
+	}
+	patched := meanDice("8³ patches", func(rng *rand.Rand) []*volume.Sample {
+		ps, err := patch.RandomPatches(trainSet[rng.Intn(len(trainSet))], batch, patchDim, patchDim, patchDim, 0.7, prng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}, func(m *unet.UNet) float64 {
+		var dice float64
+		for _, s := range val {
+			pred, err := sw.Infer(m, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dice += metrics.DiceScore(pred, s.Mask)
+		}
+		return dice / float64(len(val))
+	})
+
+	if full < patched+margin {
+		t.Fatalf("mean validation Dice: full volume %.4f, 8³ patches %.4f; want full ahead by ≥ %.2f", full, patched, margin)
 	}
 }

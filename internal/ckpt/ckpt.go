@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -175,9 +176,9 @@ func readBits(f *record.Features, prefix string) map[string][]float64 {
 	return out
 }
 
-// SaveFile writes a checkpoint to path atomically (via a temp file rename).
+// SaveFile writes a checkpoint to path through WriteFileAtomic.
 func SaveFile(path string, m Model, state map[string][]float64) error {
-	return writeFileAtomic(path, func(f io.Writer) error { return Save(f, m, state) })
+	return WriteFileAtomic(path, func(f io.Writer) error { return Save(f, m, state) })
 }
 
 // LoadFile restores m from the checkpoint at path and returns its session
@@ -191,20 +192,43 @@ func LoadFile(path string, m Model) (map[string][]float64, error) {
 	return Load(f, m)
 }
 
-func writeFileAtomic(path string, write func(io.Writer) error) error {
+// WriteFileAtomic replaces the file at path with what write produces, so
+// that a reader, or a restart after a crash, finds either the old file or
+// the complete new one. write fills a temp file beside path; the temp file
+// is synced, renamed over path, and the directory synced after the rename.
+// Every error removes the temp file, and one before the rename leaves path
+// as it was.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	return os.Rename(tmp, path)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	return nil
 }

@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -240,6 +242,52 @@ func TestFileRoundTripAtomic(t *testing.T) {
 	if err := sameBits(src, dst, state, got); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWriteFileAtomicFailureKeepsOldFile: a write whose body fails leaves
+// the previous file byte-identical, and neither it nor a failed rename
+// leaves a temp file behind.
+func TestWriteFileAtomicFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	prev := []byte("generation 1\n")
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noTemp := func(p string) {
+		t.Helper()
+		if _, err := os.Stat(p + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%s.tmp left behind (stat: %v)", p, err)
+		}
+	}
+
+	boom := errors.New("disk full")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("generation 2, half wri")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic returned %v, want the body's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("previous file now reads %q (%v), want %q", got, err, prev)
+	}
+	noTemp(path)
+
+	// A non-empty directory at the target makes the rename fail.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, func(w io.Writer) error {
+		_, err := w.Write(prev)
+		return err
+	}); err == nil {
+		t.Fatal("renaming over a non-empty directory succeeded")
+	}
+	noTemp(blocked)
 }
 
 func TestLoadFileMissing(t *testing.T) {

@@ -63,7 +63,7 @@ func LoadSamples(r io.Reader) ([]*volume.Sample, map[string][]float64, error) {
 
 // SaveSamplesFile writes a sample-stream checkpoint to path atomically.
 func SaveSamplesFile(path string, samples []*volume.Sample, state map[string][]float64) error {
-	return writeFileAtomic(path, func(f io.Writer) error { return SaveSamples(f, samples, state) })
+	return WriteFileAtomic(path, func(f io.Writer) error { return SaveSamples(f, samples, state) })
 }
 
 // LoadSamplesFile restores a sample-stream checkpoint from path.

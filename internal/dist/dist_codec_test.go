@@ -105,22 +105,34 @@ func commWaitCount(t *testing.T) float64 {
 // training plan run uncompressed and under fp16 gradient compression must
 // end with final training losses within the documented tolerance (BENCH.md:
 // |Δloss| ≤ 0.05 on the phantom task — fp16 keeps ~2⁻¹¹ relative gradient
-// error, far below the signal). The fp16 run's workers must also report
-// their overlapped reducer's stalls as the comm_wait training phase.
+// error, far below the signal). It also checks that TrainSpec.Codec reaches
+// the wire: the fp16 run ends on other parameters than the uncompressed one,
+// sends exactly half the raw gradient bytes, and its workers report their
+// overlapped reducer's stalls as the comm_wait training phase.
 func TestFP16LossWithinTolerance(t *testing.T) {
-	lossFor := func(codec string) float64 {
+	lossFor := func(codec string) (float64, string) {
 		spec := testSpec(t)
 		spec.Codec = codec
-		if _, err := runCluster(t, spec, 3, nil, nil); err != nil {
+		res, err := runCluster(t, spec, 3, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return finalTrainLoss(t, spec)
+		return finalTrainLoss(t, spec), res.Hash
 	}
-	none := lossFor("none")
+	none, noneHash := lossFor("none")
 	waits := commWaitCount(t)
-	fp16 := lossFor("fp16")
+	payload := telemetry.Default().CounterVec("allreduce_payload_bytes_total", "", "codec", "fp16").With("fp16")
+	raw := telemetry.Default().CounterVec("allreduce_payload_raw_bytes_total", "", "codec", "fp16").With("fp16")
+	p0, r0 := payload.Value(), raw.Value()
+	fp16, fp16Hash := lossFor("fp16")
 	if commWaitCount(t) <= waits {
 		t.Errorf("the fp16 run recorded no comm_wait phase (count stayed at %v)", waits)
+	}
+	if fp16Hash == noneHash {
+		t.Errorf("the fp16 run ended on the uncompressed run's parameters (%s): the codec was not applied", noneHash)
+	}
+	if dp, dr := payload.Value()-p0, raw.Value()-r0; dr == 0 || 2*dp != dr {
+		t.Errorf("fp16 run sent %v payload bytes for %v raw gradient bytes, want exactly half", dp, dr)
 	}
 	if math.IsNaN(none) || math.IsNaN(fp16) {
 		t.Fatalf("final losses: none=%g fp16=%g", none, fp16)

@@ -1,19 +1,14 @@
-// Package pipeline implements tf.Data-style input pipelines over goroutines:
-// Interleave over a cycle of sub-streams, Shuffle with a bounded buffer,
-// Batch and Prefetch. These are the combinators the paper relies on to feed
-// the 3D U-Net ("reading the files for binarization can be parallelized
-// using interleave functions, while the binarization process can be mapped
-// over the read data; in addition, the dataset can be pre-fetched"); the
-// mapping is the producer passed to FromFunc.
+// Package pipeline implements tf.Data-style input pipelines: re-openable
+// datasets composed from FromSlice, Shuffle with a bounded buffer, and
+// Batch. Training reads its in-memory samples through FromSlice → Shuffle
+// → Batch (train.Session), so one epoch's batch order is determined by its
+// shuffle seed alone.
 package pipeline
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
-// Iterator yields elements until exhausted. Close releases background
-// resources; it must be safe to call multiple times and after exhaustion.
+// Iterator yields elements until exhausted. Close releases its source; it
+// must be safe to call multiple times and after exhaustion.
 type Iterator[T any] interface {
 	Next() (T, bool)
 	Close()
@@ -24,38 +19,8 @@ type Dataset[T any] struct {
 	open func() Iterator[T]
 }
 
-// New wraps an iterator factory as a Dataset.
-func New[T any](open func() Iterator[T]) Dataset[T] { return Dataset[T]{open: open} }
-
 // Iterate opens a fresh iterator over the dataset.
 func (d Dataset[T]) Iterate() Iterator[T] { return d.open() }
-
-// Collect drains the dataset into a slice.
-func (d Dataset[T]) Collect() []T {
-	it := d.Iterate()
-	defer it.Close()
-	var out []T
-	for {
-		v, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}
-
-// Count drains the dataset and returns the number of elements.
-func (d Dataset[T]) Count() int {
-	it := d.Iterate()
-	defer it.Close()
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
-		n++
-	}
-}
 
 // funcIterator adapts a next function with an optional close hook.
 type funcIterator[T any] struct {
@@ -86,7 +51,7 @@ func (it *funcIterator[T]) Close() {
 
 // FromSlice returns a dataset over the elements of xs.
 func FromSlice[T any](xs []T) Dataset[T] {
-	return New(func() Iterator[T] {
+	return Dataset[T]{open: func() Iterator[T] {
 		i := 0
 		return &funcIterator[T]{next: func() (T, bool) {
 			if i >= len(xs) {
@@ -97,73 +62,7 @@ func FromSlice[T any](xs []T) Dataset[T] {
 			i++
 			return v, true
 		}}
-	})
-}
-
-// FromFunc returns a dataset of n elements produced by f(index).
-func FromFunc[T any](n int, f func(i int) T) Dataset[T] {
-	return New(func() Iterator[T] {
-		i := 0
-		return &funcIterator[T]{next: func() (T, bool) {
-			if i >= n {
-				var zero T
-				return zero, false
-			}
-			v := f(i)
-			i++
-			return v, true
-		}}
-	})
-}
-
-// Interleave maps each element of d to a sub-dataset and interleaves up to
-// cycle sub-streams round-robin, like tf.data's interleave(cycle_length=N).
-func Interleave[T, U any](d Dataset[T], cycle int, f func(T) Dataset[U]) Dataset[U] {
-	if cycle < 1 {
-		cycle = 1
-	}
-	return New(func() Iterator[U] {
-		src := d.Iterate()
-		active := make([]Iterator[U], 0, cycle)
-		pos := 0
-		refill := func() {
-			for len(active) < cycle {
-				v, ok := src.Next()
-				if !ok {
-					return
-				}
-				active = append(active, f(v).Iterate())
-			}
-		}
-		return &funcIterator[U]{
-			next: func() (U, bool) {
-				for {
-					refill()
-					if len(active) == 0 {
-						var zero U
-						return zero, false
-					}
-					if pos >= len(active) {
-						pos = 0
-					}
-					v, ok := active[pos].Next()
-					if !ok {
-						active[pos].Close()
-						active = append(active[:pos], active[pos+1:]...)
-						continue
-					}
-					pos++
-					return v, true
-				}
-			},
-			close: func() {
-				for _, it := range active {
-					it.Close()
-				}
-				src.Close()
-			},
-		}
-	})
+	}}
 }
 
 // Shuffle returns a dataset that yields elements in randomized order using a
@@ -172,7 +71,7 @@ func Shuffle[T any](d Dataset[T], bufSize int, seed int64) Dataset[T] {
 	if bufSize < 1 {
 		bufSize = 1
 	}
-	return New(func() Iterator[T] {
+	return Dataset[T]{open: func() Iterator[T] {
 		src := d.Iterate()
 		rng := rand.New(rand.NewSource(seed))
 		buf := make([]T, 0, bufSize)
@@ -205,7 +104,7 @@ func Shuffle[T any](d Dataset[T], bufSize int, seed int64) Dataset[T] {
 			},
 			close: src.Close,
 		}
-	})
+	}}
 }
 
 // Batch groups consecutive elements into slices of at most size elements;
@@ -214,7 +113,7 @@ func Batch[T any](d Dataset[T], size int, dropRemainder bool) Dataset[[]T] {
 	if size < 1 {
 		size = 1
 	}
-	return New(func() Iterator[[]T] {
+	return Dataset[[]T]{open: func() Iterator[[]T] {
 		src := d.Iterate()
 		return &funcIterator[[]T]{
 			next: func() ([]T, bool) {
@@ -233,49 +132,5 @@ func Batch[T any](d Dataset[T], size int, dropRemainder bool) Dataset[[]T] {
 			},
 			close: src.Close,
 		}
-	})
-}
-
-// Prefetch decouples producer and consumer with a background goroutine and a
-// buffer of depth elements, like tf.data's prefetch(depth).
-func Prefetch[T any](d Dataset[T], depth int) Dataset[T] {
-	if depth < 1 {
-		depth = 1
-	}
-	return New(func() Iterator[T] {
-		src := d.Iterate()
-		out := make(chan T, depth)
-		stop := make(chan struct{})
-		go func() {
-			defer close(out)
-			for {
-				v, ok := src.Next()
-				if !ok {
-					return
-				}
-				select {
-				case out <- v:
-				case <-stop:
-					return
-				}
-			}
-		}()
-		var once sync.Once
-		return &funcIterator[T]{
-			next: func() (T, bool) {
-				v, ok := <-out
-				return v, ok
-			},
-			close: func() {
-				once.Do(func() {
-					close(stop)
-					go func() {
-						for range out {
-						}
-						src.Close()
-					}()
-				})
-			},
-		}
-	})
+	}}
 }

@@ -2,82 +2,55 @@ package pipeline
 
 import (
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
+// ints returns a dataset over 0, 1, …, n-1.
 func ints(n int) Dataset[int] {
-	return FromFunc(n, func(i int) int { return i })
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i
+	}
+	return FromSlice(xs)
+}
+
+// collect drains one iteration of d into a slice.
+func collect[T any](d Dataset[T]) []T {
+	it := d.Iterate()
+	defer it.Close()
+	var out []T
+	for {
+		v, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, v)
+	}
 }
 
 func TestFromSliceCollect(t *testing.T) {
-	got := FromSlice([]string{"a", "b", "c"}).Collect()
+	got := collect(FromSlice([]string{"a", "b", "c"}))
 	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
 		t.Fatalf("got %v", got)
 	}
 }
 
-func TestFromFuncCount(t *testing.T) {
-	if n := ints(17).Count(); n != 17 {
-		t.Fatalf("count %d", n)
-	}
-}
-
 func TestDatasetReopenable(t *testing.T) {
-	d := ints(5)
-	if d.Count() != 5 || d.Count() != 5 {
-		t.Fatal("dataset must be re-iterable")
+	d := Shuffle(ints(5), 5, 1)
+	a, b := collect(d), collect(d)
+	if len(a) != 5 || len(b) != 5 {
+		t.Fatalf("iterations yielded %d and %d elements, want 5 each", len(a), len(b))
 	}
-}
-
-func TestInterleaveRoundRobin(t *testing.T) {
-	// Two sub-streams of three elements each, cycle 2 → strict alternation.
-	d := Interleave(FromSlice([]int{0, 100}), 2, func(base int) Dataset[int] {
-		return FromFunc(3, func(i int) int { return base + i })
-	})
-	got := d.Collect()
-	want := []int{0, 100, 1, 101, 2, 102}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("re-opened dataset changed order: %v then %v", a, b)
 		}
-	}
-}
-
-func TestInterleaveRefillsCycle(t *testing.T) {
-	// Four sub-streams with cycle 2: the third starts after one finishes.
-	d := Interleave(ints(4), 2, func(base int) Dataset[int] {
-		return FromFunc(2, func(i int) int { return base*10 + i })
-	})
-	got := d.Collect()
-	if len(got) != 8 {
-		t.Fatalf("lost elements: %v", got)
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		seen[v] = true
-	}
-	for _, want := range []int{0, 1, 10, 11, 20, 21, 30, 31} {
-		if !seen[want] {
-			t.Fatalf("missing %d in %v", want, got)
-		}
-	}
-}
-
-func TestInterleaveCycleOne(t *testing.T) {
-	d := Interleave(ints(3), 0, func(base int) Dataset[int] {
-		return FromSlice([]int{base})
-	})
-	got := d.Collect()
-	if len(got) != 3 {
-		t.Fatalf("got %v", got)
 	}
 }
 
 func TestShuffleIsPermutation(t *testing.T) {
-	got := Shuffle(ints(100), 32, 1).Collect()
+	got := collect(Shuffle(ints(100), 32, 1))
 	if len(got) != 100 {
 		t.Fatalf("length %d", len(got))
 	}
@@ -91,7 +64,7 @@ func TestShuffleIsPermutation(t *testing.T) {
 }
 
 func TestShuffleChangesOrder(t *testing.T) {
-	got := Shuffle(ints(100), 64, 1).Collect()
+	got := collect(Shuffle(ints(100), 64, 1))
 	inPlace := 0
 	for i, v := range got {
 		if v == i {
@@ -104,14 +77,14 @@ func TestShuffleChangesOrder(t *testing.T) {
 }
 
 func TestShuffleDeterministicBySeed(t *testing.T) {
-	a := Shuffle(ints(50), 16, 7).Collect()
-	b := Shuffle(ints(50), 16, 7).Collect()
+	a := collect(Shuffle(ints(50), 16, 7))
+	b := collect(Shuffle(ints(50), 16, 7))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give the same order")
 		}
 	}
-	c := Shuffle(ints(50), 16, 8).Collect()
+	c := collect(Shuffle(ints(50), 16, 8))
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -125,7 +98,7 @@ func TestShuffleDeterministicBySeed(t *testing.T) {
 }
 
 func TestBatch(t *testing.T) {
-	batches := Batch(ints(7), 3, false).Collect()
+	batches := collect(Batch(ints(7), 3, false))
 	if len(batches) != 3 {
 		t.Fatalf("batches %d", len(batches))
 	}
@@ -135,7 +108,7 @@ func TestBatch(t *testing.T) {
 }
 
 func TestBatchDropRemainder(t *testing.T) {
-	batches := Batch(ints(7), 3, true).Collect()
+	batches := collect(Batch(ints(7), 3, true))
 	if len(batches) != 2 {
 		t.Fatalf("batches %d, want 2 with drop_remainder", len(batches))
 	}
@@ -146,70 +119,29 @@ func TestBatchDropRemainder(t *testing.T) {
 	}
 }
 
-func TestPrefetchDeliversAll(t *testing.T) {
-	got := Prefetch(ints(50), 8).Collect()
-	if len(got) != 50 {
-		t.Fatalf("length %d", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatal("prefetch reordered elements")
-		}
-	}
-}
-
-func TestPrefetchOverlapsProducer(t *testing.T) {
-	var produced int32
-	slow := FromFunc(10, func(i int) int {
-		atomic.AddInt32(&produced, 1)
-		return i
-	})
-	it := Prefetch(slow, 4).Iterate()
-	defer it.Close()
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no first element")
-	}
-	// Give the background producer time to run ahead.
-	deadline := time.Now().Add(time.Second)
-	for atomic.LoadInt32(&produced) < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if atomic.LoadInt32(&produced) < 4 {
-		t.Fatalf("prefetch did not run ahead: produced %d", produced)
-	}
-}
-
-func TestPrefetchEarlyCloseDoesNotLeak(t *testing.T) {
-	it := Prefetch(ints(100000), 2).Iterate()
-	it.Next()
-	it.Close()
-	// Second close must be safe.
-	it.Close()
-}
-
 func TestComposedPipeline(t *testing.T) {
-	// interleave → shuffle → batch → prefetch, the paper's full input
-	// pipeline shape; each sub-stream's producer maps its index.
-	d := Interleave(ints(4), 2, func(shard int) Dataset[int] {
-		return FromFunc(5, func(i int) int { return (shard*5 + i) * 2 })
-	})
-	d = Shuffle(d, 8, 3)
-	batched := Batch(d, 4, false)
-	out := Prefetch(batched, 2).Collect()
-	total := 0
+	// FromSlice → Shuffle → Batch, the shape train.Session reads an epoch
+	// through: every element arrives exactly once, in full batches.
+	xs := make([]int, 20)
+	for i := range xs {
+		xs[i] = i * 2
+	}
+	out := collect(Batch(Shuffle(FromSlice(xs), len(xs), 3), 4, true))
+	if len(out) != 5 {
+		t.Fatalf("%d batches, want 5", len(out))
+	}
 	seen := map[int]bool{}
 	for _, b := range out {
-		total += len(b)
+		if len(b) != 4 {
+			t.Fatalf("ragged batch %v", b)
+		}
 		for _, v := range b {
 			seen[v] = true
 		}
 	}
-	if total != 20 {
-		t.Fatalf("pipeline lost elements: %d", total)
-	}
-	for i := 0; i < 20; i++ {
-		if !seen[i*2] {
-			t.Fatalf("missing element %d", i*2)
+	for _, v := range xs {
+		if !seen[v] {
+			t.Fatalf("missing element %d", v)
 		}
 	}
 }
@@ -219,7 +151,7 @@ func TestPropertyBatchPartition(t *testing.T) {
 	f := func(nRaw, sizeRaw uint8) bool {
 		n := int(nRaw) % 100
 		size := int(sizeRaw)%10 + 1
-		batches := Batch(ints(n), size, false).Collect()
+		batches := collect(Batch(ints(n), size, false))
 		total := 0
 		next := 0
 		for _, b := range batches {
@@ -243,7 +175,7 @@ func TestPropertyShufflePermutation(t *testing.T) {
 	f := func(nRaw, bufRaw uint8, seed int64) bool {
 		n := int(nRaw) % 60
 		buf := int(bufRaw)%20 + 1
-		got := Shuffle(ints(n), buf, seed).Collect()
+		got := collect(Shuffle(ints(n), buf, seed))
 		if len(got) != n {
 			return false
 		}

@@ -47,12 +47,4 @@
 // writer stalls and the buffer fills, records are dropped and counted
 // (Dropped), so tracing cannot slow a training step. All Tracer methods
 // are nil-receiver safe, letting instrumentation run unconditionally.
-//
-// # Spans
-//
-// SpanGroup aggregates named spans into per-stage totals under one
-// mutex+clock implementation; Stats lists the stages by descending total,
-// so its first row is the bottleneck (examples/pipeline_offline prints that
-// report), and a SpanGroup with an attached Tracer emits every ended span
-// as a trace record too.
 package telemetry

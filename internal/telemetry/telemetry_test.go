@@ -319,77 +319,3 @@ func TestTracerJSONLStream(t *testing.T) {
 		}
 	}
 }
-
-func TestSpanGroupStats(t *testing.T) {
-	now := time.Unix(0, 0)
-	g := NewSpanGroupWithClock(func() time.Time { return now })
-	end := g.Span("forward")
-	now = now.Add(30 * time.Millisecond)
-	end()
-	g.Add("backward", 60*time.Millisecond)
-	g.Add("backward", 60*time.Millisecond)
-	g.Add("optim", 10*time.Millisecond)
-
-	if g.Total("backward") != 120*time.Millisecond || g.Count("backward") != 2 {
-		t.Fatalf("backward total=%v count=%d", g.Total("backward"), g.Count("backward"))
-	}
-	st := g.Stats()
-	if len(st) != 3 || st[0].Stage != "backward" || st[1].Stage != "forward" || st[2].Stage != "optim" {
-		t.Fatalf("stats order = %+v", st)
-	}
-	if st[0].Mean != 60*time.Millisecond {
-		t.Fatalf("backward mean = %v", st[0].Mean)
-	}
-	if got := st[0].Fraction; math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("backward fraction = %g, want 0.75", got)
-	}
-	g.Reset()
-	if len(g.Stats()) != 0 {
-		t.Fatal("Reset left stages behind")
-	}
-}
-
-// TestSpanGroupConcurrentAndTieOrder: an empty group reports nothing,
-// concurrent Adds lose no span, and stages with equal totals sort by name.
-func TestSpanGroupConcurrentAndTieOrder(t *testing.T) {
-	g := NewSpanGroup()
-	if len(g.Stats()) != 0 {
-		t.Fatal("empty group must report no stages")
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				g.Add("b", time.Millisecond)
-				g.Add("a", time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Count("a") != 1600 || g.Total("b") != 1600*time.Millisecond {
-		t.Fatalf("a count %d, b total %v, want 1600 and 1.6s", g.Count("a"), g.Total("b"))
-	}
-	if st := g.Stats(); st[0].Stage != "a" || st[1].Stage != "b" {
-		t.Fatalf("tied stages in order %s, %s; want a, b", st[0].Stage, st[1].Stage)
-	}
-}
-
-func TestSpanGroupEmitsToTracer(t *testing.T) {
-	var sb strings.Builder
-	tr := NewTracer(&sb, TracerOptions{})
-	g := NewSpanGroup()
-	g.SetTracer(tr)
-	g.Add("eval", 5*time.Millisecond)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var r Record
-	if err := json.Unmarshal([]byte(strings.TrimSpace(sb.String())), &r); err != nil {
-		t.Fatalf("bad span record: %v", err)
-	}
-	if r.Kind != KindSpan || r.Name != "eval" || r.Dur != int64(5*time.Millisecond) {
-		t.Fatalf("span record = %+v", r)
-	}
-}

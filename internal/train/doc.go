@@ -3,7 +3,7 @@
 // ordered Callback chain, with full session-state checkpointing.
 //
 // Session is the one training entry point: a core campaign trial, a dist
-// worker, the online controller and the examples all build a Session (raysgd
+// worker and the online controller all build a Session (raysgd
 // only selects its strategy and batch), so callbacks, checkpointing and
 // memory-pressure hooks exist once:
 //

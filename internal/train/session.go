@@ -39,8 +39,8 @@ type EpochStats struct {
 
 // Session owns the canonical epoch/step loop: shuffle, batch, strategy
 // step, evaluate, with callbacks at every phase boundary. Every training
-// run — a core campaign trial, a dist worker, the online controller, the
-// examples — drives training through it.
+// run — a core campaign trial, a dist worker, the online controller —
+// drives training through it.
 type Session struct {
 	cfg   Config
 	epoch int // next epoch to run — the resume cursor

@@ -3,8 +3,11 @@ package tune
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/ckpt"
 )
 
 // trialRecord is the on-disk terminal outcome of one trial, written under
@@ -46,13 +49,15 @@ func writeTrialRecord(dir string, t *Trial) error {
 	if err != nil {
 		return fmt.Errorf("tune: %w", err)
 	}
-	path := trialRecordPath(dir, t.ID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	return writeFile(trialRecordPath(dir, t.ID), data)
+}
+
+// writeFile replaces path with data through ckpt.WriteFileAtomic.
+func writeFile(path string, data []byte) error {
+	if err := ckpt.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("tune: %w", err)
 	}
 	return nil
@@ -87,16 +92,7 @@ func writeSchedulerState(dir string, s Scheduler) error {
 	if err != nil {
 		return fmt.Errorf("tune: %w", err)
 	}
-	path := schedulerStatePath(dir)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("tune: %w", err)
-	}
-	return nil
+	return writeFile(schedulerStatePath(dir), data)
 }
 
 // loadSchedulerState restores a stateful scheduler from the campaign
