@@ -19,11 +19,11 @@
 // network owns and every layer's scratch in one workspace it owns, so a
 // training step allocates none), Dice losses and
 // optimizers (loss, optim, metrics), the data path from NIfTI phantoms to
-// TFRecords and tf.Data-style pipelines for the paper's one task, binarized
-// whole-tumour segmentation (msd, nifti, volume, record, pipeline), the
-// unified training-orchestration layer — one Session loop over pluggable
-// strategies with an ordered callback chain and bit-exact checkpoint/resume
-// (train, ckpt) — the
+// TFRecords for the paper's one task, binarized whole-tumour segmentation
+// (msd, nifti, volume, record, patch), the unified training-orchestration
+// layer — one Session loop that trains on a seeded permutation of the
+// samples, over pluggable strategies with an ordered callback chain and
+// bit-exact checkpoint/resume (train, ckpt) — the
 // distribution layer selecting and driving those strategies with resumable
 // grid-search campaigns (allreduce, mirrored, raysgd, tune, cluster;
 // both of the paper's strategies run on one tune runner as trials of width
@@ -43,8 +43,7 @@
 // with Prometheus text exposition, a never-blocking JSONL trace-event
 // stream, and pprof mounting, instrumented through train/serve/allreduce/
 // dist/tensor and surfaced by the binaries' /metrics, -trace and
-// -metrics-addr flags, plus per-stage span reports (telemetry)
-// — and the DistMIS facade (core).
+// -metrics-addr flags (telemetry) — and the DistMIS facade (core).
 //
 // See README.md for a tour and PAPER.md for the source-paper summary.
 // Executables live in cmd/. The walk-throughs are tests: ExampleRun

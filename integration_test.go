@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/mirrored"
 	"repro/internal/msd"
 	"repro/internal/patch"
 	"repro/internal/raysgd"
@@ -85,7 +86,7 @@ func TestTrainingReachesReferenceDice(t *testing.T) {
 	if best < target {
 		t.Fatalf("validation Dice %.4f below the paper's reference %.2f", best, target)
 	}
-	if !tr.Strategy().InSync() {
+	if !tr.Strategy().(*mirrored.Trainer).InSync() {
 		t.Fatal("replicas diverged during the full training run")
 	}
 }

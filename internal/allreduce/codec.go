@@ -48,30 +48,11 @@ const (
 // wire format.
 var CodecNone Codec = noneCodec{}
 
-// codecRegistry maps names and IDs to implementations. Populated at init
-// with the three built-ins; RegisterCodec admits external ones.
-var (
-	codecsByName = map[string]Codec{}
-	codecsByID   = map[uint8]Codec{}
-)
-
-func init() {
-	RegisterCodec(noneCodec{})
-	RegisterCodec(fp16Codec{})
-	RegisterCodec(int8Codec{})
-}
-
-// RegisterCodec adds a codec to the registry; name and ID collisions panic
-// (codec identity is a wire-protocol constant, never a runtime ambiguity).
-func RegisterCodec(c Codec) {
-	if _, ok := codecsByName[c.Name()]; ok {
-		panic(fmt.Sprintf("allreduce: codec %q already registered", c.Name()))
-	}
-	if _, ok := codecsByID[c.ID()]; ok {
-		panic(fmt.Sprintf("allreduce: codec id %d already registered", c.ID()))
-	}
-	codecsByName[c.Name()] = c
-	codecsByID[c.ID()] = c
+// codecs is the fixed codec table, indexed by wire ID.
+var codecs = [...]Codec{
+	CodecIDNone: noneCodec{},
+	CodecIDFP16: fp16Codec{},
+	CodecIDInt8: int8Codec{},
 }
 
 // CodecByName resolves a codec by its flag name; "" means none.
@@ -79,24 +60,28 @@ func CodecByName(name string) (Codec, error) {
 	if name == "" {
 		return CodecNone, nil
 	}
-	if c, ok := codecsByName[name]; ok {
-		return c, nil
+	for _, c := range codecs {
+		if c.Name() == name {
+			return c, nil
+		}
 	}
 	return nil, fmt.Errorf("allreduce: unknown codec %q (have %v)", name, CodecNames())
 }
 
 // CodecByID resolves a codec by its wire ID.
 func CodecByID(id uint8) (Codec, bool) {
-	c, ok := codecsByID[id]
-	return c, ok
+	if int(id) >= len(codecs) {
+		return nil, false
+	}
+	return codecs[id], true
 }
 
-// CodecNames lists the registered codec names, sorted — flag help text and
-// the metric label set.
+// CodecNames lists the codec names, sorted — flag help text and the metric
+// label set.
 func CodecNames() []string {
-	names := make([]string, 0, len(codecsByName))
-	for n := range codecsByName {
-		names = append(names, n)
+	names := make([]string, len(codecs))
+	for i, c := range codecs {
+		names[i] = c.Name()
 	}
 	sort.Strings(names)
 	return names

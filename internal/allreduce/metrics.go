@@ -37,35 +37,28 @@ var (
 	// the socket time it saves.
 	payloadBytes = telemetry.Default().CounterVec("allreduce_payload_bytes_total",
 		"gradient chunk payload bytes sent, after codec encoding", "codec",
-		"none", "fp16", "int8")
+		CodecNames()...)
 	payloadRawBytes = telemetry.Default().CounterVec("allreduce_payload_raw_bytes_total",
 		"float32 gradient bytes before codec encoding", "codec",
-		"none", "fp16", "int8")
+		CodecNames()...)
 	codecEncodeNS = telemetry.Default().HistogramVec("allreduce_codec_encode_ns",
 		"chunk encode duration in nanoseconds",
 		telemetry.GeometricDurationBounds(time.Microsecond, 10*time.Second, 48),
-		"codec", "none", "fp16", "int8")
+		"codec", CodecNames()...)
 	codecDecodeNS = telemetry.Default().HistogramVec("allreduce_codec_decode_ns",
 		"chunk decode duration in nanoseconds",
 		telemetry.GeometricDurationBounds(time.Microsecond, 10*time.Second, 48),
-		"codec", "none", "fp16", "int8")
+		"codec", CodecNames()...)
 )
 
 // codecMetrics caches one codec's counter and histogram children so the
-// chunk hot path pays atomic adds, not label lookups. Codecs registered
-// from outside the package (no pre-registered label) observe nothing
-// rather than exploding label cardinality.
+// chunk hot path pays atomic adds, not label lookups.
 type codecMetrics struct {
 	payload, raw   *telemetry.Counter
 	encode, decode *telemetry.Histogram
 }
 
-var builtinCodecNames = map[string]bool{"none": true, "fp16": true, "int8": true}
-
 func codecMetricsFor(c Codec) *codecMetrics {
-	if !builtinCodecNames[c.Name()] {
-		return &codecMetrics{}
-	}
 	return &codecMetrics{
 		payload: payloadBytes.With(c.Name()),
 		raw:     payloadRawBytes.With(c.Name()),

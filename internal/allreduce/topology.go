@@ -59,7 +59,8 @@ type NetConfig struct {
 	FormTimeout time.Duration // formation budget (default 10s)
 	MaxPayload  int           // frame payload bound (≤ 0: DefaultMaxPayload)
 	// Codec compresses gradient chunk payloads on the wire (nil =
-	// CodecNone, the raw-float32 PR 7 format). Every member must configure
+	// CodecNone, raw float32); it is one of the codec table's
+	// (CodecByName, CodecByID). Every member must configure
 	// the same codec: the handshake exchanges codec IDs and a mismatch
 	// fails formation with ErrCodecMismatch on both sides.
 	Codec Codec
@@ -535,11 +536,9 @@ func (t *Topology) expect(l *ringLink, f *Frame, typ FrameType, seq uint32) erro
 func (t *Topology) encodeChunk(vals []float32) []byte {
 	start := time.Now()
 	p := t.cdc.Encode(vals)
-	if t.cm.encode != nil {
-		t.cm.encode.ObserveDuration(time.Since(start))
-		t.cm.payload.Add(uint64(len(p)))
-		t.cm.raw.Add(uint64(4 * len(vals)))
-	}
+	t.cm.encode.ObserveDuration(time.Since(start))
+	t.cm.payload.Add(uint64(len(p)))
+	t.cm.raw.Add(uint64(4 * len(vals)))
 	return p
 }
 
@@ -547,7 +546,7 @@ func (t *Topology) encodeChunk(vals []float32) []byte {
 func (t *Topology) decodeChunk(payload []byte) ([]float32, error) {
 	start := time.Now()
 	vals, err := t.cdc.Decode(payload)
-	if err == nil && t.cm.decode != nil {
+	if err == nil {
 		t.cm.decode.ObserveDuration(time.Since(start))
 	}
 	return vals, err
@@ -556,10 +555,8 @@ func (t *Topology) decodeChunk(payload []byte) ([]float32, error) {
 // countForward records the wire bytes of a chunk payload forwarded verbatim
 // (no re-encode, so encodeChunk never saw it).
 func (t *Topology) countForward(payloadLen, elems int) {
-	if t.cm.payload != nil {
-		t.cm.payload.Add(uint64(payloadLen))
-		t.cm.raw.Add(uint64(4 * elems))
-	}
+	t.cm.payload.Add(uint64(payloadLen))
+	t.cm.raw.Add(uint64(4 * elems))
 }
 
 // sendAsync sends in a goroutine so a same-step send and recv cannot

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/augment"
 	"repro/internal/cluster"
 	"repro/internal/msd"
 	"repro/internal/raysgd"
@@ -190,14 +189,14 @@ func trainOne(opts Options, cl *cluster.Cluster, gpus int, ctx *tune.TrialContex
 	trainSet, val []*volume.Sample) error {
 
 	cfg := ctx.Trial.Config
-	var aug *augment.Pipeline
+	flip := false
 	if cfg.Has("augment") {
-		var err error
-		if aug, err = augment.ByName(cfg.Str("augment"), opts.Seed); err != nil {
-			return err
-		}
-		if aug.Len() == 0 {
-			aug = nil
+		switch a := cfg.Str("augment"); a {
+		case "none":
+		case "flip":
+			flip = true
+		default:
+			return fmt.Errorf("core: unknown augment %q (want none or flip)", a)
 		}
 	}
 	tr, err := raysgd.New(raysgd.Config{
@@ -210,7 +209,7 @@ func trainOne(opts Options, cl *cluster.Cluster, gpus int, ctx *tune.TrialContex
 		BatchPerReplica: opts.BatchPerReplica,
 		Seed:            opts.Seed,
 		Workers:         ctx.Workers,
-		Augment:         aug,
+		Flip:            flip,
 	})
 	if err != nil {
 		return err

@@ -161,6 +161,29 @@ func TestAugmentDoublesTrainingSet(t *testing.T) {
 	}
 }
 
+// TestUnknownAugmentFailsTrial: the augment axis takes "none" or "flip";
+// any other value fails its trial with an error naming it, before training.
+func TestUnknownAugmentFailsTrial(t *testing.T) {
+	opts := smallOptions(StrategyExperiment, 1)
+	space, err := tune.NewSpace(
+		tune.Grid("lr", 0.01),
+		tune.Grid("loss", "dice"),
+		tune.Grid("optimizer", "sgd"),
+		tune.Grid("augment", "full"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Space = space
+	res, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trials) != 1 || res.Trials[0].Err == nil || !strings.Contains(res.Trials[0].Err.Error(), `"full"`) {
+		t.Fatalf("trials %+v, want one failed on augment \"full\"", res.Trials)
+	}
+}
+
 func TestDefaultOptionsRunnable(t *testing.T) {
 	if DefaultOptions().Space.Size() != 32 {
 		t.Fatal("default space should be the paper's 32-experiment grid")

@@ -1,6 +1,6 @@
-// Package metrics implements segmentation quality metrics: the Dice
-// similarity coefficient (the paper's reference metric, a.k.a. F1 / Sørensen-
-// Dice), plus precision, recall and IoU for completeness.
+// Package metrics implements the segmentation quality metric the paper
+// reports, the Dice similarity coefficient (a.k.a. F1 / Sørensen-Dice), the
+// Dice distance that tracks drift between served outputs, and a mean.
 package metrics
 
 import (
@@ -49,31 +49,6 @@ func (c Confusion) Dice() float64 {
 	return float64(2*c.TP) / float64(den)
 }
 
-// Precision returns TP/(TP+FP), or 1 when no positives were predicted.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or 1 when there are no positive voxels.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// IoU returns the Jaccard index TP/(TP+FP+FN), or 1 for the all-empty case.
-func (c Confusion) IoU() float64 {
-	den := c.TP + c.FP + c.FN
-	if den == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(den)
-}
-
 // DiceScore is a convenience wrapper: binarize pred at 0.5 and return the
 // Dice coefficient against target.
 func DiceScore(pred, target *tensor.Tensor) float64 {
@@ -89,23 +64,6 @@ func DiceScore(pred, target *tensor.Tensor) float64 {
 // threshold: Drift(a, b) == Drift(b, a).
 func Drift(pred, prior *tensor.Tensor) float64 {
 	return 1 - Confuse(pred, prior, 0.5).Dice()
-}
-
-// SoftDice returns the differentiable Dice on raw probabilities (no
-// thresholding), as used for validation-time monitoring.
-func SoftDice(pred, target *tensor.Tensor, eps float64) float64 {
-	if !pred.SameShape(target) {
-		panic(fmt.Sprintf("metrics: shape mismatch %v vs %v", pred.Shape(), target.Shape()))
-	}
-	p := pred.Data()
-	t := target.Data()
-	var inter, sumP, sumT float64
-	for i := range p {
-		inter += float64(p[i]) * float64(t[i])
-		sumP += float64(p[i])
-		sumT += float64(t[i])
-	}
-	return (2*inter + eps) / (sumP + sumT + eps)
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

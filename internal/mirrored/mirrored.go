@@ -99,15 +99,6 @@ func (t *Trainer) SetLR(lr float64) {
 // Model returns replica 0's network (all replicas are identical).
 func (t *Trainer) Model() *unet.UNet { return t.ranks[0].model }
 
-// Models returns every replica's network (cache hooks touch them all).
-func (t *Trainer) Models() []*unet.UNet {
-	out := make([]*unet.UNet, len(t.ranks))
-	for i, r := range t.ranks {
-		out[i] = r.model
-	}
-	return out
-}
-
 // ExportOptimState returns replica 0's optimizer state for checkpointing.
 // Synchronous SGD keeps the replicas bitwise identical, so one replica's
 // state describes them all.

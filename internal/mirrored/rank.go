@@ -265,9 +265,6 @@ func (s *Rank) Evaluate(inputs, masks *tensor.Tensor) float64 {
 // Model implements train.Strategy.
 func (s *Rank) Model() *unet.UNet { return s.model }
 
-// Models implements train.Strategy.
-func (s *Rank) Models() []*unet.UNet { return []*unet.UNet{s.model} }
-
 // Replicas implements train.Strategy: the data-parallel width is the
 // membership size.
 func (s *Rank) Replicas() int { return s.topo.Width() }
@@ -301,23 +298,6 @@ func (s *Rank) ImportOptimState(state map[string][]float64) error {
 // same checkpoint (or a Trainer copying rank 0 into its other ranks) rather
 // than by a collective.
 func (s *Rank) BroadcastParams() {}
-
-// InSync implements train.Strategy: the ranks exchange parameter hashes
-// through the gather collective and compare. A broken ring reports false —
-// a membership that cannot agree is not in sync.
-func (s *Rank) InSync() bool {
-	h := paramHash64(s.model)
-	hashes, err := s.topo.GatherAll64(math.Float64frombits(h))
-	if err != nil {
-		return false
-	}
-	for _, v := range hashes {
-		if math.Float64bits(v) != h {
-			return false
-		}
-	}
-	return true
-}
 
 // flattenGrads concatenates parameter gradients into buf, the unit of the
 // all-reduce, and returns the filled buffer: buf itself when its capacity

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/augment"
 	"repro/internal/optim"
 	"repro/internal/unet"
 )
@@ -74,11 +73,7 @@ func TestGoldenFitBitIdentical(t *testing.T) {
 				cfg.Optimizer = "adam"
 				cfg.BaseLR = 0.002
 				cfg.CyclicLR = optim.NewCyclicLR(0.001, 0.009, 2)
-				aug, err := augment.ByName("flip", cfg.Seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Augment = aug
+				cfg.Flip = true
 			}
 			tr, err := New(cfg)
 			if err != nil {

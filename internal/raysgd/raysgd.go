@@ -8,14 +8,13 @@
 // skips the reduction) or, across nodes, hierarchical with one group per
 // node (mirrored.Config.GroupSize = GPUsPerNode). The epoch loop itself
 // lives in train.Session: NewSession builds one over the trainer with its
-// global batch, seed, augmentation and cyclic learning-rate schedule, and
-// callers compose reporting, checkpointing and early stopping as callbacks.
+// global batch, seed, flips and cyclic learning-rate schedule, and callers
+// compose reporting and checkpointing as callbacks.
 package raysgd
 
 import (
 	"fmt"
 
-	"repro/internal/augment"
 	"repro/internal/cluster"
 	"repro/internal/mirrored"
 	"repro/internal/optim"
@@ -80,9 +79,9 @@ type Config struct {
 	// schedule across optimizer steps.
 	CyclicLR *optim.CyclicLR
 
-	// Augment optionally transforms training samples each epoch (seeded by
-	// epoch and sample index); nil trains on the raw samples.
-	Augment *augment.Pipeline
+	// Flip mirrors training samples along random axes each epoch (seeded
+	// by Seed, the epoch and the sample index); see train.Config.Flip.
+	Flip bool
 }
 
 // Trainer is a distributed data-parallel trainer: a mirrored.Trainer laid
@@ -130,15 +129,14 @@ func New(cfg Config) (*Trainer, error) {
 func (t *Trainer) Mode() Mode { return t.mode }
 
 // Strategy returns the trainer's mirrored.Trainer as a train.Strategy: the
-// (synchronized) model, the replicas' sync state and the learning rate in
-// use.
+// (synchronized) model and the learning rate in use.
 func (t *Trainer) Strategy() train.Strategy { return t.strat }
 
 // GlobalBatch returns BatchPerReplica × GPUs, the paper's scaling rule.
 func (t *Trainer) GlobalBatch() int { return t.cfg.BatchPerReplica * t.cfg.GPUs }
 
 // NewSession builds a train.Session over the trainer's strategy with the
-// trainer's batch, seed, augmentation and learning-rate schedule plus the
+// trainer's batch, seed, flips and learning-rate schedule plus the
 // given extra callbacks.
 func (t *Trainer) NewSession(epochs int, callbacks ...train.Callback) (*train.Session, error) {
 	var cbs []train.Callback
@@ -151,7 +149,7 @@ func (t *Trainer) NewSession(epochs int, callbacks ...train.Callback) (*train.Se
 		Epochs:      epochs,
 		GlobalBatch: t.GlobalBatch(),
 		Seed:        t.cfg.Seed,
-		Augment:     t.cfg.Augment,
+		Flip:        t.cfg.Flip,
 		Callbacks:   cbs,
 	})
 }

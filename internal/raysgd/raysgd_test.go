@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/augment"
 	"repro/internal/cluster"
+	"repro/internal/mirrored"
 	"repro/internal/msd"
 	"repro/internal/optim"
 	"repro/internal/train"
@@ -135,7 +135,7 @@ func TestMultiNodeUsesHierarchicalReducerAndStaysInSync(t *testing.T) {
 	if _, err := fit(t, tr, samples(t, 16), nil, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Strategy().InSync() {
+	if !tr.Strategy().(*mirrored.Trainer).InSync() {
 		t.Fatal("replicas diverged under hierarchical all-reduce")
 	}
 }
@@ -206,11 +206,7 @@ func TestFitErrors(t *testing.T) {
 
 func TestAugmentedFitRuns(t *testing.T) {
 	cfg := testConfig(t, 1)
-	p, err := augment.ByName("full", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Augment = p
+	cfg.Flip = true
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -219,12 +215,17 @@ func TestAugmentedFitRuns(t *testing.T) {
 	if _, err := fit(t, tr, trainSet, nil, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Augmentation must not mutate the caller's samples.
+	// Flipping must not mutate the caller's samples.
 	fresh := samples(t, 4)
 	for i := range trainSet {
 		for j, v := range fresh[i].Input.Data() {
 			if trainSet[i].Input.Data()[j] != v {
 				t.Fatal("Fit mutated the training samples")
+			}
+		}
+		for j, v := range fresh[i].Mask.Data() {
+			if trainSet[i].Mask.Data()[j] != v {
+				t.Fatal("Fit mutated the training masks")
 			}
 		}
 	}

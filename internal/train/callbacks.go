@@ -19,11 +19,10 @@ type Callback interface {
 	// OnStepEnd fires after each optimizer step with its loss.
 	OnStepEnd(s *Session, step int, loss float64) error
 	// OnEvalBegin fires between an epoch's training phase and its
-	// validation phase — the memory-pressure hook (caches filled by
-	// training are dead weight during full-volume evaluation).
+	// validation phase.
 	OnEvalBegin(s *Session, epoch int) error
 	// OnEpochEnd fires after validation with the epoch's statistics; this
-	// is where early stopping, reporting and periodic checkpointing live.
+	// is where reporting and periodic checkpointing live.
 	OnEpochEnd(s *Session, stats EpochStats) error
 	// OnCheckpoint fires after a session checkpoint has been written.
 	OnCheckpoint(s *Session, path string) error
@@ -59,36 +58,6 @@ func (NopCallback) OnCheckpoint(*Session, string) error { return nil }
 // OnTrainEnd implements Callback.
 func (NopCallback) OnTrainEnd(*Session) error { return nil }
 
-// History records per-epoch statistics and the learning rate in effect at
-// each epoch end — the metric-history built-in.
-type History struct {
-	NopCallback
-	Epochs []EpochStats
-	LRs    []float64
-}
-
-// OnEpochEnd implements Callback.
-func (h *History) OnEpochEnd(s *Session, stats EpochStats) error {
-	h.Epochs = append(h.Epochs, stats)
-	h.LRs = append(h.LRs, s.Strategy().LR())
-	return nil
-}
-
-// Best returns the highest validation Dice recorded, and whether any epoch
-// has run.
-func (h *History) Best() (float64, bool) {
-	if len(h.Epochs) == 0 {
-		return 0, false
-	}
-	best := h.Epochs[0].ValDice
-	for _, e := range h.Epochs[1:] {
-		if e.ValDice > best {
-			best = e.ValDice
-		}
-	}
-	return best, true
-}
-
 // LRSchedule applies a cyclic learning-rate schedule before every optimizer
 // step, indexed by the global step counter (continuous across resumes).
 type LRSchedule struct {
@@ -100,47 +69,6 @@ type LRSchedule struct {
 func (l *LRSchedule) OnStepBegin(s *Session, step int) error {
 	s.Strategy().SetLR(l.Schedule.At(step))
 	return nil
-}
-
-// EarlyStopping stops the session when the validation Dice has not improved
-// by MinDelta for more than Patience consecutive epochs. On resume it
-// replays the restored history, so a resumed session stops exactly when an
-// uninterrupted one would.
-type EarlyStopping struct {
-	NopCallback
-	Patience int     // epochs without improvement tolerated (0 = stop on first)
-	MinDelta float64 // minimum improvement to reset the counter
-
-	best float64
-	wait int
-	seen bool
-}
-
-// OnTrainBegin implements Callback: rebuild the best/wait counters from the
-// session's (possibly restored) history.
-func (e *EarlyStopping) OnTrainBegin(s *Session) error {
-	e.best, e.wait, e.seen = 0, 0, false
-	for _, st := range s.History() {
-		e.observe(s, st.ValDice)
-	}
-	return nil
-}
-
-// OnEpochEnd implements Callback.
-func (e *EarlyStopping) OnEpochEnd(s *Session, stats EpochStats) error {
-	e.observe(s, stats.ValDice)
-	return nil
-}
-
-func (e *EarlyStopping) observe(s *Session, dice float64) {
-	if !e.seen || dice > e.best+e.MinDelta {
-		e.best, e.wait, e.seen = dice, 0, true
-		return
-	}
-	e.wait++
-	if e.wait > e.Patience {
-		s.RequestStop("early-stopping")
-	}
 }
 
 // PeriodicCheckpoint writes the full session state to Path every Every
@@ -163,7 +91,7 @@ func (p *PeriodicCheckpoint) OnEpochEnd(s *Session, stats EpochStats) error {
 	return nil
 }
 
-// OnTrainEnd implements Callback: an early-stopped session persists its
+// OnTrainEnd implements Callback: a session stopped early persists its
 // final state too.
 func (p *PeriodicCheckpoint) OnTrainEnd(s *Session) error {
 	if stopped, _ := s.Stopped(); stopped && s.Epoch() > 0 {
@@ -177,7 +105,7 @@ func (p *PeriodicCheckpoint) OnTrainEnd(s *Session) error {
 // distributed run losing at most EverySteps−1 steps instead of an epoch.
 // The checkpoint fires from OnStepEnd, after the session has advanced its
 // cursors, so the saved state includes the step it follows; restoring it
-// fast-forwards the reseeded shuffle iterator to the next batch.
+// starts the reseeded epoch order at the next batch.
 type StepCheckpoint struct {
 	NopCallback
 	Path       string
@@ -192,23 +120,6 @@ func (p *StepCheckpoint) OnStepEnd(s *Session, step int, loss float64) error {
 	}
 	if (step+1)%every == 0 {
 		return s.SaveCheckpointFile(p.Path)
-	}
-	return nil
-}
-
-// CacheRelease drops every replica model's retained inter-step state (the
-// activation references the layers keep for Backward) between the training
-// and evaluation phases of each epoch — the ROADMAP's memory-pressure hook,
-// so full-volume validation never coexists with the last training batch's
-// activations.
-type CacheRelease struct {
-	NopCallback
-}
-
-// OnEvalBegin implements Callback.
-func (CacheRelease) OnEvalBegin(s *Session, epoch int) error {
-	for _, m := range s.Strategy().Models() {
-		m.DropCaches()
 	}
 	return nil
 }

@@ -5,7 +5,7 @@
 // Session is the one training entry point: a core campaign trial, a dist
 // worker and the online controller all build a Session (raysgd
 // only selects its strategy and batch), so callbacks, checkpointing and
-// memory-pressure hooks exist once:
+// the epoch order exist once:
 //
 //   - Strategy abstracts the per-step optimization update. The step
 //     exists once, as mirrored.Rank: mirrored.Trainer (synchronous data
@@ -17,16 +17,21 @@
 //     its ring layout.
 //   - Callback is the ordered hook chain (OnTrainBegin, OnEpochBegin,
 //     OnStepBegin/End, OnEvalBegin, OnEpochEnd, OnCheckpoint, OnTrainEnd).
-//     Built-ins cover metric history, learning-rate schedules, early
-//     stopping, periodic checkpointing, per-epoch reporting (the Ray.Tune
-//     protocol) and cache release between the train and eval phases.
+//     Built-ins cover learning-rate schedules, periodic and step-granular
+//     checkpointing, per-epoch reporting (the Ray.Tune protocol) and
+//     telemetry.
+//   - The epoch order is a seeded permutation: each epoch shuffles the
+//     training set by Seed+epoch (tf.data's shuffle with the whole set in
+//     its buffer), cuts it into full batches and drops the remainder.
+//     Config.Flip mirrors each sample along each spatial axis with
+//     probability ½, from a stream seeded by the epoch and sample index.
 //   - Checkpoints persist the complete session state — model parameters,
 //     batch-norm running statistics, optimizer moments and step counter,
 //     and the epoch/step cursor — bit-exactly, so a session resumed from
 //     epoch k continues parameter-for-parameter identically to one that
-//     never stopped (TestResumeBitIdentical). The input pipeline is seeded
-//     per epoch (shuffle by Seed+epoch, augmentation by epoch and sample
-//     index), so the epoch cursor is the only RNG state a checkpoint needs.
+//     never stopped (TestResumeBitIdentical). The order and the flips are
+//     seeded per epoch, so the epoch/step cursor is the only RNG state a
+//     checkpoint needs.
 //
 // The experiment layer builds on the same mechanism: tune.Runner records
 // terminal trial outcomes under a campaign directory and core resumes

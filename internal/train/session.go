@@ -2,9 +2,9 @@ package train
 
 import (
 	"fmt"
+	"math/rand"
 
-	"repro/internal/augment"
-	"repro/internal/pipeline"
+	"repro/internal/tensor"
 	"repro/internal/volume"
 )
 
@@ -17,13 +17,14 @@ type Config struct {
 	Epochs int
 	// GlobalBatch is the per-step batch size over all replicas.
 	GlobalBatch int
-	// Seed drives the per-epoch shuffle (Seed+epoch); augmentation streams
-	// derive from the epoch and sample index. No other RNG state exists, so
-	// the epoch cursor fully determines the input pipeline.
+	// Seed drives the per-epoch shuffle (Seed+epoch); the flips derive from
+	// it, the epoch and the sample index. No other RNG state exists, so the
+	// epoch cursor fully determines every batch.
 	Seed int64
-	// Augment optionally transforms training samples each epoch; nil trains
-	// on the raw samples.
-	Augment *augment.Pipeline
+	// Flip mirrors every training sample along each spatial axis with
+	// probability ½ per epoch, input and mask together (the search space's
+	// "augment" = "flip"); false trains on the raw samples.
+	Flip bool
 	// Callbacks fire in order at every hook point; a callback error aborts
 	// the session.
 	Callbacks []Callback
@@ -49,7 +50,8 @@ type Session struct {
 	// steps completed inside the current (unfinished) epoch and their loss
 	// sum. Both reset to zero when the epoch completes, so an epoch-end
 	// checkpoint carries no partial state and a step-end checkpoint carries
-	// exactly what Fit needs to fast-forward the reseeded shuffle iterator.
+	// exactly what Fit needs to start the reseeded epoch order at the next
+	// batch.
 	stepInEpoch int
 	partialLoss float64
 	history     []EpochStats
@@ -94,7 +96,7 @@ func (s *Session) ExtendEpochs(n int) error {
 
 // ClearStop clears a previously requested stop so a later Fit can run.
 // Callers that reuse one session across Fit calls (the online controller)
-// reset the early-stop latch between calls; resume-replay
+// reset the stop latch between calls; resume-replay
 // paths (ResumeFromFile with a report that declines) intentionally leave
 // it set.
 func (s *Session) ClearStop() { s.stopped, s.stopWhy = false, "" }
@@ -118,8 +120,8 @@ func (s *Session) History() []EpochStats {
 	return out
 }
 
-// RequestStop asks the loop to stop after the current epoch. Early-stopping
-// callbacks and the experiment layer's report protocol use it.
+// RequestStop asks the loop to stop after the current epoch. The experiment
+// layer's report protocol (ReportFunc) uses it.
 func (s *Session) RequestStop(reason string) {
 	if !s.stopped {
 		s.stopped = true
@@ -161,47 +163,39 @@ func (s *Session) Fit(train, val []*volume.Sample) (*EpochStats, error) {
 		if err := s.fire(func(cb Callback) error { return cb.OnEpochBegin(s, epoch) }); err != nil {
 			return nil, err
 		}
-		epochSamples := train
-		if s.cfg.Augment != nil {
-			epochSamples = s.cfg.Augment.ApplyAll(train, epoch)
-		}
-		ds := pipeline.FromSlice(epochSamples)
-		ds = pipeline.Shuffle(ds, len(epochSamples), s.cfg.Seed+int64(epoch))
-		batches := pipeline.Batch(ds, s.cfg.GlobalBatch, true)
-
+		batches := epochBatches(len(train), s.cfg.GlobalBatch, s.cfg.Seed+int64(epoch))
 		var lossSum float64
 		steps := 0
-		skip := 0
 		if epoch == startEpoch && s.stepInEpoch > 0 {
-			// Mid-epoch resume: the shuffle stream is fully determined by
-			// Seed+epoch, so fast-forwarding past the completed steps lands
-			// on exactly the batch the checkpointed run would see next.
-			skip = s.stepInEpoch
-			steps = skip
+			// Mid-epoch resume: the order is fully determined by Seed+epoch,
+			// so starting past the completed steps lands on exactly the
+			// batch the checkpointed run would see next.
+			if s.stepInEpoch > len(batches) {
+				return nil, fmt.Errorf("train: mid-epoch cursor %d beyond the epoch's %d batches", s.stepInEpoch, len(batches))
+			}
+			steps = s.stepInEpoch
 			lossSum = s.partialLoss
 		}
-		it := batches.Iterate()
-		for {
-			batch, ok := it.Next()
-			if !ok {
-				break
-			}
-			if skip > 0 {
-				skip--
-				continue
+		if len(batches) == 0 {
+			return nil, fmt.Errorf("train: global batch %d larger than training set %d", s.cfg.GlobalBatch, len(train))
+		}
+		batch := make([]*volume.Sample, s.cfg.GlobalBatch)
+		for _, idx := range batches[steps:] {
+			for j, i := range idx {
+				batch[j] = train[i]
+				if s.cfg.Flip {
+					batch[j] = flipSample(train[i], s.cfg.Seed, epoch, i)
+				}
 			}
 			inputs, masks, err := volume.Batch(batch)
 			if err != nil {
-				it.Close()
 				return nil, err
 			}
 			if err := s.fire(func(cb Callback) error { return cb.OnStepBegin(s, s.step) }); err != nil {
-				it.Close()
 				return nil, err
 			}
 			l, err := s.cfg.Strategy.Step(inputs, masks)
 			if err != nil {
-				it.Close()
 				return nil, err
 			}
 			// Advance every cursor before OnStepEnd fires, so a step-granular
@@ -213,16 +207,8 @@ func (s *Session) Fit(train, val []*volume.Sample) (*EpochStats, error) {
 			s.stepInEpoch = steps
 			s.partialLoss = lossSum
 			if err := s.fire(func(cb Callback) error { return cb.OnStepEnd(s, stepIdx, l) }); err != nil {
-				it.Close()
 				return nil, err
 			}
-		}
-		it.Close()
-		if skip > 0 {
-			return nil, fmt.Errorf("train: mid-epoch cursor %d beyond the epoch's %d batches", s.stepInEpoch, steps-skip)
-		}
-		if steps == 0 {
-			return nil, fmt.Errorf("train: global batch %d larger than training set %d", s.cfg.GlobalBatch, len(train))
 		}
 		s.stepInEpoch, s.partialLoss = 0, 0
 
@@ -265,4 +251,61 @@ func (s *Session) Evaluate(val []*volume.Sample) (float64, error) {
 		sum += s.cfg.Strategy.Evaluate(in, mask)
 	}
 	return sum / float64(len(val)), nil
+}
+
+// epochBatches returns the sample indices of an epoch's full batches: the
+// whole set shuffled the way tf.data's shuffle(buffer_size=n) draws it —
+// pick a uniform slot, emit its sample, move the last sample into the slot
+// — and cut into n/size batches, dropping the remainder.
+func epochBatches(n, size int, seed int64) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	buf := make([]int, n)
+	for i := range buf {
+		buf[i] = i
+	}
+	order := make([]int, 0, n)
+	for len(buf) > 0 {
+		i := rng.Intn(len(buf))
+		order = append(order, buf[i])
+		buf[i] = buf[len(buf)-1]
+		buf = buf[:len(buf)-1]
+	}
+	batches := make([][]int, n/size)
+	for k := range batches {
+		batches[k] = order[k*size : (k+1)*size]
+	}
+	return batches
+}
+
+// flipSample returns training sample i of an epoch mirrored along each
+// spatial axis (D, H, W) with probability ½, input and mask together. The
+// draws come from a stream seeded by the session seed, the epoch and i
+// alone, so a resumed epoch flips exactly as the original did.
+func flipSample(s *volume.Sample, seed int64, epoch, i int) *volume.Sample {
+	rng := rand.New(rand.NewSource(seed + (int64(epoch)*1_000_033+int64(i))*1_000_003))
+	in, mask := s.Input, s.Mask
+	for axis := 1; axis <= 3; axis++ {
+		if rng.Float64() < 0.5 {
+			in, mask = flipAxis(in, axis), flipAxis(mask, axis)
+		}
+	}
+	return &volume.Sample{Name: s.Name, Input: in, Mask: mask}
+}
+
+// flipAxis returns a copy of a [C, D, H, W] tensor mirrored along
+// dimension axis.
+func flipAxis(t *tensor.Tensor, axis int) *tensor.Tensor {
+	shape := t.Shape()
+	n, inner := shape[axis], 1
+	for _, d := range shape[axis+1:] {
+		inner *= d
+	}
+	out := tensor.New(shape...)
+	src, dst := t.Data(), out.Data()
+	for base := 0; base < len(src); base += n * inner {
+		for j := 0; j < n; j++ {
+			copy(dst[base+j*inner:base+(j+1)*inner], src[base+(n-1-j)*inner:base+(n-j)*inner])
+		}
+	}
+	return out
 }

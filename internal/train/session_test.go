@@ -110,8 +110,7 @@ func TestNewSessionValidation(t *testing.T) {
 
 func TestSessionFitRecordsHistory(t *testing.T) {
 	strat := singleStrategy(t, "sgd", 1)
-	hist := &History{}
-	sess, err := NewSession(Config{Strategy: strat, Epochs: 3, GlobalBatch: 2, Seed: 1, Callbacks: []Callback{hist}})
+	sess, err := NewSession(Config{Strategy: strat, Epochs: 3, GlobalBatch: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +124,14 @@ func TestSessionFitRecordsHistory(t *testing.T) {
 	if sess.Epoch() != 3 || sess.Step() != 9 {
 		t.Fatalf("cursor epoch=%d step=%d, want 3/9", sess.Epoch(), sess.Step())
 	}
-	if len(sess.History()) != 3 || len(hist.Epochs) != 3 || len(hist.LRs) != 3 {
-		t.Fatalf("history %d, callback %d/%d, want 3", len(sess.History()), len(hist.Epochs), len(hist.LRs))
+	hist := sess.History()
+	if len(hist) != 3 || hist[2] != *last {
+		t.Fatalf("history %+v, want 3 epochs ending in %+v", hist, *last)
 	}
-	if best, ok := hist.Best(); !ok || best < 0 || best > 1 {
-		t.Fatalf("best dice %v ok=%v", best, ok)
+	for i, e := range hist {
+		if e.Epoch != i || e.Steps != 3 || e.ValDice < 0 || e.ValDice > 1 {
+			t.Fatalf("epoch %d recorded as %+v", i, e)
+		}
 	}
 }
 
@@ -186,26 +188,6 @@ func (r *recorder) OnEpochEnd(_ *Session, st EpochStats) error {
 }
 func (r *recorder) OnTrainEnd(*Session) error { *r.events = append(*r.events, "train-end"); return nil }
 
-func TestEarlyStoppingStops(t *testing.T) {
-	strat := singleStrategy(t, "sgd", 1)
-	// Patience 0 and an unreachable MinDelta force a stop after epoch 2
-	// (epoch 0 seeds best, epoch 1 fails to improve by 1.0).
-	es := &EarlyStopping{Patience: 0, MinDelta: 1.0}
-	sess, err := NewSession(Config{Strategy: strat, Epochs: 10, GlobalBatch: 2, Seed: 1, Callbacks: []Callback{es}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Fit(samples(t, 4), samples(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if stopped, why := sess.Stopped(); !stopped || why != "early-stopping" {
-		t.Fatalf("stopped=%v why=%q", stopped, why)
-	}
-	if sess.Epoch() != 2 {
-		t.Fatalf("ran %d epochs, want 2", sess.Epoch())
-	}
-}
-
 func TestLRScheduleFollowsCyclic(t *testing.T) {
 	strat := singleStrategy(t, "sgd", 1)
 	sched := optim.NewCyclicLR(0.001, 0.009, 2)
@@ -243,38 +225,6 @@ func TestReportFuncStopsSession(t *testing.T) {
 	}
 	if count != 2 || sess.Epoch() != 2 {
 		t.Fatalf("reports=%d epochs=%d, want 2/2", count, sess.Epoch())
-	}
-}
-
-// TestCacheReleaseBitNeutral verifies the memory-pressure hook: dropping
-// every retained cache between the train and eval phases must not change a
-// single bit of the training trajectory, for either strategy.
-func TestCacheReleaseBitNeutral(t *testing.T) {
-	for _, build := range []struct {
-		name string
-		mk   func(*testing.T) Strategy
-	}{
-		{"single", func(t *testing.T) Strategy { return singleStrategy(t, "adam", 1) }},
-		{"mirrored", func(t *testing.T) Strategy { return mirroredStrategy(t, "adam", 2) }},
-	} {
-		t.Run(build.name, func(t *testing.T) {
-			run := func(cbs ...Callback) uint64 {
-				strat := build.mk(t)
-				sess, err := NewSession(Config{Strategy: strat, Epochs: 2, GlobalBatch: 2, Seed: 3, Callbacks: cbs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Fit(samples(t, 4), samples(t, 2)); err != nil {
-					t.Fatal(err)
-				}
-				return fingerprint(strat.Model())
-			}
-			plain := run()
-			released := run(CacheRelease{})
-			if plain != released {
-				t.Fatalf("CacheRelease changed the training trajectory: %#x vs %#x", plain, released)
-			}
-		})
 	}
 }
 

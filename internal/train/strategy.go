@@ -27,8 +27,6 @@ type Strategy interface {
 	// Model returns the canonical (replica 0) network — the checkpoint
 	// read/write target.
 	Model() *unet.UNet
-	// Models returns every replica network (cache hooks touch them all).
-	Models() []*unet.UNet
 	// Replicas returns the data-parallel width.
 	Replicas() int
 	// LR and SetLR expose the effective learning rate for schedules.
@@ -42,8 +40,6 @@ type Strategy interface {
 	// every other replica (checkpoint loaders write replica 0, then
 	// broadcast).
 	BroadcastParams()
-	// InSync reports whether all replicas agree bitwise.
-	InSync() bool
 }
 
 // SingleConfig describes a single-replica strategy.

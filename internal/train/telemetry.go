@@ -123,8 +123,8 @@ func (t *Telemetry) OnEpochBegin(s *Session, epoch int) error {
 }
 
 // OnStepBegin implements Callback: the gap between epoch begin and the
-// epoch's first step is the input-pipeline phase — augmentation, the
-// reseeded shuffle, first batch assembly.
+// epoch's first step is the input phase — the reseeded shuffle and the
+// first batch's flips and assembly.
 func (t *Telemetry) OnStepBegin(s *Session, step int) error {
 	if t.firstStep {
 		t.firstStep = false

@@ -10,8 +10,9 @@ import (
 
 // TestDropCachesBitNeutralAcrossSteps: releasing everything the network
 // retains between two training steps — every owned buffer included — must
-// leave nothing behind, and the second step, which lays the buffers out
-// again, must not change a bit.
+// leave nothing behind, and neither the evaluation that follows (an Infer,
+// as between an epoch's training and validation phases) nor the second
+// step, which lays the buffers out again, may change a bit.
 func TestDropCachesBitNeutralAcrossSteps(t *testing.T) {
 	cfg := Config{InChannels: 2, OutChannels: 1, BaseFilters: 2, Steps: 2,
 		Kernel: 3, UpKernel: 2, Seed: 4}
@@ -25,8 +26,11 @@ func TestDropCachesBitNeutralAcrossSteps(t *testing.T) {
 		return out
 	}
 
+	eval := func(u *UNet) []float32 { return append([]float32(nil), u.Infer(x).Data()...) }
+
 	ctrl := MustNew(cfg)
 	step(ctrl)
+	evalC := eval(ctrl)
 	outC := step(ctrl)
 
 	sub := MustNew(cfg)
@@ -38,8 +42,14 @@ func TestDropCachesBitNeutralAcrossSteps(t *testing.T) {
 	if n := retainedFloats(sub); n != 0 {
 		t.Fatalf("DropCaches left %d floats of activations and gradients reachable", n)
 	}
+	evalS := eval(sub)
 	outS := step(sub)
 
+	for i, v := range evalC {
+		if evalS[i] != v {
+			t.Fatal("Infer diverges after DropCaches")
+		}
+	}
 	for i, v := range outC.Data() {
 		if outS.Data()[i] != v {
 			t.Fatal("forward diverges after DropCaches")

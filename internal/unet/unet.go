@@ -300,11 +300,10 @@ func (u *UNet) ZeroGrads() { nn.ZeroGrads(u.params) }
 // references to their last input and output and the pooling argmax
 // records. Parameters, their gradients and the running statistics stay.
 // The next Forward lays the buffers out again and computes the same bits
-// (TestDropCachesBitNeutralAcrossSteps). This is the memory-pressure hook —
-// long-lived trainers call it between the training and evaluation phases
-// (train.CacheRelease does) so validation volumes never coexist with the
-// last training batch's activations. It is safe between an optimizer step
-// and the next Forward, not between a Forward and its Backward.
+// (TestDropCachesBitNeutralAcrossSteps), and an Infer between the two is
+// unchanged too, so a caller may release the training buffers before a
+// full-volume evaluation. It is safe between an optimizer step and the next
+// Forward, not between a Forward and its Backward.
 func (u *UNet) DropCaches() {
 	for _, b := range u.blocks() {
 		b.DropCaches()
