@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -80,12 +81,10 @@ func TestEpochBatchesProperty(t *testing.T) {
 	}
 }
 
-// TestEpochBatchesChangeOrder: the shuffle moves most samples, and seeds
-// differ.
+// TestEpochBatchesChangeOrder: the shuffle moves most samples.
 func TestEpochBatchesChangeOrder(t *testing.T) {
-	a := epochBatches(100, 1, 1)
 	inPlace := 0
-	for i, b := range a {
+	for i, b := range epochBatches(100, 1, 1) {
 		if b[0] == i {
 			inPlace++
 		}
@@ -93,8 +92,102 @@ func TestEpochBatchesChangeOrder(t *testing.T) {
 	if inPlace > 50 {
 		t.Fatalf("shuffle too weak: %d/100 fixed points", inPlace)
 	}
-	if reflect.DeepEqual(a, epochBatches(100, 1, 2)) {
+}
+
+// TestEpochBatchesDeterministicBySeed: the same seed gives the same order,
+// and different seeds differ.
+func TestEpochBatchesDeterministicBySeed(t *testing.T) {
+	a := epochBatches(50, 1, 7)
+	if !reflect.DeepEqual(a, epochBatches(50, 1, 7)) {
+		t.Fatal("same seed must give the same order")
+	}
+	if reflect.DeepEqual(a, epochBatches(50, 1, 8)) {
 		t.Fatal("different seeds gave the same order")
+	}
+}
+
+// TestEpochBatchesReopenable: each call rebuilds the order from the seed
+// alone and shares no storage with an earlier call, so an epoch re-read
+// (a resumed run) sees the order the first read saw, whatever the caller
+// did to the batches it was given.
+func TestEpochBatchesReopenable(t *testing.T) {
+	a := epochBatches(5, 5, 1)
+	want := [][]int{append([]int(nil), a[0]...)}
+	a[0][0], a[0][1] = a[0][1], a[0][0]
+	if b := epochBatches(5, 5, 1); !reflect.DeepEqual(b, want) {
+		t.Fatalf("re-read epoch changed order: %v then %v", want, b)
+	}
+}
+
+// order returns an epoch's whole shuffled order: its batches at size 1.
+func order(n int, seed int64) []int {
+	var out []int
+	for _, b := range epochBatches(n, 1, seed) {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestEpochOrderIsPermutation: the shuffle neither loses nor duplicates a
+// sample.
+func TestEpochOrderIsPermutation(t *testing.T) {
+	got := order(100, 1)
+	if len(got) != 100 {
+		t.Fatalf("length %d", len(got))
+	}
+	sorted := append([]int(nil), got...)
+	sort.Ints(sorted)
+	for i := range sorted {
+		if sorted[i] != i {
+			t.Fatal("shuffle lost or duplicated a sample")
+		}
+	}
+}
+
+// TestEpochBatchesSliceOrder: the batches are consecutive cuts of the
+// epoch's order, first to last.
+func TestEpochBatchesSliceOrder(t *testing.T) {
+	o := order(7, 4)
+	want := [][]int{o[0:3], o[3:6]}
+	if got := epochBatches(7, 3, 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batches %v, want %v (order %v)", got, want, o)
+	}
+}
+
+// TestEpochBatchesDropRemainder: 7 samples at batch 3 make two full
+// batches, and the one sample left over is in neither.
+func TestEpochBatchesDropRemainder(t *testing.T) {
+	o := order(7, 4)
+	batches := epochBatches(7, 3, 4)
+	if len(batches) != 2 {
+		t.Fatalf("%d batches, want 2", len(batches))
+	}
+	for _, b := range batches {
+		if len(b) != 3 {
+			t.Fatalf("ragged batch %v", b)
+		}
+		for _, i := range b {
+			if i == o[6] {
+				t.Fatalf("remainder sample %d trained in batch %v", i, b)
+			}
+		}
+	}
+}
+
+// TestPropertyEpochBatchPartition: for any set and batch size, the batches
+// laid end to end are the epoch's order without its remainder — the batch
+// size cuts the order and never changes it.
+func TestPropertyEpochBatchPartition(t *testing.T) {
+	prop := func(c epochCase) bool {
+		var flat []int
+		for _, b := range epochBatches(c.N, c.Size, c.Seed) {
+			flat = append(flat, b...)
+		}
+		o := order(c.N, c.Seed)
+		return len(flat) == c.N/c.Size*c.Size && (len(flat) == 0 || reflect.DeepEqual(flat, o[:len(flat)]))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -163,23 +256,35 @@ func TestFlipSampleKeepsMaskAligned(t *testing.T) {
 	}
 }
 
-// TestFlipSampleVariesByEpoch: a sample's flips are fixed by the seed, the
-// epoch and its index — the same triple reproduces them, and across epochs
-// they differ.
+// TestFlipSampleDeterministicPerIndex: a sample's flips are fixed by the
+// seed, the epoch and its index — the same triple reproduces them, and
+// across indices they differ.
+func TestFlipSampleDeterministicPerIndex(t *testing.T) {
+	s := rampSample()
+	outcomes := map[string]bool{}
+	for i := 0; i < 8; i++ {
+		a, b := flipSample(s, 42, 0, i), flipSample(s, 42, 0, i)
+		if flipKey(a) != flipKey(b) {
+			t.Fatalf("index %d: the same seed, epoch and index flipped differently", i)
+		}
+		outcomes[flipKey(a)] = true
+	}
+	if len(outcomes) < 2 {
+		t.Fatal("every index drew the same flips")
+	}
+}
+
+// TestFlipSampleVariesByEpoch: one sample's flips differ across epochs.
 func TestFlipSampleVariesByEpoch(t *testing.T) {
 	s := rampSample()
-	key := func(v *volume.Sample) string {
-		return fmt.Sprint(v.Input.Data())
-	}
 	outcomes := map[string]bool{}
 	for epoch := 0; epoch < 8; epoch++ {
-		a, b := flipSample(s, 3, epoch, 5), flipSample(s, 3, epoch, 5)
-		if key(a) != key(b) {
-			t.Fatalf("epoch %d: the same seed, epoch and index flipped differently", epoch)
-		}
-		outcomes[key(a)] = true
+		outcomes[flipKey(flipSample(s, 3, epoch, 5))] = true
 	}
 	if len(outcomes) < 2 {
 		t.Fatal("every epoch drew the same flips")
 	}
 }
+
+// flipKey identifies the flips a sample was given by its input voxels.
+func flipKey(v *volume.Sample) string { return fmt.Sprint(v.Input.Data()) }

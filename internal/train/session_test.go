@@ -228,6 +228,57 @@ func TestReportFuncStopsSession(t *testing.T) {
 	}
 }
 
+// cacheDropper releases the canonical model's retained inter-step state
+// between each epoch's training and evaluation phases — the memory-pressure
+// release a callback can make through Strategy.Model.
+type cacheDropper struct {
+	NopCallback
+	n int
+}
+
+func (c *cacheDropper) OnEvalBegin(s *Session, _ int) error {
+	s.Strategy().Model().DropCaches()
+	c.n++
+	return nil
+}
+
+// TestCacheReleaseBitNeutral: dropping the model's retained caches between
+// the train and eval phases must not change a single bit of the training
+// trajectory, for either strategy. (unet's TestDropCachesBitNeutralAcrossSteps
+// holds the same claim per network, with every buffer released.)
+func TestCacheReleaseBitNeutral(t *testing.T) {
+	for _, build := range []struct {
+		name string
+		mk   func(*testing.T) Strategy
+	}{
+		{"single", func(t *testing.T) Strategy { return singleStrategy(t, "adam", 1) }},
+		{"mirrored", func(t *testing.T) Strategy { return mirroredStrategy(t, "adam", 2) }},
+	} {
+		t.Run(build.name, func(t *testing.T) {
+			run := func(cbs ...Callback) uint64 {
+				strat := build.mk(t)
+				sess, err := NewSession(Config{Strategy: strat, Epochs: 2, GlobalBatch: 2, Seed: 3, Callbacks: cbs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.Fit(samples(t, 4), samples(t, 2)); err != nil {
+					t.Fatal(err)
+				}
+				return fingerprint(strat.Model())
+			}
+			plain := run()
+			drop := &cacheDropper{}
+			released := run(drop)
+			if drop.n != 2 {
+				t.Fatalf("caches dropped %d times, want once per epoch (2)", drop.n)
+			}
+			if plain != released {
+				t.Fatalf("dropping caches changed the training trajectory: %#x vs %#x", plain, released)
+			}
+		})
+	}
+}
+
 // evalCounter counts the evaluation phases a Fit runs.
 type evalCounter struct {
 	NopCallback
