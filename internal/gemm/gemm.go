@@ -64,9 +64,12 @@
 // C is a Target: a stored row-major matrix (Into), or a Scattered one, whose
 // elements go in short strided runs to offsets listed once — how a stride-2
 // transposed convolution's product lands on its output voxels with no column
-// buffer and no scatter pass. The assembly stores full tiles whose row pairs
-// interleave (step 2, adjacent rows) as contiguous runs; any other scattered
-// tile goes through the Go store that merges ragged tiles. Either way each
+// buffer and no scatter pass, and a convolution's lands inside the zero
+// border of the buffer its consumer reads in place. The assembly stores the
+// full tiles of runs of 4 at step 1 (any rows, a later K slice's add
+// included) run by run, and those at step 2 whose row pairs interleave
+// (adjacent rows, first slice) as contiguous runs; any other scattered tile
+// goes through the Go store that merges ragged tiles. Either way each
 // element is stored once, with the same epilogue, so the bits are those of
 // the dense product scattered afterwards.
 //
@@ -219,7 +222,10 @@ func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 	b.check(count, n, k)
 	c.check(count, m, n)
 	if k <= 0 {
-		// No K: C is the bias (zero without one), normalized if asked.
+		// No K: C is the bias (zero without one), normalized if asked. The
+		// stores go through a copy of c: taking c's own address would move
+		// it, which the closure below captures, to the heap on every call.
+		c := c
 		if !accumulate {
 			for r := 0; r < m; r++ {
 				var v float32
@@ -471,18 +477,18 @@ func (t Target) check(count, m, n int) {
 }
 
 // instance returns the destination of instance i, from its C's origin.
-func (t Target) instance(i int) []float32 { return t.dst[i*t.stride:] }
+func (t *Target) instance(i int) []float32 { return t.dst[i*t.stride:] }
 
 // row returns the offset of row r of C; col that of column j, so element
 // (r, j) is stored at row(r) + col(j).
-func (t Target) row(r int) int {
+func (t *Target) row(r int) int {
 	if t.s.run == 0 {
 		return r * t.ldc
 	}
 	return t.s.rows[r]
 }
 
-func (t Target) col(j int) int {
+func (t *Target) col(j int) int {
 	switch t.s.run {
 	case 0:
 		return j
@@ -492,13 +498,20 @@ func (t Target) col(j int) int {
 	return t.s.starts[j/4] + j%4*t.s.step
 }
 
-// pairs reports whether the store of the full tile whose first row is r, as
-// st says, is the assembly's scattered store: a first-slice store (bias and
-// normalization allowed, no add) of runs of 4, step 2, whose rows r, r+1 and
-// r+2, r+3 are adjacent.
-func (t Target) pairs(st *store, r int) bool {
+// scatterTile reports whether the store of the full tile whose first row is
+// r, as st says, is the microkernel's scattered store: runs of 4 at step 1,
+// any store; or runs of 4 at step 2 on a first-slice store (bias and
+// normalization allowed, no add) whose rows r, r+1 and r+2, r+3 are
+// adjacent.
+func (t *Target) scatterTile(st *store, r int) bool {
 	rows := t.s.rows
-	return t.s.run == 4 && t.s.step == 2 && !st.add &&
+	switch {
+	case t.s.run != 4:
+		return false
+	case t.s.step == 1:
+		return true
+	}
+	return t.s.step == 2 && !st.add &&
 		rows[r+1] == rows[r]+1 && rows[r+3] == rows[r+2]+1
 }
 
@@ -677,13 +690,19 @@ type store struct {
 // tileStore is a store as the microkernel reads it, for the mr rows of one
 // full tile. kernel_amd64.s reads the fields at the offsets noted.
 //
-// With rows set the tile is scattered (never added): element (i, 4q+e) goes
-// to c[rows[i] + starts[q] + 2e], c being the instance's whole destination.
-// The assembly takes rows to be two adjacent pairs (rows[1] = rows[0]+1,
-// rows[3] = rows[2]+1) and stores each pair as four 8-float runs, the two
-// rows interleaved; kernelGo stores any rows.
+// With rows set the tile is scattered: element (i, 4q+e) goes to
+// c[rows[i] + starts[q] + step·e], c being the instance's whole
+// destination. At step 1 the assembly stores (or adds onto) each row's four
+// runs where they lie. At step 2 it takes rows to be two adjacent pairs
+// (rows[1] = rows[0]+1, rows[3] = rows[2]+1), never adds, and stores each
+// pair as four 8-float runs, the two rows interleaved. kernelGo stores any
+// rows at any step.
+//
+// The struct is 64 bytes, which the compiler copies inline; a byte more and
+// macroKernel's copies go through runtime.duffcopy.
 type tileStore struct {
 	add         bool         // 0
+	step        uint8        // 1: the scattered runs' step
 	bias        *[mr]float32 // 8: nil, or the rows' bias
 	gamma, beta *[mr]float32 // 16, 24: gamma nil, no normalization
 	mean, rstd  *[mr]float64 // 32, 40
@@ -706,37 +725,32 @@ func (s *store) tile(r int) tileStore {
 
 // macroKernel multiplies the packed iw×pw A block by the pw×jw B block into
 // the rows r0.. and columns j0.. of instance C ci, stored through c as st
-// says. Full mr×nr tiles of a dense C, and those of a scattered C that pair
-// up, are stored by the microkernel; any other tile — ragged, or scattered
-// in a way the microkernel does not store — is computed into a stack buffer
-// and its live elements stored one by one, by the same epilogue in Go. A B
-// panel stays in L1 while the A panels stream past it.
+// says. Full mr×nr tiles of a dense C, and those of a scattered C that
+// scatterTile admits, are stored by the microkernel; any other tile —
+// ragged, or scattered in a way the microkernel does not store — is
+// computed into a stack buffer and its live elements stored one by one, by
+// the same epilogue in Go. A B panel stays in L1 while the A panels stream
+// past it.
 func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
 	var tile [mr * nr]float32
 	var tiles [mcBlock / mr]tileStore
 	var starts [4]int // the scattered tiles' column starts, this panel's
-	var cols [nr]int  // the panel's column offsets
+	var cols [nr]int  // the panel's column offsets, for the Go store
 	for ip := 0; ip < iw/mr; ip++ {
 		r := r0 + ip*mr
 		tiles[ip] = st.tile(r)
-		if c.pairs(st, r) {
-			tiles[ip].rows, tiles[ip].starts = (*[mr]int)(c.s.rows[r:]), &starts
+		if c.scatterTile(st, r) {
+			tiles[ip].rows, tiles[ip].starts, tiles[ip].step = (*[mr]int)(c.s.rows[r:]), &starts, uint8(c.s.step)
 		}
 	}
 	for jp := 0; jp*nr < jw; jp++ {
 		quads := b.quads(jp)
 		j := j0 + jp*nr
 		live := min(nr, jw-jp*nr)
-		if c.s.run == 0 {
-			for jj := range cols[:live] {
-				cols[jj] = j + jj
-			}
-		} else {
-			for jj := range cols[:live] {
-				cols[jj] = c.col(j + jj)
-			}
-			starts = [4]int{cols[0], cols[4], cols[8], cols[12]}
+		if c.s.run == 4 && live == nr {
+			starts = *(*[4]int)(c.s.starts[j/4:])
 		}
+		haveCols := false
 		for ip := 0; ip*mr < iw; ip++ {
 			ap := packedA[ip*pw*mr : (ip+1)*pw*mr]
 			rows := min(mr, iw-ip*mr)
@@ -753,6 +767,12 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 				}
 			}
 			kernel(ap, b.b, b.rows, &quads, tile[:], nr, &tileStore{})
+			if !haveCols {
+				for jj := range cols[:live] {
+					cols[jj] = c.col(j + jj)
+				}
+				haveCols = true
+			}
 			for ii := 0; ii < rows; ii++ {
 				row := c.row(r + ii)
 				for jj, v := range tile[ii*nr:][:live] {
@@ -778,8 +798,8 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 // whose K step p, columns 4q..4q+3, is b[rows[p] + quads[q] :][:4], over
 // len(rows) K steps, and stores it as st says: into the mr×nr block at the
 // head of c, rows ldc apart, or, when st is scattered, to the tile's offsets
-// in c, touching nothing else of c. The tile is worked
-// as nr/4 strips of 4×4, one per quad, so that a strip's sixteen
+// in c (added onto them when st adds), touching nothing else of c. The tile
+// is worked as nr/4 strips of 4×4, one per quad, so that a strip's sixteen
 // accumulators are locals the compiler keeps in registers (an array would
 // live in memory, and updating them four to a tuple assignment spills and
 // costs a quarter of the speed). float32(·) rounds the product before the
@@ -814,27 +834,23 @@ func kernelGo(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, s
 		for i, row := range [mr][4]float32{
 			{c00, c01, c02, c03}, {c10, c11, c12, c13}, {c20, c21, c22, c23}, {c30, c31, c32, c33},
 		} {
-			var crow *[4]float32 // a dense tile's row; a scattered tile never adds
-			if st.rows == nil {
-				crow = (*[4]float32)(c[i*ldc+4*q:])
+			at, step := i*ldc+4*q, 1 // where the run's first element goes, and how far apart
+			if st.rows != nil {
+				at, step = st.rows[i]+st.starts[q], int(st.step)
 			}
-			for jj := range row {
+			out := c[at : at+3*step+1]
+			for jj, v := range row {
 				switch {
 				case st.add:
-					row[jj] += crow[jj]
+					v += out[jj*step]
 				case st.bias != nil:
-					row[jj] += st.bias[i]
+					v += st.bias[i]
 				}
 				if st.gamma != nil {
-					row[jj] = normReLU(row[jj], st.mean[i], st.rstd[i], st.gamma[i], st.beta[i])
+					v = normReLU(v, st.mean[i], st.rstd[i], st.gamma[i], st.beta[i])
 				}
+				out[jj*step] = v
 			}
-			if crow != nil {
-				*crow = row
-				continue
-			}
-			out := c[st.rows[i]+st.starts[q]:]
-			out[0], out[2], out[4], out[6] = row[0], row[1], row[2], row[3]
 		}
 	}
 }

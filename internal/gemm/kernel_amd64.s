@@ -85,6 +85,37 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VMOVUPS    Y10, (base)(q0*4);   \
 	VMOVUPS    Y11, (base)(q1*4)
 
+// Row i of a step-1 scattered tile, whose offset is at off(BX): its four
+// 4-float runs at c (DX) + rows[i] + starts[q] (R10..R13), in floats. RUNS
+// adds them onto the row's accumulators lo and hi, the accumulator first as
+// in the dense add; STORERUNS writes lo and hi (xmm halves lox, hix) there.
+#define RUNS(off, lo, hi) \
+	MOVQ        off(BX), R8;             \
+	LEAQ        (DX)(R8*4), R8;          \
+	VMOVUPS     (R8)(R10*4), X8;         \
+	VINSERTF128 $1, (R8)(R11*4), Y8, Y8; \
+	VMOVUPS     (R8)(R12*4), X9;         \
+	VINSERTF128 $1, (R8)(R13*4), Y9, Y9; \
+	VADDPS      Y8, lo, lo;              \
+	VADDPS      Y9, hi, hi
+
+#define STORERUNS(off, lo, lox, hi, hix) \
+	MOVQ         off(BX), R8;        \
+	LEAQ         (DX)(R8*4), R8;     \
+	VMOVUPS      lox, (R8)(R10*4);   \
+	VEXTRACTF128 $1, lo, (R8)(R11*4); \
+	VMOVUPS      hix, (R8)(R12*4);   \
+	VEXTRACTF128 $1, hi, (R8)(R13*4)
+
+// Loads a scattered tile's four column starts into R10..R13 from the
+// tileStore at AX.
+#define STARTS \
+	MOVQ 56(AX), CX;  \
+	MOVQ 0(CX), R10;  \
+	MOVQ 8(CX), R11;  \
+	MOVQ 16(CX), R12; \
+	MOVQ 24(CX), R13
+
 // func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore)
 //
 // The 4×16 tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
@@ -95,9 +126,11 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // as in a packed panel or a volume row a multiple of 8 wide — each 8-column
 // half is one 32-byte load; otherwise it is two 16-byte ones. The store
 // follows st (a tileStore: add at 0, bias 8, gamma 16, beta 24, mean 32,
-// rstd 40, rows 48, starts 56). A scattered store (rows set, never add) takes
-// c as the whole destination and ldc as unused, and writes rows 0 and 1, and
-// rows 2 and 3, interleaved at c + rows[0] and c + rows[2] plus each start.
+// rstd 40, rows 48, starts 56; step, a byte, at 1). A scattered store (rows set) takes
+// c as the whole destination and ldc as unused. At step 1 it adds onto, or
+// writes, each row's runs at c + rows[i] plus each start; at step 2 (never
+// an add) it writes rows 0 and 1, and rows 2 and 3, interleaved at
+// c + rows[0] and c + rows[2] plus each start.
 TEXT ·kernelAVX2(SB), NOSPLIT, $0-120
 	MOVQ   a_base+0(FP), SI
 	MOVQ   b_base+24(FP), DI
@@ -179,6 +212,9 @@ merge:
 	JMP     norm
 
 add:
+	MOVQ   48(AX), BX           // scattered rows
+	TESTQ  BX, BX
+	JNZ    addruns
 	VADDPS (DX), Y0, Y0
 	VADDPS 32(DX), Y1, Y1
 	VADDPS (R9), Y2, Y2
@@ -187,6 +223,14 @@ add:
 	VADDPS 32(R10), Y5, Y5
 	VADDPS (R11), Y6, Y6
 	VADDPS 32(R11), Y7, Y7
+	JMP    norm
+
+addruns:
+	STARTS
+	RUNS(0, Y0, Y1)
+	RUNS(8, Y2, Y3)
+	RUNS(16, Y4, Y5)
+	RUNS(24, Y6, Y7)
 
 norm:
 	MOVQ   16(AX), BX           // gamma
@@ -217,15 +261,21 @@ store:
 	RET
 
 scatter:
+	STARTS
+	CMPB 1(AX), $1              // step
+	JNE  pairs
+	STORERUNS(0, Y0, X0, Y1, X1)
+	STORERUNS(8, Y2, X2, Y3, X3)
+	STORERUNS(16, Y4, X4, Y5, X5)
+	STORERUNS(24, Y6, X6, Y7, X7)
+	VZEROUPPER
+	RET
+
+pairs:
 	MOVQ 0(BX), R8
 	MOVQ 16(BX), R9
 	LEAQ (DX)(R8*4), R8         // rows 0 and 1
 	LEAQ (DX)(R9*4), R9         // rows 2 and 3
-	MOVQ 56(AX), AX             // starts
-	MOVQ 0(AX), R10
-	MOVQ 8(AX), R11
-	MOVQ 16(AX), R12
-	MOVQ 24(AX), R13
 	PAIR(Y0, Y2, R8, R10, R11)
 	PAIR(Y1, Y3, R8, R12, R13)
 	PAIR(Y4, Y6, R9, R10, R11)

@@ -143,8 +143,11 @@ func TestAsmScatterStoreMatchesPortable(t *testing.T) {
 		t.Skip("no assembly microkernel on this CPU/architecture: kernelGo is the live kernel")
 	}
 	var ts tileStore
-	if offs := [...]uintptr{unsafe.Offsetof(ts.rows), unsafe.Offsetof(ts.starts)}; offs != [...]uintptr{48, 56} {
-		t.Fatalf("tileStore rows, starts at %v, but kernel_amd64.s reads 48, 56", offs)
+	if offs := [...]uintptr{unsafe.Offsetof(ts.step), unsafe.Offsetof(ts.rows), unsafe.Offsetof(ts.starts)}; offs != [...]uintptr{1, 48, 56} {
+		t.Fatalf("tileStore step, rows, starts at %v, but kernel_amd64.s reads 1, 48, 56", offs)
+	}
+	if size := unsafe.Sizeof(ts); size != 64 {
+		t.Fatalf("tileStore is %d bytes: past 64, macroKernel's copies of it go through runtime.duffcopy", size)
 	}
 	const dstLen = 3000
 	for _, pw := range []int{0, 1, 7, 32, kcBlock} {
@@ -175,7 +178,7 @@ func TestAsmScatterStoreMatchesPortable(t *testing.T) {
 				for q, s := range rng.Perm(32)[:4] {
 					starts[q] = 8 * s
 				}
-				tile.rows, tile.starts = &rows, &starts
+				tile.rows, tile.starts, tile.step = &rows, &starts, 2
 				seed := randMat(rng, dstLen)
 				want := append([]float32(nil), seed...)
 				got := append([]float32(nil), seed...)
@@ -195,6 +198,81 @@ func TestAsmScatterStoreMatchesPortable(t *testing.T) {
 					t.Fatalf("only %d of the tile's %d offsets changed", written, mr*nr)
 				}
 			})
+		}
+	}
+}
+
+// TestAsmScatterStep1StoreMatchesPortable holds the assembly's step-1
+// scattered store — each row's four 4-float runs written, or added onto,
+// where they lie, as a convolution stores into the interior of a haloed
+// buffer — to kernelGo's, through every store a tile takes (kernelStores:
+// over, added, with a bias, with bias and normalization, added and
+// normalized), at K depths from none to a full slice, over non-finite
+// inputs, with rows in no order and runs both contiguous (a volume row a
+// multiple of 16 wide) and apart. Both must write exactly the tile's 64
+// offsets. Ragged tiles never reach the assembly's store: the Go merge
+// stores them, and TestGemmScatteredMatchesDense holds whole step-1
+// products, ragged tiles and later K slices included, to the dense product.
+func TestAsmScatterStep1StoreMatchesPortable(t *testing.T) {
+	if !useAsm {
+		t.Skip("no assembly microkernel on this CPU/architecture: kernelGo is the live kernel")
+	}
+	const dstLen = 4000
+	for _, pw := range []int{0, 1, 7, 32, kcBlock} {
+		for _, sk := range kernelStores {
+			for _, contiguous := range []bool{true, false} {
+				t.Run(fmt.Sprintf("pw%d_%s_contiguous%v", pw, sk.name, contiguous), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(11 + pw)))
+					a := randSpecial(rng, pw*mr)
+					b := randSpecial(rng, pw*nr)
+					blk := bBlock{b: b, rows: panelRows[:pw]}
+					quads := blk.quads(0)
+					st := store{add: sk.add}
+					if sk.bias {
+						st.bias = randSpecial(rng, mr)
+					}
+					if sk.bn {
+						st.norm = testStats(rng, mr)
+					}
+					tile := st.tile(0)
+					// Each row in a 200-float slot of its own, the slots in
+					// random order and off any alignment; the runs within.
+					var rows [mr]int
+					for i, slot := range rng.Perm(16)[:mr] {
+						rows[i] = 3 + 200*slot + rng.Intn(20)
+					}
+					var starts [4]int
+					for q, s := range rng.Perm(40)[:4] {
+						starts[q] = 4 * s
+						if contiguous {
+							starts[q] = 4 * q
+						}
+					}
+					tile.rows, tile.starts, tile.step = &rows, &starts, 1
+					seed := randMat(rng, dstLen)
+					want := append([]float32(nil), seed...)
+					got := append([]float32(nil), seed...)
+					kernelGo(a, b, blk.rows, &quads, want, 0, &tile)
+					kernel(a, b, blk.rows, &quads, got, 0, &tile)
+					tileAt := map[int]bool{}
+					for i := range rows {
+						for q := range starts {
+							for e := 0; e < 4; e++ {
+								tileAt[rows[i]+starts[q]+e] = true
+							}
+						}
+					}
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("destination %d: asm %v (%#08x), portable %v (%#08x)", i,
+								got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						}
+						if !tileAt[i] && math.Float32bits(got[i]) != math.Float32bits(seed[i]) {
+							t.Fatalf("destination %d is outside the tile but was written", i)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -119,8 +119,16 @@ func (b *ConvBNReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
 // dst, retaining nothing: the convolution, with the normalization and ReLU
 // applied by its GEMM's store.
 func (b *ConvBNReLU) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
-	b.Conv.forward(x, dst, b.BN.evalNorm())
+	b.InferHaloed(Whole(x), Whole(dst))
 	return dst
+}
+
+// InferHaloed is InferInto between haloed activations: x is read where it
+// lies when its border is the convolution's halo (K/2 wide and zero), and
+// copied into one when it is whole; the GEMM's store writes the output into
+// dst's interiors and nothing else of its buffer.
+func (b *ConvBNReLU) InferHaloed(x, dst Haloed) {
+	b.Conv.forward(x, dst, b.BN.evalNorm())
 }
 
 // Backward accumulates the four parameter gradients and returns dL/d(input)

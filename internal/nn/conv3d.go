@@ -33,8 +33,9 @@ type Conv3D struct {
 
 	input *tensor.Tensor // cached for backward
 
-	ws     *tensor.Workspace // scratch of every pass: its own, or its network's
-	tables []int             // offset tables of the running pass
+	ws      *tensor.Workspace // scratch of every pass: its own, or its network's
+	tables  []int             // offset tables of the running pass
+	scatter []int             // ... and of its destination, where that has a border
 }
 
 // NewConv3D creates a stride-1 same-padded cubic convolution. Weights are
@@ -77,7 +78,7 @@ func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // ForwardInto computes the convolution of x ([N, IC, D, H, W]) into dst
 // ([N, OC, D, H, W]) and caches x for Backward.
 func (c *Conv3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
-	c.forward(x, dst, gemm.Norm{})
+	c.forward(Whole(x), Whole(dst), gemm.Norm{})
 	c.input = x
 	return dst
 }

@@ -22,16 +22,19 @@ import (
 // swapped: W′[ic, oc, tap] = W[oc, ic, K³−1−tap] (rebuilt from W per call, so
 // there is nothing to go stale when an optimizer or a model swap changes W).
 //
-// P is never built. Each pass copies its activation once into a buffer with
-// a K/2-wide zero border on every side (haloGeom, padHalo); in there the
-// element tap r reads for voxel v sits at rows[r] + starts[v] with no bounds
-// to test — a gemm.Gathered matrix, whose two offset tables patchMatrix
-// builds once per call into the layer's table buffer. Where volume rows are a multiple of 4 wide the GEMM
-// microkernel reads P there in place, four voxels per run, and no B panel is
-// built; other widths are packed element by element. So one routine,
-// convGEMM, is the training forward, Infer and the input gradient. A 1×1×1
-// convolution needs no halo: the activation slab already is P, read as one
-// flat row of voxels per channel.
+// P is never built. Its source is the activation inside a K/2-wide zero
+// border on every side (haloGeom); in there the element tap r reads for
+// voxel v sits at rows[r] + starts[v] with no bounds to test — a
+// gemm.Gathered matrix, whose two offset tables patchMatrix builds once per
+// call into the layer's table buffer. The training passes copy their
+// activation into such a buffer (padHalo); Infer's producers store theirs
+// there to begin with (Haloed, halo.go), and the convolution reads it where
+// it lies. Where volume rows are a multiple of 4 wide the GEMM microkernel
+// reads P in place, four voxels per run, and no B panel is built; other
+// widths are packed element by element. So one routine, convGEMM, is the
+// training forward, Infer and the input gradient. A 1×1×1 convolution needs
+// no halo: the activation slab already is P, read as one flat row of voxels
+// per channel.
 //
 // The kernel gradient multiplies by Pᵀ, whose K steps are voxels, and reads
 // it in place too, from a channels-last copy of the activation
@@ -68,15 +71,32 @@ import (
 // haloGeom locates a [d, h, w] volume inside its zero-haloed copy.
 type haloGeom struct {
 	d, h, w int
-	p       int // border width, K/2
+	p       int // border width: K/2 for a K³ convolution's input
 	hp, wp  int // haloed row count and row length
 	vol     int // floats per haloed channel
 }
 
-func newHaloGeom(d, h, w, k int) haloGeom {
-	p := k / 2
+func newHaloGeom(d, h, w, p int) haloGeom {
 	return haloGeom{d: d, h: h, w: w, p: p, hp: h + 2*p, wp: w + 2*p,
 		vol: (d + 2*p) * (h + 2*p) * (w + 2*p)}
+}
+
+// interior is the offset of the first interior voxel from its plane's start.
+func (g haloGeom) interior() int { return (g.p*g.hp+g.p)*g.wp + g.p }
+
+// appendVoxelStarts appends the offset of every run of voxels of a haloed
+// plane from its first interior voxel — run voxels along a volume row each,
+// rows and slabs in order — to tables: the column starts of a gathered or
+// scattered matrix whose columns are the volume's voxels.
+func appendVoxelStarts(tables []int, g haloGeom, run int) []int {
+	for z := 0; z < g.d; z++ {
+		for y := 0; y < g.h; y++ {
+			for x, base := 0, (z*g.hp+y)*g.wp; x < g.w; x += run {
+				tables = append(tables, base+x)
+			}
+		}
+	}
+	return tables
 }
 
 // padHalo copies count channel volumes from src into dst with a zero border.
@@ -122,48 +142,82 @@ func patchMatrix(g haloGeom, ch, k int, buf *[]int) gemm.Gathered {
 		tables = append(tables, tables[r-kk]+g.vol)
 	}
 	nRows := len(tables)
-	for z := 0; z < g.d; z++ {
-		for y := 0; y < g.h; y++ {
-			for x, base := 0, (z*g.hp+y)*g.wp; x < g.w; x += run {
-				tables = append(tables, base+x)
-			}
-		}
-	}
+	tables = appendVoxelStarts(tables, g, run)
 	*buf = tables
 	return gemm.NewGathered(tables[:nRows], tables[nRows:], run)
+}
+
+// interiorScatter describes the interiors of m planes of a haloed
+// activation, from plane c0 of a sample on, as a scattered GEMM destination:
+// row r at the first interior voxel of plane c0+r, voxel (z, y, x) at its
+// offset from there, four voxels a run where rows of the volume are a
+// multiple of 4 wide, one otherwise. The tables are written into *buf, which
+// grows to fit them.
+func interiorScatter(g haloGeom, c0, m int, buf *[]int) gemm.Scattered {
+	run := 1
+	if g.w%4 == 0 {
+		run = 4
+	}
+	tables := (*buf)[:0]
+	for r := 0; r < m; r++ {
+		tables = append(tables, (c0+r)*g.vol+g.interior())
+	}
+	tables = appendVoxelStarts(tables, g, run)
+	*buf = tables
+	return gemm.NewScattered(tables[:m], tables[m:], run, 1)
 }
 
 // convGEMM computes dst[n] = wmat·P(src[n]) for every sample, finished by
 // ep's store: the same-padded K³ convolution of the [n, ch, d, h, w]
 // activation src with the m filters whose rows wmat ([m, ch·K³]) holds.
-// Every element of dst is written. The filters are packed once per call and
-// shared by every sample; P is read in place where volume rows are a
-// multiple of 4 wide.
+// Every element of dst's interiors is written, and nothing else of its
+// buffer: a whole dst by rows, any other through interiorScatter. The
+// filters are packed once per call and shared by every sample; P is read in
+// place where volume rows are a multiple of 4 wide.
 //
-// A 1×1×1 kernel needs no halo — the activation slab already is P, one flat
-// row of voxels per channel — so the whole batch is one product over src.
-// Otherwise the samples go in groups of one per worker: enough independent
-// products to keep the budget busy where one sample is a single column
-// block, while the halo buffer, taken once and refilled per group, stays the
-// size of the workers' working set whatever the batch.
-func (c *Conv3D) convGEMM(wmat []float32, m, ch int, src []float32, n, d, h, w int,
-	ep gemm.Epilogue, dst []float32) {
-
+// A src whose border is the halo (P = K/2, zero) is read where it lies, the
+// whole batch one product. A 1×1×1 kernel needs no halo either — a whole
+// activation slab already is P, one flat row of voxels per channel. Any
+// other src is whole, and is copied into a halo buffer: the samples go in
+// groups of one per worker, enough independent products to keep the budget
+// busy where one sample is a single column block, while the buffer, taken
+// once and refilled per group, stays the size of the workers' working set
+// whatever the batch.
+func (c *Conv3D) convGEMM(wmat []float32, m int, src, dst Haloed, ep gemm.Epilogue) {
 	k, workers := c.Kernel, c.workers
+	n, ch, d, h, w := src.shape("Conv3D")
 	cols := d * h * w
 	kdim := ch * k * k * k
-	if k == 1 {
-		d, h, w = 1, 1, cols
+	into := func(n0 int) gemm.Target {
+		return gemm.Into(dst.Buf.Data()[n0*m*cols:], cols, m*cols)
 	}
-	g := newHaloGeom(d, h, w, k)
+	if !dst.whole() {
+		og := dst.geom()
+		s := interiorScatter(og, dst.C0, m, &c.scatter)
+		stride := dst.Buf.Dim(1) * og.vol
+		into = func(n0 int) gemm.Target { return s.Into(dst.Buf.Data()[n0*stride:], stride) }
+	}
+	g := newHaloGeom(d, h, w, k/2)
+	if k == 1 {
+		if !src.whole() {
+			panic("nn: a 1×1×1 Conv3D reads a whole tensor")
+		}
+		g = newHaloGeom(1, 1, cols, 0)
+	}
 	p := patchMatrix(g, ch, k, &c.tables)
 	product := func(n0, count int, buf []float32, stride int) {
 		gemm.GemmBatch(c.ws, count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(buf, stride),
-			false, ep, gemm.Into(dst[n0*m*cols:], cols, m*cols), workers)
+			false, ep, into(n0), workers)
 	}
-	if k == 1 {
-		product(0, n, src, ch*cols)
+	switch {
+	case k == 1:
+		product(0, n, src.Buf.Data(), ch*cols)
 		return
+	case src.P == g.p:
+		product(0, n, src.Buf.Data()[src.C0*g.vol:], src.Buf.Dim(1)*g.vol)
+		return
+	case !src.whole():
+		panic(fmt.Sprintf("nn: Conv3D reads a whole tensor or one inside a border %d wide, not %d", g.p, src.P))
 	}
 	group := min(n, parallel.Resolve(workers))
 	mark := c.ws.Mark()
@@ -171,23 +225,23 @@ func (c *Conv3D) convGEMM(wmat []float32, m, ch int, src []float32, n, d, h, w i
 	halo := c.ws.Take(group * ch * g.vol)
 	for n0 := 0; n0 < n; n0 += group {
 		count := min(group, n-n0)
-		padHalo(halo, src[n0*ch*cols:], count*ch, g, workers)
+		padHalo(halo, src.Buf.Data()[n0*ch*cols:], count*ch, g, workers)
 		product(n0, count, halo, ch*g.vol)
 	}
 }
 
 // forward is the GEMM forward — training, evaluation and Infer alike — into
-// dst. Every element is written once, by the GEMM's store: the product plus
-// the bias, rounded as if the bias came first, as in the direct reference —
-// and then norm, when set.
-func (c *Conv3D) forward(x, dst *tensor.Tensor, norm gemm.Norm) {
-	n, ic, d, h, w := check5D("Conv3D", x)
+// dst. Every element of dst is written once, by the GEMM's store: the
+// product plus the bias, rounded as if the bias came first, as in the direct
+// reference — and then norm, when set.
+func (c *Conv3D) forward(x, dst Haloed, norm gemm.Norm) {
+	n, ic, d, h, w := x.shape("Conv3D")
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
-	checkDst("Conv3D", dst, n, c.OutChannels, d, h, w)
-	c.convGEMM(c.W.Value.Data(), c.OutChannels, ic, x.Data(), n, d, h, w,
-		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm}, dst.Data())
+	checkHaloedDst("Conv3D", dst, n, c.OutChannels, d, h, w)
+	c.convGEMM(c.W.Value.Data(), c.OutChannels, x, dst,
+		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm})
 }
 
 // padChannelsLast copies count samples of a [count, ch, d, h, w] activation
@@ -284,7 +338,7 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	workers := c.workers
 	xd, god := x.Data(), gradOut.Data()
 
-	g := newHaloGeom(d, h, w, k)
+	g := newHaloGeom(d, h, w, k/2)
 	pt := patchTransposed(g, cp, k, &c.tables)
 	group := min(n, parallel.Resolve(workers))
 	mark := c.ws.Mark()
@@ -303,8 +357,7 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 // inputGradGEMM is the GEMM input-gradient pass: the convolution of gradOut
 // with the flipped, channel-swapped kernel W′, written over gradIn.
 func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
-	n, ic, d, h, w := check5D("Conv3D.Backward", c.input)
-	oc := c.OutChannels
+	ic, oc := c.InChannels, c.OutChannels
 	kk := c.Kernel * c.Kernel * c.Kernel
 	wd := c.W.Value.Data()
 
@@ -321,7 +374,7 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 			}
 		}
 	})
-	c.convGEMM(flipped, ic, oc, gradOut.Data(), n, d, h, w, gemm.Epilogue{}, gradIn.Data())
+	c.convGEMM(flipped, ic, Whole(gradOut), Whole(gradIn), gemm.Epilogue{})
 }
 
 // reduceWeightPartials adds n per-sample partial kernel gradients onto

@@ -26,23 +26,23 @@ import (
 // backward gathers the output gradient into column form once, a pure copy
 // (each output voxel belongs to exactly one window), for the two batched
 // gradient products. Out may be the first OC channels of a wider tensor, the
-// decoder's concatenation.
+// decoder's concatenation, and in Infer a window of channels of a haloed one.
 
-// upScatter describes the output of one sample as the scattered destination
-// of the forward product: row (oc, kz, ky, kx) at channel oc's plane plus
-// the tap's offset from the window corner, and voxel (z, y, x)'s window
-// corner as its start, four voxels a run where rows are a multiple of 4 wide
-// (the outputs K apart), one otherwise. The tables are written into *buf,
-// which grows to fit them.
-func upScatter(oc, k, d, h, w int, buf *[]int) gemm.Scattered {
-	oh, ow := h*k, w*k
-	plane := d * k * oh * ow
+// upScatter describes the output of one sample — channels c0.. of a haloed
+// activation of geometry g, the input's extents times k — as the scattered
+// destination of the forward product: row (oc, kz, ky, kx) at channel
+// c0+oc's first interior voxel plus the tap's offset from the window
+// corner, and voxel (z, y, x)'s window corner as its start, four voxels a
+// run where input rows are a multiple of 4 wide (the outputs K apart), one
+// otherwise. The tables are written into *buf, which grows to fit them.
+func upScatter(g haloGeom, c0, oc, k int, buf *[]int) gemm.Scattered {
+	d, h, w := g.d/k, g.h/k, g.w/k
 	tables := (*buf)[:0]
 	for o := 0; o < oc; o++ {
 		for kz := 0; kz < k; kz++ {
 			for ky := 0; ky < k; ky++ {
 				for kx := 0; kx < k; kx++ {
-					tables = append(tables, o*plane+(kz*oh+ky)*ow+kx)
+					tables = append(tables, (c0+o)*g.vol+g.interior()+(kz*g.hp+ky)*g.wp+kx)
 				}
 			}
 		}
@@ -55,7 +55,7 @@ func upScatter(oc, k, d, h, w int, buf *[]int) gemm.Scattered {
 	for z := 0; z < d; z++ {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x += run {
-				tables = append(tables, (z*k*oh+y*k)*ow+x*k)
+				tables = append(tables, (z*k*g.hp+y*k)*g.wp+x*k)
 			}
 		}
 	}
@@ -68,19 +68,24 @@ func upScatter(oc, k, d, h, w int, buf *[]int) gemm.Scattered {
 // Every element of those channels is written once, by the GEMM's store, and
 // nothing else of dst.
 func (c *ConvTranspose3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	c.InferHaloed(x, Haloed{Buf: dst, C: c.OutChannels})
+	return dst
+}
+
+// InferHaloed is InferInto into the interiors of a haloed activation of OC
+// channels, and nothing else of its buffer.
+func (c *ConvTranspose3D) InferHaloed(x *tensor.Tensor, dst Haloed) {
 	n, ic, d, h, w := check5D("ConvTranspose3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: ConvTranspose3D expects %d input channels, got %d", c.InChannels, ic))
 	}
 	k, oc := c.Kernel, c.OutChannels
-	ch := windowChannels("ConvTranspose3D", dst, oc)
-	if s := dst.Shape(); s[0] != n || s[2] != d*k || s[3] != h*k || s[4] != w*k {
-		panic(fmt.Sprintf("nn: ConvTranspose3D output %v does not fit input %v", s, x.Shape()))
-	}
+	checkHaloedDst("ConvTranspose3D", dst, n, oc, d*k, h*k, w*k)
 	kk := k * k * k
 	rows, cols := oc*kk, d*h*w
 
-	out := upScatter(oc, k, d, h, w, &c.tables)
+	g := dst.geom()
+	out := upScatter(g, dst.C0, oc, k, &c.tables)
 	mark := c.ws.Mark()
 	defer c.ws.Release(mark)
 	bias := c.ws.Take(rows)
@@ -90,8 +95,7 @@ func (c *ConvTranspose3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
 	// Out = Wᵀ·x[n] + b: W is stored [IC, OC·K³] row-major, so op(A) = Aᵀ.
 	gemm.GemmBatch(c.ws, n, true, rows, cols, ic, c.W.Value.Data(), rows, 0,
 		gemm.Dense(false, x.Data(), cols, ic*cols),
-		false, gemm.Epilogue{Bias: bias}, out.Into(dst.Data(), ch*d*k*h*k*w*k), c.workers)
-	return dst
+		false, gemm.Epilogue{Bias: bias}, out.Into(dst.Buf.Data(), dst.Buf.Dim(1)*g.vol), c.workers)
 }
 
 // backwardGEMMInto is the fused GEMM kernel- and input-gradient pass (the

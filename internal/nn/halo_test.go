@@ -62,7 +62,7 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 		t.Run(fmt.Sprintf("ch%d_k%d_%dx%dx%d", tc.ch, tc.k, tc.d, tc.h, tc.w), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			x := randTensor(rng, tc.ch, tc.d, tc.h, tc.w).Data()
-			g := newHaloGeom(tc.d, tc.h, tc.w, tc.k)
+			g := newHaloGeom(tc.d, tc.h, tc.w, tc.k/2)
 			kk, voxels := tc.k*tc.k*tc.k, tc.d*tc.h*tc.w
 			nans := func(n int) []float32 {
 				buf := make([]float32, n)

@@ -39,7 +39,7 @@ func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // InferInto is ForwardInto without caching x for Backward.
 func (c *Conv3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
-	c.forward(x, dst, gemm.Norm{})
+	c.forward(Whole(x), Whole(dst), gemm.Norm{})
 	return dst
 }
 
@@ -122,6 +122,10 @@ func (m *MaxPool3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // InferInto downsamples x into dst without recording the backward argmax.
 func (m *MaxPool3D) InferInto(x, dst *tensor.Tensor) *tensor.Tensor {
-	m.pool(x, dst, nil)
+	m.pool(Whole(x), Whole(dst), nil)
 	return dst
 }
+
+// InferHaloed is InferInto between haloed activations: it reads x's
+// interiors and writes dst's, and nothing else of either buffer.
+func (m *MaxPool3D) InferHaloed(x, dst Haloed) { m.pool(x, dst, nil) }

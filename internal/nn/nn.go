@@ -21,7 +21,10 @@
 // buffers it owns (tensor.Owned) and allocates nothing per step. No pass
 // writes to its argument, save ConvBNReLU's Backward, which overwrites the
 // gradient it is given and, like its Forward, returns a buffer the block
-// owns (see block.go).
+// owns (see block.go). The block, the pooling and the up-convolution run
+// their InferInto through InferHaloed, which reads and writes activations
+// held inside a zero border, where a 3³ convolution reads them in place
+// (halo.go); InferInto passes it whole tensors.
 //
 // Scratch — halo copies, the flipped kernel, packed operands, partial sums —
 // comes from the layer's tensor.Workspace, taken and given back within the

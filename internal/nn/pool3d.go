@@ -47,14 +47,19 @@ func (m *MaxPool3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
 		m.argmax = make([]int32, dst.Size())
 	}
 	m.argmax = m.argmax[:dst.Size()]
-	m.pool(x, dst, m.argmax)
+	m.pool(Whole(x), Whole(dst), m.argmax)
 	return dst
 }
 
-// outShape checks that the pool size divides x's volume and returns the
-// pooled shape.
+// outShape is pooledShape of a whole tensor.
 func (m *MaxPool3D) outShape(x *tensor.Tensor) (n, c, od, oh, ow int) {
-	n, c, d, h, w := check5D("MaxPool3D", x)
+	return m.pooledShape(Whole(x))
+}
+
+// pooledShape checks that the pool size divides x's volume and returns the
+// pooled shape.
+func (m *MaxPool3D) pooledShape(x Haloed) (n, c, od, oh, ow int) {
+	n, c, d, h, w := x.shape("MaxPool3D")
 	s := m.Size
 	if d%s != 0 || h%s != 0 || w%s != 0 {
 		panic(fmt.Sprintf("nn: MaxPool3D size %d does not divide volume %dx%dx%d", s, d, h, w))
@@ -68,14 +73,14 @@ func (m *MaxPool3D) outShape(x *tensor.Tensor) (n, c, od, oh, ow int) {
 // when it is greater, so a NaN never does (and a NaN first element stays),
 // and the first of equal maxima wins, +0 and −0 included. Four windows of a
 // row are stepped abreast, each in its own order: one window's selects are a
-// chain of dependent compares.
-func (m *MaxPool3D) pool(x, out *tensor.Tensor, argmax []int32) {
-	n, c, od, oh, ow := m.outShape(x)
-	checkDst("MaxPool3D", out, n, c, od, oh, ow)
-	_, _, d, h, w := check5D("MaxPool3D", x)
+// chain of dependent compares. Only interiors are read and written; argmax
+// is indexed like out's buffer, and asked for of whole tensors only.
+func (m *MaxPool3D) pool(x, out Haloed, argmax []int32) {
+	n, c, od, oh, ow := m.pooledShape(x)
+	checkHaloedDst("MaxPool3D", out, n, c, od, oh, ow)
+	gx, gout := x.geom(), out.geom()
 	s := m.Size
-	xd, outd := x.Data(), out.Data()
-	outCh := od * oh * ow
+	xd, outd := x.Buf.Data(), out.Buf.Data()
 	parallel.ForWorkers(m.workers, n*c, 1, func(_, lo, hi int) {
 		// The window's offsets from its corner, in visiting order.
 		var buf [8]int
@@ -83,16 +88,17 @@ func (m *MaxPool3D) pool(x, out *tensor.Tensor, argmax []int32) {
 		for kz := 0; kz < s; kz++ {
 			for ky := 0; ky < s; ky++ {
 				for kx := 0; kx < s; kx++ {
-					win = append(win, (kz*h+ky)*w+kx)
+					win = append(win, (kz*gx.hp+ky)*gx.wp+kx)
 				}
 			}
 		}
 		for blk := lo; blk < hi; blk++ {
-			base := blk * d * h * w
-			oi := blk * outCh
+			base := x.plane(gx, blk/c, blk%c)
+			obase := out.plane(gout, blk/c, blk%c)
 			for z := 0; z < od; z++ {
 				for y := 0; y < oh; y++ {
-					row := base + (z*s*h+y*s)*w
+					row := base + (z*s*gx.hp+y*s)*gx.wp
+					oi := obase + (z*gout.hp+y)*gout.wp
 					for xx := 0; xx < ow; xx += 4 {
 						// Past the row's end the lanes repeat its last window.
 						last := row + (min(xx+4, ow)-1)*s

@@ -1,9 +1,12 @@
 package unet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -77,6 +80,70 @@ func TestInferBatchInvariant(t *testing.T) {
 		}
 		if batched.Data()[half+i] != wantB.Data()[i] {
 			t.Fatalf("sample 1 element %d differs under batching", i)
+		}
+	}
+}
+
+// TestInferHaloBordersAcrossShapes: Infer's buffers change layout with the
+// input's shape, and a layout of other extents puts its borders where the
+// last one's interiors were. Infers at [4,4,16³], then [1,4,8³], then
+// [4,4,16³] again, then after DropCaches, then at [1,4,16³] (fewer planes
+// of the same extents, as a serving replica's smaller batch lays out) and
+// [4,4,16³] once more, must each give a freshly built network's bits, and
+// leave every buffer laid out inside a border with that border all zero.
+func TestInferHaloBordersAcrossShapes(t *testing.T) {
+	cfg := Config{InChannels: 4, OutChannels: 1, BaseFilters: 4, Steps: 3, Kernel: 3, UpKernel: 2, Seed: 9}
+	u := MustNew(cfg)
+	rng := rand.New(rand.NewSource(10))
+	big := tensor.Randn(rng, 0, 1, 4, 4, 16, 16, 16)
+	small := tensor.Randn(rng, 0, 1, 1, 4, 8, 8, 8)
+	one := tensor.Randn(rng, 0, 1, 1, 4, 16, 16, 16)
+	for i, x := range []*tensor.Tensor{big, small, big, nil, big, one, big} {
+		if x == nil {
+			u.DropCaches()
+			continue
+		}
+		what := fmt.Sprintf("Infer %d at %v", i, x.Shape())
+		sameBits(t, what, MustNew(cfg).Infer(x).Data(), u.Infer(x).Data())
+		bufs := map[string]*nn.HaloBuffer{"ping": &u.ping, "pong": &u.pong}
+		for j, d := range u.dec {
+			bufs[fmt.Sprintf("dec[%d] concatenation", j)] = &d.inferCat
+		}
+		checked := 0
+		for name, b := range bufs {
+			if a := b.Layout(); a.P > 0 {
+				checkBorderZero(t, what+": "+name, a)
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: test is vacuous: no buffer is laid out inside a border", what)
+		}
+	}
+}
+
+// checkBorderZero asserts that every element of a's buffer outside the
+// interiors of its planes is +0.
+func checkBorderZero(t *testing.T, what string, a nn.Haloed) {
+	t.Helper()
+	s := a.Buf.Shape()
+	p := a.P
+	inside := func(i, n int) bool { return i >= p && i < n-p }
+	i := 0
+	for plane := 0; plane < s[0]*s[1]; plane++ {
+		for z := 0; z < s[2]; z++ {
+			for y := 0; y < s[3]; y++ {
+				for x := 0; x < s[4]; x++ {
+					v := a.Buf.Data()[i]
+					i++
+					if inside(z, s[2]) && inside(y, s[3]) && inside(x, s[4]) {
+						continue
+					}
+					if math.Float32bits(v) != 0 {
+						t.Fatalf("%s: plane %d border voxel (%d, %d, %d) = %v, want +0", what, plane, z, y, x, v)
+					}
+				}
+			}
 		}
 	}
 }

@@ -30,8 +30,11 @@
 // seen, resliced afterwards and released by DropCaches. Infer has buffers
 // of its own, apart from the training ones because it may run between a
 // Forward and its Backward: one per live role — a ping-pong pair between
-// layers, each skip, each concatenation and the prediction — not one per
-// site. The layers' scratch comes from one tensor.Workspace the network
+// layers, each concatenation and the prediction — not one per site. Where a
+// 3³ convolution reads one, its activation is laid out inside a zero border
+// (nn.HaloBuffer), and each encoder step's output goes straight into the
+// skip half of its decoder step's concatenation, so the skip has no buffer
+// of its own. The layers' scratch comes from one tensor.Workspace the network
 // owns, shared by every layer since they run one at a time, and given back
 // before each call returns. A steady-state training step or Infer therefore
 // allocates no activation, gradient or scratch, and leaves next to no
@@ -125,21 +128,20 @@ type encStep struct {
 
 	pooled   tensor.Owned // pool output
 	poolGrad tensor.Owned // gradient w.r.t. b's output: un-pooled, plus the skip's
-	skip     tensor.Owned // Infer's b output, held for the decoder
 }
 
 // decStep is one decoder resolution step: the up-convolution, the skip
-// concatenation — the up-convolution's output, then a copy of the skip — and
-// two body blocks.
+// concatenation — the up-convolution's output, then the skip — and two body
+// blocks.
 type decStep struct {
 	up   *nn.ConvTranspose3D
 	a, b *nn.ConvBNReLU
 
 	upChannels int // channels arriving from below
 
-	cat      tensor.Owned // [up, skip] concatenation
-	upGrad   tensor.Owned // gradient w.r.t. the step's input
-	inferCat tensor.Owned // Infer's concatenation
+	cat      tensor.Owned  // [up, skip] concatenation
+	upGrad   tensor.Owned  // gradient w.r.t. the step's input
+	inferCat nn.HaloBuffer // Infer's concatenation, inside the halo a reads
 
 	catGrad *tensor.Tensor // a's input gradient from the last Backward; the encoder reads its skip half
 }
@@ -156,13 +158,13 @@ type UNet struct {
 	actGrad  tensor.Owned // gradient w.r.t. the logits
 	headGrad tensor.Owned // gradient w.r.t. the last decoder block's output
 
-	ping, pong tensor.Owned // Infer's activations between layers
-	pred       tensor.Owned // Infer's result
+	ping, pong nn.HaloBuffer // Infer's activations between layers
+	pred       tensor.Owned  // Infer's result
 
 	ws tensor.Workspace // every layer's scratch
 
 	params []*nn.Param
-	skips  []*tensor.Tensor // the running forward's encoder outputs awaiting the decoder, shallow first
+	skips  []*tensor.Tensor // the running Forward's encoder outputs awaiting the decoder, shallow first
 
 	// Per-group parameter slices in gradient completion order (head, then
 	// decoder steps deep→shallow, then encoder steps deep→shallow), built
@@ -314,7 +316,6 @@ func (u *UNet) DropCaches() {
 		}
 		e.pooled.Release()
 		e.poolGrad.Release()
-		e.skip.Release()
 	}
 	for _, d := range u.dec {
 		d.up.DropCaches()
@@ -396,34 +397,51 @@ func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward reads, so it may be interleaved with training steps on the same
 // model (between a Forward and its Backward too) without disturbing either.
 //
+// Every activation a body convolution reads is stored, by the layer that
+// produces it, inside the zero border that convolution reads in place
+// (nn.Haloed), so only x is copied into one. An encoder step's second
+// block stores its output into the skip half of its decoder step's
+// concatenation, where the pooling reads it and the decoder finds it. A
+// buffer's borders are zeroed where a layout of other extents may have
+// written over them (nn.HaloBuffer): the concatenations keep theirs while
+// the input's extents repeat; the ping-pong pair, whose extents change
+// from step to step, clears what the steps between wrote.
+//
 // x is only read. The result is the network's own buffer, valid until the
 // next Infer.
 func (u *UNet) Infer(x *tensor.Tensor) *tensor.Tensor {
 	u.checkInput("Infer", x)
-	k := u.Cfg.UpKernel
-	u.skips = u.skips[:0]
-	h := x
-	for _, e := range u.enc {
+	k, p, workers := u.Cfg.UpKernel, u.Cfg.Kernel/2, u.Cfg.Workers
+	s := x.Shape()
+	n, d, h, w := s[0], s[2], s[3], s[4]
+	in := nn.Whole(x)
+	for i, e := range u.enc {
 		f := e.a.Conv.OutChannels
-		t := e.a.InferInto(h, like(&u.ping, h, f, 1, 1))
+		t := u.pong.Shaped(n, f, d, h, w, p, workers)
+		e.a.InferHaloed(in, t)
 		if e.pool == nil {
-			h = e.b.InferInto(t, like(&u.pong, t, f, 1, 1))
+			in = u.ping.Shaped(n, f, d, h, w, 0, workers)
+			e.b.InferHaloed(t, in)
 			break
 		}
-		skip := e.b.InferInto(t, like(&e.skip, t, f, 1, 1))
-		u.skips = append(u.skips, skip)
-		h = e.pool.InferInto(skip, like(&u.pong, skip, f, 1, k))
+		dc := u.dec[len(u.dec)-1-i]
+		skip := dc.inferCat.Shaped(n, dc.upChannels+f, d, h, w, p, workers).Channels(dc.upChannels, f)
+		e.b.InferHaloed(t, skip)
+		d, h, w = d/k, h/k, w/k
+		in = u.ping.Shaped(n, f, d, h, w, p, workers)
+		e.pool.InferHaloed(skip, in)
 	}
-	for i, d := range u.dec {
-		skip := u.skips[len(u.skips)-1-i]
-		cat := like(&d.inferCat, skip, d.upChannels+skip.Dim(1), 1, 1)
-		d.up.InferInto(h, cat)
-		copyChannels(cat, skip, d.upChannels, u.Cfg.Workers)
-		f := d.a.Conv.OutChannels
-		t := d.a.InferInto(cat, like(&u.ping, cat, f, 1, 1))
-		h = d.b.InferInto(t, like(&u.pong, t, f, 1, 1))
+	for _, dc := range u.dec {
+		d, h, w = d*k, h*k, w*k
+		cat := dc.inferCat.Layout()
+		dc.up.InferHaloed(in.Buf, cat.Channels(0, dc.upChannels))
+		f := dc.a.Conv.OutChannels
+		t := u.pong.Shaped(n, f, d, h, w, p, workers)
+		dc.a.InferHaloed(cat, t)
+		in = u.ping.Shaped(n, f, d, h, w, 0, workers)
+		dc.b.InferHaloed(t, in)
 	}
-	logits := u.head.InferInto(h, like(&u.ping, h, u.Cfg.OutChannels, 1, 1))
+	logits := u.head.InferInto(in.Buf, u.pong.Shaped(n, u.Cfg.OutChannels, d, h, w, 0, workers).Buf)
 	return u.act.InferInto(logits, u.pred.Shaped(logits.Shape()...))
 }
 
