@@ -22,8 +22,10 @@
 // controller (internal/online): accepted feedback lands in a persistent
 // replay buffer, a shadow model fine-tunes on it in the background, and an
 // eval gate hot-swaps improved generations into the live server — with
-// automatic rollback if post-promotion feedback quality regresses. State
-// lives under -online-dir so restarts resume mid-campaign.
+// automatic rollback if post-promotion feedback quality regresses. Its
+// state — buffer, training session, live and last-good models — is one
+// file under -online-dir, rewritten at each feedback and generation, so a
+// restart resumes from the last one.
 //
 // With -pprof the standard net/http/pprof endpoints are additionally
 // mounted under /debug/pprof/ on the same listener.
@@ -51,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -93,7 +94,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 
 	onlineOn := flag.Bool("online", false, "run the continual-learning controller (enables /v1/feedback)")
-	onlineDir := flag.String("online-dir", "", "state directory for buffer/session/model checkpoints (empty: in-memory only)")
+	onlineDir := flag.String("online-dir", "", "state directory for the controller's one state file (buffer, session, live and last-good models), rewritten at each feedback and generation (empty: in-memory only)")
 	onlineMargin := flag.Float64("online-margin", 0.01, "holdout-Dice improvement required for promotion")
 	onlineRollback := flag.Float64("online-rollback", 0.05, "feedback-Dice regression that triggers rollback")
 	onlineEpochs := flag.Int("online-epochs", 1, "fine-tuning epochs per shadow generation")
@@ -364,12 +365,6 @@ func newOnlineController(o onlineOptions) (*online.Controller, error) {
 		return nil, err
 	}
 
-	resuming := false
-	if o.dir != "" {
-		if _, err := os.Stat(filepath.Join(o.dir, "buffer.ckpt")); err == nil {
-			resuming = true
-		}
-	}
 	ctrl, err := online.NewController(online.Config{
 		Net: o.net, Loss: "dice", Optimizer: "adam",
 		LR: o.lr, Workers: o.workers,
@@ -383,7 +378,7 @@ func newOnlineController(o onlineOptions) (*online.Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.ckptPath != "" && !resuming {
+	if o.ckptPath != "" && !ctrl.Resumed() {
 		// Fine-tune from the served checkpoint, not from random init; a
 		// resumed state directory already carries the newer weights.
 		if _, err := ckpt.LoadFile(o.ckptPath, ctrl.Shadow()); err != nil {

@@ -113,10 +113,6 @@ func (t *Topology) Width() int { return t.n }
 // Codec returns the gradient codec every member of this topology runs.
 func (t *Topology) Codec() Codec { return t.cdc }
 
-// SetOpTimeout adjusts the per-collective deadline (evaluation-phase
-// collectives wait on slower full-volume inference and need a longer one).
-func (t *Topology) SetOpTimeout(d time.Duration) { t.cfg.OpTimeout = d }
-
 // Close tears down every link.
 func (t *Topology) Close() {
 	for _, c := range t.conns {

@@ -9,6 +9,12 @@
 // share the dataset tooling. A bare model is a checkpoint with no session
 // state, and a session checkpoint loads as a model by ignoring the state
 // Load returns.
+//
+// Each reader takes exactly the records its writer wrote, so several
+// checkpoints can share one file. The sample stream (SaveSamples,
+// LoadSamples) stores a sample collection with float64 state; the online
+// controller's state file is that stream followed by a session checkpoint
+// and its models' checkpoints, replaced whole by WriteFileAtomic.
 package ckpt
 
 import (

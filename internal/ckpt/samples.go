@@ -3,23 +3,22 @@ package ckpt
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/record"
 	"repro/internal/volume"
 )
 
-// Sample-stream checkpoints persist a mutable sample collection — the
-// online continual-learning replay buffer — together with bit-exact float64
-// controller state, so a restarted process resumes with the identical
-// buffer contents and eviction cursor. The on-disk form is one TFRecord
-// stream: a leading state payload (the session-state codec's uint64 bit
-// patterns under "state:" keys) followed by one record.MarshalSample
-// payload per sample, in buffer order.
+// Sample-stream checkpoints persist a sample collection — the online replay
+// buffer — with bit-exact float64 state: a leading state payload (the
+// sample count under the marker key, the state as uint64 bit patterns under
+// "state:" keys), then one record.MarshalSample payload per sample, in
+// order. The reader stops after the counted samples, so other records may
+// follow in the same file.
 
-// sampleStreamMarker tags the leading payload so model checkpoints (whose
-// features carry param: and shape: keys instead) are rejected on load.
+// sampleStreamMarker tags the leading payload, and holds the sample count,
+// so model checkpoints (whose features carry param: and shape: keys
+// instead) are rejected on load.
 const sampleStreamMarker = "sample-stream"
 
 // SaveSamples writes the state map and samples to w.
@@ -27,16 +26,17 @@ func SaveSamples(w io.Writer, samples []*volume.Sample, state map[string][]float
 	f := record.NewFeatures()
 	f.AddInts(sampleStreamMarker, []int64{int64(len(samples))})
 	addBits(f, "state:", state)
-	rw := record.NewWriter(w)
-	if err := rw.Write(f.Marshal()); err != nil {
+	if err := record.NewWriter(w).Write(f.Marshal()); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	return record.WriteSamples(w, samples)
 }
 
 // LoadSamples reads back a stream written by SaveSamples: the samples in
-// their stored order and the state map, every float64 bit-exact.
-func LoadSamples(r io.Reader) ([]*volume.Sample, map[string][]float64, error) {
+// their stored order and the state map, every float64 bit-exact. It reads
+// exactly the samples the leading payload counts, and rejects a count above
+// limit before it reads any of them.
+func LoadSamples(r io.Reader, limit int) ([]*volume.Sample, map[string][]float64, error) {
 	rr := record.NewReader(r)
 	payload, err := rr.Next()
 	if err != nil {
@@ -46,7 +46,8 @@ func LoadSamples(r io.Reader) ([]*volume.Sample, map[string][]float64, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("ckpt: %w", err)
 	}
-	if _, ok := f.Ints[sampleStreamMarker]; !ok {
+	count := f.Ints[sampleStreamMarker]
+	if len(count) != 1 {
 		return nil, nil, fmt.Errorf("ckpt: not a sample-stream checkpoint (marker missing)")
 	}
 	for key := range f.Ints {
@@ -54,24 +55,18 @@ func LoadSamples(r io.Reader) ([]*volume.Sample, map[string][]float64, error) {
 			return nil, nil, fmt.Errorf("ckpt: not a sample-stream checkpoint (leading payload has %q)", key)
 		}
 	}
-	samples, err := record.ReadSamples(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ckpt: %w", err)
+	if n := count[0]; n < 0 || n > int64(limit) {
+		return nil, nil, fmt.Errorf("ckpt: sample stream holds %d samples, at most %d allowed", n, limit)
+	}
+	samples := make([]*volume.Sample, count[0])
+	for i := range samples {
+		payload, err := rr.Next()
+		if err != nil {
+			return nil, nil, fmt.Errorf("ckpt: sample %d of %d: %w", i, len(samples), err)
+		}
+		if samples[i], err = record.UnmarshalSample(payload); err != nil {
+			return nil, nil, fmt.Errorf("ckpt: sample %d of %d: %w", i, len(samples), err)
+		}
 	}
 	return samples, readBits(f, "state:"), nil
-}
-
-// SaveSamplesFile writes a sample-stream checkpoint to path atomically.
-func SaveSamplesFile(path string, samples []*volume.Sample, state map[string][]float64) error {
-	return WriteFileAtomic(path, func(f io.Writer) error { return SaveSamples(f, samples, state) })
-}
-
-// LoadSamplesFile restores a sample-stream checkpoint from path.
-func LoadSamplesFile(path string) ([]*volume.Sample, map[string][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ckpt: %w", err)
-	}
-	defer f.Close()
-	return LoadSamples(f)
 }

@@ -1,8 +1,9 @@
 package ckpt
 
 import (
+	"bytes"
 	"math"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/msd"
@@ -29,12 +30,12 @@ func TestSampleStreamRoundTrip(t *testing.T) {
 		"buffer.seen": {12345678901}, // past float32's 2^24: must stay bit-exact
 		"buffer.caps": {64, math.Pi, math.Inf(1)},
 	}
-	path := filepath.Join(t.TempDir(), "buffer.ckpt")
-	if err := SaveSamplesFile(path, samples, state); err != nil {
+	var buf bytes.Buffer
+	if err := SaveSamples(&buf, samples, state); err != nil {
 		t.Fatal(err)
 	}
 
-	got, gotState, err := LoadSamplesFile(path)
+	got, gotState, err := LoadSamples(&buf, len(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestSampleStreamRoundTrip(t *testing.T) {
 }
 
 func TestSampleStreamEmptyBuffer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.ckpt")
-	if err := SaveSamplesFile(path, nil, map[string][]float64{"buffer.seen": {0}}); err != nil {
+	var buf bytes.Buffer
+	if err := SaveSamples(&buf, nil, map[string][]float64{"buffer.seen": {0}}); err != nil {
 		t.Fatal(err)
 	}
-	samples, state, err := LoadSamplesFile(path)
+	samples, state, err := LoadSamples(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,20 +98,58 @@ func TestSampleStreamRejectsForeignCheckpoint(t *testing.T) {
 	// A model checkpoint is a record stream too, but its leading payload is
 	// not a sample-stream state payload — loading must fail cleanly, not
 	// misinterpret parameters as buffer contents.
-	path := filepath.Join(t.TempDir(), "model.ckpt")
+	var buf bytes.Buffer
 	s := bufferSamples(t, 1)[0]
-	if err := SaveSamplesFile(path, []*volume.Sample{s}, nil); err != nil {
+	if err := SaveSamples(&buf, []*volume.Sample{s}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSamplesFile(path); err != nil {
+	if _, _, err := LoadSamples(&buf, 1); err != nil {
 		t.Fatalf("round trip with empty state failed: %v", err)
 	}
 
-	modelPath := filepath.Join(t.TempDir(), "real-model.ckpt")
-	if err := SaveFile(modelPath, tinyNet(1), nil); err != nil {
+	var model bytes.Buffer
+	if err := Save(&model, tinyNet(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSamplesFile(modelPath); err == nil {
+	if _, _, err := LoadSamples(&model, 1); err == nil {
 		t.Fatal("model checkpoint accepted as a sample stream")
+	}
+}
+
+// TestSampleStreamStopsAtItsCount: the reader takes exactly the samples the
+// leading payload counts, so a checkpoint written after the stream loads
+// from the same reader, and a count above the limit fails before any sample
+// is read.
+func TestSampleStreamStopsAtItsCount(t *testing.T) {
+	samples := bufferSamples(t, 2)
+	var buf bytes.Buffer
+	if err := SaveSamples(&buf, samples, nil); err != nil {
+		t.Fatal(err)
+	}
+	streamLen := buf.Len()
+	if err := Save(&buf, tinyNet(1), map[string][]float64{"opt.step": {7}}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	r := bytes.NewReader(raw)
+	got, _, err := LoadSamples(r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1].Name != samples[1].Name {
+		t.Fatalf("loaded %d samples", len(got))
+	}
+	state, err := Load(r, tinyNet(2))
+	if err != nil {
+		t.Fatalf("checkpoint after the stream: %v", err)
+	}
+	if v := state["opt.step"]; len(v) != 1 || v[0] != 7 {
+		t.Fatalf("state %v", state)
+	}
+
+	// Only the leading payload is whole: a limit of 1 must stop there.
+	if _, _, err := LoadSamples(bytes.NewReader(raw[:streamLen-1]), 1); err == nil || !strings.Contains(err.Error(), "at most 1") {
+		t.Fatalf("count above the limit: err %v", err)
 	}
 }

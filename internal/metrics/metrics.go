@@ -65,15 +65,3 @@ func DiceScore(pred, target *tensor.Tensor) float64 {
 func Drift(pred, prior *tensor.Tensor) float64 {
 	return 1 - Confuse(pred, prior, 0.5).Dice()
 }
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -55,15 +55,6 @@ func TestDegenerateConventions(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) must be 0")
-	}
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Fatalf("Mean = %v", m)
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -9,6 +9,7 @@ package online
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -92,17 +93,17 @@ func (b *ReplayBuffer) Snapshot() []*volume.Sample {
 	return out
 }
 
-// Buffer state keys inside the sample-stream checkpoint. The extra map
-// given to Save rides alongside under its own keys; "buffer:" is reserved.
+// Buffer state keys inside the sample stream. The extra map given to Save
+// rides alongside under its own keys; "buffer:" is reserved.
 const (
 	keySeen = "buffer:seen"
 	keyCap  = "buffer:cap"
 	keySeed = "buffer:seed"
 )
 
-// Save persists the buffer — and any extra caller state — as a ckpt
-// sample-stream file. Extra keys must not use the "buffer:" prefix.
-func (b *ReplayBuffer) Save(path string, extra map[string][]float64) error {
+// Save writes the buffer — and any extra caller state — to w as a ckpt
+// sample stream. Extra keys must not use the "buffer:" prefix.
+func (b *ReplayBuffer) Save(w io.Writer, extra map[string][]float64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	state := map[string][]float64{
@@ -116,30 +117,32 @@ func (b *ReplayBuffer) Save(path string, extra map[string][]float64) error {
 		}
 		state[k] = v
 	}
-	return ckpt.SaveSamplesFile(path, b.items, state)
+	return ckpt.SaveSamples(w, b.items, state)
 }
 
-// Load restores a buffer saved by Save into b (which must have the same
+// Load reads a stream written by Save into b (which must have the same
 // capacity and seed — eviction determinism depends on both) and returns
-// the extra caller state.
-func (b *ReplayBuffer) Load(path string) (map[string][]float64, error) {
-	samples, state, err := ckpt.LoadSamplesFile(path)
+// the extra caller state. A stream holding more samples than b's capacity
+// is rejected before any sample is read.
+func (b *ReplayBuffer) Load(r io.Reader) (map[string][]float64, error) {
+	samples, state, err := ckpt.LoadSamples(r, b.cap)
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if got := scalar(state, keyCap); int(got) != b.cap {
 		return nil, fmt.Errorf("online: buffer capacity %d does not match checkpoint %g", b.cap, got)
 	}
 	if got := scalar(state, keySeed); int64(got) != b.seed {
 		return nil, fmt.Errorf("online: buffer seed %d does not match checkpoint %g", b.seed, got)
 	}
-	if len(samples) > b.cap {
-		return nil, fmt.Errorf("online: checkpoint holds %d samples, capacity %d", len(samples), b.cap)
+	seen := int64(scalar(state, keySeen))
+	if seen < int64(len(samples)) {
+		return nil, fmt.Errorf("online: checkpoint holds %d samples but has seen %d", len(samples), seen)
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.items = samples
-	b.seen = int64(scalar(state, keySeen))
+	b.seen = seen
 	extra := map[string][]float64{}
 	for k, v := range state {
 		if !strings.HasPrefix(k, "buffer:") {

@@ -1,14 +1,14 @@
 package online
 
 import (
-	"path/filepath"
+	"bytes"
 	"testing"
 
 	"repro/internal/msd"
 	"repro/internal/volume"
 )
 
-func phantoms(t *testing.T, n int, seed int64) []*volume.Sample {
+func phantoms(t testing.TB, n int, seed int64) []*volume.Sample {
 	t.Helper()
 	cfg := msd.Config{Cases: n, D: 8, H: 8, W: 8, Seed: seed}
 	out := make([]*volume.Sample, n)
@@ -112,12 +112,12 @@ func TestBufferSaveLoadResumesEviction(t *testing.T) {
 	for _, s := range feed[:17] {
 		b1.Add(s)
 	}
-	path := filepath.Join(t.TempDir(), "buffer.ckpt")
-	if err := b1.Save(path, map[string][]float64{"ctrl:gen": {3}}); err != nil {
+	var saved bytes.Buffer
+	if err := b1.Save(&saved, map[string][]float64{"ctrl:gen": {3}}); err != nil {
 		t.Fatal(err)
 	}
 	b2, _ := NewReplayBuffer(5, 11)
-	extra, err := b2.Load(path)
+	extra, err := b2.Load(&saved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,19 +148,25 @@ func TestBufferLoadValidates(t *testing.T) {
 	for _, s := range feed {
 		b.Add(s)
 	}
-	path := filepath.Join(t.TempDir(), "buffer.ckpt")
-	if err := b.Save(path, nil); err != nil {
+	var saved bytes.Buffer
+	if err := b.Save(&saved, nil); err != nil {
 		t.Fatal(err)
 	}
+	raw := saved.Bytes()
 	wrongCap, _ := NewReplayBuffer(8, 11)
-	if _, err := wrongCap.Load(path); err == nil {
+	if _, err := wrongCap.Load(bytes.NewReader(raw)); err == nil {
 		t.Fatal("capacity mismatch accepted")
 	}
 	wrongSeed, _ := NewReplayBuffer(4, 12)
-	if _, err := wrongSeed.Load(path); err == nil {
+	if _, err := wrongSeed.Load(bytes.NewReader(raw)); err == nil {
 		t.Fatal("seed mismatch accepted")
 	}
-	if err := b.Save(path, map[string][]float64{"buffer:seen": {0}}); err == nil {
+	// Three samples cannot fit a buffer of two: rejected by the count.
+	tooSmall, _ := NewReplayBuffer(2, 11)
+	if _, err := tooSmall.Load(bytes.NewReader(raw)); err == nil {
+		t.Fatal("more samples than capacity accepted")
+	}
+	if err := b.Save(&bytes.Buffer{}, map[string][]float64{"buffer:seen": {0}}); err == nil {
 		t.Fatal("reserved extra key accepted")
 	}
 	if _, err := NewReplayBuffer(0, 1); err == nil {

@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -58,8 +59,10 @@ type Config struct {
 	Margin         float64
 	RollbackMargin float64
 
-	// Dir, when non-empty, persists the buffer, the training session and
-	// the live/last-good models there so a restarted controller resumes.
+	// Dir, when non-empty, holds the controller's state file — the
+	// buffer, the training session and the live/last-good models, rewritten
+	// whole at every feedback, generation outcome and Close — so a
+	// restarted controller resumes from the last commit.
 	Dir string
 
 	// Seed drives the training shuffle.
@@ -121,19 +124,22 @@ type Controller struct {
 
 	feedback, generations, promotions, rejections, rollbacks *telemetry.Counter
 
+	resumed bool // NewController restored the state file
+
 	stop chan struct{}
 	done chan struct{}
 }
 
-// File names under Config.Dir.
+// stateFile is the one file under Config.Dir holding the controller's
+// state, replaced whole at every commit, so a crash leaves the previous
+// commit or the new one. oldLayoutFile is the first of the four files an
+// earlier layout kept there instead.
 const (
-	bufferFile   = "buffer.ckpt"
-	sessionFile  = "session.ckpt"
-	liveFile     = "live.ckpt"
-	lastGoodFile = "lastgood.ckpt"
+	stateFile     = "online.ckpt"
+	oldLayoutFile = "buffer.ckpt"
 )
 
-// Controller state keys persisted inside the buffer checkpoint.
+// Controller state keys persisted inside the buffer's sample stream.
 const (
 	keyGen      = "ctrl:gen"
 	keyHasLast  = "ctrl:haslast"
@@ -216,11 +222,10 @@ func NewController(cfg Config) (*Controller, error) {
 	c.probeFn = c.probe
 	c.initTelemetry()
 
-	restored, err := c.restore()
-	if err != nil {
+	if c.resumed, err = c.restore(); err != nil {
 		return nil, err
 	}
-	if !restored {
+	if !c.resumed {
 		// Generation zero: the live mirror starts from the shadow's
 		// initial weights.
 		copyModel(c.live, c.shadow)
@@ -303,7 +308,7 @@ func (c *Controller) Feedback(s *volume.Sample) error {
 		"name", s.Name,
 		"live_dice", fmt.Sprintf("%.4f", dice),
 		"drift", fmt.Sprintf("%.4f", drift))
-	return c.saveBuffer()
+	return c.save()
 }
 
 // validate checks a feedback sample against the serving geometry.
@@ -498,6 +503,10 @@ func (c *Controller) Generation() int64 {
 	return c.gen
 }
 
+// Resumed reports whether NewController restored the controller from the
+// state file under Config.Dir.
+func (c *Controller) Resumed() bool { return c.resumed }
+
 // Shadow exposes the shadow model (checkpoint bootstrap in cmd/servemis).
 func (c *Controller) Shadow() *unet.UNet { return c.shadow }
 
@@ -567,47 +576,27 @@ func copyModel(dst, src *unet.UNet) {
 	}
 }
 
-// save persists the full controller state under Dir. Called with c.mu
-// held; a no-op without a state directory.
+// save commits the controller's state to Dir as one file (see writeState).
+// Called with c.mu held; a no-op without a state directory.
 func (c *Controller) save() error {
-	dir := c.cfg.Dir
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := c.saveBuffer(); err != nil {
-		return err
-	}
-	if err := c.sess.SaveCheckpointFile(filepath.Join(dir, sessionFile)); err != nil {
-		return err
-	}
-	if err := ckpt.SaveFile(filepath.Join(dir, liveFile), c.live, nil); err != nil {
-		return err
-	}
-	if c.hasLast {
-		if err := ckpt.SaveFile(filepath.Join(dir, lastGoodFile), c.last, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// saveBuffer persists the replay buffer plus controller scalars. Called
-// with c.mu held; a no-op without a state directory.
-func (c *Controller) saveBuffer() error {
 	if c.cfg.Dir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(c.cfg.Dir, 0o755); err != nil {
 		return err
 	}
+	return ckpt.WriteFileAtomic(filepath.Join(c.cfg.Dir, stateFile), c.writeState)
+}
+
+// writeState writes the state file: the replay buffer's sample stream,
+// carrying the controller scalars, then the session checkpoint, the live
+// model and, when there is one, the last-good model.
+func (c *Controller) writeState(w io.Writer) error {
 	has := 0.0
 	if c.hasLast {
 		has = 1
 	}
-	return c.cfg.Buffer.Save(filepath.Join(c.cfg.Dir, bufferFile), map[string][]float64{
+	err := c.cfg.Buffer.Save(w, map[string][]float64{
 		keyGen:      {float64(c.gen)},
 		keyHasLast:  {has},
 		keyLastDice: {c.promoDice},
@@ -616,22 +605,54 @@ func (c *Controller) saveBuffer() error {
 		keyFbCount:  {float64(c.fbDiceCount)},
 		keyBudget:   {float64(c.sess.EpochBudget())},
 	})
+	if err != nil {
+		return err
+	}
+	if err := c.sess.SaveCheckpoint(w); err != nil {
+		return err
+	}
+	if err := ckpt.Save(w, c.live, nil); err != nil {
+		return err
+	}
+	if !c.hasLast {
+		return nil
+	}
+	return ckpt.Save(w, c.last, nil)
 }
 
-// restore loads persisted state from Dir. Returns false when there is
+// restore loads the state file from Dir. Returns false when there is
 // nothing to resume.
 func (c *Controller) restore() (bool, error) {
 	dir := c.cfg.Dir
 	if dir == "" {
 		return false, nil
 	}
-	bufPath := filepath.Join(dir, bufferFile)
-	if _, err := os.Stat(bufPath); err != nil {
+	f, err := os.Open(filepath.Join(dir, stateFile))
+	if os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(dir, oldLayoutFile)); err == nil {
+			return false, fmt.Errorf("online: %s holds the old four-file state layout (buffer.ckpt, session.ckpt, live.ckpt, lastgood.ckpt), which is no longer read; move it aside to start afresh", dir)
+		}
 		return false, nil
 	}
-	extra, err := c.cfg.Buffer.Load(bufPath)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("online: %w", err)
+	}
+	defer f.Close()
+	if err := c.readState(f); err != nil {
+		return false, fmt.Errorf("online: resuming from %s: %w", f.Name(), err)
+	}
+	c.event("resume", c.gen,
+		"buffer", fmt.Sprintf("%d", c.cfg.Buffer.Len()),
+		"epoch", fmt.Sprintf("%d", c.sess.Epoch()))
+	return true, nil
+}
+
+// readState restores the controller from a state file written by
+// writeState. On error the controller is left part-restored.
+func (c *Controller) readState(r io.Reader) error {
+	extra, err := c.cfg.Buffer.Load(r)
+	if err != nil {
+		return err
 	}
 	c.gen = int64(scalar(extra, keyGen))
 	c.hasLast = scalar(extra, keyHasLast) != 0
@@ -644,22 +665,19 @@ func (c *Controller) restore() (bool, error) {
 	// cursor must fit under the persisted budget before loading.
 	if budget := int(scalar(extra, keyBudget)); budget > 0 {
 		if err := c.sess.ExtendEpochs(budget); err != nil {
-			return false, err
+			return err
 		}
 	}
-	if err := c.sess.LoadCheckpointFile(filepath.Join(dir, sessionFile)); err != nil {
-		return false, fmt.Errorf("online: resuming session: %w", err)
+	if err := c.sess.LoadCheckpoint(r); err != nil {
+		return fmt.Errorf("session: %w", err)
 	}
-	if _, err := ckpt.LoadFile(filepath.Join(dir, liveFile), c.live); err != nil {
-		return false, fmt.Errorf("online: resuming live model: %w", err)
+	if _, err := ckpt.Load(r, c.live); err != nil {
+		return fmt.Errorf("live model: %w", err)
 	}
 	if c.hasLast {
-		if _, err := ckpt.LoadFile(filepath.Join(dir, lastGoodFile), c.last); err != nil {
-			return false, fmt.Errorf("online: resuming last-good model: %w", err)
+		if _, err := ckpt.Load(r, c.last); err != nil {
+			return fmt.Errorf("last-good model: %w", err)
 		}
 	}
-	c.event("resume", c.gen,
-		"buffer", fmt.Sprintf("%d", c.cfg.Buffer.Len()),
-		"epoch", fmt.Sprintf("%d", c.sess.Epoch()))
-	return true, nil
+	return nil
 }

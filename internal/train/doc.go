@@ -33,9 +33,11 @@
 //     seeded per epoch, so the epoch/step cursor is the only RNG state a
 //     checkpoint needs.
 //
-// The experiment layer builds on the same mechanism: tune.Runner records
-// terminal trial outcomes under a campaign directory and core resumes
-// in-flight trials from their session checkpoints, so an interrupted
+// The experiment layer builds on the same mechanism: tune.Runner commits
+// terminal trial outcomes and its scheduler's state to one campaign.json
+// under a campaign directory, and core resumes in-flight trials from the
+// session checkpoints in their trial-NNNN directories, so an interrupted
 // hyper-parameter search — under either distribution strategy — picks up
-// where it stopped.
+// where it stopped. The online controller writes its session checkpoint
+// inside its one state file, after the replay buffer's sample stream.
 package train

@@ -1,30 +1,41 @@
 package tune
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/ckpt"
 )
 
-// trialRecord is the on-disk terminal outcome of one trial, written under
-// the runner's CheckpointDir so a re-run of the same campaign can restore
-// finished trials instead of re-training them. Reports round-trip through
-// JSON exactly (Go prints float64 with round-trip precision).
+// campaignFile is the one file a resumable campaign keeps at the root of
+// its CheckpointDir, beside the per-trial directories.
+const campaignFile = "campaign.json"
+
+// campaign is the campaign file's content: every finished trial's terminal
+// outcome, in ID order, and the stateful scheduler's observations. The
+// runner rewrites it whole after each trial finishes, so the records and
+// the scheduler state always come from the same moment. Reports round-trip
+// through JSON exactly (Go prints float64 with round-trip precision).
+type campaign struct {
+	Trials []trialRecord `json:"trials"`
+	// Scheduler names the scheduler State came from, so a campaign resumed
+	// under a different scheduler never imports a foreign state.
+	Scheduler string          `json:"scheduler,omitempty"`
+	State     json.RawMessage `json:"state,omitempty"`
+}
+
+// trialRecord is one finished trial's terminal outcome.
 type trialRecord struct {
 	ID      int      `json:"id"`
 	Config  string   `json:"config"` // rendered deterministically, the match key
 	Status  string   `json:"status"`
 	Error   string   `json:"error,omitempty"`
 	Reports []Report `json:"reports"`
-}
-
-// trialRecordPath returns the record file for trial id under dir.
-func trialRecordPath(dir string, id int) string {
-	return filepath.Join(dir, fmt.Sprintf("trial-%04d.json", id))
 }
 
 // TrialDir returns the per-trial checkpoint directory under a campaign
@@ -34,8 +45,25 @@ func TrialDir(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("trial-%04d", id))
 }
 
-// writeTrialRecord persists a trial's terminal outcome atomically.
-func writeTrialRecord(dir string, t *Trial) error {
+// readCampaign loads the campaign file under dir. A missing or undecodable
+// file reads as an empty campaign, whose trials all run.
+func readCampaign(dir string) *campaign {
+	var c campaign
+	data, err := os.ReadFile(filepath.Join(dir, campaignFile))
+	if err != nil || json.Unmarshal(data, &c) != nil {
+		return &campaign{}
+	}
+	return &c
+}
+
+// find returns the index of trial id's record, or the index it belongs at.
+func (c *campaign) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(c.Trials, id, func(r trialRecord, want int) int { return cmp.Compare(r.ID, want) })
+}
+
+// commit records t's terminal outcome and, for a stateful scheduler, its
+// state, then replaces the campaign file under dir in one atomic write.
+func (c *campaign) commit(dir string, t *Trial, s Scheduler) error {
 	rec := trialRecord{
 		ID:      t.ID,
 		Config:  renderConfig(t.Config),
@@ -45,74 +73,35 @@ func writeTrialRecord(dir string, t *Trial) error {
 	if err := t.Err(); err != nil {
 		rec.Error = err.Error()
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
+	if i, ok := c.find(t.ID); ok {
+		c.Trials[i] = rec
+	} else {
+		c.Trials = slices.Insert(c.Trials, i, rec)
+	}
+	if ss, ok := s.(StatefulScheduler); ok {
+		state, err := ss.ExportState()
+		if err != nil {
+			return fmt.Errorf("tune: %w", err)
+		}
+		c.Scheduler, c.State = s.Name(), state
+	}
+	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("tune: %w", err)
 	}
-	return writeFile(trialRecordPath(dir, t.ID), data)
-}
-
-// writeFile replaces path with data through ckpt.WriteFileAtomic.
-func writeFile(path string, data []byte) error {
-	if err := ckpt.WriteFileAtomic(path, func(w io.Writer) error {
+	return ckpt.WriteFileAtomic(filepath.Join(dir, campaignFile), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
-	}); err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	return nil
+	})
 }
 
-// schedulerStatePath returns the persisted scheduler-state file under a
-// campaign directory.
-func schedulerStatePath(dir string) string {
-	return filepath.Join(dir, "scheduler.json")
-}
-
-// schedulerStateFile wraps an exported scheduler state with the scheduler's
-// name, so a campaign resumed under a different scheduler never imports a
-// foreign state.
-type schedulerStateFile struct {
-	Scheduler string          `json:"scheduler"`
-	State     json.RawMessage `json:"state"`
-}
-
-// writeSchedulerState persists a stateful scheduler's observations
-// atomically; stateless schedulers are a no-op.
-func writeSchedulerState(dir string, s Scheduler) error {
+// restoreScheduler imports the campaign's scheduler state into s,
+// returning true when it did. A stateless scheduler, a state from another
+// scheduler or one that fails to import leaves s untouched — the caller
+// falls back to replaying restored reports.
+func (c *campaign) restoreScheduler(s Scheduler) bool {
 	ss, ok := s.(StatefulScheduler)
-	if !ok {
-		return nil
-	}
-	state, err := ss.ExportState()
-	if err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	data, err := json.MarshalIndent(schedulerStateFile{Scheduler: s.Name(), State: state}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	return writeFile(schedulerStatePath(dir), data)
-}
-
-// loadSchedulerState restores a stateful scheduler from the campaign
-// directory, returning true when a matching state was imported. A missing
-// file, a name mismatch or a decode failure leaves the scheduler untouched
-// — the caller falls back to replaying restored reports.
-func loadSchedulerState(dir string, s Scheduler) bool {
-	ss, ok := s.(StatefulScheduler)
-	if !ok {
-		return false
-	}
-	data, err := os.ReadFile(schedulerStatePath(dir))
-	if err != nil {
-		return false
-	}
-	var file schedulerStateFile
-	if err := json.Unmarshal(data, &file); err != nil || file.Scheduler != s.Name() {
-		return false
-	}
-	return ss.ImportState(file.State) == nil
+	return ok && c.Scheduler == s.Name() && ss.ImportState(c.State) == nil
 }
 
 // restoreTrial loads a prior terminal outcome for the trial, returning true
@@ -121,20 +110,13 @@ func loadSchedulerState(dir string, s Scheduler) bool {
 // report history; ERRORED (and absent, mismatched or RUNNING) records leave
 // the trial pending so the re-run retries it — resuming from its session
 // checkpoint when the trainable wrote one.
-func restoreTrial(dir string, t *Trial) bool {
-	data, err := os.ReadFile(trialRecordPath(dir, t.ID))
-	if err != nil {
-		return false
-	}
-	var rec trialRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return false
-	}
-	if rec.ID != t.ID || rec.Config != renderConfig(t.Config) {
+func (c *campaign) restoreTrial(t *Trial) bool {
+	i, ok := c.find(t.ID)
+	if !ok || c.Trials[i].Config != renderConfig(t.Config) {
 		return false
 	}
 	var status Status
-	switch rec.Status {
+	switch c.Trials[i].Status {
 	case Terminated.String():
 		status = Terminated
 	case Stopped.String():
@@ -142,6 +124,6 @@ func restoreTrial(dir string, t *Trial) bool {
 	default:
 		return false
 	}
-	t.restore(status, rec.Reports)
+	t.restore(status, c.Trials[i].Reports)
 	return true
 }

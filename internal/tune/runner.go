@@ -80,7 +80,8 @@ type Runner struct {
 	Workers int
 
 	// CheckpointDir, when non-empty, makes the campaign resumable: every
-	// trial's terminal outcome is recorded under it, a re-run with the same
+	// trial's terminal outcome is committed to its campaign.json, together
+	// with a stateful scheduler's state, and a re-run with the same
 	// (deterministically ordered) configs restores finished trials instead
 	// of re-training them, and each trainable gets a private per-trial
 	// directory (TrialContext.Dir) for its own session checkpoints, so
@@ -89,7 +90,7 @@ type Runner struct {
 
 	scheduler Scheduler
 	trials    []*Trial
-	persistMu sync.Mutex // serializes trial-record + scheduler-state writes
+	persistMu sync.Mutex // serializes campaign-file commits
 }
 
 // NewRunner builds a runner; a nil scheduler means FIFO.
@@ -132,21 +133,23 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 	// Campaign resume: restore terminal trials recorded by a previous run
 	// of the same campaign; everything else is (re)scheduled.
 	restored := make([]bool, len(r.trials))
+	var camp *campaign
 	if r.CheckpointDir != "" {
 		if err := os.MkdirAll(r.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("tune: %w", err)
 		}
+		camp = readCampaign(r.CheckpointDir)
 		for i, trial := range r.trials {
-			restored[i] = restoreTrial(r.CheckpointDir, trial)
+			restored[i] = camp.restoreTrial(trial)
 		}
 		// Restore the scheduler's own observations. Preferred path: the
-		// persisted state written alongside the trial records, which holds
-		// exactly what the scheduler had seen — including reports from
-		// in-flight trials that never reached a terminal record. Fallback
-		// (no state file, older campaign, different scheduler): replay the
-		// restored terminal reports in deterministic trial order. The
-		// verdicts are discarded either way: restored trials are terminal.
-		if !loadSchedulerState(r.CheckpointDir, r.scheduler) {
+		// state committed with the trial records, which holds exactly what
+		// the scheduler had seen — including reports from in-flight trials
+		// that never reached a terminal record. Fallback (no state, a
+		// different scheduler): replay the restored terminal reports in
+		// deterministic trial order. The verdicts are discarded either way:
+		// restored trials are terminal.
+		if !camp.restoreScheduler(r.scheduler) {
 			for i, trial := range r.trials {
 				if !restored[i] {
 					continue
@@ -199,14 +202,9 @@ func (r *Runner) Run(configs []Config, trainable Trainable) (*Analysis, error) {
 				default:
 					trial.setStatus(Terminated)
 				}
-				if r.CheckpointDir != "" {
+				if camp != nil {
 					r.persistMu.Lock()
-					werr := writeTrialRecord(r.CheckpointDir, trial)
-					if werr == nil {
-						// Keep the scheduler state at least as fresh as the
-						// trial records it judged.
-						werr = writeSchedulerState(r.CheckpointDir, r.scheduler)
-					}
+					werr := camp.commit(r.CheckpointDir, trial, r.scheduler)
 					r.persistMu.Unlock()
 					if werr != nil && trial.Err() == nil {
 						trial.setErr(werr)

@@ -3,6 +3,7 @@ package tune
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
@@ -53,7 +54,7 @@ func TestASHAStateRoundTrip(t *testing.T) {
 }
 
 // TestCampaignPersistsSchedulerState: a resumed ASHA campaign restores the
-// scheduler from the persisted state file, which carries evidence replay
+// scheduler from the state in campaign.json, which carries evidence replay
 // cannot reconstruct — reports from trials that died without a terminal
 // record. The new trial's verdict flips on exactly that evidence.
 func TestCampaignPersistsSchedulerState(t *testing.T) {
@@ -88,15 +89,15 @@ func TestCampaignPersistsSchedulerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(schedulerStatePath(dir)); err != nil {
-		t.Fatalf("scheduler state not persisted: %v", err)
+	if c := readCampaign(dir); c.Scheduler != "asha" || len(c.State) == 0 {
+		t.Fatalf("scheduler state not persisted: %q %s", c.Scheduler, c.State)
 	}
 
 	// Resume with a fresh ASHA. The persisted rung holds {0.8, 0.9, 0.95};
 	// trial 2's 0.85 lands below the 0.9 cut and must stop. Replay of
 	// terminal records alone would see only {0.8, 0.9} — a rung whose cut
-	// is 0.85, where the trial survives — so a stop proves the state file
-	// was used, 0.95 coming from a trial that died without a record and
+	// is 0.85, where the trial survives — so a stop proves the persisted
+	// state was used, 0.95 coming from a trial that died without a record and
 	// re-reports only after trial 2.
 	r2, err := NewRunner(cl, NewASHA("dice", "max", 2, 2), "dice", "max")
 	if err != nil {
@@ -119,34 +120,39 @@ func TestCampaignPersistsSchedulerState(t *testing.T) {
 	}
 }
 
-// TestSchedulerStateNameMismatchIgnored: a state file written by a
-// different scheduler must not be imported.
+// TestSchedulerStateNameMismatchIgnored: a scheduler state in campaign.json
+// written by a different scheduler must not be imported.
 func TestSchedulerStateNameMismatchIgnored(t *testing.T) {
 	dir := t.TempDir()
+	trial := NewTrial(0, Config{})
 	asha := NewASHA("dice", "max", 2, 2)
-	asha.OnReport(NewTrial(0, Config{}), Report{Step: 2, Metrics: map[string]float64{"dice": 0.5}}, nil)
-	if err := writeSchedulerState(dir, asha); err != nil {
+	asha.OnReport(trial, Report{Step: 2, Metrics: map[string]float64{"dice": 0.5}}, nil)
+	if err := (&campaign{}).commit(dir, trial, asha); err != nil {
 		t.Fatal(err)
 	}
 
-	if !loadSchedulerState(dir, NewASHA("dice", "max", 2, 2)) {
+	if !readCampaign(dir).restoreScheduler(NewASHA("dice", "max", 2, 2)) {
 		t.Fatal("matching scheduler name must load")
 	}
 
-	// A state file claiming a different scheduler: no import.
-	bad := []byte(`{"scheduler":"fifo","state":{}}`)
-	if err := os.WriteFile(schedulerStatePath(dir), bad, 0o644); err != nil {
+	// A campaign file claiming a different scheduler: no import.
+	bad := []byte(`{"trials":[],"scheduler":"fifo","state":{}}`)
+	if err := os.WriteFile(filepath.Join(dir, campaignFile), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if loadSchedulerState(dir, NewASHA("dice", "max", 2, 2)) {
+	if readCampaign(dir).restoreScheduler(NewASHA("dice", "max", 2, 2)) {
 		t.Fatal("foreign scheduler state must be ignored")
 	}
 
 	// Stateless schedulers neither write nor load.
-	if err := writeSchedulerState(dir, FIFO{}); err != nil {
+	stateless := t.TempDir()
+	if err := (&campaign{}).commit(stateless, trial, FIFO{}); err != nil {
 		t.Fatal(err)
 	}
-	if loadSchedulerState(dir, FIFO{}) {
+	if c := readCampaign(stateless); c.Scheduler != "" || c.State != nil {
+		t.Fatalf("stateless scheduler wrote state %q %s", c.Scheduler, c.State)
+	}
+	if readCampaign(dir).restoreScheduler(FIFO{}) {
 		t.Fatal("stateless scheduler cannot load state")
 	}
 }

@@ -6,6 +6,12 @@
 // among the running ones. Both of the paper's strategies are this runner:
 // width 1 is experiment parallelism (one trial per GPU), width W on a W-GPU
 // cluster is data parallelism (trials in series, each across every GPU).
+//
+// A runner with a CheckpointDir keeps a resumable campaign there: one
+// campaign.json, holding every finished trial's terminal record and the
+// stateful scheduler's state, rewritten by one atomic write per finished
+// trial, and one trial-NNNN directory per trial for the trainable's own
+// session checkpoints.
 package tune
 
 import (
