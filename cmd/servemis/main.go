@@ -75,7 +75,7 @@ func main() {
 
 	addr := flag.String("addr", ":8377", "HTTP listen address")
 	ckptPath := flag.String("ckpt", "", "checkpoint to serve (empty: random init, for smoke tests)")
-	replicas := flag.Int("replicas", 2, "model replicas serving micro-batches round-robin")
+	replicas := flag.Int("replicas", 2, "model replicas; each micro-batch goes to whichever replica is idle")
 	maxBatch := flag.Int("maxbatch", 4, "max patches per micro-batch")
 	linger := flag.Duration("linger", 2*time.Millisecond, "max wait for a micro-batch to fill")
 	queueDepth := flag.Int("queue", 64, "max outstanding patches before requests are rejected")

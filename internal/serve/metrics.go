@@ -33,7 +33,7 @@ type metrics struct {
 	fillSum  *telemetry.Counter // sum of micro-batch sizes, for the average fill
 
 	queue   *telemetry.Histogram // patch enqueue -> micro-batch formed
-	batch   *telemetry.Histogram // micro-batch formed -> compute start (dispatch wait)
+	batch   *telemetry.Histogram // micro-batch formed -> compute start (wait for an idle replica)
 	compute *telemetry.Histogram // model forward per micro-batch
 	blend   *telemetry.Histogram // per-request scatter + overlap blending
 	total   *telemetry.Histogram // Segment entry -> result ready
@@ -131,7 +131,7 @@ type Stats struct {
 	AvgBatchFill float64 // mean patches per micro-batch
 
 	Queue   LatencyStats // patch wait: enqueue -> micro-batch formed
-	Batch   LatencyStats // dispatch wait: batch formed -> compute start
+	Batch   LatencyStats // wait for an idle replica: batch formed -> compute start
 	Compute LatencyStats // model forward per micro-batch
 	Blend   LatencyStats // per-request scatter + blending
 	Total   LatencyStats // end-to-end request latency

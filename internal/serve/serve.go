@@ -5,9 +5,10 @@
 // Concurrent segmentation requests are decomposed into sliding-window
 // patches; patches from different requests are coalesced into fixed-size
 // micro-batches (bounded by MaxBatch and a MaxLinger deadline) and run
-// through one of N model replicas via the no-grad inference fast path, so
-// cross-request batching feeds the blocked GEMM larger matrices — the same
-// utilization argument the paper makes for batch and replica scaling.
+// through whichever of N model replicas is idle, via the no-grad inference
+// fast path, so cross-request batching feeds the blocked GEMM larger
+// matrices — the same utilization argument the paper makes for batch and
+// replica scaling.
 // Per-window predictions are scattered back and overlap-blended (uniform or
 // Gaussian) into each request's full-volume probability map. When a
 // request's windows are pairwise disjoint (stride ≥ window extent, no
@@ -25,7 +26,7 @@
 // Admission control bounds the queue: past MaxQueue outstanding patches a
 // request is rejected immediately with a retry-after estimate instead of
 // growing the tail. A Stats snapshot exposes per-stage latency histograms
-// (queue, batch dispatch, compute, blend) and throughput counters.
+// (queue, wait for an idle replica, compute, blend) and throughput counters.
 // SwapModel atomically hot-swaps all replicas onto new in-memory weights
 // between requests — a swap drains in-flight requests first, so every
 // response reflects exactly one model generation — and Reload is the
@@ -65,8 +66,8 @@ type Config struct {
 	// its blend mode and sigma are honoured. Required.
 	Window patch.SlidingWindow
 
-	// Replicas is the number of model instances serving micro-batches
-	// round-robin (default 1).
+	// Replicas is the number of model instances serving micro-batches, each
+	// batch going to whichever replica is idle (default 1).
 	Replicas int
 
 	// MaxBatch bounds the patches coalesced into one micro-batch
@@ -174,13 +175,12 @@ type microbatch struct {
 	formed time.Time
 }
 
-// replica is one model instance with its round-robin dispatch channel and
-// the batch buffer its micro-batches are assembled in.
+// replica is one model instance and the batch buffer its micro-batches are
+// assembled in. It takes its next micro-batch from the server's shared
+// channel whenever it is idle.
 type replica struct {
 	model Model
 	batch tensor.Owned
-	ch    chan *microbatch
-	done  chan struct{}
 }
 
 // Server is the micro-batching inference server. Create with New, feed with
@@ -189,9 +189,11 @@ type Server struct {
 	cfg     Config
 	factory func() (Model, error)
 
-	queue       chan *task
-	replicas    []*replica
-	batcherDone chan struct{}
+	queue    chan *task
+	enqMu    sync.Mutex       // keeps each request's windows contiguous in queue
+	batches  chan *microbatch // unbuffered: the first idle replica takes each batch
+	replicas []*replica
+	running  sync.WaitGroup // replica workers; they exit once the batcher closes batches
 
 	pending  atomic.Int64 // outstanding patches: queued + in compute
 	inflight sync.WaitGroup
@@ -219,10 +221,10 @@ func New(cfg Config, factory func() (Model, error)) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		factory:     factory,
-		queue:       make(chan *task, cfg.MaxQueue),
-		batcherDone: make(chan struct{}),
+		cfg:     cfg,
+		factory: factory,
+		queue:   make(chan *task, cfg.MaxQueue),
+		batches: make(chan *microbatch),
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -236,8 +238,9 @@ func New(cfg Config, factory func() (Model, error)) (*Server, error) {
 			return nil, fmt.Errorf("serve: replica %d: %w", i, err)
 		}
 		m.SetWorkers(shares[i])
-		r := &replica{model: m, ch: make(chan *microbatch, 1), done: make(chan struct{})}
+		r := &replica{model: m}
 		s.replicas = append(s.replicas, r)
+		s.running.Add(1)
 		go s.runReplica(r)
 	}
 	go s.batcher()
@@ -379,10 +382,15 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 		req.preds = make([]*tensor.Tensor, len(wins))
 	}
 	req.left.Store(int64(len(wins)))
+	// The request's windows enter the queue as one contiguous run, so two
+	// concurrent requests fill whole batches of their own instead of
+	// sharing two. Admission reserved the slots, so no send blocks.
 	now := time.Now()
+	s.enqMu.Lock()
 	for i := range wins {
 		s.queue <- &task{req: req, win: i, enq: now}
 	}
+	s.enqMu.Unlock()
 	<-req.done
 	// Every patch has computed; blending only reads predictions, so the
 	// swap lock can release before it.
@@ -412,25 +420,14 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // batcher coalesces queued patches into micro-batches: up to MaxBatch
-// same-extent tasks, waiting at most MaxLinger after the first, dispatched
-// round-robin across the replicas.
+// same-extent tasks, waiting at most MaxLinger after the first, each handed
+// to whichever replica is idle.
 func (s *Server) batcher() {
-	defer func() {
-		for _, r := range s.replicas {
-			close(r.ch)
-		}
-		close(s.batcherDone)
-	}()
-	rr := 0
-	dispatch := func(mb *microbatch) {
-		s.m.batches.Inc()
-		s.m.fillSum.Add(uint64(len(mb.tasks)))
-		for _, t := range mb.tasks {
-			s.m.queue.ObserveDuration(mb.formed.Sub(t.enq))
-		}
-		s.replicas[rr].ch <- mb
-		rr = (rr + 1) % len(s.replicas)
-	}
+	defer close(s.batches)
+	// One linger timer for every batch: since Go 1.23, Stop and Reset leave
+	// no stale fire in its channel.
+	linger := time.NewTimer(s.cfg.MaxLinger)
+	linger.Stop()
 	var carry *task // first task of the next batch when extents mismatch
 	for {
 		first := carry
@@ -444,7 +441,7 @@ func (s *Server) batcher() {
 		}
 		batch := []*task{first}
 		ext := first.req.wins[first.win]
-		timer := time.NewTimer(s.cfg.MaxLinger)
+		linger.Reset(s.cfg.MaxLinger)
 	collect:
 		for len(batch) < s.cfg.MaxBatch {
 			select {
@@ -463,12 +460,18 @@ func (s *Server) batcher() {
 					break collect
 				}
 				batch = append(batch, t)
-			case <-timer.C:
+			case <-linger.C:
 				break collect
 			}
 		}
-		timer.Stop()
-		dispatch(&microbatch{tasks: batch, formed: time.Now()})
+		linger.Stop()
+		formed := time.Now()
+		s.m.batches.Inc()
+		s.m.fillSum.Add(uint64(len(batch)))
+		for _, t := range batch {
+			s.m.queue.ObserveDuration(formed.Sub(t.enq))
+		}
+		s.batches <- &microbatch{tasks: batch, formed: formed}
 	}
 }
 
@@ -476,8 +479,8 @@ func (s *Server) batcher() {
 // the no-grad forward, and scatters per-sample predictions back to their
 // requests.
 func (s *Server) runReplica(r *replica) {
-	defer close(r.done)
-	for mb := range r.ch {
+	defer s.running.Done()
+	for mb := range s.batches {
 		s.m.busy.Inc()
 		s.m.batch.ObserveDuration(time.Since(mb.formed))
 
@@ -567,17 +570,9 @@ func (s *Server) Stats() Stats {
 // ErrClosed, in-flight requests complete, then the batcher and replica
 // workers shut down. Safe to call more than once.
 func (s *Server) Close() {
-	if !s.closed.CompareAndSwap(false, true) {
-		<-s.batcherDone
-		for _, r := range s.replicas {
-			<-r.done
-		}
-		return
+	if s.closed.CompareAndSwap(false, true) {
+		s.inflight.Wait()
+		close(s.queue)
 	}
-	s.inflight.Wait()
-	close(s.queue)
-	<-s.batcherDone
-	for _, r := range s.replicas {
-		<-r.done
-	}
+	s.running.Wait()
 }

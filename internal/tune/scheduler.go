@@ -103,8 +103,8 @@ type ASHA struct {
 	Reduction int // η
 
 	mu     sync.Mutex
-	rungs  map[int][]float64    // rung step → recorded metric values
-	judged map[int]map[int]bool // trial ID → rungs already judged
+	rungs  map[int][]float64        // rung step → recorded metric values
+	judged map[int]map[int]Decision // trial ID → rung → verdict given there
 }
 
 // NewASHA returns an ASHA scheduler with the given first rung and reduction
@@ -122,7 +122,7 @@ func NewASHA(metric, mode string, minT, reduction int) *ASHA {
 		MinT:      minT,
 		Reduction: reduction,
 		rungs:     map[int][]float64{},
-		judged:    map[int]map[int]bool{},
+		judged:    map[int]map[int]Decision{},
 	}
 }
 
@@ -154,14 +154,22 @@ func (a *ASHA) OnReport(trial *Trial, rep Report, peers []*Trial) Decision {
 	defer a.mu.Unlock()
 	// Each trial is recorded and judged at most once per rung (keyed by
 	// trial ID, so a restored or re-run trial re-reporting the same rung
-	// cannot double-count); later reports inside the same band are ignored.
+	// cannot double-count). A repeated report at a judged rung — a later
+	// one inside the same band, or a re-run after a failure — gets the
+	// verdict given the first time, so a trial stopped there stays stopped.
 	if a.judged[trial.ID] == nil {
-		a.judged[trial.ID] = map[int]bool{}
+		a.judged[trial.ID] = map[int]Decision{}
 	}
-	if a.judged[trial.ID][rung] {
-		return Continue
+	if d, ok := a.judged[trial.ID][rung]; ok {
+		return d
 	}
-	a.judged[trial.ID][rung] = true
+	d := a.judge(rung, v)
+	a.judged[trial.ID][rung] = d
+	return d
+}
+
+// judge records v at rung and ranks it against the values recorded there.
+func (a *ASHA) judge(rung int, v float64) Decision {
 	vals := append(a.rungs[rung], v)
 	a.rungs[rung] = vals
 	if len(vals) < a.Reduction {
@@ -186,51 +194,36 @@ func (a *ASHA) OnReport(trial *Trial, rep Report, peers []*Trial) Decision {
 
 // ashaState is the JSON shape of ASHA's accumulated observations: the rung
 // populations (metric values in arrival order — order is irrelevant to the
-// quantile cut but kept stable for reproducible files) and the rungs each
-// trial has been judged at.
+// quantile cut but kept stable for reproducible files) and, per trial, the
+// verdict given at each rung it was judged at (0 Continue, 1 StopTrial).
 type ashaState struct {
-	Rungs  map[int][]float64 `json:"rungs"`
-	Judged map[int][]int     `json:"judged"`
+	Rungs    map[int][]float64        `json:"rungs"`
+	Verdicts map[int]map[int]Decision `json:"verdicts"`
 }
 
 // ExportState implements StatefulScheduler.
 func (a *ASHA) ExportState() ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := ashaState{Rungs: map[int][]float64{}, Judged: map[int][]int{}}
-	for rung, vals := range a.rungs {
-		st.Rungs[rung] = append([]float64(nil), vals...)
-	}
-	for id, rungs := range a.judged {
-		var rs []int
-		for r := range rungs {
-			rs = append(rs, r)
-		}
-		sort.Ints(rs)
-		st.Judged[id] = rs
-	}
-	return json.Marshal(st)
+	return json.Marshal(ashaState{Rungs: a.rungs, Verdicts: a.judged})
 }
 
-// ImportState implements StatefulScheduler.
+// ImportState implements StatefulScheduler. A state without verdicts (one
+// that only listed the judged rungs) is rejected: it cannot answer a
+// repeated report, so the runner replays the restored trials instead.
 func (a *ASHA) ImportState(data []byte) error {
 	var st ashaState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("tune: asha state: %w", err)
 	}
+	if st.Verdicts == nil {
+		return fmt.Errorf("tune: asha state has no verdicts")
+	}
+	if st.Rungs == nil {
+		st.Rungs = map[int][]float64{}
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.rungs = map[int][]float64{}
-	for rung, vals := range st.Rungs {
-		a.rungs[rung] = append([]float64(nil), vals...)
-	}
-	a.judged = map[int]map[int]bool{}
-	for id, rungs := range st.Judged {
-		m := map[int]bool{}
-		for _, r := range rungs {
-			m[r] = true
-		}
-		a.judged[id] = m
-	}
+	a.rungs, a.judged = st.Rungs, st.Verdicts
 	return nil
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // TestASHAStateRoundTrip: export → import into a fresh scheduler preserves
-// rung populations and judged sets exactly, including the judged-rung dedup
-// (a re-imported trial re-reporting the same rung is ignored).
+// rung populations and verdicts exactly, including the judged-rung dedup
+// (a re-imported trial re-reporting the same rung gets its recorded verdict
+// and is not counted again).
 func TestASHAStateRoundTrip(t *testing.T) {
 	a1 := NewASHA("dice", "max", 2, 2)
 	trials := []*Trial{NewTrial(0, Config{}), NewTrial(1, Config{}), NewTrial(2, Config{})}
@@ -37,10 +38,13 @@ func TestASHAStateRoundTrip(t *testing.T) {
 	}
 
 	// A restored trial re-reporting its judged rung must not be re-counted
-	// or re-judged: 0.1 ranked bottom once already, but the dedup returns
-	// Continue instead of re-recording it.
-	if d := a2.OnReport(trials[2], Report{Step: 2, Metrics: map[string]float64{"dice": 0.1}}, trials); d != Continue {
-		t.Fatalf("re-reported judged rung: got %v, want Continue", d)
+	// or re-judged: 0.1 ranked bottom once already, so the dedup answers
+	// that StopTrial again without recording the value a second time.
+	if d := a2.OnReport(trials[2], Report{Step: 2, Metrics: map[string]float64{"dice": 0.1}}, trials); d != StopTrial {
+		t.Fatalf("re-reported judged rung: got %v, want the recorded StopTrial", d)
+	}
+	if state3, _ := a2.ExportState(); string(state3) != string(state) {
+		t.Fatalf("re-reported judged rung changed the state:\n%s\n%s", state, state3)
 	}
 	// A new trial at the same rung is judged against the restored population.
 	weak := NewTrial(3, Config{})
@@ -50,6 +54,71 @@ func TestASHAStateRoundTrip(t *testing.T) {
 
 	if err := a2.ImportState([]byte("{not json")); err == nil {
 		t.Fatal("garbage state must be rejected")
+	}
+	// A state that lists judged rungs without their verdicts cannot answer
+	// a repeated report; it must fail, leaving the scheduler as it was.
+	before, _ := a2.ExportState()
+	if err := a2.ImportState([]byte(`{"rungs":{"2":[0.9,0.8]},"judged":{"0":[2],"1":[2]}}`)); err == nil {
+		t.Fatal("a state without verdicts must be rejected")
+	}
+	if after, _ := a2.ExportState(); string(after) != string(before) {
+		t.Fatalf("rejected state changed the scheduler:\n%s\n%s", before, after)
+	}
+}
+
+// TestCampaignResumeKeepsASHAVerdict: a trial that ASHA stopped at a rung
+// and that then failed re-runs on resume, and its repeated rung report must
+// get the same stop, so the campaign ends as the uninterrupted one does.
+func TestCampaignResumeKeepsASHAVerdict(t *testing.T) {
+	// One GPU: trial 0 (0.9) reports first, so trial 1's 0.1 lands below
+	// the rung's 0.9 cut.
+	cl, err := cluster.ForGPUs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{{"dice": 0.9}, {"dice": 0.1}}
+	run := func(dir string, failAfterStop bool) *Analysis {
+		t.Helper()
+		r, err := NewRunner(cl, NewASHA("dice", "max", 2, 2), "dice", "max")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.CheckpointDir = dir
+		a, err := r.Run(cfgs, func(ctx *TrialContext) error {
+			if !ctx.Report(2, map[string]float64{"dice": ctx.Trial.Config.Float("dice")}) && failAfterStop {
+				return errors.New("simulated failure after the stop")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	if got := run(t.TempDir(), false).Trials[1].Status(); got != Stopped {
+		t.Fatalf("uninterrupted campaign: trial 1 is %v, want %v", got, Stopped)
+	}
+	dir := t.TempDir()
+	if got := run(dir, true).Trials[1].Status(); got != Errored {
+		t.Fatalf("first run: trial 1 is %v, want %v", got, Errored)
+	}
+	if got := run(dir, false).Trials[1].Status(); got != Stopped {
+		t.Fatalf("resumed campaign: trial 1 is %v, want %v", got, Stopped)
+	}
+}
+
+// TestCampaignStateWithoutVerdictsReplays: a campaign file whose ASHA state
+// has no verdicts is not imported, so the runner falls back to replaying
+// the restored trials' reports.
+func TestCampaignStateWithoutVerdictsReplays(t *testing.T) {
+	dir := t.TempDir()
+	old := []byte(`{"trials":[],"scheduler":"asha","state":{"rungs":{"2":[0.9]},"judged":{"0":[2]}}}`)
+	if err := os.WriteFile(filepath.Join(dir, campaignFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if readCampaign(dir).restoreScheduler(NewASHA("dice", "max", 2, 2)) {
+		t.Fatal("a state without verdicts must not be imported")
 	}
 }
 
