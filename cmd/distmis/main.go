@@ -9,8 +9,12 @@
 //
 //	distmis [-strategy data|experiment] [-gpus N] [-epochs N] [-trials N]
 //	        [-cases N] [-dim N] [-scheduler fifo|median|asha] [-seed N]
-//	        [-workers N] [-lrpoints N]
-//	        [-ckpt-dir DIR]
+//	        [-workers N] [-ckpt-dir DIR]
+//
+// -trials N runs the first N configurations of the sorted grid. Below the
+// paper's 32 it draws them from a small-scale grid, learning rate
+// {1e-2, 3e-2} × loss × optimizer, whose rates train the tiny default
+// network in a few epochs.
 //
 // With -ckpt-dir the search is a resumable campaign: every trial
 // checkpoints its training session there each epoch and the runner records
@@ -61,7 +65,7 @@ func main() {
 	strategy := flag.String("strategy", "experiment", "distribution strategy: data or experiment")
 	gpus := flag.Int("gpus", 4, "GPUs to use: 1-4 on one simulated node, or a multiple of 4 on 4-GPU nodes")
 	epochs := flag.Int("epochs", 3, "training epochs per experiment")
-	trials := flag.Int("trials", 8, "experiments to run (truncates the 32-point grid)")
+	trials := flag.Int("trials", 8, "experiments to run: the first N of the sorted grid (the small-scale 8-point grid below 32, else the paper's 32)")
 	cases := flag.Int("cases", 16, "phantom cases to generate")
 	dim := flag.Int("dim", 8, "cubic volume edge (divisible by 2^(steps-1))")
 	steps := flag.Int("steps", 2, "U-Net resolution steps")
@@ -69,7 +73,6 @@ func main() {
 	scheduler := flag.String("scheduler", "fifo", "trial scheduler: fifo, median or asha")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "compute-worker budget shared across replicas/trials (0 = all cores)")
-	lrPoints := flag.Int("lrpoints", 2, "log-spaced learning-rate grid points for truncated searches (≥ 2)")
 	ckptDir := flag.String("ckpt-dir", "", "campaign checkpoint directory: re-running with the same flags skips completed trials and resumes the in-flight one")
 
 	// Coordinator/worker-mode flags.
@@ -99,8 +102,8 @@ func main() {
 		log.Printf("debug listener on http://%s/metrics", bound)
 	}
 
-	if *lrPoints < 2 {
-		log.Fatalf("-lrpoints must be ≥ 2, got %d", *lrPoints)
+	if *trials < 1 {
+		log.Fatalf("-trials must be ≥ 1, got %d", *trials)
 	}
 
 	switch *mode {
@@ -155,32 +158,20 @@ func main() {
 		log.Fatalf("unknown scheduler %q", *scheduler)
 	}
 
-	// Truncate the paper's 32-configuration grid to the requested size.
-	cfgs, err := opts.Space.GridConfigs()
-	if err != nil {
-		log.Fatal(err)
-	}
-	tune.SortConfigs(cfgs)
-	if *trials < len(cfgs) {
-		// The learning-rate axis extends log-spaced (LogSpaced with 2 points
-		// is exactly the former {1e-2, 3e-2} grid): linear spacing would
-		// crowd extra points into the top of the 1e-2–3e-2 range.
-		dims := []tune.Dimension{
-			tune.LogSpaced("lr", 1e-2, 3e-2, *lrPoints),
+	if *trials < opts.Space.Size() {
+		space, err := tune.NewSpace(
+			tune.Grid("lr", 1e-2, 3e-2),
 			tune.Grid("loss", "dice", "quadratic-dice"),
 			tune.Grid("optimizer", "adam", "sgd"),
-		}
-		space, err := tune.NewSpace(dims...)
+		)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opts.Space = space
-		if cfgs, err = space.GridConfigs(); err != nil {
-			log.Fatal(err)
-		}
 	}
+	opts.Trials = *trials
 	fmt.Printf("DistMIS: strategy=%s gpus=%d experiments=%d epochs=%d volume=%d^3\n",
-		*strategy, *gpus, min(len(cfgs), *trials), *epochs, *dim)
+		*strategy, *gpus, min(opts.Space.Size(), *trials), *epochs, *dim)
 
 	res, err := core.Run(opts)
 	if err != nil {

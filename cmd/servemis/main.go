@@ -191,33 +191,7 @@ func main() {
 			ctrl.Generation(), *onlineMargin, *onlineInterval)
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/segment", func(w http.ResponseWriter, r *http.Request) { handleSegment(srv, w, r) })
-	mux.HandleFunc("POST /v1/reload", func(w http.ResponseWriter, r *http.Request) { handleReload(srv, w, r) })
-	if ctrl != nil {
-		mux.HandleFunc("POST /v1/feedback", func(w http.ResponseWriter, r *http.Request) { handleFeedback(ctrl, w, r) })
-	}
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		// The online block rides alongside the embedded serving stats so
-		// existing consumers keep their top-level fields.
-		payload := struct {
-			serve.Stats
-			Online *online.Stats `json:",omitempty"`
-		}{Stats: srv.Stats()}
-		if ctrl != nil {
-			st := ctrl.Stats()
-			payload.Online = &st
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(payload)
-	})
-	mux.Handle("GET /metrics", telemetry.Handler(telemetry.Default()))
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	if *pprofOn {
-		telemetry.RegisterPprof(mux)
-	}
+	mux := newMux(srv, ctrl, telemetry.Default(), *pprofOn)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: mux}
 	done := make(chan struct{})
@@ -244,6 +218,40 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+}
+
+// newMux routes the HTTP API: segmentation and reload to srv, feedback to
+// ctrl (nil without -online, which leaves /v1/feedback unrouted), the
+// metrics of reg, the health probe and, with pprofOn, the profiler.
+func newMux(srv *serve.Server, ctrl *online.Controller, reg *telemetry.Registry, pprofOn bool) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/segment", func(w http.ResponseWriter, r *http.Request) { handleSegment(srv, w, r) })
+	mux.HandleFunc("POST /v1/reload", func(w http.ResponseWriter, r *http.Request) { handleReload(srv, w, r) })
+	if ctrl != nil {
+		mux.HandleFunc("POST /v1/feedback", func(w http.ResponseWriter, r *http.Request) { handleFeedback(ctrl, w, r) })
+	}
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		// The online block rides alongside the embedded serving stats so
+		// existing consumers keep their top-level fields.
+		payload := struct {
+			serve.Stats
+			Online *online.Stats `json:",omitempty"`
+		}{Stats: srv.Stats()}
+		if ctrl != nil {
+			st := ctrl.Stats()
+			payload.Online = &st
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(payload)
+	})
+	mux.Handle("GET /metrics", telemetry.Handler(reg))
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	if pprofOn {
+		telemetry.RegisterPprof(mux)
+	}
+	return mux
 }
 
 // maxVoxels bounds a request volume at 1 GiB of float32; maxBodyBytes

@@ -40,6 +40,10 @@ type Options struct {
 	Dataset msd.Config
 	Space   *tune.Space
 
+	// Trials, when positive, runs only the first Trials configurations of
+	// the sorted grid; 0 runs all of it.
+	Trials int
+
 	Epochs          int
 	BatchPerReplica int
 	Seed            int64
@@ -125,6 +129,9 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 	tune.SortConfigs(configs)
+	if opts.Trials > 0 && opts.Trials < len(configs) {
+		configs = configs[:opts.Trials]
+	}
 
 	train, val, err := msd.Split(opts.Dataset, opts.Net.MinVolume(), opts.MaxTrainCases, opts.MaxValCases)
 	if err != nil {

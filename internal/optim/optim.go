@@ -1,7 +1,5 @@
 // Package optim implements the optimizers used by the paper: Adam with an
-// initial learning rate of 1e-4 × #GPUs, plain SGD as a baseline, and the
-// cyclic learning-rate schedule (Smith, WACV 2017) the paper applies to
-// approximate the learning rate under data distribution.
+// initial learning rate of 1e-4 × #GPUs, and plain SGD as a baseline.
 package optim
 
 import (
@@ -350,36 +348,3 @@ func ScaleLRForReplicas(base float64, replicas int) float64 {
 	}
 	return base * float64(replicas)
 }
-
-// CyclicLR is the triangular cyclic learning-rate schedule (Smith 2017): the
-// rate oscillates linearly between Base and Max with a half-cycle of
-// StepSize optimizer steps, optionally decaying the amplitude each cycle.
-type CyclicLR struct {
-	Base     float64
-	Max      float64
-	StepSize int     // steps per half cycle
-	Gamma    float64 // amplitude decay per cycle; 1 = constant amplitude
-}
-
-// NewCyclicLR returns a triangular schedule with no amplitude decay.
-func NewCyclicLR(base, max float64, stepSize int) *CyclicLR {
-	return &CyclicLR{Base: base, Max: max, StepSize: stepSize, Gamma: 1}
-}
-
-// At returns the learning rate at the given 0-based optimizer step.
-func (c *CyclicLR) At(step int) float64 {
-	if c.StepSize <= 0 {
-		return c.Base
-	}
-	cycle := math.Floor(1 + float64(step)/float64(2*c.StepSize))
-	x := math.Abs(float64(step)/float64(c.StepSize) - 2*cycle + 1)
-	amp := c.Max - c.Base
-	if c.Gamma != 1 {
-		amp *= math.Pow(c.Gamma, cycle-1)
-	}
-	lr := c.Base + float64(amp*math.Max(0, 1-x))
-	return lr
-}
-
-// Apply sets the optimizer's learning rate for the given step.
-func (c *CyclicLR) Apply(opt Optimizer, step int) { opt.SetLR(c.At(step)) }

@@ -116,73 +116,6 @@ func TestScaleLRForReplicas(t *testing.T) {
 	}
 }
 
-func TestCyclicLRTriangle(t *testing.T) {
-	c := NewCyclicLR(0.001, 0.006, 4)
-	// Step 0 → base; step 4 → max; step 8 → base again.
-	if got := c.At(0); math.Abs(got-0.001) > 1e-9 {
-		t.Fatalf("At(0) = %v", got)
-	}
-	if got := c.At(4); math.Abs(got-0.006) > 1e-9 {
-		t.Fatalf("At(4) = %v", got)
-	}
-	if got := c.At(8); math.Abs(got-0.001) > 1e-9 {
-		t.Fatalf("At(8) = %v", got)
-	}
-	// Mid-ramp.
-	if got := c.At(2); math.Abs(got-0.0035) > 1e-9 {
-		t.Fatalf("At(2) = %v", got)
-	}
-}
-
-func TestCyclicLRWithinBounds(t *testing.T) {
-	c := NewCyclicLR(0.01, 0.1, 7)
-	for s := 0; s < 200; s++ {
-		lr := c.At(s)
-		if lr < 0.01-1e-12 || lr > 0.1+1e-12 {
-			t.Fatalf("step %d: lr %v out of bounds", s, lr)
-		}
-	}
-}
-
-func TestCyclicLRGammaDecay(t *testing.T) {
-	c := NewCyclicLR(0.001, 0.101, 5)
-	c.Gamma = 0.5
-	first := c.At(5)   // peak of cycle 1
-	second := c.At(15) // peak of cycle 2
-	if !(second < first) {
-		t.Fatalf("gamma decay not applied: %v then %v", first, second)
-	}
-}
-
-func TestCyclicLRApply(t *testing.T) {
-	c := NewCyclicLR(0.001, 0.006, 4)
-	opt := NewSGD(0, 0)
-	c.Apply(opt, 4)
-	if math.Abs(opt.LR()-0.006) > 1e-9 {
-		t.Fatalf("Apply did not set LR: %v", opt.LR())
-	}
-}
-
-func TestCyclicLRZeroStepSize(t *testing.T) {
-	c := &CyclicLR{Base: 0.003, Max: 0.03, StepSize: 0, Gamma: 1}
-	if got := c.At(10); got != 0.003 {
-		t.Fatalf("zero StepSize should pin to base, got %v", got)
-	}
-}
-
-// Property: cyclic LR is periodic with period 2·StepSize when Gamma == 1.
-func TestPropertyCyclicPeriodicity(t *testing.T) {
-	f := func(stepRaw uint8, sizeRaw uint8) bool {
-		size := int(sizeRaw)%10 + 1
-		step := int(stepRaw) % 50
-		c := NewCyclicLR(0.001, 0.01, size)
-		return math.Abs(c.At(step)-c.At(step+2*size)) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: SGD with small LR never increases the quadratic loss.
 func TestPropertySGDDescent(t *testing.T) {
 	f := func(seed int64) bool {

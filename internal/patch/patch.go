@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/volume"
 )
@@ -115,29 +114,24 @@ const (
 	// overlap averaging, the original behaviour.
 	BlendUniform BlendMode = iota
 	// BlendGaussian weights each window voxel by a Gaussian centred on the
-	// window, so voxels predicted near a patch border (with less spatial
-	// context) contribute less where windows overlap.
+	// window, with sigma 1/8 of the window edge per axis, so voxels
+	// predicted near a patch border (with less spatial context) contribute
+	// less where windows overlap.
 	BlendGaussian
 )
 
 // SlidingWindow reconstructs a full-volume prediction from overlapping
 // patch predictions, averaging where windows overlap — the inference-side
-// cost of patch-based training.
+// cost of patch-based training. Infer runs the windows itself;
+// BlendPredictions blends predictions computed elsewhere (the serving
+// layer's micro-batches) into the same bits.
 type SlidingWindow struct {
 	Patch  [3]int // window extent (D, H, W)
 	Stride [3]int // window stride; ≤ patch for overlap
 
 	// Blend selects the overlap weighting; the zero value is uniform
-	// averaging. Sigma is the Gaussian width as a fraction of the window
-	// edge (0 means 1/8, the usual sliding-window choice).
+	// averaging.
 	Blend BlendMode
-	Sigma float64
-
-	// Workers is the worker budget for the blend stage; 0 means the
-	// parallel package default. Results are bitwise identical for any
-	// budget: blending partitions over output channels and always adds
-	// windows in scan order.
-	Workers int
 }
 
 // Window is one sliding-window placement: origin (Z, Y, X) and extent
@@ -164,14 +158,20 @@ func (sw SlidingWindow) Windows(d, h, w int) []Window {
 	return wins
 }
 
-// gaussianWindow returns the separable Gaussian weight map of a pd×ph×pw
-// window with per-axis sigma frac·edge, centred on the window.
-func gaussianWindow(pd, ph, pw int, frac float64) []float32 {
-	if frac <= 0 {
-		frac = 0.125
+// blendWeights returns the per-voxel weight map of a pd×ph×pw window:
+// all ones in uniform mode, otherwise the separable Gaussian with per-axis
+// sigma edge/8, centred on the window. A weight of one leaves a prediction
+// bit for bit as it is.
+func (sw SlidingWindow) blendWeights(pd, ph, pw int) []float32 {
+	wm := make([]float32, pd*ph*pw)
+	if sw.Blend != BlendGaussian {
+		for i := range wm {
+			wm[i] = 1
+		}
+		return wm
 	}
 	axis := func(n int) []float64 {
-		sigma := frac * float64(n)
+		sigma := float64(n) / 8
 		c := float64(n-1) / 2
 		out := make([]float64, n)
 		for i := range out {
@@ -181,7 +181,6 @@ func gaussianWindow(pd, ph, pw int, frac float64) []float32 {
 		return out
 	}
 	az, ay, ax := axis(pd), axis(ph), axis(pw)
-	wm := make([]float32, pd*ph*pw)
 	i := 0
 	for z := 0; z < pd; z++ {
 		for y := 0; y < ph; y++ {
@@ -195,177 +194,63 @@ func gaussianWindow(pd, ph, pw int, frac float64) []float32 {
 	return wm
 }
 
-// NonOverlapping reports whether the sliding-window decomposition of a
-// d×h×w volume produces pairwise-disjoint windows — every voxel covered by
-// exactly one window. True when each axis stride is at least the window
-// extent and the boundary-clamped final window does not back into its
-// neighbour. Disjoint windows admit the direct-scatter blend path: window
-// predictions can land in the output accumulator in any order and still
-// match the scan-order blend bit for bit, because no voxel sums more than
-// one contribution.
-func (sw SlidingWindow) NonOverlapping(d, h, w int) bool {
-	dims := [3]int{d, h, w}
-	for i := 0; i < 3; i++ {
-		pos := positions(dims[i], sw.Patch[i], sw.Stride[i])
-		ext := min(sw.Patch[i], dims[i])
-		for j := 1; j < len(pos); j++ {
-			if pos[j]-pos[j-1] < ext {
-				return false
+// scatter adds the window's prediction pred ([outC, D, H, W] of the window
+// extent), scaled per voxel by the window weight map wm ([D, H, W]), into
+// the full-volume accumulator acc ([outC, d, h, w]), and wm itself into
+// the volume's weight sum ([d, h, w]).
+func (wn Window) scatter(acc, weight []float32, d, h, w int, pred, wm []float32) {
+	spatial := d * h * w
+	for z := 0; z < wn.D; z++ {
+		for y := 0; y < wn.H; y++ {
+			src := (z*wn.H + y) * wn.W
+			ws := wm[src : src+wn.W]
+			dst := ((wn.Z+z)*h+wn.Y+y)*w + wn.X
+			wt := weight[dst : dst+len(ws)]
+			for x, v := range ws {
+				wt[x] += v
 			}
-		}
-	}
-	return true
-}
-
-// BlendWeights returns the per-window-voxel weight map of the blend mode
-// for a pd×ph×pw window: nil in uniform mode (every voxel weighs 1), the
-// centred Gaussian map otherwise.
-func (sw SlidingWindow) BlendWeights(pd, ph, pw int) []float32 {
-	if sw.Blend == BlendGaussian {
-		return gaussianWindow(pd, ph, pw, sw.Sigma)
-	}
-	return nil
-}
-
-// OverlapWeights returns the per-voxel blend weight of the window set over
-// a d×h×w volume: each window's weight map (uniform 1 or Gaussian) added
-// in scan order — the denominator of the overlap average.
-func (sw SlidingWindow) OverlapWeights(wins []Window, d, h, w int) []float32 {
-	if len(wins) == 0 {
-		return nil
-	}
-	pd, ph, pw := wins[0].D, wins[0].H, wins[0].W
-	wmap := sw.BlendWeights(pd, ph, pw)
-	weight := make([]float32, d*h*w)
-	for _, wn := range wins {
-		for z := 0; z < pd; z++ {
-			for y := 0; y < ph; y++ {
-				dst := ((wn.Z+z)*h+wn.Y+y)*w + wn.X
-				if wmap == nil {
-					for x := 0; x < pw; x++ {
-						weight[dst+x]++
-					}
-				} else {
-					src := (z*ph + y) * pw
-					for x := 0; x < pw; x++ {
-						weight[dst+x] += wmap[src+x]
-					}
+			for c := src; c < len(pred); c += len(wm) { // the row in each output channel
+				p := pred[c : c+len(ws)]
+				a := acc[dst : dst+len(ws)]
+				for x, v := range ws {
+					a[x] += v * p[x]
 				}
-			}
-		}
-	}
-	return weight
-}
-
-// ScatterWeighted adds the window's prediction pred ([outC, D, H, W] of
-// the window extent) into the full-volume accumulator acc ([outC, d, h, w]),
-// scaled per voxel by the window weight map (nil = uniform weight 1).
-// Callers with pairwise-disjoint windows may invoke it concurrently — each
-// window owns its accumulator region.
-func (wn Window) ScatterWeighted(acc []float32, outC, d, h, w int, pred, wmap []float32) {
-	pd, ph, pw := wn.D, wn.H, wn.W
-	for ci := 0; ci < outC; ci++ {
-		for z := 0; z < pd; z++ {
-			for y := 0; y < ph; y++ {
-				src := ((ci*pd+z)*ph + y) * pw
-				dst := ((ci*d+wn.Z+z)*h+wn.Y+y)*w + wn.X
-				if wmap == nil {
-					for x := 0; x < pw; x++ {
-						acc[dst+x] += pred[src+x]
-					}
-				} else {
-					wsrc := (z*ph + y) * pw
-					for x := 0; x < pw; x++ {
-						acc[dst+x] += wmap[wsrc+x] * pred[src+x]
-					}
-				}
+				dst += spatial
 			}
 		}
 	}
 }
 
-// NormalizeBlend divides the accumulator by the overlap weights in place,
-// skipping uncovered voxels — the final step of BlendPredictions, exposed
-// for callers that scatter window predictions directly (the serving
-// layer's disjoint-window fast path). Element divisions are independent,
-// so the result is bitwise identical at any worker budget.
-func NormalizeBlend(acc, weight []float32, outC, workers int) {
-	spatial := len(weight)
-	parallel.ForWorkers(workers, outC, 1, func(_, lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			base := ci * spatial
-			for i := 0; i < spatial; i++ {
-				if weight[i] > 0 {
-					acc[base+i] /= weight[i]
-				}
-			}
-		}
-	})
-}
-
-// BlendPredictions combines per-window predictions — preds[i] belonging to
-// wins[i], each of size outC·D·H·W of the shared window extent — into the
-// overlap-weighted full volume. Windows are always accumulated in scan
-// order regardless of the worker budget (the parallel partition is over
-// output channels), so the result is deterministic and, in uniform mode,
-// bit-for-bit identical to the original serial sliding-window inference.
-func (sw SlidingWindow) BlendPredictions(wins []Window, preds []*tensor.Tensor, d, h, w int) (*tensor.Tensor, error) {
+// BlendPredictions combines window predictions into the overlap-weighted
+// full volume [outC, d, h, w]. preds holds the prediction of wins[i]
+// ([outC, D, H, W] of the windows' shared extent) at offset i·outC·D·H·W.
+// Each voxel adds its windows' weighted predictions in scan order and
+// divides by the sum of their weights, so the result does not depend on
+// the order in which the predictions were computed.
+func (sw SlidingWindow) BlendPredictions(wins []Window, preds []float32, outC, d, h, w int) (*tensor.Tensor, error) {
 	if len(wins) == 0 {
 		return nil, fmt.Errorf("patch: no windows to blend")
 	}
-	if len(preds) != len(wins) {
-		return nil, fmt.Errorf("patch: %d predictions for %d windows", len(preds), len(wins))
+	wm := sw.blendWeights(wins[0].D, wins[0].H, wins[0].W)
+	n := outC * len(wm)
+	if outC < 1 || len(preds) != len(wins)*n {
+		return nil, fmt.Errorf("patch: %d prediction values for %d windows of %d channels × %d voxels",
+			len(preds), len(wins), outC, len(wm))
 	}
-	pd, ph, pw := wins[0].D, wins[0].H, wins[0].W
-	pvol := pd * ph * pw
-	if preds[0] == nil {
-		return nil, fmt.Errorf("patch: nil prediction for window 0")
-	}
-	outC := preds[0].Size() / pvol
-	if outC < 1 || outC*pvol != preds[0].Size() {
-		return nil, fmt.Errorf("patch: prediction size %d is not a multiple of the %dx%dx%d window", preds[0].Size(), pd, ph, pw)
-	}
-	for i, p := range preds {
-		if p == nil || p.Size() != outC*pvol {
-			return nil, fmt.Errorf("patch: prediction %d missing or mis-sized", i)
-		}
-	}
-
-	wmap := sw.BlendWeights(pd, ph, pw)
-	weight := sw.OverlapWeights(wins, d, h, w)
-
 	acc := tensor.New(outC, d, h, w)
 	ad := acc.Data()
-	spatial := d * h * w
-	parallel.ForWorkers(sw.Workers, outC, 1, func(_, lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			for i, wn := range wins {
-				pdd := preds[i].Data()
-				for z := 0; z < pd; z++ {
-					for y := 0; y < ph; y++ {
-						src := ((ci*pd+z)*ph + y) * pw
-						dst := ((ci*d+wn.Z+z)*h+wn.Y+y)*w + wn.X
-						if wmap == nil {
-							for x := 0; x < pw; x++ {
-								ad[dst+x] += pdd[src+x]
-							}
-						} else {
-							wsrc := (z*ph + y) * pw
-							for x := 0; x < pw; x++ {
-								ad[dst+x] += wmap[wsrc+x] * pdd[src+x]
-							}
-						}
-					}
-				}
-			}
-			base := ci * spatial
-			for i := 0; i < spatial; i++ {
-				if weight[i] > 0 {
-					ad[base+i] /= weight[i]
-				}
+	weight := make([]float32, d*h*w)
+	for i, wn := range wins {
+		wn.scatter(ad, weight, d, h, w, preds[i*n:(i+1)*n], wm)
+	}
+	for ci := 0; ci < outC; ci++ {
+		a := ad[ci*len(weight):][:len(weight)]
+		for i, wt := range weight {
+			if wt > 0 {
+				a[i] /= wt
 			}
 		}
-	})
+	}
 	return acc, nil
 }
 
@@ -409,13 +294,22 @@ func (sw SlidingWindow) Infer(model Predictor, s *volume.Sample) (*tensor.Tensor
 	d, h, w := sh[1], sh[2], sh[3]
 	wins := sw.Windows(d, h, w)
 
-	preds := make([]*tensor.Tensor, len(wins))
+	var preds []float32
+	n := 0 // values per window prediction
 	for i, wn := range wins {
 		p, err := Extract(s, wn.Z, wn.Y, wn.X, wn.D, wn.H, wn.W)
 		if err != nil {
 			return nil, err
 		}
-		preds[i] = model.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...)).Clone()
+		out := model.Infer(p.Input.Reshape(append([]int{1}, p.Input.Shape()...)...)).Data()
+		if preds == nil {
+			n = len(out)
+			preds = make([]float32, len(wins)*n)
+		}
+		if len(out) != n {
+			return nil, fmt.Errorf("patch: window %d predicted %d values, window 0 %d", i, len(out), n)
+		}
+		copy(preds[i*n:], out)
 	}
-	return sw.BlendPredictions(wins, preds, d, h, w)
+	return sw.BlendPredictions(wins, preds, n/(wins[0].D*wins[0].H*wins[0].W), d, h, w)
 }

@@ -260,36 +260,6 @@ type predictorFunc func(*tensor.Tensor) *tensor.Tensor
 
 func (f predictorFunc) Infer(x *tensor.Tensor) *tensor.Tensor { return f(x) }
 
-// TestBlendWorkerCountInvariant asserts the blend stage itself is bitwise
-// independent of its worker budget (the parallel partition is over output
-// channels; windows always accumulate in scan order).
-func TestBlendWorkerCountInvariant(t *testing.T) {
-	s := sample(t, 8)
-	u := unet.MustNew(unet.Config{
-		InChannels: 4, OutChannels: 1, BaseFilters: 2, Steps: 2,
-		Kernel: 3, UpKernel: 2, Seed: 7,
-	})
-	base := SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{2, 2, 2}}
-	want, err := base.Infer(u, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 5} {
-		sw := base
-		sw.Workers = workers
-		got, err := sw.Infer(u, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wd, gd := want.Data(), got.Data()
-		for i := range wd {
-			if wd[i] != gd[i] {
-				t.Fatalf("workers=%d: element %d differs", workers, i)
-			}
-		}
-	}
-}
-
 // TestGaussianBlendIdentity: with an identity predictor the Gaussian
 // weights cancel in the weighted average, so reconstruction is still exact
 // up to float rounding.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mirrored"
 	"repro/internal/msd"
-	"repro/internal/optim"
 	"repro/internal/train"
 	"repro/internal/unet"
 	"repro/internal/volume"
@@ -57,20 +56,18 @@ func samples(t *testing.T, n int) []*volume.Sample {
 	return out
 }
 
-func TestModeForPaperCases(t *testing.T) {
-	// The paper's three parallelism cases (§III-B.2) with M = 4.
-	cases := map[int]Mode{1: Sequential, 2: MirroredSingleNode, 4: MirroredSingleNode,
-		5: RayCluster, 8: RayCluster, 32: RayCluster}
-	for n, want := range cases {
-		if got := ModeFor(n, 4); got != want {
-			t.Fatalf("ModeFor(%d, 4) = %v, want %v", n, got, want)
+// TestRingLayoutFollowsNodes: the paper's three cases (§III-B.2) on 4-GPU
+// nodes are one flat ring within a node (1–4 GPUs, the sequential case
+// included) and groups of one node across nodes (8 and 32 GPUs).
+func TestRingLayoutFollowsNodes(t *testing.T) {
+	for gpus, want := range map[int]int{1: 0, 2: 0, 3: 0, 4: 0, 8: 4, 32: 4} {
+		cl, err := cluster.ForGPUs(gpus)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Sequential.String() != "sequential" || RayCluster.String() != "ray-cluster" {
-		t.Fatal("mode rendering broken")
+		if got := groupSize(gpus, cl.GPUsPerNode); got != want {
+			t.Fatalf("%d GPUs: group size %d, want %d", gpus, got, want)
+		}
 	}
 }
 
@@ -97,8 +94,8 @@ func TestTrainerModeAndBatchScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Mode() != MirroredSingleNode {
-		t.Fatalf("mode %v", tr.Mode())
+	if tr.groupSize != 0 {
+		t.Fatalf("2 GPUs on one node: group size %d, want the flat ring", tr.groupSize)
 	}
 	if tr.GlobalBatch() != 4 {
 		t.Fatalf("global batch %d, want 2×2", tr.GlobalBatch())
@@ -129,8 +126,8 @@ func TestMultiNodeUsesHierarchicalReducerAndStaysInSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Mode() != RayCluster {
-		t.Fatalf("mode %v, want ray-cluster", tr.Mode())
+	if tr.groupSize != 4 {
+		t.Fatalf("8 GPUs on 4-GPU nodes: group size %d, want 4", tr.groupSize)
 	}
 	if _, err := fit(t, tr, samples(t, 16), nil, 1, nil); err != nil {
 		t.Fatal(err)
@@ -228,23 +225,5 @@ func TestAugmentedFitRuns(t *testing.T) {
 				t.Fatal("Fit mutated the training masks")
 			}
 		}
-	}
-}
-
-func TestCyclicLRApplied(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.CyclicLR = optim.NewCyclicLR(0.001, 0.009, 2)
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fit(t, tr, samples(t, 4), nil, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	// After 4 steps (2 epochs × 2 steps) the LR must follow the schedule,
-	// not the scaled base rate.
-	got := tr.Strategy().LR()
-	if got < 0.001 || got > 0.009 {
-		t.Fatalf("cyclic LR not applied: %v", got)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/patch"
 	"repro/internal/tensor"
+	"repro/internal/unet"
 )
 
 // gate holds the first Infer made on any replica sharing it until release
@@ -180,5 +182,76 @@ func TestRequestWindowsStayContiguous(t *testing.T) {
 				t.Fatalf("micro-batch mixes requests: first voxels %v", b)
 			}
 		}
+	}
+}
+
+// lastFirstModel is a U-Net that holds the Infer of one chosen window until
+// every other window of the request has been predicted, so the window that
+// comes first in scan order completes last.
+type lastFirstModel struct {
+	*unet.UNet
+	first   []float32     // the held window's input
+	others  *atomic.Int64 // other windows still to predict
+	release chan struct{} // closed once others reaches zero
+}
+
+func (m lastFirstModel) Infer(x *tensor.Tensor) *tensor.Tensor {
+	if slices.Equal(x.Data(), m.first) {
+		<-m.release
+		return m.UNet.Infer(x)
+	}
+	out := m.UNet.Infer(x)
+	if m.others.Add(-1) == 0 {
+		close(m.release)
+	}
+	return out
+}
+
+// TestBlendIgnoresCompletionOrder: a request's windows may complete in any
+// order across replicas, yet the response must equal the standalone
+// sliding-window inference bit for bit. Overlapping Gaussian windows make
+// the blend's sums order-sensitive; with one window per micro-batch, the
+// first window in scan order is held on one replica while the other
+// replica predicts all the rest, so a blend that added each window as it
+// completed would sum in another order than the reference.
+func TestBlendIgnoresCompletionOrder(t *testing.T) {
+	sw := patch.SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{2, 2, 2}, Blend: patch.BlendGaussian}
+	smp := testSamples(t, 1, 8)[0]
+	wins := sw.Windows(8, 8, 8)
+	first, err := patch.Extract(smp, wins[0].Z, wins[0].Y, wins[0].X, wins[0].D, wins[0].H, wins[0].W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wn := range wins[1:] {
+		p, err := patch.Extract(smp, wn.Z, wn.Y, wn.X, wn.D, wn.H, wn.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(p.Input.Data(), first.Input.Data()) {
+			t.Fatalf("window %+v has the held window's input", wn)
+		}
+	}
+	var others atomic.Int64
+	others.Store(int64(len(wins) - 1))
+	release := make(chan struct{})
+	s, err := New(Config{Window: sw, Replicas: 2, MaxBatch: 1, MaxQueue: len(wins)}, func() (Model, error) {
+		u, err := unet.New(testNetConfig())
+		return lastFirstModel{UNet: u, first: first.Input.Data(), others: &others, release: release}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	got, err := s.Segment(smp.Input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sw.Infer(unet.MustNew(testNetConfig()), smp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Data(), want.Data()) {
+		t.Fatal("response differs from the scan-order reference when the first window completes last")
 	}
 }

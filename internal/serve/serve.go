@@ -9,19 +9,17 @@
 // fast path, so cross-request batching feeds the blocked GEMM larger
 // matrices — the same utilization argument the paper makes for batch and
 // replica scaling.
-// Per-window predictions are scattered back and overlap-blended (uniform or
-// Gaussian) into each request's full-volume probability map. When a
-// request's windows are pairwise disjoint (stride ≥ window extent, no
-// clamped overlap), replica workers scatter each weighted prediction
-// straight into the request's accumulator — no per-patch copy and no
-// separate blend pass — which is still bitwise identical because every
-// voxel receives exactly one contribution.
+// Each replica copies a window's prediction into its request's one
+// prediction buffer, and Segment blends the request (uniform or Gaussian
+// overlap weighting) into its full-volume probability map once every
+// window is in.
 //
 // Because Infer gives a window the same bits whatever its batch neighbours
-// (unet's TestInferBatchInvariant) and blending always accumulates windows
-// in scan order, a batched result
-// is bitwise identical to a standalone patch.SlidingWindow.Infer on the
-// same checkpoint, no matter how requests interleave (TestBatchedMatchesReference).
+// (unet's TestInferBatchInvariant) and the blend adds a request's windows
+// in scan order whatever order they completed in, a batched result is
+// bitwise identical to a standalone patch.SlidingWindow.Infer on the same
+// checkpoint, no matter how requests interleave
+// (TestBatchedMatchesReference, TestBlendIgnoresCompletionOrder).
 //
 // Admission control bounds the queue: past MaxQueue outstanding patches a
 // request is rejected immediately with a retry-after estimate instead of
@@ -63,7 +61,7 @@ type Model interface {
 // Config tunes the server. The zero value of any field selects its default.
 type Config struct {
 	// Window is the sliding-window decomposition applied to every request;
-	// its blend mode and sigma are honoured. Required.
+	// its blend mode is honoured. Required.
 	Window patch.SlidingWindow
 
 	// Replicas is the number of model instances serving micro-batches, each
@@ -148,25 +146,19 @@ type task struct {
 
 // request tracks one Segment call across its patches.
 type request struct {
-	x     *tensor.Tensor // [C, D, H, W] input volume, read-only until done
-	wins  []patch.Window
-	preds []*tensor.Tensor // [1, outC, pd, ph, pw] per window, copied out of the replica
-	left  atomic.Int64
-	done  chan struct{}
+	x    *tensor.Tensor // [C, D, H, W] input volume, read-only until done
+	wins []patch.Window
+	left atomic.Int64 // windows not yet predicted
+	done chan struct{}
 
-	// Direct-scatter fast path, taken when the request's windows are
-	// pairwise disjoint (NonOverlapping): replica workers scatter each
-	// weighted window prediction straight into acc — no per-patch copy, no
-	// separate blend pass — and Segment finishes with the weight division.
-	// Every voxel belongs to exactly one window, so arrival order cannot
-	// change the sums and the result stays bitwise identical to
-	// BlendPredictions. acc is allocated by whichever worker finishes the
-	// request's first patch (output channel count is unknown before then).
-	direct  bool
-	wmap    []float32 // per-window-voxel blend weights (nil = uniform)
-	accOnce sync.Once
-	acc     []float32 // [outC, D, H, W] accumulator
-	outC    int
+	// preds holds every window's prediction, window i's [outC, D, H, W] at
+	// offset i·outC·D·H·W, so Segment blends them in scan order whatever
+	// order they completed in. The replica that finishes the request's
+	// first window allocates it: the model's output channel count is not
+	// known before.
+	alloc sync.Once
+	preds []float32
+	outC  int
 }
 
 // microbatch is a set of same-extent tasks headed for one replica.
@@ -370,17 +362,7 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	s.m.requests.Inc()
 
-	req := &request{
-		x:    x,
-		wins: wins,
-		done: make(chan struct{}),
-	}
-	if s.cfg.Window.NonOverlapping(d, h, w) {
-		req.direct = true
-		req.wmap = s.cfg.Window.BlendWeights(wins[0].D, wins[0].H, wins[0].W)
-	} else {
-		req.preds = make([]*tensor.Tensor, len(wins))
-	}
+	req := &request{x: x, wins: wins, done: make(chan struct{})}
 	req.left.Store(int64(len(wins)))
 	// The request's windows enter the queue as one contiguous run, so two
 	// concurrent requests fill whole batches of their own instead of
@@ -397,20 +379,7 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 	s.reloadMu.RUnlock()
 
 	tBlend := time.Now()
-	if req.direct {
-		// Uniform weighting over disjoint windows is exactly 1 everywhere
-		// a window wrote, so the weight map and division would be no-ops;
-		// only the Gaussian mode needs the normalize pass.
-		if req.wmap != nil {
-			weight := s.cfg.Window.OverlapWeights(wins, d, h, w)
-			patch.NormalizeBlend(req.acc, weight, req.outC, s.cfg.Window.Workers)
-		}
-		out := tensor.FromSlice(req.acc, req.outC, d, h, w)
-		s.m.blend.ObserveDuration(time.Since(tBlend))
-		s.m.total.ObserveDuration(time.Since(t0))
-		return out, nil
-	}
-	out, err := s.cfg.Window.BlendPredictions(wins, req.preds, d, h, w)
+	out, err := s.cfg.Window.BlendPredictions(wins, req.preds, req.outC, d, h, w)
 	if err != nil {
 		return nil, err
 	}
@@ -476,8 +445,8 @@ func (s *Server) batcher() {
 }
 
 // runReplica assembles each micro-batch into the replica's batch buffer, runs
-// the no-grad forward, and scatters per-sample predictions back to their
-// requests.
+// the no-grad forward, and copies each sample's prediction into its
+// request's prediction buffer.
 func (s *Server) runReplica(r *replica) {
 	defer s.running.Done()
 	for mb := range s.batches {
@@ -513,24 +482,15 @@ func (s *Server) runReplica(r *replica) {
 		s.m.observePatchCompute(compute, b)
 
 		outC := out.Shape()[1]
+		n := outC * pvol
 		od := out.Data()
 		for i, t := range mb.tasks {
 			req := t.req
-			sample := od[i*outC*pvol : (i+1)*outC*pvol]
-			if req.direct {
-				// Disjoint windows: scatter the weighted prediction
-				// straight into the request accumulator — this window owns
-				// its region, so no lock and no intermediate patch tensor.
-				req.accOnce.Do(func() {
-					xs := req.x.Shape()
-					req.outC = outC
-					req.acc = make([]float32, outC*xs[1]*xs[2]*xs[3])
-				})
-				xs := req.x.Shape()
-				req.wins[t.win].ScatterWeighted(req.acc, outC, xs[1], xs[2], xs[3], sample, req.wmap)
-			} else {
-				req.preds[t.win] = tensor.FromSlice(append([]float32(nil), sample...), 1, outC, ext.D, ext.H, ext.W)
-			}
+			req.alloc.Do(func() {
+				req.outC = outC
+				req.preds = make([]float32, len(req.wins)*n)
+			})
+			copy(req.preds[t.win*n:(t.win+1)*n], od[i*n:(i+1)*n])
 			s.m.patches.Inc()
 			s.pending.Add(-1)
 			if req.left.Add(-1) == 0 {

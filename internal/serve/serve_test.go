@@ -76,13 +76,29 @@ func referenceModel(t *testing.T, path string) *unet.UNet {
 // TestBatchedMatchesReference is the acceptance bar: concurrent requests,
 // coalesced across requests into micro-batches over multiple replicas, must
 // produce bit-for-bit the standalone patch.SlidingWindow.Infer result for
-// the same checkpoint — for both blend modes.
+// the same checkpoint — for overlapping windows (stride < patch), in both
+// blend modes.
 func TestBatchedMatchesReference(t *testing.T) {
-	path := trainedCheckpoint(t, 1)
+	checkBatchedMatchesReference(t, trainedCheckpoint(t, 1), 2)
+}
+
+// TestDirectScatterMatchesReference holds the same bar for disjoint windows
+// (stride = patch), where every voxel is covered by exactly one window —
+// in both blend modes, including the Gaussian weighting whose
+// multiply-then-divide must round identically.
+func TestDirectScatterMatchesReference(t *testing.T) {
+	checkBatchedMatchesReference(t, trainedCheckpoint(t, 2), 4)
+}
+
+// checkBatchedMatchesReference serves four concurrent requests for the
+// checkpoint at path with 4³ windows at the given stride, for each blend
+// mode, and compares every response with the standalone inference.
+func checkBatchedMatchesReference(t *testing.T, path string, stride int) {
+	t.Helper()
 	samples := testSamples(t, 4, 8)
 
 	for _, blend := range []patch.BlendMode{patch.BlendUniform, patch.BlendGaussian} {
-		sw := patch.SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{2, 2, 2}, Blend: blend}
+		sw := patch.SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{stride, stride, stride}, Blend: blend}
 		s, err := New(Config{
 			Window:    sw,
 			Replicas:  2,
@@ -113,7 +129,7 @@ func TestBatchedMatchesReference(t *testing.T) {
 
 		for i, smp := range samples {
 			if errs[i] != nil {
-				t.Fatalf("blend=%d request %d: %v", blend, i, errs[i])
+				t.Fatalf("stride=%d blend=%d request %d: %v", stride, blend, i, errs[i])
 			}
 			want, err := sw.Infer(ref, smp)
 			if err != nil {
@@ -125,8 +141,8 @@ func TestBatchedMatchesReference(t *testing.T) {
 			}
 			for j := range wd {
 				if wd[j] != gd[j] {
-					t.Fatalf("blend=%d request %d element %d: batched %v != reference %v",
-						blend, i, j, gd[j], wd[j])
+					t.Fatalf("stride=%d blend=%d request %d element %d: batched %v != reference %v",
+						stride, blend, i, j, gd[j], wd[j])
 				}
 			}
 		}
@@ -166,94 +182,6 @@ func (m *blockingModel) Infer(x *tensor.Tensor) *tensor.Tensor {
 }
 func (m *blockingModel) Params() []*nn.Param { return nil }
 func (m *blockingModel) SetWorkers(int)      {}
-
-// TestDirectScatterMatchesReference covers the disjoint-window fast path:
-// with stride == patch the replica workers scatter predictions straight
-// into the request accumulators (no per-patch copy, no blend pass), and
-// the result must still be bit-for-bit the standalone sliding-window
-// inference — for both blend modes, including the Gaussian weighting whose
-// multiply-then-divide must round identically.
-func TestDirectScatterMatchesReference(t *testing.T) {
-	path := trainedCheckpoint(t, 2)
-	samples := testSamples(t, 4, 8)
-
-	for _, blend := range []patch.BlendMode{patch.BlendUniform, patch.BlendGaussian} {
-		sw := patch.SlidingWindow{Patch: [3]int{4, 4, 4}, Stride: [3]int{4, 4, 4}, Blend: blend}
-		if !sw.NonOverlapping(8, 8, 8) {
-			t.Fatal("test config must be non-overlapping")
-		}
-		s, err := New(Config{
-			Window:    sw,
-			Replicas:  2,
-			MaxBatch:  3,
-			MaxLinger: 500 * time.Microsecond,
-			MaxQueue:  256,
-		}, unetFactory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Reload(path); err != nil {
-			t.Fatal(err)
-		}
-
-		ref := referenceModel(t, path)
-		var wg sync.WaitGroup
-		outs := make([]*tensor.Tensor, len(samples))
-		errs := make([]error, len(samples))
-		for i, smp := range samples {
-			wg.Add(1)
-			go func(i int, smp *volume.Sample) {
-				defer wg.Done()
-				outs[i], errs[i] = s.Segment(smp.Input)
-			}(i, smp)
-		}
-		wg.Wait()
-		s.Close()
-
-		for i, smp := range samples {
-			if errs[i] != nil {
-				t.Fatalf("blend=%d request %d: %v", blend, i, errs[i])
-			}
-			want, err := sw.Infer(ref, smp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wd, gd := want.Data(), outs[i].Data()
-			if len(wd) != len(gd) {
-				t.Fatalf("request %d: size %d vs %d", i, len(gd), len(wd))
-			}
-			for j := range wd {
-				if wd[j] != gd[j] {
-					t.Fatalf("blend=%d request %d element %d: scattered %v != reference %v",
-						blend, i, j, gd[j], wd[j])
-				}
-			}
-		}
-	}
-}
-
-// TestNonOverlapping pins the window-disjointness predicate, including the
-// boundary-clamped final window that overlaps even at stride == patch.
-func TestNonOverlapping(t *testing.T) {
-	cases := []struct {
-		patch, stride [3]int
-		d, h, w       int
-		want          bool
-	}{
-		{[3]int{4, 4, 4}, [3]int{4, 4, 4}, 8, 8, 8, true},
-		{[3]int{4, 4, 4}, [3]int{2, 2, 2}, 8, 8, 8, false},
-		{[3]int{4, 4, 4}, [3]int{4, 4, 4}, 10, 8, 8, false},  // clamped last z-window overlaps
-		{[3]int{16, 16, 16}, [3]int{8, 8, 8}, 8, 8, 8, true}, // single clamped window
-		{[3]int{4, 4, 4}, [3]int{5, 5, 5}, 9, 9, 9, true},    // gap, still disjoint
-	}
-	for _, tc := range cases {
-		sw := patch.SlidingWindow{Patch: tc.patch, Stride: tc.stride}
-		if got := sw.NonOverlapping(tc.d, tc.h, tc.w); got != tc.want {
-			t.Fatalf("NonOverlapping(patch=%v stride=%v vol=%dx%dx%d) = %v, want %v",
-				tc.patch, tc.stride, tc.d, tc.h, tc.w, got, tc.want)
-		}
-	}
-}
 
 // TestAdmissionControl: past MaxQueue outstanding patches, Segment rejects
 // immediately with an OverloadedError carrying a retry-after estimate.

@@ -1,9 +1,5 @@
 package train
 
-import (
-	"repro/internal/optim"
-)
-
 // Callback observes and steers a Session. Hooks fire in callback order at
 // every phase boundary of the canonical loop; returning an error aborts the
 // session. Embed NopCallback and override only the hooks you need.
@@ -57,19 +53,6 @@ func (NopCallback) OnCheckpoint(*Session, string) error { return nil }
 
 // OnTrainEnd implements Callback.
 func (NopCallback) OnTrainEnd(*Session) error { return nil }
-
-// LRSchedule applies a cyclic learning-rate schedule before every optimizer
-// step, indexed by the global step counter (continuous across resumes).
-type LRSchedule struct {
-	NopCallback
-	Schedule *optim.CyclicLR
-}
-
-// OnStepBegin implements Callback.
-func (l *LRSchedule) OnStepBegin(s *Session, step int) error {
-	s.Strategy().SetLR(l.Schedule.At(step))
-	return nil
-}
 
 // PeriodicCheckpoint writes the full session state to Path every Every
 // epochs (and after the final epoch), making the session resumable.

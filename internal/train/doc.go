@@ -13,12 +13,11 @@
 //     links) and a dist worker (one rank over TCP) run it, and Single — the
 //     paper's sequential case — is the width-1 rank, whose step skips the
 //     reduction. raysgd always builds a mirrored.Trainer, one replica per
-//     GPU; the paper's three-case mode selection (§III-B.2) chooses only
-//     its ring layout.
+//     GPU; the paper's three cases (§III-B.2) choose only its ring
+//     layout.
 //   - Callback is the ordered hook chain (OnTrainBegin, OnEpochBegin,
 //     OnStepBegin/End, OnEvalBegin, OnEpochEnd, OnCheckpoint, OnTrainEnd).
-//     Built-ins cover learning-rate schedules, periodic and step-granular
-//     checkpointing, per-epoch reporting (the Ray.Tune protocol) and
+//     Built-ins cover periodic and step-granular checkpointing, per-epoch reporting (the Ray.Tune protocol) and
 //     telemetry.
 //   - The epoch order is a seeded permutation: each epoch shuffles the
 //     training set by Seed+epoch (tf.data's shuffle with the whole set in

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/mirrored"
 	"repro/internal/msd"
-	"repro/internal/optim"
 	"repro/internal/unet"
 	"repro/internal/volume"
 )
@@ -187,25 +186,6 @@ func (r *recorder) OnEpochEnd(_ *Session, st EpochStats) error {
 	return nil
 }
 func (r *recorder) OnTrainEnd(*Session) error { *r.events = append(*r.events, "train-end"); return nil }
-
-func TestLRScheduleFollowsCyclic(t *testing.T) {
-	strat := singleStrategy(t, "sgd", 1)
-	sched := optim.NewCyclicLR(0.001, 0.009, 2)
-	sess, err := NewSession(Config{
-		Strategy: strat, Epochs: 2, GlobalBatch: 2, Seed: 1,
-		Callbacks: []Callback{&LRSchedule{Schedule: sched}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Fit(samples(t, 4), nil); err != nil {
-		t.Fatal(err)
-	}
-	// 4 steps ran; the last OnStepBegin applied At(3).
-	if got, want := strat.LR(), sched.At(3); got != want {
-		t.Fatalf("LR %v, want %v", got, want)
-	}
-}
 
 func TestReportFuncStopsSession(t *testing.T) {
 	strat := singleStrategy(t, "sgd", 1)

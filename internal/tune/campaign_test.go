@@ -246,38 +246,3 @@ func TestTrialDirPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestLogSpacedGrid: the log-scale grid helper pins its endpoints exactly
-// and spaces interior points geometrically.
-func TestLogSpacedGrid(t *testing.T) {
-	d := LogSpaced("lr", 1e-2, 3e-2, 5)
-	vals := d.Values
-	if len(vals) != 5 {
-		t.Fatalf("%d values", len(vals))
-	}
-	if vals[0].(float64) != 1e-2 || vals[4].(float64) != 3e-2 {
-		t.Fatalf("endpoints %v, %v", vals[0], vals[4])
-	}
-	// Constant ratio between neighbours (log spacing), within float noise.
-	r0 := vals[1].(float64) / vals[0].(float64)
-	for i := 1; i < 4; i++ {
-		r := vals[i+1].(float64) / vals[i].(float64)
-		if r/r0 < 0.999999 || r/r0 > 1.000001 {
-			t.Fatalf("ratio %v at %d, want %v", r, i, r0)
-		}
-	}
-	for _, bad := range []func(){
-		func() { LogSpaced("x", 0, 1, 3) },
-		func() { LogSpaced("x", 2, 1, 3) },
-		func() { LogSpaced("x", 1, 2, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid LogSpaced must panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}

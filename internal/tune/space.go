@@ -16,7 +16,6 @@ package tune
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -66,28 +65,6 @@ func Grid(name string, values ...any) Dimension {
 	if len(values) == 0 {
 		panic("tune: Grid needs at least one value")
 	}
-	return Dimension{Name: name, Values: values}
-}
-
-// LogSpaced declares an axis of n values geometrically spaced over [lo, hi],
-// endpoints included.
-// Learning-rate grids are conventionally extended this way: linearly spaced
-// extensions of a range like the paper's 1e-2–3e-2 crowd the top decade,
-// while log spacing covers each octave evenly.
-func LogSpaced(name string, lo, hi float64, n int) Dimension {
-	if lo <= 0 || hi <= lo {
-		panic("tune: LogSpaced needs 0 < lo < hi")
-	}
-	if n < 2 {
-		panic("tune: LogSpaced needs at least 2 points")
-	}
-	values := make([]any, n)
-	llo, lhi := math.Log(lo), math.Log(hi)
-	for i := 0; i < n; i++ {
-		values[i] = math.Exp(llo + (lhi-llo)*float64(i)/float64(n-1))
-	}
-	// Pin the endpoints exactly: exp(log(x)) may round a ULP away.
-	values[0], values[n-1] = lo, hi
 	return Dimension{Name: name, Values: values}
 }
 
