@@ -488,22 +488,33 @@ func readBinaryVolume(r io.Reader, shapeHdr string) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 1
-	for _, d := range shape {
-		n *= d
+	n, err := voxelCount(shape)
+	if err != nil {
+		return nil, err
 	}
-	if n > maxVoxels {
-		return nil, fmt.Errorf("volume of %d voxels exceeds the %d limit", n, maxVoxels)
-	}
-	raw := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	data, err := readFloats(r, n)
+	if err != nil {
 		return nil, fmt.Errorf("body shorter than shape %v: %w", shape, err)
 	}
-	data := make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
 	return tensorFromParts(shape, data)
+}
+
+// readFloats reads n little-endian float32s from r. It grows its buffer as
+// the bytes arrive, so a header that claims more voxels than the body holds
+// costs what the body holds, not what the header claims.
+func readFloats(r io.Reader, n int) ([]float32, error) {
+	data := make([]float32, 0, min(n, 1<<16))
+	buf := make([]byte, 1<<14)
+	for len(data) < n {
+		chunk := buf[:min(len(buf), 4*(n-len(data)))]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(chunk); i += 4 {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(chunk[i:])))
+		}
+	}
+	return data, nil
 }
 
 func writeBinaryVolume(w io.Writer, t *tensor.Tensor) {
@@ -543,18 +554,30 @@ func tensorFromParts(shape []int, data []float32) (*tensor.Tensor, error) {
 	if len(shape) != 4 {
 		return nil, fmt.Errorf("volume shape must be [C, D, H, W], got %v", shape)
 	}
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			return nil, fmt.Errorf("non-positive dimension in shape %v", shape)
-		}
-		n *= d
-	}
-	if n > maxVoxels {
-		return nil, fmt.Errorf("volume of %d voxels exceeds the %d limit", n, maxVoxels)
+	n, err := voxelCount(shape)
+	if err != nil {
+		return nil, err
 	}
 	if len(data) != n {
 		return nil, fmt.Errorf("%d voxels for shape %v (want %d)", len(data), shape, n)
 	}
 	return tensor.FromSlice(data, shape...), nil
+}
+
+// voxelCount returns the number of voxels of shape, or an error if a
+// dimension is not positive or the count exceeds maxVoxels. The running
+// product is held to the limit at every multiply, so a shape whose count
+// overflows int cannot wrap around to a small one.
+func voxelCount(shape []int) (int, error) {
+	n := 1
+	for _, d := range shape {
+		if d <= 0 {
+			return 0, fmt.Errorf("non-positive dimension in shape %v", shape)
+		}
+		if d > maxVoxels/n {
+			return 0, fmt.Errorf("volume of shape %v exceeds the %d-voxel limit", shape, maxVoxels)
+		}
+		n *= d
+	}
+	return n, nil
 }

@@ -20,10 +20,13 @@ import (
 )
 
 // TestLoadSmoke drives the HTTP API closed-loop: four clients post 16³
-// JSON volumes to /v1/segment back to back for about a second against a
-// two-replica server. Every response must be 200 or 503 (admission
-// control), every client must land at least one 200, and
-// serve_requests_total on /metrics must count exactly the 200s.
+// JSON volumes (one window each) to /v1/segment back to back for about a
+// second against a two-replica server whose queue holds one patch, so
+// admission control turns requests away. Every response must be 200 or 503,
+// at least one must be a 503 with a Retry-After of a second or more, every
+// client must land at least one 200 (a client still without one keeps going
+// past the second, up to a 10 s limit), and /metrics must count exactly the
+// 200s in serve_requests_total and the 503s in serve_rejected_total.
 func TestLoadSmoke(t *testing.T) {
 	netCfg := unet.Config{InChannels: 4, OutChannels: 1, BaseFilters: 4, Steps: 2, Kernel: 3, UpKernel: 2, Seed: 1}
 	reg := telemetry.NewRegistry()
@@ -31,6 +34,7 @@ func TestLoadSmoke(t *testing.T) {
 		Window:        patch.SlidingWindow{Patch: [3]int{16, 16, 16}, Stride: [3]int{16, 16, 16}},
 		Replicas:      2,
 		MaxBatch:      4,
+		MaxQueue:      1,
 		InChannels:    netCfg.InChannels,
 		ExtentDivisor: netCfg.MinVolume(),
 		Telemetry:     reg,
@@ -52,14 +56,15 @@ func TestLoadSmoke(t *testing.T) {
 	}
 
 	const clients = 4
-	var oks, others [clients]int
+	var oks, rejected, others, badRetry [clients]int
 	var wg sync.WaitGroup
-	deadline := time.Now().Add(time.Second)
+	start := time.Now()
+	deadline, limit := start.Add(time.Second), start.Add(10*time.Second)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			for now := time.Now(); now.Before(deadline) || oks[c] == 0 && now.Before(limit); now = time.Now() {
 				resp, err := http.Post(ts.URL+"/v1/segment", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
@@ -71,6 +76,10 @@ func TestLoadSmoke(t *testing.T) {
 				case http.StatusOK:
 					oks[c]++
 				case http.StatusServiceUnavailable:
+					rejected[c]++
+					if after, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || after < 1 {
+						badRetry[c]++
+					}
 				default:
 					others[c]++
 				}
@@ -79,21 +88,30 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	wg.Wait()
 
-	total := 0
+	total, turnedAway := 0, 0
 	for c := range clients {
-		if others[c] != 0 || oks[c] < 1 {
-			t.Errorf("client %d: %d ok, %d neither 200 nor 503", c, oks[c], others[c])
+		if others[c] != 0 || oks[c] < 1 || badRetry[c] != 0 {
+			t.Errorf("client %d: %d ok, %d neither 200 nor 503, %d 503s without a Retry-After ≥ 1",
+				c, oks[c], others[c], badRetry[c])
 		}
 		total += oks[c]
+		turnedAway += rejected[c]
 	}
-	t.Logf("%d requests answered 200 (per client %v)", total, oks)
-	if got := requestsTotal(t, ts.URL); got != total {
-		t.Fatalf("serve_requests_total %d, want the %d 200 responses", got, total)
+	t.Logf("%d requests answered 200 (per client %v), %d answered 503 (per client %v), in %v",
+		total, oks, turnedAway, rejected, time.Since(start).Round(time.Millisecond))
+	if turnedAway == 0 {
+		t.Error("no request was turned away: admission control never ran")
+	}
+	if got := scrape(t, ts.URL, "serve_requests_total"); got != total {
+		t.Errorf("serve_requests_total %d, want the %d 200 responses", got, total)
+	}
+	if got := scrape(t, ts.URL, "serve_rejected_total"); got != turnedAway {
+		t.Errorf("serve_rejected_total %d, want the %d 503 responses", got, turnedAway)
 	}
 }
 
-// requestsTotal scrapes serve_requests_total from the /metrics page.
-func requestsTotal(t *testing.T, url string) int {
+// scrape reads one unlabelled counter from the /metrics page.
+func scrape(t *testing.T, url, name string) int {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -102,7 +120,7 @@ func requestsTotal(t *testing.T, url string) int {
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		if v, ok := strings.CutPrefix(sc.Text(), "serve_requests_total "); ok {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
 			n, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -110,6 +128,6 @@ func requestsTotal(t *testing.T, url string) int {
 			return int(n)
 		}
 	}
-	t.Fatal("no serve_requests_total on /metrics")
+	t.Fatalf("no %s on /metrics", name)
 	return 0
 }

@@ -7,12 +7,15 @@
 // itself. The microkernel reads its B panel through an offset table — K step
 // p, columns 4q..4q+3 are b[rows[p] + quads[q] :][:4] — so one kernel streams
 // both a B block packed into nr-column panels (rows[p] = p·nr, quads 0, 4, 8,
-// 12) and a matrix read in place where it lies. On amd64 with AVX2 the
-// microkernel is hand-written assembly (kernel_amd64.s) holding the 4×16
-// tile in eight YMM registers; everywhere else it is the portable kernelGo,
-// which is also the oracle the assembly is tested against. gemm.go names
-// neither: each build supplies kernel, copyRows and transposeRows
-// (kernel_amd64.go, kernel_noasm.go).
+// 12) and a matrix read in place where it lies. macroKernel hands the
+// microkernel every full tile of a block at once, as one tileRun record: on
+// amd64 with AVX2 one call of hand-written assembly (kernel_amd64.s) walks
+// the block's tiles, each held in eight YMM registers, so a block costs one
+// Go call rather than one per 4×16 tile; everywhere else tilesGo walks the
+// same record through the portable kernelGo, which is also the oracle the
+// assembly is tested against. Ragged tiles go through the same record, one
+// tile at a time. gemm.go names neither kernel: each build supplies
+// runTiles, copyRows and transposeRows (kernel_amd64.go, kernel_noasm.go).
 //
 // Arithmetic: every C element starts from zero per kcBlock slice and, in
 // ascending K, takes acc = round(acc + round(a·b)) — a separately rounded
@@ -707,7 +710,7 @@ type tileStore struct {
 	gamma, beta *[mr]float32 // 16, 24: gamma nil, no normalization
 	mean, rstd  *[mr]float64 // 32, 40
 	rows        *[mr]int     // 48: nil, a dense tile
-	starts      *[4]int      // 56: the column runs' starts of a scattered tile
+	starts      *[4]int      // 56: kernelGo's column starts of a scattered tile (the assembly's come from its tileRun)
 }
 
 // tile returns the store of the full tile whose first row is r.
@@ -725,54 +728,74 @@ func (s *store) tile(r int) tileStore {
 
 // macroKernel multiplies the packed iw×pw A block by the pw×jw B block into
 // the rows r0.. and columns j0.. of instance C ci, stored through c as st
-// says. Full mr×nr tiles of a dense C, and those of a scattered C that
-// scatterTile admits, are stored by the microkernel; any other tile —
-// ragged, or scattered in a way the microkernel does not store — is
-// computed into a stack buffer and its live elements stored one by one, by
-// the same epilogue in Go. A B panel stays in L1 while the A panels stream
-// past it.
+// says. Its full mr×nr tiles of a dense C, and those of a scattered C that
+// scatterTile admits, go to runTiles as one tileRun, stored by the
+// microkernel; any other tile — ragged, or scattered in a way the
+// microkernel does not store — is computed into a stack buffer and its live
+// elements stored one by one, by the same epilogue in Go. A B panel stays in
+// L1 while the A panels stream past it.
 func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
-	var tile [mr * nr]float32
-	var tiles [mcBlock / mr]tileStore
-	var starts [4]int // the scattered tiles' column starts, this panel's
-	var cols [nr]int  // the panel's column offsets, for the Go store
-	for ip := 0; ip < iw/mr; ip++ {
+	var stores [mcBlock / mr]tileStore
+	rp, cp := iw/mr, jw/nr
+	for ip := range rp {
 		r := r0 + ip*mr
-		tiles[ip] = st.tile(r)
+		stores[ip] = st.tile(r)
 		if c.scatterTile(st, r) {
-			tiles[ip].rows, tiles[ip].starts, tiles[ip].step = (*[mr]int)(c.s.rows[r:]), &starts, uint8(c.s.step)
+			stores[ip].rows, stores[ip].step = (*[mr]int)(c.s.rows[r:]), uint8(c.s.step)
 		}
 	}
-	for jp := 0; jp*nr < jw; jp++ {
-		quads := b.quads(jp)
+	if rp > 0 && cp > 0 {
+		full := tileRun{a: packedA[:rp*pw*mr], b: b.b, rows: b.rows, quads: b.starts,
+			st: stores[:rp], rowPanels: rp, colPanels: cp}
+		switch c.s.run {
+		case 0:
+			full.c, full.ldc = ci[r0*c.ldc+j0:(r0+rp*mr-1)*c.ldc+j0+cp*nr], c.ldc
+		case 4:
+			full.c, full.cstarts = ci, c.s.starts[j0/4:][:4*cp]
+		default:
+			full.colPanels = 0
+		}
+		runTiles(&full)
+	}
+
+	// The Go store's tiles: the ragged ones, and every full one of a row
+	// panel runTiles skipped.
+	goRows := false
+	for ip := range rp {
+		goRows = goRows || c.s.run != 0 && stores[ip].rows == nil
+	}
+	var tile [mr * nr]float32
+	var plain [1]tileStore
+	var quads [4]int
+	one := tileRun{b: b.b, rows: b.rows, quads: quads[:], c: tile[:], ldc: nr, st: plain[:], rowPanels: 1, colPanels: 1}
+	var cols [nr]int // the panel's column offsets
+	jp := 0
+	if !goRows && iw%mr == 0 {
+		jp = cp // past the column panels runTiles stored whole
+	}
+	for ; jp*nr < jw; jp++ {
 		j := j0 + jp*nr
 		live := min(nr, jw-jp*nr)
-		if c.s.run == 4 && live == nr {
-			starts = *(*[4]int)(c.s.starts[j/4:])
+		ip := 0
+		if live == nr && !goRows {
+			ip = rp // past the full tiles runTiles stored
 		}
-		haveCols := false
-		for ip := 0; ip*mr < iw; ip++ {
-			ap := packedA[ip*pw*mr : (ip+1)*pw*mr]
+		started := false
+		for ; ip*mr < iw; ip++ {
 			rows := min(mr, iw-ip*mr)
-			r := r0 + ip*mr
-			if rows == mr && live == nr {
-				if c.s.run == 0 {
-					base := r*c.ldc + j
-					kernel(ap, b.b, b.rows, &quads, ci[base:base+(mr-1)*c.ldc+nr], c.ldc, &tiles[ip])
-					continue
-				}
-				if tiles[ip].rows != nil {
-					kernel(ap, b.b, b.rows, &quads, ci, 0, &tiles[ip])
-					continue
-				}
+			if rows == mr && live == nr && (c.s.run == 0 || stores[ip].rows != nil) {
+				continue // runTiles stored it
 			}
-			kernel(ap, b.b, b.rows, &quads, tile[:], nr, &tileStore{})
-			if !haveCols {
+			if !started {
+				quads = b.quads(jp)
 				for jj := range cols[:live] {
 					cols[jj] = c.col(j + jj)
 				}
-				haveCols = true
+				started = true
 			}
+			one.a = packedA[ip*pw*mr : (ip+1)*pw*mr]
+			runTiles(&one)
+			r := r0 + ip*mr
 			for ii := 0; ii < rows; ii++ {
 				row := c.row(r + ii)
 				for jj, v := range tile[ii*nr:][:live] {
@@ -788,6 +811,54 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 					}
 					ci[at] = v
 				}
+			}
+		}
+	}
+}
+
+// tileRun is a block of full mr×nr tiles that one call of the microkernel
+// runs: rowPanels × colPanels of them, tile (ip, jp) the product of A panel
+// ip and B panel jp, stored as st[ip] says. kernel_amd64.s reads the fields
+// at the offsets noted; the Go side slices each to the extent the tiles
+// touch, which is their bounds check.
+type tileRun struct {
+	a    []float32 // 0: packed A, panel ip at ip·pw·mr
+	b    []float32 // 24: B, K step p of panel jp at rows[p] + its quads
+	rows []int     // 48: the pw K-step offsets
+	// quads (72) holds B panel jp's four column-run offsets at 4·jp — a block
+	// read in place, or one tile's own; nil, a packed block: jp·pw·nr + {0,
+	// 4, 8, 12}.
+	quads []int
+	// c (96) is a dense C, tile (ip, jp) at ip·mr·ldc + jp·nr with rows ldc
+	// (120) apart — or, when cstarts (128) is set, a scattered one: the
+	// instance's whole destination, tile (ip, jp) stored through st[ip]'s
+	// rows and the column starts at cstarts[4·jp:]. A scattered run skips
+	// the row panels whose store has no rows: the Go store takes them.
+	c       []float32
+	ldc     int
+	cstarts []int
+	st      []tileStore // 152
+	// rowPanels (176) and colPanels (184) count the tiles.
+	rowPanels, colPanels int
+}
+
+// tilesGo runs a tileRun through kernelGo, tile by tile: the portable path,
+// and the reference for the assembly's.
+func tilesGo(t *tileRun) {
+	pw := len(t.rows)
+	for jp := range t.colPanels {
+		quads := [4]int{jp * pw * nr, jp*pw*nr + 4, jp*pw*nr + 8, jp*pw*nr + 12}
+		if t.quads != nil {
+			quads = [4]int(t.quads[4*jp:])
+		}
+		for ip := range t.rowPanels {
+			ap, st := t.a[ip*pw*mr:(ip+1)*pw*mr], t.st[ip]
+			switch {
+			case t.cstarts == nil:
+				kernelGo(ap, t.b, t.rows, &quads, t.c[ip*mr*t.ldc+jp*nr:], t.ldc, &st)
+			case st.rows != nil:
+				st.starts = (*[4]int)(t.cstarts[4*jp:])
+				kernelGo(ap, t.b, t.rows, &quads, t.c, 0, &st)
 			}
 		}
 	}

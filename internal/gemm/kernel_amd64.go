@@ -35,14 +35,15 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // OSXSAVE.
 func xgetbv0() (eax, edx uint32)
 
-// kernel is the microkernel macroKernel calls: the assembly where it is
-// live, kernelGo otherwise.
-func kernel(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore) {
+// runTiles runs a tileRun: in one call of the assembly where it is live —
+// which macroKernel makes once for all the full tiles of a block, and once
+// per ragged tile — and through tilesGo otherwise.
+func runTiles(t *tileRun) {
 	if useAsm {
-		kernelAVX2(a[:len(rows)*mr], b, rows, quads, c, ldc, st)
+		tilesAVX2(t)
 		return
 	}
-	kernelGo(a, b, rows, quads, c, ldc, st)
+	tilesGo(t)
 }
 
 // copyRows packs the leading K steps of one full panel of a row-major B,
@@ -69,21 +70,24 @@ func transposeRows(dst, src []float32, ldb, pw int) int {
 }
 
 // The assembly routines index their slices by the shape arguments alone and
-// never look at a length: the wrappers above, and macroKernel for the
-// kernel's c, slice each operand to the extent named here first, which is
-// the bounds check. The offsets a B operand is read through are checked
-// once per GemmBatch instead (Operand.check): a packed panel is read through
-// panelRows, which stays inside it, and a gathered source is held to the
-// extremes of its offset tables, which NewGathered computed.
+// never look at a length: the wrappers above, and macroKernel for a
+// tileRun's A and dense C, slice each operand to the extent named here
+// first, which is the bounds check. The offsets a B operand is read through
+// are checked once per GemmBatch instead (Operand.check): a packed panel is
+// read through panelRows, which stays inside it, and a gathered source is
+// held to the extremes of its offset tables, which NewGathered computed; a
+// scattered C likewise (Target.check).
 
-// kernelAVX2 is kernelGo in AVX2 assembly: element-wise SIMD of the same
-// multiply-round-add-round recurrence and the same store, so it produces the
-// same bits. It reads a[:len(rows)*mr] and b[rows[p]+quads[q] :][:4] for
-// every K step p and quad q, and touches exactly the mr×nr block
-// c[i*ldc : i*ldc+nr], i < mr. st's row pointers each address mr values.
+// tilesAVX2 is tilesGo in AVX2 assembly: every tile of the run is kernelGo's
+// element-wise SIMD — the same multiply-round-add-round recurrence and the
+// same store — so it produces the same bits, and a call costs one Go call
+// for the whole block. It reads each A panel's pw·mr floats and
+// b[rows[p]+quad :][:4] for every K step p and quad of each B panel, and
+// touches exactly the tiles' elements of c. st's row pointers each address
+// mr values.
 //
 //go:noescape
-func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore)
+func tilesAVX2(t *tileRun)
 
 // transposeAVX2 moves `blocks` 8-step blocks of K as 8×8 in-register
 // transposes: dst[p·nr + jj] = src[jj·ldb + p] for p < 8·blocks, jj < nr.

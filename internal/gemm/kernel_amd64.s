@@ -107,40 +107,81 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VMOVUPS      hix, (R8)(R12*4);   \
 	VEXTRACTF128 $1, hi, (R8)(R13*4)
 
-// Loads a scattered tile's four column starts into R10..R13 from the
-// tileStore at AX.
-#define STARTS \
-	MOVQ 56(AX), CX;  \
-	MOVQ 0(CX), R10;  \
-	MOVQ 8(CX), R11;  \
-	MOVQ 16(CX), R12; \
-	MOVQ 24(CX), R13
-
-// func kernelAVX2(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore)
+// func tilesAVX2(t *tileRun)
 //
-// The 4×16 tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
-// (columns 8-15). a is a packed mr-row panel (4 floats per K step). K step p
-// of B is four 4-float runs, run q at b + 4·(rows[p] + quads[q]); R8..R11
-// hold &b[quads[q]], so a step costs one load of rows[p] besides the runs.
-// Where the runs pair up — quads[1] = quads[0]+4 and quads[3] = quads[2]+4,
-// as in a packed panel or a volume row a multiple of 8 wide — each 8-column
+// Runs the rowPanels × colPanels full tiles of t, column panel jp outer and
+// row panel ip inner, so a B panel stays in L1 while the A panels stream
+// past it. The record's fields are at a 0, b 24, rows 48 (len 56), quads 72,
+// c 96, ldc 120, cstarts 128, st 152, rowPanels 176, colPanels 184; the
+// loop keeps jp at 0(SP) and ip at 8(SP), since a tile uses every other
+// register. A scattered tile's four column starts are in R10..R13 from the
+// merge on.
+//
+// Each tile lives in Y0..Y7, row i in Y(2i) (columns 0-7) and Y(2i+1)
+// (columns 8-15). A panel ip is 4 floats per K step from a + ip·pw·mr. K
+// step p of B panel jp is four 4-float runs, run q at b + 4·(rows[p] +
+// quad q), the quads at quads[4·jp:] or, packed, jp·pw·nr + 4q; R8..R11
+// hold &b[quad q], so a step costs one load of rows[p] besides the runs.
+// Where the runs pair up — quad 1 = quad 0 + 4 and quad 3 = quad 2 + 4, as
+// in a packed panel or a volume row a multiple of 8 wide — each 8-column
 // half is one 32-byte load; otherwise it is two 16-byte ones. The store
-// follows st (a tileStore: add at 0, bias 8, gamma 16, beta 24, mean 32,
-// rstd 40, rows 48, starts 56; step, a byte, at 1). A scattered store (rows set) takes
-// c as the whole destination and ldc as unused. At step 1 it adds onto, or
-// writes, each row's runs at c + rows[i] plus each start; at step 2 (never
-// an add) it writes rows 0 and 1, and rows 2 and 3, interleaved at
-// c + rows[0] and c + rows[2] plus each start.
-TEXT ·kernelAVX2(SB), NOSPLIT, $0-120
-	MOVQ   a_base+0(FP), SI
-	MOVQ   b_base+24(FP), DI
-	MOVQ   rows_base+48(FP), BX
-	MOVQ   rows_len+56(FP), CX
-	MOVQ   quads+72(FP), AX
-	MOVQ   0(AX), R8
-	MOVQ   8(AX), R9
-	MOVQ   16(AX), R10
-	MOVQ   24(AX), R11
+// follows st[ip] (a tileStore: add at 0, bias 8, gamma 16, beta 24, mean
+// 32, rstd 40, rows 48; step, a byte, at 1). A dense tile is stored at
+// c + ip·mr·ldc + jp·nr, rows ldc apart. A scattered one (cstarts set) is
+// stored through st[ip]'s rows and the starts at cstarts[4·jp:], c being
+// the whole destination: at step 1 it adds onto, or writes, each row's runs
+// at c + rows[i] plus each start; at step 2 (never an add) it writes rows 0
+// and 1, and rows 2 and 3, interleaved at c + rows[0] and c + rows[2] plus
+// each start. A scattered run skips a row panel whose store has no rows.
+TEXT ·tilesAVX2(SB), NOSPLIT, $16-8
+	MOVQ t+0(FP), DI
+	CMPQ 176(DI), $0
+	JEQ  done
+	CMPQ 184(DI), $0
+	JEQ  done
+	MOVQ $0, 0(SP)
+
+col:
+	MOVQ $0, 8(SP)
+
+tile:
+	MOVQ  t+0(FP), DI
+	MOVQ  8(SP), SI             // ip
+	CMPQ  128(DI), $0           // cstarts: a scattered run?
+	JEQ   live
+	MOVQ  SI, AX
+	SHLQ  $6, AX                // 64-byte tileStores
+	ADDQ  152(DI), AX
+	CMPQ  48(AX), $0            // no rows: the Go store's tile
+	JEQ   next
+
+live:
+	MOVQ  56(DI), CX            // pw
+	IMULQ CX, SI
+	SHLQ  $4, SI                // ip·pw·mr floats
+	ADDQ  0(DI), SI             // A panel ip
+	MOVQ  48(DI), BX            // rows
+	MOVQ  0(SP), R8             // jp
+	MOVQ  72(DI), AX            // quads
+	TESTQ AX, AX
+	JZ    packed
+	SHLQ  $5, R8                // four quads a panel
+	ADDQ  R8, AX
+	MOVQ  0(AX), R8
+	MOVQ  8(AX), R9
+	MOVQ  16(AX), R10
+	MOVQ  24(AX), R11
+	JMP   quads
+
+packed:
+	IMULQ CX, R8
+	SHLQ  $4, R8                // jp·pw·nr
+	LEAQ  4(R8), R9
+	LEAQ  8(R8), R10
+	LEAQ  12(R8), R11
+
+quads:
+	MOVQ   24(DI), DI           // b
 	LEAQ   (DI)(R8*4), R8
 	LEAQ   (DI)(R9*4), R9
 	LEAQ   (DI)(R10*4), R10
@@ -192,13 +233,38 @@ split:
 	JNZ         split
 
 merge:
-	MOVQ    c_base+80(FP), DX
-	MOVQ    ldc+104(FP), R8
-	SHLQ    $2, R8              // C row stride in bytes
-	LEAQ    (DX)(R8*1), R9      // row 1
-	LEAQ    (DX)(R8*2), R10     // row 2
-	LEAQ    (R9)(R8*2), R11     // row 3
-	MOVQ    st+112(FP), AX
+	MOVQ  t+0(FP), DI
+	MOVQ  8(SP), AX             // ip
+	SHLQ  $6, AX
+	ADDQ  152(DI), AX           // st[ip]
+	MOVQ  96(DI), DX            // c
+	MOVQ  128(DI), CX           // cstarts
+	TESTQ CX, CX
+	JZ    dense
+	MOVQ  0(SP), R9
+	SHLQ  $5, R9
+	ADDQ  R9, CX
+	MOVQ  0(CX), R10            // the tile's column starts
+	MOVQ  8(CX), R11
+	MOVQ  16(CX), R12
+	MOVQ  24(CX), R13
+	JMP   stores
+
+dense:
+	MOVQ  8(SP), R9
+	MOVQ  120(DI), R8           // ldc
+	IMULQ R8, R9
+	SHLQ  $4, R9                // ip·mr·ldc floats
+	ADDQ  R9, DX
+	MOVQ  0(SP), R9
+	SHLQ  $6, R9                // jp·nr floats
+	ADDQ  R9, DX
+	SHLQ  $2, R8                // C row stride in bytes
+	LEAQ  (DX)(R8*1), R9        // row 1
+	LEAQ  (DX)(R8*2), R10       // row 2
+	LEAQ  (R9)(R8*2), R11       // row 3
+
+stores:
 	MOVBLZX 0(AX), BX
 	TESTB   BL, BL
 	JNZ     add
@@ -226,7 +292,6 @@ add:
 	JMP    norm
 
 addruns:
-	STARTS
 	RUNS(0, Y0, Y1)
 	RUNS(8, Y2, Y3)
 	RUNS(16, Y4, Y5)
@@ -257,19 +322,16 @@ store:
 	VMOVUPS Y5, 32(R10)
 	VMOVUPS Y6, (R11)
 	VMOVUPS Y7, 32(R11)
-	VZEROUPPER
-	RET
+	JMP     next
 
 scatter:
-	STARTS
 	CMPB 1(AX), $1              // step
 	JNE  pairs
 	STORERUNS(0, Y0, X0, Y1, X1)
 	STORERUNS(8, Y2, X2, Y3, X3)
 	STORERUNS(16, Y4, X4, Y5, X5)
 	STORERUNS(24, Y6, X6, Y7, X7)
-	VZEROUPPER
-	RET
+	JMP  next
 
 pairs:
 	MOVQ 0(BX), R8
@@ -280,6 +342,21 @@ pairs:
 	PAIR(Y1, Y3, R8, R12, R13)
 	PAIR(Y4, Y6, R9, R10, R11)
 	PAIR(Y5, Y7, R9, R12, R13)
+
+next:
+	MOVQ t+0(FP), DI
+	MOVQ 8(SP), AX
+	INCQ AX
+	MOVQ AX, 8(SP)
+	CMPQ AX, 176(DI)
+	JLT  tile
+	MOVQ 0(SP), AX
+	INCQ AX
+	MOVQ AX, 0(SP)
+	CMPQ AX, 184(DI)
+	JLT  col
+
+done:
 	VZEROUPPER
 	RET
 

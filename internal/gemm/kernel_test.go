@@ -76,6 +76,19 @@ var kernelStores = []struct {
 	{"addnorm", true, false, true},
 }
 
+// oneTile runs the tile kernelGo(a, b, rows, quads, c, ldc, st) computes as
+// a tileRun of one tile, through runTiles: into the mr×nr block at the head
+// of c, rows ldc apart, or, when st is scattered, through its rows and
+// starts into the whole of c.
+func oneTile(a, b []float32, rows []int, quads *[4]int, c []float32, ldc int, st *tileStore) {
+	t := tileRun{a: a[:len(rows)*mr], b: b, rows: rows, quads: quads[:], c: c, ldc: ldc,
+		st: []tileStore{*st}, rowPanels: 1, colPanels: 1}
+	if st.rows != nil {
+		t.ldc, t.cstarts = 0, st.starts[:]
+	}
+	runTiles(&t)
+}
+
 // TestAsmKernelMatchesPortable pins the claim the whole package rests on:
 // the assembly microkernel and kernelGo produce the same tile, bit for bit,
 // from the same operands — including over non-finite and subnormal inputs —
@@ -93,6 +106,12 @@ func TestAsmKernelMatchesPortable(t *testing.T) {
 		unsafe.Offsetof(ts.beta), unsafe.Offsetof(ts.mean), unsafe.Offsetof(ts.rstd)}; offs != [...]uintptr{0, 8, 16, 24, 32, 40} {
 		t.Fatalf("tileStore field offsets %v, but kernel_amd64.s reads 0, 8, 16, 24, 32, 40", offs)
 	}
+	var tr tileRun
+	if offs := [...]uintptr{unsafe.Offsetof(tr.a), unsafe.Offsetof(tr.b), unsafe.Offsetof(tr.rows), unsafe.Offsetof(tr.quads),
+		unsafe.Offsetof(tr.c), unsafe.Offsetof(tr.ldc), unsafe.Offsetof(tr.cstarts), unsafe.Offsetof(tr.st),
+		unsafe.Offsetof(tr.rowPanels), unsafe.Offsetof(tr.colPanels)}; offs != [...]uintptr{0, 24, 48, 72, 96, 120, 128, 152, 176, 184} {
+		t.Fatalf("tileRun field offsets %v, but kernel_amd64.s reads 0, 24, 48, 72, 96, 120, 128, 152, 176, 184", offs)
+	}
 	const ldc = nr + 3
 	gens := []struct {
 		name string
@@ -102,7 +121,7 @@ func TestAsmKernelMatchesPortable(t *testing.T) {
 		want := append([]float32(nil), seed...)
 		got := append([]float32(nil), seed...)
 		kernelGo(a, b, rows, quads, want, ldc, ts)
-		kernel(a, b, rows, quads, got, ldc, ts)
+		oneTile(a, b, rows, quads, got, ldc, ts)
 		// Every element, gutter columns included: kernelGo leaves those
 		// alone, so the assembly must too.
 		for i := range want {

@@ -144,7 +144,7 @@ func TestAsmScatterStoreMatchesPortable(t *testing.T) {
 	}
 	var ts tileStore
 	if offs := [...]uintptr{unsafe.Offsetof(ts.step), unsafe.Offsetof(ts.rows), unsafe.Offsetof(ts.starts)}; offs != [...]uintptr{1, 48, 56} {
-		t.Fatalf("tileStore step, rows, starts at %v, but kernel_amd64.s reads 1, 48, 56", offs)
+		t.Fatalf("tileStore step, rows, starts at %v, want 1, 48, 56: kernel_amd64.s reads the first two", offs)
 	}
 	if size := unsafe.Sizeof(ts); size != 64 {
 		t.Fatalf("tileStore is %d bytes: past 64, macroKernel's copies of it go through runtime.duffcopy", size)
@@ -183,7 +183,7 @@ func TestAsmScatterStoreMatchesPortable(t *testing.T) {
 				want := append([]float32(nil), seed...)
 				got := append([]float32(nil), seed...)
 				kernelGo(a, b, blk.rows, &quads, want, 0, &tile)
-				kernel(a, b, blk.rows, &quads, got, 0, &tile)
+				oneTile(a, b, blk.rows, &quads, got, 0, &tile)
 				written := 0
 				for i := range want {
 					if !sameBits(got[i], want[i]) {
@@ -253,7 +253,7 @@ func TestAsmScatterStep1StoreMatchesPortable(t *testing.T) {
 					want := append([]float32(nil), seed...)
 					got := append([]float32(nil), seed...)
 					kernelGo(a, b, blk.rows, &quads, want, 0, &tile)
-					kernel(a, b, blk.rows, &quads, got, 0, &tile)
+					oneTile(a, b, blk.rows, &quads, got, 0, &tile)
 					tileAt := map[int]bool{}
 					for i := range rows {
 						for q := range starts {

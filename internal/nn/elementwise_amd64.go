@@ -61,6 +61,20 @@ func interleaveVec(dst, src []float32, stride, cp, count int) int {
 	return n
 }
 
+// maxPoolVec is MaxPool3D.pool's 2×2×2 window loop without argmax, for
+// one channel of od×oh pooled rows of ow voxels — window (z, y, x) at
+// src[2z·plane + 2y·wp + 2x], pooled voxel at dst[z·oplane + y·owp + x] —
+// over the leading multiple of 8 of each row's voxels.
+func maxPoolVec(dst, src []float32, wp, plane, owp, oplane, od, oh, ow int) int {
+	n := ow &^ 7
+	if !useAsm || n == 0 || od == 0 || oh == 0 {
+		return 0
+	}
+	maxPoolAVX2(dst[:(od-1)*oplane+(oh-1)*owp+n], src[:(2*od-1)*plane+(2*oh-1)*wp+2*n],
+		wp, plane, owp, oplane, od, oh, n/8)
+	return n
+}
+
 //go:noescape
 func normReluAVX2(z, y []float32, mean, rstd float64, gamma, beta float32, blocks int)
 
@@ -72,3 +86,6 @@ func gradSumsAVX2(sumDy, sumDyXhat *[4]float64, grad, y, h *[4][]float32, quads 
 
 //go:noescape
 func interleaveAVX2(dst, src []float32, stride, cp, blocks int)
+
+//go:noescape
+func maxPoolAVX2(dst, src []float32, wp, plane, owp, oplane, od, oh, blocks int)

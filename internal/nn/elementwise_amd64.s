@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// Each routine is its Go loop (elementwise.go, batchnorm.go, conv3d_gemm.go)
-// in AVX2, element-wise: every product and sum is its own instruction,
-// rounded where the Go code rounds it — never a fused multiply-add — so the
-// bits are the Go loop's. None of them reads a slice length: the Go wrappers
+// Each routine is its Go loop (elementwise.go, batchnorm.go, conv3d_gemm.go,
+// pool3d.go) in AVX2, element-wise: every product and sum is its own
+// instruction, rounded where the Go code rounds it — never a fused
+// multiply-add — and every compare keeps what the Go code keeps, so the bits
+// are the Go loop's. None of them reads a slice length: the Go wrappers
 // (elementwise_amd64.go) slice each operand to the extent named below.
 
 // Widens the 4 floats at off(r) to float64 in d and normalizes them in
@@ -239,5 +240,80 @@ voxels:
 	JNZ     voxels
 
 interleaved:
+	VZEROUPPER
+	RET
+
+// The maximum of one window row's two columns into the running maximum Y2:
+// the 16 floats at lo and hi, the input columns of 8 pooled voxels, split
+// into their even (Y3) and odd (Y4) columns, each taken in turn as VMAXPS's
+// first source and the running maximum as its second — which VMAXPS returns
+// unless the first is greater, as greater keeps it.
+#define POOLROW(lo, hi) \
+	VMOVUPS lo, Y0;              \
+	VMOVUPS hi, Y1;              \
+	VSHUFPS $0x88, Y1, Y0, Y3;   \
+	VSHUFPS $0xDD, Y1, Y0, Y4;   \
+	VMAXPS  Y2, Y3, Y2;          \
+	VMAXPS  Y2, Y4, Y2
+
+// func maxPoolAVX2(dst, src []float32, wp, plane, owp, oplane, od, oh, blocks int)
+//
+// 2×2×2 max pooling of one channel: for z < od, y < oh and x < 8·blocks,
+// dst[z·oplane + y·owp + x] is the maximum of the window at
+// src[2z·plane + 2y·wp + 2x], its eight elements taken in (z, y, x) order,
+// the first as the running maximum. Eight pooled voxels are a step. The
+// shuffles that split even from odd columns leave the voxels in the order
+// 0, 1, 4, 5, 2, 3, 6, 7, which VPERMPD undoes before the store.
+TEXT ·maxPoolAVX2(SB), NOSPLIT, $0-104
+	MOVQ  dst_base+0(FP), AX    // plane z's first pooled row
+	MOVQ  src_base+24(FP), BX   // plane z's first window row
+	MOVQ  wp+48(FP), R8
+	SHLQ  $2, R8                // input row stride in bytes
+	MOVQ  plane+56(FP), R9
+	SHLQ  $2, R9                // input plane stride in bytes
+	LEAQ  (R8)(R9*1), R10       // the next row of the next plane
+	MOVQ  od+80(FP), DX
+	TESTQ DX, DX
+	JZ    pooled
+
+planes:
+	MOVQ BX, R11
+	MOVQ AX, R12
+	MOVQ oh+88(FP), R13
+
+rows:
+	MOVQ R11, SI
+	MOVQ R12, DI
+	MOVQ blocks+96(FP), CX
+
+voxels:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VSHUFPS $0xDD, Y1, Y0, Y4
+	VSHUFPS $0x88, Y1, Y0, Y2
+	VMAXPS  Y2, Y4, Y2
+	POOLROW((SI)(R8*1), 32(SI)(R8*1))
+	POOLROW((SI)(R9*1), 32(SI)(R9*1))
+	POOLROW((SI)(R10*1), 32(SI)(R10*1))
+	VPERMPD $0xD8, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     voxels
+
+	LEAQ (R11)(R8*2), R11       // two window rows on
+	MOVQ owp+64(FP), SI
+	LEAQ (R12)(SI*4), R12
+	DECQ R13
+	JNZ  rows
+
+	LEAQ (BX)(R9*2), BX         // two window planes on
+	MOVQ oplane+72(FP), SI
+	LEAQ (AX)(SI*4), AX
+	DECQ DX
+	JNZ  planes
+
+pooled:
 	VZEROUPPER
 	RET

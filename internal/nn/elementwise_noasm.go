@@ -12,3 +12,5 @@ func gatedInputGradVec(g, y, h []float32, k, m, sumDy, sumDyXhat float64) int { 
 func gradSumsVec(sumDy, sumDyXhat *[4]float64, g, y, h *[4][]float32) int { return 0 }
 
 func interleaveVec(dst, src []float32, stride, cp, count int) int { return 0 }
+
+func maxPoolVec(dst, src []float32, wp, plane, owp, oplane, od, oh, ow int) int { return 0 }

@@ -1,9 +1,12 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // elementSpecials are the floats an element loop could round, compare or
@@ -181,4 +184,50 @@ func TestElementwiseAsmMatchesGo(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMaxPoolAsmMatchesGo holds the pooling pass without argmax — Infer's,
+// whose 2×2×2 rows run in AVX2 eight windows at a time where it is live —
+// to the Go loop that records argmax, bit for bit: over inputs thick with
+// NaN of both signs, +0 against −0 and exact ties (drawn from a handful of
+// values, so most windows hold several maxima), at pooled widths on both
+// sides of a multiple of 8, between haloed buffers of different borders
+// and channel windows. Both outputs start from the same fill, so a write
+// outside the pooled interiors shows too.
+func TestMaxPoolAsmMatchesGo(t *testing.T) {
+	values := []float32{float32(math.NaN()), -float32(math.NaN()), 0, float32(math.Copysign(0, -1)),
+		1, 1, -1, 2, float32(math.Inf(-1))}
+	rng := rand.New(rand.NewSource(3))
+	for _, ow := range []int{1, 3, 7, 8, 9, 16, 17, 29} {
+		for _, sh := range []struct{ od, oh, xp, op int }{{1, 1, 0, 0}, {2, 3, 1, 0}, {3, 2, 0, 1}, {2, 2, 2, 1}} {
+			t.Run(fmt.Sprintf("ow%d_od%d_oh%d_halo%d_%d", ow, sh.od, sh.oh, sh.xp, sh.op), func(t *testing.T) {
+				const n, cb, c0, c = 2, 3, 1, 2
+				d, h, w := 2*sh.od, 2*sh.oh, 2*ow
+				xb := tensor.New(n, cb, d+2*sh.xp, h+2*sh.xp, w+2*sh.xp)
+				for i, xd := 0, xb.Data(); i < len(xd); i++ {
+					if rng.Intn(4) == 0 {
+						xd[i] = float32(rng.NormFloat64())
+					} else {
+						xd[i] = values[rng.Intn(len(values))]
+					}
+				}
+				x := Haloed{Buf: xb, C0: c0, C: c, P: sh.xp}
+				fill := elementInput(rng, n*(c+1)*(sh.od+2*sh.op)*(sh.oh+2*sh.op)*(ow+2*sh.op))
+				outs := [2]*tensor.Tensor{}
+				for i := range outs {
+					outs[i] = tensor.FromSlice(clone(fill), n, c+1, sh.od+2*sh.op, sh.oh+2*sh.op, ow+2*sh.op)
+				}
+				m := NewMaxPool3D(2)
+				m.pool(x, Haloed{Buf: outs[0], C: c, P: sh.op}, nil)
+				m.pool(x, Haloed{Buf: outs[1], C: c, P: sh.op}, make([]int32, outs[1].Size()))
+				got, want := outs[0].Data(), outs[1].Data()
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("output %d: %v (%#08x) without argmax, %v (%#08x) with", i,
+							got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
+			})
+		}
+	}
 }

@@ -24,7 +24,9 @@
 // owns (see block.go). The block, the pooling and the up-convolution run
 // their InferInto through InferHaloed, which reads and writes activations
 // held inside a zero border, where a 3³ convolution reads them in place
-// (halo.go); InferInto passes it whole tensors.
+// (halo.go); InferInto passes it whole tensors. The pooling's InferHaloed,
+// which records no argmax, pools in AVX2 where the CPU has it, eight windows
+// a step, bit for bit the Go loop that Forward runs.
 //
 // Scratch — halo copies, the flipped kernel, packed operands, partial sums —
 // comes from the layer's tensor.Workspace, taken and given back within the

@@ -13,7 +13,9 @@ import (
 //
 // Both passes parallelize over (sample × channel) blocks: pooling windows
 // never cross a channel, so each block's outputs, argmax records and input
-// gradients are disjoint from every other block's.
+// gradients are disjoint from every other block's. Infer's passes record no
+// argmax, and pool 2×2×2 windows in AVX2 where the CPU has it, bit for bit
+// the Go loop Forward runs.
 type MaxPool3D struct {
 	workerBudget
 
@@ -73,8 +75,12 @@ func (m *MaxPool3D) pooledShape(x Haloed) (n, c, od, oh, ow int) {
 // when it is greater, so a NaN never does (and a NaN first element stays),
 // and the first of equal maxima wins, +0 and −0 included. Four windows of a
 // row are stepped abreast, each in its own order: one window's selects are a
-// chain of dependent compares. Only interiors are read and written; argmax
-// is indexed like out's buffer, and asked for of whole tensors only.
+// chain of dependent compares. Without argmax — Infer's passes — a 2×2×2
+// pool runs each row's leading multiple of 8 windows in AVX2 where it is
+// live (maxPoolVec: eight windows a step, each by the same rule, VMAXPS
+// keeping the running maximum unless the new element is greater), and this
+// loop the rest. Only interiors are read and written; argmax is indexed like
+// out's buffer, and asked for of whole tensors only.
 func (m *MaxPool3D) pool(x, out Haloed, argmax []int32) {
 	n, c, od, oh, ow := m.pooledShape(x)
 	checkHaloedDst("MaxPool3D", out, n, c, od, oh, ow)
@@ -95,11 +101,15 @@ func (m *MaxPool3D) pool(x, out Haloed, argmax []int32) {
 		for blk := lo; blk < hi; blk++ {
 			base := x.plane(gx, blk/c, blk%c)
 			obase := out.plane(gout, blk/c, blk%c)
+			done := 0 // the leading pooled voxels of every row the assembly did
+			if argmax == nil && s == 2 {
+				done = maxPoolVec(outd[obase:], xd[base:], gx.wp, gx.hp*gx.wp, gout.wp, gout.hp*gout.wp, od, oh, ow)
+			}
 			for z := 0; z < od; z++ {
 				for y := 0; y < oh; y++ {
 					row := base + (z*s*gx.hp+y*s)*gx.wp
-					oi := obase + (z*gout.hp+y)*gout.wp
-					for xx := 0; xx < ow; xx += 4 {
+					oi := obase + (z*gout.hp+y)*gout.wp + done
+					for xx := done; xx < ow; xx += 4 {
 						// Past the row's end the lanes repeat its last window.
 						last := row + (min(xx+4, ow)-1)*s
 						c0 := row + xx*s

@@ -267,6 +267,21 @@ func (sw SlidingWindow) Validate() error {
 	return nil
 }
 
+// Counts returns how many window origins Windows places along each axis of
+// a d×h×w volume — len(Windows(d, h, w)) is their product — without listing
+// any, so a caller can bound a volume's windows before it enumerates them.
+func (sw SlidingWindow) Counts(d, h, w int) [3]int {
+	var n [3]int
+	for i, dim := range [3]int{d, h, w} {
+		n[i] = 1
+		if dim > sw.Patch[i] {
+			// positions' strided origins below dim − patch, then the clamped one.
+			n[i] = (dim-sw.Patch[i]-1)/sw.Stride[i] + 2
+		}
+	}
+	return n
+}
+
 // positions returns window origins covering [0, dim) with the given stride,
 // clamping the final window to the boundary.
 func positions(dim, patch, stride int) []int {

@@ -157,6 +157,31 @@ func TestPositionsCoverAxis(t *testing.T) {
 	}
 }
 
+// TestCountsMatchWindows: Counts is the number of origins Windows lists
+// along each axis, over every extent, patch and valid stride up to small
+// sizes, and stays positive (no overflow) at extents near the top of int.
+func TestCountsMatchWindows(t *testing.T) {
+	for dim := 1; dim <= 40; dim++ {
+		for p := 1; p <= 9; p++ {
+			for st := 1; st <= p; st++ {
+				sw := SlidingWindow{Patch: [3]int{p, 1, p}, Stride: [3]int{st, 1, st}}
+				n := sw.Counts(dim, 1, dim)
+				if want := len(positions(dim, p, st)); n != [3]int{want, 1, want} {
+					t.Fatalf("dim=%d patch=%d stride=%d: Counts %v, positions lists %d", dim, p, st, n, want)
+				}
+				if got := len(sw.Windows(dim, 1, dim)); got != n[0]*n[1]*n[2] {
+					t.Fatalf("dim=%d patch=%d stride=%d: %d windows, Counts %v", dim, p, st, got, n)
+				}
+			}
+		}
+	}
+	sw := SlidingWindow{Patch: [3]int{16, 16, 16}, Stride: [3]int{1, 16, 16}}
+	const huge = math.MaxInt
+	if n := sw.Counts(huge, huge, 16); n != [3]int{huge - 15, (huge-17)/16 + 2, 1} {
+		t.Fatalf("Counts at extent MaxInt: %v", n)
+	}
+}
+
 func TestSlidingWindowValidate(t *testing.T) {
 	bad := []SlidingWindow{
 		{Patch: [3]int{0, 4, 4}, Stride: [3]int{1, 1, 1}},

@@ -319,6 +319,15 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("serve: volume has %d channels, model expects %d", sh[0], s.cfg.InChannels)
 	}
 	d, h, w := sh[1], sh[2], sh[3]
+	// Bound the patches axis by axis before listing them: a shape no buffer
+	// could hold may still name more windows than memory does.
+	need := 1
+	for _, k := range s.cfg.Window.Counts(d, h, w) {
+		if k > s.cfg.MaxQueue/need {
+			return nil, fmt.Errorf("serve: request needs more than %d patches, the queue capacity", s.cfg.MaxQueue)
+		}
+		need *= k
+	}
 	wins := s.cfg.Window.Windows(d, h, w)
 	if dv := s.cfg.ExtentDivisor; dv > 0 {
 		e := wins[0]
@@ -326,9 +335,6 @@ func (s *Server) Segment(x *tensor.Tensor) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("serve: window extent %dx%dx%d not divisible by the model's minimum volume %d",
 				e.D, e.H, e.W, dv)
 		}
-	}
-	if len(wins) > s.cfg.MaxQueue {
-		return nil, fmt.Errorf("serve: request needs %d patches, exceeding queue capacity %d", len(wins), s.cfg.MaxQueue)
 	}
 
 	// Hold the swap lock shared for the request's whole patch lifetime: a
