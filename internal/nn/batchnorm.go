@@ -223,7 +223,7 @@ func (b *BatchNorm) BackwardInto(gradOut, gradIn *tensor.Tensor) *tensor.Tensor 
 	xh := b.xhat.Data()
 
 	forChannelQuads(b.workers, c, func(lanes *[4]int, live int) {
-		sumDy, sumDyXhat := b.gradSums(god, nil, xh, n, spatial, lanes)
+		sumDy, sumDyXhat := b.gradSums(god, xh, n, spatial, lanes, false)
 		for j, ci := range lanes[:live] {
 			k := b.channelGrads(ci, sumDy[j], sumDyXhat[j], m)
 			for ni := 0; ni < n; ni++ {
@@ -240,50 +240,52 @@ func (b *BatchNorm) BackwardInto(gradOut, gradIn *tensor.Tensor) *tensor.Tensor 
 
 // gradSums returns the backward reductions Σdy and Σdy·x̂ of a group of
 // channels of god and x̂ ([n, C, spatial]), samples ascending, the group's
-// chains stepped together. dy is the gradient itself, or — when yd, the
-// output of a ReLU that followed, is non-nil — the gradient gated by yd > 0.
-func (b *BatchNorm) gradSums(god, yd, xh []float32, n, spatial int, lanes *[4]int) (sumDy, sumDyXhat [4]float64) {
+// chains stepped together. dy is the gradient itself, or — when gated, for
+// a ReLU that followed — the gradient where that ReLU's output, rebuilt from
+// x̂ and the live γ and β, is > 0.
+func (b *BatchNorm) gradSums(god, xh []float32, n, spatial int, lanes *[4]int, gated bool) (sumDy, sumDyXhat [4]float64) {
 	c := b.Channels
-	var y [4][]float32
-	for ni := 0; ni < n; ni++ {
-		if yd != nil {
-			y = planes(yd, ni*c, spatial, lanes)
+	var aff *laneAffine
+	if gated {
+		aff = new(laneAffine)
+		gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
+		for j, ci := range lanes {
+			aff.gamma[j], aff.beta[j] = gd[ci], bd[ci]
 		}
-		addGradSums(&sumDy, &sumDyXhat, planes(god, ni*c, spatial, lanes), y, planes(xh, ni*c, spatial, lanes))
+	}
+	for ni := 0; ni < n; ni++ {
+		addGradSums(&sumDy, &sumDyXhat, planes(god, ni*c, spatial, lanes), planes(xh, ni*c, spatial, lanes), aff)
 	}
 	return sumDy, sumDyXhat
 }
 
 // addGradSums adds four planes' elements onto their channels' Σdy and Σdy·x̂
-// chains, in element order: dy = g, gated by y > 0 where y's planes are set.
+// chains, in element order: dy = g, gated by γ·x̂ + β > 0 where aff is set.
 // The gated sums run their leading multiple of 4 elements in AVX2 where it
 // is live.
-func addGradSums(sumDy, sumDyXhat *[4]float64, g, y, h [4][]float32) {
-	if y[0] != nil {
-		done := gradSumsVec(sumDy, sumDyXhat, &g, &y, &h)
+func addGradSums(sumDy, sumDyXhat *[4]float64, g, h [4][]float32, aff *laneAffine) {
+	if aff != nil {
+		done := gradSumsVec(sumDy, sumDyXhat, &g, &h, aff)
 		for j := range g {
-			g[j], y[j], h[j] = g[j][done:], y[j][done:], h[j][done:]
+			g[j], h[j] = g[j][done:], h[j][done:]
 		}
 	}
-	addGradSumsGo(sumDy, sumDyXhat, g, y, h)
+	addGradSumsGo(sumDy, sumDyXhat, g, h, aff)
 }
 
-func addGradSumsGo(sumDy, sumDyXhat *[4]float64, g, y, h [4][]float32) {
+func addGradSumsGo(sumDy, sumDyXhat *[4]float64, g, h [4][]float32, aff *laneAffine) {
 	s0, s1, s2, s3 := sumDy[0], sumDy[1], sumDy[2], sumDy[3]
 	x0, x1, x2, x3 := sumDyXhat[0], sumDyXhat[1], sumDyXhat[2], sumDyXhat[3]
 	g0 := g[0]
 	n := len(g0)
 	g1, g2, g3 := g[1][:n], g[2][:n], g[3][:n]
 	h0, h1, h2, h3 := h[0][:n], h[1][:n], h[2][:n], h[3][:n]
-	gated := y[0] != nil
-	var y0, y1, y2, y3 []float32
-	if gated {
-		y0, y1, y2, y3 = y[0][:n], y[1][:n], y[2][:n], y[3][:n]
-	}
 	for i, d0 := range g0 {
 		d1, d2, d3 := g1[i], g2[i], g3[i]
-		if gated {
-			d0, d1, d2, d3 = gate(y0[i], d0), gate(y1[i], d1), gate(y2[i], d2), gate(y3[i], d3)
+		if aff != nil {
+			gm, bt := &aff.gamma, &aff.beta
+			d0, d1 = gateAffine(gm[0], h0[i], bt[0], d0), gateAffine(gm[1], h1[i], bt[1], d1)
+			d2, d3 = gateAffine(gm[2], h2[i], bt[2], d2), gateAffine(gm[3], h3[i], bt[3], d3)
 		}
 		s0, x0 = bnReduce(s0, x0, float64(d0), h0[i])
 		s1, x1 = bnReduce(s1, x1, float64(d1), h1[i])

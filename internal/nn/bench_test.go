@@ -170,7 +170,7 @@ func BenchmarkConv3DBackwardInput(b *testing.B) {
 			c.Forward(x)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.inputGradGEMM(g, gid)
+				c.inputGradGEMM(Whole(g), gid)
 			}
 		})
 	}

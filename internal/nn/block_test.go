@@ -365,7 +365,7 @@ func TestBlockBackwardNeedsTrainingForward(t *testing.T) {
 	b.Forward(x)
 	b.DropCaches()
 	mustPanic("after DropCaches")
-	if b.Conv.input != nil || b.fwdY != nil {
+	if b.Conv.input.Buf != nil || b.fwdXhat != nil {
 		t.Fatal("DropCaches left a reference behind")
 	}
 }

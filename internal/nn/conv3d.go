@@ -31,7 +31,7 @@ type Conv3D struct {
 	W *Param // [OC, IC, K, K, K]
 	B *Param // [OC]
 
-	input *tensor.Tensor // cached for backward
+	input Haloed // cached for backward
 
 	ws      *tensor.Workspace // scratch of every pass: its own, or its network's
 	tables  []int             // offset tables of the running pass
@@ -68,7 +68,7 @@ func (c *Conv3D) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
 
 // DropCaches drops the retained input. A Backward without an intervening
 // Forward is invalid after this call, as it is before any Forward.
-func (c *Conv3D) DropCaches() { c.input = nil }
+func (c *Conv3D) DropCaches() { c.input = Haloed{} }
 
 // Forward is ForwardInto a fresh tensor.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -78,7 +78,13 @@ func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // ForwardInto computes the convolution of x ([N, IC, D, H, W]) into dst
 // ([N, OC, D, H, W]) and caches x for Backward.
 func (c *Conv3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
-	c.forward(Whole(x), Whole(dst), gemm.Norm{})
+	return c.forwardTrain(Whole(x), dst)
+}
+
+// forwardTrain is ForwardInto from a haloed x, which is read where it lies
+// when its border is the halo, and which Backward reads again.
+func (c *Conv3D) forwardTrain(x Haloed, dst *tensor.Tensor) *tensor.Tensor {
+	c.forward(x, Whole(dst), gemm.Norm{})
 	c.input = x
 	return dst
 }
@@ -91,28 +97,35 @@ func (c *Conv3D) outShape(x *tensor.Tensor) []int {
 
 // Backward is BackwardInto a fresh tensor.
 func (c *Conv3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return c.BackwardInto(gradOut, tensor.New(c.cachedInput().Shape()...))
+	n, ic, d, h, w := c.cachedInput().shape("Conv3D.Backward")
+	return c.BackwardInto(gradOut, tensor.New(n, ic, d, h, w))
 }
 
 // BackwardInto accumulates the kernel and bias gradients and writes
 // dL/d(input) into dst; a nil dst skips the input-gradient pass.
 func (c *Conv3D) BackwardInto(gradOut, dst *tensor.Tensor) *tensor.Tensor {
-	x := c.cachedInput()
-	n, _, d, h, w := check5D("Conv3D.Backward", x)
+	return c.backward(gradOut, Whole(gradOut), dst)
+}
+
+// backward is BackwardInto with the input gradient's pass reading the
+// output gradient from g: gradOut itself, or a copy of it inside the halo,
+// which is read where it lies.
+func (c *Conv3D) backward(gradOut *tensor.Tensor, g Haloed, dst *tensor.Tensor) *tensor.Tensor {
+	n, ic, d, h, w := c.cachedInput().shape("Conv3D.Backward")
 	checkGradShape("Conv3D.Backward", gradOut, n, c.OutChannels, d, h, w)
 
 	biasGrad(c.B.Grad.Data(), gradOut.Data(), n, c.OutChannels, d*h*w, c.workers)
 	c.weightGradGEMM(gradOut)
 	if dst != nil {
-		checkDst("Conv3D.Backward", dst, x.Shape()...)
-		c.inputGradGEMM(gradOut, dst)
+		checkDst("Conv3D.Backward", dst, n, ic, d, h, w)
+		c.inputGradGEMM(g, dst)
 	}
 	return dst
 }
 
 // cachedInput is the input of the last Forward.
-func (c *Conv3D) cachedInput() *tensor.Tensor {
-	if c.input == nil {
+func (c *Conv3D) cachedInput() Haloed {
+	if c.input.Buf == nil {
 		panic("nn: Conv3D.Backward called before Forward")
 	}
 	return c.input

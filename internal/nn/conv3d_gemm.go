@@ -26,18 +26,21 @@ import (
 // border on every side (haloGeom); in there the element tap r reads for
 // voxel v sits at rows[r] + starts[v] with no bounds to test — a
 // gemm.Gathered matrix, whose two offset tables patchMatrix builds once per
-// call into the layer's table buffer. The training passes copy their
-// activation into such a buffer (padHalo); Infer's producers store theirs
-// there to begin with (Haloed, halo.go), and the convolution reads it where
-// it lies. Where volume rows are a multiple of 4 wide the GEMM microkernel
-// reads P in place, four voxels per run, and no B panel is built; other
-// widths are packed element by element. So one routine, convGEMM, is the
+// call into the layer's table buffer. In a network the layer that produces
+// an activation stores it in such a buffer to begin with (Haloed, halo.go) —
+// in training and in Infer alike, and so does a block's backward pass with
+// the output gradient its input gradient reads — and the convolution reads
+// it where it lies; a plain tensor, the network's input or a standalone
+// layer's, is copied into one (padHalo). Where volume rows are a multiple of
+// 4 wide the GEMM microkernel reads P in place, four voxels per run, and no
+// B panel is built; other widths are packed element by element. So one routine, convGEMM, is the
 // training forward, Infer and the input gradient. A 1×1×1 convolution needs
 // no halo: the activation slab already is P, read as one flat row of voxels
 // per channel.
 //
 // The kernel gradient multiplies by Pᵀ, whose K steps are voxels, and reads
-// it in place too, from a channels-last copy of the activation
+// it in place too, from a channels-last copy of the activation (read from
+// its interiors wherever the forward pass found it)
 // ([D+2p][H+2p][W+2p][Cp], Cp = IC rounded up to 4, the extra channels zero;
 // padChannelsLast): there the four channels c0..c0+3 a tap reads for a voxel
 // are one run, at the voxel's offset plus the tap's (patchTransposed). The
@@ -65,8 +68,8 @@ import (
 // sample order. The GEMM packs its A side — W, W′ or the output gradient —
 // once per call. Halo buffers, W′, the packed A and the partials are taken
 // from the layer's workspace and given back before the pass returns: the
-// layer holds nothing between calls but the input it was given and its
-// offset-table buffer.
+// layer holds nothing between calls but the input it was given (where it
+// lies, border and all) and its offset-table buffer.
 
 // haloGeom locates a [d, h, w] volume inside its zero-haloed copy.
 type haloGeom struct {
@@ -244,11 +247,14 @@ func (c *Conv3D) forward(x, dst Haloed, norm gemm.Norm) {
 		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm})
 }
 
-// padChannelsLast copies count samples of a [count, ch, d, h, w] activation
-// into dst channels-last, [count][d+2p][h+2p][w+2p][cp], zero in the border
-// and in channels ch..cp−1.
-func padChannelsLast(dst, src []float32, count, ch, cp int, g haloGeom, workers int) {
-	cols := g.d * g.h * g.w
+// padChannelsLast copies samples [n0, n0+count) of the activation x
+// ([N, ch, d, h, w], read from its interiors) into dst channels-last,
+// [count][d+2p][h+2p][w+2p][cp], zero in the border and in channels
+// ch..cp−1.
+func padChannelsLast(dst []float32, x Haloed, n0, count, cp int, g haloGeom, workers int) {
+	_, ch, _, _, _ := x.shape("Conv3D.Backward")
+	xg := x.geom()
+	xd := x.Buf.Data()
 	planes := g.d + 2*g.p
 	plane := g.hp * g.wp * cp
 	parallel.ForWorkers(workers, count*planes, 1, func(_, lo, hi int) {
@@ -259,16 +265,15 @@ func padChannelsLast(dst, src []float32, count, ch, cp int, g haloGeom, workers 
 			if z < 0 || z >= g.d {
 				continue
 			}
-			in := src[ni*ch*cols+z*g.h*g.w:]
+			in := xd[x.plane(xg, n0+ni, 0)+z*xg.hp*xg.wp:]
 			for y := 0; y < g.h; y++ {
 				row := out[((y+g.p)*g.wp+g.p)*cp:][:g.w*cp]
-				channel := func(c int) []float32 { return in[c*cols+y*g.w:][:g.w] }
 				c := 0
 				for ; c+4 <= ch; c += 4 {
-					interleave(row[c:], in[c*cols+y*g.w:], cols, cp, g.w)
+					interleave(row[c:], in[c*xg.vol+y*xg.wp:], xg.vol, cp, g.w)
 				}
 				for ; c < ch; c++ {
-					for x, v := range channel(c) {
+					for x, v := range in[c*xg.vol+y*xg.wp:][:g.w] {
 						row[x*cp+c] = v
 					}
 				}
@@ -329,14 +334,14 @@ func patchTransposed(g haloGeom, cp, k int, buf *[]int) gemm.Gathered {
 // partials in ascending sample order per element.
 func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	x := c.input
-	n, ic, d, h, w := check5D("Conv3D.Backward", x)
+	n, ic, d, h, w := x.shape("Conv3D.Backward")
 	oc, k := c.OutChannels, c.Kernel
 	kk := k * k * k
 	cols := d * h * w
 	cp := (ic + 3) &^ 3
 	ncols := kk * cp
 	workers := c.workers
-	xd, god := x.Data(), gradOut.Data()
+	god := gradOut.Data()
 
 	g := newHaloGeom(d, h, w, k/2)
 	pt := patchTransposed(g, cp, k, &c.tables)
@@ -347,16 +352,17 @@ func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	partials := c.ws.Take(n * oc * ncols)
 	for n0 := 0; n0 < n; n0 += group {
 		count := min(group, n-n0)
-		padChannelsLast(halo, xd[n0*ic*cols:], count, ic, cp, g, workers)
+		padChannelsLast(halo, x, n0, count, cp, g, workers)
 		gemm.GemmBatch(c.ws, count, false, oc, ncols, cols, god[n0*oc*cols:], cols, oc*cols, pt.Operand(halo, g.vol*cp),
 			false, gemm.Epilogue{}, gemm.Into(partials[n0*oc*ncols:], ncols, oc*ncols), workers)
 	}
 	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc, ic, kk, cp, workers)
 }
 
-// inputGradGEMM is the GEMM input-gradient pass: the convolution of gradOut
-// with the flipped, channel-swapped kernel W′, written over gradIn.
-func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
+// inputGradGEMM is the GEMM input-gradient pass: the convolution of the
+// output gradient g with the flipped, channel-swapped kernel W′, written
+// over gradIn.
+func (c *Conv3D) inputGradGEMM(g Haloed, gradIn *tensor.Tensor) {
 	ic, oc := c.InChannels, c.OutChannels
 	kk := c.Kernel * c.Kernel * c.Kernel
 	wd := c.W.Value.Data()
@@ -374,7 +380,7 @@ func (c *Conv3D) inputGradGEMM(gradOut, gradIn *tensor.Tensor) {
 			}
 		}
 	})
-	c.convGEMM(flipped, ic, Whole(gradOut), Whole(gradIn), gemm.Epilogue{})
+	c.convGEMM(flipped, ic, g, Whole(gradIn), gemm.Epilogue{})
 }
 
 // reduceWeightPartials adds n per-sample partial kernel gradients onto

@@ -69,9 +69,15 @@ func (c *ConvTranspose3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // of dst ([N, C ≥ OC, K·D, K·H, K·W]), and nothing else of dst, and caches x
 // for Backward.
 func (c *ConvTranspose3D) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
-	c.InferInto(x, dst)
-	c.input = x
+	c.ForwardHaloed(x, Haloed{Buf: dst, C: c.OutChannels})
 	return dst
+}
+
+// ForwardHaloed is ForwardInto into the interiors of a haloed activation of
+// OC channels, and nothing else of its buffer.
+func (c *ConvTranspose3D) ForwardHaloed(x *tensor.Tensor, dst Haloed) {
+	c.InferHaloed(x, dst)
+	c.input = x
 }
 
 // Backward is BackwardInto a fresh tensor.

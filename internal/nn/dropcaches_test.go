@@ -35,7 +35,7 @@ func TestConv3DHoldsNoScratch(t *testing.T) {
 		t.Fatalf("a training step took %d workspace buffers and kept some of them", gets)
 	}
 	sub.DropCaches()
-	if sub.input != nil {
+	if sub.input.Buf != nil {
 		t.Fatal("DropCaches left the retained input behind")
 	}
 	out2b := sub.Forward(x)

@@ -14,39 +14,42 @@ var useAsm = gemm.AVX2()
 // reads no lengths: the wrappers slice every operand to the extent it
 // touches first, which is the bounds check.
 
-// normReluVec is normReluGo over the leading multiple of 8 elements of z.
-func normReluVec(z, y []float32, mean, rstd float64, gamma, beta float32) int {
-	if !useAsm {
+// normReluVec is normReluGo over the voxels of a plane of geometry g that
+// g.walk gives the assembly, y from the plane's first interior voxel.
+func normReluVec(z, y []float32, g haloGeom, mean, rstd float64, gamma, beta float32) int {
+	wk, n := g.walk()
+	if !useAsm || n == 0 {
 		return 0
 	}
-	n := len(z) &^ 7
-	normReluAVX2(z[:n], y[:n], mean, rstd, gamma, beta, n/8)
+	normReluAVX2(z[:g.d*g.h*g.w], y[:g.extent()], mean, rstd, gamma, beta, &wk)
 	return n
 }
 
-// gatedInputGradVec is gatedInputGradGo over the leading multiple of 8
-// elements of g.
-func gatedInputGradVec(g, y, h []float32, k, m, sumDy, sumDyXhat float64) int {
-	if !useAsm {
+// gatedInputGradVec is gatedInputGradGo over the voxels of a plane of
+// geometry og that og.walk gives the assembly, out from the plane's first
+// interior voxel.
+func gatedInputGradVec(g, h, out []float32, og haloGeom, k, m, sumDy, sumDyXhat float64, gamma, beta float32) int {
+	wk, n := og.walk()
+	if !useAsm || n == 0 {
 		return 0
 	}
-	n := len(g) &^ 7
-	inputGradAVX2(g[:n], y[:n], h[:n], k, m, sumDy, sumDyXhat, n/8)
+	vol := og.d * og.h * og.w
+	inputGradAVX2(g[:vol], h[:vol], out[:og.extent()], k, m, sumDy, sumDyXhat, gamma, beta, &wk)
 	return n
 }
 
-// gradSumsVec is addGradSumsGo, gated, over the leading multiple of 4
-// elements of the planes.
-func gradSumsVec(sumDy, sumDyXhat *[4]float64, g, y, h *[4][]float32) int {
+// gradSumsVec is addGradSumsGo, gated by aff, over the leading multiple of
+// 4 elements of the planes.
+func gradSumsVec(sumDy, sumDyXhat *[4]float64, g, h *[4][]float32, aff *laneAffine) int {
 	if !useAsm {
 		return 0
 	}
 	n := len(g[0]) &^ 3
-	var gs, ys, hs [4][]float32
+	var gs, hs [4][]float32
 	for j := range gs {
-		gs[j], ys[j], hs[j] = g[j][:n], y[j][:n], h[j][:n]
+		gs[j], hs[j] = g[j][:n], h[j][:n]
 	}
-	gradSumsAVX2(sumDy, sumDyXhat, &gs, &ys, &hs, n/4)
+	gradSumsAVX2(sumDy, sumDyXhat, &gs, &hs, aff, n/4)
 	return n
 }
 
@@ -75,14 +78,32 @@ func maxPoolVec(dst, src []float32, wp, plane, owp, oplane, od, oh, ow int) int 
 	return n
 }
 
-//go:noescape
-func normReluAVX2(z, y []float32, mean, rstd float64, gamma, beta float32, blocks int)
+// maxPoolArgVec is MaxPool3D.pool's 2×2×2 window loop with argmax, for
+// one pooled plane of one channel: p.oh pooled rows of 8·p.blocks + 4·p.half
+// voxels, window (y, x) at src[2y·wp + 2x] and src[plane + 2y·wp + 2x], the
+// pooled voxel at dst[y·owp + x] and its winner's plain index, corner +
+// y·w2 + 2x plus the element's p.taps entry, at arg[y·aw + x]. It returns
+// how many of each row's voxels it did: none without AVX2.
+func maxPoolArgVec(dst []float32, arg []int32, src []float32, corner int, p *argPool) int {
+	n := 8*p.blocks + 4*p.half
+	if !useAsm || n == 0 || p.oh == 0 {
+		return 0
+	}
+	maxPoolArgAVX2(dst[:(p.oh-1)*p.owp+n], arg[:(p.oh-1)*p.aw+n], src[:p.plane+(2*p.oh-1)*p.wp+2*n], corner, p)
+	return n
+}
 
 //go:noescape
-func inputGradAVX2(grad, y, h []float32, k, m, sumDy, sumDyXhat float64, blocks int)
+func maxPoolArgAVX2(dst []float32, arg []int32, src []float32, corner int, p *argPool)
 
 //go:noescape
-func gradSumsAVX2(sumDy, sumDyXhat *[4]float64, grad, y, h *[4][]float32, quads int)
+func normReluAVX2(z, y []float32, mean, rstd float64, gamma, beta float32, walk *rowWalk)
+
+//go:noescape
+func inputGradAVX2(grad, h, out []float32, k, m, sumDy, sumDyXhat float64, gamma, beta float32, walk *rowWalk)
+
+//go:noescape
+func gradSumsAVX2(sumDy, sumDyXhat *[4]float64, grad, h *[4][]float32, aff *laneAffine, quads int)
 
 //go:noescape
 func interleaveAVX2(dst, src []float32, stride, cp, blocks int)

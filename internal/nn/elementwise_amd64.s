@@ -16,12 +16,42 @@
 	VSUBPD    Y12, d, d; \
 	VMULPD    Y13, d, d
 
-// func normReluAVX2(z, y []float32, mean, rstd float64, gamma, beta float32, blocks int)
+// The walk of a plane (rowWalk, elementwise.go) in AX drives the loops below
+// it: slabs in R10, rows in R9, and per row eight voxels a step in CX, then
+// four if the row's quads are odd. The bordered plane's pointer out steps
+// over the gaps between rows and between slabs; the plain planes' pointers
+// run on.
+#define WALK_SLAB \
+	MOVQ 16(AX), R10
+
+#define WALK_ROW \
+	MOVQ 8(AX), R9
+
+#define WALK_OCTS(quad) \
+	MOVQ 0(AX), CX; \
+	SHRQ $1, CX;    \
+	JZ   quad
+
+#define WALK_QUAD(end) \
+	MOVQ  0(AX), CX; \
+	TESTQ $1, CX;    \
+	JZ    end
+
+#define WALK_NEXT(row, slab, out) \
+	ADDQ 24(AX), out; \
+	DECQ R9;          \
+	JNZ  row;         \
+	ADDQ 32(AX), out; \
+	DECQ R10;         \
+	JNZ  slab
+
+// func normReluAVX2(z, y []float32, mean, rstd float64, gamma, beta float32, walk *rowWalk)
 //
-// For i < 8·blocks: z[i] = x̂ = float32((z[i] − mean)·rstd) and
-// y[i] = max(0, γ·x̂ + β), the product rounded before the sum and VMAXPS
-// taking +0 (Y15) as its second source, which it returns for NaN, −0 and
-// every value ≤ 0 — relu's NaN and −0 to +0.
+// For each of the walk's voxels: z[i] = x̂ = float32((z[i] − mean)·rstd), z
+// plain, and y = max(0, γ·x̂ + β) at the voxel's place in the walked plane,
+// the product rounded before the sum and VMAXPS taking +0 (Y15) as its
+// second source, which it returns for NaN, −0 and every value ≤ 0 — relu's
+// NaN and −0 to +0. The walk has at least one quad.
 TEXT ·normReluAVX2(SB), NOSPLIT, $0-80
 	MOVQ         z_base+0(FP), SI
 	MOVQ         y_base+24(FP), DI
@@ -29,12 +59,17 @@ TEXT ·normReluAVX2(SB), NOSPLIT, $0-80
 	VBROADCASTSD rstd+56(FP), Y13
 	VBROADCASTSS gamma+64(FP), Y14
 	VBROADCASTSS beta+68(FP), Y11
-	MOVQ         blocks+72(FP), CX
+	MOVQ         walk+72(FP), AX
 	VXORPS       Y15, Y15, Y15
-	TESTQ        CX, CX
-	JZ           normed
+	WALK_SLAB
 
-norm:
+normSlab:
+	WALK_ROW
+
+normRow:
+	WALK_OCTS(normQuad)
+
+norm8:
 	NORM4(0, SI, Y0)
 	NORM4(16, SI, Y1)
 	VCVTPD2PSY  Y0, X0
@@ -48,60 +83,102 @@ norm:
 	ADDQ        $32, SI
 	ADDQ        $32, DI
 	DECQ        CX
-	JNZ         norm
+	JNZ         norm8
 
-normed:
+normQuad:
+	WALK_QUAD(normNext)
+	NORM4(0, SI, Y0)
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (SI)
+	VMULPS     X14, X0, X0
+	VADDPS     X11, X0, X0
+	VMAXPS     X15, X0, X0
+	VMOVUPS    X0, (DI)
+	ADDQ       $16, SI
+	ADDQ       $16, DI
+
+normNext:
+	WALK_NEXT(normRow, normSlab, DI)
 	VZEROUPPER
 	RET
 
-// Four elements of the input gradient from one float32 half x (an xmm
-// register) of the gated gradient and x̂ at off(BX), into d (float64):
+// Four elements of the input gradient from the gated gradient (xmm x) and
+// x̂ (xmm or memory h) into d (float64), through the temporary t:
 // k·((m·dy − Σdy) − x̂·Σdy·x̂) with k, m, Σdy, Σdy·x̂ in Y12, Y13, Y14, Y11.
-#define INGRAD4(x, off, d) \
-	VCVTPS2PD x, d;          \
-	VCVTPS2PD off(BX), Y10;  \
-	VMULPD    Y13, d, d;     \
-	VSUBPD    Y14, d, d;     \
-	VMULPD    Y11, Y10, Y10; \
-	VSUBPD    Y10, d, d;     \
+#define INGRAD4(x, h, d, t) \
+	VCVTPS2PD x, d;    \
+	VCVTPS2PD h, t;    \
+	VMULPD    Y13, d, d; \
+	VSUBPD    Y14, d, d; \
+	VMULPD    Y11, t, t; \
+	VSUBPD    t, d, d;   \
 	VMULPD    Y12, d, d
 
-// func inputGradAVX2(grad, y, h []float32, k, m, sumDy, sumDyXhat float64, blocks int)
+// func inputGradAVX2(grad, h, out []float32, k, m, sumDy, sumDyXhat float64, gamma, beta float32, walk *rowWalk)
 //
-// For i < 8·blocks: grad[i] = float32(k·((m·dy − Σdy) − x̂·Σdy·x̂)), dy = grad[i]
-// where y[i] > 0 and +0 elsewhere (y NaN, ±0 or negative) — a compare that
-// is false on NaN (GT_OQ) and an AND, as gate selects — and x̂ = h[i].
-TEXT ·inputGradAVX2(SB), NOSPLIT, $0-112
+// For each of the walk's voxels: grad[i] = float32(k·((m·dy − Σdy) −
+// x̂·Σdy·x̂)), grad and h plain, stored over grad[i] and at the voxel's place
+// in the walked plane out, where x̂ = h[i] and dy = grad[i] where γ·x̂ + β > 0
+// and +0 elsewhere — the ReLU's gate rebuilt from x̂: the product rounded
+// before the sum, a compare that is false on NaN (GT_OQ) and an AND, as
+// gateAffine selects. The walk has at least one quad.
+TEXT ·inputGradAVX2(SB), NOSPLIT, $0-120
 	MOVQ         grad_base+0(FP), SI
-	MOVQ         y_base+24(FP), DI
-	MOVQ         h_base+48(FP), BX
+	MOVQ         h_base+24(FP), BX
+	MOVQ         out_base+48(FP), DI
 	VBROADCASTSD k+72(FP), Y12
 	VBROADCASTSD m+80(FP), Y13
 	VBROADCASTSD sumDy+88(FP), Y14
 	VBROADCASTSD sumDyXhat+96(FP), Y11
-	MOVQ         blocks+104(FP), CX
+	VBROADCASTSS gamma+104(FP), Y8
+	VBROADCASTSS beta+108(FP), Y9
+	MOVQ         walk+112(FP), AX
 	VXORPS       Y15, Y15, Y15
-	TESTQ        CX, CX
-	JZ           graded
+	WALK_SLAB
 
-grad:
-	VMOVUPS      (DI), Y0
-	VCMPPS       $0x1e, Y15, Y0, Y0 // y > 0, false on NaN
+gradSlab:
+	WALK_ROW
+
+gradRow:
+	WALK_OCTS(gradQuad)
+
+grad8:
+	VMOVUPS      (BX), Y4
+	VMULPS       Y8, Y4, Y0
+	VADDPS       Y9, Y0, Y0
+	VCMPPS       $0x1e, Y15, Y0, Y0 // γ·x̂ + β > 0, false on NaN
 	VANDPS       (SI), Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
-	INGRAD4(X0, 0, Y2)
-	INGRAD4(X1, 16, Y3)
+	INGRAD4(X0, X4, Y2, Y10)
+	INGRAD4(X1, 16(BX), Y3, Y6)
 	VCVTPD2PSY   Y2, X2
 	VCVTPD2PSY   Y3, X3
 	VINSERTF128  $1, X3, Y2, Y2
 	VMOVUPS      Y2, (SI)
+	VMOVUPS      Y2, (DI)
 	ADDQ         $32, SI
-	ADDQ         $32, DI
 	ADDQ         $32, BX
+	ADDQ         $32, DI
 	DECQ         CX
-	JNZ          grad
+	JNZ          grad8
 
-graded:
+gradQuad:
+	WALK_QUAD(gradNext)
+	VMOVUPS    (BX), X4
+	VMULPS     X8, X4, X0
+	VADDPS     X9, X0, X0
+	VCMPPS     $0x1e, X15, X0, X0
+	VANDPS     (SI), X0, X0
+	INGRAD4(X0, X4, Y2, Y10)
+	VCVTPD2PSY Y2, X2
+	VMOVUPS    X2, (SI)
+	VMOVUPS    X2, (DI)
+	ADDQ       $16, SI
+	ADDQ       $16, BX
+	ADDQ       $16, DI
+
+gradNext:
+	WALK_NEXT(gradRow, gradSlab, DI)
 	VZEROUPPER
 	RET
 
@@ -117,12 +194,15 @@ graded:
 	VMOVLHPS  X15, X13, c; \
 	VMOVHLPS  X13, X15, d
 
-// Gates the 4 gradient floats at (gr)(AX*1) by the 4 outputs at (out)(AX*1):
-// x = the gradient where the output is > 0, +0 elsewhere. X11 holds +0.
-#define GATE4(gr, out, x) \
-	VMOVUPS (out)(AX*1), x;     \
-	VCMPPS  $0x1e, X11, x, x;   \
-	VANDPS  (gr)(AX*1), x, x
+// Gates the four channels' element t — dy in xmm x, x̂ in xmm h, lane j
+// channel j — by γ·x̂ + β > 0, with γ at (R10) and β at 16(R10), the product
+// rounded before the sum, as gateAffine selects.
+#define GATE1(x, h) \
+	VMULPS  (R10), h, X10;     \
+	VADDPS  16(R10), X10, X10; \
+	VXORPS  X11, X11, X11;     \
+	VCMPPS  $0x1e, X11, X10, X10; \
+	VANDPS  X10, x, x
 
 // Adds element t of the four channels — dy in xmm x, x̂ in xmm h — onto the
 // Σdy (Y8) and Σdy·x̂ (Y9) lanes, dy before dy·x̂ as bnReduce orders them.
@@ -133,14 +213,14 @@ graded:
 	VADDPD    Y10, Y8, Y8;   \
 	VADDPD    Y11, Y9, Y9
 
-// func gradSumsAVX2(sumDy, sumDyXhat *[4]float64, grad, y, h *[4][]float32, quads int)
+// func gradSumsAVX2(sumDy, sumDyXhat *[4]float64, grad, h *[4][]float32, aff *laneAffine, quads int)
 //
 // For i < 4·quads, in element order: sumDy[j] += dy and sumDyXhat[j] +=
-// dy·x̂ for the four channels j, where dy is grad[j][i] gated by y[j][i] > 0 and
-// x̂ = h[j][i]. Channel j is lane j of Y8 (Σdy) and Y9 (Σdy·x̂); each group
-// of four elements is transposed so that element t of the four channels is
-// one register. AX runs from −16·quads up to 0 against plane pointers set to
-// the end of the extent.
+// dy·x̂ for the four channels j, where x̂ = h[j][i] and dy is grad[j][i]
+// gated by γ_j·x̂ + β_j > 0 (aff). Channel j is lane j of Y8 (Σdy) and Y9
+// (Σdy·x̂); each group of four elements is transposed so that element t of
+// the four channels is one register. AX runs from −16·quads up to 0 against
+// plane pointers set to the end of the extent.
 TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-48
 	MOVQ    quads+40(FP), AX
 	SHLQ    $4, AX
@@ -149,24 +229,16 @@ TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-48
 	MOVQ    24(CX), DI
 	MOVQ    48(CX), R8
 	MOVQ    72(CX), R9
-	MOVQ    y+24(FP), CX
-	MOVQ    0(CX), R10
-	MOVQ    24(CX), R11
-	MOVQ    48(CX), R12
-	MOVQ    72(CX), R13
-	MOVQ    h+32(FP), CX
+	MOVQ    h+24(FP), CX
 	MOVQ    0(CX), BX
 	MOVQ    24(CX), DX
 	MOVQ    48(CX), R14
 	MOVQ    72(CX), R15
+	MOVQ    aff+32(FP), R10
 	ADDQ    AX, SI
 	ADDQ    AX, DI
 	ADDQ    AX, R8
 	ADDQ    AX, R9
-	ADDQ    AX, R10
-	ADDQ    AX, R11
-	ADDQ    AX, R12
-	ADDQ    AX, R13
 	ADDQ    AX, BX
 	ADDQ    AX, DX
 	ADDQ    AX, R14
@@ -180,20 +252,23 @@ TEXT ·gradSumsAVX2(SB), NOSPLIT, $0-48
 	JZ      summed
 
 sum:
-	VXORPS  X11, X11, X11
-	GATE4(SI, R10, X0)
-	GATE4(DI, R11, X1)
-	GATE4(R8, R12, X2)
-	GATE4(R9, R13, X3)
+	VMOVUPS (SI)(AX*1), X0
+	VMOVUPS (DI)(AX*1), X1
+	VMOVUPS (R8)(AX*1), X2
+	VMOVUPS (R9)(AX*1), X3
 	VMOVUPS (BX)(AX*1), X4
 	VMOVUPS (DX)(AX*1), X5
 	VMOVUPS (R14)(AX*1), X6
 	VMOVUPS (R15)(AX*1), X7
 	TRANSPOSE4(X0, X1, X2, X3)
 	TRANSPOSE4(X4, X5, X6, X7)
+	GATE1(X0, X4)
 	REDUCE1(X0, X4)
+	GATE1(X1, X5)
 	REDUCE1(X1, X5)
+	GATE1(X2, X6)
 	REDUCE1(X2, X6)
+	GATE1(X3, X7)
 	REDUCE1(X3, X7)
 	ADDQ    $16, AX
 	JNZ     sum
@@ -315,5 +390,142 @@ voxels:
 	JNZ  planes
 
 pooled:
+	VZEROUPPER
+	RET
+
+// The first corners of eight windows, two input columns apart.
+DATA poolCorners<>+0(SB)/4, $0
+DATA poolCorners<>+4(SB)/4, $2
+DATA poolCorners<>+8(SB)/4, $4
+DATA poolCorners<>+12(SB)/4, $6
+DATA poolCorners<>+16(SB)/4, $8
+DATA poolCorners<>+20(SB)/4, $10
+DATA poolCorners<>+24(SB)/4, $12
+DATA poolCorners<>+28(SB)/4, $14
+GLOBL poolCorners<>(SB), RODATA|NOPTR, $32
+
+// One window element, v, against the running maximum Y2 of eight windows:
+// where v is greater (GT_OQ, false on NaN, as greater compares) it replaces
+// the maximum, and the running winner's offset Y5 becomes the element's,
+// the int32 at tap(R15).
+#define ARGSTEP(v, tap) \
+	VCMPPS       $0x1e, Y2, v, Y6; \
+	VBLENDVPS    Y6, v, Y2, Y2;    \
+	VPBROADCASTD tap(R15), Y7;     \
+	VBLENDVPS    Y6, Y7, Y5, Y5
+
+// One window row's two columns, the 16 floats at lo and hi split into their
+// even (Y3) and odd (Y4) columns, as ARGSTEPs in that order.
+#define ARGROW(lo, hi, t0, t1) \
+	VMOVUPS lo, Y0;            \
+	VMOVUPS hi, Y1;            \
+	VSHUFPS $0x88, Y1, Y0, Y3; \
+	VSHUFPS $0xDD, Y1, Y0, Y4; \
+	ARGSTEP(Y3, t0);           \
+	ARGSTEP(Y4, t1)
+
+// ARGSTEP and ARGROW for four windows, in the low halves: the 8 floats at
+// lo and hi split in order, with no lanes to restore.
+#define ARGSTEP4(v, tap) \
+	VCMPPS       $0x1e, X2, v, X6; \
+	VBLENDVPS    X6, v, X2, X2;    \
+	VPBROADCASTD tap(R15), X7;     \
+	VBLENDVPS    X6, X7, X5, X5
+
+#define ARGROW4(lo, hi, t0, t1) \
+	VMOVUPS lo, X0;            \
+	VMOVUPS hi, X1;            \
+	VSHUFPS $0x88, X1, X0, X3; \
+	VSHUFPS $0xDD, X1, X0, X4; \
+	ARGSTEP4(X3, t0);          \
+	ARGSTEP4(X4, t1)
+
+// func maxPoolArgAVX2(dst []float32, arg []int32, src []float32, corner int, p *argPool)
+//
+// 2×2×2 max pooling with argmax of one pooled plane (argPool, elementwise.go):
+// for y < p.oh and x < 8·p.blocks + 4·p.half, dst[y·owp + x] is the maximum
+// of the window at src[2y·wp + 2x], its eight elements taken in (z, y, x)
+// order, the first as the running maximum, and arg[y·aw + x] is corner +
+// y·w2 + 2x plus the winner's p.taps entry. Eight pooled voxels are a step,
+// then four if p.half is set. The shuffles that split even from odd columns
+// leave eight voxels in the order 0, 1, 4, 5, 2, 3, 6, 7, which VPERMPD
+// undoes before the stores.
+TEXT ·maxPoolArgAVX2(SB), NOSPLIT, $0-88
+	MOVQ         dst_base+0(FP), R12  // the pooled row
+	MOVQ         arg_base+24(FP), R13 // its argmax row
+	MOVQ         src_base+48(FP), R11 // its first window row
+	MOVQ         corner+72(FP), DX    // its first window's plain index
+	MOVQ         p+80(FP), R15
+	MOVQ         0(R15), R8
+	SHLQ         $2, R8               // input row stride in bytes
+	MOVQ         8(R15), R9
+	SHLQ         $2, R9               // input plane stride in bytes
+	LEAQ         (R8)(R9*1), R10      // the next row of the next plane
+	MOVQ         40(R15), BX
+	VMOVDQU      poolCorners<>(SB), Y14
+	MOVL         $16, CX
+	VMOVQ        CX, X13
+	VPBROADCASTD X13, Y13             // eight windows on
+
+argRows:
+	MOVQ         R11, SI
+	MOVQ         R12, DI
+	MOVQ         R13, AX
+	VMOVQ        DX, X15
+	VPBROADCASTD X15, Y15
+	VPADDD       Y14, Y15, Y15        // the plain corners of the step's windows
+	MOVQ         48(R15), CX
+	TESTQ        CX, CX
+	JZ           argHalf
+
+argVoxels:
+	VMOVUPS      (SI), Y0
+	VMOVUPS      32(SI), Y1
+	VSHUFPS      $0x88, Y1, Y0, Y2
+	VSHUFPS      $0xDD, Y1, Y0, Y4
+	VPBROADCASTD 56(R15), Y5
+	ARGSTEP(Y4, 60)
+	ARGROW((SI)(R8*1), 32(SI)(R8*1), 64, 68)
+	ARGROW((SI)(R9*1), 32(SI)(R9*1), 72, 76)
+	ARGROW((SI)(R10*1), 32(SI)(R10*1), 80, 84)
+	VPERMPD      $0xD8, Y2, Y2
+	VMOVUPS      Y2, (DI)
+	VPERMQ       $0xD8, Y5, Y5
+	VPADDD       Y15, Y5, Y5
+	VMOVDQU      Y5, (AX)
+	VPADDD       Y13, Y15, Y15
+	ADDQ         $64, SI
+	ADDQ         $32, DI
+	ADDQ         $32, AX
+	DECQ         CX
+	JNZ          argVoxels
+
+argHalf:
+	MOVQ         88(R15), CX
+	TESTQ        CX, CX
+	JZ           argNext
+	VMOVUPS      (SI), X0
+	VMOVUPS      16(SI), X1
+	VSHUFPS      $0x88, X1, X0, X2
+	VSHUFPS      $0xDD, X1, X0, X4
+	VPBROADCASTD 56(R15), X5
+	ARGSTEP4(X4, 60)
+	ARGROW4((SI)(R8*1), 16(SI)(R8*1), 64, 68)
+	ARGROW4((SI)(R9*1), 16(SI)(R9*1), 72, 76)
+	ARGROW4((SI)(R10*1), 16(SI)(R10*1), 80, 84)
+	VMOVUPS      X2, (DI)
+	VPADDD       X15, X5, X5
+	VMOVDQU      X5, (AX)
+
+argNext:
+	LEAQ (R11)(R8*2), R11             // two window rows on
+	MOVQ 16(R15), SI
+	LEAQ (R12)(SI*4), R12
+	MOVQ 24(R15), SI
+	LEAQ (R13)(SI*4), R13
+	ADDQ 32(R15), DX
+	DECQ BX
+	JNZ  argRows
+
 	VZEROUPPER
 	RET

@@ -9,12 +9,14 @@ import (
 
 // Haloed activations.
 //
-// A K³ convolution reads its input in place from a copy with a zero border
-// K/2 wide (conv3d_gemm.go). In Infer, a producer whose consumer is such a
-// convolution stores its output straight into the interior of a bordered
-// buffer instead, and the consumer reads that buffer where it lies, with no
-// copy in between. Haloed names where such an activation lives, and
-// HaloBuffer owns one and keeps its border zero.
+// A K³ convolution reads its input in place inside a zero border K/2 wide
+// (conv3d_gemm.go). A producer whose consumer is such a convolution — in
+// training and in Infer alike, and a block's backward pass for the output
+// gradient its input gradient reads — stores its output straight into the
+// interior of a bordered buffer, and the consumer reads that buffer where it
+// lies, with no copy in between; only a plain tensor is copied into one.
+// Haloed names where such an activation lives, and HaloBuffer owns one and
+// keeps its border zero.
 
 // Haloed is an [N, C, D, H, W] activation as a buffer holds it: sample n's
 // channel c is the interior of plane n·Cb + C0 + c of Buf, a

@@ -101,7 +101,7 @@ func TestHaloPackerMatchesNaiveGather(t *testing.T) {
 
 			cp := (tc.ch + 3) &^ 3
 			last := nans(g.vol * cp)
-			padChannelsLast(last, x, 1, tc.ch, cp, g, 2)
+			padChannelsLast(last, Whole(tensor.FromSlice(x, 1, tc.ch, tc.d, tc.h, tc.w)), 0, 1, cp, g, 2)
 			n := kk * cp
 			got = identityTimes(patchTransposed(g, cp, tc.k, &tables).Operand(last, 0), voxels, n)
 			for v := 0; v < voxels; v++ {

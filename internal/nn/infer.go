@@ -11,7 +11,8 @@ import (
 // Inference.
 //
 // Forward is the training forward: it retains whatever Backward needs — the
-// convolution input, the ReLU output, x̂, the pooling argmax — and
+// convolution input, the ReLU output (or, in the fused block, x̂, from which
+// its backward rebuilds the ReLU's mask), the pooling argmax — and
 // normalizes with the batch statistics. Evaluation and serving run
 // forward-only, at high call rates, on models that may be mid-way through a
 // training step, where none of that fits: retained activations are dead

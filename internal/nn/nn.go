@@ -22,11 +22,11 @@
 // writes to its argument, save ConvBNReLU's Backward, which overwrites the
 // gradient it is given and, like its Forward, returns a buffer the block
 // owns (see block.go). The block, the pooling and the up-convolution run
-// their InferInto through InferHaloed, which reads and writes activations
-// held inside a zero border, where a 3³ convolution reads them in place
-// (halo.go); InferInto passes it whole tensors. The pooling's InferHaloed,
-// which records no argmax, pools in AVX2 where the CPU has it, eight windows
-// a step, bit for bit the Go loop that Forward runs.
+// their ForwardInto and InferInto through ForwardHaloed and InferHaloed,
+// which read and write activations held inside a zero border, where a 3³
+// convolution reads them in place (halo.go); ForwardInto and InferInto pass
+// them whole tensors. The 2×2×2 pooling runs in AVX2 where the CPU has it,
+// eight windows a step, with or without argmax, bit for bit its Go loop.
 //
 // Scratch — halo copies, the flipped kernel, packed operands, partial sums —
 // comes from the layer's tensor.Workspace, taken and given back within the

@@ -18,7 +18,7 @@ func (c *Conv3D) forwardSerial(x *tensor.Tensor) *tensor.Tensor {
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
-	c.input = x
+	c.input = Whole(x)
 	k := c.Kernel
 	p := k / 2
 	out := tensor.New(n, c.OutChannels, d, h, w)
@@ -77,10 +77,7 @@ func (c *Conv3D) forwardSerial(x *tensor.Tensor) *tensor.Tensor {
 // backwardSerial is the original fused single-threaded backward kernel, kept
 // as the golden reference for the equality tests and benchmarks.
 func (c *Conv3D) backwardSerial(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.input == nil {
-		panic("nn: Conv3D.Backward called before Forward")
-	}
-	x := c.input
+	x := c.cachedInput().Buf
 	n, ic, d, h, w := check5D("Conv3D.Backward", x)
 	k := c.Kernel
 	p := k / 2

@@ -143,9 +143,19 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 
-	t int
-	m map[*nn.Param][]float32
-	v map[*nn.Param][]float32
+	t    int
+	m    map[*nn.Param][]float32
+	v    map[*nn.Param][]float32
+	step adamStep // the running Step's constants
+}
+
+// adamStep is what one Adam step's element update reads besides the
+// element: the moments' rates in float32, the bias corrections, the
+// learning rate and ε in float64. The layout is the assembly's
+// (adam_amd64.s).
+type adamStep struct {
+	b1, omb1, b2, omb2 float32 // β1, 1 − β1, β2, 1 − β2
+	c1, c2, lr, eps    float64 // 1 − β1^t, 1 − β2^t
 }
 
 // NewAdam returns Adam with the canonical β1=0.9, β2=0.999, ε=1e-8.
@@ -169,24 +179,34 @@ func (a *Adam) LR() float64 { return a.lr }
 // SetLR implements Optimizer.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Each span's leading multiple of 4 elements
+// runs in AVX2 where it is live (adamVec), bit for bit adamGo, which does
+// the rest.
 func (a *Adam) Step(params []*nn.Param) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	b1, b2 := float32(a.Beta1), float32(a.Beta2)
-	lr, eps := a.lr, a.Epsilon
+	a.step = adamStep{b1: b1, omb1: 1 - b1, b2: b2, omb2: 1 - b2,
+		c1: 1 - math.Pow(a.Beta1, float64(a.t)), c2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr: a.lr, eps: a.Epsilon}
 	a.update(params, a.m, a.v, func(sp *span, lo, hi int) {
-		val, g := sp.val[lo:hi], sp.grad[lo:hi]
-		m, v := sp.m[lo:hi], sp.v[lo:hi]
-		for i := range val {
-			m[i] = float32(b1*m[i]) + float32((1-b1)*g[i])
-			v[i] = float32(b2*v[i]) + float32((1-b2)*g[i]*g[i])
-			mh := float64(m[i]) / c1
-			vh := float64(v[i]) / c2
-			val[i] -= float32(lr * mh / (math.Sqrt(vh) + eps))
-		}
+		val, g, m, v := sp.val[lo:hi], sp.grad[lo:hi], sp.m[lo:hi], sp.v[lo:hi]
+		done := adamVec(val, g, m, v, &a.step)
+		adamGo(val[done:], g[done:], m[done:], v[done:], &a.step)
 	})
+}
+
+// adamGo is Adam's update of every element of val from its gradient and
+// moments: every operation rounded where it is written, a product that is
+// then added wrapped in a conversion so that no compiler fuses the two.
+func adamGo(val, grad, m, v []float32, k *adamStep) {
+	grad, m, v = grad[:len(val)], m[:len(val)], v[:len(val)]
+	for i, g := range grad {
+		m[i] = float32(k.b1*m[i]) + float32(k.omb1*g)
+		v[i] = float32(k.b2*v[i]) + float32(k.omb2*g*g)
+		mh := float64(m[i]) / k.c1
+		vh := float64(v[i]) / k.c2
+		val[i] -= float32(k.lr * mh / (math.Sqrt(vh) + k.eps))
+	}
 }
 
 // Stater is implemented by optimizers whose internal state must survive a

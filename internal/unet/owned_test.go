@@ -329,23 +329,19 @@ func TestOwnedBuffersAllocationGuard(t *testing.T) {
 	t.Logf("heap per training step %d B, per Infer %d B", step, infer)
 }
 
-// TestChannelGlueWorkerCountInvariant: the decoder's concatenation copy and
-// the skip gradient's add, on volumes that split into several chunks, are
-// bit for bit the reference's concat and split-then-Accumulate at any
-// worker budget.
+// TestChannelGlueWorkerCountInvariant: the skip gradient's add, on volumes
+// that split into several chunks, is bit for bit the reference's
+// split-then-Accumulate at any worker budget.
 func TestChannelGlueWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	up := tensor.Randn(rng, 0, 1, 2, 4, 16, 16, 16)
 	skip := tensor.Randn(rng, 0, 1, 2, 8, 16, 16, 16)
 	grad := tensor.Randn(rng, 0, 1, 2, 8, 16, 16, 16)
-	want := concat(up, skip)
-	_, gSkip := split(want, 4)
+	cat := concat(up, skip)
+	_, gSkip := split(cat, 4)
 	sum := grad.Clone()
 	sum.Accumulate(gSkip)
 	for _, workers := range []int{1, 2, 3} {
-		cat := concat(up, tensor.New(skip.Shape()...))
-		copyChannels(cat, skip, 4, workers)
-		sameBits(t, fmt.Sprintf("copyChannels at %d workers", workers), want.Data(), cat.Data())
 		g := grad.Clone()
 		addChannels(g, cat, 4, workers)
 		sameBits(t, fmt.Sprintf("addChannels at %d workers", workers), sum.Data(), g.Data())

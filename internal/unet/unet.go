@@ -21,24 +21,32 @@
 //
 // Each "convolution → batch normalization → ReLU" site is one nn.ConvBNReLU
 // block (two per resolution step, a and b); pooling, the up-convolutions and
-// the 1x1x1 head are the standalone nn layers. An up-convolution writes the
-// up half of its step's skip concatenation itself, and reads its gradient
-// from there. Every tensor that stays inside the network — block outputs and
-// x̂, pooled activations, concatenations, logits, and every gradient flowing
-// back between layers — lives in a buffer the block or the network owns
-// (tensor.Owned): laid out by the first step, grown to the largest batch
-// seen, resliced afterwards and released by DropCaches. Infer has buffers
-// of its own, apart from the training ones because it may run between a
-// Forward and its Backward: one per live role — a ping-pong pair between
-// layers, each concatenation and the prediction — not one per site. Where a
-// 3³ convolution reads one, its activation is laid out inside a zero border
-// (nn.HaloBuffer), and each encoder step's output goes straight into the
-// skip half of its decoder step's concatenation, so the skip has no buffer
-// of its own. The layers' scratch comes from one tensor.Workspace the network
-// owns, shared by every layer since they run one at a time, and given back
-// before each call returns. A steady-state training step or Infer therefore
-// allocates no activation, gradient or scratch, and leaves next to no
-// garbage for the collector (TestOwnedBuffersAllocationGuard).
+// the 1x1x1 head are the standalone nn layers. Every tensor that stays
+// inside the network — block outputs and x̂, pooled activations,
+// concatenations, logits, and every gradient flowing back between layers —
+// lives in a buffer the block or the network owns (tensor.Owned,
+// nn.HaloBuffer): laid out by the first step, grown to the largest batch
+// seen, resliced afterwards and released by DropCaches.
+//
+// Forward and Infer lay their activations out the same way, each in buffers
+// of its own (Infer may run between a Forward and its Backward): every
+// activation a 3³ convolution reads is stored, by the layer that produces
+// it, inside the zero border that convolution reads in place (nn.Haloed,
+// nn.HaloBuffer), so only the network's input is copied into one. Each
+// encoder step's output goes straight into the skip half of its decoder
+// step's concatenation, where the pooling reads it and the decoder finds it,
+// and the up-convolution writes the other half, so the skip has no buffer
+// of its own. Outputs that feed an up-convolution or the 1x1x1 head are
+// plain. Forward keeps one buffer per activation, since Backward reads them
+// all; Infer one per live role — a ping-pong pair between layers, each
+// concatenation and the prediction — not one per site. In Backward each
+// block stores its dL/dz inside the zero border its input gradient's
+// convolution reads in place, in one buffer the network owns and every
+// block shares, since they run one at a time. The layers' scratch comes
+// from one tensor.Workspace the network owns, shared the same way, and
+// given back before each call returns. A steady-state training step or
+// Infer therefore allocates no activation, gradient or scratch, and leaves
+// next to no garbage for the collector (TestOwnedBuffersAllocationGuard).
 //
 // Forward, Infer and Backward only read the tensor they are given. Forward
 // returns a fresh prediction the caller may keep indefinitely. Infer returns
@@ -121,13 +129,13 @@ func (c Config) MinVolume() int {
 
 // encStep is one encoder resolution step: two body blocks and, above the
 // deepest step, the pooling that feeds the next one. The tensors between
-// layers live in buffers the step owns.
+// layers live in buffers the step, its blocks or its decoder step own.
 type encStep struct {
 	a, b *nn.ConvBNReLU
 	pool *nn.MaxPool3D // nil at the deepest step
 
-	pooled   tensor.Owned // pool output
-	poolGrad tensor.Owned // gradient w.r.t. b's output: un-pooled, plus the skip's
+	pooled   nn.HaloBuffer // pool output, inside the halo the next step's a reads
+	poolGrad tensor.Owned  // gradient w.r.t. b's output: un-pooled, plus the skip's
 }
 
 // decStep is one decoder resolution step: the up-convolution, the skip
@@ -139,9 +147,9 @@ type decStep struct {
 
 	upChannels int // channels arriving from below
 
-	cat      tensor.Owned  // [up, skip] concatenation
+	cat      nn.HaloBuffer // [up, skip] concatenation, inside the halo a reads
 	upGrad   tensor.Owned  // gradient w.r.t. the step's input
-	inferCat nn.HaloBuffer // Infer's concatenation, inside the halo a reads
+	inferCat nn.HaloBuffer // Infer's concatenation
 
 	catGrad *tensor.Tensor // a's input gradient from the last Backward; the encoder reads its skip half
 }
@@ -161,10 +169,11 @@ type UNet struct {
 	ping, pong nn.HaloBuffer // Infer's activations between layers
 	pred       tensor.Owned  // Infer's result
 
+	dz nn.HaloBuffer // every block's dL/dz, inside the halo its input gradient reads
+
 	ws tensor.Workspace // every layer's scratch
 
 	params []*nn.Param
-	skips  []*tensor.Tensor // the running Forward's encoder outputs awaiting the decoder, shallow first
 
 	// Per-group parameter slices in gradient completion order (head, then
 	// decoder steps deep→shallow, then encoder steps deep→shallow), built
@@ -214,6 +223,7 @@ func New(cfg Config) (*UNet, error) {
 	u.SetWorkers(cfg.Workers)
 	for _, b := range u.blocks() {
 		b.SetWorkspace(&u.ws)
+		b.SetGradHalo(&u.dz)
 	}
 	for _, d := range u.dec {
 		d.up.SetWorkspace(&u.ws)
@@ -332,9 +342,8 @@ func (u *UNet) DropCaches() {
 	u.ping.Release()
 	u.pong.Release()
 	u.pred.Release()
+	u.dz.Release()
 	u.ws = tensor.Workspace{}
-	clear(u.skips)
-	u.skips = u.skips[:0]
 }
 
 // AuxState merges the batch-norm running statistics of every normalization
@@ -366,29 +375,52 @@ func (u *UNet) checkInput(op string, x *tensor.Tensor) {
 
 // Forward is the training forward: it computes per-voxel probabilities for
 // x ([N, InC, D, H, W]) under the batch statistics, updates the running
-// estimates and keeps what Backward needs. Spatial dimensions must be divisible by
-// MinVolume(). x is only read, and must stay unchanged until Backward has
-// run; the returned prediction is a fresh tensor the caller owns.
+// estimates and keeps what Backward needs. Spatial dimensions must be
+// divisible by MinVolume(). x is only read, and must stay unchanged until
+// Backward has run; the returned prediction is a fresh tensor the caller
+// owns.
+//
+// The activations are laid out as Infer lays out its own: each is stored,
+// by the layer that produces it, inside the zero border the 3³ convolution
+// that reads it reads in place (nn.Haloed), so only x is copied into one. An
+// encoder step's second block stores its output into the skip half of its
+// decoder step's concatenation, where the pooling reads it and the decoder
+// finds it; the up-convolution stores its output into the other half.
+// Outputs that feed an up-convolution or the 1×1×1 head are plain. Each
+// convolution keeps its input where it lies for its kernel gradient.
 func (u *UNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 	u.checkInput("Forward", x)
-	k := u.Cfg.UpKernel
-	u.skips = u.skips[:0]
-	h := x
-	for _, e := range u.enc {
-		h = e.b.Forward(e.a.Forward(h))
-		if e.pool != nil {
-			u.skips = append(u.skips, h)
-			h = e.pool.ForwardInto(h, like(&e.pooled, h, h.Dim(1), 1, k))
+	k, p, workers := u.Cfg.UpKernel, u.Cfg.Kernel/2, u.Cfg.Workers
+	s := x.Shape()
+	n, d, h, w := s[0], s[2], s[3], s[4]
+	in := nn.Whole(x)
+	var out nn.Haloed // the deepest or the last decoder output, plain
+	for i, e := range u.enc {
+		f := e.a.Conv.OutChannels
+		t := e.a.Output(n, d, h, w, p)
+		e.a.ForwardHaloed(in, t)
+		if e.pool == nil {
+			out = e.b.Output(n, d, h, w, 0)
+			e.b.ForwardHaloed(t, out)
+			break
 		}
+		dc := u.dec[len(u.dec)-1-i]
+		skip := dc.cat.Shaped(n, dc.upChannels+f, d, h, w, p, workers).Channels(dc.upChannels, f)
+		e.b.ForwardHaloed(t, skip)
+		d, h, w = d/k, h/k, w/k
+		in = e.pooled.Shaped(n, f, d, h, w, p, workers)
+		e.pool.ForwardHaloed(skip, in)
 	}
-	for i, d := range u.dec {
-		skip := u.skips[len(u.skips)-1-i]
-		cat := like(&d.cat, skip, d.upChannels+skip.Dim(1), 1, 1)
-		d.up.ForwardInto(h, cat)
-		copyChannels(cat, skip, d.upChannels, u.Cfg.Workers)
-		h = d.b.Forward(d.a.Forward(cat))
+	for _, dc := range u.dec {
+		d, h, w = d*k, h*k, w*k
+		cat := dc.cat.Layout()
+		dc.up.ForwardHaloed(out.Buf, cat.Channels(0, dc.upChannels))
+		t := dc.a.Output(n, d, h, w, p)
+		dc.a.ForwardHaloed(cat, t)
+		out = dc.b.Output(n, d, h, w, 0)
+		dc.b.ForwardHaloed(t, out)
 	}
-	return u.act.Forward(u.head.ForwardInto(h, like(&u.headOut, h, u.Cfg.OutChannels, 1, 1)))
+	return u.act.Forward(u.head.ForwardInto(out.Buf, like(&u.headOut, out.Buf, u.Cfg.OutChannels, 1, 1)))
 }
 
 // Infer computes per-voxel probabilities under the running statistics — bit
@@ -491,23 +523,9 @@ func like(o *tensor.Owned, x *tensor.Tensor, c, num, den int) *tensor.Tensor {
 	return o.Shaped(s[0], c, s[2]*num/den, s[3]*num/den, s[4]*num/den)
 }
 
-// channelGrain is how many floats one chunk of copyChannels or
-// addChannels moves, in whole channel volumes.
+// channelGrain is how many floats one chunk of addChannels moves, in whole
+// channel volumes.
 const channelGrain = 16384
-
-// copyChannels copies src ([N, C, …]) into channels [c0, c0+C) of dst, on a
-// worker budget of workers.
-func copyChannels(dst, src *tensor.Tensor, c0, workers int) {
-	n, c := src.Dim(0), src.Dim(1)
-	vol := src.Size() / (n * c)
-	dd, sd, dc := dst.Data(), src.Data(), dst.Dim(1)
-	parallel.ForWorkers(workers, n*c, max(1, channelGrain/vol), func(_, lo, hi int) {
-		for item := lo; item < hi; item++ {
-			ni, ci := item/c, item%c
-			copy(dd[(ni*dc+c0+ci)*vol:][:vol], sd[item*vol:][:vol])
-		}
-	})
-}
 
 // addChannels adds channels [c0, c0+C) of src onto dst ([N, C, …]), element
 // by element, on a worker budget of workers: the bits of dst.Accumulate on a
