@@ -26,6 +26,15 @@
 // architecture (arm64, ppc64le, s390x and riscv64 would otherwise fuse
 // x*y + z) and under any GOAMD64 level. Element-wise SIMD of that recurrence
 // does not reorder anything, so the tile shape is invisible in the output.
+// Nor is a K step whose B element is ±0 for every column of a tile, when
+// its A element is finite: each slice's accumulator starts at +0, which in
+// round-to-nearest never becomes −0, so adding a·(±0) = ±0 leaves it as it
+// was. The microkernel therefore skips such steps where the operand says
+// they are zero (Classes, below), and the store — bias + acc, C + acc, the
+// normalization after — sees the same acc, +0 for a slice it skipped whole.
+// What changes is a NaN or an infinite A element facing a skipped zero: the
+// full product would have made that element NaN (∞·0), the skip leaves it
+// out.
 //
 // Epilogue: the store that writes a finished slice sum can also finish the
 // element, while it is still in a register, so a layer that follows its
@@ -62,7 +71,14 @@
 // A gathered matrix of 4-float runs is read in place, with no copy; the
 // 1-float form is packed. The microkernel sees the same floats in the same
 // order whichever way B reaches it, so a product is bit-for-bit the same
-// through any of them.
+// through any of them. A gathered matrix read in place can also sort its
+// column panels into classes (Gathered.Classed), each of which leaves out
+// the K steps its panels read only zeros at — a convolution's taps into the
+// zero border, for the panels on a volume's faces. A shared A is then
+// packed whole as before, and each class's kept steps copied out of it, K
+// slice by K slice at the same kcBlock boundaries, in the same fork;
+// macroKernel hands each run of same-class panels of a block to the
+// microkernel with that class's A panels and K-step offsets.
 //
 // C is a Target: a stored row-major matrix (Into), or a Scattered one, whose
 // elements go in short strided runs to offsets listed once — how a stride-2
@@ -252,13 +268,22 @@ func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 	mark := ws.Mark()
 	defer ws.Release(mark)
 	mPad := (m + mr - 1) / mr * mr
-	aSize := mPad * k
+	var cls *Classes
+	steps := k // the K steps of one packed A: every one, then each class's kept ones
+	if b.g.classes.panel != nil {
+		if strideA != 0 {
+			panic("gemm: a classed operand needs a shared A")
+		}
+		cls = &b.g.classes
+		steps += len(cls.keep)
+	}
+	aSize := mPad * steps
 	packed := aSize
 	if strideA != 0 {
 		packed *= count
 	}
 	packedA := ws.Take(packed)
-	packAll(transA, m, k, mPad, a, lda, strideA, count, packedA, workers)
+	packAll(transA, m, k, mPad, a, lda, strideA, count, cls, packedA, workers)
 	nBlocks := (n + ncBlock - 1) / ncBlock
 	var panels []float32
 	if !b.inPlace() {
@@ -282,6 +307,7 @@ func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 			for p0 := 0; p0 < k; p0 += kcBlock {
 				pw := min(kcBlock, k-p0)
 				blk := b.block(i, p0, pw, j0, jw, panel)
+				blk.a, blk.mPad = ai, mPad
 				st := store{add: p0 > 0 || accumulate}
 				if p0 == 0 {
 					st.bias = ep.Bias
@@ -291,7 +317,7 @@ func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 				}
 				for i0 := 0; i0 < m; i0 += mcBlock {
 					iw := min(mcBlock, m-i0)
-					macroKernel(iw, jw, pw, ai[mPad*p0+i0*pw:], &blk, &c, ci, i0, j0, &st)
+					macroKernel(iw, jw, &blk, &c, ci, i0, j0, &st)
 				}
 			}
 		}
@@ -301,10 +327,11 @@ func GemmBatch(ws *tensor.Workspace, count int, transA bool, m, n, k int,
 // packAll packs op(A) of every instance — of one, when strideA is 0 — whole,
 // into buf: instance i's K slice at p0 is packA's mr-row panels of all m
 // rows, at i·mPad·k + mPad·p0. Instances are packed in parallel; a shared A
-// is split over (K slice × row panel) instead.
-func packAll(transA bool, m, k, mPad int, a []float32, lda, strideA, count int, buf []float32, workers int) {
+// is split over (K slice × row panel) instead, and followed by its classes'
+// copies where cls is set.
+func packAll(transA bool, m, k, mPad int, a []float32, lda, strideA, count int, cls *Classes, buf []float32, workers int) {
 	if strideA == 0 {
-		packShared(transA, m, k, mPad, a, lda, buf, workers)
+		packShared(transA, m, k, mPad, a, lda, cls, buf, workers)
 		return
 	}
 	size := mPad * k
@@ -325,16 +352,25 @@ func packWhole(transA bool, m, k, mPad int, a []float32, lda int, dst []float32)
 
 // packShared is packWhole on a worker budget: each work item packs one
 // mr-row panel of one K slice into the place packWhole puts it, so the
-// bits do not depend on the budget.
-func packShared(transA bool, m, k, mPad int, a []float32, lda int, dst []float32, workers int) {
+// bits do not depend on the budget. Where cls is set, each range of items
+// then copies every class's kept steps out of the panels it packed
+// (Classes.pack), in the same fork.
+func packShared(transA bool, m, k, mPad int, a []float32, lda int, cls *Classes, dst []float32, workers int) {
 	panels := mPad / mr
 	slices := (k + kcBlock - 1) / kcBlock
 	grain := max(1, packGrain/(mr*min(k, kcBlock)))
 	parallel.ForWorkers(workers, slices*panels, grain, func(_, lo, hi int) {
-		for item := lo; item < hi; item++ {
-			p0, i0 := item/panels*kcBlock, item%panels*mr
+		for item := lo; item < hi; {
+			p0, first := item/panels*kcBlock, item%panels
+			last := min(panels, first+hi-item) // the range's row panels of this slice
 			pw := min(kcBlock, k-p0)
-			packA(transA, a, lda, i0, min(mr, m-i0), p0, pw, dst[mPad*p0+i0*pw:])
+			for ip := first; ip < last; ip++ {
+				packA(transA, a, lda, ip*mr, min(mr, m-ip*mr), p0, pw, dst[mPad*p0+ip*mr*pw:])
+			}
+			if cls != nil {
+				cls.pack(dst, mPad, p0, first, last)
+			}
+			item += last - first
 		}
 	})
 }
@@ -371,7 +407,8 @@ func Dense(trans bool, b []float32, ldb, stride int) Operand {
 type Gathered struct {
 	rows, starts []int
 	run          int
-	span         int // the source must hold at least this many floats
+	span         int     // the source must hold at least this many floats
+	classes      Classes // zero: every column needs every K step
 }
 
 // NewGathered checks the offset tables of a gathered matrix once, so the
@@ -397,6 +434,108 @@ func NewGathered(rows, starts []int, run int) Gathered {
 // src[i·stride:].
 func (g Gathered) Operand(src []float32, stride int) Operand {
 	return Operand{src: src, stride: stride, g: g}
+}
+
+// PanelWidth is the number of columns in one column panel of a product: the
+// unit a Classes assigns its classes to.
+const PanelWidth = nr
+
+// Classes sorts the column panels of a gathered operand by the K steps their
+// columns need: the microkernel multiplies the tiles of a class's panels by
+// that class's kept steps only. Class 0 keeps every step. A convolution's
+// patch matrix has panels whose every voxel reads a kernel tap from the zero
+// border; those taps are the steps left out.
+type Classes struct {
+	panel []int // class of column panel J, columns [J·PanelWidth, (J+1)·PanelWidth)
+	ends  []int // class x ≥ 1 keeps the K steps keep[ends[x-1]:ends[x]]; ends[0] = 0
+	keep  []int // ascending within a class
+	rows  []int // rows[e] is the operand's row offset of K step keep[e]
+	k     int   // the operand's K steps
+	// cuts[x·(slices+1) + s] is where class x's kept steps of K slice s, the
+	// steps from s·kcBlock on, begin in keep; the last of x's entries, its end.
+	cuts   []int
+	slices int
+}
+
+// Classed returns g with its column panels sorted into classes: panel J is
+// of class panel[J]; class 0 keeps every K step, and class x ≥ 1 the steps
+// keep[ends[x-1]:ends[x]] (ends[0] = 0), ascending, whose offsets in g's row
+// table rows repeats. Every element of a left-out step of a class's panels,
+// dead lanes of a ragged last panel apart, must be ±0; then the product's
+// bits are those of g without classes wherever A is finite (the package
+// doc's Arithmetic). Only a run-4 operand multiplied by a shared A takes
+// classes. Classed checks the tables once, and cuts them at the K slices, so
+// the products that read them do neither: a caller that multiplies by one
+// geometry again keeps the result.
+func (g Gathered) Classed(panel, ends, keep, rows []int) Gathered {
+	k := len(g.rows)
+	switch {
+	case g.run != 4:
+		panic("gemm: only a run-4 gathered operand takes classes")
+	case len(panel) != (g.run*len(g.starts)+nr-1)/nr:
+		panic("gemm: classes do not cover the column panels")
+	case len(ends) == 0 || ends[0] != 0 || ends[len(ends)-1] != len(keep) || len(rows) != len(keep):
+		panic("gemm: class tables do not match")
+	}
+	slices := (k + kcBlock - 1) / kcBlock
+	cuts := make([]int, len(ends)*(slices+1))
+	for x := 1; x < len(ends); x++ {
+		if ends[x-1] > ends[x] {
+			panic("gemm: class tables do not match")
+		}
+		s := 0
+		for e := ends[x-1]; e < ends[x]; e++ {
+			step := keep[e]
+			if step < 0 || step >= k || e > ends[x-1] && step <= keep[e-1] || rows[e] != g.rows[step] {
+				panic("gemm: a class keeps K steps out of order or out of range")
+			}
+			for ; s*kcBlock <= step; s++ {
+				cuts[x*(slices+1)+s] = e
+			}
+		}
+		for ; s <= slices; s++ {
+			cuts[x*(slices+1)+s] = ends[x]
+		}
+	}
+	for _, x := range panel {
+		if x < 0 || x >= len(ends) {
+			panic("gemm: a column panel has no class")
+		}
+	}
+	g.classes = Classes{panel: panel, ends: ends, keep: keep, rows: rows, k: k, cuts: cuts, slices: slices}
+	return g
+}
+
+// span returns the kept steps of class x ≥ 1 in the K slice from p0 on, p0
+// a multiple of kcBlock: keep[lo:hi].
+func (cls *Classes) span(x, p0 int) (lo, hi int) {
+	c := cls.cuts[x*(cls.slices+1)+p0/kcBlock:]
+	return c[0], c[1]
+}
+
+// pack copies each class's kept steps of the K slice at p0, for row panels
+// [first, last), out of the whole A packed at the head of dst (packWhole's
+// layout) to where the class's tiles read them: class x's steps keep[lo:hi]
+// of the slice at mPad·(k+lo), panel ip at ip·(hi−lo)·mr — packWhole's
+// layout with K renumbered over the kept steps, the slices still cut at
+// kcBlock. A run of consecutive steps is one copy per panel.
+func (cls *Classes) pack(dst []float32, mPad, p0, first, last int) {
+	pw := min(kcBlock, cls.k-p0)
+	whole := dst[mPad*p0:]
+	for x := 1; x < len(cls.ends); x++ {
+		lo, hi := cls.span(x, p0)
+		steps, out := cls.keep[lo:hi], dst[mPad*(cls.k+lo):]
+		for e := 0; e < len(steps); {
+			r := e + 1 // steps[e:r] are consecutive
+			for r < len(steps) && steps[r] == steps[r-1]+1 {
+				r++
+			}
+			for ip := first; ip < last; ip++ {
+				copy(out[(ip*len(steps)+e)*mr:(ip*len(steps)+r)*mr], whole[(ip*pw+steps[e]-p0)*mr:])
+			}
+			e = r
+		}
+	}
 }
 
 // Target is the C side of a GemmBatch: where each instance's product is
@@ -547,12 +686,23 @@ func (o *Operand) check(count, n, k int) {
 	}
 }
 
-// bBlock is one pw×jw block of op(B) as the microkernel reads it: K step p
-// of column panel jp, lanes 4q..4q+3, is b[rows[p] + quads(jp)[q] :][:4].
+// bBlock is one pw×jw block of op(B) as the microkernel reads it — K step p
+// of column panel jp, lanes 4q..4q+3, is b[rows[p] + quads(jp)[q] :][:4] —
+// with the packed A it meets.
 type bBlock struct {
 	b      []float32
 	rows   []int // pw K-step offsets
 	starts []int // read in place: the block's 4-column starts; nil when packed
+	p0     int   // the K slice's first step
+
+	// a is the instance's packed A, whole (GemmBatch sets it and mPad): the K
+	// slice's rows r0.. at mPad·p0 + r0·pw — and, classed, class x's kept
+	// steps of the slice, keep[lo:hi], at mPad·(k+lo) + r0·(hi−lo).
+	a    []float32
+	mPad int
+
+	cls    *Classes // nil: every panel takes every K step
+	panel0 int      // the block's first column panel among the operand's
 }
 
 // block returns instance i's pw×jw block of op(B) at (p0, j0): a view of the
@@ -562,13 +712,35 @@ func (o *Operand) block(i, p0, pw, j0, jw int, buf []float32) bBlock {
 	src := o.src[i*o.stride:]
 	switch {
 	case o.inPlace():
-		return bBlock{b: src, rows: o.g.rows[p0 : p0+pw], starts: o.g.starts[j0/4 : (j0+jw)/4]}
+		blk := bBlock{b: src, rows: o.g.rows[p0 : p0+pw], starts: o.g.starts[j0/4 : (j0+jw)/4], p0: p0}
+		if o.g.classes.panel != nil {
+			blk.cls, blk.panel0 = &o.g.classes, j0/nr
+		}
+		return blk
 	case o.g.run == 0:
 		packB(o.trans, src, o.ldb, p0, pw, j0, jw, buf)
 	default:
 		o.g.pack(src, p0, pw, j0, jw, buf)
 	}
-	return bBlock{b: buf, rows: panelRows[:pw]}
+	return bBlock{b: buf, rows: panelRows[:pw], p0: p0}
+}
+
+// class returns the class of column panel jp; 0 unclassed.
+func (b *bBlock) class(jp int) int {
+	if b.cls == nil {
+		return 0
+	}
+	return b.cls.panel[b.panel0+jp]
+}
+
+// ops returns the A panels of rows r0.. and the K-step offsets that the
+// tiles of class x multiply.
+func (b *bBlock) ops(x, r0 int) ([]float32, []int) {
+	if x == 0 {
+		return b.a[b.mPad*b.p0+r0*len(b.rows):], b.rows
+	}
+	lo, hi := b.cls.span(x, b.p0)
+	return b.a[b.mPad*(b.cls.k+lo)+r0*(hi-lo):], b.cls.rows[lo:hi]
 }
 
 // quads returns the four column-run offsets of panel jp. A ragged last panel
@@ -726,15 +898,16 @@ func (s *store) tile(r int) tileStore {
 	return t
 }
 
-// macroKernel multiplies the packed iw×pw A block by the pw×jw B block into
-// the rows r0.. and columns j0.. of instance C ci, stored through c as st
-// says. Its full mr×nr tiles of a dense C, and those of a scattered C that
-// scatterTile admits, go to runTiles as one tileRun, stored by the
-// microkernel; any other tile — ragged, or scattered in a way the
-// microkernel does not store — is computed into a stack buffer and its live
-// elements stored one by one, by the same epilogue in Go. A B panel stays in
-// L1 while the A panels stream past it.
-func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
+// macroKernel multiplies the iw×pw A block of rows r0.. by the pw×jw B block
+// b into the rows r0.. and columns j0.. of instance C ci, stored through c as
+// st says. Its full mr×nr tiles of a dense C, and those of a scattered C
+// that scatterTile admits, go to runTiles as one tileRun per run of column
+// panels of one class (one in all, unclassed), stored by the microkernel;
+// any other tile — ragged, or scattered in a way the microkernel does not
+// store — is computed into a stack buffer and its live elements stored one
+// by one, by the same epilogue in Go. A B panel stays in L1 while the A
+// panels stream past it.
+func macroKernel(iw, jw int, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
 	var stores [mcBlock / mr]tileStore
 	rp, cp := iw/mr, jw/nr
 	for ip := range rp {
@@ -744,18 +917,24 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 			stores[ip].rows, stores[ip].step = (*[mr]int)(c.s.rows[r:]), uint8(c.s.step)
 		}
 	}
-	if rp > 0 && cp > 0 {
-		full := tileRun{a: packedA[:rp*pw*mr], b: b.b, rows: b.rows, quads: b.starts,
-			st: stores[:rp], rowPanels: rp, colPanels: cp}
-		switch c.s.run {
-		case 0:
-			full.c, full.ldc = ci[r0*c.ldc+j0:(r0+rp*mr-1)*c.ldc+j0+cp*nr], c.ldc
-		case 4:
-			full.c, full.cstarts = ci, c.s.starts[j0/4:][:4*cp]
-		default:
-			full.colPanels = 0
+	for jp := 0; rp > 0 && jp < cp && c.s.run != 1; {
+		x, end := b.class(jp), cp
+		if b.cls != nil {
+			for end = jp + 1; end < cp && b.class(end) == x; end++ {
+			}
+		}
+		a, rows := b.ops(x, r0)
+		full := tileRun{a: a[:rp*len(rows)*mr], b: b.b, rows: rows, st: stores[:rp], rowPanels: rp, colPanels: end - jp}
+		if b.starts != nil {
+			full.quads = b.starts[4*jp : 4*end]
+		}
+		if j := j0 + jp*nr; c.s.run == 0 {
+			full.c, full.ldc = ci[r0*c.ldc+j:(r0+rp*mr-1)*c.ldc+j0+end*nr], c.ldc
+		} else {
+			full.c, full.cstarts = ci, c.s.starts[j/4:][:4*(end-jp)]
 		}
 		runTiles(&full)
+		jp = end
 	}
 
 	// The Go store's tiles: the ragged ones, and every full one of a row
@@ -767,7 +946,7 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 	var tile [mr * nr]float32
 	var plain [1]tileStore
 	var quads [4]int
-	one := tileRun{b: b.b, rows: b.rows, quads: quads[:], c: tile[:], ldc: nr, st: plain[:], rowPanels: 1, colPanels: 1}
+	one := tileRun{b: b.b, quads: quads[:], c: tile[:], ldc: nr, st: plain[:], rowPanels: 1, colPanels: 1}
 	var cols [nr]int // the panel's column offsets
 	jp := 0
 	if !goRows && iw%mr == 0 {
@@ -781,6 +960,7 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 			ip = rp // past the full tiles runTiles stored
 		}
 		started := false
+		var a []float32
 		for ; ip*mr < iw; ip++ {
 			rows := min(mr, iw-ip*mr)
 			if rows == mr && live == nr && (c.s.run == 0 || stores[ip].rows != nil) {
@@ -791,9 +971,11 @@ func macroKernel(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []f
 				for jj := range cols[:live] {
 					cols[jj] = c.col(j + jj)
 				}
+				a, one.rows = b.ops(b.class(jp), r0)
 				started = true
 			}
-			one.a = packedA[ip*pw*mr : (ip+1)*pw*mr]
+			pw := len(one.rows)
+			one.a = a[ip*pw*mr : (ip+1)*pw*mr]
 			runTiles(&one)
 			r := r0 + ip*mr
 			for ii := 0; ii < rows; ii++ {

@@ -379,7 +379,7 @@ func TestSharedPackMatchesPackWhole(t *testing.T) {
 				packWhole(trans, m, k, mPad, a, lda, want)
 				for _, workers := range []int{1, 2, 4} {
 					got := randMat(rng, mPad*k)
-					packShared(trans, m, k, mPad, a, lda, got, workers)
+					packShared(trans, m, k, mPad, a, lda, nil, got, workers)
 					for i := range want {
 						if !sameBits(got[i], want[i]) {
 							t.Fatalf("trans=%v m=%d k=%d workers=%d: element %d = %v, want %v", trans, m, k, workers, i, got[i], want[i])

@@ -11,10 +11,12 @@ import (
 // tile loop in Go, a full tile stored by kernelGo where macroKernel's
 // tileRun stores it and any other computed into a buffer and merged by the
 // Go store.
-func macroKernelGo(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
+func macroKernelGo(iw, jw int, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store) {
 	var tile [mr * nr]float32
 	for jp := 0; jp*nr < jw; jp++ {
 		quads := b.quads(jp)
+		packedA, steps := b.ops(b.class(jp), r0)
+		pw := len(steps)
 		j := j0 + jp*nr
 		live := min(nr, jw-jp*nr)
 		var starts [4]int
@@ -28,16 +30,16 @@ func macroKernelGo(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci [
 			if rows == mr && live == nr {
 				ts := st.tile(r)
 				if c.s.run == 0 {
-					kernelGo(ap, b.b, b.rows, &quads, ci[r*c.ldc+j:], c.ldc, &ts)
+					kernelGo(ap, b.b, steps, &quads, ci[r*c.ldc+j:], c.ldc, &ts)
 					continue
 				}
 				if c.scatterTile(st, r) {
 					ts.rows, ts.starts, ts.step = (*[mr]int)(c.s.rows[r:]), &starts, uint8(c.s.step)
-					kernelGo(ap, b.b, b.rows, &quads, ci, 0, &ts)
+					kernelGo(ap, b.b, steps, &quads, ci, 0, &ts)
 					continue
 				}
 			}
-			kernelGo(ap, b.b, b.rows, &quads, tile[:], nr, &tileStore{})
+			kernelGo(ap, b.b, steps, &quads, tile[:], nr, &tileStore{})
 			for ii := 0; ii < rows; ii++ {
 				for jj, v := range tile[ii*nr:][:live] {
 					at := c.row(r+ii) + c.col(j+jj)
@@ -59,7 +61,7 @@ func macroKernelGo(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci [
 
 // macroProduct runs one m×n×k product through mk the way GemmBatch drives
 // macroKernel: column blocks, K slices (later ones adding), row blocks.
-func macroProduct(mk func(iw, jw, pw int, packedA []float32, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store),
+func macroProduct(mk func(iw, jw int, b *bBlock, c *Target, ci []float32, r0, j0 int, st *store),
 	m, n, k int, packedA []float32, op Operand, c Target, accumulate bool, ep Epilogue) {
 	mPad := (m + mr - 1) / mr * mr
 	panel := make([]float32, kcBlock*ncBlock)
@@ -68,6 +70,7 @@ func macroProduct(mk func(iw, jw, pw int, packedA []float32, b *bBlock, c *Targe
 		for p0 := 0; p0 < k; p0 += kcBlock {
 			pw := min(kcBlock, k-p0)
 			blk := op.block(0, p0, pw, j0, jw, panel)
+			blk.a, blk.mPad = packedA, mPad
 			st := store{add: p0 > 0 || accumulate}
 			if p0 == 0 {
 				st.bias = ep.Bias
@@ -76,7 +79,7 @@ func macroProduct(mk func(iw, jw, pw int, packedA []float32, b *bBlock, c *Targe
 				st.norm = ep.Norm
 			}
 			for i0 := 0; i0 < m; i0 += mcBlock {
-				mk(min(mcBlock, m-i0), jw, pw, packedA[mPad*p0+i0*pw:], &blk, &c, c.instance(0), i0, j0, &st)
+				mk(min(mcBlock, m-i0), jw, &blk, &c, c.instance(0), i0, j0, &st)
 			}
 		}
 	}

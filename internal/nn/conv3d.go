@@ -36,6 +36,11 @@ type Conv3D struct {
 	ws      *tensor.Workspace // scratch of every pass: its own, or its network's
 	tables  []int             // offset tables of the running pass
 	scatter []int             // ... and of its destination, where that has a border
+
+	// The patch matrices of the last geometry the forward pass and the
+	// input gradient each read: their tables, face classes included, are
+	// built once per geometry rather than once per call.
+	fwdPatch, gradPatch patchCache
 }
 
 // NewConv3D creates a stride-1 same-padded cubic convolution. Weights are

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/gemm"
 	"repro/internal/parallel"
@@ -26,17 +28,33 @@ import (
 // border on every side (haloGeom); in there the element tap r reads for
 // voxel v sits at rows[r] + starts[v] with no bounds to test — a
 // gemm.Gathered matrix, whose two offset tables patchMatrix builds once per
-// call into the layer's table buffer. In a network the layer that produces
+// geometry, and the kernel gradient's once per call into the layer's table
+// buffer. In a network the layer that produces
 // an activation stores it in such a buffer to begin with (Haloed, halo.go) —
 // in training and in Infer alike, and so does a block's backward pass with
 // the output gradient its input gradient reads — and the convolution reads
 // it where it lies; a plain tensor, the network's input or a standalone
 // layer's, is copied into one (padHalo). Where volume rows are a multiple of
 // 4 wide the GEMM microkernel reads P in place, four voxels per run, and no
-// B panel is built; other widths are packed element by element. So one routine, convGEMM, is the
-// training forward, Infer and the input gradient. A 1×1×1 convolution needs
-// no halo: the activation slab already is P, read as one flat row of voxels
-// per channel.
+// B panel is built; other widths are packed element by element. So one
+// routine, convGEMM, is the training forward, Infer and the input gradient.
+// A 1×1×1 convolution needs no halo: the activation slab already is P, read
+// as one flat row of voxels per channel.
+//
+// Read in place, P's columns go to the microkernel sixteen voxels — one
+// column panel, four runs — at a time, and a panel whose voxels all lie in
+// the plane z = 0 reads only the zero border through every tap kz = 0 (z =
+// d−1 and kz = 2 likewise, a plane of depth 1 both). Where a panel is one
+// volume row (16 voxels wide, as at every 16³ level), the same holds for ky
+// on the rows y = 0 and y = h−1. patchMatrix sorts the panels into such face
+// classes — up to nine at 16³ rows, three (z only) where a panel spans rows
+// — and the GEMM multiplies each panel by its class's kept (channel, tap)
+// rows only (gemm.Classes). The skipped products are w·(±0), which leave
+// every accumulator's bits as they were for finite weights, so all three
+// passes are bit-for-bit what they were; over bench_net's Infer they are
+// 8.2 % of the convolution FLOPs at 16³ and 8.3 % at 8³. A layer keeps its
+// forward and input-gradient tables, classes included, while the geometry
+// lasts (patchCache).
 //
 // The kernel gradient multiplies by Pᵀ, whose K steps are voxels, and reads
 // it in place too, from a channels-last copy of the activation (read from
@@ -69,7 +87,7 @@ import (
 // once per call. Halo buffers, W′, the packed A and the partials are taken
 // from the layer's workspace and given back before the pass returns: the
 // layer holds nothing between calls but the input it was given (where it
-// lies, border and all) and its offset-table buffer.
+// lies, border and all) and its offset tables.
 
 // haloGeom locates a [d, h, w] volume inside its zero-haloed copy.
 type haloGeom struct {
@@ -82,6 +100,17 @@ type haloGeom struct {
 func newHaloGeom(d, h, w, p int) haloGeom {
 	return haloGeom{d: d, h: h, w: w, p: p, hp: h + 2*p, wp: w + 2*p,
 		vol: (d + 2*p) * (h + 2*p) * (w + 2*p)}
+}
+
+// step returns the coordinates of the voxel n after (z, y, x) in voxel
+// order.
+func (g haloGeom) step(z, y, x, n int) (int, int, int) {
+	for x += n; x >= g.w; x -= g.w {
+		if y++; y == g.h {
+			y, z = 0, z+1
+		}
+	}
+	return z, y, x
 }
 
 // interior is the offset of the first interior voxel from its plane's start.
@@ -125,15 +154,24 @@ func padHalo(dst, src []float32, count int, g haloGeom, workers int) {
 // where rows[r] is the channel's base plus the tap's offset from the
 // window's corner, and starts[v] the corner's offset. Where rows of the
 // volume are a multiple of four wide, four voxels at a time share a start —
-// the form the GEMM reads in place; any other width goes element by element.
-// The tables are written into *buf, which grows to fit them.
+// the form the GEMM reads in place, its column panels sorted into face
+// classes (faceClasses) where a plane holds at least two panels; any other
+// width goes element by element. The tables are written into *buf, which
+// grows to fit them.
+//
+// Below two panels a plane, each face class would hold one panel per sample
+// and still cost the GEMM a copy of the packed filters: at bench_net's 4³
+// level (32 filters, K = 864) the two copies outgrow the network's workspace
+// in its first Infer, and that transient garbage alone moved the benchmark
+// server's peak RSS from 60 to 80 MB, for ≈ 0.4 % of an Infer.
 func patchMatrix(g haloGeom, ch, k int, buf *[]int) gemm.Gathered {
 	run := 1
 	if g.w%4 == 0 {
 		run = 4
 	}
 	kk := k * k * k
-	tables := (*buf)[:0]
+	panels := (g.d*g.h*g.w + gemm.PanelWidth - 1) / gemm.PanelWidth
+	tables := slices.Grow((*buf)[:0], ch*kk+g.d*g.h*g.w/run+panels)
 	for kz := 0; kz < k; kz++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
@@ -146,8 +184,133 @@ func patchMatrix(g haloGeom, ch, k int, buf *[]int) gemm.Gathered {
 	}
 	nRows := len(tables)
 	tables = appendVoxelStarts(tables, g, run)
+	nStarts := len(tables)
+	classes := 0
+	if run == 4 && g.p > 0 && g.h*g.w >= 2*gemm.PanelWidth {
+		tables, classes = faceClasses(tables, g, k, nRows)
+	}
 	*buf = tables
-	return gemm.NewGathered(tables[:nRows], tables[nRows:], run)
+	p := gemm.NewGathered(tables[:nRows], tables[nRows:nStarts], run)
+	if classes == 0 {
+		return p
+	}
+	panel, t := tables[nStarts:][:panels], tables[nStarts+panels+classes:] // past the masks
+	ends, t := t[:classes], t[classes:]
+	return p.Classed(panel, ends, t[:len(t)/2], t[len(t)/2:])
+}
+
+// patchCache keeps the patch matrix of one geometry: patchMatrix's tables,
+// and the operand description gemm checked.
+type patchCache struct {
+	g      haloGeom
+	ch     int
+	p      gemm.Gathered
+	tables []int
+}
+
+// matrix returns patchMatrix(g, ch, k), built only when g or ch differ from
+// the last call's (k is the layer's own).
+func (pc *patchCache) matrix(g haloGeom, ch, k int) gemm.Gathered {
+	if pc.tables == nil || pc.g != g || pc.ch != ch {
+		pc.p = patchMatrix(g, ch, k, &pc.tables)
+		pc.g, pc.ch = g, ch
+	}
+	return pc.p
+}
+
+// faceClasses appends to tables — a run-4 patch matrix's nRows row offsets
+// and then its voxel starts — the face classes of its column panels, each
+// gemm.PanelWidth consecutive voxels: the class of each panel, the classes'
+// masks, and then ends, keep and the kept rows' offsets as gemm.Classed
+// takes them. A panel's class is the kernel taps that read the zero border
+// for every voxel of it: kz where z + kz − p leaves [0, d) for each z of
+// the panel's planes, and ky likewise for its rows' y — every y where the
+// panel spans planes, so there only a volume one row high leaves a ky out.
+// In x none leaves: a run of four voxels reads the inside. At a multiple of
+// PanelWidth wide a panel is one volume row, on a z face, a y face, both or
+// neither; narrower rows put several in a panel, which can still lie in one
+// z face. A class keeps the (channel, tap) rows whose kz and ky it does not
+// leave out, in K order. faceClasses returns the tables and the number of
+// classes, 0 where no panel leaves a tap out.
+func faceClasses(tables []int, g haloGeom, k, nRows int) ([]int, int) {
+	base := len(tables)
+	// (z, y, x) walks the first voxel of each panel, (z1, y1, _) its last.
+	cols := g.d * g.h * g.w
+	z, y, x := 0, 0, 0
+	for v0 := 0; v0 < cols; v0 += gemm.PanelWidth {
+		z1, y1, _ := g.step(z, y, x, min(gemm.PanelWidth, cols-v0)-1)
+		y0 := y
+		if z1 > z {
+			y0, y1 = 0, g.h-1
+		}
+		// kz at bit kz, ky at bit k+ky
+		tables = append(tables, borderTaps(z, z1, g.d, g.p, k)|borderTaps(y0, y1, g.h, g.p, k)<<k)
+		z, y, x = g.step(z, y, x, gemm.PanelWidth)
+	}
+	masks := len(tables)
+	tables = append(tables, 0) // class 0 keeps every tap
+	for j := base; j < masks; j++ {
+		x := slices.Index(tables[masks:], tables[j])
+		if x < 0 {
+			x = len(tables) - masks
+			tables = append(tables, tables[j])
+		}
+		tables[j] = x
+	}
+	classes := len(tables) - masks
+	if classes == 1 {
+		return tables[:base], 0
+	}
+	// ends, then the kept rows of each class but 0: the taps it keeps,
+	// channel by channel.
+	kk := k * k * k
+	kept := 0
+	for _, dead := range tables[masks+1:] {
+		kept += bits.OnesCount(uint(^dead&(1<<k-1))) * bits.OnesCount(uint(^dead>>k&(1<<k-1))) * k
+	}
+	tables = slices.Grow(tables, classes+2*kept*nRows/kk)
+	ends := len(tables)
+	tables = append(tables, make([]int, classes)...)
+	keep := len(tables)
+	for x := 1; x < classes; x++ {
+		dead := tables[masks+x]
+		first := len(tables) // channel 0's kept rows, then every other channel's
+		for kz := range k {
+			for ky := range k {
+				if dead>>kz&1 == 0 && dead>>(k+ky)&1 == 0 {
+					for t := (kz*k + ky) * k; t < (kz*k+ky+1)*k; t++ {
+						tables = append(tables, t)
+					}
+				}
+			}
+		}
+		taps := tables[first:]
+		for c := kk; c < nRows; c += kk {
+			for _, t := range taps {
+				tables = append(tables, c+t)
+			}
+		}
+		tables[ends+x] = len(tables) - keep
+	}
+	n := len(tables) - keep
+	tables = append(tables, make([]int, n)...)
+	for e, r := range tables[keep : keep+n] {
+		tables[keep+n+e] = tables[r]
+	}
+	return tables, classes
+}
+
+// borderTaps is the mask of the taps t < k that read the border for every
+// coordinate z0..z1 of an extent d inside a border p wide: z + t − p < 0 or
+// ≥ d for each.
+func borderTaps(z0, z1, d, p, k int) int {
+	mask := 0
+	for t := range k {
+		if z1+t-p < 0 || z0+t-p >= d {
+			mask |= 1 << t
+		}
+	}
+	return mask
 }
 
 // interiorScatter describes the interiors of m planes of a haloed
@@ -186,7 +349,7 @@ func interiorScatter(g haloGeom, c0, m int, buf *[]int) gemm.Scattered {
 // busy where one sample is a single column block, while the buffer, taken
 // once and refilled per group, stays the size of the workers' working set
 // whatever the batch.
-func (c *Conv3D) convGEMM(wmat []float32, m int, src, dst Haloed, ep gemm.Epilogue) {
+func (c *Conv3D) convGEMM(wmat []float32, m int, src, dst Haloed, ep gemm.Epilogue, pc *patchCache) {
 	k, workers := c.Kernel, c.workers
 	n, ch, d, h, w := src.shape("Conv3D")
 	cols := d * h * w
@@ -207,7 +370,7 @@ func (c *Conv3D) convGEMM(wmat []float32, m int, src, dst Haloed, ep gemm.Epilog
 		}
 		g = newHaloGeom(1, 1, cols, 0)
 	}
-	p := patchMatrix(g, ch, k, &c.tables)
+	p := pc.matrix(g, ch, k)
 	product := func(n0, count int, buf []float32, stride int) {
 		gemm.GemmBatch(c.ws, count, false, m, cols, kdim, wmat, kdim, 0, p.Operand(buf, stride),
 			false, ep, into(n0), workers)
@@ -244,7 +407,7 @@ func (c *Conv3D) forward(x, dst Haloed, norm gemm.Norm) {
 	}
 	checkHaloedDst("Conv3D", dst, n, c.OutChannels, d, h, w)
 	c.convGEMM(c.W.Value.Data(), c.OutChannels, x, dst,
-		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm})
+		gemm.Epilogue{Bias: c.B.Value.Data(), Norm: norm}, &c.fwdPatch)
 }
 
 // padChannelsLast copies samples [n0, n0+count) of the activation x
@@ -380,7 +543,7 @@ func (c *Conv3D) inputGradGEMM(g Haloed, gradIn *tensor.Tensor) {
 			}
 		}
 	})
-	c.convGEMM(flipped, ic, g, Whole(gradIn), gemm.Epilogue{})
+	c.convGEMM(flipped, ic, g, Whole(gradIn), gemm.Epilogue{}, &c.gradPatch)
 }
 
 // reduceWeightPartials adds n per-sample partial kernel gradients onto
